@@ -34,7 +34,6 @@ from .footprints import (
 )
 from .pointcloud import (
     Label,
-    LabeledPoint,
     PointCloud,
     build_reference_ndsm,
     fill_voids_nearest,

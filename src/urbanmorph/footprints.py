@@ -54,8 +54,17 @@ def _ring_centroid(ring: np.ndarray) -> tuple[float, float, float]:
     return a, cx, cy
 
 
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    """Proper intersection test for two segments sharing no endpoint."""
+def _ring_self_intersects(ring: np.ndarray) -> bool:
+    """Whether two edges sharing no vertex properly cross, over all pairs at once.
+
+    Edge k runs from vertex k to k+1; edges 0 and n-1 share vertex 0.
+    """
+    n = ring.shape[0]
+    x, y = ring[:, 0], ring[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    # Edge i (rows) runs from p1 to p2, edge j (columns) from p3 to p4.
+    p1, p2 = (x[:, None], y[:, None]), (xn[:, None], yn[:, None])
+    p3, p4 = (x[None, :], y[None, :]), (xn[None, :], yn[None, :])
 
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -64,19 +73,10 @@ def _segments_intersect(p1, p2, p3, p4) -> bool:
     d2 = orient(p3, p4, p2)
     d3 = orient(p1, p2, p3)
     d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _ring_self_intersects(ring: np.ndarray) -> bool:
-    n = ring.shape[0]
-    segs = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent segments share an endpoint
-            if _segments_intersect(*segs[i], *segs[j]):
-                return True
-    return False
+    k = np.arange(n)
+    pairs = k[None, :] - k[:, None] >= 2
+    pairs[0, n - 1] = False
+    return bool(np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & pairs))
 
 
 @dataclass
@@ -263,12 +263,17 @@ def write_footprints(footprints: list[BuildingFootprint], path) -> None:
         json.dump(fc, f)
 
 
-def read_footprints(path) -> list[BuildingFootprint]:
+def _read_features(path) -> list[dict]:
+    """The features of a GeoJSON FeatureCollection file."""
     with open(path) as f:
         try:
             fc = json.load(f)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    if fc.get("type") != "FeatureCollection":
+    if not isinstance(fc, dict) or fc.get("type") != "FeatureCollection":
         raise FormatError(f"{path}: expected a GeoJSON FeatureCollection")
-    return [_feature_to_footprint(feat) for feat in fc.get("features", [])]
+    return fc.get("features", [])
+
+
+def read_footprints(path) -> list[BuildingFootprint]:
+    return [_feature_to_footprint(feat) for feat in _read_features(path)]

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .footprints import BuildingFootprint, FootprintMask, _feature_to_footprint, _footprint_to_feature
+from .footprints import BuildingFootprint, FootprintMask
+from .footprints import _feature_to_footprint, _footprint_to_feature, _read_features
 from .raster import Raster, require_aligned
 
 
@@ -95,15 +96,8 @@ def write_lod1(buildings: list[Lod1Building], path) -> None:
 
 
 def read_lod1(path) -> list[Lod1Building]:
-    with open(path) as f:
-        try:
-            fc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    if fc.get("type") != "FeatureCollection":
-        raise FormatError(f"{path}: expected a GeoJSON FeatureCollection")
     buildings = []
-    for feat in fc.get("features", []):
+    for feat in _read_features(path):
         fp = _feature_to_footprint(feat)
         props = feat.get("properties") or {}
         if "height_m" not in props:

@@ -65,7 +65,6 @@ class ModelConfig:
 class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 1
-    batch_size: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size != 1:
-            raise ValueError("only batch_size 1 is supported")
 
 
 def layer_specs(cfg: ModelConfig) -> list[tuple[str, int, int, int, int]]:

@@ -79,10 +79,6 @@ class PipelineConfig:
 _BOOL_KEYS = {"snap_to_coarse"}
 
 
-def config_field_types() -> dict[str, type]:
-    return {f.name: f.type for f in fields(PipelineConfig)}
-
-
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
     if not os.path.exists(path):
@@ -298,28 +294,38 @@ def stage_lod1(cfg: PipelineConfig) -> dict[str, str]:
     }
 
 
-def _ucp_for(cfg: PipelineConfig, lod1_path: str, resolution: float) -> ucp.UcpGrid:
-    buildings = lod1_mod.read_lod1(lod1_path)
+def _ucp_grids(cfg: PipelineConfig, kind: str) -> dict[float, ucp.UcpGrid]:
+    """UCP grids of one LoD-1 set (``pred`` or ``ref``) at every resolution.
+
+    The set is read and rasterized once; its mask is dropped on return.
+    """
+    resolutions = cfg.resolution_list()
+    buildings = lod1_mod.read_lod1(
+        _require_file(cfg.path(f"lod1_{kind}.geojson"), f"lod1_{kind}")
+    )
     template = _template_like(
         read_raster(_require_file(cfg.path("predicted_heights.glbr"), "predicted_heights"))
     )
-    footprints = [b.footprint for b in buildings]
-    mask = rasterize(footprints, template)
-    return ucp.aggregate_all(
-        buildings,
-        mask,
-        resolution=resolution,
-        directions=cfg.direction_list(),
-        bin_width=cfg.bin_width,
-        height_cap=cfg.height_cap,
-    )
+    mask = rasterize([b.footprint for b in buildings], template)
+    return {
+        resolution: ucp.aggregate_all(
+            buildings,
+            mask,
+            resolution=resolution,
+            directions=cfg.direction_list(),
+            bin_width=cfg.bin_width,
+            height_cap=cfg.height_cap,
+        )
+        for resolution in resolutions
+    }
 
 
 def stage_ucp(cfg: PipelineConfig) -> dict[str, str]:
+    grids = {kind: _ucp_grids(cfg, kind) for kind in ("pred", "ref")}
     outputs = {}
     for resolution in cfg.resolution_list():
         for kind in ("pred", "ref"):
-            grid = _ucp_for(cfg, cfg.path(f"lod1_{kind}.geojson"), resolution)
+            grid = grids[kind][resolution]
             out_dir = cfg.path(f"ucp_{kind}_{resolution:g}m")
             ucp.export_rasters(grid, out_dir)
             ucp.export_csv(grid, os.path.join(out_dir, "ucp_table.csv"))
@@ -328,13 +334,13 @@ def stage_ucp(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_validate(cfg: PipelineConfig) -> dict[str, str]:
+    pred = _ucp_grids(cfg, "pred")
+    ref = _ucp_grids(cfg, "ref")
     outputs = {}
     for resolution in cfg.resolution_list():
-        pred = _ucp_for(cfg, cfg.path("lod1_pred.geojson"), resolution)
-        ref = _ucp_for(cfg, cfg.path("lod1_ref.geojson"), resolution)
         out_dir = cfg.path(f"validation_{resolution:g}m")
         validation.export_comparison(
-            pred, ref, out_dir, min_reference=cfg.min_reference
+            pred[resolution], ref[resolution], out_dir, min_reference=cfg.min_reference
         )
         outputs[f"validation_{resolution:g}m"] = out_dir
     return outputs

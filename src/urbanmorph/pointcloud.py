@@ -28,14 +28,6 @@ _LABEL_NAMES = {Label.GROUND: "ground", Label.BUILDING: "building", Label.OTHER:
 _NAME_LABELS = {v: k for k, v in _LABEL_NAMES.items()}
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    x: float
-    y: float
-    z: float
-    label: Label
-
-
 @dataclass
 class PointCloud:
     """Columnar point storage; all arrays share one length."""
@@ -68,15 +60,6 @@ class PointCloud:
             float(self.ys.min()),
             float(self.xs.max()),
             float(self.ys.max()),
-        )
-
-    @classmethod
-    def from_points(cls, points: list[LabeledPoint]) -> "PointCloud":
-        return cls(
-            xs=np.array([p.x for p in points]),
-            ys=np.array([p.y for p in points]),
-            zs=np.array([p.z for p in points]),
-            labels=np.array([int(p.label) for p in points], dtype=np.int8),
         )
 
 

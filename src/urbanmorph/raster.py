@@ -121,12 +121,6 @@ def require_aligned(a: Raster, b: Raster, what: str = "rasters") -> None:
         )
 
 
-def constant_like(template: Raster, value: float) -> Raster:
-    return template.with_values(
-        np.full((template.height, template.width), value, dtype=np.float32)
-    )
-
-
 # -- cell-wise arithmetic --------------------------------------------------
 
 

@@ -9,6 +9,10 @@ Conventions (declared, since sources differ): buildings belong to the cell
 containing their footprint centroid; plan and roof areas are pixel counts on
 the 1-m mask; the standard deviation is the population form; grid cells
 clipped by the mask extent use their actually covered area as the cell area.
+
+Per-building geometry (centroid cell, footprint area, perimeter) is computed
+once per grid into a ``BuildingTable``; the per-cell fields are ``bincount``
+reductions over it, which add in building order.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError, ShapeError
-from .footprints import FootprintMask, centroid, polygon_area, polygon_perimeter, projected_width
+from .footprints import BuildingFootprint, FootprintMask, centroid
+from .footprints import polygon_area, polygon_perimeter, projected_width
 from .lod1 import Lod1Building
 from .raster import Raster, write_raster
 
@@ -102,53 +107,74 @@ def lambda_p(mask: FootprintMask, geom: GridGeometry) -> np.ndarray:
     return built / total
 
 
-def _building_cells(buildings: list[Lod1Building], geom: GridGeometry) -> np.ndarray:
-    """Flat grid-cell index per building (centroid rule); -1 when outside."""
-    idx = np.full(len(buildings), -1, dtype=np.int64)
+@dataclass(frozen=True)
+class BuildingTable:
+    """Per-building columns over one grid, in building order.
+
+    ``cells`` is the flat grid-cell index of each building's footprint
+    centroid, -1 when it lies outside the grid.
+    """
+
+    geom: GridGeometry
+    cells: np.ndarray
+    heights: np.ndarray
+    areas: np.ndarray
+    perimeters: np.ndarray
+    footprints: list[BuildingFootprint]
+
+    def cell_sums(self, weights: np.ndarray) -> np.ndarray:
+        """Per-cell sum of a per-building value over member buildings, in
+        building order (so it equals a ``sums[cell] += value`` loop)."""
+        sel = self.cells >= 0
+        n = self.geom.rows * self.geom.cols
+        return np.bincount(self.cells[sel], weights=weights[sel], minlength=n)
+
+
+def building_table(buildings: list[Lod1Building], geom: GridGeometry) -> BuildingTable:
+    """Compute each building's grid cell, area and perimeter once."""
+    cells = np.full(len(buildings), -1, dtype=np.int64)
     for i, b in enumerate(buildings):
         cx, cy = centroid(b.footprint)
         col = math.floor((cx - geom.origin_x) / geom.resolution)
         row = math.floor((cy - geom.origin_y) / geom.resolution)
         if 0 <= row < geom.rows and 0 <= col < geom.cols:
-            idx[i] = row * geom.cols + col
-    return idx
+            cells[i] = row * geom.cols + col
+    footprints = [b.footprint for b in buildings]
+    return BuildingTable(
+        geom=geom,
+        cells=cells,
+        heights=np.array([b.height for b in buildings], dtype=np.float64),
+        areas=np.array([polygon_area(f) for f in footprints], dtype=np.float64),
+        perimeters=np.array([polygon_perimeter(f) for f in footprints], dtype=np.float64),
+        footprints=footprints,
+    )
 
 
-def lambda_b(
-    buildings: list[Lod1Building], mask: FootprintMask, geom: GridGeometry
-) -> np.ndarray:
+def lambda_b(table: BuildingTable, mask: FootprintMask) -> np.ndarray:
     """Surface-to-plan ratio: (roof area + perimeter x height) over cell area.
 
     Roof area comes from the mask's built pixels; the wall term sums over
     buildings whose centroid lies in the cell.
     """
+    geom = table.geom
     _check_mask(mask, geom)
     built_area = (
         _block_sums((mask.raster.values > 0).astype(np.float64), geom)
         * geom.fine_cell_size ** 2
     )
-    walls = np.zeros(geom.rows * geom.cols)
-    cells = _building_cells(buildings, geom)
-    for b, c in zip(buildings, cells):
-        if c >= 0:
-            walls[c] += polygon_perimeter(b.footprint) * b.height
+    walls = table.cell_sums(table.perimeters * table.heights)
     a_t = covered_area(geom)
     return (built_area + walls.reshape(geom.rows, geom.cols)) / a_t
 
 
-def height_stats(
-    buildings: list[Lod1Building], geom: GridGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def height_stats(table: BuildingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell (mean, population std, count) of member building heights."""
+    geom = table.geom
     n = geom.rows * geom.cols
-    cells = _building_cells(buildings, geom)
-    heights = np.array([b.height for b in buildings], dtype=np.float64)
-    sel = cells >= 0
-    counts = np.bincount(cells[sel], minlength=n).astype(np.int64)
-    sums = np.bincount(cells[sel], weights=heights[sel], minlength=n)
-    sumsq = np.bincount(cells[sel], weights=heights[sel] ** 2, minlength=n)
+    counts = np.bincount(table.cells[table.cells >= 0], minlength=n).astype(np.int64)
+    sums = table.cell_sums(table.heights)
+    sumsq = table.cell_sums(table.heights ** 2)
     mean = np.zeros(n)
-    std = np.zeros(n)
     present = counts > 0
     mean[present] = sums[present] / counts[present]
     var = np.zeros(n)
@@ -158,26 +184,18 @@ def height_stats(
     return mean.reshape(shape), std.reshape(shape), counts.reshape(shape)
 
 
-def area_weighted_height(
-    buildings: list[Lod1Building], geom: GridGeometry
-) -> np.ndarray:
+def area_weighted_height(table: BuildingTable) -> np.ndarray:
     """Footprint-area-weighted mean height per cell."""
-    n = geom.rows * geom.cols
-    cells = _building_cells(buildings, geom)
-    sel = cells >= 0
-    areas = np.array([polygon_area(b.footprint) for b in buildings])
-    heights = np.array([b.height for b in buildings])
-    wsum = np.bincount(cells[sel], weights=(areas * heights)[sel], minlength=n)
-    w = np.bincount(cells[sel], weights=areas[sel], minlength=n)
-    out = np.zeros(n)
+    wsum = table.cell_sums(table.areas * table.heights)
+    w = table.cell_sums(table.areas)
+    out = np.zeros_like(w)
     present = w > 0
     out[present] = wsum[present] / w[present]
-    return out.reshape(geom.rows, geom.cols)
+    return out.reshape(table.geom.rows, table.geom.cols)
 
 
 def height_histogram(
-    buildings: list[Lod1Building],
-    geom: GridGeometry,
+    table: BuildingTable,
     bin_width: float = DEFAULT_BIN_WIDTH,
     height_cap: float = DEFAULT_HEIGHT_CAP,
 ) -> np.ndarray:
@@ -188,13 +206,12 @@ def height_histogram(
     """
     if not bin_width > 0:
         raise ShapeError(f"bin_width {bin_width} must be > 0")
+    geom = table.geom
     nbins = int(height_cap // bin_width) + 1
     n = geom.rows * geom.cols
-    cells = _building_cells(buildings, geom)
-    heights = np.array([b.height for b in buildings], dtype=np.float64)
-    bins = np.minimum((heights // bin_width).astype(np.int64), nbins - 1)
-    sel = cells >= 0
-    combined = cells[sel] * nbins + bins[sel]
+    bins = np.minimum((table.heights // bin_width).astype(np.int64), nbins - 1)
+    sel = table.cells >= 0
+    combined = table.cells[sel] * nbins + bins[sel]
     counts = np.bincount(combined, minlength=n * nbins).reshape(n, nbins)
     totals = counts.sum(axis=1)
     frac = np.zeros((n, nbins))
@@ -203,15 +220,13 @@ def height_histogram(
     return frac.reshape(geom.rows, geom.cols, nbins)
 
 
-def lambda_f(
-    buildings: list[Lod1Building], geom: GridGeometry, wind_direction: float
-) -> np.ndarray:
+def lambda_f(table: BuildingTable, wind_direction: float) -> np.ndarray:
     """Frontal area index: wind-facing wall area per unit cell area."""
-    walls = np.zeros(geom.rows * geom.cols)
-    cells = _building_cells(buildings, geom)
-    for b, c in zip(buildings, cells):
-        if c >= 0:
-            walls[c] += projected_width(b.footprint, wind_direction) * b.height
+    geom = table.geom
+    widths = np.array(
+        [projected_width(f, wind_direction) for f in table.footprints], dtype=np.float64
+    )
+    walls = table.cell_sums(widths * table.heights)
     return walls.reshape(geom.rows, geom.cols) / covered_area(geom)
 
 
@@ -304,9 +319,14 @@ def aggregate_all(
     bin_width: float = DEFAULT_BIN_WIDTH,
     height_cap: float = DEFAULT_HEIGHT_CAP,
 ) -> UcpGrid:
-    """Populate every UCP field over one grid in a single deterministic pass."""
+    """Populate every UCP field over one grid in a single deterministic pass.
+
+    Each building's grid cell, area and perimeter are computed once for the
+    grid, in one ``building_table``; every field reduces that table.
+    """
     geom = grid_geometry(mask, resolution)
-    mean, std, count = height_stats(buildings, geom)
+    table = building_table(buildings, geom)
+    mean, std, count = height_stats(table)
     return UcpGrid(
         resolution=resolution,
         origin_x=geom.origin_x,
@@ -318,11 +338,11 @@ def aggregate_all(
         count=count,
         mean=mean,
         std=std,
-        area_weighted=area_weighted_height(buildings, geom),
-        hist=height_histogram(buildings, geom, bin_width, height_cap),
+        area_weighted=area_weighted_height(table),
+        hist=height_histogram(table, bin_width, height_cap),
         lambda_p=lambda_p(mask, geom),
-        lambda_b=lambda_b(buildings, mask, geom),
-        lambda_f={d: lambda_f(buildings, geom, d) for d in directions},
+        lambda_b=lambda_b(table, mask),
+        lambda_f={d: lambda_f(table, d) for d in directions},
         covered_area=covered_area(geom),
     )
 

@@ -1,9 +1,11 @@
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from urbanmorph import pipeline
 from urbanmorph.cli import main
 from urbanmorph.lod1 import read_lod1
 from urbanmorph.pipeline import (
@@ -157,6 +159,27 @@ class TestFullRun:
         assert tree_digest(run_dir) == tree_digest(out2)
 
 
+class TestLod1ReadOnce:
+    def test_each_lod1_file_read_once_per_stage(self, run_dir, tmp_path, monkeypatch):
+        for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        reads = []
+
+        def counting_read_lod1(path):
+            reads.append(os.path.basename(path))
+            return read_lod1(path)
+
+        monkeypatch.setattr(pipeline.lod1_mod, "read_lod1", counting_read_lod1)
+        cfg = build_config(
+            {"resolutions": "100,300", "directions": "0,90"}, {"out": str(tmp_path)}
+        )
+        for stage in ("ucp", "validate"):
+            reads.clear()
+            outputs = pipeline.STAGES[stage](cfg)
+            assert len(outputs) == {"ucp": 4, "validate": 2}[stage]
+            assert sorted(reads) == ["lod1_pred.geojson", "lod1_ref.geojson"], stage
+
+
 class TestNetworkRun:
     def test_tiny_network_end_to_end(self, tmp_path):
         cfg_path = write_config(
@@ -196,6 +219,14 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert code == 2
         assert "nonsense_key" in captured.err
+
+    @pytest.mark.parametrize("stage", ["ucp", "validate"])
+    def test_missing_lod1_exit_2(self, tmp_path, capsys, stage):
+        code = main(["--out", str(tmp_path / "o"), stage])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"ERROR stage={stage}" in captured.err
+        assert "lod1_pred" in captured.err
 
     def test_bad_predictor_exit_2(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "predict", "--predictor", "oracle"])

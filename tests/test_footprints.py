@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urbanmorph.errors import FormatError, GeometryError
 from urbanmorph.footprints import (
     BuildingFootprint,
+    _ring_self_intersects,
     centroid,
     polygon_area,
     polygon_perimeter,
@@ -65,6 +68,62 @@ def point_in_polygon_oracle(px, py, rings):
                 if px < xint:
                     inside = not inside
     return inside
+
+
+def self_intersects_oracle(ring):
+    """Pairwise proper-crossing test over non-adjacent edges, one pair at a time."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    n = ring.shape[0]
+    segs = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue  # adjacent segments share an endpoint
+            (p1, p2), (p3, p4) = segs[i], segs[j]
+            d1 = orient(p3, p4, p1)
+            d2 = orient(p3, p4, p2)
+            d3 = orient(p1, p2, p3)
+            d4 = orient(p1, p2, p4)
+            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+                return True
+    return False
+
+
+@st.composite
+def star_rings(draw):
+    """Star polygons {n/k}: k = 1 is simple, k > 1 crosses itself."""
+    n = draw(st.integers(3, 12))
+    k = draw(st.integers(1, n - 1))
+    radii = draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n))
+    angles = [2 * math.pi * k * i / n for i in range(n)]
+    return [(r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles)]
+
+
+@st.composite
+def bowtie_rings(draw):
+    w = draw(st.floats(0.1, 50.0))
+    h = draw(st.floats(0.1, 50.0))
+    jitter = draw(st.floats(-0.05, 0.05))
+    return [(0.0, 0.0), (w, h), (w, jitter), (0.0, h)]
+
+
+_rings = st.one_of(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10),
+    st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=3, max_size=12),
+    star_rings(),
+    bowtie_rings(),
+)
+
+
+class TestSelfIntersection:
+    @settings(max_examples=400, deadline=None)
+    @given(_rings)
+    def test_matches_pairwise_oracle(self, ring):
+        ring = np.asarray(ring, dtype=np.float64)
+        assert _ring_self_intersects(ring) == self_intersects_oracle(ring)
 
 
 class TestArea:
@@ -234,6 +293,13 @@ class TestGeoJson:
             }],
         }))
         with pytest.raises(FormatError, match="id"):
+            read_footprints(path)
+
+    @pytest.mark.parametrize("text", ["[]", '{"type": "Feature"}'])
+    def test_not_a_feature_collection_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.geojson"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="FeatureCollection"):
             read_footprints(path)
 
     def test_self_intersecting_rejected(self):

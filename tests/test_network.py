@@ -96,8 +96,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(depth=9)  # 256 not divisible by 2^9
         with pytest.raises(ValueError):
-            TrainConfig(batch_size=2)
-        with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
 
 

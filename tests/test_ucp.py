@@ -18,6 +18,7 @@ from urbanmorph.raster import Raster, read_raster
 from urbanmorph.ucp import (
     aggregate_all,
     area_weighted_height,
+    building_table,
     covered_area,
     export_csv,
     export_rasters,
@@ -106,7 +107,7 @@ class TestLambdaB:
         b = building(1, 45, 45, 10, 10, 5.0)
         mask = rasterize([b.footprint], template(100, 100))
         g = grid_geometry(mask, 100.0)
-        assert lambda_b([b], mask, g)[0, 0] == pytest.approx(0.03)
+        assert lambda_b(building_table([b], g), mask)[0, 0] == pytest.approx(0.03)
 
     def test_at_least_lambda_p(self):
         rng = np.random.default_rng(3)
@@ -117,13 +118,13 @@ class TestLambdaB:
         ]
         mask = rasterize([b.footprint for b in bs], template(100, 100))
         g = grid_geometry(mask, 50.0)
-        assert np.all(lambda_b(bs, mask, g) >= lambda_p(mask, g) - 1e-12)
+        assert np.all(lambda_b(building_table(bs, g), mask) >= lambda_p(mask, g) - 1e-12)
 
     def test_zero_height_equals_lambda_p(self):
         b = building(1, 10, 10, 20, 20, 0.0)
         mask = rasterize([b.footprint], template(100, 100))
         g = grid_geometry(mask, 100.0)
-        assert lambda_b([b], mask, g)[0, 0] == pytest.approx(
+        assert lambda_b(building_table([b], g), mask)[0, 0] == pytest.approx(
             lambda_p(mask, g)[0, 0]
         )
 
@@ -133,7 +134,7 @@ class TestHeightStats:
         bs = [building(1, 10, 10, 4, 4, 5.0), building(2, 30, 30, 4, 4, 15.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 100))
         g = grid_geometry(mask, 100.0)
-        mean, std, count = height_stats(bs, g)
+        mean, std, count = height_stats(building_table(bs, g))
         assert mean[0, 0] == pytest.approx(10.0)
         assert std[0, 0] == pytest.approx(5.0)  # population std of {5, 15}
         assert count[0, 0] == 2
@@ -142,7 +143,7 @@ class TestHeightStats:
         bs = [building(1, 10, 10, 4, 4, 7.0)]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
         g = grid_geometry(mask, 50.0)
-        mean, std, count = height_stats(bs, g)
+        mean, std, count = height_stats(building_table(bs, g))
         assert (mean[0, 0], std[0, 0], count[0, 0]) == (7.0, 0.0, 1)
 
     def test_centroid_assignment(self):
@@ -150,7 +151,7 @@ class TestHeightStats:
         bs = [building(1, 40, 10, 16, 4, 9.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 50))
         g = grid_geometry(mask, 50.0)
-        _, _, count = height_stats(bs, g)
+        _, _, count = height_stats(building_table(bs, g))
         assert count[0, 0] == 1 and count[0, 1] == 0
 
     def test_area_weighted_differs_from_mean(self):
@@ -159,8 +160,8 @@ class TestHeightStats:
         bs = [building(1, 5, 5, 10, 10, 10.0), building(2, 30, 30, 20, 20, 40.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 100))
         g = grid_geometry(mask, 100.0)
-        mean, _, _ = height_stats(bs, g)
-        aw = area_weighted_height(bs, g)
+        mean, _, _ = height_stats(building_table(bs, g))
+        aw = area_weighted_height(building_table(bs, g))
         assert mean[0, 0] == pytest.approx(25.0)
         assert aw[0, 0] == pytest.approx(34.0)
 
@@ -171,7 +172,7 @@ class TestHistogram:
         bs = [building(1, 5, 5, 4, 4, 5.0)]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
         g = grid_geometry(mask, 50.0)
-        h = height_histogram(bs, g)
+        h = height_histogram(building_table(bs, g))
         assert h[0, 0, 0] == 0.0
         assert h[0, 0, 1] == 1.0
 
@@ -179,7 +180,7 @@ class TestHistogram:
         bs = [building(1, 5, 5, 4, 4, 200.0), building(2, 20, 20, 4, 4, 75.0)]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
         g = grid_geometry(mask, 50.0)
-        h = height_histogram(bs, g)
+        h = height_histogram(building_table(bs, g))
         assert h.shape[-1] == 16
         assert h[0, 0, 15] == 1.0  # both land in the open-ended top bin
 
@@ -191,7 +192,7 @@ class TestHistogram:
         ]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
         g = grid_geometry(mask, 50.0)
-        h = height_histogram(bs, g)
+        h = height_histogram(building_table(bs, g))
         assert h[0, 0].sum() == pytest.approx(1.0)
         assert h[0, 0].min() >= 0.0
 
@@ -199,7 +200,7 @@ class TestHistogram:
         bs = [building(1, 5, 5, 4, 4, 10.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 50))
         g = grid_geometry(mask, 50.0)
-        h = height_histogram(bs, g)
+        h = height_histogram(building_table(bs, g))
         np.testing.assert_array_equal(h[0, 1], 0.0)
 
     def test_bad_bin_width(self):
@@ -207,7 +208,7 @@ class TestHistogram:
         mask = rasterize([rect(1, 5, 5, 4, 4)], template(50, 50))
         g = grid_geometry(mask, 50.0)
         with pytest.raises(ShapeError):
-            height_histogram(bs, g, bin_width=0.0)
+            height_histogram(building_table(bs, g), bin_width=0.0)
 
 
 class TestLambdaF:
@@ -216,7 +217,7 @@ class TestLambdaF:
         b = building(1, 45, 45, 10, 10, 20.0)
         mask = rasterize([b.footprint], template(100, 100))
         g = grid_geometry(mask, 100.0)
-        assert lambda_f([b], g, 0.0)[0, 0] == pytest.approx(0.02)
+        assert lambda_f(building_table([b], g), 0.0)[0, 0] == pytest.approx(0.02)
 
     def test_opposite_directions_equal(self):
         rng = np.random.default_rng(4)
@@ -228,7 +229,9 @@ class TestLambdaF:
         mask = rasterize([b.footprint for b in bs], template(100, 100))
         g = grid_geometry(mask, 50.0)
         np.testing.assert_allclose(
-            lambda_f(bs, g, 30.0), lambda_f(bs, g, 210.0), rtol=1e-9
+            lambda_f(building_table(bs, g), 30.0),
+            lambda_f(building_table(bs, g), 210.0),
+            rtol=1e-9,
         )
 
     def test_rectangle_direction_dependence(self):
@@ -236,8 +239,8 @@ class TestLambdaF:
         b = building(1, 40, 45, 20, 5, 10.0)
         mask = rasterize([b.footprint], template(100, 100))
         g = grid_geometry(mask, 100.0)
-        assert lambda_f([b], g, 0.0)[0, 0] == pytest.approx(20 * 10 / 10000)
-        assert lambda_f([b], g, 90.0)[0, 0] == pytest.approx(5 * 10 / 10000)
+        assert lambda_f(building_table([b], g), 0.0)[0, 0] == pytest.approx(20 * 10 / 10000)
+        assert lambda_f(building_table([b], g), 90.0)[0, 0] == pytest.approx(5 * 10 / 10000)
 
 
 class TestAggregateBruteForce:
@@ -325,6 +328,20 @@ class TestAggregateBruteForce:
         np.testing.assert_allclose(g1.mean, g2.mean)
         np.testing.assert_allclose(g1.lambda_b, g2.lambda_b)
         np.testing.assert_allclose(g1.hist, g2.hist)
+
+
+    def test_centroid_once_per_building(self, monkeypatch):
+        calls = []
+
+        def counting_centroid(f):
+            calls.append(f.id)
+            return centroid(f)
+
+        monkeypatch.setattr("urbanmorph.ucp.centroid", counting_centroid)
+        bs = [building(i + 1, 20 * i + 2, 10, 8, 8, 5.0 + i) for i in range(4)]
+        mask = rasterize([b.footprint for b in bs], template(100, 100))
+        aggregate_all(bs, mask, resolution=50.0, directions=(0.0, 45.0, 90.0, 135.0))
+        assert sorted(calls) == [1, 2, 3, 4]
 
 
 class TestNesting:
