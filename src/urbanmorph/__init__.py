@@ -38,6 +38,7 @@ from .pointcloud import (
     build_reference_ndsm,
     fill_voids_nearest,
     grid_elevation,
+    height_above_ground,
     read_points_csv,
     write_points_csv,
 )

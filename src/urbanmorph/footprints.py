@@ -200,12 +200,7 @@ def rasterize(footprints: list[BuildingFootprint], template: Raster) -> Footprin
         c1 = int(np.searchsorted(cx, xmax))
         r0 = int(np.searchsorted(cy, ymin))
         r1 = int(np.searchsorted(cy, ymax))
-        if c0 >= c1 or r0 >= r1:
-            warnings.warn(
-                f"footprint {f.id} covers no cell centers of the template",
-                stacklevel=2,
-            )
-            continue
+        # A footprint between cell centers gets an empty window, so no inside.
         gx, gy = np.meshgrid(cx[c0:c1], cy[r0:r1])
         inside = _points_in_rings(gx, gy, f.rings())
         if not inside.any():
@@ -268,7 +263,7 @@ def _read_features(path) -> list[dict]:
     with open(path) as f:
         try:
             fc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or a JSON syntax error
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(fc, dict) or fc.get("type") != "FeatureCollection":
         raise FormatError(f"{path}: expected a GeoJSON FeatureCollection")

@@ -14,18 +14,11 @@ import numpy as np
 
 from . import lod1 as lod1_mod
 from . import network, synth, tiler, ucp, validation
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .footprints import read_footprints, rasterize
 from .pointcloud import Label, fill_voids_nearest, grid_elevation, read_points_csv
-from .raster import (
-    Raster,
-    clamp_nonnegative,
-    minmax_normalize,
-    read_raster,
-    resample_cubic,
-    subtract,
-    write_raster,
-)
+from .pointcloud import height_above_ground
+from .raster import Raster, minmax_normalize, read_raster, resample_cubic, write_raster
 
 
 @dataclass
@@ -143,11 +136,20 @@ def _template_like(r: Raster) -> Raster:
     return r.with_values(np.zeros((r.height, r.width), dtype=np.float32))
 
 
+def _checked(cls, **kwargs):
+    """``cls(**kwargs)``, with a rejected value reported as a config error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 # -- stages ------------------------------------------------------------------
 
 
 def stage_synth(cfg: PipelineConfig) -> dict[str, str]:
-    spec = synth.SyntheticCitySpec(
+    spec = _checked(
+        synth.SyntheticCitySpec,
         extent_m=cfg.extent,
         n_buildings=cfg.n_buildings,
         footprint_min=cfg.footprint_min,
@@ -168,8 +170,9 @@ def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
     pc = read_points_csv(_require_file(cfg.points, "points"))
     x0, y0, x1, y1 = pc.extent
     cs = cfg.fine_cell_size
-    width = max(1, int(np.ceil((x1 - np.floor(x0 / cs) * cs) / cs)))
-    height = max(1, int(np.ceil((y1 - np.floor(y0 / cs) * cs) / cs)))
+    # The last cell holds the maximum point, even one on a cell edge.
+    width = max(1, int(np.floor((x1 - np.floor(x0 / cs) * cs) / cs)) + 1)
+    height = max(1, int(np.floor((y1 - np.floor(y0 / cs) * cs) / cs)) + 1)
     template = Raster(
         width=width,
         height=height,
@@ -190,11 +193,7 @@ def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
 def stage_ndsm(cfg: PipelineConfig) -> dict[str, str]:
     dsm = read_raster(_require_file(cfg.path("dsm.glbr"), "dsm"))
     dem = read_raster(_require_file(cfg.path("dem.glbr"), "dem"))
-    ndsm = clamp_nonnegative(subtract(dsm, dem))
-    vals = ndsm.values.copy()
-    vals[~ndsm.valid_mask] = 0.0  # no building returns -> height 0
-    out = ndsm.with_values(vals)
-    write_raster(out, cfg.path("ndsm_ref.glbr"))
+    write_raster(height_above_ground(dsm, dem), cfg.path("ndsm_ref.glbr"))
     return {"ndsm_ref": cfg.path("ndsm_ref.glbr")}
 
 
@@ -212,23 +211,22 @@ def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
     }
 
 
-def _channels(cfg: PipelineConfig):
-    """Normalized predictor channels plus the mask and footprints."""
+def _channels(cfg: PipelineConfig) -> list[Raster]:
+    """Normalized predictor channels: nDSM, population and footprint mask."""
     ndsm_fine = read_raster(
         _require_file(cfg.path("ndsm_resampled.glbr"), "ndsm_resampled")
     )
     pop_fine = read_raster(
         _require_file(cfg.path("population_resampled.glbr"), "population_resampled")
     )
-    footprints, mask = _mask_for(cfg, _template_like(ndsm_fine))
-    ndsm_norm, ndsm_params = minmax_normalize(ndsm_fine)
+    _, mask = _mask_for(cfg, _template_like(ndsm_fine))
+    ndsm_norm, _ = minmax_normalize(ndsm_fine)
     pop_norm, _ = minmax_normalize(pop_fine)
-    return footprints, mask, [ndsm_norm, pop_norm, mask.raster], ndsm_params
+    return [ndsm_norm, pop_norm, mask.raster]
 
 
 def stage_tile(cfg: PipelineConfig) -> dict[str, str]:
-    _, _, channels, _ = _channels(cfg)
-    _, tiles = tiler.split(channels)
+    _, tiles = tiler.split(_channels(cfg))
     out_dir = cfg.path("tiles")
     tiler.dump_tiles(tiles, out_dir)
     return {"tiles": out_dir}
@@ -240,19 +238,19 @@ def _target(cfg: PipelineConfig):
 
 
 def stage_train(cfg: PipelineConfig) -> dict[str, str]:
-    _, _, channels, _ = _channels(cfg)
+    channels = _channels(cfg)
     target_norm, _ = _target(cfg)
-    plan, tiles = tiler.split(channels)
+    _, tiles = tiler.split(channels)
     _, target_tiles = tiler.split([target_norm])
     dataset = [
         (t.stacked(), tt.channels[0]) for t, tt in zip(tiles, target_tiles)
     ]
-    model_cfg = network.ModelConfig(
-        depth=cfg.depth, base_filters=cfg.base_filters, seed=cfg.seed
+    model_cfg = _checked(
+        network.ModelConfig, depth=cfg.depth, base_filters=cfg.base_filters, seed=cfg.seed
     )
     weights = network.init_weights(model_cfg)
-    train_cfg = network.TrainConfig(
-        learning_rate=cfg.learning_rate, epochs=cfg.epochs, seed=cfg.seed
+    train_cfg = _checked(
+        network.TrainConfig, learning_rate=cfg.learning_rate, epochs=cfg.epochs, seed=cfg.seed
     )
     trained, history = network.train(weights, dataset, train_cfg)
     network.write_weights(trained, cfg.path("weights.glbw"))
@@ -268,7 +266,7 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, str]:
         _, mask = _mask_for(cfg, _template_like(ndsm_fine))
         pred = network.baseline_predict(ndsm_fine, mask)
     elif cfg.predictor == "network":
-        _, _, channels, _ = _channels(cfg)
+        channels = _channels(cfg)
         _, target_params = _target(cfg)
         weights = network.read_weights(_require_file(cfg.path("weights.glbw"), "weights"))
         pred = network.predict_city(weights, channels, target_params)
@@ -294,21 +292,27 @@ def stage_lod1(cfg: PipelineConfig) -> dict[str, str]:
     }
 
 
-def _ucp_grids(cfg: PipelineConfig, kind: str) -> dict[float, ucp.UcpGrid]:
-    """UCP grids of one LoD-1 set (``pred`` or ``ref``) at every resolution.
+def _footprint_key(buildings: list[lod1_mod.Lod1Building]) -> list:
+    return [(b.footprint.id, [r.tolist() for r in b.footprint.rings()]) for b in buildings]
 
-    The set is read and rasterized once; its mask is dropped on return.
+
+def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
+    """UCP grids of both LoD-1 sets, by kind (``pred``, ``ref``) and resolution.
+
+    ``stage_lod1`` writes both sets from one footprint file, so one mask,
+    rasterized once, serves both; a pair whose footprints differ is rejected.
     """
     resolutions = cfg.resolution_list()
-    buildings = lod1_mod.read_lod1(
-        _require_file(cfg.path(f"lod1_{kind}.geojson"), f"lod1_{kind}")
-    )
+    paths = [_require_file(cfg.path(f"lod1_{k}.geojson"), f"lod1_{k}") for k in ("pred", "ref")]
+    pred, ref = (lod1_mod.read_lod1(path) for path in paths)
+    if _footprint_key(pred) != _footprint_key(ref):
+        raise FormatError(f"{paths[1]}: footprints differ from {paths[0]}")
     template = _template_like(
         read_raster(_require_file(cfg.path("predicted_heights.glbr"), "predicted_heights"))
     )
-    mask = rasterize([b.footprint for b in buildings], template)
+    mask = rasterize([b.footprint for b in pred], template)
     return {
-        resolution: ucp.aggregate_all(
+        (kind, resolution): ucp.aggregate_all(
             buildings,
             mask,
             resolution=resolution,
@@ -316,16 +320,17 @@ def _ucp_grids(cfg: PipelineConfig, kind: str) -> dict[float, ucp.UcpGrid]:
             bin_width=cfg.bin_width,
             height_cap=cfg.height_cap,
         )
+        for kind, buildings in (("pred", pred), ("ref", ref))
         for resolution in resolutions
     }
 
 
 def stage_ucp(cfg: PipelineConfig) -> dict[str, str]:
-    grids = {kind: _ucp_grids(cfg, kind) for kind in ("pred", "ref")}
+    grids = _ucp_grids(cfg)
     outputs = {}
     for resolution in cfg.resolution_list():
         for kind in ("pred", "ref"):
-            grid = grids[kind][resolution]
+            grid = grids[kind, resolution]
             out_dir = cfg.path(f"ucp_{kind}_{resolution:g}m")
             ucp.export_rasters(grid, out_dir)
             ucp.export_csv(grid, os.path.join(out_dir, "ucp_table.csv"))
@@ -334,14 +339,12 @@ def stage_ucp(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_validate(cfg: PipelineConfig) -> dict[str, str]:
-    pred = _ucp_grids(cfg, "pred")
-    ref = _ucp_grids(cfg, "ref")
+    grids = _ucp_grids(cfg)
     outputs = {}
     for resolution in cfg.resolution_list():
         out_dir = cfg.path(f"validation_{resolution:g}m")
-        validation.export_comparison(
-            pred[resolution], ref[resolution], out_dir, min_reference=cfg.min_reference
-        )
+        pred, ref = grids["pred", resolution], grids["ref", resolution]
+        validation.export_comparison(pred, ref, out_dir, min_reference=cfg.min_reference)
         outputs[f"validation_{resolution:g}m"] = out_dir
     return outputs
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from math import isfinite
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,6 +46,8 @@ class PointCloud:
         n = self.xs.size
         if not (self.ys.size == self.zs.size == self.labels.size == n):
             raise ValueError("point columns must share one length")
+        if n and not (np.isfinite(self.xs).all() and np.isfinite(self.ys).all()):
+            raise ValueError("point coordinates must be finite")
         if n and not np.isfinite(self.zs).all():
             raise ValueError("point elevations must be finite")
 
@@ -143,10 +146,13 @@ def build_reference_ndsm(pc: PointCloud, template: Raster) -> Raster:
                                              dtype=np.float32))
     dsm = grid_elevation(pc, {Label.BUILDING}, template)
     dem = fill_voids_nearest(grid_elevation(pc, {Label.GROUND}, template))
+    return height_above_ground(dsm, dem)
+
+
+def height_above_ground(dsm: Raster, dem: Raster) -> Raster:
+    """The nDSM rule: DSM minus DEM clamped at 0, and 0 where the DSM has no return."""
     ndsm = clamp_nonnegative(subtract(dsm, dem))
-    out = ndsm.values.copy()
-    out[~ndsm.valid_mask] = 0.0
-    return template.with_values(out)
+    return ndsm.with_values(np.where(ndsm.valid_mask, ndsm.values, np.float32(0.0)))
 
 
 # -- CSV I/O -----------------------------------------------------------------
@@ -162,7 +168,9 @@ def write_points_csv(pc: PointCloud, path) -> None:
 
 
 def read_points_csv(path) -> PointCloud:
-    with open(path) as f:
+    # Undecodable bytes become U+FFFD, which no number or label accepts, so
+    # they fail as a FormatError naming their line.
+    with open(path, encoding="utf-8", errors="replace") as f:
         header = f.readline().strip().lower().split(",")
         if header != ["x", "y", "z", "label"]:
             raise FormatError(f"{path}: expected header 'x,y,z,label', got {header}")
@@ -178,11 +186,14 @@ def read_points_csv(path) -> PointCloud:
             if name not in _NAME_LABELS:
                 raise FormatError(f"{path}:{lineno}: unknown label '{parts[3]}'")
             try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
-                zs.append(float(parts[2]))
+                x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad number ({exc})") from exc
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                raise FormatError(f"{path}:{lineno}: non-finite coordinate")
+            xs.append(x)
+            ys.append(y)
+            zs.append(z)
             labels.append(int(_NAME_LABELS[name]))
     return PointCloud(
         xs=np.array(xs), ys=np.array(ys), zs=np.array(zs),

@@ -294,9 +294,12 @@ def read_raster(path) -> Raster:
     path = str(path)
     with open(path, "rb") as f:
         head = f.read(4)
-    if head == GLBR_MAGIC:
-        return _read_glbr(path)
-    return _read_ascii(path)
+    try:
+        if head == GLBR_MAGIC:
+            return _read_glbr(path)
+        return _read_ascii(path)
+    except ValueError as exc:  # undecodable text, a non-number, a NaN nodata value
+        raise FormatError(f"{path}: malformed raster ({exc})") from exc
 
 
 def _write_glbr(r: Raster, path: str) -> None:
@@ -386,10 +389,7 @@ def _read_ascii(path: str) -> Raster:
         raise FormatError(
             f"{path}: expected {width * height} values, got {len(data)}"
         )
-    try:
-        values = np.array(data, dtype=np.float32).reshape(height, width)
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric cell value ({exc})") from exc
+    values = np.array(data, dtype=np.float32).reshape(height, width)
     return Raster(
         width=width,
         height=height,

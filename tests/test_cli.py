@@ -1,6 +1,8 @@
 import hashlib
+import json
 import os
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -180,6 +182,33 @@ class TestLod1ReadOnce:
             assert sorted(reads) == ["lod1_pred.geojson", "lod1_ref.geojson"], stage
 
 
+class TestRasterizeOncePerStage:
+    def test_baseline_run(self, tmp_path, monkeypatch):
+        calls = Counter()
+        running = []
+        real_rasterize = pipeline.rasterize
+
+        def counting_rasterize(*args, **kwargs):
+            calls[running[-1]] += 1
+            return real_rasterize(*args, **kwargs)
+
+        def recorded(name, stage):
+            def run_stage(cfg):
+                running.append(name)
+                return stage(cfg)
+            return run_stage
+
+        monkeypatch.setattr(pipeline, "rasterize", counting_rasterize)
+        for name, stage in list(pipeline.STAGES.items()):
+            monkeypatch.setitem(pipeline.STAGES, name, recorded(name, stage))
+        cfg = build_config(
+            parse_config_file(write_config(tmp_path)), {"out": str(tmp_path / "out")}
+        )
+        run_all(cfg)
+        assert running == pipeline.RUN_ORDER
+        assert calls == {"predict": 1, "lod1": 1, "ucp": 1, "validate": 1}
+
+
 class TestNetworkRun:
     def test_tiny_network_end_to_end(self, tmp_path):
         cfg_path = write_config(
@@ -227,6 +256,37 @@ class TestErrorHandling:
         assert code == 2
         assert f"ERROR stage={stage}" in captured.err
         assert "lod1_pred" in captured.err
+
+    @pytest.mark.parametrize("stage", ["ucp", "validate"])
+    def test_lod1_footprint_mismatch_exit_2(self, run_dir, tmp_path, capsys, stage):
+        for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        ref_path = tmp_path / "lod1_ref.geojson"
+        ref = json.loads(ref_path.read_text())
+        ring = ref["features"][0]["geometry"]["coordinates"][0]
+        ring[1] = [ring[1][0] + 0.5, ring[1][1]]
+        ref_path.write_text(json.dumps(ref))
+        code = main(["--out", str(tmp_path), stage])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("ERROR") == 1 and err.startswith(f"ERROR stage={stage}: ")
+        assert "lod1_pred.geojson" in err and "lod1_ref.geojson" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n-buildings", "-1"], ["--predictor", "network", "--epochs", "0"]],
+        ids=["n_buildings", "epochs"],
+    )
+    def test_rejected_run_value_exit_2(self, tmp_path, capsys, flags):
+        code = main(["--out", str(tmp_path / "o"), "run",
+                     "--extent", "64", "--n-buildings", "2",
+                     "--footprint-min", "8", "--footprint-max", "12",
+                     "--coarse-factor", "8", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR stage=run: ")
+        assert "Traceback" not in err
 
     def test_bad_predictor_exit_2(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "predict", "--predictor", "oracle"])

@@ -11,7 +11,8 @@ from urbanmorph.pointcloud import (
     read_points_csv,
     write_points_csv,
 )
-from urbanmorph.raster import Raster
+from urbanmorph.pipeline import PipelineConfig, stage_rasterize_points
+from urbanmorph.raster import Raster, read_raster
 
 NODATA = -9999.0
 
@@ -229,3 +230,45 @@ class TestCsv:
         path.write_text("a,b,c\n")
         with pytest.raises(FormatError):
             read_points_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,2,3", "1,inf,3", "1,2,nan"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, row):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"x,y,z,label\n1,2,3,ground\n{row},ground\n")
+        with pytest.raises(FormatError, match=r"pts\.csv:3: non-finite"):
+            read_points_csv(path)
+
+    def test_undecodable_bytes_name_line(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(b"x,y,z,label\n1,2,3,ground\n1,2,\xff3,ground\n")
+        with pytest.raises(FormatError, match=r"pts\.csv:3: bad number"):
+            read_points_csv(path)
+
+
+class TestPointCloud:
+    @pytest.mark.parametrize("column", ["xs", "ys", "zs"])
+    def test_rejects_non_finite(self, column):
+        cols = {"xs": [0.0, 1.0], "ys": [0.0, 1.0], "zs": [5.0, 6.0], "labels": [0, 1]}
+        cols[column] = [0.0, np.nan]
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud(**cols)
+
+
+class TestRasterizePointsStage:
+    def test_point_on_max_edge_kept(self, tmp_path):
+        # The building return at x = 2.0 lies on the edge between columns 1
+        # and 2, so the grid needs a third column to hold it.
+        path = tmp_path / "pts.csv"
+        write_points_csv(cloud([
+            (0.5, 0.5, 100.0, Label.GROUND),
+            (1.5, 0.5, 101.0, Label.GROUND),
+            (0.5, 0.5, 110.0, Label.BUILDING),
+            (2.0, 0.5, 120.0, Label.BUILDING),
+        ]), path)
+        cfg = PipelineConfig(points=str(path), out=str(tmp_path / "out"))
+        outputs = stage_rasterize_points(cfg)
+        dsm = read_raster(outputs["dsm"])
+        dem = read_raster(outputs["dem"])
+        assert (dsm.width, dsm.height) == (3, 1)
+        np.testing.assert_array_equal(dsm.values, [[110.0, NODATA, 120.0]])
+        np.testing.assert_array_equal(dem.values, [[100.0, 101.0, 101.0]])
