@@ -24,6 +24,8 @@ def _ring_array(ring) -> np.ndarray:
     arr = np.asarray(ring, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GeometryError(f"ring must be an Nx2 vertex list, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # a JSON null converts to NaN
+        raise ValueError("ring coordinates must be finite")
     # Drop an explicit closing vertex; closure is implicit.
     if arr.shape[0] > 1 and np.array_equal(arr[0], arr[-1]):
         arr = arr[:-1]
@@ -258,8 +260,12 @@ def write_footprints(footprints: list[BuildingFootprint], path) -> None:
         json.dump(fc, f)
 
 
-def _read_features(path) -> list[dict]:
-    """The features of a GeoJSON FeatureCollection file."""
+def _read_features(path, parse) -> list:
+    """``parse`` applied to each feature of a GeoJSON FeatureCollection file.
+
+    A feature holding a value ``parse`` cannot convert (a ``ValueError`` or
+    ``TypeError``) is a FormatError naming the file and the feature.
+    """
     with open(path) as f:
         try:
             fc = json.load(f)
@@ -267,8 +273,17 @@ def _read_features(path) -> list[dict]:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(fc, dict) or fc.get("type") != "FeatureCollection":
         raise FormatError(f"{path}: expected a GeoJSON FeatureCollection")
-    return fc.get("features", [])
+    features = fc.get("features", [])
+    if not isinstance(features, list) or not all(isinstance(f, dict) for f in features):
+        raise FormatError(f"{path}: 'features' must be a list of objects")
+    out = []
+    for i, feature in enumerate(features):
+        try:
+            out.append(parse(feature))
+        except (ValueError, TypeError) as exc:
+            raise FormatError(f"{path}: features[{i}]: bad value ({exc})") from exc
+    return out
 
 
 def read_footprints(path) -> list[BuildingFootprint]:
-    return [_feature_to_footprint(feat) for feat in _read_features(path)]
+    return _read_features(path, _feature_to_footprint)

@@ -96,17 +96,15 @@ def write_lod1(buildings: list[Lod1Building], path) -> None:
 
 
 def read_lod1(path) -> list[Lod1Building]:
-    buildings = []
-    for feat in _read_features(path):
-        fp = _feature_to_footprint(feat)
-        props = feat.get("properties") or {}
+    def building(feature: dict) -> Lod1Building:
+        fp = _feature_to_footprint(feature)
+        props = feature.get("properties") or {}
         if "height_m" not in props:
             raise FormatError(f"{path}: feature {fp.id} missing 'height_m'")
-        buildings.append(
-            Lod1Building(
-                footprint=fp,
-                height=float(props["height_m"]),
-                n_cells=int(props.get("n_cells", -1)),
-            )
+        return Lod1Building(
+            footprint=fp,
+            height=float(props["height_m"]),
+            n_cells=int(props.get("n_cells", -1)),
         )
-    return buildings
+
+    return _read_features(path, building)

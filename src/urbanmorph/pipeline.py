@@ -237,7 +237,20 @@ def _target(cfg: PipelineConfig):
     return minmax_normalize(ref)
 
 
+def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.TrainConfig]:
+    """The U-Net and training settings of ``cfg``; a rejected value is a config error."""
+    return (
+        _checked(
+            network.ModelConfig, depth=cfg.depth, base_filters=cfg.base_filters, seed=cfg.seed
+        ),
+        _checked(
+            network.TrainConfig, learning_rate=cfg.learning_rate, epochs=cfg.epochs, seed=cfg.seed
+        ),
+    )
+
+
 def stage_train(cfg: PipelineConfig) -> dict[str, str]:
+    model_cfg, train_cfg = _network_configs(cfg)
     channels = _channels(cfg)
     target_norm, _ = _target(cfg)
     _, tiles = tiler.split(channels)
@@ -245,13 +258,7 @@ def stage_train(cfg: PipelineConfig) -> dict[str, str]:
     dataset = [
         (t.stacked(), tt.channels[0]) for t, tt in zip(tiles, target_tiles)
     ]
-    model_cfg = _checked(
-        network.ModelConfig, depth=cfg.depth, base_filters=cfg.base_filters, seed=cfg.seed
-    )
     weights = network.init_weights(model_cfg)
-    train_cfg = _checked(
-        network.TrainConfig, learning_rate=cfg.learning_rate, epochs=cfg.epochs, seed=cfg.seed
-    )
     trained, history = network.train(weights, dataset, train_cfg)
     network.write_weights(trained, cfg.path("weights.glbw"))
     network.write_loss_history(history, cfg.path("loss_history.csv"))
@@ -403,6 +410,7 @@ def run_all(cfg: PipelineConfig) -> dict[str, str]:
     outputs: dict[str, str] = {}
     stages = list(RUN_ORDER)
     if cfg.predictor == "network":
+        _network_configs(cfg)  # reject bad network settings before any stage runs
         stages.insert(stages.index("predict"), "train")
     for name in stages:
         result = STAGES[name](cfg)

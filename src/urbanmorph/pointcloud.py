@@ -3,17 +3,20 @@
 Points carry a semantic label (ground / building / other); classification
 itself happens upstream and is taken as given.  Gridding uses per-cell
 elevation averaging with 64-bit accumulation, so the result is independent
-of point order.
+of point order.  Void cells of a terrain raster take the value of their
+nearest valid cell center; distances are compared as exact integer squared
+distances, and a tie goes to the donor earliest in row-major order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from math import isfinite
+from itertools import islice, repeat
+from math import isfinite, isqrt
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.ndimage import distance_transform_edt
 
 from .errors import EmptyCloudError, EmptyStatisticsError, FormatError
 from .raster import Raster, clamp_nonnegative, subtract
@@ -26,7 +29,12 @@ class Label(IntEnum):
 
 
 _LABEL_NAMES = {Label.GROUND: "ground", Label.BUILDING: "building", Label.OTHER: "other"}
-_NAME_LABELS = {v: k for k, v in _LABEL_NAMES.items()}
+_NAME_CODES = {v: int(k) for k, v in _LABEL_NAMES.items()}
+# Points per formatted or parsed CSV block: large enough to amortise the
+# per-block calls, small enough that a block's strings stay a few MB.
+_BLOCK = 65536
+# Squared-distance span of void cells filled from one offset table.
+_D2_SPAN = 1 << 18
 
 
 @dataclass
@@ -99,39 +107,66 @@ def grid_elevation(pc: PointCloud, label_filter, template: Raster) -> Raster:
 def fill_voids_nearest(r: Raster) -> Raster:
     """Fill every nodata cell with its nearest valid cell's value.
 
-    Distance is Euclidean between cell centers; exact ties go to the donor
-    earliest in row-major order.
+    Distance is Euclidean between cell centers, compared as an exact integer
+    squared distance; exact ties go to the donor earliest in row-major order.
     """
     valid = r.valid_mask
     if not valid.any():
         raise EmptyStatisticsError("cannot fill an all-nodata raster")
-    if valid.all():
-        return r.with_values(r.values.copy())
-
-    donor_rc = np.argwhere(valid)  # row-major order
-    void_rc = np.argwhere(~valid)
-    tree = cKDTree(donor_rc.astype(np.float64))
-    k = min(2, len(donor_rc))
-    dists, idx = tree.query(void_rc.astype(np.float64), k=k)
-    if k == 1:
-        dists = dists[:, None]
-        idx = idx[:, None]
-
-    # Resolve ties deterministically: among equidistant donors take the one
-    # earliest in row-major scan order.  Only cells whose two nearest donors
-    # are equidistant need the full candidate search.
-    tol = 1e-9
-    chosen = idx[:, 0].copy()
-    if k == 2:
-        tied = np.flatnonzero(dists[:, 1] - dists[:, 0] <= tol)
-        for i in tied:
-            vr, vc = void_rc[i]
-            candidates = tree.query_ball_point([float(vr), float(vc)], dists[i, 0] + tol)
-            chosen[i] = min(candidates)
     out = r.values.copy()
-    picked = donor_rc[chosen]
-    out[void_rc[:, 0], void_rc[:, 1]] = r.values[picked[:, 0], picked[:, 1]]
+    if valid.all():
+        return r.with_values(out)
+
+    # The EDT gives each void cell's nearest squared distance d2 exactly, but
+    # breaks ties its own way; so each cell takes the first valid donor among
+    # the lattice offsets at its d2, tried in row-major order of the donor.
+    near_r, near_c = distance_transform_edt(
+        ~valid, return_distances=False, return_indices=True
+    )
+    void_r, void_c = np.nonzero(~valid)
+    d2 = (void_r - near_r[void_r, void_c]) ** 2 + (void_c - near_c[void_r, void_c]) ** 2
+    order = np.argsort(d2, kind="stable")
+    void_r, void_c, d2 = void_r[order], void_c[order], d2[order]
+    height, width = valid.shape
+    lo = 0
+    while lo < d2.size:
+        # Cells whose d2 lies in one span share a table of at most about
+        # pi * _D2_SPAN offsets, which bounds memory on sparse donors.
+        hi = int(np.searchsorted(d2, d2[lo] + _D2_SPAN))
+        off_d2, off_r, off_c = _lattice(int(d2[lo]), int(d2[hi - 1]))
+        # Round k tries each pending cell's k-th offset at its d2.  Its EDT
+        # donor is among them, so every cell stops within its own d2.
+        cell = np.arange(lo, hi)
+        k = np.searchsorted(off_d2, d2[lo:hi])
+        while cell.size:
+            rr, cc = void_r[cell] + off_r[k], void_c[cell] + off_c[k]
+            hit = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
+            hit[hit] = valid[rr[hit], cc[hit]]
+            out[void_r[cell[hit]], void_c[cell[hit]]] = r.values[rr[hit], cc[hit]]
+            cell, k = cell[~hit], k[~hit] + 1
+        lo = hi
     return r.with_values(out)
+
+
+_isqrt = np.vectorize(isqrt, otypes=[np.int64])  # exact where float sqrt is not
+
+
+def _lattice(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every integer offset (dr, dc) with lo <= dr² + dc² <= hi.
+
+    Returns d2, dr and dc, sorted by d2, then dr, then dc: within one d2
+    that is the row-major order of the donors around a cell.
+    """
+    rows = np.arange(-isqrt(hi), isqrt(hi) + 1)
+    need = lo - rows * rows
+    inner = _isqrt(np.maximum(need, 1) - 1) + (need > 0)  # least dc >= 0 with dc² >= need
+    count = np.maximum(_isqrt(hi - rows * rows) - inner + 1, 0)
+    dr = np.repeat(rows, count)
+    dc = np.repeat(inner - np.cumsum(count) + count, count) + np.arange(count.sum())
+    dr, dc = np.concatenate([dr, dr[dc > 0]]), np.concatenate([dc, -dc[dc > 0]])
+    d2 = dr * dr + dc * dc
+    order = np.lexsort((dc, dr, d2))
+    return d2[order], dr[order], dc[order]
 
 
 def build_reference_ndsm(pc: PointCloud, template: Raster) -> Raster:
@@ -159,12 +194,14 @@ def height_above_ground(dsm: Raster, dem: Raster) -> Raster:
 
 
 def write_points_csv(pc: PointCloud, path) -> None:
+    row = "{:.9g},{:.9g},{:.9g},{}\n".format
+    names = np.array([_LABEL_NAMES[Label(v)] for v in range(3)])
     with open(path, "w") as f:
         f.write("x,y,z,label\n")
-        names = np.array([_LABEL_NAMES[Label(v)] for v in range(3)])
-        rows = names[pc.labels]
-        for x, y, z, name in zip(pc.xs, pc.ys, pc.zs, rows):
-            f.write(f"{x:.9g},{y:.9g},{z:.9g},{name}\n")
+        for lo in range(0, len(pc), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            columns = (pc.xs[block], pc.ys[block], pc.zs[block], names[pc.labels[block]])
+            f.write("".join(map(row, *(column.tolist() for column in columns))))
 
 
 def read_points_csv(path) -> PointCloud:
@@ -174,28 +211,60 @@ def read_points_csv(path) -> PointCloud:
         header = f.readline().strip().lower().split(",")
         if header != ["x", "y", "z", "label"]:
             raise FormatError(f"{path}: expected header 'x,y,z,label', got {header}")
-        xs, ys, zs, labels = [], [], [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 fields")
-            name = parts[3].strip().lower()
-            if name not in _NAME_LABELS:
-                raise FormatError(f"{path}:{lineno}: unknown label '{parts[3]}'")
-            try:
-                x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad number ({exc})") from exc
-            if not (isfinite(x) and isfinite(y) and isfinite(z)):
-                raise FormatError(f"{path}:{lineno}: non-finite coordinate")
-            xs.append(x)
-            ys.append(y)
-            zs.append(z)
-            labels.append(int(_NAME_LABELS[name]))
-    return PointCloud(
-        xs=np.array(xs), ys=np.array(ys), zs=np.array(zs),
-        labels=np.array(labels, dtype=np.int8),
+        blocks = []
+        lineno = 2
+        while lines := list(islice(f, _BLOCK)):
+            blocks.append(_parse_block(path, lines, lineno))
+            lineno += len(lines)
+    if not blocks:
+        return PointCloud(xs=[], ys=[], zs=[], labels=[])
+    xs, ys, zs, labels = (np.concatenate(column) for column in zip(*blocks))
+    return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
+
+
+def _parse_block(path, lines: list[str], lineno: int):
+    """The x, y, z and label columns of ``lines``, the first being line ``lineno``.
+
+    Parses the whole block in bulk; a block that fails any check is parsed
+    again line by line, which names the first bad line.
+    """
+    rows = list(filter(None, map(str.strip, lines)))
+    fields = ",".join(rows).split(",")
+    codes = list(map(_NAME_CODES.get, map(str.lower, map(str.strip, fields[3::4]))))
+    try:
+        if set(map(str.count, rows, repeat(","))) <= {3} and None not in codes:
+            xyz = [np.fromiter(map(float, fields[k::4]), np.float64, len(rows)) for k in range(3)]
+            if np.isfinite(xyz).all():
+                return (*xyz, np.array(codes, dtype=np.int8))
+    except ValueError:
+        pass
+    return _parse_lines(path, lines, lineno)
+
+
+def _parse_lines(path, lines: list[str], lineno: int):
+    """``_parse_block`` one line at a time, raising at the first bad line."""
+    xs, ys, zs, labels = [], [], [], []
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 4 fields")
+        name = parts[3].strip().lower()
+        if name not in _NAME_CODES:
+            raise FormatError(f"{path}:{lineno}: unknown label '{parts[3]}'")
+        try:
+            x, y, z = float(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad number ({exc})") from exc
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            raise FormatError(f"{path}:{lineno}: non-finite coordinate")
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+        labels.append(_NAME_CODES[name])
+    return (
+        np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64),
+        np.array(zs, dtype=np.float64), np.array(labels, dtype=np.int8),
     )

@@ -322,3 +322,29 @@ class TestStagewiseEqualsRun:
                       "lod1", "ucp", "validate", "report"]:
             assert main(base + [stage] + inputs) == 0, stage
         assert tree_digest(out_a) == tree_digest(out_b)
+
+
+class TestRejectedBeforeWork:
+    def test_lod1_bad_footprint_value_exit_2(self, run_dir, tmp_path, capsys):
+        for name in ("predicted_heights.glbr", "ndsm_ref.glbr"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        fc = json.loads((run_dir / "footprints.geojson").read_text())
+        fc["features"][1]["properties"]["id"] = "abc"
+        bad = tmp_path / "footprints.geojson"
+        bad.write_text(json.dumps(fc))
+        code = main(["--out", str(tmp_path), "lod1", "--footprints", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=lod1: ")
+        assert "footprints.geojson: features[1]: bad value" in err
+        assert not (tmp_path / "lod1_pred.geojson").exists()
+
+    def test_network_settings_checked_before_first_stage(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "run", "--extent", "64", "--n-buildings", "2",
+                     "--footprint-min", "8", "--footprint-max", "12",
+                     "--coarse-factor", "8", "--predictor", "network", "--epochs", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR stage=run: ")
+        assert not out.exists() or not any(out.rglob("*"))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urbanmorph.errors import EmptyCloudError, EmptyStatisticsError, FormatError
 from urbanmorph.pointcloud import (
+    _BLOCK,
     Label,
     PointCloud,
     build_reference_ndsm,
@@ -272,3 +275,154 @@ class TestRasterizePointsStage:
         assert (dsm.width, dsm.height) == (3, 1)
         np.testing.assert_array_equal(dsm.values, [[110.0, NODATA, 120.0]])
         np.testing.assert_array_equal(dem.values, [[100.0, 101.0, 101.0]])
+
+
+def nearest_donor_oracle(valid, vr, vc):
+    """The declared rule by brute force: least d², then row, then column."""
+    donors = zip(*np.nonzero(valid))
+    return min(donors, key=lambda rc: ((rc[0] - vr) ** 2 + (rc[1] - vc) ** 2, rc[0], rc[1]))
+
+
+class TestFillVoidsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        height=st.integers(1, 12),
+        width=st.integers(1, 12),
+        density=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, height, width, density, seed):
+        valid = np.random.default_rng(seed).random((height, width)) < density
+        # Every donor holds a distinct value, so the filled value names its donor.
+        ids = np.arange(1, height * width + 1).reshape(height, width)
+        vals = np.where(valid, ids, NODATA).astype(np.float32)
+        raster = template(width, height).with_values(vals)
+        if not valid.any():
+            with pytest.raises(EmptyStatisticsError):
+                fill_voids_nearest(raster)
+            return
+        out = fill_voids_nearest(raster).values
+        for vr, vc in zip(*np.nonzero(~valid)):
+            assert out[vr, vc] == vals[nearest_donor_oracle(valid, vr, vc)]
+        np.testing.assert_array_equal(out[valid], vals[valid])
+
+    # The eight donors at squared distance 5 around the center of a 5x5 grid,
+    # listed against row-major order.
+    KNIGHT = [(4, 3), (4, 1), (3, 4), (3, 0), (1, 4), (1, 0), (0, 3), (0, 1)]
+
+    @pytest.mark.parametrize("n_tied", range(2, 9))
+    def test_tie_among_equidistant_donors(self, n_tied):
+        valid = np.zeros((5, 5), dtype=bool)
+        for r, c in self.KNIGHT[:n_tied]:
+            valid[r, c] = True
+        vals = np.where(valid, np.arange(1, 26).reshape(5, 5), NODATA).astype(np.float32)
+        out = fill_voids_nearest(template(5, 5).with_values(vals)).values
+        first = min(self.KNIGHT[:n_tied])
+        assert out[2, 2] == vals[first]
+        assert nearest_donor_oracle(valid, 2, 2) == first
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1)])
+    def test_single_row_or_column_tie(self, shape):
+        # A void between two donors two cells away each side takes the first.
+        vals = np.full(9, NODATA, dtype=np.float32)
+        vals[2], vals[6] = 1.0, 2.0
+        raster = template(shape[1], shape[0]).with_values(vals.reshape(shape))
+        out = fill_voids_nearest(raster).values.ravel()
+        np.testing.assert_array_equal(out, [1, 1, 1, 1, 1, 2, 2, 2, 2])
+
+    def test_far_sparse_donors(self):
+        # Squared distances reach 2 * 399**2, past one offset table's span.
+        vals = np.full((400, 400), NODATA, dtype=np.float32)
+        vals[0, 0], vals[399, 399] = 1.0, 2.0
+        valid = vals != np.float32(NODATA)
+        out = fill_voids_nearest(template(400, 400).with_values(vals)).values
+        rng = np.random.default_rng(4)
+        for vr, vc in rng.integers(0, 400, (200, 2)):
+            assert out[vr, vc] == vals[nearest_donor_oracle(valid, vr, vc)]
+        # The anti-diagonal is equidistant from both donors: (0, 0) comes first.
+        np.testing.assert_array_equal(np.fliplr(out).diagonal(), 1.0)
+
+
+AWKWARD = [-0.0, 5e-324, 0.1, 1e16, 123456789.123, -2.5, 7.0]
+
+
+def golden_csv(pc):
+    """The per-row writer the block writer replaced."""
+    names = np.array(["ground", "building", "other"])
+    rows = [f"{x:.9g},{y:.9g},{z:.9g},{name}\n"
+            for x, y, z, name in zip(pc.xs, pc.ys, pc.zs, names[pc.labels])]
+    return ("x,y,z,label\n" + "".join(rows)).encode()
+
+
+def good_rows(n):
+    return [f"{i}.5,{i % 7}.25,{100 + i % 13},{('ground', 'building', 'other')[i % 3]}\n"
+            for i in range(n)]
+
+
+class TestCsvBlocks:
+    def test_writer_golden_bytes(self, tmp_path):
+        n = _BLOCK + 3
+        i = np.arange(n)
+        pc = PointCloud(
+            xs=np.take(AWKWARD, i, mode="wrap"), ys=np.take(AWKWARD, i + 1, mode="wrap"),
+            zs=np.take(AWKWARD, i + 2, mode="wrap"),
+            labels=(i % 3).astype(np.int8),
+        )
+        path = tmp_path / "pts.csv"
+        write_points_csv(pc, path)
+        assert path.read_bytes() == golden_csv(pc)
+        back = read_points_csv(path)
+        assert len(back) == n
+        np.testing.assert_array_equal(back.labels, pc.labels)
+        np.testing.assert_array_equal(back.zs, [float(f"{z:.9g}") for z in pc.zs])
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # A bad number on line 3 comes before an unknown label on line 5.
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,z,label\n1,2,3,ground\n1,two,3,ground\n"
+                        "1,2,3,other\n1,2,3,tree\n")
+        with pytest.raises(FormatError, match=r"pts\.csv:3: bad number"):
+            read_points_csv(path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,2,3", "expected 4 fields"),
+        ("1,2,3,tree", "unknown label 'tree'"),
+        ("1,x,3,ground", "bad number"),
+        ("1,2,inf,ground", "non-finite coordinate"),
+    ])
+    def test_bad_line_after_first_block(self, tmp_path, bad, message):
+        # Two blank lines in the first block still count as lines.
+        lines = good_rows(_BLOCK + 10)
+        lines[5:5] = ["\n", "   \n"]
+        lines.append(bad + "\n")
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,z,label\n" + "".join(lines))
+        with pytest.raises(FormatError, match=rf"pts\.csv:{len(lines) + 1}: {message}"):
+            read_points_csv(path)
+
+    def test_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(b"x,y,z,label\r\n1,2,3,ground\r\n\r\n  \r\n"
+                         b" 4 , 5 ,6, Building \r\n\n7,8,9,OTHER\r\n")
+        pc = read_points_csv(path)
+        np.testing.assert_array_equal(pc.xs, [1.0, 4.0, 7.0])
+        np.testing.assert_array_equal(pc.zs, [3.0, 6.0, 9.0])
+        np.testing.assert_array_equal(pc.labels, [0, 1, 2])
+        path.write_bytes(b"x,y,z,label\r\n1,2,3,ground\r\n\r\n1,2,3,tree\r\n")
+        with pytest.raises(FormatError, match=r"pts\.csv:4: unknown label"):
+            read_points_csv(path)
+
+    def test_fields_split_across_rows_rejected(self, tmp_path):
+        # A 3-field row then a 5-field row hold 8 fields whose every fourth is
+        # a label; the rows are still bad, the first on line 2.
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,z,label\n1,2,3\nground,1,2,3,ground\n")
+        with pytest.raises(FormatError, match=r"pts\.csv:2: expected 4 fields"):
+            read_points_csv(path)
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,z,label\n")
+        pc = read_points_csv(path)
+        assert len(pc) == 0
+        assert pc.labels.dtype == np.int8

@@ -1,5 +1,7 @@
 """Every file reader turns malformed input into an ``UrbanMorphError``."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,45 @@ def test_glbr_nan_nodata(tmp_path):
     path.write_bytes(header + np.zeros(1, "<f4").tobytes())
     with pytest.raises(FormatError, match="r.glbr"):
         read_raster(path)
+
+
+def lod1_collection(**changes):
+    """A one-building LoD-1 FeatureCollection with ``changes`` applied to it."""
+    props = {"id": 1, "height_m": 9.5, "n_cells": 4}
+    ring = [[0, 0], [2, 0], [2, 2], [0, 2], [0, 0]]
+    for key, value in changes.items():
+        if key == "coordinate":
+            ring[1] = [value, 0]
+        else:
+            props[key] = value
+    feature = {"type": "Feature", "properties": props,
+               "geometry": {"type": "Polygon", "coordinates": [ring]}}
+    return {"type": "FeatureCollection", "features": [feature]}
+
+
+@pytest.mark.parametrize(
+    "reader, change",
+    [(read_footprints, {"id": "abc"}), (read_footprints, {"id": None}),
+     (read_footprints, {"coordinate": "east"}), (read_footprints, {"coordinate": None}),
+     (read_footprints, {"coordinate": float("nan")}),
+     (read_lod1, {"id": "abc"}), (read_lod1, {"coordinate": "east"}),
+     (read_lod1, {"height_m": "tall"}), (read_lod1, {"height_m": None}),
+     (read_lod1, {"height_m": -3.0}), (read_lod1, {"n_cells": "many"})],
+    ids=lambda v: getattr(v, "__name__", None) or "-".join(f"{k}={v!r}" for k, v in v.items()),
+)
+def test_geojson_bad_value_names_file_and_feature(tmp_path, reader, change):
+    path = tmp_path / "b.geojson"
+    path.write_text(json.dumps(lod1_collection()))
+    assert len(reader(path)) == 1
+    path.write_text(json.dumps(lod1_collection(**change)))
+    with pytest.raises(FormatError, match=r"b\.geojson: features\[0\]: bad value"):
+        reader(path)
+
+
+@pytest.mark.parametrize("features", [5, [1], ["feature"]])
+def test_geojson_features_not_objects(tmp_path, features):
+    path = tmp_path / "b.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    for reader in (read_footprints, read_lod1):
+        with pytest.raises(FormatError, match="list of objects"):
+            reader(path)
