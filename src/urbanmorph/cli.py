@@ -23,20 +23,7 @@ from .pipeline import (
 
 log = logging.getLogger("urbanmorph")
 
-_SUBCOMMANDS = [
-    "synth",
-    "rasterize-points",
-    "ndsm",
-    "resample",
-    "tile",
-    "train",
-    "predict",
-    "lod1",
-    "ucp",
-    "validate",
-    "report",
-    "run",
-]
+_SUBCOMMANDS = [*STAGES, "run"]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

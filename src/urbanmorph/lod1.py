@@ -13,6 +13,8 @@ from .footprints import BuildingFootprint, FootprintMask
 from .footprints import _feature_to_footprint, _footprint_to_feature, _read_features
 from .raster import Raster, require_aligned
 
+STATISTICS = ("mean", "median")
+
 
 @dataclass
 class Lod1Building:
@@ -41,7 +43,7 @@ def assign_heights(
     warning.  Output is ordered by footprint id.
     """
     require_aligned(pred, mask.raster, "prediction and mask")
-    if statistic not in ("mean", "median"):
+    if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic '{statistic}'")
 
     ids = mask.source_ids.ravel()

@@ -56,14 +56,25 @@ class PipelineConfig:
     noise_sigma: float = 0.0
     snap_to_coarse: bool = False
 
+    def _floats(self, key: str) -> list[float]:
+        try:
+            return [float(v) for v in str(getattr(self, key)).split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} '{getattr(self, key)}'") from exc
+
+    def one_of(self, key: str, allowed: tuple[str, ...]) -> str:
+        if getattr(self, key) not in allowed:
+            raise ConfigError(f"unknown {key} '{getattr(self, key)}'")
+        return getattr(self, key)
+
     def resolution_list(self) -> list[float]:
-        vals = [float(v) for v in str(self.resolutions).split(",") if v.strip()]
+        vals = self._floats("resolutions")
         if not vals or any(v <= 0 for v in vals):
             raise ConfigError(f"bad resolutions '{self.resolutions}'")
         return vals
 
     def direction_list(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in str(self.directions).split(",") if v.strip())
+        return tuple(self._floats("directions"))
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -265,32 +276,34 @@ def stage_train(cfg: PipelineConfig) -> dict[str, str]:
     return {"weights": cfg.path("weights.glbw"), "loss_history": cfg.path("loss_history.csv")}
 
 
+PREDICTORS = ("baseline", "network")
+
+
 def stage_predict(cfg: PipelineConfig) -> dict[str, str]:
-    if cfg.predictor == "baseline":
+    if cfg.one_of("predictor", PREDICTORS) == "baseline":
         ndsm_fine = read_raster(
             _require_file(cfg.path("ndsm_resampled.glbr"), "ndsm_resampled")
         )
         _, mask = _mask_for(cfg, _template_like(ndsm_fine))
         pred = network.baseline_predict(ndsm_fine, mask)
-    elif cfg.predictor == "network":
+    else:
         channels = _channels(cfg)
         _, target_params = _target(cfg)
         weights = network.read_weights(_require_file(cfg.path("weights.glbw"), "weights"))
         pred = network.predict_city(weights, channels, target_params)
-    else:
-        raise ConfigError(f"unknown predictor '{cfg.predictor}'")
     write_raster(pred, cfg.path("predicted_heights.glbr"))
     return {"predicted_heights": cfg.path("predicted_heights.glbr")}
 
 
 def stage_lod1(cfg: PipelineConfig) -> dict[str, str]:
+    statistic = cfg.one_of("statistic", lod1_mod.STATISTICS)
     pred = read_raster(
         _require_file(cfg.path("predicted_heights.glbr"), "predicted_heights")
     )
     ref = read_raster(_require_file(cfg.path("ndsm_ref.glbr"), "ndsm_ref"))
     footprints, mask = _mask_for(cfg, _template_like(pred))
-    pred_buildings = lod1_mod.assign_heights(pred, mask, footprints, cfg.statistic)
-    ref_buildings = lod1_mod.assign_heights(ref, mask, footprints, cfg.statistic)
+    pred_buildings = lod1_mod.assign_heights(pred, mask, footprints, statistic)
+    ref_buildings = lod1_mod.assign_heights(ref, mask, footprints, statistic)
     lod1_mod.write_lod1(pred_buildings, cfg.path("lod1_pred.geojson"))
     lod1_mod.write_lod1(ref_buildings, cfg.path("lod1_ref.geojson"))
     return {
@@ -309,7 +322,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     ``stage_lod1`` writes both sets from one footprint file, so one mask,
     rasterized once, serves both; a pair whose footprints differ is rejected.
     """
-    resolutions = cfg.resolution_list()
+    resolutions, directions = cfg.resolution_list(), cfg.direction_list()
     paths = [_require_file(cfg.path(f"lod1_{k}.geojson"), f"lod1_{k}") for k in ("pred", "ref")]
     pred, ref = (lod1_mod.read_lod1(path) for path in paths)
     if _footprint_key(pred) != _footprint_key(ref):
@@ -323,7 +336,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
             buildings,
             mask,
             resolution=resolution,
-            directions=cfg.direction_list(),
+            directions=directions,
             bin_width=cfg.bin_width,
             height_cap=cfg.height_cap,
         )
@@ -409,8 +422,11 @@ def run_all(cfg: PipelineConfig) -> dict[str, str]:
     """Run the full pipeline in stage order; synth inputs feed later stages."""
     outputs: dict[str, str] = {}
     stages = list(RUN_ORDER)
-    if cfg.predictor == "network":
-        _network_configs(cfg)  # reject bad network settings before any stage runs
+    # Reject bad run values before any stage runs; each stage checks its own again.
+    cfg.resolution_list(), cfg.direction_list()
+    cfg.one_of("statistic", lod1_mod.STATISTICS)
+    if cfg.one_of("predictor", PREDICTORS) == "network":
+        _network_configs(cfg)
         stages.insert(stages.index("predict"), "train")
     for name in stages:
         result = STAGES[name](cfg)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, CoverageError
+from .errors import AlignmentError, CoverageError, ShapeError
 from .raster import Raster, require_aligned, write_raster
 
 TILE_SIZE = 256
@@ -33,8 +33,13 @@ class TilePlan:
     nodata: float
 
     def __post_init__(self):
-        assert self.tile_cols * self.tile_size - self.pad_right == self.source_width
-        assert self.tile_rows * self.tile_size - self.pad_bottom == self.source_height
+        width = self.tile_cols * self.tile_size - self.pad_right
+        height = self.tile_rows * self.tile_size - self.pad_bottom
+        if (width, height) != (self.source_width, self.source_height):
+            raise ShapeError(
+                f"tiles less padding cover {width}x{height} cells, "
+                f"but the source is {self.source_width}x{self.source_height}"
+            )
 
 
 @dataclass

@@ -12,7 +12,8 @@ clipped by the mask extent use their actually covered area as the cell area.
 
 Per-building geometry (centroid cell, footprint area, perimeter) is computed
 once per grid into a ``BuildingTable``; the per-cell fields are ``bincount``
-reductions over it, which add in building order.
+reductions over it, which add in building order.  A ``UcpGrid`` is the grid's
+``GridGeometry`` plus those fields; ``scalar_fields`` names the scalar ones.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ def lambda_p(mask: FootprintMask, geom: GridGeometry) -> np.ndarray:
     """Plan-area fraction: built pixel area over cell area, per cell."""
     _check_mask(mask, geom)
     built = _block_sums((mask.raster.values > 0).astype(np.float64), geom)
-    total = _block_sums(np.ones((geom.fine_height, geom.fine_width)), geom)
-    return built / total
+    return built / _block_sums(np.ones((geom.fine_height, geom.fine_width)), geom)
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,7 @@ def lambda_b(table: BuildingTable, mask: FootprintMask) -> np.ndarray:
         * geom.fine_cell_size ** 2
     )
     walls = table.cell_sums(table.perimeters * table.heights)
-    a_t = covered_area(geom)
-    return (built_area + walls.reshape(geom.rows, geom.cols)) / a_t
+    return (built_area + walls.reshape(geom.rows, geom.cols)) / covered_area(geom)
 
 
 def height_stats(table: BuildingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,26 +230,10 @@ def lambda_f(table: BuildingTable, wind_direction: float) -> np.ndarray:
 
 
 @dataclass
-class UcpCell:
-    mean_height: float
-    std_height: float
-    area_weighted_height: float
-    histogram: np.ndarray
-    lambda_p: float
-    lambda_b: float
-    lambda_f: dict[float, float]
-    building_count: int
-
-
-@dataclass
 class UcpGrid:
-    resolution: float
-    origin_x: float
-    origin_y: float
-    rows: int
-    cols: int
-    bin_width: float
-    height_cap: float
+    """The UCP fields of one aggregation grid: its geometry plus per-cell arrays."""
+
+    geom: GridGeometry
     count: np.ndarray = field(repr=False)
     mean: np.ndarray = field(repr=False)
     std: np.ndarray = field(repr=False)
@@ -259,36 +242,14 @@ class UcpGrid:
     lambda_p: np.ndarray = field(repr=False)
     lambda_b: np.ndarray = field(repr=False)
     lambda_f: dict[float, np.ndarray] = field(repr=False)
-    covered_area: np.ndarray = field(repr=False)
 
     @property
     def nbins(self) -> int:
         return self.hist.shape[-1]
 
-    def cell(self, row: int, col: int) -> UcpCell:
-        return UcpCell(
-            mean_height=float(self.mean[row, col]),
-            std_height=float(self.std[row, col]),
-            area_weighted_height=float(self.area_weighted[row, col]),
-            histogram=self.hist[row, col].copy(),
-            lambda_p=float(self.lambda_p[row, col]),
-            lambda_b=float(self.lambda_b[row, col]),
-            lambda_f={d: float(v[row, col]) for d, v in self.lambda_f.items()},
-            building_count=int(self.count[row, col]),
-        )
-
-    def same_geometry(self, other: "UcpGrid") -> bool:
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and abs(self.resolution - other.resolution) <= 1e-9
-            and abs(self.origin_x - other.origin_x) <= 1e-6
-            and abs(self.origin_y - other.origin_y) <= 1e-6
-        )
-
-    def scalar_field(self, name: str) -> np.ndarray:
-        """Per-cell array for a named field (``hist_3``, ``lambda_f_90`` ...)."""
-        plain = {
+    def scalar_fields(self) -> dict[str, np.ndarray]:
+        """Every per-cell scalar field by name, in export order."""
+        fields = {
             "mean": self.mean,
             "std": self.std,
             "area_weighted": self.area_weighted,
@@ -296,18 +257,17 @@ class UcpGrid:
             "lambda_b": self.lambda_b,
             "count": self.count.astype(np.float64),
         }
-        if name in plain:
-            return plain[name]
-        if name.startswith("hist_"):
-            k = int(name[5:])
-            if not 0 <= k < self.nbins:
-                raise KeyError(f"histogram bin {k} out of range 0..{self.nbins - 1}")
-            return self.hist[:, :, k]
-        if name.startswith("lambda_f_"):
-            d = float(name[9:])
-            if d not in self.lambda_f:
-                raise KeyError(f"no frontal area index for direction {d}")
-            return self.lambda_f[d]
+        fields.update((f"lambda_f_{d:g}", v) for d, v in self.lambda_f.items())
+        return fields
+
+    def scalar_field(self, name: str) -> np.ndarray:
+        """Per-cell array for a named field (``mean``, ``lambda_f_90``, ``hist_3`` ...)."""
+        fields = self.scalar_fields()
+        if name in fields:
+            return fields[name]
+        k = name[5:]
+        if name.startswith("hist_") and k.isdecimal() and int(k) < self.nbins:
+            return self.hist[:, :, int(k)]
         raise KeyError(f"unknown UCP field '{name}'")
 
 
@@ -328,13 +288,7 @@ def aggregate_all(
     table = building_table(buildings, geom)
     mean, std, count = height_stats(table)
     return UcpGrid(
-        resolution=resolution,
-        origin_x=geom.origin_x,
-        origin_y=geom.origin_y,
-        rows=geom.rows,
-        cols=geom.cols,
-        bin_width=bin_width,
-        height_cap=height_cap,
+        geom=geom,
         count=count,
         mean=mean,
         std=std,
@@ -343,7 +297,6 @@ def aggregate_all(
         lambda_p=lambda_p(mask, geom),
         lambda_b=lambda_b(table, mask),
         lambda_f={d: lambda_f(table, d) for d in directions},
-        covered_area=covered_area(geom),
     )
 
 
@@ -353,52 +306,34 @@ def aggregate_all(
 def export_rasters(grid: UcpGrid, out_dir) -> list[str]:
     """One GLBR raster per scalar UCP, named ``ucp_{field}_{resolution}m.glbr``."""
     os.makedirs(out_dir, exist_ok=True)
-    fields = {
-        "mean": grid.mean,
-        "std": grid.std,
-        "area_weighted": grid.area_weighted,
-        "lambda_p": grid.lambda_p,
-        "lambda_b": grid.lambda_b,
-        "count": grid.count.astype(np.float64),
-    }
-    for d, arr in grid.lambda_f.items():
-        fields[f"lambda_f_{d:g}"] = arr
+    g = grid.geom
     paths = []
-    res_tag = f"{grid.resolution:g}"
-    for name, arr in fields.items():
+    for name, arr in grid.scalar_fields().items():
         r = Raster(
-            width=grid.cols,
-            height=grid.rows,
-            origin_x=grid.origin_x,
-            origin_y=grid.origin_y,
-            cell_size=grid.resolution,
+            width=g.cols,
+            height=g.rows,
+            origin_x=g.origin_x,
+            origin_y=g.origin_y,
+            cell_size=g.resolution,
             nodata=-9999.0,
             values=arr.astype(np.float32),
         )
-        path = os.path.join(out_dir, f"ucp_{name}_{res_tag}m.glbr")
+        path = os.path.join(out_dir, f"ucp_{name}_{g.resolution:g}m.glbr")
         write_raster(r, path)
         paths.append(path)
     return paths
 
 
 def export_csv(grid: UcpGrid, path) -> None:
+    """One row per grid cell in row-major order, each value as its ``repr``."""
     directions = sorted(grid.lambda_f)
     header = ["cell_row", "cell_col", "count", "mean", "std", "lambda_p", "lambda_b"]
     header += [f"lambda_f_{d:g}" for d in directions]
     header += [f"hist_bin_{k}" for k in range(grid.nbins)]
+    arrays = [*np.indices(grid.count.shape), grid.count, grid.mean, grid.std]
+    arrays += [grid.lambda_p, grid.lambda_b] + [grid.lambda_f[d] for d in directions]
+    arrays += list(np.moveaxis(grid.hist, -1, 0))
+    columns = [map(repr, a.ravel().tolist()) for a in arrays]
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in range(grid.rows):
-            for col in range(grid.cols):
-                vals = [
-                    str(row),
-                    str(col),
-                    str(int(grid.count[row, col])),
-                    repr(float(grid.mean[row, col])),
-                    repr(float(grid.std[row, col])),
-                    repr(float(grid.lambda_p[row, col])),
-                    repr(float(grid.lambda_b[row, col])),
-                ]
-                vals += [repr(float(grid.lambda_f[d][row, col])) for d in directions]
-                vals += [repr(float(v)) for v in grid.hist[row, col]]
-                f.write(",".join(vals) + "\n")
+        f.writelines(",".join(cells) + "\n" for cells in zip(*columns))

@@ -78,7 +78,7 @@ def pair_grids(pred: UcpGrid, ref: UcpGrid, field: str) -> PairedSeries:
 
     Cells empty (zero building count) in both grids are excluded.
     """
-    if not pred.same_geometry(ref):
+    if pred.geom != ref.geom:
         raise AlignmentError("grids have different geometry")
     pv = pred.scalar_field(field)
     rv = ref.scalar_field(field)

@@ -374,8 +374,8 @@ def test_criterion_6_histogram_procedure():
 
             # The fraction of buildings below 5 m equals histogram bin 0
             # exactly (bins are half-open, so 5.0 itself is excluded).
-            below = np.zeros((grid.rows, grid.cols))
-            totals = np.zeros((grid.rows, grid.cols))
+            below = np.zeros((grid.geom.rows, grid.geom.cols))
+            totals = np.zeros((grid.geom.rows, grid.geom.cols))
             for b in buildings:
                 cx, cy = centroid(b.footprint)
                 row = math.floor(cy / 100.0)

@@ -348,3 +348,46 @@ class TestRejectedBeforeWork:
         assert code == 2
         assert err.startswith("ERROR stage=run: ")
         assert not out.exists() or not any(out.rglob("*"))
+
+
+TINY_RUN = ["--extent", "64", "--n-buildings", "2", "--footprint-min", "8",
+            "--footprint-max", "12", "--coarse-factor", "8"]
+
+
+class TestRunValuesCheckedFirst:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--statistic", "mode"], ["--predictor", "oracle"], ["--resolutions", "0"],
+         ["--directions", "abc"]],
+        ids=["statistic", "predictor", "resolutions", "directions"],
+    )
+    def test_run_exit_2_before_any_stage(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "run", *TINY_RUN, *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=run: ")
+        assert flags[1] in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.rglob("*"))
+
+    def test_ucp_bad_directions_exit_2(self, run_dir, tmp_path, capsys):
+        for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        code = main(["--out", str(tmp_path), "ucp", "--directions", "abc"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=ucp: ")
+        assert "directions" in err
+        assert not any(tmp_path.glob("ucp_*"))
+
+    def test_lod1_bad_statistic_exit_2(self, run_dir, tmp_path, capsys):
+        for name in ("predicted_heights.glbr", "ndsm_ref.glbr"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        code = main(["--out", str(tmp_path), "lod1", "--statistic", "mode",
+                     "--footprints", str(run_dir / "footprints.geojson")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=lod1: ")
+        assert "statistic 'mode'" in err
+        assert not (tmp_path / "lod1_pred.geojson").exists()

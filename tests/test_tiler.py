@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbanmorph.errors import AlignmentError, CoverageError
+from urbanmorph.errors import AlignmentError, CoverageError, ShapeError
 from urbanmorph.raster import Raster, read_raster
-from urbanmorph.tiler import TILE_SIZE, TileStack, dump_tiles, split, stitch
+from urbanmorph.tiler import TILE_SIZE, TilePlan, TileStack, dump_tiles, split, stitch
 
 NODATA = -9999.0
 
@@ -175,3 +175,13 @@ class TestDump:
         back = read_raster(tmp_path / "tiles" / "tile_0_0_1.glbr")
         t00 = next(t for t in tiles if (t.row_index, t.col_index) == (0, 0))
         np.testing.assert_array_equal(back.values, t00.channels[1])
+
+
+def test_inconsistent_plan_rejected():
+    # Two 256 tiles less 10 padding cover 502 columns, not the 500 claimed.
+    with pytest.raises(ShapeError, match="502x256 cells, but the source is 500x256"):
+        TilePlan(
+            source_width=500, source_height=256, tile_size=256, tile_rows=1, tile_cols=2,
+            pad_right=10, pad_bottom=0, origin_x=0.0, origin_y=0.0, cell_size=1.0,
+            nodata=NODATA,
+        )

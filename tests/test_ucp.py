@@ -268,14 +268,13 @@ class TestAggregateBruteForce:
                     cx, cy = centroid(b.footprint)
                     if (math.floor(cx / res), math.floor(cy / res)) == (col, row):
                         members.append(b)
-                cell = grid.cell(row, col)
-                assert cell.building_count == len(members)
+                assert grid.count[row, col] == len(members)
                 if members:
                     hs = np.array([b.height for b in members])
-                    assert cell.mean_height == pytest.approx(hs.mean(), rel=1e-9)
-                    assert cell.std_height == pytest.approx(hs.std(), rel=1e-9)
+                    assert grid.mean[row, col] == pytest.approx(hs.mean(), rel=1e-9)
+                    assert grid.std[row, col] == pytest.approx(hs.std(), rel=1e-9)
                     areas = np.array([polygon_area(b.footprint) for b in members])
-                    assert cell.area_weighted_height == pytest.approx(
+                    assert grid.area_weighted[row, col] == pytest.approx(
                         float((areas * hs).sum() / areas.sum()), rel=1e-9
                     )
                     walls = sum(
@@ -287,14 +286,14 @@ class TestAggregateBruteForce:
                             int(col * res) : int((col + 1) * res),
                         ] > 0).sum()
                     )
-                    assert cell.lambda_p == pytest.approx(roof / res**2, rel=1e-9)
-                    assert cell.lambda_b == pytest.approx(
+                    assert grid.lambda_p[row, col] == pytest.approx(roof / res**2, rel=1e-9)
+                    assert grid.lambda_b[row, col] == pytest.approx(
                         (roof + walls) / res**2, rel=1e-9
                     )
                     front = sum(
                         projected_width(b.footprint, 90.0) * b.height for b in members
                     )
-                    assert cell.lambda_f[90.0] == pytest.approx(
+                    assert grid.lambda_f[90.0][row, col] == pytest.approx(
                         front / res**2, rel=1e-9
                     )
                     # Histogram from the member heights directly.
@@ -302,7 +301,7 @@ class TestAggregateBruteForce:
                     for h in hs:
                         expect_hist[min(int(h // 5.0), grid.nbins - 1)] += 1
                     np.testing.assert_allclose(
-                        cell.histogram, expect_hist / len(members), rtol=1e-12
+                        grid.hist[row, col], expect_hist / len(members), rtol=1e-12
                     )
 
     def test_id_relabeling_invariance(self):
@@ -355,7 +354,7 @@ class TestNesting:
         mask = rasterize([b.footprint for b in bs], template(90, 90))
         coarse = aggregate_all(bs, mask, resolution=90.0)
         fine = aggregate_all(bs, mask, resolution=30.0)
-        w = fine.covered_area
+        w = covered_area(fine.geom)
         expect = float((fine.lambda_p * w).sum() / w.sum())
         assert coarse.lambda_p[0, 0] == pytest.approx(expect, rel=1e-12)
 
@@ -387,7 +386,7 @@ class TestExports:
         ]
         assert "lambda_f_0" in header and "lambda_f_90" in header
         assert header[-1] == f"hist_bin_{grid.nbins - 1}"
-        assert len(lines) == 1 + grid.rows * grid.cols
+        assert len(lines) == 1 + grid.geom.rows * grid.geom.cols
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert float(first[3]) == pytest.approx(grid.mean[0, 0])
@@ -400,3 +399,86 @@ class TestExports:
             grid.scalar_field("hist_99")
         with pytest.raises(KeyError):
             grid.scalar_field("nope")
+
+
+def export_csv_oracle(grid, path):
+    """The per-cell CSV writer that ``export_csv`` replaced, kept as its oracle."""
+    directions = sorted(grid.lambda_f)
+    header = ["cell_row", "cell_col", "count", "mean", "std", "lambda_p", "lambda_b"]
+    header += [f"lambda_f_{d:g}" for d in directions]
+    header += [f"hist_bin_{k}" for k in range(grid.nbins)]
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in range(grid.geom.rows):
+            for col in range(grid.geom.cols):
+                vals = [
+                    str(row),
+                    str(col),
+                    str(int(grid.count[row, col])),
+                    repr(float(grid.mean[row, col])),
+                    repr(float(grid.std[row, col])),
+                    repr(float(grid.lambda_p[row, col])),
+                    repr(float(grid.lambda_b[row, col])),
+                ]
+                vals += [repr(float(grid.lambda_f[d][row, col])) for d in directions]
+                vals += [repr(float(v)) for v in grid.hist[row, col]]
+                f.write(",".join(vals) + "\n")
+
+
+class TestUcpGridFields:
+    DIRECTIONS = (90.0, 0.0, 135.0, 45.0)
+
+    def _grid(self):
+        # 130 x 110 m at 50 m: partial edge cells in both axes, three
+        # buildings in cell (0, 0), one in (1, 1) and (2, 2), the rest empty.
+        bs = [
+            building(1, 2, 2, 10, 10, 12.0),
+            building(2, 20, 5, 8, 12, 3.5),
+            building(3, 30, 30, 6, 6, 41.0),
+            building(4, 60, 60, 20, 9, 7.25),
+            building(5, 102, 101, 18, 6, 77.0),
+        ]
+        mask = rasterize([b.footprint for b in bs], template(130, 110))
+        return aggregate_all(bs, mask, resolution=50.0, directions=self.DIRECTIONS)
+
+    def test_csv_golden_bytes(self, tmp_path):
+        grid = self._grid()
+        assert (grid.geom.rows, grid.geom.cols) == (3, 3)
+        assert grid.count[0, 0] == 3 and (grid.count == 0).sum() == 6
+        grid.mean[0, 1] = 0.1
+        grid.std[1, 1] = 1 / 3
+        grid.lambda_f[45.0][2, 2] = 1e-17
+        grid.lambda_b[2, 0] = -0.0
+        grid.hist[0, 0, 3] = 2 / 3
+        export_csv(grid, tmp_path / "new.csv")
+        export_csv_oracle(grid, tmp_path / "old.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        for text in (b",0.1,", b",0.3333333333333333,", b",1e-17,", b",-0.0,"):
+            assert text in new
+
+    def test_raster_names_unchanged(self, tmp_path):
+        paths = export_rasters(self._grid(), tmp_path)
+        expect = [
+            "ucp_mean_50m.glbr", "ucp_std_50m.glbr", "ucp_area_weighted_50m.glbr",
+            "ucp_lambda_p_50m.glbr", "ucp_lambda_b_50m.glbr", "ucp_count_50m.glbr",
+            "ucp_lambda_f_90_50m.glbr", "ucp_lambda_f_0_50m.glbr",
+            "ucp_lambda_f_135_50m.glbr", "ucp_lambda_f_45_50m.glbr",
+        ]
+        assert [p.split("/")[-1] for p in paths] == expect
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expect)
+
+    def test_scalar_field_names(self):
+        grid = self._grid()
+        assert list(grid.scalar_fields()) == [
+            "mean", "std", "area_weighted", "lambda_p", "lambda_b", "count",
+            "lambda_f_90", "lambda_f_0", "lambda_f_135", "lambda_f_45",
+        ]
+        assert grid.scalar_field("lambda_f_90") is grid.lambda_f[90.0]
+        np.testing.assert_array_equal(grid.scalar_field("count"), grid.count)
+        np.testing.assert_array_equal(
+            grid.scalar_field(f"hist_{grid.nbins - 1}"), grid.hist[:, :, -1]
+        )
+        for name in (f"hist_{grid.nbins}", "hist_x", "hist_", "hist_-1", "lambda_f_30"):
+            with pytest.raises(KeyError):
+                grid.scalar_field(name)

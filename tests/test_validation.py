@@ -202,3 +202,16 @@ class TestExport:
         lines = (out / "hist_comparison.csv").read_text().splitlines()
         assert lines[0] == "cell_row,cell_col,bin,predicted_fraction,reference_fraction"
         assert len(lines) == 1 + 2 * pred.nbins
+
+
+def test_pair_grids_rejects_other_fine_extent():
+    # 100 x 50 and 90 x 50 masks both give one row of two 50 m cells at the
+    # same origin; only the fine extent, and so the edge cell area, differs.
+    bs = [building(1, 10, 10, 10, 10, 20.0)]
+    wide = aggregate_all(bs, rasterize([bs[0].footprint], template(100, 50)), resolution=50.0)
+    narrow = aggregate_all(bs, rasterize([bs[0].footprint], template(90, 50)), resolution=50.0)
+    assert (wide.geom.rows, wide.geom.cols) == (narrow.geom.rows, narrow.geom.cols) == (1, 2)
+    assert wide.geom.resolution == narrow.geom.resolution
+    assert (wide.geom.origin_x, wide.geom.origin_y) == (narrow.geom.origin_x, narrow.geom.origin_y)
+    with pytest.raises(AlignmentError):
+        pair_grids(wide, narrow, "mean")
