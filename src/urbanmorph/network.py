@@ -6,9 +6,12 @@ upsample, convolution + ReLU, concatenation with the encoder skip, and a
 second convolution + ReLU; finally a 1x1 convolution with a ReLU head so
 predictions are non-negative.
 
-Gradients are computed by backpropagation over a flat parameter vector and
-are verified against central finite differences in the test suite.  Gradient
-math runs at 64-bit; production inference casts to 32-bit.
+All parameters live in one flat vector, ``Weights.flat``, in ``layer_specs``
+order; each layer's kernel and bias are views into it.  Training updates that
+vector in place, the gradient is built in the same layout, and the GLBW file
+stores it as little-endian float32 after the header.  Gradients are verified
+against central finite differences in the test suite.  Gradient math runs at
+64-bit; production inference casts to 32-bit.
 """
 
 from __future__ import annotations
@@ -53,11 +56,12 @@ class ModelConfig:
             raise ValueError("depth must be >= 1")
         if self.base_filters < 1:
             raise ValueError("base_filters must be >= 1")
-        if self.kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd")
+        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
+            raise ValueError("kernel_size must be odd and >= 1")
         if self.in_channels < 1:
             raise ValueError("in_channels must be >= 1")
-        if tiler.TILE_SIZE % (2 ** self.depth) != 0:
+        # The bit length bounds depth before 2 ** depth is built from a file value.
+        if self.depth >= tiler.TILE_SIZE.bit_length() or tiler.TILE_SIZE % 2 ** self.depth:
             raise ValueError(f"tile size {tiler.TILE_SIZE} not divisible by 2^depth")
 
 
@@ -65,7 +69,6 @@ class ModelConfig:
 class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate >= 0:
@@ -97,59 +100,58 @@ def parameter_count(cfg: ModelConfig) -> int:
 
 @dataclass
 class Weights:
+    """The parameters as one flat vector, ``flat``, in ``layer_specs`` order:
+    each layer's kernel (kh, kw, cin, cout) and then its bias.
+
+    ``kernels[name]`` and ``biases[name]`` are views into ``flat``, so a write
+    to either is a write to the other.
+    """
+
     config: ModelConfig
-    kernels: dict[str, np.ndarray] = field(repr=False)
-    biases: dict[str, np.ndarray] = field(repr=False)
+    flat: np.ndarray = field(repr=False)
+    kernels: dict[str, np.ndarray] = field(init=False, repr=False)
+    biases: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = parameter_count(self.config)
+        if self.flat.shape != (n,):
+            raise ShapeError(f"flat vector shape {self.flat.shape} != ({n},)")
+        self.kernels, self.biases = {}, {}
+        pos = 0
+        for name, kh, kw, cin, cout in layer_specs(self.config):
+            end = pos + kh * kw * cin * cout
+            self.kernels[name] = self.flat[pos:end].reshape(kh, kw, cin, cout)
+            self.biases[name] = self.flat[end : end + cout]
+            pos = end + cout
 
     def layer_names(self) -> list[str]:
         return [name for name, *_ in layer_specs(self.config)]
 
     def to_flat(self) -> np.ndarray:
-        parts = []
-        for name in self.layer_names():
-            parts.append(self.kernels[name].ravel())
-            parts.append(self.biases[name].ravel())
-        return np.concatenate(parts)
+        return self.flat.copy()
 
     def from_flat(self, flat: np.ndarray) -> "Weights":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != parameter_count(self.config):
-            raise ShapeError(
-                f"flat vector length {flat.size} != {parameter_count(self.config)}"
-            )
-        kernels, biases = {}, {}
-        pos = 0
-        for name, kh, kw, cin, cout in layer_specs(self.config):
-            n = kh * kw * cin * cout
-            kernels[name] = flat[pos : pos + n].reshape(kh, kw, cin, cout).copy()
-            pos += n
-            biases[name] = flat[pos : pos + cout].copy()
-            pos += cout
-        return Weights(config=self.config, kernels=kernels, biases=biases)
+        return Weights(self.config, np.array(flat, dtype=np.float64))
 
     def astype(self, dtype) -> "Weights":
-        return Weights(
-            config=self.config,
-            kernels={k: v.astype(dtype) for k, v in self.kernels.items()},
-            biases={k: v.astype(dtype) for k, v in self.biases.items()},
-        )
+        return Weights(self.config, self.flat.astype(dtype))
 
 
 def init_weights(cfg: ModelConfig) -> Weights:
     """He-scaled random kernels, zero biases; deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
-    kernels, biases = {}, {}
+    w = Weights(cfg, np.zeros(parameter_count(cfg)))
     for name, kh, kw, cin, cout in layer_specs(cfg):
         fan_in = kh * kw * cin
-        kernels[name] = rng.standard_normal((kh, kw, cin, cout)) * np.sqrt(2.0 / fan_in)
-        biases[name] = np.zeros(cout)
-    return Weights(config=cfg, kernels=kernels, biases=biases)
+        w.kernels[name][...] = rng.standard_normal((kh, kw, cin, cout)) * np.sqrt(2.0 / fan_in)
+    return w
 
 
 # -- primitive layers --------------------------------------------------------
 
 
-def _conv_same(x: np.ndarray, kernel: np.ndarray, bias, want_cache: bool):
+def _conv_same(x: np.ndarray, kernel: np.ndarray, bias):
+    """'Same' convolution of (H, W, Cin) ``x``; returns it and its im2col patches."""
     kh, kw, cin, cout = kernel.shape
     ph, pw = kh // 2, kw // 2
     if ph or pw:
@@ -161,11 +163,10 @@ def _conv_same(x: np.ndarray, kernel: np.ndarray, bias, want_cache: bool):
     y = patches @ kernel.reshape(-1, cout)
     if bias is not None:
         y = y + bias
-    y = y.reshape(x.shape[0], x.shape[1], cout)
-    return (y, patches) if want_cache else (y, None)
+    return y.reshape(x.shape[0], x.shape[1], cout), patches
 
 
-def _conv_backward(dy, patches, x, kernel):
+def _conv_backward(dy, patches, kernel):
     kh, kw, cin, cout = kernel.shape
     dy_mat = dy.reshape(-1, cout)
     dk = (patches.T @ dy_mat).reshape(kernel.shape)
@@ -173,7 +174,7 @@ def _conv_backward(dy, patches, x, kernel):
     # dx is a full correlation with the 180-degree-rotated kernel, channels
     # swapped; exact for 'same' zero padding with odd kernels.
     k_rot = kernel[::-1, ::-1].transpose(0, 1, 3, 2)
-    dx, _ = _conv_same(dy, np.ascontiguousarray(k_rot), None, False)
+    dx, _ = _conv_same(dy, np.ascontiguousarray(k_rot), None)
     return dx, dk, db
 
 
@@ -210,64 +211,51 @@ def _upsample2_backward(dy):
 
 def _forward_tape(w: Weights, x: np.ndarray):
     cfg = w.config
-    tape = {"convs": {}, "relu": {}, "pool": {}, "shapes": {}, "skips": {}}
+    tape = {"convs": {}, "relu": {}, "pool": {}, "skips": {}}
 
     def conv_relu(name, h):
-        z, patches = _conv_same(h, w.kernels[name], w.biases[name], True)
-        a = np.maximum(z, 0.0)
-        tape["convs"][name] = (patches, h.shape)
+        z, tape["convs"][name] = _conv_same(h, w.kernels[name], w.biases[name])
         tape["relu"][name] = z > 0
-        return a
+        return np.maximum(z, 0.0)
 
     h = x
     for l in range(cfg.depth):
-        a = conv_relu(f"enc{l}", h)
-        tape["skips"][l] = a
-        tape["shapes"][l] = a.shape
-        h, idx = _maxpool2(a)
-        tape["pool"][l] = idx
+        tape["skips"][l] = a = conv_relu(f"enc{l}", h)
+        h, tape["pool"][l] = _maxpool2(a)
     h = conv_relu("bottleneck", h)
     for l in reversed(range(cfg.depth)):
-        h = _upsample2(h)
-        a = conv_relu(f"up{l}", h)
-        h = np.concatenate([a, tape["skips"][l]], axis=-1)
-        h = conv_relu(f"dec{l}", h)
-    z, patches = _conv_same(h, w.kernels["head"], w.biases["head"], True)
-    tape["convs"]["head"] = (patches, h.shape)
-    tape["relu"]["head"] = z > 0
-    y = np.maximum(z, 0.0)
-    return y, tape
+        a = conv_relu(f"up{l}", _upsample2(h))
+        h = conv_relu(f"dec{l}", np.concatenate([a, tape["skips"][l]], axis=-1))
+    return conv_relu("head", h), tape
 
 
-def _backward_tape(w: Weights, tape, dy: np.ndarray) -> dict:
+def _backward_tape(w: Weights, tape, dy: np.ndarray) -> np.ndarray:
+    """The gradient of the loss with output gradient ``dy``, in ``flat`` order."""
     cfg = w.config
-    grads = {}
+    grad = Weights(cfg, np.zeros_like(w.flat))
+    skip_grads = {}
 
     def conv_relu_back(name, da):
-        dz = da * tape["relu"][name]
-        patches, x_shape = tape["convs"][name]
-        # Rebuild a zero array view of x only to size dx; values unused.
-        dx, dk, db = _conv_backward(dz, patches, np.empty(x_shape), w.kernels[name])
-        grads[name] = (dk, db)
+        dx, dk, db = _conv_backward(da * tape["relu"][name], tape["convs"][name], w.kernels[name])
+        grad.kernels[name][...] = dk
+        grad.biases[name][...] = db
         return dx
 
     d = conv_relu_back("head", dy)
     for l in range(cfg.depth):
         d = conv_relu_back(f"dec{l}", d)
         nch = cfg.base_filters * (2 ** l)
-        d_up, d_skip = d[..., :nch], d[..., nch:]
+        d_up, skip_grads[l] = d[..., :nch], d[..., nch:]
         d = _upsample2_backward(conv_relu_back(f"up{l}", d_up))
-        tape.setdefault("skip_grads", {})[l] = d_skip
     d = conv_relu_back("bottleneck", d)
     for l in reversed(range(cfg.depth)):
-        d = _maxpool2_backward(d, tape["pool"][l], tape["shapes"][l])
-        d = d + tape["skip_grads"][l]
+        d = _maxpool2_backward(d, tape["pool"][l], tape["skips"][l].shape) + skip_grads[l]
         d = conv_relu_back(f"enc{l}", d)
-    return grads
+    return grad.flat
 
 
-def forward(w: Weights, tile: np.ndarray) -> np.ndarray:
-    """Predict a (H, W, 1) non-negative height field from a (H, W, C) tile."""
+def _checked_tile(w: Weights, tile: np.ndarray) -> np.ndarray:
+    """``tile`` as (H, W, C), rejected unless finite and shaped for ``w``."""
     tile = np.asarray(tile)
     if tile.ndim == 2:
         tile = tile[..., None]
@@ -282,7 +270,12 @@ def forward(w: Weights, tile: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"tile size {tile.shape[:2]} not divisible by 2^depth = {div}"
         )
-    y, _ = _forward_tape(w, tile)
+    return tile
+
+
+def forward(w: Weights, tile: np.ndarray) -> np.ndarray:
+    """Predict a (H, W, 1) non-negative height field from a (H, W, C) tile."""
+    y, _ = _forward_tape(w, _checked_tile(w, tile))
     return y
 
 
@@ -290,27 +283,16 @@ def loss_and_gradient(
     w: Weights, tile: np.ndarray, target: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean squared error over cells and its gradient in flat-vector order."""
-    tile = np.asarray(tile, dtype=np.float64)
-    if tile.ndim == 2:
-        tile = tile[..., None]
+    tile = _checked_tile(w, np.asarray(tile, dtype=np.float64))
     target = np.asarray(target, dtype=np.float64)
     if target.shape != tile.shape[:2]:
         raise ShapeError(f"target shape {target.shape} != tile spatial {tile.shape[:2]}")
-    w64 = w if w.kernels[w.layer_names()[0]].dtype == np.float64 else w.astype(np.float64)
-    if not np.isfinite(tile).all():
-        raise InputError("tile contains non-finite values")
+    w64 = w if w.flat.dtype == np.float64 else w.astype(np.float64)
     y, tape = _forward_tape(w64, tile)
     diff = y[..., 0] - target
-    n = diff.size
     loss = float(np.mean(diff * diff))
-    dy = (2.0 / n) * diff[..., None]
-    grads = _backward_tape(w64, tape, dy)
-    parts = []
-    for name in w.layer_names():
-        dk, db = grads[name]
-        parts.append(dk.ravel())
-        parts.append(db.ravel())
-    return loss, np.concatenate(parts)
+    dy = (2.0 / diff.size) * diff[..., None]
+    return loss, _backward_tape(w64, tape, dy)
 
 
 def train(
@@ -324,20 +306,18 @@ def train(
     """
     if not dataset:
         raise ShapeError("training dataset is empty")
-    flat = w.astype(np.float64).to_flat()
+    w = w.astype(np.float64)  # a copy: the caller's weights stay as they are
     history = []
-    proto = w.astype(np.float64)
     for epoch in range(cfg.epochs):
         losses = []
         for tile, target in dataset:
-            current = proto.from_flat(flat)
-            loss, grad = loss_and_gradient(current, tile, target)
+            loss, grad = loss_and_gradient(w, tile, target)
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             losses.append(loss)
-            flat = flat - cfg.learning_rate * grad
+            w.flat -= cfg.learning_rate * grad
         history.append(float(np.mean(losses)))
-    return proto.from_flat(flat), history
+    return w, history
 
 
 # -- city-scale inference ----------------------------------------------------
@@ -391,9 +371,7 @@ def write_weights(w: Weights, path) -> None:
                 cfg.seed,
             )
         )
-        for name in w.layer_names():
-            f.write(w.kernels[name].astype("<f4").tobytes())
-            f.write(w.biases[name].astype("<f4").tobytes())
+        f.write(w.flat.astype("<f4").tobytes())
 
 
 def read_weights(path) -> Weights:
@@ -406,13 +384,16 @@ def read_weights(path) -> Weights:
         raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
     if version != GLBW_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    cfg = ModelConfig(depth=depth, base_filters=base, kernel_size=ks, in_channels=cin, seed=seed)
+    try:
+        cfg = ModelConfig(
+            depth=depth, base_filters=base, kernel_size=ks, in_channels=cin, seed=seed
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad model header ({exc})") from exc
     expected = _GLBW_HEADER.size + 4 * parameter_count(cfg)
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=_GLBW_HEADER.size).astype(np.float64)
-    proto = init_weights(cfg)
-    return proto.from_flat(flat)
+    return Weights(cfg, np.frombuffer(raw, "<f4", offset=_GLBW_HEADER.size).astype(np.float64))
 
 
 def write_loss_history(history: list[float], path) -> None:

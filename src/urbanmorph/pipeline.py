@@ -254,9 +254,7 @@ def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.
         _checked(
             network.ModelConfig, depth=cfg.depth, base_filters=cfg.base_filters, seed=cfg.seed
         ),
-        _checked(
-            network.TrainConfig, learning_rate=cfg.learning_rate, epochs=cfg.epochs, seed=cfg.seed
-        ),
+        _checked(network.TrainConfig, learning_rate=cfg.learning_rate, epochs=cfg.epochs),
     )
 
 
@@ -264,11 +262,9 @@ def stage_train(cfg: PipelineConfig) -> dict[str, str]:
     model_cfg, train_cfg = _network_configs(cfg)
     channels = _channels(cfg)
     target_norm, _ = _target(cfg)
-    _, tiles = tiler.split(channels)
-    _, target_tiles = tiler.split([target_norm])
-    dataset = [
-        (t.stacked(), tt.channels[0]) for t, tt in zip(tiles, target_tiles)
-    ]
+    # One split, so each target tile is cut from the window of its channels.
+    _, tiles = tiler.split([*channels, target_norm])
+    dataset = [(np.stack(t.channels[:-1], axis=-1), t.channels[-1]) for t in tiles]
     weights = network.init_weights(model_cfg)
     trained, history = network.train(weights, dataset, train_cfg)
     network.write_weights(trained, cfg.path("weights.glbw"))

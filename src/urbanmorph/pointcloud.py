@@ -78,12 +78,10 @@ def grid_elevation(pc: PointCloud, label_filter, template: Raster) -> Raster:
     """Mean elevation of the selected points per template cell.
 
     Cell membership is half-open: a point belongs to the cell whose index is
-    floor((coord - origin) / cell_size).  Cells without points become nodata.
+    floor((coord - origin) / cell_size).  Cells without points become nodata,
+    so a selection without points gives an all-nodata raster.
     """
-    wanted = {int(l) for l in label_filter}
-    sel = np.isin(pc.labels, list(wanted))
-    if not sel.any():
-        raise EmptyCloudError(f"no points with labels {sorted(wanted)}")
+    sel = np.isin(pc.labels, [int(l) for l in label_filter])
     xs, ys, zs = pc.xs[sel], pc.ys[sel], pc.zs[sel]
 
     col = np.floor((xs - template.origin_x) / template.cell_size).astype(np.int64)
@@ -175,10 +173,6 @@ def build_reference_ndsm(pc: PointCloud, template: Raster) -> Raster:
     Cells without building returns are 0 (no building), keeping the
     regression target dense.  Result is clamped non-negative.
     """
-    if not np.isin(pc.labels, [int(Label.BUILDING)]).any():
-        # No buildings at all: the height field is identically zero.
-        return template.with_values(np.zeros((template.height, template.width),
-                                             dtype=np.float32))
     dsm = grid_elevation(pc, {Label.BUILDING}, template)
     dem = fill_voids_nearest(grid_elevation(pc, {Label.GROUND}, template))
     return height_above_ground(dsm, dem)

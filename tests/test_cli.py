@@ -2,12 +2,13 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from urbanmorph import pipeline
+from urbanmorph import network, pipeline
 from urbanmorph.cli import main
 from urbanmorph.lod1 import read_lod1
 from urbanmorph.pipeline import (
@@ -17,7 +18,7 @@ from urbanmorph.pipeline import (
     run_all,
 )
 from urbanmorph.errors import ConfigError
-from urbanmorph.raster import read_raster
+from urbanmorph.raster import Raster, read_raster, write_raster
 
 SMALL_CONFIG = """\
 # small synthetic scene for end-to-end runs
@@ -224,6 +225,70 @@ class TestNetworkRun:
         assert len(loss_lines) == 3
         pred = read_raster(out / "predicted_heights.glbr")
         assert np.isfinite(pred.values).all()
+
+    def test_rerun_byte_identical(self, tmp_path):
+        cfg_path = write_config(
+            tmp_path, extra="predictor = network\nepochs = 1\ndepth = 1\nbase_filters = 2\n"
+        )
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["--config", cfg_path, "--out", str(out), "run"]) == 0
+        assert "weights.glbw" in tree_digest(outs[0])
+        assert tree_digest(outs[0]) == tree_digest(outs[1])
+
+
+class TestNetworkStageInputs:
+    @staticmethod
+    def copy_inputs(run_dir, tmp_path, names):
+        for name in names:
+            shutil.copy(run_dir / name, tmp_path / name)
+        return ["--footprints", str(run_dir / "footprints.geojson")]
+
+    def test_bad_weights_header_exit_2(self, run_dir, tmp_path, capsys):
+        flags = self.copy_inputs(run_dir, tmp_path, (
+            "ndsm_resampled.glbr", "population_resampled.glbr", "ndsm_ref.glbr"))
+        path = tmp_path / "weights.glbw"
+        network.write_weights(
+            network.init_weights(network.ModelConfig(depth=1, base_filters=2)), path
+        )
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<i", raw, 6, 0)  # the depth field
+        path.write_bytes(bytes(raw))
+        code = main(["--out", str(tmp_path), "predict", "--predictor", "network", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=predict: ")
+        assert "weights.glbw: bad model header" in err
+        assert not (tmp_path / "predicted_heights.glbr").exists()
+
+    def test_train_target_not_aligned_exit_1(self, run_dir, tmp_path, capsys):
+        flags = self.copy_inputs(run_dir, tmp_path, (
+            "ndsm_resampled.glbr", "population_resampled.glbr"))
+        ref = read_raster(run_dir / "ndsm_ref.glbr")
+        write_raster(
+            Raster(width=320, height=320, origin_x=ref.origin_x, origin_y=ref.origin_y,
+                   cell_size=ref.cell_size, nodata=ref.nodata,
+                   values=np.zeros((320, 320), dtype=np.float32)),
+            tmp_path / "ndsm_ref.glbr",
+        )
+        code = main(["--out", str(tmp_path), "train", "--depth", "1", "--base-filters", "2",
+                     "--epochs", "1", *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=train: channels not aligned")
+        assert not (tmp_path / "weights.glbw").exists()
+
+
+class TestNoBuildings:
+    @pytest.mark.parametrize("predictor", ["baseline", "network"])
+    def test_run_exit_0_with_empty_metrics(self, tmp_path, capsys, predictor):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "run", *TINY_RUN, "--n-buildings", "0",
+                     "--predictor", predictor, "--epochs", "1", "--depth", "1",
+                     "--base-filters", "2"])
+        assert code == 0, capsys.readouterr().err
+        np.testing.assert_array_equal(read_raster(out / "ndsm_ref.glbr").values, 0.0)
+        assert "  mean,0,nan,nan,0\n" in (out / "report.txt").read_text()
 
 
 class TestErrorHandling:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,25 @@ def tiny_cfg(**kw):
     defaults = dict(depth=1, base_filters=2, kernel_size=3, in_channels=2, seed=7)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def loss_on_zero_target(w, tile):
+    return loss_and_gradient(w, tile, np.zeros(np.shape(tile)[:2]))
+
+
+# Both entry points take a tile and must reject the same bad tiles.
+TILE_ENTRY_POINTS = (forward, loss_on_zero_target)
+
+
+def per_layer_glbw(w):
+    """GLBW bytes written layer by layer, kernel then bias: the file layout."""
+    cfg = w.config
+    parts = [struct.pack("<4sHiiiiq", b"GLBW", 1, cfg.depth, cfg.base_filters,
+                         cfg.kernel_size, cfg.in_channels, cfg.seed)]
+    for name in w.layer_names():
+        parts.append(w.kernels[name].astype("<f4").tobytes())
+        parts.append(w.biases[name].astype("<f4").tobytes())
+    return b"".join(parts)
 
 
 # -- straight-line reference implementation (loops, no vectorization) --------
@@ -161,18 +182,21 @@ class TestForward:
         w = init_weights(tiny_cfg())
         x = np.zeros((8, 8, 2))
         x[0, 0, 0] = np.nan
-        with pytest.raises(InputError):
-            forward(w, x)
+        for run in TILE_ENTRY_POINTS:
+            with pytest.raises(InputError):
+                run(w, x)
 
     def test_rejects_wrong_channels(self):
         w = init_weights(tiny_cfg())
-        with pytest.raises(ShapeError):
-            forward(w, np.zeros((8, 8, 3)))
+        for run in TILE_ENTRY_POINTS:
+            with pytest.raises(ShapeError, match="channels"):
+                run(w, np.zeros((8, 8, 3)))
 
     def test_rejects_indivisible_size(self):
         w = init_weights(tiny_cfg(depth=2, in_channels=1))
-        with pytest.raises(ShapeError):
-            forward(w, np.zeros((10, 10, 1)))
+        for run in TILE_ENTRY_POINTS:
+            with pytest.raises(ShapeError, match="2\\^depth"):
+                run(w, np.zeros((10, 10, 1)))
 
 
 class TestGradient:
@@ -250,6 +274,33 @@ class TestTrain:
         with pytest.raises(ShapeError):
             train(init_weights(tiny_cfg()), [], TrainConfig())
 
+    def test_equals_plain_sgd_loop(self):
+        rng = np.random.default_rng(9)
+        data = [(rng.uniform(0, 1, (8, 8, 2)), rng.uniform(0, 1, (8, 8))) for _ in range(3)]
+        w = init_weights(tiny_cfg())
+        flat, expect_history = w.to_flat(), []
+        for _ in range(3):
+            losses = []
+            for x, target in data:
+                loss, grad = loss_and_gradient(w.from_flat(flat), x, target)
+                losses.append(loss)
+                flat = flat - 0.05 * grad
+            expect_history.append(float(np.mean(losses)))
+        trained, history = train(w, data, TrainConfig(learning_rate=0.05, epochs=3))
+        np.testing.assert_array_equal(trained.flat, flat)
+        assert history == expect_history
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_caller_weights_unchanged(self, dtype):
+        x = np.random.default_rng(5).uniform(0, 1, (8, 8, 2))
+        w = init_weights(tiny_cfg(seed=1)).astype(dtype)
+        before = w.to_flat()
+        data = [(x, 0.8 * x[..., 0] + 0.3 * x[..., 1])]
+        trained, _ = train(w, data, TrainConfig(learning_rate=0.1, epochs=2))
+        assert w.flat.dtype == dtype and trained.flat.dtype == np.float64
+        np.testing.assert_array_equal(w.flat, before)
+        assert not np.array_equal(trained.flat, before)
+
 
 class TestFlatRoundTrip:
     def test_round_trip(self):
@@ -266,6 +317,25 @@ class TestFlatRoundTrip:
             w.from_flat(np.zeros(3))
 
 
+class TestFlatLayout:
+    def test_views_write_through(self):
+        w = init_weights(tiny_cfg())
+        w.kernels["enc0"][0, 0, 0, 0] = 5.0
+        w.biases["head"][0] = -3.0
+        assert w.flat[0] == 5.0 and w.flat[-1] == -3.0
+        w.flat[:] = 0.0
+        for name in w.layer_names():
+            np.testing.assert_array_equal(w.kernels[name], 0.0)
+            np.testing.assert_array_equal(w.biases[name], 0.0)
+
+    def test_copies_do_not_alias(self):
+        w = init_weights(tiny_cfg())
+        flat = w.to_flat()
+        back = w.from_flat(flat)
+        for copy in (flat, back.flat, w.astype(np.float64).flat):
+            assert not np.shares_memory(copy, w.flat)
+        assert not np.shares_memory(back.flat, flat)
+
 class TestWeightsIO:
     def test_round_trip(self, tmp_path):
         w = init_weights(ModelConfig(depth=2, base_filters=3, in_channels=2, seed=5))
@@ -276,6 +346,33 @@ class TestWeightsIO:
         np.testing.assert_allclose(
             back.to_flat(), w.to_flat().astype(np.float32), rtol=0, atol=0
         )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_match_per_layer_layout(self, tmp_path, dtype):
+        rng = np.random.default_rng(4)
+        cfg = ModelConfig(depth=2, base_filters=3, in_channels=2, seed=5)
+        w = init_weights(cfg).from_flat(rng.standard_normal(parameter_count(cfg)))
+        path = tmp_path / "w.glbw"
+        write_weights(w.astype(dtype), path)
+        assert path.read_bytes() == per_layer_glbw(w.astype(dtype))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("depth", 0), ("depth", 9), ("depth", 2**31 - 1), ("kernel_size", 4),
+         ("kernel_size", -1), ("base_filters", 0), ("in_channels", 0)],
+    )
+    def test_bad_header_value(self, tmp_path, field, value):
+        w = init_weights(tiny_cfg())
+        path = tmp_path / "w.glbw"
+        write_weights(w, path)
+        header = dict(depth=1, base_filters=2, kernel_size=3, in_channels=2)
+        header[field] = value
+        raw = path.read_bytes()
+        path.write_bytes(
+            struct.pack("<4sHiiii", b"GLBW", 1, *header.values()) + raw[22:]
+        )
+        with pytest.raises(FormatError, match="bad model header"):
+            read_weights(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.glbw"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbanmorph.errors import EmptyCloudError, EmptyStatisticsError, FormatError
+from urbanmorph.errors import EmptyStatisticsError, FormatError
 from urbanmorph.pointcloud import (
     _BLOCK,
     Label,
@@ -54,10 +54,10 @@ class TestGridElevation:
         out2 = grid_elevation(pc2, {Label.BUILDING}, template(2, 2))
         assert out2.values[0, 0] == np.float32(NODATA)
 
-    def test_empty_selection_raises(self):
+    def test_empty_selection_all_nodata(self):
         pc = cloud([(0.5, 0.5, 98.0, Label.GROUND)])
-        with pytest.raises(EmptyCloudError):
-            grid_elevation(pc, {Label.BUILDING}, template(2, 2))
+        out = grid_elevation(pc, {Label.BUILDING}, template(2, 2))
+        np.testing.assert_array_equal(out.values, np.float32(NODATA))
 
     def test_matches_bucket_oracle(self):
         rng = np.random.default_rng(17)
