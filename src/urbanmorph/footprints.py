@@ -3,6 +3,11 @@
 Footprints are simple polygons (exterior ring plus optional holes) in the
 shared planar meter frame.  Rings are stored open; closure back to the first
 vertex is implicit.
+
+A footprint is checked and measured once, when it is built: its id, every
+ring and the net area after the holes are checked then, and its area,
+perimeter and centroid are stored on it.  Nothing changes a footprint after
+that, so the stored values cannot go stale.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .errors import FormatError, GeometryError
 from .raster import Raster
 
 _AREA_EPS = 1e-12
+_MAX_ID = 2**63 - 1
 
 
 def _ring_array(ring) -> np.ndarray:
@@ -32,28 +38,18 @@ def _ring_array(ring) -> np.ndarray:
     return arr
 
 
-def _signed_area(ring: np.ndarray) -> float:
-    x, y = ring[:, 0], ring[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
-
-
-def _ring_perimeter(ring: np.ndarray) -> float:
-    d = np.roll(ring, -1, axis=0) - ring
-    return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-
-
-def _ring_centroid(ring: np.ndarray) -> tuple[float, float, float]:
-    """Signed area and area-weighted centroid of one ring."""
+def _ring_terms(ring: np.ndarray, name: str) -> tuple[float, float, float, float]:
+    """Signed area, perimeter and area-weighted centroid (x, y) of the ring ``name``."""
     x, y = ring[:, 0], ring[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
     a = 0.5 * float(np.sum(cross))
     if abs(a) < _AREA_EPS:
-        raise GeometryError("degenerate ring with zero area")
+        raise GeometryError(f"{name}: degenerate ring with zero area")
+    perimeter = float(np.sum(np.hypot(xn - x, yn - y)))
     cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
     cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
-    return a, cx, cy
+    return a, perimeter, cx, cy
 
 
 def _ring_self_intersects(ring: np.ndarray) -> bool:
@@ -86,16 +82,34 @@ class BuildingFootprint:
     id: int
     exterior: np.ndarray
     holes: list[np.ndarray] = field(default_factory=list)
+    area: float = field(init=False)
+    perimeter: float = field(init=False)
+    centroid: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
+        # 0 marks "no building" in a FootprintMask, and ids are stored as int64.
+        if not 1 <= self.id <= _MAX_ID:
+            raise ValueError(f"footprint id {self.id} is not in [1, {_MAX_ID}]")
         self.exterior = _ring_array(self.exterior)
         self.holes = [_ring_array(h) for h in self.holes]
+        name = f"footprint {self.id}"
         if len(np.unique(self.exterior, axis=0)) < 3:
-            raise GeometryError(f"footprint {self.id}: exterior needs >= 3 distinct vertices")
-        if abs(_signed_area(self.exterior)) < _AREA_EPS:
-            raise GeometryError(f"footprint {self.id}: degenerate exterior ring")
+            raise GeometryError(f"{name}: exterior needs >= 3 distinct vertices")
+        a_ext, p_ext, cx, cy = _ring_terms(self.exterior, f"{name} exterior")
+        holes = [_ring_terms(h, f"{name} hole {k}") for k, h in enumerate(self.holes)]
         if _ring_self_intersects(self.exterior):
-            raise GeometryError(f"footprint {self.id}: self-intersecting exterior ring")
+            raise GeometryError(f"{name}: self-intersecting exterior ring")
+        area = abs(a_ext)
+        mx, my = area * cx, area * cy
+        for a_h, _, hx, hy in holes:
+            area -= abs(a_h)
+            mx -= abs(a_h) * hx
+            my -= abs(a_h) * hy
+        if area < _AREA_EPS:
+            raise GeometryError(f"{name}: holes consume the exterior")
+        self.area = area
+        self.perimeter = p_ext + sum(p_h for _, p_h, _, _ in holes)
+        self.centroid = (mx / area, my / area)
 
     def rings(self) -> list[np.ndarray]:
         return [self.exterior, *self.holes]
@@ -125,32 +139,17 @@ class FootprintMask:
 
 def polygon_area(f: BuildingFootprint) -> float:
     """Shoelace area of the exterior minus its holes, in square meters."""
-    area = abs(_signed_area(f.exterior))
-    for hole in f.holes:
-        area -= abs(_signed_area(hole))
-    if area < _AREA_EPS:
-        raise GeometryError(f"footprint {f.id}: non-positive net area")
-    return area
+    return f.area
 
 
 def polygon_perimeter(f: BuildingFootprint) -> float:
     """Exterior ring length plus all hole ring lengths."""
-    return _ring_perimeter(f.exterior) + sum(_ring_perimeter(h) for h in f.holes)
+    return f.perimeter
 
 
 def centroid(f: BuildingFootprint) -> tuple[float, float]:
     """Area-weighted centroid with holes subtracted."""
-    a_ext, cx, cy = _ring_centroid(f.exterior)
-    total = abs(a_ext)
-    mx, my = total * cx, total * cy
-    for hole in f.holes:
-        a_h, hx, hy = _ring_centroid(hole)
-        total -= abs(a_h)
-        mx -= abs(a_h) * hx
-        my -= abs(a_h) * hy
-    if total < _AREA_EPS:
-        raise GeometryError(f"footprint {f.id}: holes consume the exterior")
-    return mx / total, my / total
+    return f.centroid
 
 
 def projected_width(f: BuildingFootprint, wind_direction: float) -> float:
@@ -260,11 +259,13 @@ def write_footprints(footprints: list[BuildingFootprint], path) -> None:
         json.dump(fc, f)
 
 
-def _read_features(path, parse) -> list:
-    """``parse`` applied to each feature of a GeoJSON FeatureCollection file.
+def _read_features(path, parse=lambda footprint, props: footprint) -> list:
+    """``parse(footprint, properties)`` for each feature of a GeoJSON
+    FeatureCollection file.
 
-    A feature holding a value ``parse`` cannot convert (a ``ValueError`` or
-    ``TypeError``) is a FormatError naming the file and the feature.
+    A feature holding a value that cannot be converted or a bad footprint
+    (a ``ValueError``, ``TypeError`` or ``GeometryError``), or repeating an
+    earlier feature's id, is a FormatError naming the file and the feature.
     """
     with open(path) as f:
         try:
@@ -277,13 +278,20 @@ def _read_features(path, parse) -> list:
     if not isinstance(features, list) or not all(isinstance(f, dict) for f in features):
         raise FormatError(f"{path}: 'features' must be a list of objects")
     out = []
+    seen: dict[int, int] = {}
     for i, feature in enumerate(features):
         try:
-            out.append(parse(feature))
-        except (ValueError, TypeError) as exc:
+            footprint = _feature_to_footprint(feature)
+            out.append(parse(footprint, feature.get("properties") or {}))
+        except (ValueError, TypeError, GeometryError) as exc:
             raise FormatError(f"{path}: features[{i}]: bad value ({exc})") from exc
+        first = seen.setdefault(footprint.id, i)
+        if first != i:
+            raise FormatError(
+                f"{path}: features[{i}]: duplicate id {footprint.id} (also features[{first}])"
+            )
     return out
 
 
 def read_footprints(path) -> list[BuildingFootprint]:
-    return _read_features(path, _feature_to_footprint)
+    return _read_features(path)

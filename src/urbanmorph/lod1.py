@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import FormatError
 from .footprints import BuildingFootprint, FootprintMask
-from .footprints import _feature_to_footprint, _footprint_to_feature, _read_features
+from .footprints import _footprint_to_feature, _read_features
 from .raster import Raster, require_aligned
 
 STATISTICS = ("mean", "median")
@@ -98,9 +98,7 @@ def write_lod1(buildings: list[Lod1Building], path) -> None:
 
 
 def read_lod1(path) -> list[Lod1Building]:
-    def building(feature: dict) -> Lod1Building:
-        fp = _feature_to_footprint(feature)
-        props = feature.get("properties") or {}
+    def building(fp: BuildingFootprint, props: dict) -> Lod1Building:
         if "height_m" not in props:
             raise FormatError(f"{path}: feature {fp.id} missing 'height_m'")
         return Lod1Building(

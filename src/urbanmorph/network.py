@@ -287,6 +287,8 @@ def loss_and_gradient(
     target = np.asarray(target, dtype=np.float64)
     if target.shape != tile.shape[:2]:
         raise ShapeError(f"target shape {target.shape} != tile spatial {tile.shape[:2]}")
+    if not np.isfinite(target).all():
+        raise InputError("target contains non-finite values")
     w64 = w if w.flat.dtype == np.float64 else w.astype(np.float64)
     y, tape = _forward_tape(w64, tile)
     diff = y[..., 0] - target

@@ -222,14 +222,21 @@ def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
     }
 
 
+def _network_input(cfg: PipelineConfig, key: str) -> Raster:
+    """The raster ``<key>.glbr`` of ``cfg.out``; a nodata cell is a FormatError,
+    since the network would read the nodata value as data."""
+    path = _require_file(cfg.path(f"{key}.glbr"), key)
+    r = read_raster(path)
+    gaps = np.count_nonzero(~r.valid_mask)
+    if gaps:
+        raise FormatError(f"{path}: {gaps} nodata cells; the network needs gap-free input")
+    return r
+
+
 def _channels(cfg: PipelineConfig) -> list[Raster]:
     """Normalized predictor channels: nDSM, population and footprint mask."""
-    ndsm_fine = read_raster(
-        _require_file(cfg.path("ndsm_resampled.glbr"), "ndsm_resampled")
-    )
-    pop_fine = read_raster(
-        _require_file(cfg.path("population_resampled.glbr"), "population_resampled")
-    )
+    ndsm_fine = _network_input(cfg, "ndsm_resampled")
+    pop_fine = _network_input(cfg, "population_resampled")
     _, mask = _mask_for(cfg, _template_like(ndsm_fine))
     ndsm_norm, _ = minmax_normalize(ndsm_fine)
     pop_norm, _ = minmax_normalize(pop_fine)
@@ -244,8 +251,7 @@ def stage_tile(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def _target(cfg: PipelineConfig):
-    ref = read_raster(_require_file(cfg.path("ndsm_ref.glbr"), "ndsm_ref"))
-    return minmax_normalize(ref)
+    return minmax_normalize(_network_input(cfg, "ndsm_ref"))
 
 
 def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.TrainConfig]:

@@ -290,16 +290,22 @@ def write_raster(r: Raster, path) -> None:
 
 
 def read_raster(path) -> Raster:
-    """Read a raster file; the format is sniffed from the leading bytes."""
+    """Read a raster file; the format is sniffed from the leading bytes.
+
+    A cell that is NaN or infinite is a FormatError: every cell is finite or
+    nodata.
+    """
     path = str(path)
     with open(path, "rb") as f:
         head = f.read(4)
     try:
-        if head == GLBR_MAGIC:
-            return _read_glbr(path)
-        return _read_ascii(path)
+        r = _read_glbr(path) if head == GLBR_MAGIC else _read_ascii(path)
     except ValueError as exc:  # undecodable text, a non-number, a NaN nodata value
         raise FormatError(f"{path}: malformed raster ({exc})") from exc
+    bad = np.count_nonzero(~np.isfinite(r.values))
+    if bad:
+        raise FormatError(f"{path}: {bad} non-finite cells")
+    return r
 
 
 def _write_glbr(r: Raster, path: str) -> None:
@@ -389,7 +395,8 @@ def _read_ascii(path: str) -> Raster:
         raise FormatError(
             f"{path}: expected {width * height} values, got {len(data)}"
         )
-    values = np.array(data, dtype=np.float32).reshape(height, width)
+    with np.errstate(over="ignore"):  # beyond float32 is inf, which read_raster rejects
+        values = np.array(data, dtype=np.float32).reshape(height, width)
     return Raster(
         width=width,
         height=height,

@@ -10,10 +10,10 @@ containing their footprint centroid; plan and roof areas are pixel counts on
 the 1-m mask; the standard deviation is the population form; grid cells
 clipped by the mask extent use their actually covered area as the cell area.
 
-Per-building geometry (centroid cell, footprint area, perimeter) is computed
-once per grid into a ``BuildingTable``; the per-cell fields are ``bincount``
-reductions over it, which add in building order.  A ``UcpGrid`` is the grid's
-``GridGeometry`` plus those fields; ``scalar_fields`` names the scalar ones.
+A footprint's area, perimeter and centroid are measured when it is built; a
+``BuildingTable`` adds each centroid's grid cell, once per grid.  The fields
+are ``bincount`` reductions over it, summed in building order.  A ``UcpGrid``
+is its ``GridGeometry`` plus fields; ``scalar_fields`` names the scalar ones.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError, ShapeError
-from .footprints import BuildingFootprint, FootprintMask, centroid
-from .footprints import polygon_area, polygon_perimeter, projected_width
+from .footprints import BuildingFootprint, FootprintMask, projected_width
 from .lod1 import Lod1Building
 from .raster import Raster, write_raster
 
@@ -131,10 +130,10 @@ class BuildingTable:
 
 
 def building_table(buildings: list[Lod1Building], geom: GridGeometry) -> BuildingTable:
-    """Compute each building's grid cell, area and perimeter once."""
+    """Each building's grid cell, and its footprint's stored area and perimeter."""
     cells = np.full(len(buildings), -1, dtype=np.int64)
     for i, b in enumerate(buildings):
-        cx, cy = centroid(b.footprint)
+        cx, cy = b.footprint.centroid
         col = math.floor((cx - geom.origin_x) / geom.resolution)
         row = math.floor((cy - geom.origin_y) / geom.resolution)
         if 0 <= row < geom.rows and 0 <= col < geom.cols:
@@ -144,8 +143,8 @@ def building_table(buildings: list[Lod1Building], geom: GridGeometry) -> Buildin
         geom=geom,
         cells=cells,
         heights=np.array([b.height for b in buildings], dtype=np.float64),
-        areas=np.array([polygon_area(f) for f in footprints], dtype=np.float64),
-        perimeters=np.array([polygon_perimeter(f) for f in footprints], dtype=np.float64),
+        areas=np.array([f.area for f in footprints], dtype=np.float64),
+        perimeters=np.array([f.perimeter for f in footprints], dtype=np.float64),
         footprints=footprints,
     )
 
@@ -281,8 +280,8 @@ def aggregate_all(
 ) -> UcpGrid:
     """Populate every UCP field over one grid in a single deterministic pass.
 
-    Each building's grid cell, area and perimeter are computed once for the
-    grid, in one ``building_table``; every field reduces that table.
+    Each building's grid cell is found once for the grid, in one
+    ``building_table``; every field reduces that table.
     """
     geom = grid_geometry(mask, resolution)
     table = building_table(buildings, geom)

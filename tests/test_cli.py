@@ -279,6 +279,32 @@ class TestNetworkStageInputs:
         assert not (tmp_path / "weights.glbw").exists()
 
 
+    @pytest.mark.parametrize(
+        "stage, name, cell, message",
+        [("train", "ndsm_resampled.glbr", np.nan, "1 non-finite cells"),
+         ("predict", "ndsm_ref.glbr", -9999.0, "1 nodata cells")],
+    )
+    def test_bad_cell_in_network_input_exit_2(self, run_dir, tmp_path, capsys,
+                                              stage, name, cell, message):
+        flags = self.copy_inputs(run_dir, tmp_path, (
+            "ndsm_resampled.glbr", "population_resampled.glbr", "ndsm_ref.glbr"))
+        network.write_weights(
+            network.init_weights(network.ModelConfig(depth=1, base_filters=2)),
+            tmp_path / "weights.glbw",
+        )
+        r = read_raster(tmp_path / name)
+        r.values[7, 9] = cell
+        write_raster(r, tmp_path / name)
+        before = tree_digest(tmp_path)
+        code = main(["--out", str(tmp_path), stage, "--predictor", "network", "--depth", "1",
+                     "--base-filters", "2", "--epochs", "1", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"ERROR stage={stage}: ")
+        assert f"{name}: {message}" in err
+        assert tree_digest(tmp_path) == before
+
+
 class TestNoBuildings:
     @pytest.mark.parametrize("predictor", ["baseline", "network"])
     def test_run_exit_0_with_empty_metrics(self, tmp_path, capsys, predictor):
@@ -402,6 +428,46 @@ class TestRejectedBeforeWork:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("ERROR stage=lod1: ")
         assert "footprints.geojson: features[1]: bad value" in err
+        assert not (tmp_path / "lod1_pred.geojson").exists()
+
+    @pytest.mark.parametrize(
+        "rings",
+        [[[[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]],
+         "zero-area hole", "hole over exterior"],
+        ids=["bowtie", "zero-area-hole", "hole-over-exterior"],
+    )
+    def test_predict_bad_footprint_geometry_exit_2(self, run_dir, tmp_path, capsys, rings):
+        shutil.copy(run_dir / "ndsm_resampled.glbr", tmp_path / "ndsm_resampled.glbr")
+        fc = json.loads((run_dir / "footprints.geojson").read_text())
+        coords = fc["features"][1]["geometry"]["coordinates"]
+        (x, y), *_ = coords[0]
+        if rings == "zero-area hole":
+            rings = [coords[0], [[x + 1, y + 1], [x + 2, y + 2], [x + 3, y + 3]]]
+        elif rings == "hole over exterior":
+            rings = [coords[0], [[-1, -1], [999, -1], [999, 999], [-1, 999]]]
+        fc["features"][1]["geometry"]["coordinates"] = rings
+        bad = tmp_path / "footprints.geojson"
+        bad.write_text(json.dumps(fc))
+        code = main(["--out", str(tmp_path), "predict", "--footprints", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=predict: ")
+        assert "footprints.geojson: features[1]: bad value" in err
+        assert not (tmp_path / "predicted_heights.glbr").exists()
+
+    def test_lod1_duplicate_footprint_id_exit_2(self, run_dir, tmp_path, capsys):
+        for name in ("predicted_heights.glbr", "ndsm_ref.glbr"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        fc = json.loads((run_dir / "footprints.geojson").read_text())
+        fid = fc["features"][1]["properties"]["id"]
+        fc["features"][2]["properties"]["id"] = fid
+        bad = tmp_path / "footprints.geojson"
+        bad.write_text(json.dumps(fc))
+        code = main(["--out", str(tmp_path), "lod1", "--footprints", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=lod1: ")
+        assert f"footprints.geojson: features[2]: duplicate id {fid} " in err
         assert not (tmp_path / "lod1_pred.geojson").exists()
 
     def test_network_settings_checked_before_first_stage(self, tmp_path, capsys):

@@ -126,6 +126,103 @@ class TestSelfIntersection:
         assert _ring_self_intersects(ring) == self_intersects_oracle(ring)
 
 
+# The per-ring helpers and measures a footprint had before it stored its own
+# area, perimeter and centroid; the stored values must equal them bit for bit.
+
+
+def _signed_area(ring):
+    x, y = ring[:, 0], ring[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    return 0.5 * float(np.sum(x * yn - xn * y))
+
+
+def _ring_perimeter(ring):
+    d = np.roll(ring, -1, axis=0) - ring
+    return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
+
+
+def _ring_centroid(ring):
+    x, y = ring[:, 0], ring[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    a = 0.5 * float(np.sum(cross))
+    cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
+    cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
+    return a, cx, cy
+
+
+def per_ring_area(f):
+    area = abs(_signed_area(f.exterior))
+    for hole in f.holes:
+        area -= abs(_signed_area(hole))
+    return area
+
+
+def per_ring_perimeter(f):
+    return _ring_perimeter(f.exterior) + sum(_ring_perimeter(h) for h in f.holes)
+
+
+def per_ring_centroid(f):
+    a_ext, cx, cy = _ring_centroid(f.exterior)
+    total = abs(a_ext)
+    mx, my = total * cx, total * cy
+    for hole in f.holes:
+        a_h, hx, hy = _ring_centroid(hole)
+        total -= abs(a_h)
+        mx -= abs(a_h) * hx
+        my -= abs(a_h) * hy
+    return mx / total, my / total
+
+
+def star_ring(rng, n, cx, cy, r_min, r_max):
+    """A simple ring of ``n`` vertices at jittered, increasing angles."""
+    angles = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, n)) / n
+    radii = rng.uniform(r_min, r_max, n)
+    return np.c_[cx + radii * np.cos(angles), cy + radii * np.sin(angles)]
+
+
+class TestMeasuresMatchPerRingHelpers:
+    @pytest.mark.parametrize("n_holes", [0, 1, 2])
+    @pytest.mark.parametrize("n", [*range(3, 14), 50])
+    def test_bit_identical(self, n, n_holes):
+        rng = np.random.default_rng(1000 * n + n_holes)
+        for _ in range(20):
+            cx, cy = rng.uniform(0, 2000, 2)
+            r = rng.uniform(5, 40)
+            holes = [
+                star_ring(rng, int(rng.integers(3, 14)), cx + dx * r, cy, 0.005 * r, 0.01 * r)
+                for dx in (-0.03, 0.03)[:n_holes]
+            ]
+            f = BuildingFootprint(
+                id=1, exterior=star_ring(rng, n, cx, cy, 0.8 * r, r), holes=holes
+            )
+            assert len(f.exterior) == n and len(f.holes) == n_holes
+            assert polygon_area(f) == per_ring_area(f)
+            assert polygon_perimeter(f) == per_ring_perimeter(f)
+            got_x, got_y = centroid(f)
+            want_x, want_y = per_ring_centroid(f)
+            assert got_x == want_x and got_y == want_y
+
+
+class TestConstruction:
+    def test_degenerate_hole_rejected(self):
+        with pytest.raises(GeometryError, match="footprint 7 hole 0"):
+            square(fid=7, w=4, h=4, holes=[[(1, 1), (2, 2), (3, 3)]])
+
+    def test_hole_consuming_exterior_rejected(self):
+        with pytest.raises(GeometryError, match="footprint 7: holes consume"):
+            square(fid=7, w=2, h=2, holes=[[(-1, -1), (3, -1), (3, 3), (-1, 3)]])
+
+    @pytest.mark.parametrize("fid", [0, -3, 2**63, 2**70])
+    def test_id_out_of_range_rejected(self, fid):
+        with pytest.raises(ValueError, match=f"footprint id {fid} "):
+            square(fid=fid)
+
+    @pytest.mark.parametrize("fid", [1, 2**63 - 1])
+    def test_id_range_ends_accepted(self, fid):
+        assert square(fid=fid).id == fid
+
+
 class TestArea:
     def test_unit_square(self):
         assert polygon_area(square()) == pytest.approx(1.0)

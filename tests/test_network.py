@@ -231,6 +231,13 @@ class TestGradient:
         with pytest.raises(ShapeError):
             loss_and_gradient(w, np.zeros((8, 8, 2)), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        target = np.zeros((8, 8))
+        target[3, 5] = bad
+        with pytest.raises(InputError, match="target"):
+            loss_and_gradient(init_weights(tiny_cfg()), np.zeros((8, 8, 2)), target)
+
 
 class TestTrain:
     def test_overfits_single_tile(self):

@@ -49,18 +49,48 @@ def test_glbr_nan_nodata(tmp_path):
         read_raster(path)
 
 
+@pytest.mark.parametrize(
+    "name, cell",
+    [("r.glbr", np.nan), ("r.glbr", -np.inf), ("r.asc", "nan"), ("r.asc", "1e50")],
+)
+def test_non_finite_cell_names_file(tmp_path, name, cell):
+    path = tmp_path / name
+    if name.endswith(".asc"):
+        path.write_text(GRID.replace("\n5\n", f"\n{cell}\n"))
+    else:
+        header = _GLBR_HEADER.pack(b"GLBR", 1, 1, 1, 0.0, 0.0, 1.0, np.float32(-9999))
+        path.write_bytes(header + np.array([cell], "<f4").tobytes())
+    with pytest.raises(FormatError, match=f"{name}: 1 non-finite cells"):
+        read_raster(path)
+
+
 def lod1_collection(**changes):
-    """A one-building LoD-1 FeatureCollection with ``changes`` applied to it."""
+    """A one-building LoD-1 FeatureCollection with ``changes`` applied to it.
+
+    ``coordinate`` replaces the second vertex's x, ``exterior`` the whole
+    exterior ring, and ``hole`` adds a hole; other keys are properties.
+    """
     props = {"id": 1, "height_m": 9.5, "n_cells": 4}
-    ring = [[0, 0], [2, 0], [2, 2], [0, 2], [0, 0]]
+    rings = [[[0, 0], [2, 0], [2, 2], [0, 2], [0, 0]]]
     for key, value in changes.items():
         if key == "coordinate":
-            ring[1] = [value, 0]
+            rings[0][1] = [value, 0]
+        elif key == "exterior":
+            rings[0] = value
+        elif key == "hole":
+            rings.append(value)
         else:
             props[key] = value
     feature = {"type": "Feature", "properties": props,
-               "geometry": {"type": "Polygon", "coordinates": [ring]}}
+               "geometry": {"type": "Polygon", "coordinates": rings}}
     return {"type": "FeatureCollection", "features": [feature]}
+
+
+BAD_GEOMETRY = {
+    "bowtie": {"exterior": [[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]},
+    "zero-area-hole": {"hole": [[0.5, 0.5], [1, 1], [1.5, 1.5], [0.5, 0.5]]},
+    "hole-over-exterior": {"hole": [[-1, -1], [3, -1], [3, 3], [-1, 3], [-1, -1]]},
+}
 
 
 @pytest.mark.parametrize(
@@ -68,6 +98,11 @@ def lod1_collection(**changes):
     [(read_footprints, {"id": "abc"}), (read_footprints, {"id": None}),
      (read_footprints, {"coordinate": "east"}), (read_footprints, {"coordinate": None}),
      (read_footprints, {"coordinate": float("nan")}),
+     *(pytest.param(read_footprints, change, id=f"read_footprints-{name}")
+       for name, change in BAD_GEOMETRY.items()),
+     pytest.param(read_lod1, BAD_GEOMETRY["zero-area-hole"], id="read_lod1-zero-area-hole"),
+     (read_footprints, {"id": 0}), (read_footprints, {"id": -3}),
+     (read_footprints, {"id": 2**70}), (read_lod1, {"id": 0}),
      (read_lod1, {"id": "abc"}), (read_lod1, {"coordinate": "east"}),
      (read_lod1, {"height_m": "tall"}), (read_lod1, {"height_m": None}),
      (read_lod1, {"height_m": -3.0}), (read_lod1, {"n_cells": "many"})],
@@ -79,6 +114,18 @@ def test_geojson_bad_value_names_file_and_feature(tmp_path, reader, change):
     assert len(reader(path)) == 1
     path.write_text(json.dumps(lod1_collection(**change)))
     with pytest.raises(FormatError, match=r"b\.geojson: features\[0\]: bad value"):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader", [read_footprints, read_lod1], ids=lambda r: r.__name__)
+def test_geojson_duplicate_id_names_file_and_feature(tmp_path, reader):
+    fc = lod1_collection(id=2)
+    second = json.loads(json.dumps(fc["features"][0]))
+    second["geometry"]["coordinates"] = [[[5, 5], [7, 5], [7, 7], [5, 7], [5, 5]]]
+    fc["features"].append(second)
+    path = tmp_path / "b.geojson"
+    path.write_text(json.dumps(fc))
+    with pytest.raises(FormatError, match=r"b\.geojson: features\[1\]: duplicate id 2 "):
         reader(path)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from urbanmorph import footprints
 from urbanmorph.errors import AlignmentError, ShapeError
 from urbanmorph.footprints import (
     BuildingFootprint,
@@ -329,18 +330,27 @@ class TestAggregateBruteForce:
         np.testing.assert_allclose(g1.hist, g2.hist)
 
 
-    def test_centroid_once_per_building(self, monkeypatch):
+    def test_rings_measured_once_when_built(self, monkeypatch):
         calls = []
 
-        def counting_centroid(f):
-            calls.append(f.id)
-            return centroid(f)
+        def counting_ring_terms(ring, name):
+            calls.append(name)
+            return ring_terms(ring, name)
 
-        monkeypatch.setattr("urbanmorph.ucp.centroid", counting_centroid)
-        bs = [building(i + 1, 20 * i + 2, 10, 8, 8, 5.0 + i) for i in range(4)]
+        ring_terms = footprints._ring_terms
+        monkeypatch.setattr(footprints, "_ring_terms", counting_ring_terms)
+        bs = [building(i + 1, 20 * i + 2, 10, 8, 8, 5.0 + i) for i in range(3)]
+        holed = BuildingFootprint(
+            id=4, exterior=[(62, 10), (72, 10), (72, 20), (62, 20)],
+            holes=[[(64, 12), (66, 12), (66, 14), (64, 14)]],
+        )
+        bs.append(Lod1Building(footprint=holed, height=8.0, n_cells=-1))
+        assert len(calls) == 5  # one per ring: 4 exteriors and 1 hole
         mask = rasterize([b.footprint for b in bs], template(100, 100))
-        aggregate_all(bs, mask, resolution=50.0, directions=(0.0, 45.0, 90.0, 135.0))
-        assert sorted(calls) == [1, 2, 3, 4]
+        for resolution in (50.0, 100.0):
+            aggregate_all(bs, mask, resolution=resolution,
+                          directions=(0.0, 45.0, 90.0, 135.0))
+        assert len(calls) == 5
 
 
 class TestNesting:
