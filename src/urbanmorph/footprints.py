@@ -23,6 +23,7 @@ from .errors import FormatError, GeometryError
 from .raster import Raster
 
 _AREA_EPS = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 _MAX_ID = 2**63 - 1
 
 
@@ -42,9 +43,12 @@ def _ring_terms(ring: np.ndarray, name: str) -> tuple[float, float, float, float
     """Signed area, perimeter and area-weighted centroid (x, y) of the ring ``name``."""
     x, y = ring[:, 0], ring[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
+    xy, yx = x * yn, xn * y
+    cross = xy - yx
     a = 0.5 * float(np.sum(cross))
-    if abs(a) < _AREA_EPS:
+    # The shoelace's rounding bound: an area within it is no area at all.
+    bound = len(x) * _EPS * float((np.abs(xy) + np.abs(yx)).sum())
+    if abs(a) < _AREA_EPS or abs(a) <= bound:
         raise GeometryError(f"{name}: degenerate ring with zero area")
     perimeter = float(np.sum(np.hypot(xn - x, yn - y)))
     cx = float(np.sum((x + xn) * cross)) / (6.0 * a)

@@ -6,10 +6,17 @@ elevation averaging with 64-bit accumulation, so the result is independent
 of point order.  Void cells of a terrain raster take the value of their
 nearest valid cell center; distances are compared as exact integer squared
 distances, and a tie goes to the donor earliest in row-major order.
+
+Points are stored as CSV (``x,y,z,label``) or as GLBP, a little-endian
+column file: a ``<4sHQ`` header (magic ``b"GLBP"``, version 1, count n),
+then n x, n y and n z as ``<f8`` and n labels as ``i1``, 25 bytes a point.
+Both keep coordinates to 9 significant digits, so either reads back the same.
 """
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice, repeat
@@ -30,9 +37,12 @@ class Label(IntEnum):
 
 _LABEL_NAMES = {Label.GROUND: "ground", Label.BUILDING: "building", Label.OTHER: "other"}
 _NAME_CODES = {v: int(k) for k, v in _LABEL_NAMES.items()}
-# Points per formatted or parsed CSV block: large enough to amortise the
-# per-block calls, small enough that a block's strings stay a few MB.
+# Points per formatted, parsed or rounded block: large enough to amortise
+# the per-block calls, small enough that a block's temporaries stay a few MB.
 _BLOCK = 65536
+GLBP_MAGIC = b"GLBP"
+_GLBP_HEADER = struct.Struct("<4sHQ")
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 # Squared-distance span of void cells filled from one offset table.
 _D2_SPAN = 1 << 18
 
@@ -184,7 +194,63 @@ def height_above_ground(dsm: Raster, dem: Raster) -> Raster:
     return ndsm.with_values(np.where(ndsm.valid_mask, ndsm.values, np.float32(0.0)))
 
 
-# -- CSV I/O -----------------------------------------------------------------
+# -- Point I/O ---------------------------------------------------------------
+
+
+def _round_9g(v: np.ndarray) -> np.ndarray:
+    """``float(format(x, ".9g"))`` for every finite x in ``v``, bit for bit.
+
+    With k = 8 - floor(log10|x|), n = rint(x * 10^k) is x's 9-digit mantissa,
+    and n / 10^k, one correctly rounded operation on exact doubles for
+    |k| <= 22, is the value of the 9-digit string.  Values near a rounding
+    tie, with n not 9 digits or with |k| > 22 are formatted; zeros are kept.
+    """
+    out = np.array(v, dtype=np.float64)
+    nz = np.flatnonzero(out)
+    x = out[nz]
+    k = 8 - np.floor(np.log10(np.abs(x))).astype(np.int64)
+    p = _POW10[np.minimum(np.abs(k), 22)]
+    mul, div = np.where(k >= 0, p, 1.0), np.where(k >= 0, 1.0, p)
+    s = x * mul / div
+    n = np.rint(s)
+    fast = (np.abs(k) <= 22) & (np.abs(s - n) < 0.5 - 1e-6)
+    fast &= (np.abs(n) >= 1e8) & (np.abs(n) <= 1e9)
+    out[nz[fast]] = n[fast] / mul[fast] * div[fast]
+    slow = nz[~fast]
+    out[slow] = [float(format(value, ".9g")) for value in out[slow].tolist()]
+    return out
+
+
+def write_points_glbp(pc: PointCloud, path) -> None:
+    """Write GLBP, each coordinate rounded as ``write_points_csv`` keeps it."""
+    with open(path, "wb") as f:
+        f.write(_GLBP_HEADER.pack(GLBP_MAGIC, 1, len(pc)))
+        for column in (pc.xs, pc.ys, pc.zs):
+            for lo in range(0, len(pc), _BLOCK):
+                f.write(_round_9g(column[lo:lo + _BLOCK]).astype("<f8").tobytes())
+        f.write(pc.labels.astype("i1").tobytes())
+
+
+def _read_glbp(path) -> PointCloud:
+    with open(path, "rb") as f:
+        head = f.read(_GLBP_HEADER.size)
+        if len(head) < _GLBP_HEADER.size:
+            raise FormatError(f"{path}: truncated header at byte {len(head)}")
+        _, version, n = _GLBP_HEADER.unpack(head)
+        if version != 1:
+            raise FormatError(f"{path}: unsupported version {version} at byte 4")
+        # Checked before any column is read, so a forged count allocates nothing.
+        size = os.fstat(f.fileno()).st_size
+        expected = _GLBP_HEADER.size + 25 * n
+        if size != expected:
+            raise FormatError(f"{path}: expected {expected} bytes for {n} points, got {size}")
+        xs, ys, zs = (np.fromfile(f, "<f8", n) for _ in range(3))
+        labels = np.fromfile(f, "i1", n)
+    if bad := np.count_nonzero((labels < 0) | (labels > 2)):
+        raise FormatError(f"{path}: {bad} labels not 0, 1 or 2")
+    if bad := sum(np.count_nonzero(~np.isfinite(column)) for column in (xs, ys, zs)):
+        raise FormatError(f"{path}: {bad} non-finite coordinates")
+    return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
 
 
 def write_points_csv(pc: PointCloud, path) -> None:
@@ -199,6 +265,10 @@ def write_points_csv(pc: PointCloud, path) -> None:
 
 
 def read_points_csv(path) -> PointCloud:
+    """Read a point file: GLBP, sniffed by its magic, or else CSV."""
+    with open(path, "rb") as f:
+        if f.read(4) == GLBP_MAGIC:
+            return _read_glbp(path)
     # Undecodable bytes become U+FFFD, which no number or label accepts, so
     # they fail as a FormatError naming their line.
     with open(path, encoding="utf-8", errors="replace") as f:

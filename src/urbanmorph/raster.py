@@ -397,12 +397,13 @@ def _read_ascii(path: str) -> Raster:
         )
     with np.errstate(over="ignore"):  # beyond float32 is inf, which read_raster rejects
         values = np.array(data, dtype=np.float32).reshape(height, width)
+        nodata = float(np.float32(nodata))
     return Raster(
         width=width,
         height=height,
         origin_x=float(header["xllcorner"]),
         origin_y=float(header["yllcorner"]),
         cell_size=float(header["cellsize"]),
-        nodata=float(np.float32(nodata)),
+        nodata=nodata,
         values=values[::-1],
     )

@@ -18,7 +18,7 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import PackingError
 from .footprints import BuildingFootprint, FootprintMask, rasterize, write_footprints
-from .pointcloud import Label, PointCloud, write_points_csv
+from .pointcloud import Label, PointCloud, write_points_glbp
 from .raster import Raster, downsample_average, write_raster
 
 _PLACEMENT_RETRIES = 25
@@ -233,14 +233,14 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "footprints": os.path.join(out_dir, "footprints.geojson"),
-        "points": os.path.join(out_dir, "points.csv"),
+        "points": os.path.join(out_dir, "points.glbp"),
         "truth_ndsm": os.path.join(out_dir, "truth_ndsm.glbr"),
         "terrain": os.path.join(out_dir, "terrain.glbr"),
         "coarse_ndsm": os.path.join(out_dir, "coarse_ndsm.glbr"),
         "population": os.path.join(out_dir, "population.glbr"),
     }
     write_footprints(scene.footprints, paths["footprints"])
-    write_points_csv(scene.points, paths["points"])
+    write_points_glbp(scene.points, paths["points"])
     write_raster(scene.truth_ndsm, paths["truth_ndsm"])
     write_raster(scene.terrain, paths["terrain"])
     write_raster(scene.coarse_ndsm, paths["coarse_ndsm"])

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import struct
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from urbanmorph.pipeline import (
     run_all,
 )
 from urbanmorph.errors import ConfigError
+from urbanmorph.pointcloud import read_points_csv, write_points_csv
 from urbanmorph.raster import Raster, read_raster, write_raster
 
 SMALL_CONFIG = """\
@@ -113,7 +115,7 @@ class TestFullRun:
     def test_expected_outputs_exist(self, run_dir):
         for name in [
             "footprints.geojson",
-            "points.csv",
+            "points.glbp",
             "coarse_ndsm.glbr",
             "population.glbr",
             "dsm.glbr",
@@ -394,6 +396,34 @@ class TestErrorHandling:
         assert "points\t" in captured.out
 
 
+class TestPointFormats:
+    def test_glbp_and_csv_points_give_identical_rasters(self, run_dir, tmp_path):
+        write_points_csv(read_points_csv(run_dir / "points.glbp"), tmp_path / "points.csv")
+        rasters = []
+        for name in ("points.glbp", "points.csv"):
+            out = tmp_path / name.replace(".", "_")
+            points = run_dir / name if name.endswith(".glbp") else tmp_path / name
+            assert main(["--out", str(out), "rasterize-points", "--points", str(points)]) == 0
+            rasters.append([(out / f).read_bytes() for f in ("dsm.glbr", "dem.glbr")])
+        assert rasters[0] == rasters[1]
+
+
+class TestAsciiNodata:
+    def test_resample_nodata_beyond_float32_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "coarse.asc"
+        path.write_text("ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 30\n"
+                        "NODATA_value 1e50\n5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out", str(tmp_path / "out"), "resample",
+                         "--coarse-ndsm", str(path), "--population", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not caught
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=resample: ")
+        assert "coarse.asc: malformed raster (nodata sentinel must be finite)" in err
+
+
 class TestStagewiseEqualsRun:
     def test_stage_by_stage_matches_run(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -404,7 +434,7 @@ class TestStagewiseEqualsRun:
         base = ["--config", cfg_path, "--out", str(out_b)]
         assert main(base + ["synth"]) == 0
         inputs = [
-            "--points", str(out_b / "points.csv"),
+            "--points", str(out_b / "points.glbp"),
             "--footprints", str(out_b / "footprints.geojson"),
             "--coarse-ndsm", str(out_b / "coarse_ndsm.glbr"),
             "--population", str(out_b / "population.glbr"),
@@ -433,8 +463,8 @@ class TestRejectedBeforeWork:
     @pytest.mark.parametrize(
         "rings",
         [[[[0, 0], [2, 2], [2, 0], [0, 2], [0, 0]]],
-         "zero-area hole", "hole over exterior"],
-        ids=["bowtie", "zero-area-hole", "hole-over-exterior"],
+         "zero-area hole", "collinear hole", "hole over exterior"],
+        ids=["bowtie", "zero-area-hole", "collinear-hole", "hole-over-exterior"],
     )
     def test_predict_bad_footprint_geometry_exit_2(self, run_dir, tmp_path, capsys, rings):
         shutil.copy(run_dir / "ndsm_resampled.glbr", tmp_path / "ndsm_resampled.glbr")
@@ -443,6 +473,9 @@ class TestRejectedBeforeWork:
         (x, y), *_ = coords[0]
         if rings == "zero-area hole":
             rings = [coords[0], [[x + 1, y + 1], [x + 2, y + 2], [x + 3, y + 3]]]
+        elif rings == "collinear hole":
+            # A shoelace residue of -1.8e-12 m², which an absolute 1e-12 floor let pass.
+            rings = [coords[0], [[263.4, 66.8], [264.4, 67.8], [265.4, 68.8]]]
         elif rings == "hole over exterior":
             rings = [coords[0], [[-1, -1], [999, -1], [999, 999], [-1, 999]]]
         fc["features"][1]["geometry"]["coordinates"] = rings

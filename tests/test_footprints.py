@@ -209,6 +209,22 @@ class TestConstruction:
         with pytest.raises(GeometryError, match="footprint 7 hole 0"):
             square(fid=7, w=4, h=4, holes=[[(1, 1), (2, 2), (3, 3)]])
 
+    def test_collinear_hole_at_scene_coordinates_rejected(self):
+        # Its shoelace sum leaves -1.8e-12 of rounding residue, above the old
+        # absolute 1e-12 floor but inside the sum's rounding bound (7.2e-11).
+        with pytest.raises(GeometryError, match="footprint 7 hole 0: degenerate"):
+            square(fid=7, x=250, y=50, w=30, h=30,
+                   holes=[[(263.4, 66.8), (264.4, 67.8), (265.4, 68.8)]])
+
+    def test_unit_square_at_utm_coordinates_accepted(self):
+        # The rounding bound there is 1.4e-2 m², far below 1 m².
+        assert square(x=5e5, y=4e6).area == 1.0
+
+    def test_centimetre_square_at_utm_coordinates_rejected(self):
+        # Its computed area is exactly 0: the coordinates cannot resolve it.
+        with pytest.raises(GeometryError, match="footprint 1 exterior: degenerate"):
+            square(x=5e5, y=4e6, w=0.01, h=0.01)
+
     def test_hole_consuming_exterior_rejected(self):
         with pytest.raises(GeometryError, match="footprint 7: holes consume"):
             square(fid=7, w=2, h=2, holes=[[(-1, -1), (3, -1), (3, 3), (-1, 3)]])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from urbanmorph.errors import EmptyStatisticsError, FormatError
 from urbanmorph.pointcloud import (
     _BLOCK,
+    _round_9g,
     Label,
     PointCloud,
     build_reference_ndsm,
@@ -13,6 +14,7 @@ from urbanmorph.pointcloud import (
     grid_elevation,
     read_points_csv,
     write_points_csv,
+    write_points_glbp,
 )
 from urbanmorph.pipeline import PipelineConfig, stage_rasterize_points
 from urbanmorph.raster import Raster, read_raster
@@ -426,3 +428,92 @@ class TestCsvBlocks:
         pc = read_points_csv(path)
         assert len(pc) == 0
         assert pc.labels.dtype == np.int8
+
+
+def format_9g(values):
+    """The CSV's rounding, one value at a time."""
+    return np.array([float(format(v, ".9g")) for v in np.asarray(values, float).tolist()])
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_MANTISSAS = np.random.default_rng(5).integers(10**8, 10**9, 50).astype(float)
+EDGE_VALUES = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+     1e-30, -1e-30, 1e30, -1e30, 1e22, 1e23, 1.7976931348623157e308, -1.5],
+    # Exact decimal ties at the 10th significant digit, at several scales.
+    _MANTISSAS + 0.5, -(_MANTISSAS + 0.5), _MANTISSAS * 10 + 5, _MANTISSAS * 100 + 50,
+    (_MANTISSAS + 0.5) / 1024, [0.5, 2.5, 1.25e-7, 999999999.5, 99999999.95],
+    # Powers of ten, their neighbours, and 9 nines rounding up a decade.
+    [np.nextafter(10.0**e, to) for e in range(-30, 31) for to in (0.0, 10.0**e, np.inf)],
+    [9.999999995 * 10.0**e for e in range(-30, 31)],
+    [9.9999999949 * 10.0**e for e in range(-30, 31)],
+])
+
+
+class TestRound9g:
+    def test_edge_values_match_format(self):
+        assert_bits_equal(_round_9g(EDGE_VALUES), format_9g(EDGE_VALUES))
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3, 1e6])
+    def test_uniform_values_match_format(self, magnitude):
+        values = np.random.default_rng(1).uniform(-magnitude, magnitude, 20000)
+        assert_bits_equal(_round_9g(values), format_9g(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_any_finite_value_matches_format(self, values):
+        assert_bits_equal(_round_9g(np.array(values, float)), format_9g(values))
+
+    def test_input_unchanged(self):
+        values = np.array([0.1234567891, 3.0])
+        _round_9g(values)
+        assert values[0] == 0.1234567891
+
+
+def awkward_cloud(n):
+    """``n`` points whose coordinates need rounding, every label used."""
+    i = np.arange(n)
+    # Scaling z by up to 2 must stay finite.
+    values = np.concatenate([AWKWARD, EDGE_VALUES[np.abs(EDGE_VALUES) < 1e300]])
+    rng = np.random.default_rng(2)
+    return PointCloud(
+        xs=np.take(values, i, mode="wrap"),
+        ys=rng.uniform(-1e6, 1e6, n),
+        zs=np.take(values, i + 3, mode="wrap") * rng.uniform(0.5, 2.0, n),
+        labels=(i % 3).astype(np.int8),
+    )
+
+
+class TestGlbp:
+    @pytest.mark.parametrize("n", [1, _BLOCK + 7])
+    def test_glbp_and_csv_read_back_bit_identical(self, tmp_path, n):
+        pc = awkward_cloud(n)
+        write_points_csv(pc, tmp_path / "pts.csv")
+        write_points_glbp(pc, tmp_path / "pts.glbp")
+        from_csv = read_points_csv(tmp_path / "pts.csv")
+        from_glbp = read_points_csv(tmp_path / "pts.glbp")
+        for column in ("xs", "ys", "zs"):
+            assert_bits_equal(getattr(from_glbp, column), getattr(from_csv, column))
+            assert_bits_equal(getattr(from_glbp, column), format_9g(getattr(pc, column)))
+        assert from_glbp.labels.dtype == np.int8
+        np.testing.assert_array_equal(from_glbp.labels, pc.labels)
+
+    def test_layout(self, tmp_path):
+        pc = cloud([(1.0, 2.0, 3.0, Label.BUILDING), (4.0, 5.0, 6.0, Label.OTHER)])
+        write_points_glbp(pc, tmp_path / "pts.glbp")
+        raw = (tmp_path / "pts.glbp").read_bytes()
+        assert raw[:14] == b"GLBP" + (1).to_bytes(2, "little") + (2).to_bytes(8, "little")
+        assert raw[14:62] == np.array([1.0, 4.0, 2.0, 5.0, 3.0, 6.0], "<f8").tobytes()
+        assert raw[62:] == bytes([1, 2])
+
+    def test_empty_cloud_round_trips(self, tmp_path):
+        write_points_glbp(PointCloud(xs=[], ys=[], zs=[], labels=[]), tmp_path / "e.glbp")
+        assert (tmp_path / "e.glbp").stat().st_size == 14
+        back = read_points_csv(tmp_path / "e.glbp")
+        assert len(back) == 0
+        assert back.xs.dtype == np.float64 and back.labels.dtype == np.int8

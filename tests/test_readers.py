@@ -1,15 +1,25 @@
 """Every file reader turns malformed input into an ``UrbanMorphError``."""
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urbanmorph.errors import FormatError, UrbanMorphError
 from urbanmorph.footprints import read_footprints
 from urbanmorph.lod1 import read_lod1
 from urbanmorph.network import read_weights
-from urbanmorph.pointcloud import read_points_csv
+from urbanmorph.pointcloud import (
+    _GLBP_HEADER,
+    PointCloud,
+    read_points_csv,
+    write_points_csv,
+    write_points_glbp,
+)
 from urbanmorph.raster import _GLBR_HEADER, read_raster
 
 READERS = [read_raster, read_footprints, read_lod1, read_points_csv, read_weights]
@@ -39,6 +49,16 @@ def test_ascii_grid_bad_header_value(tmp_path, field, bad):
     path.write_text(GRID.replace(field, bad))
     with pytest.raises(FormatError, match="r.asc"):
         read_raster(path)
+
+
+def test_ascii_nodata_beyond_float32_is_format_error(tmp_path):
+    path = tmp_path / "r.asc"
+    path.write_text(GRID.replace("NODATA_value -9999", "NODATA_value 1e50"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FormatError, match=r"r\.asc: .*nodata sentinel must be finite"):
+            read_raster(path)
+    assert not caught
 
 
 def test_glbr_nan_nodata(tmp_path):
@@ -136,3 +156,84 @@ def test_geojson_features_not_objects(tmp_path, features):
     for reader in (read_footprints, read_lod1):
         with pytest.raises(FormatError, match="list of objects"):
             reader(path)
+
+
+def glbp_bytes(xs=(1.0, 2.0), ys=(3.0, 4.0), zs=(5.0, 6.0), labels=(0, 2), count=None,
+               version=1):
+    """A GLBP file's bytes, with any column, the count or the version forged."""
+    header = _GLBP_HEADER.pack(b"GLBP", version, len(xs) if count is None else count)
+    columns = [np.asarray(c, "<f8").tobytes() for c in (xs, ys, zs)]
+    return header + b"".join(columns) + np.asarray(labels, "i1").tobytes()
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b"GLBP\x01\x00\x02", "truncated header at byte 7"),
+     (glbp_bytes(version=2), "unsupported version 2 at byte 4"),
+     (glbp_bytes()[:-1], "expected 64 bytes for 2 points, got 63"),
+     (glbp_bytes() + b"\x00", "expected 64 bytes for 2 points, got 65"),
+     (glbp_bytes(count=3), "expected 89 bytes for 3 points, got 64"),
+     (glbp_bytes(labels=(3, -1)), "2 labels not 0, 1 or 2"),
+     (glbp_bytes(ys=(3.0, np.nan)), "1 non-finite coordinates"),
+     (glbp_bytes(xs=(np.inf, 1.0), zs=(-np.inf, 1.0)), "2 non-finite coordinates")],
+    ids=["short-header", "version", "short", "long", "count", "label", "nan", "inf"],
+)
+def test_glbp_check_names_file(tmp_path, raw, message):
+    path = tmp_path / "p.glbp"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=rf"p\.glbp: {message}"):
+        read_points_csv(path)
+
+
+def test_glbp_forged_count_allocates_nothing(tmp_path):
+    path = tmp_path / "p.glbp"
+    path.write_bytes(_GLBP_HEADER.pack(b"GLBP", 1, 2**63) + bytes(26))
+    assert path.stat().st_size == 40
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"expected {14 + 25 * 2**63} bytes"):
+            read_points_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.fixture(scope="module")
+def point_files(tmp_path_factory):
+    """A directory to write to, and a valid GLBP and CSV file of one cloud."""
+    directory = tmp_path_factory.mktemp("points")
+    rng = np.random.default_rng(0)
+    pc = PointCloud(xs=rng.uniform(0, 100, 5), ys=rng.uniform(0, 100, 5),
+                    zs=rng.uniform(0, 50, 5), labels=[0, 1, 2, 1, 0])
+    write_points_glbp(pc, directory / "valid.glbp")
+    write_points_csv(pc, directory / "valid.csv")
+    return directory, {kind: (directory / f"valid.{kind}").read_bytes()
+                       for kind in ("glbp", "csv")}
+
+
+def _mutate(raw: bytes, edit, position: int, payload: bytes) -> bytes:
+    """``raw`` truncated at, extended by, or with bytes flipped from ``position``."""
+    position %= len(raw) + 1
+    if edit == "truncate":
+        return raw[:position]
+    if edit == "extend":
+        return raw + payload
+    flipped = bytes(a ^ (b or 1) for a, b in zip(raw[position:], payload))
+    return raw[:position] + flipped + raw[position + len(flipped):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["glbp", "csv"]),
+       edit=st.sampled_from(["truncate", "extend", "flip"]),
+       position=st.integers(0, 400), payload=st.binary(min_size=1, max_size=30))
+def test_mutated_point_file_reads_or_raises_package_error(point_files, kind, edit,
+                                                          position, payload):
+    directory, valid = point_files
+    path = directory / f"mutated.{kind}"
+    path.write_bytes(_mutate(valid[kind], edit, position, payload))
+    try:
+        result = read_points_csv(path)
+    except UrbanMorphError:
+        return
+    assert isinstance(result, PointCloud)
