@@ -12,6 +12,14 @@ vector in place, the gradient is built in the same layout, and the GLBW file
 stores it as little-endian float32 after the header.  Gradients are verified
 against central finite differences in the test suite.  Gradient math runs at
 64-bit; production inference casts to 32-bit.
+
+Every convolution is a sum of shifted GEMMs ("implicit im2col"): the input is
+zero-padded once, flattened to rows of the padded width, and each kernel tap
+multiplies one contiguous slice of those rows.  No patch matrix is built.
+The training tape keeps, per convolution, that padded input and the ReLU
+mask; the backward pass computes the kernel gradient from the same slices and
+the input gradient as the same shifted convolution of the padded output
+gradient with the rotated kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AlignmentError,
@@ -150,32 +157,69 @@ def init_weights(cfg: ModelConfig) -> Weights:
 # -- primitive layers --------------------------------------------------------
 
 
-def _conv_same(x: np.ndarray, kernel: np.ndarray, bias):
-    """'Same' convolution of (H, W, Cin) ``x``; returns it and its im2col patches."""
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """(H, W, C) ``x`` zero-padded by ``ph`` rows and ``pw`` columns each side,
+    plus one spare zero row that keeps every tap's slice in ``_shifted_gemm``
+    in bounds: (H + 2ph + 1, W + 2pw, C)."""
+    h, w, c = x.shape
+    xp = np.zeros((h + 2 * ph + 1, w + 2 * pw, c), dtype=x.dtype)
+    xp[ph : ph + h, pw : pw + w] = x
+    return xp
+
+
+def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The (h, w, cout) 'same' correlation of the ``_pad`` buffer ``xp``: one
+    GEMM per tap (i, j) on the flat rows whose row r * Wp + c is xp[r + i, c + j].
+    Columns c >= w wrap into the next row and are cropped."""
     kh, kw, cin, cout = kernel.shape
+    wp = xp.shape[1]
+    n = h * wp
+    flat = xp.reshape(-1, cin)
+    acc = flat[:n] @ kernel[0, 0]
+    tmp = np.empty_like(acc)
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                s = i * wp + j
+                np.matmul(flat[s : s + n], kernel[i, j], out=tmp)
+                acc += tmp
+    return acc.reshape(h, wp, cout)[:, :w]
+
+
+def _conv_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
+    """'Same' convolution of (H, W, Cin) ``x`` by shifted GEMMs; returns it and
+    the zero-padded input buffer, which is all the backward pass needs."""
+    kh, kw, _, _ = kernel.shape
+    xp = _pad(x, kh // 2, kw // 2)
+    return _shifted_gemm(xp, kernel, x.shape[0], x.shape[1]) + bias, xp
+
+
+def _conv_backward(dy, xp, kernel, input_grad=True):
+    """Gradients (dx, dk, db) of ``_conv_same`` from the output gradient ``dy``
+    and the padded input ``xp`` it returned; dx is None unless ``input_grad``."""
+    h, w, cout = dy.shape
+    kh, kw, cin, _ = kernel.shape
     ph, pw = kh // 2, kw // 2
-    if ph or pw:
-        xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
-    else:
-        xp = x
-    win = sliding_window_view(xp, (kh, kw), axis=(0, 1))  # (H, W, Cin, kh, kw)
-    patches = win.transpose(0, 1, 3, 4, 2).reshape(-1, kh * kw * cin)
-    y = patches @ kernel.reshape(-1, cout)
-    if bias is not None:
-        y = y + bias
-    return y.reshape(x.shape[0], x.shape[1], cout), patches
-
-
-def _conv_backward(dy, patches, kernel):
-    kh, kw, cin, cout = kernel.shape
-    dy_mat = dy.reshape(-1, cout)
-    dk = (patches.T @ dy_mat).reshape(kernel.shape)
-    db = dy_mat.sum(axis=0)
+    wp = xp.shape[1]
+    n = h * wp
+    # From flat row ph * Wp + pw on, dyp is dy row by row, each row followed by
+    # 2pw zeros: the forward accumulator's layout with its junk columns at 0.
+    dyp = _pad(dy, ph, pw)
+    start = ph * wp + pw
+    dy_flat = dyp.reshape(-1, cout)[start : start + n]
+    flat = xp.reshape(-1, cin)
+    dk = np.empty(kernel.shape, dtype=np.result_type(xp, dy))
+    for i in range(kh):
+        for j in range(kw):
+            s = i * wp + j
+            np.matmul(flat[s : s + n].T, dy_flat, out=dk[i, j])
+    db = dy.reshape(-1, cout).sum(axis=0)
+    if not input_grad:
+        return None, dk, db
     # dx is a full correlation with the 180-degree-rotated kernel, channels
     # swapped; exact for 'same' zero padding with odd kernels.
-    k_rot = kernel[::-1, ::-1].transpose(0, 1, 3, 2)
-    dx, _ = _conv_same(dy, np.ascontiguousarray(k_rot), None)
-    return dx, dk, db
+    k_rot = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
+    return _shifted_gemm(dyp, k_rot, h, w), dk, db
 
 
 def _maxpool2(x):
@@ -235,8 +279,10 @@ def _backward_tape(w: Weights, tape, dy: np.ndarray) -> np.ndarray:
     grad = Weights(cfg, np.zeros_like(w.flat))
     skip_grads = {}
 
-    def conv_relu_back(name, da):
-        dx, dk, db = _conv_backward(da * tape["relu"][name], tape["convs"][name], w.kernels[name])
+    def conv_relu_back(name, da, input_grad=True):
+        dx, dk, db = _conv_backward(
+            da * tape["relu"][name], tape["convs"][name], w.kernels[name], input_grad
+        )
         grad.kernels[name][...] = dk
         grad.biases[name][...] = db
         return dx
@@ -250,7 +296,8 @@ def _backward_tape(w: Weights, tape, dy: np.ndarray) -> np.ndarray:
     d = conv_relu_back("bottleneck", d)
     for l in reversed(range(cfg.depth)):
         d = _maxpool2_backward(d, tape["pool"][l], tape["skips"][l].shape) + skip_grads[l]
-        d = conv_relu_back(f"enc{l}", d)
+        # The tile's own gradient is not needed: enc0 skips it.
+        d = conv_relu_back(f"enc{l}", d, input_grad=l > 0)
     return grad.flat
 
 

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from urbanmorph.errors import (
     DivergenceError,
@@ -14,6 +15,9 @@ from urbanmorph.network import (
     ModelConfig,
     TrainConfig,
     Weights,
+    _conv_backward,
+    _conv_same,
+    _forward_tape,
     baseline_predict,
     forward,
     init_weights,
@@ -197,6 +201,89 @@ class TestForward:
         for run in TILE_ENTRY_POINTS:
             with pytest.raises(ShapeError, match="2\\^depth"):
                 run(w, np.zeros((10, 10, 1)))
+
+
+# The im2col convolution and its backward pass that the shifted-GEMM ones
+# replaced: one patch matrix of kh * kw * Cin columns per convolution.  The
+# new ones sum per tap, so they agree to rounding, not bit for bit.
+
+
+def im2col_conv_same(x, kernel, bias):
+    kh, kw, cin, cout = kernel.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(0, 1))  # (H, W, Cin, kh, kw)
+    patches = win.transpose(0, 1, 3, 4, 2).reshape(-1, kh * kw * cin)
+    y = patches @ kernel.reshape(-1, cout)
+    if bias is not None:
+        y = y + bias
+    return y.reshape(x.shape[0], x.shape[1], cout), patches
+
+
+def im2col_conv_backward(dy, patches, kernel):
+    kh, kw, cin, cout = kernel.shape
+    dy_mat = dy.reshape(-1, cout)
+    dk = (patches.T @ dy_mat).reshape(kernel.shape)
+    db = dy_mat.sum(axis=0)
+    k_rot = kernel[::-1, ::-1].transpose(0, 1, 3, 2)
+    dx, _ = im2col_conv_same(dy, np.ascontiguousarray(k_rot), None)
+    return dx, dk, db
+
+
+def conv_case(k, cin, cout, shape, seed=0):
+    """x, He-scaled kernel, bias and output gradient, all of order 1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((*shape, cin))
+    kernel = rng.standard_normal((k, k, cin, cout)) / np.sqrt(k * k * cin)
+    return x, kernel, rng.standard_normal(cout), rng.standard_normal((*shape, cout))
+
+
+class TestShiftedGemmConv:
+    # Values are of order 1, so atol only covers sums that cancel to near 0.
+    TOL = dict(rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(8, 12), (7, 5)])
+    @pytest.mark.parametrize("cout", [1, 8])
+    @pytest.mark.parametrize("cin", [1, 3, 16])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_im2col_oracle(self, k, cin, cout, shape):
+        x, kernel, bias, dy = conv_case(k, cin, cout, shape)
+        y, xp = _conv_same(x, kernel, bias)
+        y0, patches = im2col_conv_same(x, kernel, bias)
+        np.testing.assert_allclose(y, y0, **self.TOL)
+        for got, expect in zip(_conv_backward(dy, xp, kernel),
+                               im2col_conv_backward(dy, patches, kernel)):
+            assert got.shape == expect.shape
+            np.testing.assert_allclose(got, expect, **self.TOL)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_float32_forward_matches_oracle(self, k):
+        x, kernel, bias, _ = conv_case(k, 16, 8, (8, 12))
+        args = [a.astype(np.float32) for a in (x, kernel, bias)]
+        y, _ = _conv_same(*args)
+        y0, _ = im2col_conv_same(*args)
+        assert y.dtype == np.float32
+        np.testing.assert_allclose(y, y0, rtol=1e-5, atol=1e-5)
+
+    def test_without_input_grad(self):
+        x, kernel, bias, dy = conv_case(3, 3, 8, (8, 12))
+        _, xp = _conv_same(x, kernel, bias)
+        dx, dk, db = _conv_backward(dy, xp, kernel, input_grad=False)
+        _, dk_full, db_full = _conv_backward(dy, xp, kernel)
+        assert dx is None
+        np.testing.assert_array_equal(dk, dk_full)
+        np.testing.assert_array_equal(db, db_full)
+
+    def test_tape_holds_padded_inputs_not_patches(self):
+        # im2col patches are kh * kw times the input: 285 MiB here, not 36 MiB.
+        cfg = ModelConfig(depth=3, base_filters=8, in_channels=3, seed=0)
+        _, tape = _forward_tape(init_weights(cfg), np.ones((256, 256, 3)))
+        padded = 0
+        for name, kh, kw, cin, _ in layer_specs(cfg):
+            level = cfg.depth if name == "bottleneck" else 0 if name == "head" else int(name[-1])
+            side = 256 // 2**level
+            padded += (side + kh // 2 * 2 + 1) * (side + kw // 2 * 2) * cin * 8
+        assert sum(a.nbytes for a in tape["convs"].values()) <= padded
 
 
 class TestGradient:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from urbanmorph.errors import FormatError, UrbanMorphError
 from urbanmorph.footprints import read_footprints
 from urbanmorph.lod1 import read_lod1
-from urbanmorph.network import read_weights
+from urbanmorph.network import ModelConfig, Weights, init_weights, read_weights, write_weights
 from urbanmorph.pointcloud import (
     _GLBP_HEADER,
     PointCloud,
@@ -237,3 +237,29 @@ def test_mutated_point_file_reads_or_raises_package_error(point_files, kind, edi
     except UrbanMorphError:
         return
     assert isinstance(result, PointCloud)
+
+
+@pytest.fixture(scope="module")
+def weights_file(tmp_path_factory):
+    """A directory to write to, and the bytes of a valid GLBW file."""
+    directory = tmp_path_factory.mktemp("weights")
+    cfg = ModelConfig(depth=1, base_filters=2, in_channels=2, seed=3)
+    write_weights(init_weights(cfg), directory / "valid.glbw")
+    return directory, (directory / "valid.glbw").read_bytes()
+
+
+# About half the edits start in or next to the 30-byte header.
+@settings(max_examples=300, deadline=None)
+@given(edit=st.sampled_from(["truncate", "extend", "flip"]),
+       position=st.one_of(st.integers(0, 40), st.integers(0, 1200)),
+       payload=st.binary(min_size=1, max_size=30))
+def test_mutated_weights_file_reads_or_raises_package_error(weights_file, edit,
+                                                            position, payload):
+    directory, valid = weights_file
+    path = directory / "mutated.glbw"
+    path.write_bytes(_mutate(valid, edit, position, payload))
+    try:
+        result = read_weights(path)
+    except UrbanMorphError:
+        return
+    assert isinstance(result, Weights)
