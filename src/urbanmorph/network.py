@@ -442,7 +442,10 @@ def read_weights(path) -> Weights:
     expected = _GLBW_HEADER.size + 4 * parameter_count(cfg)
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    return Weights(cfg, np.frombuffer(raw, "<f4", offset=_GLBW_HEADER.size).astype(np.float64))
+    flat = np.frombuffer(raw, "<f4", offset=_GLBW_HEADER.size)
+    if bad := np.count_nonzero(~np.isfinite(flat)):
+        raise FormatError(f"{path}: {bad} non-finite parameters")
+    return Weights(cfg, flat.astype(np.float64))
 
 
 def write_loss_history(history: list[float], path) -> None:

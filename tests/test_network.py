@@ -482,6 +482,18 @@ class TestWeightsIO:
         with pytest.raises(FormatError, match="byte"):
             read_weights(path)
 
+    # 0x7FA00000 is a signalling NaN: casting it to float64 warns.
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7FA00000, 0x7F800000, 0xFF800000])
+    def test_non_finite_parameter(self, tmp_path, bits):
+        w = init_weights(tiny_cfg())
+        path = tmp_path / "w.glbw"
+        write_weights(w, path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<I", bits)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="1 non-finite parameters"):
+            read_weights(path)
+
     def test_loss_history_csv(self, tmp_path):
         path = tmp_path / "loss.csv"
         write_loss_history([1.5, 0.75], path)
