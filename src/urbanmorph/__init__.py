@@ -42,7 +42,7 @@ from .pointcloud import (
     read_points_csv,
     write_points_csv,
 )
-from .tiler import TilePlan, TileStack, split, stitch
+from .tiler import TilePlan, split, stitch
 from .network import (
     ModelConfig,
     TrainConfig,

@@ -33,10 +33,6 @@ class EmptyCloudError(UrbanMorphError):
     """Point selection produced no points."""
 
 
-class CoverageError(UrbanMorphError):
-    """Tile set does not cover the plan exactly once."""
-
-
 class InputError(UrbanMorphError):
     """Non-finite or otherwise unusable numeric input."""
 

@@ -381,11 +381,7 @@ def predict_city(
     express the result in meters (denormalized, clamped non-negative)."""
     plan, tiles = tiler.split(channels)
     w32 = w.astype(np.float32)
-    outputs = []
-    for tile in tiles:
-        y = forward(w32, tile.stacked().astype(np.float32))
-        outputs.append((tile.row_index, tile.col_index, y[..., 0]))
-    stitched = tiler.stitch(plan, outputs)
+    stitched = tiler.stitch(plan, np.stack([forward(w32, tile)[..., 0] for tile in tiles]))
     return clamp_nonnegative(denormalize(stitched, target_params))
 
 

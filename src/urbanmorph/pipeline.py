@@ -57,10 +57,21 @@ class PipelineConfig:
     snap_to_coarse: bool = False
 
     def _floats(self, key: str) -> list[float]:
+        raw = str(getattr(self, key))
         try:
-            return [float(v) for v in str(getattr(self, key)).split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad {key} '{getattr(self, key)}'") from exc
+            vals = [float(v) for v in raw.split(",") if v.strip()]
+            if np.isfinite(vals).all():
+                return vals
+        except ValueError:
+            pass
+        raise ConfigError(f"bad {key} '{raw}'")
+
+    def positive(self, key: str, zero_ok: bool = False) -> float:
+        """The value of ``key``, rejected unless > 0 (>= 0 with ``zero_ok``)."""
+        value = getattr(self, key)
+        if not (value >= 0 if zero_ok else value > 0):
+            raise ConfigError(f"bad {key} {value!r}: must be {'>=' if zero_ok else '>'} 0")
+        return value
 
     def one_of(self, key: str, allowed: tuple[str, ...]) -> str:
         if getattr(self, key) not in allowed:
@@ -123,6 +134,8 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> P
                 kwargs[key] = int(raw)
             elif isinstance(current, float):
                 kwargs[key] = float(raw)
+                if not np.isfinite(kwargs[key]):
+                    raise ValueError(raw)
             else:
                 kwargs[key] = str(raw)
         except ValueError as exc:
@@ -178,9 +191,9 @@ def stage_synth(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
+    cs = cfg.positive("fine_cell_size")
     pc = read_points_csv(_require_file(cfg.points, "points"))
     x0, y0, x1, y1 = pc.extent
-    cs = cfg.fine_cell_size
     # The last cell holds the maximum point, even one on a cell edge.
     width = max(1, int(np.floor((x1 - np.floor(x0 / cs) * cs) / cs)) + 1)
     height = max(1, int(np.floor((y1 - np.floor(y0 / cs) * cs) / cs)) + 1)
@@ -209,11 +222,12 @@ def stage_ndsm(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
+    cs = cfg.positive("fine_cell_size")
     coarse = read_raster(_require_file(cfg.coarse_ndsm, "coarse_ndsm"))
     pop = read_raster(_require_file(cfg.population, "population"))
     os.makedirs(cfg.out, exist_ok=True)
-    fine = resample_cubic(coarse, cfg.fine_cell_size)
-    pop_fine = resample_cubic(pop, cfg.fine_cell_size)
+    fine = resample_cubic(coarse, cs)
+    pop_fine = resample_cubic(pop, cs)
     write_raster(fine, cfg.path("ndsm_resampled.glbr"))
     write_raster(pop_fine, cfg.path("population_resampled.glbr"))
     return {
@@ -244,9 +258,8 @@ def _channels(cfg: PipelineConfig) -> list[Raster]:
 
 
 def stage_tile(cfg: PipelineConfig) -> dict[str, str]:
-    _, tiles = tiler.split(_channels(cfg))
     out_dir = cfg.path("tiles")
-    tiler.dump_tiles(tiles, out_dir)
+    tiler.dump_tiles(*tiler.split(_channels(cfg)), out_dir)
     return {"tiles": out_dir}
 
 
@@ -270,7 +283,7 @@ def stage_train(cfg: PipelineConfig) -> dict[str, str]:
     target_norm, _ = _target(cfg)
     # One split, so each target tile is cut from the window of its channels.
     _, tiles = tiler.split([*channels, target_norm])
-    dataset = [(np.stack(t.channels[:-1], axis=-1), t.channels[-1]) for t in tiles]
+    dataset = [(t[..., :-1], t[..., -1]) for t in tiles]
     weights = network.init_weights(model_cfg)
     trained, history = network.train(weights, dataset, train_cfg)
     network.write_weights(trained, cfg.path("weights.glbw"))
@@ -318,6 +331,12 @@ def _footprint_key(buildings: list[lod1_mod.Lod1Building]) -> list:
     return [(b.footprint.id, [r.tolist() for r in b.footprint.rings()]) for b in buildings]
 
 
+def _histogram_bins(cfg: PipelineConfig) -> dict[str, float]:
+    """The height-histogram settings of ``cfg``; a rejected value is a config error."""
+    return {"bin_width": cfg.positive("bin_width"),
+            "height_cap": cfg.positive("height_cap", zero_ok=True)}
+
+
 def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     """UCP grids of both LoD-1 sets, by kind (``pred``, ``ref``) and resolution.
 
@@ -325,6 +344,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     rasterized once, serves both; a pair whose footprints differ is rejected.
     """
     resolutions, directions = cfg.resolution_list(), cfg.direction_list()
+    bins = _histogram_bins(cfg)
     paths = [_require_file(cfg.path(f"lod1_{k}.geojson"), f"lod1_{k}") for k in ("pred", "ref")]
     pred, ref = (lod1_mod.read_lod1(path) for path in paths)
     if _footprint_key(pred) != _footprint_key(ref):
@@ -339,8 +359,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
             mask,
             resolution=resolution,
             directions=directions,
-            bin_width=cfg.bin_width,
-            height_cap=cfg.height_cap,
+            **bins,
         )
         for kind, buildings in (("pred", pred), ("ref", ref))
         for resolution in resolutions
@@ -426,6 +445,7 @@ def run_all(cfg: PipelineConfig) -> dict[str, str]:
     stages = list(RUN_ORDER)
     # Reject bad run values before any stage runs; each stage checks its own again.
     cfg.resolution_list(), cfg.direction_list()
+    cfg.positive("fine_cell_size"), _histogram_bins(cfg)
     cfg.one_of("statistic", lod1_mod.STATISTICS)
     if cfg.one_of("predictor", PREDICTORS) == "network":
         _network_configs(cfg)

@@ -59,8 +59,10 @@ class Raster:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ShapeError(f"raster dimensions {self.width}x{self.height} invalid")
-        if not self.cell_size > 0:
-            raise ShapeError(f"cell_size {self.cell_size} must be > 0")
+        if not 0 < self.cell_size < np.inf:
+            raise ShapeError(f"cell_size {self.cell_size} must be finite and > 0")
+        if not np.isfinite([self.origin_x, self.origin_y]).all():
+            raise ShapeError(f"origin ({self.origin_x}, {self.origin_y}) must be finite")
         if not np.isfinite(self.nodata):
             raise ValueError("nodata sentinel must be finite")
         vals = np.asarray(self.values, dtype=np.float32)
@@ -300,7 +302,7 @@ def read_raster(path) -> Raster:
         head = f.read(4)
     try:
         r = _read_glbr(path) if head == GLBR_MAGIC else _read_ascii(path)
-    except ValueError as exc:  # undecodable text, a non-number, a NaN nodata value
+    except (ValueError, ShapeError) as exc:  # undecodable text, a non-number, a bad header value
         raise FormatError(f"{path}: malformed raster ({exc})") from exc
     bad = np.count_nonzero(~np.isfinite(r.values))
     if bad:

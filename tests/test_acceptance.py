@@ -183,9 +183,7 @@ def test_criterion_2_round_trips(tmp_path):
         for height, width in sizes:
             r = make_raster(rng.uniform(-50, 50, (height, width)).astype(np.float32))
             plan, tiles = split([r])
-            back = stitch(
-                plan, [(t.row_index, t.col_index, t.channels[0]) for t in tiles]
-            )
+            back = stitch(plan, tiles[..., 0])
             assert back.values.tobytes() == r.values.tobytes(), (height, width)
 
         # denormalize(normalize(.)) within 1e-5 of the value range.

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from urbanmorph import network, pipeline
+from urbanmorph import network, pipeline, tiler
 from urbanmorph.cli import main
 from urbanmorph.lod1 import read_lod1
 from urbanmorph.pipeline import (
@@ -20,7 +20,7 @@ from urbanmorph.pipeline import (
 )
 from urbanmorph.errors import ConfigError
 from urbanmorph.pointcloud import read_points_csv, write_points_csv
-from urbanmorph.raster import Raster, read_raster, write_raster
+from urbanmorph.raster import Raster, minmax_normalize, read_raster, write_raster
 
 SMALL_CONFIG = """\
 # small synthetic scene for end-to-end runs
@@ -262,6 +262,30 @@ class TestNetworkStageInputs:
         assert err.count("\n") == 1 and err.startswith("ERROR stage=predict: ")
         assert "weights.glbw: bad model header" in err
         assert not (tmp_path / "predicted_heights.glbr").exists()
+
+    def test_train_dataset_is_channels_then_target(self, run_dir, tmp_path, monkeypatch):
+        # Each training pair is one tile: every channel but the last as the
+        # input, and the normalized reference, the last channel, as the target.
+        flags = self.copy_inputs(run_dir, tmp_path, (
+            "ndsm_resampled.glbr", "population_resampled.glbr", "ndsm_ref.glbr"))
+        seen = []
+
+        def train(weights, dataset, cfg):
+            seen.extend(dataset)
+            return weights, []
+
+        monkeypatch.setattr(network, "train", train)
+        code = main(["--out", str(tmp_path), "train", "--depth", "1", "--base-filters", "2",
+                     "--epochs", "1", *flags])
+        assert code == 0
+        ndsm, _ = minmax_normalize(read_raster(tmp_path / "ndsm_resampled.glbr"))
+        target, _ = minmax_normalize(read_raster(tmp_path / "ndsm_ref.glbr"))
+        plan, _ = tiler.split([target])
+        assert len(seen) == len(plan.offsets()) and all(x.shape[-1] == 3 for x, _ in seen)
+        for expected, part in ((ndsm, [x[..., 0] for x, _ in seen]),
+                               (target, [y for _, y in seen])):
+            back = tiler.stitch(plan, np.stack(part))
+            assert back.values.tobytes() == expected.values.tobytes()
 
     def test_train_target_not_aligned_exit_1(self, run_dir, tmp_path, capsys):
         flags = self.copy_inputs(run_dir, tmp_path, (
@@ -522,8 +546,14 @@ class TestRunValuesCheckedFirst:
     @pytest.mark.parametrize(
         "flags",
         [["--statistic", "mode"], ["--predictor", "oracle"], ["--resolutions", "0"],
-         ["--directions", "abc"]],
-        ids=["statistic", "predictor", "resolutions", "directions"],
+         ["--directions", "abc"], ["--resolutions", "inf"], ["--resolutions", "nan"],
+         ["--directions", "nan"], ["--height-cap", "nan"], ["--height-cap", "-5"],
+         ["--extent", "nan"], ["--fine-cell-size", "nan"], ["--fine-cell-size", "0"],
+         ["--bin-width", "0"], ["--learning-rate", "inf"]],
+        ids=["statistic", "predictor", "resolutions", "directions", "resolutions-inf",
+             "resolutions-nan", "directions-nan", "height_cap-nan", "height_cap-negative",
+             "extent-nan", "fine_cell_size-nan", "fine_cell_size-0", "bin_width-0",
+             "learning_rate-inf"],
     )
     def test_run_exit_2_before_any_stage(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
@@ -544,6 +574,33 @@ class TestRunValuesCheckedFirst:
         assert err.count("\n") == 1 and err.startswith("ERROR stage=ucp: ")
         assert "directions" in err
         assert not any(tmp_path.glob("ucp_*"))
+
+    @pytest.mark.parametrize("flags", [["--bin-width", "0"], ["--height-cap", "-1"]])
+    def test_ucp_bad_histogram_value_exit_2(self, run_dir, tmp_path, capsys, flags):
+        for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        code = main(["--out", str(tmp_path), "ucp", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=ucp: ")
+        assert flags[0][2:].replace("-", "_") in err
+        assert not any(tmp_path.glob("ucp_*"))
+
+    def test_ucp_zero_height_cap_is_one_bin(self, run_dir, tmp_path):
+        for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        assert main(["--out", str(tmp_path), "ucp", "--height-cap", "0"]) == 0
+        header = (tmp_path / "ucp_pred_300m" / "ucp_table.csv").read_text().split("\n")[0]
+        assert [c for c in header.split(",") if c.startswith("hist")] == ["hist_bin_0"]
+
+    def test_resample_zero_cell_size_exit_2(self, run_dir, tmp_path, capsys):
+        code = main(["--out", str(tmp_path), "resample", "--fine-cell-size", "0",
+                     "--coarse-ndsm", str(run_dir / "coarse_ndsm.glbr"),
+                     "--population", str(run_dir / "population.glbr")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "ERROR stage=resample: bad fine_cell_size 0.0: must be > 0\n"
+        assert not any(tmp_path.iterdir())
 
     def test_lod1_bad_statistic_exit_2(self, run_dir, tmp_path, capsys):
         for name in ("predicted_heights.glbr", "ndsm_ref.glbr"):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanmorph.errors import FormatError, UrbanMorphError
-from urbanmorph.footprints import read_footprints
+from urbanmorph.footprints import read_footprints, write_footprints
 from urbanmorph.lod1 import read_lod1
 from urbanmorph.network import ModelConfig, Weights, init_weights, read_weights, write_weights
 from urbanmorph.pointcloud import (
@@ -20,7 +20,7 @@ from urbanmorph.pointcloud import (
     write_points_csv,
     write_points_glbp,
 )
-from urbanmorph.raster import _GLBR_HEADER, read_raster
+from urbanmorph.raster import _GLBR_HEADER, Raster, read_raster, write_raster
 
 READERS = [read_raster, read_footprints, read_lod1, read_points_csv, read_weights]
 
@@ -40,7 +40,10 @@ GRID = "ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -99
 @pytest.mark.parametrize(
     "field, bad",
     [("ncols 1", "ncols x"), ("xllcorner 0", "xllcorner west"),
-     ("NODATA_value -9999", "NODATA_value nan")],
+     ("NODATA_value -9999", "NODATA_value nan"), ("ncols 1", "ncols 0"),
+     ("cellsize 1", "cellsize 0"), ("cellsize 1", "cellsize nan"),
+     ("cellsize 1", "cellsize -1"), ("cellsize 1", "cellsize inf"),
+     ("xllcorner 0", "xllcorner nan"), ("yllcorner 0", "yllcorner -inf")],
 )
 def test_ascii_grid_bad_header_value(tmp_path, field, bad):
     path = tmp_path / "r.asc"
@@ -48,6 +51,19 @@ def test_ascii_grid_bad_header_value(tmp_path, field, bad):
     assert read_raster(path).values[0, 0] == 5.0
     path.write_text(GRID.replace(field, bad))
     with pytest.raises(FormatError, match="r.asc"):
+        read_raster(path)
+
+
+@pytest.mark.parametrize(
+    "width, height, origin_x, cell_size",
+    [(0, 1, 0.0, 1.0), (1, 0, 0.0, 1.0), (1, 1, 0.0, 0.0), (1, 1, 0.0, np.nan),
+     (1, 1, 0.0, -2.0), (1, 1, 0.0, np.inf), (1, 1, np.nan, 1.0), (1, 1, np.inf, 1.0)],
+)
+def test_glbr_bad_header_value(tmp_path, width, height, origin_x, cell_size):
+    path = tmp_path / "r.glbr"
+    header = _GLBR_HEADER.pack(b"GLBR", 1, width, height, origin_x, 0.0, cell_size, -9999.0)
+    path.write_bytes(header + bytes(4 * width * height))
+    with pytest.raises(FormatError, match=r"r\.glbr: malformed raster \((raster|cell|origin)"):
         read_raster(path)
 
 
@@ -263,3 +279,53 @@ def test_mutated_weights_file_reads_or_raises_package_error(weights_file, edit,
     except UrbanMorphError:
         return
     assert isinstance(result, Weights)
+
+
+@pytest.fixture(scope="module")
+def geo_files(tmp_path_factory):
+    """A directory to write to, and valid GLBR, ASCII grid, footprint and LoD-1 files."""
+    directory = tmp_path_factory.mktemp("geo")
+    values = np.arange(12, dtype=np.float32).reshape(3, 4) * 1.5
+    values[1, 2] = -9999.0
+    r = Raster(width=4, height=3, origin_x=10.0, origin_y=20.0, cell_size=2.0,
+               nodata=-9999.0, values=values)
+    write_raster(r, directory / "valid.glbr")
+    write_raster(r, directory / "valid.asc")
+    fc = lod1_collection(hole=[[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 0.5]])
+    second = json.loads(json.dumps(lod1_collection(id=2)["features"][0]))
+    second["geometry"]["coordinates"] = [[[5, 5], [7.25, 5], [7, 7.5], [5, 7], [5, 5]]]
+    fc["features"].append(second)
+    (directory / "valid.lod1.geojson").write_text(json.dumps(fc))
+    write_footprints(read_footprints(directory / "valid.lod1.geojson"),
+                     directory / "valid.footprints.geojson")
+    kinds = ("glbr", "asc", "footprints.geojson", "lod1.geojson")
+    return directory, {kind: (directory / f"valid.{kind}").read_bytes() for kind in kinds}
+
+
+GEO_READERS = {
+    "glbr": (read_raster, Raster),
+    "asc": (read_raster, Raster),
+    "footprints.geojson": (read_footprints, list),
+    "lod1.geojson": (read_lod1, list),
+}
+
+
+# About half the edits start in or next to the 42-byte GLBR header, or in
+# the ASCII grid header.
+@pytest.mark.parametrize("kind", GEO_READERS)
+@settings(max_examples=300, deadline=None)
+@given(edit=st.sampled_from(["truncate", "extend", "flip"]),
+       position=st.one_of(st.integers(0, 45), st.integers(0, 700)),
+       payload=st.binary(min_size=1, max_size=30))
+def test_mutated_geo_file_reads_or_raises_format_error(geo_files, kind, edit, position,
+                                                       payload):
+    directory, valid = geo_files
+    reader, result_type = GEO_READERS[kind]
+    assert isinstance(reader(directory / f"valid.{kind}"), result_type)
+    path = directory / f"mutated.{kind}"
+    path.write_bytes(_mutate(valid[kind], edit, position, payload))
+    try:
+        result = reader(path)
+    except FormatError:
+        return
+    assert isinstance(result, result_type)
