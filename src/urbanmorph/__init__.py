@@ -25,8 +25,6 @@ from .footprints import (
     BuildingFootprint,
     FootprintMask,
     centroid,
-    polygon_area,
-    polygon_perimeter,
     projected_width,
     rasterize,
     read_footprints,
@@ -35,7 +33,6 @@ from .footprints import (
 from .pointcloud import (
     Label,
     PointCloud,
-    build_reference_ndsm,
     fill_voids_nearest,
     grid_elevation,
     height_above_ground,

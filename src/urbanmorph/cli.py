@@ -31,7 +31,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         flag = "--" + f.name.replace("_", "-")
         if f.name == "out":
             continue  # --out is a global flag
-        parser.add_argument(flag, dest=f.name, default=None, metavar="V")
+        # SUPPRESS: an absent flag must not overwrite the global --seed.
+        parser.add_argument(flag, dest=f.name, default=argparse.SUPPRESS, metavar="V")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,8 +61,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     }
     if args.out is not None:
         overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     return build_config(file_values, overrides)
 
 

@@ -141,16 +141,6 @@ class FootprintMask:
         )
 
 
-def polygon_area(f: BuildingFootprint) -> float:
-    """Shoelace area of the exterior minus its holes, in square meters."""
-    return f.area
-
-
-def polygon_perimeter(f: BuildingFootprint) -> float:
-    """Exterior ring length plus all hole ring lengths."""
-    return f.perimeter
-
-
 def centroid(f: BuildingFootprint) -> tuple[float, float]:
     """Area-weighted centroid with holes subtracted."""
     return f.centroid

@@ -9,9 +9,15 @@ predictions are non-negative.
 All parameters live in one flat vector, ``Weights.flat``, in ``layer_specs``
 order; each layer's kernel and bias are views into it.  Training updates that
 vector in place, the gradient is built in the same layout, and the GLBW file
-stores it as little-endian float32 after the header.  Gradients are verified
-against central finite differences in the test suite.  Gradient math runs at
-64-bit; production inference casts to 32-bit.
+stores it as little-endian float32 after the header.
+
+Every pass runs at the dtype of the weights it is given: the tile, target,
+tape and gradient all take ``flat``'s dtype.  ``train`` keeps a float64
+master copy of the weights and runs each step at float32 against it (mixed
+precision; Micikevicius et al. 2018): the step's forward and backward pass
+see ``w.astype(np.float32)``, and the update is applied to the float64
+master.  ``loss_and_gradient`` at float64 is the path the test suite checks
+against central finite differences.  Inference runs at float32.
 
 Every convolution is a sum of shifted GEMMs ("implicit im2col"): the input is
 zero-padded once, flattened to rows of the padded width, and each kernel tap
@@ -301,27 +307,49 @@ def _backward_tape(w: Weights, tape, dy: np.ndarray) -> np.ndarray:
     return grad.flat
 
 
-def _checked_tile(w: Weights, tile: np.ndarray) -> np.ndarray:
-    """``tile`` as (H, W, C), rejected unless finite and shaped for ``w``."""
-    tile = np.asarray(tile)
+def _checked_values(a, dtype, what: str) -> np.ndarray:
+    """``a`` as ``dtype``, rejected unless every value is finite there."""
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} contains non-finite values")
+    if a.dtype != dtype and (np.abs(a) > np.finfo(dtype).max).any():
+        raise InputError(f"{what} has values beyond the {np.dtype(dtype).name} range")
+    return a.astype(dtype, copy=False)
+
+
+def _checked_tile(w: Weights, tile, what: str = "tile") -> np.ndarray:
+    """``tile`` as (H, W, C) at the dtype of ``w``, rejected unless finite
+    there and shaped for ``w``."""
+    tile = _checked_values(tile, w.flat.dtype, what)
     if tile.ndim == 2:
         tile = tile[..., None]
-    if not np.isfinite(tile).all():
-        raise InputError("tile contains non-finite values")
     if tile.shape[-1] != w.config.in_channels:
         raise ShapeError(
-            f"tile has {tile.shape[-1]} channels, model expects {w.config.in_channels}"
+            f"{what} has {tile.shape[-1]} channels, model expects {w.config.in_channels}"
         )
     div = 2 ** w.config.depth
     if tile.shape[0] % div or tile.shape[1] % div:
         raise ShapeError(
-            f"tile size {tile.shape[:2]} not divisible by 2^depth = {div}"
+            f"{what} size {tile.shape[:2]} not divisible by 2^depth = {div}"
         )
     return tile
 
 
+def _checked_sample(w: Weights, tile, target, name: str = ""):
+    """A (tile, target) pair at the dtype of ``w``, rejected unless finite
+    there and shaped for ``w``; ``name`` prefixes each error's subject."""
+    tile = _checked_tile(w, tile, f"{name}tile")
+    target = _checked_values(target, w.flat.dtype, f"{name}target")
+    if target.shape != tile.shape[:2]:
+        raise ShapeError(
+            f"{name}target shape {target.shape} != tile spatial {tile.shape[:2]}"
+        )
+    return tile, target
+
+
 def forward(w: Weights, tile: np.ndarray) -> np.ndarray:
-    """Predict a (H, W, 1) non-negative height field from a (H, W, C) tile."""
+    """Predict a (H, W, 1) non-negative height field from a (H, W, C) tile,
+    at the dtype of ``w``."""
     y, _ = _forward_tape(w, _checked_tile(w, tile))
     return y
 
@@ -329,19 +357,14 @@ def forward(w: Weights, tile: np.ndarray) -> np.ndarray:
 def loss_and_gradient(
     w: Weights, tile: np.ndarray, target: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean squared error over cells and its gradient in flat-vector order."""
-    tile = _checked_tile(w, np.asarray(tile, dtype=np.float64))
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != tile.shape[:2]:
-        raise ShapeError(f"target shape {target.shape} != tile spatial {tile.shape[:2]}")
-    if not np.isfinite(target).all():
-        raise InputError("target contains non-finite values")
-    w64 = w if w.flat.dtype == np.float64 else w.astype(np.float64)
-    y, tape = _forward_tape(w64, tile)
+    """Mean squared error over cells and its gradient in flat-vector order,
+    both computed at the dtype of ``w``."""
+    tile, target = _checked_sample(w, tile, target)
+    y, tape = _forward_tape(w, tile)
     diff = y[..., 0] - target
     loss = float(np.mean(diff * diff))
     dy = (2.0 / diff.size) * diff[..., None]
-    return loss, _backward_tape(w64, tape, dy)
+    return loss, _backward_tape(w, tape, dy)
 
 
 def train(
@@ -349,18 +372,26 @@ def train(
 ) -> tuple[Weights, list[float]]:
     """Per-sample gradient descent at batch size 1 with a fixed learning rate.
 
-    Samples are visited in the order given; the run is bit-deterministic for
-    a fixed (weights, dataset order, config).  Returns the trained weights
-    and the per-epoch mean loss.
+    Each step runs at float32: ``loss_and_gradient`` gets the float32 copy of
+    the float64 master weights, and the step is applied to the master, which
+    is what is returned.  Every sample is checked and cast to float32 once,
+    before the first step.  Samples are visited in the order given; the run
+    is bit-deterministic for a fixed (weights, dataset order, config).
+    Returns the trained weights and the per-epoch mean loss.
     """
     if not dataset:
         raise ShapeError("training dataset is empty")
     w = w.astype(np.float64)  # a copy: the caller's weights stay as they are
+    w32 = w.astype(np.float32)
+    samples = [
+        _checked_sample(w32, tile, target, f"sample {i} ")
+        for i, (tile, target) in enumerate(dataset)
+    ]
     history = []
     for epoch in range(cfg.epochs):
         losses = []
-        for tile, target in dataset:
-            loss, grad = loss_and_gradient(w, tile, target)
+        for tile, target in samples:
+            loss, grad = loss_and_gradient(w.astype(np.float32), tile, target)
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             losses.append(loss)

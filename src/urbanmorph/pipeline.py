@@ -21,6 +21,19 @@ from .pointcloud import height_above_ground
 from .raster import Raster, minmax_normalize, read_raster, resample_cubic, write_raster
 
 
+# Bounds on the array sizes that run values imply, so that a finite but
+# extreme value is a config error before any work, not an overflow or an
+# allocation that cannot succeed.
+MAX_GRID_CELLS = 2**30  # a fine grid, or one resolution's grid of whole blocks
+MAX_HISTOGRAM_BINS = 10_000
+
+
+def _bounded_cells(side: float, what: str) -> None:
+    """Reject a square grid of ``side`` cells a side beyond ``MAX_GRID_CELLS``."""
+    if not side <= MAX_GRID_CELLS**0.5:
+        raise ConfigError(f"{what}: {side:.3g} x {side:.3g} cells, more than {MAX_GRID_CELLS}")
+
+
 @dataclass
 class PipelineConfig:
     # input files
@@ -171,8 +184,8 @@ def _checked(cls, **kwargs):
 # -- stages ------------------------------------------------------------------
 
 
-def stage_synth(cfg: PipelineConfig) -> dict[str, str]:
-    spec = _checked(
+def _synth_spec(cfg: PipelineConfig) -> synth.SyntheticCitySpec:
+    return _checked(
         synth.SyntheticCitySpec,
         extent_m=cfg.extent,
         n_buildings=cfg.n_buildings,
@@ -186,8 +199,10 @@ def stage_synth(cfg: PipelineConfig) -> dict[str, str]:
         seed=cfg.seed,
         snap_to_coarse=cfg.snap_to_coarse,
     )
-    scene = synth.generate_city(spec)
-    return synth.write_scene(scene, cfg.out)
+
+
+def stage_synth(cfg: PipelineConfig) -> dict[str, str]:
+    return synth.write_scene(synth.generate_city(_synth_spec(cfg)), cfg.out)
 
 
 def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
@@ -195,8 +210,9 @@ def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
     pc = read_points_csv(_require_file(cfg.points, "points"))
     x0, y0, x1, y1 = pc.extent
     # The last cell holds the maximum point, even one on a cell edge.
-    width = max(1, int(np.floor((x1 - np.floor(x0 / cs) * cs) / cs)) + 1)
-    height = max(1, int(np.floor((y1 - np.floor(y0 / cs) * cs) / cs)) + 1)
+    sides = [np.floor((hi - np.floor(lo / cs) * cs) / cs) + 1 for lo, hi in ((x0, x1), (y0, y1))]
+    _bounded_cells(max(sides), f"bad fine_cell_size {cs!r}")
+    width, height = (max(1, int(n)) for n in sides)
     template = Raster(
         width=width,
         height=height,
@@ -333,8 +349,31 @@ def _footprint_key(buildings: list[lod1_mod.Lod1Building]) -> list:
 
 def _histogram_bins(cfg: PipelineConfig) -> dict[str, float]:
     """The height-histogram settings of ``cfg``; a rejected value is a config error."""
-    return {"bin_width": cfg.positive("bin_width"),
+    bins = {"bin_width": cfg.positive("bin_width"),
             "height_cap": cfg.positive("height_cap", zero_ok=True)}
+    nbins = bins["height_cap"] // bins["bin_width"] + 1  # as ucp.height_histogram counts
+    if not nbins <= MAX_HISTOGRAM_BINS:
+        raise ConfigError(
+            f"bad bin_width {cfg.bin_width!r} and height_cap {cfg.height_cap!r}: "
+            f"{nbins:.3g} histogram bins (at most {MAX_HISTOGRAM_BINS})"
+        )
+    return bins
+
+
+def _check_resolutions(cfg: PipelineConfig, cell_size: float, side: float) -> None:
+    """Reject a resolution of ``cfg`` that is not a whole number of ``cell_size``
+    cells, or whose grid of whole blocks over ``side`` cells a side is beyond
+    ``MAX_GRID_CELLS``."""
+    what = f"bad resolutions '{cfg.resolutions}'"
+    for resolution in cfg.resolution_list():
+        ratio = resolution / cell_size
+        _bounded_cells(ratio, what)  # one block is at most the whole grid
+        px = round(ratio)
+        if px < 1 or abs(ratio - px) > 1e-9:
+            raise ConfigError(
+                f"{what}: {resolution:g} m is not a whole number of {cell_size:g} m cells"
+            )
+        _bounded_cells(-(-side // px) * px, what)
 
 
 def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
@@ -352,6 +391,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     template = _template_like(
         read_raster(_require_file(cfg.path("predicted_heights.glbr"), "predicted_heights"))
     )
+    _check_resolutions(cfg, template.cell_size, max(template.width, template.height))
     mask = rasterize([b.footprint for b in pred], template)
     return {
         (kind, resolution): ucp.aggregate_all(
@@ -439,13 +479,25 @@ RUN_ORDER = [
 ]
 
 
+def _check_run_grids(cfg: PipelineConfig) -> None:
+    """Reject a synthetic scene, fine cell or resolution of ``cfg`` whose grids
+    ``run_all`` could not build: the scene's 1 m grid and its fine grid are at
+    most ``MAX_GRID_CELLS``, and so is each resolution's (``_check_resolutions``)."""
+    cs = cfg.positive("fine_cell_size")
+    extent = _synth_spec(cfg).extent_m
+    _bounded_cells(np.floor(extent) + 1, f"bad extent {extent!r}")
+    side = np.floor(extent / cs) + 1
+    _bounded_cells(side, f"bad fine_cell_size {cs!r} for extent {extent!r}")
+    _check_resolutions(cfg, cs, side)
+
+
 def run_all(cfg: PipelineConfig) -> dict[str, str]:
     """Run the full pipeline in stage order; synth inputs feed later stages."""
     outputs: dict[str, str] = {}
     stages = list(RUN_ORDER)
     # Reject bad run values before any stage runs; each stage checks its own again.
-    cfg.resolution_list(), cfg.direction_list()
-    cfg.positive("fine_cell_size"), _histogram_bins(cfg)
+    _check_run_grids(cfg)
+    cfg.direction_list(), _histogram_bins(cfg)
     cfg.one_of("statistic", lod1_mod.STATISTICS)
     if cfg.one_of("predictor", PREDICTORS) == "network":
         _network_configs(cfg)

@@ -177,17 +177,6 @@ def _lattice(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d2[order], dr[order], dc[order]
 
 
-def build_reference_ndsm(pc: PointCloud, template: Raster) -> Raster:
-    """Building-height raster: building-return surface minus void-filled terrain.
-
-    Cells without building returns are 0 (no building), keeping the
-    regression target dense.  Result is clamped non-negative.
-    """
-    dsm = grid_elevation(pc, {Label.BUILDING}, template)
-    dem = fill_voids_nearest(grid_elevation(pc, {Label.GROUND}, template))
-    return height_above_ground(dsm, dem)
-
-
 def height_above_ground(dsm: Raster, dem: Raster) -> Raster:
     """The nDSM rule: DSM minus DEM clamped at 0, and 0 where the DSM has no return."""
     ndsm = clamp_nonnegative(subtract(dsm, dem))

@@ -16,7 +16,6 @@ from urbanmorph.footprints import (
     BuildingFootprint,
     FootprintMask,
     centroid,
-    polygon_perimeter,
     rasterize,
 )
 from urbanmorph.lod1 import Lod1Building, assign_heights, read_lod1
@@ -153,7 +152,7 @@ def test_criterion_1_formula_fidelity():
                         == (col, row)
                     ]
                     walls = sum(
-                        polygon_perimeter(b.footprint) * b.height for b in members
+                        b.footprint.perimeter * b.height for b in members
                     )
                     oracle_lb = (roof + walls) / res**2
                     assert abs(grid.lambda_b[row, col] - oracle_lb) <= 1e-9 * max(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from urbanmorph import network, pipeline, tiler
-from urbanmorph.cli import main
+from urbanmorph.cli import _config_from_args, build_parser, main
 from urbanmorph.lod1 import read_lod1
 from urbanmorph.pipeline import (
     PipelineConfig,
@@ -549,11 +549,17 @@ class TestRunValuesCheckedFirst:
          ["--directions", "abc"], ["--resolutions", "inf"], ["--resolutions", "nan"],
          ["--directions", "nan"], ["--height-cap", "nan"], ["--height-cap", "-5"],
          ["--extent", "nan"], ["--fine-cell-size", "nan"], ["--fine-cell-size", "0"],
-         ["--bin-width", "0"], ["--learning-rate", "inf"]],
+         ["--bin-width", "0"], ["--learning-rate", "inf"],
+         # Finite, but the bin count or a grid would be beyond the declared bounds.
+         ["--bin-width", "1e-300"], ["--height-cap", "1e+300"], ["--resolutions", "1e300"],
+         ["--fine-cell-size", "0.001"],
+         # Not a whole number of 1 m fine cells.
+         ["--resolutions", "0.1"]],
         ids=["statistic", "predictor", "resolutions", "directions", "resolutions-inf",
              "resolutions-nan", "directions-nan", "height_cap-nan", "height_cap-negative",
              "extent-nan", "fine_cell_size-nan", "fine_cell_size-0", "bin_width-0",
-             "learning_rate-inf"],
+             "learning_rate-inf", "bin_width-tiny", "height_cap-huge", "resolutions-huge",
+             "fine_cell_size-tiny", "resolutions-fraction"],
     )
     def test_run_exit_2_before_any_stage(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
@@ -586,12 +592,32 @@ class TestRunValuesCheckedFirst:
         assert flags[0][2:].replace("-", "_") in err
         assert not any(tmp_path.glob("ucp_*"))
 
+    @pytest.mark.parametrize("value", ["1e300", "0.1"])
+    def test_ucp_bad_resolution_exit_2(self, run_dir, tmp_path, capsys, value):
+        for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        code = main(["--out", str(tmp_path), "ucp", "--resolutions", value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"ERROR stage=ucp: bad resolutions '{value}'")
+        assert not any(tmp_path.glob("ucp_*"))
+
     def test_ucp_zero_height_cap_is_one_bin(self, run_dir, tmp_path):
         for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
             shutil.copy(run_dir / name, tmp_path / name)
         assert main(["--out", str(tmp_path), "ucp", "--height-cap", "0"]) == 0
         header = (tmp_path / "ucp_pred_300m" / "ucp_table.csv").read_text().split("\n")[0]
         assert [c for c in header.split(",") if c.startswith("hist")] == ["hist_bin_0"]
+
+    def test_rasterize_points_grid_bound_exit_2(self, run_dir, tmp_path, capsys):
+        # 200 m at 1 mm is 4e10 cells: rejected before any array is built.
+        code = main(["--out", str(tmp_path), "rasterize-points", "--fine-cell-size", "0.001",
+                     "--points", str(run_dir / "points.glbp")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=rasterize-points: ")
+        assert "fine_cell_size 0.001" in err
+        assert not any(tmp_path.iterdir())
 
     def test_resample_zero_cell_size_exit_2(self, run_dir, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "resample", "--fine-cell-size", "0",
@@ -612,3 +638,15 @@ class TestRunValuesCheckedFirst:
         assert err.count("\n") == 1 and err.startswith("ERROR stage=lod1: ")
         assert "statistic 'mode'" in err
         assert not (tmp_path / "lod1_pred.geojson").exists()
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [["--seed", "7", "run"], ["run", "--seed", "7"],
+                                      ["--seed", "7", "synth"]])
+    def test_global_and_subcommand_forms(self, argv):
+        assert _config_from_args(build_parser().parse_args(argv)).seed == 7
+
+    def test_global_seed_reaches_report(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--seed", "7", "--out", str(out), "run", *TINY_RUN]) == 0
+        assert "\nseed: 7\n" in (out / "report.txt").read_text()

@@ -11,8 +11,6 @@ from urbanmorph.footprints import (
     BuildingFootprint,
     _ring_self_intersects,
     centroid,
-    polygon_area,
-    polygon_perimeter,
     projected_width,
     rasterize,
     read_footprints,
@@ -197,8 +195,8 @@ class TestMeasuresMatchPerRingHelpers:
                 id=1, exterior=star_ring(rng, n, cx, cy, 0.8 * r, r), holes=holes
             )
             assert len(f.exterior) == n and len(f.holes) == n_holes
-            assert polygon_area(f) == per_ring_area(f)
-            assert polygon_perimeter(f) == per_ring_perimeter(f)
+            assert f.area == per_ring_area(f)
+            assert f.perimeter == per_ring_perimeter(f)
             got_x, got_y = centroid(f)
             want_x, want_y = per_ring_centroid(f)
             assert got_x == want_x and got_y == want_y
@@ -241,10 +239,10 @@ class TestConstruction:
 
 class TestArea:
     def test_unit_square(self):
-        assert polygon_area(square()) == pytest.approx(1.0)
+        assert square().area == pytest.approx(1.0)
 
     def test_rectangle(self):
-        assert polygon_area(square(w=10, h=20)) == pytest.approx(200.0)
+        assert square(w=10, h=20).area == pytest.approx(200.0)
 
     def test_random_convex_pentagon_matches_fan(self):
         rng = np.random.default_rng(4)
@@ -253,11 +251,11 @@ class TestArea:
         ring = np.c_[radii * np.cos(angles) + 10, radii * np.sin(angles) + 10]
         f = BuildingFootprint(id=1, exterior=ring)
         expect, _, _ = fan_triangulation_area_centroid(ring)
-        assert polygon_area(f) == pytest.approx(expect, abs=1e-9)
+        assert f.area == pytest.approx(expect, abs=1e-9)
 
     def test_hole_subtracted(self):
         f = square(w=10, h=10, holes=[[(2, 2), (4, 2), (4, 4), (2, 4)]])
-        assert polygon_area(f) == pytest.approx(96.0)
+        assert f.area == pytest.approx(96.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(GeometryError):
@@ -266,18 +264,18 @@ class TestArea:
 
 class TestPerimeter:
     def test_unit_square(self):
-        assert polygon_perimeter(square()) == pytest.approx(4.0)
+        assert square().perimeter == pytest.approx(4.0)
 
     def test_rectangle(self):
-        assert polygon_perimeter(square(w=10, h=20)) == pytest.approx(60.0)
+        assert square(w=10, h=20).perimeter == pytest.approx(60.0)
 
     def test_right_triangle(self):
         f = BuildingFootprint(id=1, exterior=[(0, 0), (3, 0), (0, 4)])
-        assert polygon_perimeter(f) == pytest.approx(12.0)
+        assert f.perimeter == pytest.approx(12.0)
 
     def test_holes_counted(self):
         f = square(w=10, h=10, holes=[[(2, 2), (4, 2), (4, 4), (2, 4)]])
-        assert polygon_perimeter(f) == pytest.approx(48.0)
+        assert f.perimeter == pytest.approx(48.0)
 
 
 class TestCentroid:
@@ -371,8 +369,8 @@ class TestRasterize:
             f = square(fid=1, x=x, y=y, w=w, h=h)
             mask = rasterize([f], t)
             pixel_area = mask.raster.values.sum() * t.cell_size ** 2
-            bound = 2 * polygon_perimeter(f) * t.cell_size
-            assert abs(pixel_area - polygon_area(f)) <= bound
+            bound = 2 * f.perimeter * t.cell_size
+            assert abs(pixel_area - f.area) <= bound
 
     def test_integer_translation_shifts_mask(self):
         f = square(x=1.3, y=2.7, w=3.1, h=2.2)

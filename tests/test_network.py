@@ -10,6 +10,7 @@ from urbanmorph.errors import (
     InputError,
     ShapeError,
 )
+from urbanmorph import network
 from urbanmorph.footprints import FootprintMask
 from urbanmorph.network import (
     ModelConfig,
@@ -326,6 +327,65 @@ class TestGradient:
             loss_and_gradient(init_weights(tiny_cfg()), np.zeros((8, 8, 2)), target)
 
 
+def spy_tapes(monkeypatch):
+    """Every (input, output, tape) that ``_forward_tape`` returns from now on."""
+    seen, real = [], network._forward_tape
+
+    def spy(w, x):
+        y, tape = real(w, x)
+        seen.append((x, y, tape))
+        return y, tape
+
+    monkeypatch.setattr(network, "_forward_tape", spy)
+    return seen
+
+
+def tape_arrays(tape):
+    return [a for part in tape.values() for a in part.values()]
+
+
+class TestFloat32Step:
+    """``loss_and_gradient`` runs at the dtype of the weights, end to end.
+
+    numpy 1.24 promotes a Python scalar by its value and numpy 2 by NEP 50;
+    both must keep every float array of a float32 step at float32.
+    """
+
+    @staticmethod
+    def case(side):
+        rng = np.random.default_rng(12)
+        w = init_weights(ModelConfig(depth=3, base_filters=8, in_channels=3, seed=0))
+        return w, rng.uniform(0, 1, (side, side, 3)), rng.uniform(0, 1, (side, side))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_throughout(self, monkeypatch, dtype):
+        w, x, target = self.case(16)
+        tapes = spy_tapes(monkeypatch)
+        _, grad = loss_and_gradient(w.astype(dtype), x, target)
+        assert grad.dtype == dtype
+        ((x_in, y, tape),) = tapes
+        assert x_in.dtype == dtype and y.dtype == dtype
+        for a in tape_arrays(tape):
+            assert a.dtype == dtype or a.dtype.kind in "bi"
+        assert {a.dtype for a in tape["convs"].values()} == {np.dtype(dtype)}
+
+    def test_gradient_matches_float64(self):
+        w, x, target = self.case(64)
+        loss64, g64 = loss_and_gradient(w, x, target)
+        loss32, g32 = loss_and_gradient(w.astype(np.float32), x, target)
+        assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+
+    def test_tape_half_the_bytes(self, monkeypatch):
+        w, x, target = self.case(64)
+        tapes = spy_tapes(monkeypatch)
+        loss_and_gradient(w, x, target)
+        loss_and_gradient(w.astype(np.float32), x, target)
+        n64, n32 = (sum(a.nbytes for a in tape_arrays(t) if a.dtype.kind == "f")
+                    for _, _, t in tapes)
+        assert 2 * n32 == n64
+
+
 class TestTrain:
     def test_overfits_single_tile(self):
         rng = np.random.default_rng(5)
@@ -362,7 +422,19 @@ class TestTrain:
         w = init_weights(tiny_cfg())
         x = rng.uniform(0, 1, (8, 8, 2))
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="epoch"):
-            train(w, [(x, np.full((8, 8), 1e200))], TrainConfig(learning_rate=1.0, epochs=2))
+            train(w, [(x, np.full((8, 8), 1e30))], TrainConfig(learning_rate=1.0, epochs=2))
+
+    @pytest.mark.parametrize("value", [1e200, -1e200])
+    def test_value_beyond_float32_named(self, monkeypatch, value):
+        # Finite at float64, inf once cast to the float32 of a step.
+        x = np.zeros((8, 8, 2))
+        target = np.zeros((8, 8))
+        target[2, 3] = value
+        data = [(x, np.zeros((8, 8))), (x, target)]
+        tapes = spy_tapes(monkeypatch)
+        with pytest.raises(InputError, match="sample 1 target .*float32"):
+            train(init_weights(tiny_cfg()), data, TrainConfig(epochs=2))
+        assert not tapes  # rejected before the first step
 
     def test_empty_dataset(self):
         with pytest.raises(ShapeError):
@@ -376,7 +448,7 @@ class TestTrain:
         for _ in range(3):
             losses = []
             for x, target in data:
-                loss, grad = loss_and_gradient(w.from_flat(flat), x, target)
+                loss, grad = loss_and_gradient(w.from_flat(flat).astype(np.float32), x, target)
                 losses.append(loss)
                 flat = flat - 0.05 * grad
             expect_history.append(float(np.mean(losses)))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from urbanmorph.errors import PackingError
-from urbanmorph.footprints import polygon_area
 from urbanmorph.raster import downsample_average
 from urbanmorph.synth import SyntheticCitySpec, generate_city, write_scene
 
@@ -68,7 +67,7 @@ class TestGenerate:
             np.count_nonzero(scene.mask.source_ids == f.id) for f in scene.footprints
         )
         assert np.count_nonzero(scene.mask.raster.values) == per_footprint
-        total_area = sum(polygon_area(f) for f in scene.footprints)
+        total_area = sum(f.area for f in scene.footprints)
         assert abs(per_footprint - total_area) / total_area < 0.25
 
     def test_truth_heights_match_mask(self):

@@ -9,8 +9,6 @@ from urbanmorph.footprints import (
     BuildingFootprint,
     FootprintMask,
     centroid,
-    polygon_area,
-    polygon_perimeter,
     projected_width,
     rasterize,
 )
@@ -274,12 +272,12 @@ class TestAggregateBruteForce:
                     hs = np.array([b.height for b in members])
                     assert grid.mean[row, col] == pytest.approx(hs.mean(), rel=1e-9)
                     assert grid.std[row, col] == pytest.approx(hs.std(), rel=1e-9)
-                    areas = np.array([polygon_area(b.footprint) for b in members])
+                    areas = np.array([b.footprint.area for b in members])
                     assert grid.area_weighted[row, col] == pytest.approx(
                         float((areas * hs).sum() / areas.sum()), rel=1e-9
                     )
                     walls = sum(
-                        polygon_perimeter(b.footprint) * b.height for b in members
+                        b.footprint.perimeter * b.height for b in members
                     )
                     roof = int(
                         (mask.raster.values[
