@@ -24,7 +24,6 @@ from .raster import (
 from .footprints import (
     BuildingFootprint,
     FootprintMask,
-    centroid,
     projected_width,
     rasterize,
     read_footprints,
@@ -37,7 +36,6 @@ from .pointcloud import (
     grid_elevation,
     height_above_ground,
     read_points_csv,
-    write_points_csv,
 )
 from .tiler import TilePlan, split, stitch
 from .network import (

@@ -77,12 +77,11 @@ def main(argv: list[str] | None = None) -> int:
             outputs = run_all(cfg)
         else:
             outputs = STAGES[stage](cfg)
-    except (ConfigError, FormatError) as exc:
-        print(f"ERROR stage={stage}: {exc}", file=sys.stderr)
-        return 2
     except UrbanMorphError as exc:
-        print(f"ERROR stage={stage}: {exc}", file=sys.stderr)
-        return 1
+        # One line, even where a value in the message holds a line break.
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"ERROR stage={stage}: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, (ConfigError, FormatError)) else 1
     for key, path in outputs.items():
         log.info("%s -> %s", key, path)
         print(f"{key}\t{path}")

@@ -29,10 +29,6 @@ class GeometryError(UrbanMorphError):
     """Degenerate or invalid polygon geometry."""
 
 
-class EmptyCloudError(UrbanMorphError):
-    """Point selection produced no points."""
-
-
 class InputError(UrbanMorphError):
     """Non-finite or otherwise unusable numeric input."""
 

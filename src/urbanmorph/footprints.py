@@ -141,11 +141,6 @@ class FootprintMask:
         )
 
 
-def centroid(f: BuildingFootprint) -> tuple[float, float]:
-    """Area-weighted centroid with holes subtracted."""
-    return f.centroid
-
-
 def projected_width(f: BuildingFootprint, wind_direction: float) -> float:
     """Extent of the exterior vertices projected perpendicular to the wind.
 

@@ -104,7 +104,7 @@ class PipelineConfig:
         return os.path.join(self.out, name)
 
 
-_BOOL_KEYS = {"snap_to_coarse"}
+_BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -139,11 +139,9 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> P
     for key, raw in merged.items():
         current = getattr(cfg, key)
         try:
-            if key in _BOOL_KEYS:
-                kwargs[key] = (
-                    raw if isinstance(raw, bool) else str(raw).lower() in ("1", "true", "yes")
-                )
-            elif isinstance(current, int) and not isinstance(current, bool):
+            if isinstance(current, bool):
+                kwargs[key] = raw if isinstance(raw, bool) else _BOOL_VALUES[str(raw).lower()]
+            elif isinstance(current, int):
                 kwargs[key] = int(raw)
             elif isinstance(current, float):
                 kwargs[key] = float(raw)
@@ -151,7 +149,7 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> P
                     raise ValueError(raw)
             else:
                 kwargs[key] = str(raw)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad value for config key '{key}': {raw}") from exc
     return replace(cfg, **kwargs)
 
@@ -159,7 +157,7 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> P
 def _require_file(path: str, key: str) -> str:
     if not path:
         raise ConfigError(f"config key '{key}' is not set")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config key '{key}': file not found: {path}")
     return path
 
@@ -206,25 +204,14 @@ def stage_synth(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
-    cs = cfg.positive("fine_cell_size")
+    """Grid the points on the fine grid of ``ndsm_resampled.glbr``, so that the
+    reference and the prediction share their cells; points off it are dropped."""
     pc = read_points_csv(_require_file(cfg.points, "points"))
-    x0, y0, x1, y1 = pc.extent
-    # The last cell holds the maximum point, even one on a cell edge.
-    sides = [np.floor((hi - np.floor(lo / cs) * cs) / cs) + 1 for lo, hi in ((x0, x1), (y0, y1))]
-    _bounded_cells(max(sides), f"bad fine_cell_size {cs!r}")
-    width, height = (max(1, int(n)) for n in sides)
-    template = Raster(
-        width=width,
-        height=height,
-        origin_x=float(np.floor(x0 / cs) * cs),
-        origin_y=float(np.floor(y0 / cs) * cs),
-        cell_size=cs,
-        nodata=-9999.0,
-        values=np.zeros((height, width), dtype=np.float32),
-    )
+    fine = read_raster(_require_file(cfg.path("ndsm_resampled.glbr"), "ndsm_resampled"))
+    # The DSM and DEM keep their own sentinel: the coarse layer's may be a real elevation.
+    template = fine.with_values(fine.values, nodata=-9999.0)
     dsm = grid_elevation(pc, {Label.BUILDING}, template)
     dem = fill_voids_nearest(grid_elevation(pc, {Label.GROUND}, template))
-    os.makedirs(cfg.out, exist_ok=True)
     write_raster(dsm, cfg.path("dsm.glbr"))
     write_raster(dem, cfg.path("dem.glbr"))
     return {"dsm": cfg.path("dsm.glbr"), "dem": cfg.path("dem.glbr")}
@@ -241,6 +228,8 @@ def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
     cs = cfg.positive("fine_cell_size")
     coarse = read_raster(_require_file(cfg.coarse_ndsm, "coarse_ndsm"))
     pop = read_raster(_require_file(cfg.population, "population"))
+    side = max(max(r.extent_x, r.extent_y) for r in (coarse, pop)) / cs
+    _bounded_cells(side, f"bad fine_cell_size {cs!r}")
     os.makedirs(cfg.out, exist_ok=True)
     fine = resample_cubic(coarse, cs)
     pop_fine = resample_cubic(pop, cs)
@@ -347,8 +336,9 @@ def _footprint_key(buildings: list[lod1_mod.Lod1Building]) -> list:
     return [(b.footprint.id, [r.tolist() for r in b.footprint.rings()]) for b in buildings]
 
 
-def _histogram_bins(cfg: PipelineConfig) -> dict[str, float]:
-    """The height-histogram settings of ``cfg``; a rejected value is a config error."""
+def _histogram_bins(cfg: PipelineConfig) -> tuple[dict[str, float], float]:
+    """The height-histogram settings of ``cfg`` and their bin count; a rejected
+    value is a config error."""
     bins = {"bin_width": cfg.positive("bin_width"),
             "height_cap": cfg.positive("height_cap", zero_ok=True)}
     nbins = bins["height_cap"] // bins["bin_width"] + 1  # as ucp.height_histogram counts
@@ -357,13 +347,13 @@ def _histogram_bins(cfg: PipelineConfig) -> dict[str, float]:
             f"bad bin_width {cfg.bin_width!r} and height_cap {cfg.height_cap!r}: "
             f"{nbins:.3g} histogram bins (at most {MAX_HISTOGRAM_BINS})"
         )
-    return bins
+    return bins, nbins
 
 
-def _check_resolutions(cfg: PipelineConfig, cell_size: float, side: float) -> None:
+def _check_resolutions(cfg: PipelineConfig, cell_size: float, side: float, nbins: float) -> None:
     """Reject a resolution of ``cfg`` that is not a whole number of ``cell_size``
-    cells, or whose grid of whole blocks over ``side`` cells a side is beyond
-    ``MAX_GRID_CELLS``."""
+    cells, or whose grid of whole blocks over ``side`` cells a side, or that
+    grid's ``nbins``-bin histograms, are beyond ``MAX_GRID_CELLS``."""
     what = f"bad resolutions '{cfg.resolutions}'"
     for resolution in cfg.resolution_list():
         ratio = resolution / cell_size
@@ -373,7 +363,14 @@ def _check_resolutions(cfg: PipelineConfig, cell_size: float, side: float) -> No
             raise ConfigError(
                 f"{what}: {resolution:g} m is not a whole number of {cell_size:g} m cells"
             )
-        _bounded_cells(-(-side // px) * px, what)
+        blocks = -(-side // px)
+        _bounded_cells(blocks * px, what)
+        if not blocks * blocks * nbins <= MAX_GRID_CELLS:
+            raise ConfigError(
+                f"bad bin_width {cfg.bin_width!r} and height_cap {cfg.height_cap!r}: "
+                f"{nbins:g} bins in each of {blocks:g} x {blocks:g} cells at {resolution:g} m, "
+                f"more than {MAX_GRID_CELLS}"
+            )
 
 
 def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
@@ -383,7 +380,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     rasterized once, serves both; a pair whose footprints differ is rejected.
     """
     resolutions, directions = cfg.resolution_list(), cfg.direction_list()
-    bins = _histogram_bins(cfg)
+    bins, nbins = _histogram_bins(cfg)
     paths = [_require_file(cfg.path(f"lod1_{k}.geojson"), f"lod1_{k}") for k in ("pred", "ref")]
     pred, ref = (lod1_mod.read_lod1(path) for path in paths)
     if _footprint_key(pred) != _footprint_key(ref):
@@ -391,7 +388,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     template = _template_like(
         read_raster(_require_file(cfg.path("predicted_heights.glbr"), "predicted_heights"))
     )
-    _check_resolutions(cfg, template.cell_size, max(template.width, template.height))
+    _check_resolutions(cfg, template.cell_size, max(template.width, template.height), nbins)
     mask = rasterize([b.footprint for b in pred], template)
     return {
         (kind, resolution): ucp.aggregate_all(
@@ -420,12 +417,13 @@ def stage_ucp(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_validate(cfg: PipelineConfig) -> dict[str, str]:
+    min_reference = cfg.positive("min_reference")  # a MAPE floor of 0 divides by 0
     grids = _ucp_grids(cfg)
     outputs = {}
     for resolution in cfg.resolution_list():
         out_dir = cfg.path(f"validation_{resolution:g}m")
         pred, ref = grids["pred", resolution], grids["ref", resolution]
-        validation.export_comparison(pred, ref, out_dir, min_reference=cfg.min_reference)
+        validation.export_comparison(pred, ref, out_dir, min_reference=min_reference)
         outputs[f"validation_{resolution:g}m"] = out_dir
     return outputs
 
@@ -454,9 +452,9 @@ def stage_report(cfg: PipelineConfig) -> dict[str, str]:
 
 STAGES = {
     "synth": stage_synth,
+    "resample": stage_resample,
     "rasterize-points": stage_rasterize_points,
     "ndsm": stage_ndsm,
-    "resample": stage_resample,
     "tile": stage_tile,
     "train": stage_train,
     "predict": stage_predict,
@@ -468,9 +466,9 @@ STAGES = {
 
 RUN_ORDER = [
     "synth",
+    "resample",
     "rasterize-points",
     "ndsm",
-    "resample",
     "predict",
     "lod1",
     "ucp",
@@ -480,15 +478,16 @@ RUN_ORDER = [
 
 
 def _check_run_grids(cfg: PipelineConfig) -> None:
-    """Reject a synthetic scene, fine cell or resolution of ``cfg`` whose grids
-    ``run_all`` could not build: the scene's 1 m grid and its fine grid are at
-    most ``MAX_GRID_CELLS``, and so is each resolution's (``_check_resolutions``)."""
+    """Reject a synthetic scene, fine cell, resolution or histogram of ``cfg``
+    whose grids ``run_all`` could not build: the scene's 1 m grid and its fine
+    grid are at most ``MAX_GRID_CELLS``, and so is each resolution's, with and
+    without its histograms (``_check_resolutions``)."""
     cs = cfg.positive("fine_cell_size")
     extent = _synth_spec(cfg).extent_m
     _bounded_cells(np.floor(extent) + 1, f"bad extent {extent!r}")
     side = np.floor(extent / cs) + 1
     _bounded_cells(side, f"bad fine_cell_size {cs!r} for extent {extent!r}")
-    _check_resolutions(cfg, cs, side)
+    _check_resolutions(cfg, cs, side, _histogram_bins(cfg)[1])
 
 
 def run_all(cfg: PipelineConfig) -> dict[str, str]:
@@ -497,7 +496,7 @@ def run_all(cfg: PipelineConfig) -> dict[str, str]:
     stages = list(RUN_ORDER)
     # Reject bad run values before any stage runs; each stage checks its own again.
     _check_run_grids(cfg)
-    cfg.direction_list(), _histogram_bins(cfg)
+    cfg.direction_list(), cfg.positive("min_reference")
     cfg.one_of("statistic", lod1_mod.STATISTICS)
     if cfg.one_of("predictor", PREDICTORS) == "network":
         _network_configs(cfg)

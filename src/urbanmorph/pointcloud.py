@@ -10,7 +10,8 @@ distances, and a tie goes to the donor earliest in row-major order.
 Points are stored as CSV (``x,y,z,label``) or as GLBP, a little-endian
 column file: a ``<4sHQ`` header (magic ``b"GLBP"``, version 1, count n),
 then n x, n y and n z as ``<f8`` and n labels as ``i1``, 25 bytes a point.
-Both keep coordinates to 9 significant digits, so either reads back the same.
+GLBP stores the doubles exactly; a CSV reads back the same doubles when its
+numbers round-trip, as ``repr`` writes them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import isfinite, isqrt
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .errors import EmptyCloudError, EmptyStatisticsError, FormatError
+from .errors import EmptyStatisticsError, FormatError
 from .raster import Raster, clamp_nonnegative, subtract
 
 
@@ -35,14 +36,12 @@ class Label(IntEnum):
     OTHER = 2
 
 
-_LABEL_NAMES = {Label.GROUND: "ground", Label.BUILDING: "building", Label.OTHER: "other"}
-_NAME_CODES = {v: int(k) for k, v in _LABEL_NAMES.items()}
-# Points per formatted, parsed or rounded block: large enough to amortise
-# the per-block calls, small enough that a block's temporaries stay a few MB.
+_NAME_CODES = {"ground": 0, "building": 1, "other": 2}
+# CSV lines parsed per block: large enough to amortise the per-block calls,
+# small enough that a block's temporaries stay a few MB.
 _BLOCK = 65536
 GLBP_MAGIC = b"GLBP"
 _GLBP_HEADER = struct.Struct("<4sHQ")
-_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 # Squared-distance span of void cells filled from one offset table.
 _D2_SPAN = 1 << 18
 
@@ -71,17 +70,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.xs.size
-
-    @property
-    def extent(self) -> tuple[float, float, float, float]:
-        if len(self) == 0:
-            raise EmptyCloudError("empty point cloud has no extent")
-        return (
-            float(self.xs.min()),
-            float(self.ys.min()),
-            float(self.xs.max()),
-            float(self.ys.max()),
-        )
 
 
 def grid_elevation(pc: PointCloud, label_filter, template: Raster) -> Raster:
@@ -186,38 +174,13 @@ def height_above_ground(dsm: Raster, dem: Raster) -> Raster:
 # -- Point I/O ---------------------------------------------------------------
 
 
-def _round_9g(v: np.ndarray) -> np.ndarray:
-    """``float(format(x, ".9g"))`` for every finite x in ``v``, bit for bit.
-
-    With k = 8 - floor(log10|x|), n = rint(x * 10^k) is x's 9-digit mantissa,
-    and n / 10^k, one correctly rounded operation on exact doubles for
-    |k| <= 22, is the value of the 9-digit string.  Values near a rounding
-    tie, with n not 9 digits or with |k| > 22 are formatted; zeros are kept.
-    """
-    out = np.array(v, dtype=np.float64)
-    nz = np.flatnonzero(out)
-    x = out[nz]
-    k = 8 - np.floor(np.log10(np.abs(x))).astype(np.int64)
-    p = _POW10[np.minimum(np.abs(k), 22)]
-    mul, div = np.where(k >= 0, p, 1.0), np.where(k >= 0, 1.0, p)
-    s = x * mul / div
-    n = np.rint(s)
-    fast = (np.abs(k) <= 22) & (np.abs(s - n) < 0.5 - 1e-6)
-    fast &= (np.abs(n) >= 1e8) & (np.abs(n) <= 1e9)
-    out[nz[fast]] = n[fast] / mul[fast] * div[fast]
-    slow = nz[~fast]
-    out[slow] = [float(format(value, ".9g")) for value in out[slow].tolist()]
-    return out
-
-
 def write_points_glbp(pc: PointCloud, path) -> None:
-    """Write GLBP, each coordinate rounded as ``write_points_csv`` keeps it."""
+    """Write GLBP, each coordinate the double it is in ``pc``."""
     with open(path, "wb") as f:
         f.write(_GLBP_HEADER.pack(GLBP_MAGIC, 1, len(pc)))
         for column in (pc.xs, pc.ys, pc.zs):
-            for lo in range(0, len(pc), _BLOCK):
-                f.write(_round_9g(column[lo:lo + _BLOCK]).astype("<f8").tobytes())
-        f.write(pc.labels.astype("i1").tobytes())
+            column.astype("<f8", copy=False).tofile(f)
+        pc.labels.astype("i1", copy=False).tofile(f)
 
 
 def _read_glbp(path) -> PointCloud:
@@ -240,17 +203,6 @@ def _read_glbp(path) -> PointCloud:
     if bad := sum(np.count_nonzero(~np.isfinite(column)) for column in (xs, ys, zs)):
         raise FormatError(f"{path}: {bad} non-finite coordinates")
     return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
-
-
-def write_points_csv(pc: PointCloud, path) -> None:
-    row = "{:.9g},{:.9g},{:.9g},{}\n".format
-    names = np.array([_LABEL_NAMES[Label(v)] for v in range(3)])
-    with open(path, "w") as f:
-        f.write("x,y,z,label\n")
-        for lo in range(0, len(pc), _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            columns = (pc.xs[block], pc.ys[block], pc.zs[block], names[pc.labels[block]])
-            f.write("".join(map(row, *(column.tolist() for column in columns))))
 
 
 def read_points_csv(path) -> PointCloud:

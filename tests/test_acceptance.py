@@ -15,7 +15,6 @@ import pytest
 from urbanmorph.footprints import (
     BuildingFootprint,
     FootprintMask,
-    centroid,
     rasterize,
 )
 from urbanmorph.lod1 import Lod1Building, assign_heights, read_lod1
@@ -146,8 +145,8 @@ def test_criterion_1_formula_fidelity():
                         b
                         for b in buildings
                         if (
-                            math.floor(centroid(b.footprint)[0] / res),
-                            math.floor(centroid(b.footprint)[1] / res),
+                            math.floor(b.footprint.centroid[0] / res),
+                            math.floor(b.footprint.centroid[1] / res),
                         )
                         == (col, row)
                     ]
@@ -374,7 +373,7 @@ def test_criterion_6_histogram_procedure():
             below = np.zeros((grid.geom.rows, grid.geom.cols))
             totals = np.zeros((grid.geom.rows, grid.geom.cols))
             for b in buildings:
-                cx, cy = centroid(b.footprint)
+                cx, cy = b.footprint.centroid
                 row = math.floor(cy / 100.0)
                 col = math.floor(cx / 100.0)
                 totals[row, col] += 1

@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from urbanmorph import network, pipeline, tiler
 from urbanmorph.cli import _config_from_args, build_parser, main
@@ -19,7 +21,7 @@ from urbanmorph.pipeline import (
     run_all,
 )
 from urbanmorph.errors import ConfigError
-from urbanmorph.pointcloud import read_points_csv, write_points_csv
+from urbanmorph.pointcloud import read_points_csv
 from urbanmorph.raster import Raster, minmax_normalize, read_raster, write_raster
 
 SMALL_CONFIG = """\
@@ -86,9 +88,28 @@ class TestConfigParsing:
         assert cfg.snap_to_coarse is True
         assert cfg.epochs == 12
 
+    @pytest.mark.parametrize("raw, value", [("1", True), ("TRUE", True), ("Yes", True),
+                                            ("0", False), ("False", False), ("no", False)])
+    def test_bool_values(self, raw, value):
+        assert build_config({"snap_to_coarse": raw}, {}).snap_to_coarse is value
+
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="seed"):
             build_config({"seed": "not-a-number"}, {})
+
+    @pytest.mark.parametrize("raw", ["banana", "Flase", "2"])
+    def test_bad_bool_value(self, raw):
+        with pytest.raises(ConfigError, match=f"'snap_to_coarse': {raw}$"):
+            build_config({"snap_to_coarse": raw}, {})
+
+    def test_bad_bool_in_config_file_exit_2_before_synth(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["--config", write_config(tmp_path, extra="snap_to_coarse = banana\n"),
+                     "--out", str(out), "run"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "ERROR stage=run: bad value for config key 'snap_to_coarse': banana\n"
+        assert not out.exists()
 
     def test_override_wins(self):
         cfg = build_config({"seed": "1"}, {"seed": "9"})
@@ -352,6 +373,18 @@ class TestErrorHandling:
         assert "ERROR stage=rasterize-points" in captured.err
         assert "points" in captured.err
 
+    def test_directory_as_input_exit_2(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path / "o"), "rasterize-points", "--points", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"ERROR stage=rasterize-points: config key 'points': file not found: {tmp_path}\n"
+
+    def test_line_break_in_value_stays_one_line(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path / "o"), "report", "--resolutions=1\r\n2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "ERROR stage=report: bad resolutions '1\\r\\n2'\n"
+
     def test_unset_input_exit_2(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "predict"])
         captured = capsys.readouterr()
@@ -422,10 +455,17 @@ class TestErrorHandling:
 
 class TestPointFormats:
     def test_glbp_and_csv_points_give_identical_rasters(self, run_dir, tmp_path):
-        write_points_csv(read_points_csv(run_dir / "points.glbp"), tmp_path / "points.csv")
+        pc = read_points_csv(run_dir / "points.glbp")
+        names = np.array(["ground", "building", "other"])[pc.labels].tolist()
+        rows = zip(pc.xs.tolist(), pc.ys.tolist(), pc.zs.tolist(), names)
+        (tmp_path / "points.csv").write_text(
+            "x,y,z,label\n" + "".join(f"{x!r},{y!r},{z!r},{name}\n" for x, y, z, name in rows)
+        )
         rasters = []
         for name in ("points.glbp", "points.csv"):
             out = tmp_path / name.replace(".", "_")
+            out.mkdir()
+            shutil.copy(run_dir / "ndsm_resampled.glbr", out)
             points = run_dir / name if name.endswith(".glbp") else tmp_path / name
             assert main(["--out", str(out), "rasterize-points", "--points", str(points)]) == 0
             rasters.append([(out / f).read_bytes() for f in ("dsm.glbr", "dem.glbr")])
@@ -463,7 +503,7 @@ class TestStagewiseEqualsRun:
             "--coarse-ndsm", str(out_b / "coarse_ndsm.glbr"),
             "--population", str(out_b / "population.glbr"),
         ]
-        for stage in ["rasterize-points", "ndsm", "resample", "predict",
+        for stage in ["resample", "rasterize-points", "ndsm", "predict",
                       "lod1", "ucp", "validate", "report"]:
             assert main(base + [stage] + inputs) == 0, stage
         assert tree_digest(out_a) == tree_digest(out_b)
@@ -554,12 +594,16 @@ class TestRunValuesCheckedFirst:
          ["--bin-width", "1e-300"], ["--height-cap", "1e+300"], ["--resolutions", "1e300"],
          ["--fine-cell-size", "0.001"],
          # Not a whole number of 1 m fine cells.
-         ["--resolutions", "0.1"]],
+         ["--resolutions", "0.1"],
+         # 2001 x 2001 cells of 1 m, each with 9869 histogram bins.
+         ["--bin-width", "0.0076", "--resolutions", "1", "--extent", "2000"],
+         # A MAPE floor of 0 would divide by zero references.
+         ["--min-reference", "0"]],
         ids=["statistic", "predictor", "resolutions", "directions", "resolutions-inf",
              "resolutions-nan", "directions-nan", "height_cap-nan", "height_cap-negative",
              "extent-nan", "fine_cell_size-nan", "fine_cell_size-0", "bin_width-0",
              "learning_rate-inf", "bin_width-tiny", "height_cap-huge", "resolutions-huge",
-             "fine_cell_size-tiny", "resolutions-fraction"],
+             "fine_cell_size-tiny", "resolutions-fraction", "histograms-huge", "min_reference-0"],
     )
     def test_run_exit_2_before_any_stage(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
@@ -602,6 +646,23 @@ class TestRunValuesCheckedFirst:
         assert err.count("\n") == 1 and err.startswith(f"ERROR stage=ucp: bad resolutions '{value}'")
         assert not any(tmp_path.glob("ucp_*"))
 
+    def test_ucp_histograms_beyond_bound_exit_2(self, run_dir, tmp_path, capsys):
+        # 400 x 400 cells of 1 m, each with 9869 bins: rejected before any
+        # footprint is rasterized or any histogram allocated.
+        for name in ("lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        pred = read_raster(run_dir / "predicted_heights.glbr")
+        write_raster(Raster(width=400, height=400, origin_x=pred.origin_x,
+                            origin_y=pred.origin_y, cell_size=1.0, nodata=pred.nodata,
+                            values=np.zeros((400, 400), np.float32)),
+                     tmp_path / "predicted_heights.glbr")
+        code = main(["--out", str(tmp_path), "ucp", "--resolutions", "1",
+                     "--bin-width", "0.0076"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=ucp: bad bin_width 0.0076")
+        assert not any(tmp_path.glob("ucp_*"))
+
     def test_ucp_zero_height_cap_is_one_bin(self, run_dir, tmp_path):
         for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
             shutil.copy(run_dir / name, tmp_path / name)
@@ -609,14 +670,15 @@ class TestRunValuesCheckedFirst:
         header = (tmp_path / "ucp_pred_300m" / "ucp_table.csv").read_text().split("\n")[0]
         assert [c for c in header.split(",") if c.startswith("hist")] == ["hist_bin_0"]
 
-    def test_rasterize_points_grid_bound_exit_2(self, run_dir, tmp_path, capsys):
-        # 200 m at 1 mm is 4e10 cells: rejected before any array is built.
-        code = main(["--out", str(tmp_path), "rasterize-points", "--fine-cell-size", "0.001",
-                     "--points", str(run_dir / "points.glbp")])
+    def test_resample_grid_bound_exit_2(self, run_dir, tmp_path, capsys):
+        # 200 m at 0.01 mm is 4e14 cells: rejected before any array is built.
+        code = main(["--out", str(tmp_path), "resample", "--fine-cell-size", "1e-5",
+                     "--coarse-ndsm", str(run_dir / "coarse_ndsm.glbr"),
+                     "--population", str(run_dir / "population.glbr")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.count("\n") == 1 and err.startswith("ERROR stage=rasterize-points: ")
-        assert "fine_cell_size 0.001" in err
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=resample: ")
+        assert "fine_cell_size 1e-05" in err
         assert not any(tmp_path.iterdir())
 
     def test_resample_zero_cell_size_exit_2(self, run_dir, tmp_path, capsys):
@@ -650,3 +712,93 @@ class TestSeedFlag:
         out = tmp_path / "o"
         assert main(["--seed", "7", "--out", str(out), "run", *TINY_RUN]) == 0
         assert "\nseed: 7\n" in (out / "report.txt").read_text()
+
+
+class TestOneFineGrid:
+    @pytest.mark.parametrize("flags", [["--fine-cell-size", "0.5", "--resolutions", "0.5"],
+                                       ["--fine-cell-size", "3", "--resolutions", "6"]])
+    def test_reference_on_prediction_grid(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "run", *TINY_RUN, *flags]) == 0, capsys.readouterr().err
+        ref = read_raster(out / "ndsm_ref.glbr")
+        assert ref.same_geometry(read_raster(out / "predicted_heights.glbr"))
+        assert ref.cell_size == float(flags[1])
+
+
+@pytest.fixture(scope="module")
+def tiny_run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny") / "out"
+    assert main(["--out", str(out), "run", *TINY_RUN]) == 0
+    return out
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Junk text that is no number, and values that are out of range for most keys.
+_JUNK = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+                  .filter(lambda t: not _is_number(t)),
+                  st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-0.5", "1e-9"]))
+# Values in range for each key.  The size-driving ones (resolutions,
+# directions, bin_width, height_cap) keep every array of the 64 m scene to a
+# few MB.
+_IN_RANGE = {
+    "fine_cell_size": ["0.5", "1", "2"],
+    "resolutions": ["8", "16,64", "300"],
+    "directions": ["0", "0,90", "45,135,270"],
+    "predictor": ["baseline", "network"],
+    "epochs": ["1", "2"],
+    "learning_rate": ["0.001", "0.1"],
+    "depth": ["1", "2"],
+    "base_filters": ["2", "4"],
+    "seed": ["0", "7"],
+    "statistic": ["mean", "median"],
+    "bin_width": ["1", "5", "10"],
+    "height_cap": ["0", "10", "75"],
+    "min_reference": ["0", "1", "5"],
+    "footprints": [".", "out", "out/footprints.geojson", "out/lod1_ref.geojson", "out/dsm.glbr"],
+    "snap_to_coarse": ["yes", "0"],
+    "extent": ["64"],
+    "coarse_factor": ["8"],
+}
+_FLAGS = st.lists(
+    st.sampled_from(sorted(_IN_RANGE)).flatmap(
+        lambda key: st.tuples(st.just(key), st.one_of(_JUNK, st.sampled_from(_IN_RANGE[key])))
+    ),
+    min_size=1, max_size=4,
+)
+
+
+class TestCliFuzz:
+    def test_read_side_stage_ends_in_exit_code(self, tiny_run_dir, tmp_path, capsys,
+                                               monkeypatch):
+        # Relative paths among the drawn values resolve beside the copy, ``out``.
+        monkeypatch.chdir(tmp_path)
+
+        @settings(max_examples=200, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+        @given(stage=st.sampled_from(["ndsm", "predict", "lod1", "ucp", "validate", "report"]),
+               flags=_FLAGS)
+        def check(stage, flags):
+            out = tmp_path / "out"
+            shutil.rmtree(out, ignore_errors=True)
+            shutil.copytree(tiny_run_dir, out)
+            argv = ["--out", str(out), stage, "--footprints", str(out / "footprints.geojson"),
+                    *(f"--{key.replace('_', '-')}={value}" for key, value in flags)]
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the command line
+                assert exc.code == 2
+                return
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2)
+            if code:
+                assert err.count("\n") == 1 and err.startswith(f"ERROR stage={stage}: "), err
+
+        check()

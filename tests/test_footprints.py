@@ -10,7 +10,6 @@ from urbanmorph.errors import FormatError, GeometryError
 from urbanmorph.footprints import (
     BuildingFootprint,
     _ring_self_intersects,
-    centroid,
     projected_width,
     rasterize,
     read_footprints,
@@ -197,7 +196,7 @@ class TestMeasuresMatchPerRingHelpers:
             assert len(f.exterior) == n and len(f.holes) == n_holes
             assert f.area == per_ring_area(f)
             assert f.perimeter == per_ring_perimeter(f)
-            got_x, got_y = centroid(f)
+            got_x, got_y = f.centroid
             want_x, want_y = per_ring_centroid(f)
             assert got_x == want_x and got_y == want_y
 
@@ -280,16 +279,16 @@ class TestPerimeter:
 
 class TestCentroid:
     def test_unit_square(self):
-        assert centroid(square()) == pytest.approx((0.5, 0.5))
+        assert square().centroid == pytest.approx((0.5, 0.5))
 
     def test_rectangle(self):
-        assert centroid(square(w=10, h=20)) == pytest.approx((5.0, 10.0))
+        assert square(w=10, h=20).centroid == pytest.approx((5.0, 10.0))
 
     def test_l_shape_matches_fan(self):
         ring = [(0, 0), (4, 0), (4, 1), (1, 1), (1, 3), (0, 3)]
         f = BuildingFootprint(id=1, exterior=ring)
         _, cx, cy = fan_triangulation_area_centroid(ring)
-        got = centroid(f)
+        got = f.centroid
         assert got[0] == pytest.approx(cx, abs=1e-9)
         assert got[1] == pytest.approx(cy, abs=1e-9)
 

@@ -6,18 +6,16 @@ from hypothesis import strategies as st
 from urbanmorph.errors import EmptyStatisticsError, FormatError
 from urbanmorph.pointcloud import (
     _BLOCK,
-    _round_9g,
     Label,
     PointCloud,
     fill_voids_nearest,
     grid_elevation,
     height_above_ground,
     read_points_csv,
-    write_points_csv,
     write_points_glbp,
 )
 from urbanmorph.pipeline import PipelineConfig, stage_rasterize_points
-from urbanmorph.raster import Raster, read_raster
+from urbanmorph.raster import Raster, read_raster, write_raster
 
 NODATA = -9999.0
 
@@ -31,6 +29,15 @@ def template(width, height, cell_size=1.0):
         cell_size=cell_size,
         nodata=NODATA,
         values=np.zeros((height, width), dtype=np.float32),
+    )
+
+
+def csv_text(pc):
+    """A points CSV of ``pc`` with ``repr`` numbers, which read back exactly."""
+    names = ("ground", "building", "other")
+    columns = (pc.xs.tolist(), pc.ys.tolist(), pc.zs.tolist(), pc.labels.tolist())
+    return "x,y,z,label\n" + "".join(
+        f"{x!r},{y!r},{z!r},{names[label]}\n" for x, y, z, label in zip(*columns)
     )
 
 
@@ -224,7 +231,7 @@ class TestCsv:
             (2.5, 2.5, 30.125, Label.OTHER),
         ])
         path = tmp_path / "pts.csv"
-        write_points_csv(pc, path)
+        path.write_text(csv_text(pc))
         back = read_points_csv(path)
         np.testing.assert_allclose(back.xs, pc.xs)
         np.testing.assert_allclose(back.zs, pc.zs)
@@ -266,22 +273,30 @@ class TestPointCloud:
 
 
 class TestRasterizePointsStage:
-    def test_point_on_max_edge_kept(self, tmp_path):
-        # The building return at x = 2.0 lies on the edge between columns 1
-        # and 2, so the grid needs a third column to hold it.
+    def test_grid_of_resampled_ndsm_drops_points_off_it(self, tmp_path):
+        # The fine grid is 3 x 1 cells of 2 m from (10, 0); the points at
+        # x = 9.9, at x = 16.0 and at y = 2.0 lie off it.
+        out = tmp_path / "out"
+        out.mkdir()
+        fine = Raster(width=3, height=1, origin_x=10.0, origin_y=0.0, cell_size=2.0,
+                      nodata=-1.0, values=np.full((1, 3), 7.0, dtype=np.float32))
+        write_raster(fine, out / "ndsm_resampled.glbr")
         path = tmp_path / "pts.csv"
-        write_points_csv(cloud([
-            (0.5, 0.5, 100.0, Label.GROUND),
-            (1.5, 0.5, 101.0, Label.GROUND),
-            (0.5, 0.5, 110.0, Label.BUILDING),
-            (2.0, 0.5, 120.0, Label.BUILDING),
-        ]), path)
-        cfg = PipelineConfig(points=str(path), out=str(tmp_path / "out"))
-        outputs = stage_rasterize_points(cfg)
+        path.write_text(csv_text(cloud([
+            (9.9, 1.0, 500.0, Label.GROUND),
+            (10.0, 1.0, 100.0, Label.GROUND),
+            (13.5, 1.9, 101.0, Label.GROUND),
+            (10.5, 0.5, 110.0, Label.BUILDING),
+            (16.0, 0.5, 120.0, Label.BUILDING),
+            (15.9, 2.0, 130.0, Label.BUILDING),
+        ])))
+        outputs = stage_rasterize_points(PipelineConfig(points=str(path), out=str(out)))
         dsm = read_raster(outputs["dsm"])
         dem = read_raster(outputs["dem"])
-        assert (dsm.width, dsm.height) == (3, 1)
-        np.testing.assert_array_equal(dsm.values, [[110.0, NODATA, 120.0]])
+        for r in (dsm, dem):
+            assert r.same_geometry(fine)
+            assert r.nodata == NODATA
+        np.testing.assert_array_equal(dsm.values, [[110.0, NODATA, NODATA]])
         np.testing.assert_array_equal(dem.values, [[100.0, 101.0, 101.0]])
 
 
@@ -354,36 +369,12 @@ class TestFillVoidsOracle:
 AWKWARD = [-0.0, 5e-324, 0.1, 1e16, 123456789.123, -2.5, 7.0]
 
 
-def golden_csv(pc):
-    """The per-row writer the block writer replaced."""
-    names = np.array(["ground", "building", "other"])
-    rows = [f"{x:.9g},{y:.9g},{z:.9g},{name}\n"
-            for x, y, z, name in zip(pc.xs, pc.ys, pc.zs, names[pc.labels])]
-    return ("x,y,z,label\n" + "".join(rows)).encode()
-
-
 def good_rows(n):
     return [f"{i}.5,{i % 7}.25,{100 + i % 13},{('ground', 'building', 'other')[i % 3]}\n"
             for i in range(n)]
 
 
 class TestCsvBlocks:
-    def test_writer_golden_bytes(self, tmp_path):
-        n = _BLOCK + 3
-        i = np.arange(n)
-        pc = PointCloud(
-            xs=np.take(AWKWARD, i, mode="wrap"), ys=np.take(AWKWARD, i + 1, mode="wrap"),
-            zs=np.take(AWKWARD, i + 2, mode="wrap"),
-            labels=(i % 3).astype(np.int8),
-        )
-        path = tmp_path / "pts.csv"
-        write_points_csv(pc, path)
-        assert path.read_bytes() == golden_csv(pc)
-        back = read_points_csv(path)
-        assert len(back) == n
-        np.testing.assert_array_equal(back.labels, pc.labels)
-        np.testing.assert_array_equal(back.zs, [float(f"{z:.9g}") for z in pc.zs])
-
     def test_first_bad_line_wins(self, tmp_path):
         # A bad number on line 3 comes before an unknown label on line 5.
         path = tmp_path / "pts.csv"
@@ -436,11 +427,6 @@ class TestCsvBlocks:
         assert pc.labels.dtype == np.int8
 
 
-def format_9g(values):
-    """The CSV's rounding, one value at a time."""
-    return np.array([float(format(v, ".9g")) for v in np.asarray(values, float).tolist()])
-
-
 def assert_bits_equal(a, b):
     a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
     assert a.shape == b.shape
@@ -461,28 +447,8 @@ EDGE_VALUES = np.concatenate([
 ])
 
 
-class TestRound9g:
-    def test_edge_values_match_format(self):
-        assert_bits_equal(_round_9g(EDGE_VALUES), format_9g(EDGE_VALUES))
-
-    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3, 1e6])
-    def test_uniform_values_match_format(self, magnitude):
-        values = np.random.default_rng(1).uniform(-magnitude, magnitude, 20000)
-        assert_bits_equal(_round_9g(values), format_9g(values))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
-    def test_any_finite_value_matches_format(self, values):
-        assert_bits_equal(_round_9g(np.array(values, float)), format_9g(values))
-
-    def test_input_unchanged(self):
-        values = np.array([0.1234567891, 3.0])
-        _round_9g(values)
-        assert values[0] == 0.1234567891
-
-
 def awkward_cloud(n):
-    """``n`` points whose coordinates need rounding, every label used."""
+    """``n`` points with hard-to-print coordinates, every label used."""
     i = np.arange(n)
     # Scaling z by up to 2 must stay finite.
     values = np.concatenate([AWKWARD, EDGE_VALUES[np.abs(EDGE_VALUES) < 1e300]])
@@ -499,15 +465,13 @@ class TestGlbp:
     @pytest.mark.parametrize("n", [1, _BLOCK + 7])
     def test_glbp_and_csv_read_back_bit_identical(self, tmp_path, n):
         pc = awkward_cloud(n)
-        write_points_csv(pc, tmp_path / "pts.csv")
+        (tmp_path / "pts.csv").write_text(csv_text(pc))
         write_points_glbp(pc, tmp_path / "pts.glbp")
-        from_csv = read_points_csv(tmp_path / "pts.csv")
-        from_glbp = read_points_csv(tmp_path / "pts.glbp")
-        for column in ("xs", "ys", "zs"):
-            assert_bits_equal(getattr(from_glbp, column), getattr(from_csv, column))
-            assert_bits_equal(getattr(from_glbp, column), format_9g(getattr(pc, column)))
-        assert from_glbp.labels.dtype == np.int8
-        np.testing.assert_array_equal(from_glbp.labels, pc.labels)
+        for back in (read_points_csv(tmp_path / "pts.glbp"), read_points_csv(tmp_path / "pts.csv")):
+            for column in ("xs", "ys", "zs"):
+                assert_bits_equal(getattr(back, column), getattr(pc, column))
+            assert back.labels.dtype == np.int8
+            np.testing.assert_array_equal(back.labels, pc.labels)
 
     def test_layout(self, tmp_path):
         pc = cloud([(1.0, 2.0, 3.0, Label.BUILDING), (4.0, 5.0, 6.0, Label.OTHER)])

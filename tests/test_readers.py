@@ -17,7 +17,6 @@ from urbanmorph.pointcloud import (
     _GLBP_HEADER,
     PointCloud,
     read_points_csv,
-    write_points_csv,
     write_points_glbp,
 )
 from urbanmorph.raster import _GLBR_HEADER, Raster, read_raster, write_raster
@@ -220,10 +219,14 @@ def point_files(tmp_path_factory):
     """A directory to write to, and a valid GLBP and CSV file of one cloud."""
     directory = tmp_path_factory.mktemp("points")
     rng = np.random.default_rng(0)
+    names = ["ground", "building", "other", "building", "ground"]
     pc = PointCloud(xs=rng.uniform(0, 100, 5), ys=rng.uniform(0, 100, 5),
                     zs=rng.uniform(0, 50, 5), labels=[0, 1, 2, 1, 0])
     write_points_glbp(pc, directory / "valid.glbp")
-    write_points_csv(pc, directory / "valid.csv")
+    rows = zip(pc.xs.tolist(), pc.ys.tolist(), pc.zs.tolist(), names)
+    (directory / "valid.csv").write_text(
+        "x,y,z,label\n" + "".join(f"{x!r},{y!r},{z!r},{name}\n" for x, y, z, name in rows)
+    )
     return directory, {kind: (directory / f"valid.{kind}").read_bytes()
                        for kind in ("glbp", "csv")}
 

@@ -8,7 +8,6 @@ from urbanmorph.errors import AlignmentError, ShapeError
 from urbanmorph.footprints import (
     BuildingFootprint,
     FootprintMask,
-    centroid,
     projected_width,
     rasterize,
 )
@@ -264,7 +263,7 @@ class TestAggregateBruteForce:
             for col in range(3):
                 members = []
                 for b in bs:
-                    cx, cy = centroid(b.footprint)
+                    cx, cy = b.footprint.centroid
                     if (math.floor(cx / res), math.floor(cy / res)) == (col, row):
                         members.append(b)
                 assert grid.count[row, col] == len(members)
