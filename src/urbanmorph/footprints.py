@@ -4,10 +4,20 @@ Footprints are simple polygons (exterior ring plus optional holes) in the
 shared planar meter frame.  Rings are stored open; closure back to the first
 vertex is implicit.
 
-A footprint is checked and measured once, when it is built: its id, every
-ring and the net area after the holes are checked then, and its area,
-perimeter and centroid are stored on it.  Nothing changes a footprint after
-that, so the stored values cannot go stale.
+A set of footprints is one vertex table, a ``FootprintTable``: the vertices
+of every ring concatenated (each footprint's exterior, then its holes), the
+ring offsets and the ids.  Each step runs on a whole table at once:
+
+- Checking and measuring groups the rings by vertex count; a group is one
+  ``(m, L)`` array, whose row sums add in the order of ``np.sum`` over one
+  ring.  A footprint built alone is a table of one.  It is checked and
+  measured once, when it is built, and nothing changes it after that.
+- ``rasterize`` is one scanline pass over every edge.  An edge crosses the
+  rows of cell centres ``cy`` with ``min(y1, y2) <= cy < max(y1, y2)``; a
+  footprint's crossings of a row are sorted, and the centres ``cx`` with
+  ``x[2k] <= cx < x[2k+1]`` are inside (the half-open even-odd rule).  On
+  overlap the highest id wins, as a maximum.
+- ``projected_widths`` projects every exterior on every direction.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +36,15 @@ from .raster import Raster
 _AREA_EPS = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 _MAX_ID = 2**63 - 1
+# Elements of one (m, L, L) array of the pairwise edge-crossing test, and of
+# one block of filled cells in ``rasterize``: a few MB each.
+_CHUNK = 1 << 18
+
+
+def _check_id(fid: int) -> None:
+    # 0 marks "no building" in a FootprintMask, and ids are stored as int64.
+    if not 1 <= fid <= _MAX_ID:
+        raise ValueError(f"footprint id {fid} is not in [1, {_MAX_ID}]")
 
 
 def _ring_array(ring) -> np.ndarray:
@@ -39,46 +59,145 @@ def _ring_array(ring) -> np.ndarray:
     return arr
 
 
-def _ring_terms(ring: np.ndarray, name: str) -> tuple[float, float, float, float]:
-    """Signed area, perimeter and area-weighted centroid (x, y) of the ring ``name``."""
-    x, y = ring[:, 0], ring[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+class FootprintTable(NamedTuple):
+    """Footprint ``i`` has id ``ids[i]`` and rings ``rings[i]`` (its exterior)
+    up to ``rings[i + 1]``; ring ``j`` is ``xy[offsets[j]:offsets[j + 1]]``."""
+
+    ids: np.ndarray
+    rings: np.ndarray
+    offsets: np.ndarray
+    xy: np.ndarray
+
+    def exterior_extents(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum and maximum of per-vertex values (last axis) over each exterior."""
+        ext = self.rings[:-1]
+        return (np.minimum.reduceat(values, self.offsets[:-1], axis=-1)[..., ext],
+                np.maximum.reduceat(values, self.offsets[:-1], axis=-1)[..., ext])
+
+
+def _table(ids, ring_lists) -> FootprintTable:
+    """The table of footprints ``ids`` with rings ``ring_lists`` (exterior first)."""
+    rings = [r for rs in ring_lists for r in rs]
+    counts = [len(rs) for rs in ring_lists]
+    return FootprintTable(
+        ids=np.array(ids, dtype=np.int64),
+        rings=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+        offsets=np.concatenate(([0], np.cumsum([len(r) for r in rings], dtype=np.int64))),
+        xy=np.concatenate(rings) if rings else np.zeros((0, 2)),
+    )
+
+
+def footprint_table(footprints: list["BuildingFootprint"]) -> FootprintTable:
+    return _table([f.id for f in footprints], [f.rings() for f in footprints])
+
+
+def _ring_terms(x, y, xn, yn):
+    """Signed area, perimeter, area-weighted centroid (x, y) and degeneracy of
+    each ring, one ring per row of the ``(m, L)`` vertex arrays ``x, y`` (and
+    their successors ``xn, yn``)."""
     xy, yx = x * yn, xn * y
     cross = xy - yx
-    a = 0.5 * float(np.sum(cross))
+    a = 0.5 * cross.sum(axis=1)
     # The shoelace's rounding bound: an area within it is no area at all.
-    bound = len(x) * _EPS * float((np.abs(xy) + np.abs(yx)).sum())
-    if abs(a) < _AREA_EPS or abs(a) <= bound:
-        raise GeometryError(f"{name}: degenerate ring with zero area")
-    perimeter = float(np.sum(np.hypot(xn - x, yn - y)))
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
-    return a, perimeter, cx, cy
+    bound = x.shape[1] * _EPS * (np.abs(xy) + np.abs(yx)).sum(axis=1)
+    degenerate = (np.abs(a) < _AREA_EPS) | (np.abs(a) <= bound)
+    perimeter = np.hypot(xn - x, yn - y).sum(axis=1)
+    cx = ((x + xn) * cross).sum(axis=1) / (6.0 * a)
+    cy = ((y + yn) * cross).sum(axis=1) / (6.0 * a)
+    return a, perimeter, cx, cy, degenerate
 
 
-def _ring_self_intersects(ring: np.ndarray) -> bool:
-    """Whether two edges sharing no vertex properly cross, over all pairs at once.
+def _distinct_vertices(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Number of distinct vertices of each row of the ``(m, L)`` vertex arrays."""
+    xy = np.sort(x + 1j * y, axis=1)  # complex numbers sort by x, then y
+    return 1 + (xy[:, 1:] != xy[:, :-1]).sum(axis=1)
 
-    Edge k runs from vertex k to k+1; edges 0 and n-1 share vertex 0.
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _self_intersecting(x, y, xn, yn) -> np.ndarray:
+    """Whether two edges sharing no vertex properly cross, for each ring (row)
+    of the ``(m, L)`` vertex arrays, over all pairs at once.
+
+    Edge k runs from vertex k to k+1; edges 0 and L-1 share vertex 0.
     """
-    n = ring.shape[0]
-    x, y = ring[:, 0], ring[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    # Edge i (rows) runs from p1 to p2, edge j (columns) from p3 to p4.
-    p1, p2 = (x[:, None], y[:, None]), (xn[:, None], yn[:, None])
-    p3, p4 = (x[None, :], y[None, :]), (xn[None, :], yn[None, :])
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
+    m, n = x.shape
     k = np.arange(n)
     pairs = k[None, :] - k[:, None] >= 2
-    pairs[0, n - 1] = False
-    return bool(np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & pairs))
+    pairs[:1, n - 1:] = False
+    out = np.zeros(m, dtype=bool)
+    step = max(1, _CHUNK // max(1, n * n))
+    for s in range(0, m, step):
+        c = slice(s, s + step)
+        # Edge i (axis 1) runs from p1 to p2, edge j (axis 2) from p3 to p4.
+        p1, p2 = (x[c, :, None], y[c, :, None]), (xn[c, :, None], yn[c, :, None])
+        p3, p4 = (x[c, None, :], y[c, None, :]), (xn[c, None, :], yn[c, None, :])
+        d1 = _orient(p3, p4, p1)
+        d2 = _orient(p3, p4, p2)
+        d3 = _orient(p1, p2, p3)
+        d4 = _orient(p1, p2, p4)
+        out[c] = (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & pairs).any(axis=(1, 2))
+    return out
+
+
+def _check_and_measure(t: FootprintTable) -> tuple[np.ndarray, int, str]:
+    """Area, perimeter and centroid x and y of every footprint of ``t`` (the
+    rows of a ``(4, n)`` array), and the index of the first bad footprint with
+    its error (``n`` and ``""`` when all are good).
+
+    A footprint is bad, in this order of checks, with fewer than 3 distinct
+    exterior vertices, a ring (exterior, then holes) of zero area, a
+    self-intersecting exterior, or a net area below ``_AREA_EPS``.
+    """
+    n, lengths = len(t.ids), np.diff(t.offsets)
+    exterior = t.rings[:-1]
+    is_exterior = np.zeros(len(lengths), dtype=bool)
+    is_exterior[exterior] = True
+    a, perimeter, cx, cy = np.empty((4, len(lengths)))
+    degenerate, few, crossing = np.zeros((3, len(lengths)), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only bad rings divide by 0
+        for length in dict.fromkeys(lengths.tolist()):
+            rs = np.flatnonzero(lengths == length)
+            v = t.offsets[rs, None] + np.arange(length)
+            x, y = t.xy[v, 0], t.xy[v, 1]
+            nxt = np.roll(np.arange(length), -1)
+            xn, yn = x[:, nxt], y[:, nxt]
+            a[rs], perimeter[rs], cx[rs], cy[rs], degenerate[rs] = _ring_terms(x, y, xn, yn)
+            e = is_exterior[rs]
+            few[rs[e]] = _distinct_vertices(x[e], y[e]) < 3
+            crossing[rs[e]] = _self_intersecting(x[e], y[e], xn[e], yn[e])
+        # Holes are subtracted one at a time, in ring order, as a loop over one
+        # footprint's holes would.
+        area = np.abs(a[exterior])
+        mx, my = area * cx[exterior], area * cy[exterior]
+        holes = np.diff(t.rings) - 1
+        hole_perimeter = np.zeros(n)
+        for k in range(1, int(holes.max(initial=0)) + 1):
+            fs = np.flatnonzero(holes >= k)
+            h = exterior[fs] + k
+            a_h = np.abs(a[h])
+            area[fs] -= a_h
+            mx[fs] -= a_h * cx[h]
+            my[fs] -= a_h * cy[h]
+            hole_perimeter[fs] += perimeter[h]
+        measures = np.stack((area, perimeter[exterior] + hole_perimeter, mx / area, my / area))
+    bad_ring = np.logical_or.reduceat(degenerate, exterior)
+    bad = few[exterior] | bad_ring | crossing[exterior] | (area < _AREA_EPS)
+    if not bad.any():
+        return measures, n, ""
+    i = int(np.argmax(bad))
+    name = f"footprint {t.ids[i]}"
+    if few[exterior[i]]:
+        return measures, i, f"{name}: exterior needs >= 3 distinct vertices"
+    if bad_ring[i]:
+        k = int(np.argmax(degenerate[t.rings[i]:t.rings[i + 1]]))
+        ring = "exterior" if k == 0 else f"hole {k - 1}"
+        return measures, i, f"{name} {ring}: degenerate ring with zero area"
+    if crossing[exterior[i]]:
+        return measures, i, f"{name}: self-intersecting exterior ring"
+    return measures, i, f"{name}: holes consume the exterior"
 
 
 @dataclass
@@ -91,37 +210,25 @@ class BuildingFootprint:
     centroid: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
-        # 0 marks "no building" in a FootprintMask, and ids are stored as int64.
-        if not 1 <= self.id <= _MAX_ID:
-            raise ValueError(f"footprint id {self.id} is not in [1, {_MAX_ID}]")
+        _check_id(self.id)
         self.exterior = _ring_array(self.exterior)
         self.holes = [_ring_array(h) for h in self.holes]
-        name = f"footprint {self.id}"
-        if len(np.unique(self.exterior, axis=0)) < 3:
-            raise GeometryError(f"{name}: exterior needs >= 3 distinct vertices")
-        a_ext, p_ext, cx, cy = _ring_terms(self.exterior, f"{name} exterior")
-        holes = [_ring_terms(h, f"{name} hole {k}") for k, h in enumerate(self.holes)]
-        if _ring_self_intersects(self.exterior):
-            raise GeometryError(f"{name}: self-intersecting exterior ring")
-        area = abs(a_ext)
-        mx, my = area * cx, area * cy
-        for a_h, _, hx, hy in holes:
-            area -= abs(a_h)
-            mx -= abs(a_h) * hx
-            my -= abs(a_h) * hy
-        if area < _AREA_EPS:
-            raise GeometryError(f"{name}: holes consume the exterior")
-        self.area = area
-        self.perimeter = p_ext + sum(p_h for _, p_h, _, _ in holes)
-        self.centroid = (mx / area, my / area)
+        measures, _, error = _check_and_measure(_table([self.id], [self.rings()]))
+        if error:
+            raise GeometryError(error)
+        self.area, self.perimeter, cx, cy = measures[:, 0].tolist()
+        self.centroid = (cx, cy)
+
+    @classmethod
+    def _measured(cls, fid, rings, area, perimeter, cx, cy) -> "BuildingFootprint":
+        """The footprint ``fid`` with ``rings``, as ``_check_and_measure`` found it."""
+        f = cls.__new__(cls)
+        f.id, f.exterior, f.holes = fid, rings[0], rings[1:]
+        f.area, f.perimeter, f.centroid = area, perimeter, (cx, cy)
+        return f
 
     def rings(self) -> list[np.ndarray]:
         return [self.exterior, *self.holes]
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        xs = self.exterior[:, 0]
-        ys = self.exterior[:, 1]
-        return float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
 
 
 @dataclass
@@ -153,58 +260,67 @@ def projected_width(f: BuildingFootprint, wind_direction: float) -> float:
     return float(proj.max() - proj.min())
 
 
-def _points_in_rings(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray]) -> np.ndarray:
-    """Even-odd point-in-polygon over a set of rings (holes flip parity).
+def projected_widths(t: FootprintTable, directions) -> np.ndarray:
+    """``projected_width`` of every footprint of ``t`` (columns) for every
+    direction (rows); a maximum and a minimum do not depend on the order, so
+    each equals it exactly."""
+    theta = [math.radians(d % 360.0) for d in directions]
+    ux = np.array([math.cos(a) for a in theta])[:, None]
+    uy = np.array([-math.sin(a) for a in theta])[:, None]
+    lo, hi = t.exterior_extents(t.xy[:, 0] * ux + t.xy[:, 1] * uy)
+    return hi - lo
 
-    Uses the standard crossing test, which yields a deterministic half-open
-    boundary convention.
-    """
-    inside = np.zeros(px.shape, dtype=bool)
-    for ring in rings:
-        x1, y1 = ring[:, 0], ring[:, 1]
-        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-        for k in range(ring.shape[0]):
-            cond = (y1[k] > py) != (y2[k] > py)
-            if not cond.any():
-                continue
-            xint = x1[k] + (py - y1[k]) * (x2[k] - x1[k]) / (y2[k] - y1[k])
-            inside ^= cond & (px < xint)
-    return inside
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers ``starts[i] + k`` for ``0 <= k < lengths[i]``, span by span."""
+    before = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - before, lengths)
 
 
 def rasterize(footprints: list[BuildingFootprint], template: Raster) -> FootprintMask:
     """Cell-center rasterization of footprints onto the template grid.
 
-    A cell is 1 iff its center lies inside some footprint (even-odd rule).
-    Footprints are applied in ascending id order so the highest id owns
-    overlap cells.
+    A cell is 1 iff its center lies inside some footprint (even-odd rule)
+    and within the bounds of its exterior; the highest id owns overlap cells.
     """
-    mask = np.zeros((template.height, template.width), dtype=np.float32)
-    ids = np.zeros((template.height, template.width), dtype=np.int64)
-    cx = template.cell_centers_x()
-    cy = template.cell_centers_y()
-
-    for f in sorted(footprints, key=lambda f: f.id):
-        xmin, ymin, xmax, ymax = f.bounds()
-        c0 = int(np.searchsorted(cx, xmin))
-        c1 = int(np.searchsorted(cx, xmax))
-        r0 = int(np.searchsorted(cy, ymin))
-        r1 = int(np.searchsorted(cy, ymax))
-        # A footprint between cell centers gets an empty window, so no inside.
-        gx, gy = np.meshgrid(cx[c0:c1], cy[r0:r1])
-        inside = _points_in_rings(gx, gy, f.rings())
-        if not inside.any():
-            warnings.warn(
-                f"footprint {f.id} covers no cell centers of the template",
-                stacklevel=2,
-            )
-            continue
-        sub_mask = mask[r0:r1, c0:c1]
-        sub_ids = ids[r0:r1, c0:c1]
-        sub_mask[inside] = 1.0
-        sub_ids[inside] = f.id
-
-    return FootprintMask(raster=template.with_values(mask), source_ids=ids)
+    t = footprint_table(footprints)
+    cx, cy = template.cell_centers_x(), template.cell_centers_y()
+    # Every edge runs from a vertex to the next one of its ring.
+    x1, y1 = t.xy[:, 0], t.xy[:, 1]
+    nxt = np.arange(1, len(x1) + 1)
+    nxt[t.offsets[1:] - 1] = t.offsets[:-1]
+    x2, y2 = x1[nxt], y1[nxt]
+    owner = np.repeat(np.repeat(np.arange(len(t.ids)), np.diff(t.rings)), np.diff(t.offsets))
+    (xmin, ymin), (xmax, ymax) = t.exterior_extents(t.xy.T)
+    # (row, edge) pairs: the rows of the owner's bounds whose centre the edge
+    # straddles, (y1 > cy) != (y2 > cy).
+    lo = np.maximum(np.searchsorted(cy, np.minimum(y1, y2)), np.searchsorted(cy, ymin)[owner])
+    hi = np.minimum(np.searchsorted(cy, np.maximum(y1, y2)), np.searchsorted(cy, ymax)[owner])
+    count = np.maximum(hi - lo, 0)
+    e = np.repeat(np.arange(len(x1)), count)
+    row = _spans(lo, count)
+    py = cy[row]
+    xint = x1[e] + (py - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+    # A closed ring crosses a row an even number of times, so once sorted by
+    # footprint, row and x, the crossings pair up into spans [x[2k], x[2k+1]).
+    f = owner[e]
+    order = np.lexsort((xint, row, f))
+    f, row, xint = f[order][::2], row[order][::2], xint[order]
+    c0 = np.maximum(np.searchsorted(cx, xint[::2]), np.searchsorted(cx, xmin)[f])
+    c1 = np.minimum(np.searchsorted(cx, xint[1::2]), np.searchsorted(cx, xmax)[f])
+    width = np.maximum(c1 - c0, 0)
+    starts = row * template.width + c0
+    ids = np.zeros(template.height * template.width, dtype=np.int64)
+    # The cells of the spans, in blocks of whole spans of about _CHUNK cells.
+    ends = np.searchsorted(np.cumsum(width), np.arange(_CHUNK, int(width.sum()), _CHUNK))
+    for a, b in zip((0, *ends), (*ends, len(width))):
+        cells = _spans(starts[a:b], width[a:b])
+        np.maximum.at(ids, cells, np.repeat(t.ids[f[a:b]], width[a:b]))
+    covered = np.bincount(f, weights=width, minlength=len(t.ids))
+    for fid in np.sort(t.ids[covered == 0]):
+        warnings.warn(f"footprint {fid} covers no cell centers of the template", stacklevel=2)
+    ids = ids.reshape(template.height, template.width)
+    return FootprintMask(raster=template.with_values((ids > 0).astype(np.float32)), source_ids=ids)
 
 
 # -- GeoJSON I/O -------------------------------------------------------------
@@ -224,7 +340,9 @@ def _footprint_to_feature(f: BuildingFootprint, properties: dict | None = None) 
     }
 
 
-def _feature_to_footprint(feature: dict) -> BuildingFootprint:
+def _feature_rings(feature: dict) -> tuple[int, list[np.ndarray]]:
+    """The id and rings (exterior first) of a GeoJSON Polygon feature, each
+    checked as ``BuildingFootprint`` checks them before it measures them."""
     props = feature.get("properties") or {}
     if "id" not in props:
         raise FormatError("feature missing required 'id' property")
@@ -234,18 +352,19 @@ def _feature_to_footprint(feature: dict) -> BuildingFootprint:
     coords = geom.get("coordinates") or []
     if not coords:
         raise FormatError(f"feature {props['id']}: empty coordinates")
-    return BuildingFootprint(
-        id=int(props["id"]), exterior=coords[0], holes=list(coords[1:])
-    )
+    fid, exterior, holes = int(props["id"]), coords[0], list(coords[1:])
+    _check_id(fid)
+    return fid, [_ring_array(r) for r in (exterior, *holes)]
+
+
+def _write_features(path, features: list[dict]) -> None:
+    # One string, one write: json.dump writes each small piece on its own.
+    with open(path, "w") as f:
+        f.write(json.dumps({"type": "FeatureCollection", "features": features}))
 
 
 def write_footprints(footprints: list[BuildingFootprint], path) -> None:
-    fc = {
-        "type": "FeatureCollection",
-        "features": [_footprint_to_feature(f) for f in footprints],
-    }
-    with open(path, "w") as f:
-        json.dump(fc, f)
+    _write_features(path, [_footprint_to_feature(f) for f in footprints])
 
 
 def _read_features(path, parse=lambda footprint, props: footprint) -> list:
@@ -266,12 +385,31 @@ def _read_features(path, parse=lambda footprint, props: footprint) -> list:
     features = fc.get("features", [])
     if not isinstance(features, list) or not all(isinstance(f, dict) for f in features):
         raise FormatError(f"{path}: 'features' must be a list of objects")
-    out = []
-    seen: dict[int, int] = {}
+    ids, ring_lists, failure = [], [], None
     for i, feature in enumerate(features):
         try:
-            footprint = _feature_to_footprint(feature)
-            out.append(parse(footprint, feature.get("properties") or {}))
+            fid, rings = _feature_rings(feature)
+        except FormatError as exc:
+            failure = exc
+            break
+        except (ValueError, TypeError, GeometryError) as exc:
+            failure = FormatError(f"{path}: features[{i}]: bad value ({exc})")
+            break
+        ids.append(fid)
+        ring_lists.append(rings)
+    # The footprints before the first failure are checked and measured at
+    # once; the first bad feature in file order is then reported, as it would
+    # be if each were built and parsed in turn.
+    measures, bad, error = _check_and_measure(_table(ids, ring_lists))
+    if error:
+        failure = FormatError(f"{path}: features[{bad}]: bad value ({error})")
+    rows = measures.T.tolist()
+    out = []
+    seen: dict[int, int] = {}
+    for i in range(bad):
+        footprint = BuildingFootprint._measured(ids[i], ring_lists[i], *rows[i])
+        try:
+            out.append(parse(footprint, features[i].get("properties") or {}))
         except (ValueError, TypeError, GeometryError) as exc:
             raise FormatError(f"{path}: features[{i}]: bad value ({exc})") from exc
         first = seen.setdefault(footprint.id, i)
@@ -279,6 +417,8 @@ def _read_features(path, parse=lambda footprint, props: footprint) -> list:
             raise FormatError(
                 f"{path}: features[{i}]: duplicate id {footprint.id} (also features[{first}])"
             )
+    if failure is not None:
+        raise failure
     return out
 
 

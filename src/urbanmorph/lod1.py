@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from .errors import FormatError
 from .footprints import BuildingFootprint, FootprintMask
-from .footprints import _footprint_to_feature, _read_features
+from .footprints import _footprint_to_feature, _read_features, _write_features
 from .raster import Raster, require_aligned
 
 STATISTICS = ("mean", "median")
@@ -86,15 +85,13 @@ def write_lod1(buildings: list[Lod1Building], path) -> None:
 
     Heights are serialized with enough digits to round-trip 32-bit floats.
     """
-    features = []
-    for b in buildings:
-        feat = _footprint_to_feature(
+    _write_features(path, [
+        _footprint_to_feature(
             b.footprint,
             {"height_m": float(f"{np.float32(b.height):.9g}"), "n_cells": b.n_cells},
         )
-        features.append(feat)
-    with open(path, "w") as f:
-        json.dump({"type": "FeatureCollection", "features": features}, f)
+        for b in buildings
+    ])
 
 
 def read_lod1(path) -> list[Lod1Building]:

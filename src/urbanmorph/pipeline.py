@@ -15,7 +15,7 @@ import numpy as np
 from . import lod1 as lod1_mod
 from . import network, synth, tiler, ucp, validation
 from .errors import ConfigError, FormatError
-from .footprints import read_footprints, rasterize
+from .footprints import footprint_table, read_footprints, rasterize
 from .pointcloud import Label, fill_voids_nearest, grid_elevation, read_points_csv
 from .pointcloud import height_above_ground
 from .raster import Raster, minmax_normalize, read_raster, resample_cubic, write_raster
@@ -26,6 +26,11 @@ from .raster import Raster, minmax_normalize, read_raster, resample_cubic, write
 # allocation that cannot succeed.
 MAX_GRID_CELLS = 2**30  # a fine grid, or one resolution's grid of whole blocks
 MAX_HISTOGRAM_BINS = 10_000
+# ``ucp`` holds the pred and ref histograms of every resolution at once: for
+# each, an int64 count and a float64 fraction per cell and bin, with their
+# temporaries about 40 bytes per cell and bin for the pair (measured).
+HISTOGRAM_ENTRY_BYTES = 40
+MAX_HISTOGRAM_BYTES = 2**28  # the pred and ref histograms of one resolution
 
 
 def _bounded_cells(side: float, what: str) -> None:
@@ -332,10 +337,6 @@ def stage_lod1(cfg: PipelineConfig) -> dict[str, str]:
     }
 
 
-def _footprint_key(buildings: list[lod1_mod.Lod1Building]) -> list:
-    return [(b.footprint.id, [r.tolist() for r in b.footprint.rings()]) for b in buildings]
-
-
 def _histogram_bins(cfg: PipelineConfig) -> tuple[dict[str, float], float]:
     """The height-histogram settings of ``cfg`` and their bin count; a rejected
     value is a config error."""
@@ -352,8 +353,9 @@ def _histogram_bins(cfg: PipelineConfig) -> tuple[dict[str, float], float]:
 
 def _check_resolutions(cfg: PipelineConfig, cell_size: float, side: float, nbins: float) -> None:
     """Reject a resolution of ``cfg`` that is not a whole number of ``cell_size``
-    cells, or whose grid of whole blocks over ``side`` cells a side, or that
-    grid's ``nbins``-bin histograms, are beyond ``MAX_GRID_CELLS``."""
+    cells, whose grid of whole blocks over ``side`` cells a side is beyond
+    ``MAX_GRID_CELLS``, or whose ``nbins``-bin histograms need more than
+    ``MAX_HISTOGRAM_BYTES``."""
     what = f"bad resolutions '{cfg.resolutions}'"
     for resolution in cfg.resolution_list():
         ratio = resolution / cell_size
@@ -365,12 +367,23 @@ def _check_resolutions(cfg: PipelineConfig, cell_size: float, side: float, nbins
             )
         blocks = -(-side // px)
         _bounded_cells(blocks * px, what)
-        if not blocks * blocks * nbins <= MAX_GRID_CELLS:
+        size = blocks * blocks * nbins * HISTOGRAM_ENTRY_BYTES
+        if not size <= MAX_HISTOGRAM_BYTES:
             raise ConfigError(
                 f"bad bin_width {cfg.bin_width!r} and height_cap {cfg.height_cap!r}: "
-                f"{nbins:g} bins in each of {blocks:g} x {blocks:g} cells at {resolution:g} m, "
-                f"more than {MAX_GRID_CELLS}"
+                f"{nbins:g} bins in each of {blocks:g} x {blocks:g} cells at {resolution:g} m "
+                f"take {size:.3g} bytes, more than {MAX_HISTOGRAM_BYTES}"
             )
+
+
+def _checked_template(cfg: PipelineConfig, nbins: float) -> Raster:
+    """An empty raster on the grid of ``predicted_heights.glbr``, on which
+    every resolution of ``cfg`` and its ``nbins``-bin histograms fit."""
+    template = _template_like(
+        read_raster(_require_file(cfg.path("predicted_heights.glbr"), "predicted_heights"))
+    )
+    _check_resolutions(cfg, template.cell_size, max(template.width, template.height), nbins)
+    return template
 
 
 def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
@@ -383,13 +396,11 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     bins, nbins = _histogram_bins(cfg)
     paths = [_require_file(cfg.path(f"lod1_{k}.geojson"), f"lod1_{k}") for k in ("pred", "ref")]
     pred, ref = (lod1_mod.read_lod1(path) for path in paths)
-    if _footprint_key(pred) != _footprint_key(ref):
+    footprints = [b.footprint for b in pred]
+    tables = footprint_table(footprints), footprint_table([b.footprint for b in ref])
+    if not all(map(np.array_equal, *tables)):
         raise FormatError(f"{paths[1]}: footprints differ from {paths[0]}")
-    template = _template_like(
-        read_raster(_require_file(cfg.path("predicted_heights.glbr"), "predicted_heights"))
-    )
-    _check_resolutions(cfg, template.cell_size, max(template.width, template.height), nbins)
-    mask = rasterize([b.footprint for b in pred], template)
+    mask = rasterize(footprints, _checked_template(cfg, nbins))
     return {
         (kind, resolution): ucp.aggregate_all(
             buildings,
@@ -417,8 +428,19 @@ def stage_ucp(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_validate(cfg: PipelineConfig) -> dict[str, str]:
+    """Compare the pred and ref grids that ``stage_ucp`` wrote, read back from
+    their tables."""
     min_reference = cfg.positive("min_reference")  # a MAPE floor of 0 divides by 0
-    grids = _ucp_grids(cfg)
+    template = _checked_template(cfg, _histogram_bins(cfg)[1])
+    grids = {}
+    for resolution in cfg.resolution_list():
+        geom = ucp.raster_grid(template, resolution)
+        names = [f"ucp_{kind}_{resolution:g}m" for kind in ("pred", "ref")]
+        paths = [_require_file(os.path.join(cfg.path(n), "ucp_table.csv"), n) for n in names]
+        pred, ref = (ucp.read_csv(path, geom) for path in paths)
+        if (pred.nbins, list(pred.lambda_f)) != (ref.nbins, list(ref.lambda_f)):
+            raise FormatError(f"{paths[1]}: columns differ from {paths[0]}")
+        grids["pred", resolution], grids["ref", resolution] = pred, ref
     outputs = {}
     for resolution in cfg.resolution_list():
         out_dir = cfg.path(f"validation_{resolution:g}m")

@@ -11,21 +11,25 @@ the 1-m mask; the standard deviation is the population form; grid cells
 clipped by the mask extent use their actually covered area as the cell area.
 
 A footprint's area, perimeter and centroid are measured when it is built; a
-``BuildingTable`` adds each centroid's grid cell, once per grid.  The fields
-are ``bincount`` reductions over it, summed in building order.  A ``UcpGrid``
-is its ``GridGeometry`` plus fields; ``scalar_fields`` names the scalar ones.
+``BuildingTable`` adds each centroid's grid cell, once per grid, and holds the
+footprints as one vertex table, whose projected widths are taken for every
+building and direction at once.  The fields are ``bincount`` reductions over
+it, summed in building order.  The grid's built cells are block-summed once
+and shared by lambda_p and lambda_b; its cell areas are the outer product of
+the per-block row and column counts, exact integers times the cell area.  A
+``UcpGrid`` is its ``GridGeometry`` plus fields; ``scalar_fields`` names the
+scalar ones.  ``read_csv`` reads back the fields ``export_csv`` wrote.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, ShapeError
-from .footprints import BuildingFootprint, FootprintMask, projected_width
+from .errors import AlignmentError, FormatError, ShapeError
+from .footprints import FootprintMask, FootprintTable, footprint_table, projected_widths
 from .lod1 import Lod1Building
 from .raster import Raster, write_raster
 
@@ -53,7 +57,11 @@ class GridGeometry:
 
 
 def grid_geometry(mask: FootprintMask, resolution: float) -> GridGeometry:
-    r = mask.raster
+    return raster_grid(mask.raster, resolution)
+
+
+def raster_grid(r: Raster, resolution: float) -> GridGeometry:
+    """The aggregation grid of ``resolution`` over the raster ``r``."""
     ratio = resolution / r.cell_size
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise AlignmentError(
@@ -73,18 +81,17 @@ def grid_geometry(mask: FootprintMask, resolution: float) -> GridGeometry:
     )
 
 
-def _block_sums(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
-    """Sum a fine array over grid-cell blocks (edge blocks may be partial)."""
+def _cell_counts(geom: GridGeometry) -> np.ndarray:
+    """Fine cells in each grid cell (edge blocks may be partial)."""
     res = geom.res_px
-    padded = np.zeros((geom.rows * res, geom.cols * res), dtype=np.float64)
-    padded[: values.shape[0], : values.shape[1]] = values
-    return padded.reshape(geom.rows, res, geom.cols, res).sum(axis=(1, 3))
+    rows = np.minimum(res, geom.fine_height - res * np.arange(geom.rows))
+    cols = np.minimum(res, geom.fine_width - res * np.arange(geom.cols))
+    return np.outer(rows, cols)
 
 
 def covered_area(geom: GridGeometry) -> np.ndarray:
     """Actual mask-extent area of each grid cell in square meters (A_t)."""
-    ones = np.ones((geom.fine_height, geom.fine_width))
-    return _block_sums(ones, geom) * geom.fine_cell_size ** 2
+    return _cell_counts(geom) * geom.fine_cell_size ** 2
 
 
 def _check_mask(mask: FootprintMask, geom: GridGeometry) -> None:
@@ -99,11 +106,18 @@ def _check_mask(mask: FootprintMask, geom: GridGeometry) -> None:
         raise AlignmentError("mask is not nested in the aggregation grid")
 
 
+def _built_cells(mask: FootprintMask, geom: GridGeometry) -> np.ndarray:
+    """Built fine cells in each grid cell."""
+    _check_mask(mask, geom)
+    res = geom.res_px
+    built = np.zeros((geom.rows * res, geom.cols * res), dtype=bool)
+    built[: geom.fine_height, : geom.fine_width] = mask.raster.values > 0
+    return built.reshape(geom.rows, res, geom.cols, res).sum(axis=(1, 3))
+
+
 def lambda_p(mask: FootprintMask, geom: GridGeometry) -> np.ndarray:
     """Plan-area fraction: built pixel area over cell area, per cell."""
-    _check_mask(mask, geom)
-    built = _block_sums((mask.raster.values > 0).astype(np.float64), geom)
-    return built / _block_sums(np.ones((geom.fine_height, geom.fine_width)), geom)
+    return _built_cells(mask, geom) / _cell_counts(geom)
 
 
 @dataclass(frozen=True)
@@ -111,7 +125,8 @@ class BuildingTable:
     """Per-building columns over one grid, in building order.
 
     ``cells`` is the flat grid-cell index of each building's footprint
-    centroid, -1 when it lies outside the grid.
+    centroid, -1 when it lies outside the grid; ``footprints`` is the vertex
+    table of the footprints.
     """
 
     geom: GridGeometry
@@ -119,7 +134,7 @@ class BuildingTable:
     heights: np.ndarray
     areas: np.ndarray
     perimeters: np.ndarray
-    footprints: list[BuildingFootprint]
+    footprints: FootprintTable
 
     def cell_sums(self, weights: np.ndarray) -> np.ndarray:
         """Per-cell sum of a per-building value over member buildings, in
@@ -131,21 +146,20 @@ class BuildingTable:
 
 def building_table(buildings: list[Lod1Building], geom: GridGeometry) -> BuildingTable:
     """Each building's grid cell, and its footprint's stored area and perimeter."""
-    cells = np.full(len(buildings), -1, dtype=np.int64)
-    for i, b in enumerate(buildings):
-        cx, cy = b.footprint.centroid
-        col = math.floor((cx - geom.origin_x) / geom.resolution)
-        row = math.floor((cy - geom.origin_y) / geom.resolution)
-        if 0 <= row < geom.rows and 0 <= col < geom.cols:
-            cells[i] = row * geom.cols + col
     footprints = [b.footprint for b in buildings]
+    cx, cy = np.array([f.centroid for f in footprints], dtype=np.float64).reshape(-1, 2).T
+    col = np.floor((cx - geom.origin_x) / geom.resolution)
+    row = np.floor((cy - geom.origin_y) / geom.resolution)
+    inside = (0 <= row) & (row < geom.rows) & (0 <= col) & (col < geom.cols)
+    cells = np.full(len(buildings), -1, dtype=np.int64)
+    cells[inside] = row[inside] * geom.cols + col[inside]
     return BuildingTable(
         geom=geom,
         cells=cells,
         heights=np.array([b.height for b in buildings], dtype=np.float64),
         areas=np.array([f.area for f in footprints], dtype=np.float64),
         perimeters=np.array([f.perimeter for f in footprints], dtype=np.float64),
-        footprints=footprints,
+        footprints=footprint_table(footprints),
     )
 
 
@@ -155,14 +169,13 @@ def lambda_b(table: BuildingTable, mask: FootprintMask) -> np.ndarray:
     Roof area comes from the mask's built pixels; the wall term sums over
     buildings whose centroid lies in the cell.
     """
+    return _surface_ratio(table, _built_cells(mask, table.geom))
+
+
+def _surface_ratio(table: BuildingTable, built: np.ndarray) -> np.ndarray:
     geom = table.geom
-    _check_mask(mask, geom)
-    built_area = (
-        _block_sums((mask.raster.values > 0).astype(np.float64), geom)
-        * geom.fine_cell_size ** 2
-    )
-    walls = table.cell_sums(table.perimeters * table.heights)
-    return (built_area + walls.reshape(geom.rows, geom.cols)) / covered_area(geom)
+    walls = table.cell_sums(table.perimeters * table.heights).reshape(geom.rows, geom.cols)
+    return (built * geom.fine_cell_size ** 2 + walls) / covered_area(geom)
 
 
 def height_stats(table: BuildingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,23 +233,27 @@ def height_histogram(
 
 def lambda_f(table: BuildingTable, wind_direction: float) -> np.ndarray:
     """Frontal area index: wind-facing wall area per unit cell area."""
+    return _frontal_index(table, projected_widths(table.footprints, (wind_direction,))[0])
+
+
+def _frontal_index(table: BuildingTable, widths: np.ndarray) -> np.ndarray:
     geom = table.geom
-    widths = np.array(
-        [projected_width(f, wind_direction) for f in table.footprints], dtype=np.float64
-    )
     walls = table.cell_sums(widths * table.heights)
     return walls.reshape(geom.rows, geom.cols) / covered_area(geom)
 
 
 @dataclass
 class UcpGrid:
-    """The UCP fields of one aggregation grid: its geometry plus per-cell arrays."""
+    """The UCP fields of one aggregation grid: its geometry plus per-cell arrays.
+
+    A grid read back from its table (``read_csv``) has no ``area_weighted``.
+    """
 
     geom: GridGeometry
     count: np.ndarray = field(repr=False)
     mean: np.ndarray = field(repr=False)
     std: np.ndarray = field(repr=False)
-    area_weighted: np.ndarray = field(repr=False)
+    area_weighted: np.ndarray | None = field(repr=False)
     hist: np.ndarray = field(repr=False)
     lambda_p: np.ndarray = field(repr=False)
     lambda_b: np.ndarray = field(repr=False)
@@ -256,6 +273,8 @@ class UcpGrid:
             "lambda_b": self.lambda_b,
             "count": self.count.astype(np.float64),
         }
+        if self.area_weighted is None:
+            del fields["area_weighted"]
         fields.update((f"lambda_f_{d:g}", v) for d, v in self.lambda_f.items())
         return fields
 
@@ -281,21 +300,25 @@ def aggregate_all(
     """Populate every UCP field over one grid in a single deterministic pass.
 
     Each building's grid cell is found once for the grid, in one
-    ``building_table``; every field reduces that table.
+    ``building_table``; every field reduces that table.  The built cells are
+    counted once, and the projected widths taken once for all directions.
     """
     geom = grid_geometry(mask, resolution)
     table = building_table(buildings, geom)
     mean, std, count = height_stats(table)
+    hist = height_histogram(table, bin_width, height_cap)
+    built = _built_cells(mask, geom)
+    widths = projected_widths(table.footprints, directions)
     return UcpGrid(
         geom=geom,
         count=count,
         mean=mean,
         std=std,
         area_weighted=area_weighted_height(table),
-        hist=height_histogram(table, bin_width, height_cap),
-        lambda_p=lambda_p(mask, geom),
-        lambda_b=lambda_b(table, mask),
-        lambda_f={d: lambda_f(table, d) for d in directions},
+        hist=hist,
+        lambda_p=built / _cell_counts(geom),
+        lambda_b=_surface_ratio(table, built),
+        lambda_f={d: _frontal_index(table, w) for d, w in zip(directions, widths)},
     )
 
 
@@ -323,16 +346,60 @@ def export_rasters(grid: UcpGrid, out_dir) -> list[str]:
     return paths
 
 
+def _csv_header(directions, nbins: int) -> list[str]:
+    return ["cell_row", "cell_col", "count", "mean", "std", "lambda_p", "lambda_b",
+            *(f"lambda_f_{d:g}" for d in directions), *(f"hist_bin_{k}" for k in range(nbins))]
+
+
 def export_csv(grid: UcpGrid, path) -> None:
     """One row per grid cell in row-major order, each value as its ``repr``."""
     directions = sorted(grid.lambda_f)
-    header = ["cell_row", "cell_col", "count", "mean", "std", "lambda_p", "lambda_b"]
-    header += [f"lambda_f_{d:g}" for d in directions]
-    header += [f"hist_bin_{k}" for k in range(grid.nbins)]
     arrays = [*np.indices(grid.count.shape), grid.count, grid.mean, grid.std]
     arrays += [grid.lambda_p, grid.lambda_b] + [grid.lambda_f[d] for d in directions]
     arrays += list(np.moveaxis(grid.hist, -1, 0))
     columns = [map(repr, a.ravel().tolist()) for a in arrays]
     with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
+        f.write(",".join(_csv_header(directions, grid.nbins)) + "\n")
         f.writelines(",".join(cells) + "\n" for cells in zip(*columns))
+
+
+def read_csv(path, geom: GridGeometry) -> UcpGrid:
+    """The grid on ``geom`` whose table ``export_csv`` wrote to ``path``.
+
+    A table whose columns, cells or values are not as ``export_csv`` writes
+    them for ``geom`` is a FormatError naming the file.
+    """
+    try:
+        with open(path) as f:
+            header, *lines = f.read().split("\n")
+        names = header.split(",")
+        values = np.array([[float(v) for v in line.split(",")] for line in lines[:-1]])
+        nbins = sum(name.startswith("hist_bin_") for name in names)
+        # The lambda_f columns lie between the seven leading ones and the bins.
+        f_names = names[7 : len(names) - nbins]
+        directions = [float(name.removeprefix("lambda_f_")) for name in f_names]
+    except ValueError as exc:  # undecodable bytes, a non-number or a ragged row
+        raise FormatError(f"{path}: malformed UCP table ({exc})") from exc
+    shape = (geom.rows, geom.cols)
+    if (
+        names != _csv_header(directions, nbins)
+        or not nbins
+        or lines[-1:] != [""]
+        or values.shape != (geom.rows * geom.cols, len(names))
+        or not np.isfinite(values).all()
+        or not np.array_equal(values[:, :2].T, np.indices(shape).reshape(2, -1))
+        or not np.all((0 <= values[:, 2]) & (values[:, 2] <= 2**53) & (values[:, 2] % 1 == 0))
+    ):
+        raise FormatError(f"{path}: not a UCP table of {geom.rows} x {geom.cols} cells")
+    columns = [c.reshape(shape) for c in values.T]
+    return UcpGrid(
+        geom=geom,
+        count=columns[2].astype(np.int64),
+        mean=columns[3],
+        std=columns[4],
+        area_weighted=None,
+        hist=values[:, 7 + len(directions) :].reshape(*shape, nbins),
+        lambda_p=columns[5],
+        lambda_b=columns[6],
+        lambda_f=dict(zip(directions, columns[7 : 7 + len(directions)])),
+    )

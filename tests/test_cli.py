@@ -203,7 +203,9 @@ class TestLod1ReadOnce:
             reads.clear()
             outputs = pipeline.STAGES[stage](cfg)
             assert len(outputs) == {"ucp": 4, "validate": 2}[stage]
-            assert sorted(reads) == ["lod1_pred.geojson", "lod1_ref.geojson"], stage
+            # validate reads back the tables ucp wrote, and no LoD-1 file.
+            expect = {"ucp": ["lod1_pred.geojson", "lod1_ref.geojson"], "validate": []}
+            assert sorted(reads) == expect[stage], stage
 
 
 class TestRasterizeOncePerStage:
@@ -230,7 +232,7 @@ class TestRasterizeOncePerStage:
         )
         run_all(cfg)
         assert running == pipeline.RUN_ORDER
-        assert calls == {"predict": 1, "lod1": 1, "ucp": 1, "validate": 1}
+        assert calls == {"predict": 1, "lod1": 1, "ucp": 1}
 
 
 class TestNetworkRun:
@@ -399,7 +401,7 @@ class TestErrorHandling:
         assert code == 2
         assert "nonsense_key" in captured.err
 
-    @pytest.mark.parametrize("stage", ["ucp", "validate"])
+    @pytest.mark.parametrize("stage", ["ucp"])
     def test_missing_lod1_exit_2(self, tmp_path, capsys, stage):
         code = main(["--out", str(tmp_path / "o"), stage])
         captured = capsys.readouterr()
@@ -407,7 +409,7 @@ class TestErrorHandling:
         assert f"ERROR stage={stage}" in captured.err
         assert "lod1_pred" in captured.err
 
-    @pytest.mark.parametrize("stage", ["ucp", "validate"])
+    @pytest.mark.parametrize("stage", ["ucp"])
     def test_lod1_footprint_mismatch_exit_2(self, run_dir, tmp_path, capsys, stage):
         for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
             shutil.copy(run_dir / name, tmp_path / name)
@@ -422,6 +424,28 @@ class TestErrorHandling:
         assert err.count("ERROR") == 1 and err.startswith(f"ERROR stage={stage}: ")
         assert "lod1_pred.geojson" in err and "lod1_ref.geojson" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["missing", "malformed", "cells", "columns-differ"])
+    def test_validate_bad_table_exit_2(self, run_dir, tmp_path, capsys, damage):
+        shutil.copy(run_dir / "predicted_heights.glbr", tmp_path / "predicted_heights.glbr")
+        for kind in ("pred", "ref"):
+            shutil.copytree(run_dir / f"ucp_{kind}_100m", tmp_path / f"ucp_{kind}_100m")
+        table = tmp_path / "ucp_ref_100m" / "ucp_table.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        if damage == "missing":
+            table.unlink()
+        elif damage == "malformed":
+            table.write_text("".join(lines).replace("\n0,", "\nabc,", 1))
+        elif damage == "cells":
+            table.write_text("".join(lines[:-1]))
+        else:  # a table of its own, one height bin short of the pred table's
+            table.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        code = main(["--out", str(tmp_path), "validate", "--resolutions", "100"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=validate: ")
+        assert "ucp_ref_100m" in err and "Traceback" not in err
+        assert not any(tmp_path.glob("validation_*"))
 
     @pytest.mark.parametrize(
         "flags",
@@ -597,13 +621,16 @@ class TestRunValuesCheckedFirst:
          ["--resolutions", "0.1"],
          # 2001 x 2001 cells of 1 m, each with 9869 histogram bins.
          ["--bin-width", "0.0076", "--resolutions", "1", "--extent", "2000"],
+         # 64 x 64 cells with 9869 bins: 4.0e7 entries, about 1.6 GB.
+         ["--bin-width", "0.0076", "--resolutions", "1"],
          # A MAPE floor of 0 would divide by zero references.
          ["--min-reference", "0"]],
         ids=["statistic", "predictor", "resolutions", "directions", "resolutions-inf",
              "resolutions-nan", "directions-nan", "height_cap-nan", "height_cap-negative",
              "extent-nan", "fine_cell_size-nan", "fine_cell_size-0", "bin_width-0",
              "learning_rate-inf", "bin_width-tiny", "height_cap-huge", "resolutions-huge",
-             "fine_cell_size-tiny", "resolutions-fraction", "histograms-huge", "min_reference-0"],
+             "fine_cell_size-tiny", "resolutions-fraction", "histograms-huge",
+             "histograms-64m", "min_reference-0"],
     )
     def test_run_exit_2_before_any_stage(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
@@ -662,6 +689,22 @@ class TestRunValuesCheckedFirst:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("ERROR stage=ucp: bad bin_width 0.0076")
         assert not any(tmp_path.glob("ucp_*"))
+
+    @pytest.mark.parametrize("stage", ["ucp", "validate"])
+    def test_histogram_bytes_beyond_bound_exit_2(self, tiny_run_dir, tmp_path, capsys, stage):
+        # 64 x 64 cells of 1 m with 9869 bins each: 4.0e7 entries of about
+        # 40 bytes, 1.6 GB, rejected before anything is read or written.
+        for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(tiny_run_dir / name, tmp_path / name)
+        code = main(["--out", str(tmp_path), stage, "--resolutions", "1",
+                     "--bin-width", "0.0076"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"ERROR stage={stage}: bad bin_width 0.0076")
+        assert "more than 268435456" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "lod1_pred.geojson", "lod1_ref.geojson", "predicted_heights.glbr"]
 
     def test_ucp_zero_height_cap_is_one_bin(self, run_dir, tmp_path):
         for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,15 @@ from hypothesis import strategies as st
 
 from urbanmorph.errors import FormatError, GeometryError
 from urbanmorph.footprints import (
+    _AREA_EPS,
+    _EPS,
     BuildingFootprint,
-    _ring_self_intersects,
+    _check_and_measure,
+    _self_intersecting,
+    _table,
+    footprint_table,
     projected_width,
+    projected_widths,
     rasterize,
     read_footprints,
     write_footprints,
@@ -113,6 +120,114 @@ _rings = st.one_of(
     star_rings(),
     bowtie_rings(),
 )
+
+
+# The per-ring helpers that checked, measured and rasterized one footprint at
+# a time, before footprints were held as one vertex table; the table's batch
+# code must equal them bit for bit.
+
+
+def _ring_terms(ring: np.ndarray, name: str) -> tuple[float, float, float, float]:
+    """Signed area, perimeter and area-weighted centroid (x, y) of the ring ``name``."""
+    x, y = ring[:, 0], ring[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xy, yx = x * yn, xn * y
+    cross = xy - yx
+    a = 0.5 * float(np.sum(cross))
+    # The shoelace's rounding bound: an area within it is no area at all.
+    bound = len(x) * _EPS * float((np.abs(xy) + np.abs(yx)).sum())
+    if abs(a) < _AREA_EPS or abs(a) <= bound:
+        raise GeometryError(f"{name}: degenerate ring with zero area")
+    perimeter = float(np.sum(np.hypot(xn - x, yn - y)))
+    cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
+    cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
+    return a, perimeter, cx, cy
+
+
+def _ring_self_intersects(ring: np.ndarray) -> bool:
+    """Whether two edges sharing no vertex properly cross, over all pairs at once.
+
+    Edge k runs from vertex k to k+1; edges 0 and n-1 share vertex 0.
+    """
+    n = ring.shape[0]
+    x, y = ring[:, 0], ring[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    # Edge i (rows) runs from p1 to p2, edge j (columns) from p3 to p4.
+    p1, p2 = (x[:, None], y[:, None]), (xn[:, None], yn[:, None])
+    p3, p4 = (x[None, :], y[None, :]), (xn[None, :], yn[None, :])
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(p3, p4, p1)
+    d2 = orient(p3, p4, p2)
+    d3 = orient(p1, p2, p3)
+    d4 = orient(p1, p2, p4)
+    k = np.arange(n)
+    pairs = k[None, :] - k[:, None] >= 2
+    pairs[0, n - 1] = False
+    return bool(np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & pairs))
+
+
+def _points_in_rings(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray]) -> np.ndarray:
+    """Even-odd point-in-polygon over a set of rings (holes flip parity).
+
+    Uses the standard crossing test, which yields a deterministic half-open
+    boundary convention.
+    """
+    inside = np.zeros(px.shape, dtype=bool)
+    for ring in rings:
+        x1, y1 = ring[:, 0], ring[:, 1]
+        x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+        for k in range(ring.shape[0]):
+            cond = (y1[k] > py) != (y2[k] > py)
+            if not cond.any():
+                continue
+            xint = x1[k] + (py - y1[k]) * (x2[k] - x1[k]) / (y2[k] - y1[k])
+            inside ^= cond & (px < xint)
+    return inside
+
+
+def per_footprint_measures(fid, exterior, holes):
+    """Area, perimeter and centroid of one footprint's checked rings, checked
+    in the order and with the messages of a footprint built alone."""
+    name = f"footprint {fid}"
+    if len(np.unique(exterior, axis=0)) < 3:
+        raise GeometryError(f"{name}: exterior needs >= 3 distinct vertices")
+    a_ext, p_ext, cx, cy = _ring_terms(exterior, f"{name} exterior")
+    holes = [_ring_terms(h, f"{name} hole {k}") for k, h in enumerate(holes)]
+    if _ring_self_intersects(exterior):
+        raise GeometryError(f"{name}: self-intersecting exterior ring")
+    area = abs(a_ext)
+    mx, my = area * cx, area * cy
+    for a_h, _, hx, hy in holes:
+        area -= abs(a_h)
+        mx -= abs(a_h) * hx
+        my -= abs(a_h) * hy
+    if area < _AREA_EPS:
+        raise GeometryError(f"{name}: holes consume the exterior")
+    return area, p_ext + sum(p_h for _, p_h, _, _ in holes), mx / area, my / area
+
+
+def per_footprint_rasterize(footprints, template):
+    """Cell centres inside each footprint's exterior bounds, one footprint at a
+    time in ascending id order: (mask, source ids)."""
+    mask = np.zeros((template.height, template.width), dtype=np.float32)
+    ids = np.zeros((template.height, template.width), dtype=np.int64)
+    cx = template.cell_centers_x()
+    cy = template.cell_centers_y()
+    for f in sorted(footprints, key=lambda f: f.id):
+        xs, ys = f.exterior[:, 0], f.exterior[:, 1]
+        c0, c1 = (int(np.searchsorted(cx, float(v))) for v in (xs.min(), xs.max()))
+        r0, r1 = (int(np.searchsorted(cy, float(v))) for v in (ys.min(), ys.max()))
+        gx, gy = np.meshgrid(cx[c0:c1], cy[r0:r1])
+        inside = _points_in_rings(gx, gy, f.rings())
+        if not inside.any():
+            warnings.warn(f"footprint {f.id} covers no cell centers of the template")
+            continue
+        mask[r0:r1, c0:c1][inside] = 1.0
+        ids[r0:r1, c0:c1][inside] = f.id
+    return mask, ids
 
 
 class TestSelfIntersection:
@@ -418,3 +533,145 @@ class TestGeoJson:
             BuildingFootprint(
                 id=9, exterior=[(0, 0), (2, 3), (4, 0), (0, 2), (4, 2)]
             )
+
+
+def bits(values):
+    """The float64 bit patterns of ``values``, so that -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def footprint_rings(draw):
+    """The rings (exterior first) of one footprint: a star exterior of 3-50
+    vertices with 0-2 star holes of 3-50 vertices, or one of these spoiled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 50))
+    cx, cy = draw(st.floats(-2e4, 2e4)), draw(st.floats(-2e4, 2e4))
+    r = draw(st.floats(2.0, 200.0))
+    exterior = star_ring(rng, n, cx, cy, 0.8 * r, r)
+    holes = [star_ring(rng, int(rng.integers(3, 51)), cx + dx * r, cy, 0.05 * r, 0.1 * r)
+             for dx in (-0.3, 0.3)[: draw(st.integers(0, 2))]]
+    spoil = draw(st.sampled_from(["none"] * 4 + ["shuffled", "repeated", "flat", "flat hole",
+                                                 "big hole"]))
+    if spoil == "shuffled":
+        exterior = rng.permutation(exterior)
+    elif spoil == "repeated":
+        exterior = exterior[[0, 0, 1]]
+    elif spoil == "flat":
+        exterior = np.linspace(exterior[0], exterior[1], n)
+    elif spoil == "flat hole":
+        holes.append(np.linspace((cx, cy), (cx + 0.1 * r, cy + 0.2 * r), 3))
+    elif spoil == "big hole":
+        holes.append(star_ring(rng, 5, cx, cy, 2 * r, 3 * r))
+    return [exterior, *holes]
+
+
+class TestBatchEqualsPerFootprint:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(footprint_rings(), min_size=1, max_size=8))
+    def test_measures_and_first_error(self, ring_lists):
+        ids = list(range(1, len(ring_lists) + 1))
+        measures, bad, error = _check_and_measure(_table(ids, ring_lists))
+        first = None
+        for i, rings in enumerate(ring_lists):
+            try:
+                want = per_footprint_measures(ids[i], rings[0], rings[1:])
+            except GeometryError as exc:
+                first = first or (i, str(exc))
+                continue
+            assert bits(measures[:, i]) == bits(want)
+        assert (bad, error) == (first or (len(ids), ""))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_rings, min_size=1, max_size=6))
+    def test_self_intersection_matches_pairwise_oracle(self, rings):
+        # One batch per vertex count, as a footprint table groups its rings.
+        arrays = [np.asarray(r, dtype=np.float64) for r in rings]
+        for n in {len(a) for a in arrays}:
+            group = np.stack([a for a in arrays if len(a) == n])
+            x, y = group[..., 0], group[..., 1]
+            got = _self_intersecting(x, y, np.roll(x, -1, axis=1), np.roll(y, -1, axis=1))
+            assert got.tolist() == [self_intersects_oracle(a) for a in group]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(footprint_rings(), min_size=1, max_size=6),
+           st.lists(st.floats(-720.0, 720.0), min_size=1, max_size=5))
+    def test_projected_widths_equal_per_building(self, ring_lists, directions):
+        fps = []
+        for i, rings in enumerate(ring_lists):
+            try:
+                fps.append(BuildingFootprint(id=i + 1, exterior=rings[0], holes=rings[1:]))
+            except GeometryError:
+                pass
+        assert bits(projected_widths(footprint_table(fps), directions)) == bits(
+            [[projected_width(f, d) for f in fps] for d in directions]
+        )
+
+
+@st.composite
+def raster_footprints(draw):
+    """Up to 12 footprints on and around a 24 x 20 grid: rectangles (some with
+    a hole) and stars with vertices on half metres, so on cell centres and
+    with horizontal edges, and slivers between cell centres; they overlap, and
+    their ids are not in list order."""
+    def half(lo, hi):
+        return draw(st.integers(2 * lo, 2 * hi)) / 2
+
+    out = []
+    for fid in draw(st.permutations(range(1, 41)))[: draw(st.integers(1, 12))]:
+        kind = draw(st.sampled_from(["rect", "star", "sliver"]))
+        x, y = half(-3, 26), half(-3, 22)
+        if kind == "rect":
+            w, h = half(1, 12), half(1, 12)
+            ring = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+            holes = []
+            if w >= 3 and h >= 3 and draw(st.booleans()):
+                holes = [[(x + 1, y + 1), (x + w - 1, y + 1), (x + w - 1, y + h - 1), (x + 1, y + h - 1)]]
+        elif kind == "star":
+            n, r = draw(st.integers(3, 12)), draw(st.floats(1.0, 8.0))
+            angles = 2 * np.pi * (np.arange(n) + draw(st.floats(0.0, 0.9))) / n
+            ring = np.c_[x + r * np.cos(angles), y + r * np.sin(angles)]
+            holes = []
+            if draw(st.booleans()):
+                ring = np.round(ring * 2) / 2
+        else:
+            x0 = np.floor(x) + draw(st.floats(0.55, 0.9))
+            ring = [(x0, y), (x0 + 0.05, y), (x0 + 0.05, y + half(1, 6)), (x0, y + 3)]
+            holes = []
+        try:
+            out.append(BuildingFootprint(id=fid, exterior=ring, holes=holes))
+        except GeometryError:
+            pass  # a star rounded into a degenerate or crossing ring
+    return out
+
+
+class TestRasterizeEqualsPerFootprintLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(raster_footprints(),
+           st.sampled_from([(1.0, (0.0, 0.0)), (0.5, (0.0, 0.0)), (1.0, (-0.25, 0.5))]))
+    def test_cells_ids_and_warnings(self, fps, grid):
+        cell_size, origin = grid
+        t = template(24, 20, cell_size, origin)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            mask = rasterize(fps, t)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            want_mask, want_ids = per_footprint_rasterize(fps, t)
+        np.testing.assert_array_equal(mask.source_ids, want_ids)
+        np.testing.assert_array_equal(mask.raster.values, want_mask)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+    def test_between_cell_centres_warns(self):
+        with pytest.warns(UserWarning, match="footprint 5 covers no cell centers"):
+            mask = rasterize([square(fid=5, x=3.6, y=1.2, w=0.3, h=4.0)], template(8, 8))
+        assert not mask.raster.values.any()
+
+    def test_vertices_on_cell_centres_half_open(self):
+        # Centres on the left and bottom edges are inside, on the right and top outside.
+        mask = rasterize([square(x=0.5, y=1.5, w=2.0, h=1.0)], template(4, 4))
+        assert np.argwhere(mask.source_ids).tolist() == [[1, 0], [1, 1]]
+
+    def test_no_footprints(self):
+        mask = rasterize([], template(3, 2))
+        assert not mask.source_ids.any() and mask.source_ids.shape == (2, 3)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbanmorph.errors import FormatError, UrbanMorphError
-from urbanmorph.footprints import read_footprints, write_footprints
-from urbanmorph.lod1 import read_lod1
+from urbanmorph.errors import FormatError, GeometryError, UrbanMorphError
+from urbanmorph.footprints import BuildingFootprint, rasterize, read_footprints, write_footprints
+from urbanmorph.lod1 import Lod1Building, read_lod1
 from urbanmorph.network import ModelConfig, Weights, init_weights, read_weights, write_weights
 from urbanmorph.pointcloud import (
     _GLBP_HEADER,
@@ -20,8 +20,20 @@ from urbanmorph.pointcloud import (
     write_points_glbp,
 )
 from urbanmorph.raster import _GLBR_HEADER, Raster, read_raster, write_raster
+from urbanmorph.ucp import UcpGrid, aggregate_all, export_csv, raster_grid, read_csv
 
-READERS = [read_raster, read_footprints, read_lod1, read_points_csv, read_weights]
+# A 10 x 10 grid of 1 m cells, and its 2 x 2 grid of 5 m cells.
+TABLE_TEMPLATE = Raster(width=10, height=10, origin_x=0.0, origin_y=0.0, cell_size=1.0,
+                        nodata=-9999.0, values=np.zeros((10, 10), np.float32))
+TABLE_GRID = raster_grid(TABLE_TEMPLATE, 5.0)
+
+
+def read_ucp_table(path):
+    return read_csv(path, TABLE_GRID)
+
+
+READERS = [read_raster, read_footprints, read_lod1, read_points_csv, read_weights,
+           read_ucp_table]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -301,7 +313,12 @@ def geo_files(tmp_path_factory):
     (directory / "valid.lod1.geojson").write_text(json.dumps(fc))
     write_footprints(read_footprints(directory / "valid.lod1.geojson"),
                      directory / "valid.footprints.geojson")
-    kinds = ("glbr", "asc", "footprints.geojson", "lod1.geojson")
+    buildings = read_lod1(directory / "valid.lod1.geojson")
+    mask = rasterize([b.footprint for b in buildings], TABLE_TEMPLATE)
+    grid = aggregate_all(buildings, mask, resolution=5.0, directions=(0.0, 45.0),
+                         bin_width=2.0, height_cap=10.0)
+    export_csv(grid, directory / "valid.ucp_table.csv")
+    kinds = ("glbr", "asc", "footprints.geojson", "lod1.geojson", "ucp_table.csv")
     return directory, {kind: (directory / f"valid.{kind}").read_bytes() for kind in kinds}
 
 
@@ -310,6 +327,7 @@ GEO_READERS = {
     "asc": (read_raster, Raster),
     "footprints.geojson": (read_footprints, list),
     "lod1.geojson": (read_lod1, list),
+    "ucp_table.csv": (read_ucp_table, UcpGrid),
 }
 
 
@@ -332,3 +350,78 @@ def test_mutated_geo_file_reads_or_raises_format_error(geo_files, kind, edit, po
     except FormatError:
         return
     assert isinstance(result, result_type)
+
+
+def per_feature_read(path, reader):
+    """``reader``'s result or FormatError message, with every feature built
+    and parsed in turn, as the GeoJSON readers did before they built all
+    footprints of a file at once."""
+    out, seen = [], {}
+    for i, feature in enumerate(json.loads(path.read_text())["features"]):
+        props = feature.get("properties") or {}
+        try:
+            if "id" not in props:
+                return "feature missing required 'id' property"
+            coords = feature["geometry"]["coordinates"]
+            footprint = BuildingFootprint(id=int(props["id"]), exterior=coords[0],
+                                          holes=list(coords[1:]))
+            if reader is read_lod1:
+                if "height_m" not in props:
+                    return f"{path}: feature {footprint.id} missing 'height_m'"
+                Lod1Building(footprint=footprint, height=float(props["height_m"]),
+                             n_cells=int(props.get("n_cells", -1)))
+        except (ValueError, TypeError, GeometryError) as exc:
+            return f"{path}: features[{i}]: bad value ({exc})"
+        first = seen.setdefault(footprint.id, i)
+        if first != i:
+            return f"{path}: features[{i}]: duplicate id {footprint.id} (also features[{first}])"
+        out.append(footprint.id)
+    return out
+
+
+# One change to a feature: none, a bad geometry, a bad or missing id, an id
+# of another feature, or a bad height (which only the LoD-1 reader reads).
+FEATURE_CHANGES = [{}, {}, *BAD_GEOMETRY.values(), {"id": 0}, {"id": "abc"}, {"id": None},
+                   {"coordinate": float("nan")}, {"height_m": "tall"}, {"height_m": -1.0},
+                   "no id", "repeat id"]
+
+
+@pytest.mark.parametrize("reader", [read_footprints, read_lod1], ids=lambda r: r.__name__)
+@settings(max_examples=150, deadline=None)
+@given(changes=st.lists(st.sampled_from(range(len(FEATURE_CHANGES))), min_size=1, max_size=7))
+def test_several_bad_features_report_the_first(tmp_path_factory, reader, changes):
+    features = []
+    for i, k in enumerate(changes):
+        change = FEATURE_CHANGES[k]
+        if change == "repeat id":
+            change = {"id": max(1, i)}
+        feature = lod1_collection(**{"id": i + 1, **({} if change == "no id" else change)})
+        feature = feature["features"][0]
+        geometry = feature["geometry"]  # each feature 10 m east of the one before
+        geometry["coordinates"] = [[[x + 10 * i, y] for x, y in r] for r in geometry["coordinates"]]
+        if change == "no id":
+            del feature["properties"]["id"]
+        features.append(feature)
+    path = tmp_path_factory.mktemp("features") / "b.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    want = per_feature_read(path, reader)
+    if isinstance(want, list):
+        assert [r.id if reader is read_footprints else r.footprint.id for r in reader(path)] == want
+    else:
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert str(exc.value) == want
+
+
+def test_first_of_several_bad_features_named(tmp_path):
+    fc = lod1_collection(id=1)
+    for fid, change in ((2, BAD_GEOMETRY["zero-area-hole"]), (3, BAD_GEOMETRY["bowtie"]),
+                        (4, {"id": 0})):
+        fc["features"].append(lod1_collection(**{"id": fid, **change})["features"][0])
+    path = tmp_path / "b.geojson"
+    path.write_text(json.dumps(fc))
+    with pytest.raises(FormatError) as exc:
+        read_footprints(path)
+    assert str(exc.value) == (
+        f"{path}: features[1]: bad value (footprint 2 hole 0: degenerate ring with zero area)"
+    )

@@ -330,12 +330,12 @@ class TestAggregateBruteForce:
     def test_rings_measured_once_when_built(self, monkeypatch):
         calls = []
 
-        def counting_ring_terms(ring, name):
-            calls.append(name)
-            return ring_terms(ring, name)
+        def counting_check_and_measure(table):
+            calls.extend(range(len(table.offsets) - 1))  # one entry per ring
+            return check_and_measure(table)
 
-        ring_terms = footprints._ring_terms
-        monkeypatch.setattr(footprints, "_ring_terms", counting_ring_terms)
+        check_and_measure = footprints._check_and_measure
+        monkeypatch.setattr(footprints, "_check_and_measure", counting_check_and_measure)
         bs = [building(i + 1, 20 * i + 2, 10, 8, 8, 5.0 + i) for i in range(3)]
         holed = BuildingFootprint(
             id=4, exterior=[(62, 10), (72, 10), (72, 20), (62, 20)],
