@@ -34,7 +34,7 @@ class InputError(UrbanMorphError):
 
 
 class DivergenceError(UrbanMorphError):
-    """Training loss became non-finite."""
+    """Training loss or weights became non-finite."""
 
 
 class PackingError(UrbanMorphError):

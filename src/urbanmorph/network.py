@@ -19,17 +19,37 @@ see ``w.astype(np.float32)``, and the update is applied to the float64
 master.  ``loss_and_gradient`` at float64 is the path the test suite checks
 against central finite differences.  Inference runs at float32.
 
-Every convolution is a sum of shifted GEMMs ("implicit im2col"): the input is
-zero-padded once, flattened to rows of the padded width, and each kernel tap
-multiplies one contiguous slice of those rows.  No patch matrix is built.
-The training tape keeps, per convolution, that padded input and the ReLU
-mask; the backward pass computes the kernel gradient from the same slices and
-the input gradient as the same shifted convolution of the padded output
-gradient with the rotated kernel.
+Every convolution is a sum of shifted GEMMs ("implicit im2col"): its input
+sits zero-padded in a buffer, flattened to rows of the padded width, and each
+kernel tap multiplies one contiguous slice of those rows.  No patch matrix is
+built.  A pass runs in one set of buffers, ``_Buffers``, made for its config,
+tile shape and dtype; ``train`` reuses one set for all steps on tiles of a
+shape, and ``predict_city`` one for all its tiles.  Each convolution adds its
+bias and applies its ReLU in place on its accumulator, then writes its output
+into the interior of its consumer's zero-bordered padded input.  Max-pooling
+(the maximum of four strided views), the 2x nearest upsample (one broadcast
+assignment) and the decoder's concatenation (two channel slices) write there
+too.
+
+The training tape is the padded input of each convolution and nothing else.
+The backward pass reads each ReLU mask from the activation held in a
+consumer's padded input, and routes each max-pool gradient to the first
+maximum of its window, found by comparing the encoder activation with the
+pooled interior.  The kernel gradient comes from the same slices as the
+forward GEMMs; the input gradient is the same shifted convolution of the
+padded output gradient with the rotated kernel.
+
+Buffer lifetimes: the padded inputs live through the step.  The GEMM
+accumulator and its scratch serve one convolution at a time, forward and
+backward.  A padded output gradient serves the convolutions of its shape in
+turn.  The input gradient of each ``dec{l}`` has a buffer of its own, as its
+skip half is read only at ``enc{l}``'s step.  The pass gives the same bits as
+the unfused layer-by-layer pass that the tests keep as its oracle.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -160,150 +180,230 @@ def init_weights(cfg: ModelConfig) -> Weights:
     return w
 
 
-# -- primitive layers --------------------------------------------------------
+# -- the pass ----------------------------------------------------------------
+
+# Max-pool window cells in the order ``argmax`` once scanned them: the first
+# maximum in this order receives the pooled cell's gradient.
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """(H, W, C) ``x`` zero-padded by ``ph`` rows and ``pw`` columns each side,
-    plus one spare zero row that keeps every tap's slice in ``_shifted_gemm``
-    in bounds: (H + 2ph + 1, W + 2pw, C)."""
-    h, w, c = x.shape
-    xp = np.zeros((h + 2 * ph + 1, w + 2 * pw, c), dtype=x.dtype)
-    xp[ph : ph + h, pw : pw + w] = x
-    return xp
+def _below(cfg: ModelConfig, prefix: str, l: int) -> str:
+    """The convolution one level below level ``l`` on the ``prefix`` side."""
+    return f"{prefix}{l + 1}" if l + 1 < cfg.depth else "bottleneck"
 
 
-def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The (h, w, cout) 'same' correlation of the ``_pad`` buffer ``xp``: one
-    GEMM per tap (i, j) on the flat rows whose row r * Wp + c is xp[r + i, c + j].
-    Columns c >= w wrap into the next row and are cropped."""
-    kh, kw, cin, cout = kernel.shape
+def _scratch(flat: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the front of the flat array ``flat``."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
+    """Into ``acc`` (h * Wp, cout): the 'same' correlation of the padded buffer
+    ``xp`` (h + 2p + 1, Wp, cin), one GEMM per tap (i, j) on the flat rows
+    whose row r * Wp + c is xp[r + i, c + j].  The columns c >= Wp - 2p of
+    each row wrap into the next row and are junk.  ``tmp`` is scratch of
+    ``acc``'s shape."""
+    kh, kw, cin, _ = kernel.shape
     wp = xp.shape[1]
-    n = h * wp
+    n = acc.shape[0]
     flat = xp.reshape(-1, cin)
-    acc = flat[:n] @ kernel[0, 0]
-    tmp = np.empty_like(acc)
+    np.matmul(flat[:n], kernel[0, 0], out=acc)
     for i in range(kh):
         for j in range(kw):
             if i or j:
                 s = i * wp + j
                 np.matmul(flat[s : s + n], kernel[i, j], out=tmp)
                 acc += tmp
-    return acc.reshape(h, wp, cout)[:, :w]
+    return acc
 
 
-def _conv_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
-    """'Same' convolution of (H, W, Cin) ``x`` by shifted GEMMs; returns it and
-    the zero-padded input buffer, which is all the backward pass needs."""
-    kh, kw, _, _ = kernel.shape
-    xp = _pad(x, kh // 2, kw // 2)
-    return _shifted_gemm(xp, kernel, x.shape[0], x.shape[1]) + bias, xp
+class _Buffers:
+    """Every array of a pass for one (config, tile shape, dtype), reused by
+    each pass run in it.
+
+    ``tape[name]`` is the padded input of convolution ``name``: zero-bordered,
+    (h + 2p + 1, w + 2p, cin) with a spare zero row; a pass writes only its
+    interior.  ``out[name]`` is the (h, w, cout) view where the activation of
+    ``name`` lives: its consumer's interior (a decoder input holds the
+    up-convolution output, then the encoder skip), every second cell of it
+    where an up-convolution consumes it (``up[name]`` is that whole interior),
+    or ``y`` for the head.  ``acc`` and ``tmp`` are flat scratch that one GEMM
+    sum at a time takes views of.
+
+    With ``backward``, ``dyp[name]`` is the padded output gradient of
+    ``name``, one array per shape, which its convolutions use in turn;
+    ``dx_dec[name]`` is the input gradient of a decoder convolution, on its
+    own, as its skip half lives until the encoder level's step; ``flags`` is
+    boolean scratch.
+    """
+
+    def __init__(self, cfg: ModelConfig, shape, dtype, backward: bool = True):
+        h, w = shape
+        self.tape, self.size, self.out, self.up, self.dyp, self.dx_dec = {}, {}, {}, {}, {}, {}
+        scratch = flags = 0
+        for name, k, _, cin, cout in layer_specs(cfg):
+            level = cfg.depth if name == "bottleneck" else 0 if name == "head" else int(name[-1])
+            self.size[name] = hl, wl = h >> level, w >> level
+            p = k // 2
+            self.tape[name] = np.zeros((hl + 2 * p + 1, wl + 2 * p, cin), dtype)
+            n = hl * (wl + 2 * p)
+            scratch = max(scratch, n * (max(cin, cout) if backward else cout))
+            flags = max(flags, 2 * hl * wl * cout if backward else 0)
+            if backward:
+                dyp = self.tape[name].shape[:2] + (cout,)
+                same = [a for a in self.dyp.values() if a.shape == dyp]
+                self.dyp[name] = same[0] if same else np.zeros(dyp, dtype)
+                if name.startswith("dec"):
+                    self.dx_dec[name] = np.empty((n, cin), dtype)
+        self.acc, self.tmp = np.empty(scratch, dtype), np.empty(scratch, dtype)
+        self.flags = np.empty(flags, bool)
+        self.y = np.empty((h, w, 1), dtype)
+        self.out["head"], self.out["dec0"] = self.y, self.inner(self.tape, "head")
+        for l in range(cfg.depth):
+            nch = cfg.base_filters * 2**l
+            dec, up = self.inner(self.tape, f"dec{l}"), self.inner(self.tape, f"up{l}")
+            self.out[f"up{l}"], self.out[f"enc{l}"] = dec[..., :nch], dec[..., nch:]
+            below = _below(cfg, "dec", l)
+            hb, wb = self.size[below]
+            self.out[below], self.up[below] = up[::2, ::2], up.reshape(hb, 2, wb, 2, -1)
+
+    def inner(self, padded: dict, name: str) -> np.ndarray:
+        """The (h, w, channels) interior of ``padded[name]``."""
+        buf, (hl, wl) = padded[name], self.size[name]
+        p = (buf.shape[1] - wl) // 2
+        return buf[p : p + hl, p : p + wl]
 
 
-def _conv_backward(dy, xp, kernel, input_grad=True):
-    """Gradients (dx, dk, db) of ``_conv_same`` from the output gradient ``dy``
-    and the padded input ``xp`` it returned; dx is None unless ``input_grad``."""
-    h, w, cout = dy.shape
-    kh, kw, cin, _ = kernel.shape
-    ph, pw = kh // 2, kw // 2
-    wp = xp.shape[1]
-    n = h * wp
-    # From flat row ph * Wp + pw on, dyp is dy row by row, each row followed by
-    # 2pw zeros: the forward accumulator's layout with its junk columns at 0.
-    dyp = _pad(dy, ph, pw)
-    start = ph * wp + pw
+def _conv(w: Weights, buf: _Buffers, name: str) -> None:
+    """Convolution ``name`` of its padded input, its bias added and its ReLU
+    applied in place on the accumulator, written to ``buf.out[name]``."""
+    xp, kernel = buf.tape[name], w.kernels[name]
+    (hl, wl), wp, cout = buf.size[name], xp.shape[1], kernel.shape[3]
+    shape = (hl * wp, cout)
+    # The head's kernel is 1x1, so Wp = w and its accumulator is y itself.
+    acc = buf.y.reshape(shape) if name == "head" else _scratch(buf.acc, shape)
+    _shifted_gemm(xp, kernel, acc, _scratch(buf.tmp, shape))
+    acc += w.biases[name]
+    np.maximum(acc, 0.0, out=acc)
+    a = acc.reshape(hl, wp, cout)[:, :wl]
+    if name in buf.up:
+        buf.up[name][...] = a[:, None, :, None]
+    elif name != "head":
+        buf.out[name][...] = a
+
+
+def _forward(w: Weights, x: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """The pass on the (H, W, C) tile ``x`` in ``buf``; returns ``buf.y``."""
+    cfg = w.config
+    buf.inner(buf.tape, "enc0")[...] = x
+    for l in range(cfg.depth):
+        _conv(w, buf, f"enc{l}")
+        a, pooled = buf.out[f"enc{l}"], buf.inner(buf.tape, _below(cfg, "enc", l))
+        first, second, *rest = (a[i::2, j::2] for i, j in _WINDOW)
+        np.maximum(first, second, out=pooled)
+        for cells in rest:
+            np.maximum(pooled, cells, out=pooled)
+    _conv(w, buf, "bottleneck")
+    for l in reversed(range(cfg.depth)):
+        _conv(w, buf, f"up{l}")
+        _conv(w, buf, f"dec{l}")
+    _conv(w, buf, "head")
+    return buf.y
+
+
+def _relu_mask(buf: _Buffers, name: str) -> np.ndarray:
+    """Where the activation of ``name`` is > 0, in the flag scratch."""
+    a = buf.out[name]
+    return np.greater(a, 0, out=_scratch(buf.flags, a.shape))
+
+
+def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str, dx=None):
+    """The kernel and bias gradients of ``name`` into ``grad``, from the output
+    gradient in its padded buffer.  Returns its input gradient, computed into
+    ``dx`` or else the ``acc`` scratch, as an (h, w, cin) view; None for
+    ``enc0``, as the tile's own gradient is not needed."""
+    xp, dyp, kernel = buf.tape[name], buf.dyp[name], w.kernels[name]
+    kh, kw, cin, cout = kernel.shape
+    (hl, wl), wp = buf.size[name], xp.shape[1]
+    n, p = hl * wp, kh // 2
+    # From flat row p * Wp + p on, dyp is dy row by row, each row followed by
+    # 2p zeros: the forward accumulator's layout with its junk columns at 0.
+    start = p * wp + p
     dy_flat = dyp.reshape(-1, cout)[start : start + n]
     flat = xp.reshape(-1, cin)
-    dk = np.empty(kernel.shape, dtype=np.result_type(xp, dy))
     for i in range(kh):
         for j in range(kw):
             s = i * wp + j
-            np.matmul(flat[s : s + n].T, dy_flat, out=dk[i, j])
-    db = dy.reshape(-1, cout).sum(axis=0)
-    if not input_grad:
-        return None, dk, db
+            np.matmul(flat[s : s + n].T, dy_flat, out=grad.kernels[name][i, j])
+    # numpy sums (cells, channels) cell by cell, but one channel pairwise
+    # over its contiguous cells: the same sums as over a contiguous dy.
+    dy = buf.inner(buf.dyp, name)
+    (dy if cout > 1 else np.ascontiguousarray(dy)).sum(axis=(0, 1), out=grad.biases[name])
+    if name == "enc0":
+        return None
     # dx is a full correlation with the 180-degree-rotated kernel, channels
     # swapped; exact for 'same' zero padding with odd kernels.
     k_rot = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
-    return _shifted_gemm(dyp, k_rot, h, w), dk, db
+    dx = _scratch(buf.acc, (n, cin)) if dx is None else dx
+    _shifted_gemm(dyp, k_rot, dx, _scratch(buf.tmp, (n, cin)))
+    return dx.reshape(hl, wp, cin)[:, :wl]
 
 
-def _maxpool2(x):
-    h, w, c = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool needs even dimensions, got {h}x{w}")
-    windows = x.reshape(h // 2, 2, w // 2, 2, c).transpose(0, 2, 4, 1, 3).reshape(
-        h // 2, w // 2, c, 4
-    )
-    idx = windows.argmax(axis=-1)  # first maximum wins: deterministic
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+def _pool_grad(cfg: ModelConfig, buf: _Buffers, l: int, dpool, skip) -> None:
+    """``enc{l}``'s output gradient into its padded buffer: the gradient
+    ``dpool`` of the max-pool routed to the first maximum of each window,
+    plus the decoder's ``skip`` gradient, times the ReLU mask."""
+    a, dy = buf.out[f"enc{l}"], buf.inner(buf.dyp, f"enc{l}")
+    pooled = buf.inner(buf.tape, _below(cfg, "enc", l))
+    mask = _relu_mask(buf, f"enc{l}")
+    route, taken = buf.flags[mask.size :][: 2 * pooled.size].reshape(2, *pooled.shape)
+    routed = _scratch(buf.tmp, pooled.shape)
+    # The pool's gradient is dpool on the route and +0.0 elsewhere: the bits
+    # of dpool times the route, as unsigned integers.
+    bits = np.dtype(f"u{routed.itemsize}")
+    taken[...] = False
+    for i, j in _WINDOW:
+        np.equal(a[i::2, j::2], pooled, out=route)
+        np.greater(route, taken, out=route)  # a maximum, and the window's first
+        taken |= route
+        np.multiply(dpool.view(bits), route, out=routed.view(bits))
+        np.add(routed, skip[i::2, j::2], out=dy[i::2, j::2])
+    np.multiply(dy, mask, out=dy)
 
 
-def _maxpool2_backward(dy, idx, x_shape):
-    h, w, c = x_shape
-    dwin = np.zeros((h // 2, w // 2, c, 4), dtype=dy.dtype)
-    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-    return dwin.reshape(h // 2, w // 2, c, 2, 2).transpose(0, 3, 1, 4, 2).reshape(h, w, c)
-
-
-def _upsample2(x):
-    return np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)
-
-
-def _upsample2_backward(dy):
-    h, w, c = dy.shape
-    return dy.reshape(h // 2, 2, w // 2, 2, c).sum(axis=(1, 3))
-
-
-# -- network forward / backward ---------------------------------------------
-
-
-def _forward_tape(w: Weights, x: np.ndarray):
+def _backward(w: Weights, buf: _Buffers, dy: np.ndarray) -> np.ndarray:
+    """The gradient of the loss with output gradient ``dy``, in ``flat`` order,
+    after ``_forward`` ran in ``buf``."""
     cfg = w.config
-    tape = {"convs": {}, "relu": {}, "pool": {}, "skips": {}}
+    grad = Weights(cfg, np.empty_like(w.flat))
+    skips = {}
 
-    def conv_relu(name, h):
-        z, tape["convs"][name] = _conv_same(h, w.kernels[name], w.biases[name])
-        tape["relu"][name] = z > 0
-        return np.maximum(z, 0.0)
+    def set_dy(name, da):
+        np.multiply(da, _relu_mask(buf, name), out=buf.inner(buf.dyp, name))
 
-    h = x
+    set_dy("head", dy)
+    set_dy("dec0", _conv_grad(w, buf, grad, "head"))
     for l in range(cfg.depth):
-        tape["skips"][l] = a = conv_relu(f"enc{l}", h)
-        h, tape["pool"][l] = _maxpool2(a)
-    h = conv_relu("bottleneck", h)
+        d = _conv_grad(w, buf, grad, f"dec{l}", buf.dx_dec[f"dec{l}"])
+        nch = cfg.base_filters * 2**l
+        set_dy(f"up{l}", d[..., :nch])
+        skips[l] = d[..., nch:]
+        d = _conv_grad(w, buf, grad, f"up{l}")
+        # The upsample's gradient, the output gradient of the layer below:
+        # the four cells each input cell went to, summed in window order, as
+        # numpy's reshape-sum does over >= 2 channels (an up-convolution has
+        # 2 * nch input channels).
+        below = _below(cfg, "dec", l)
+        s = buf.inner(buf.dyp, below)
+        first, second, *rest = (d[i::2, j::2] for i, j in _WINDOW)
+        np.add(first, second, out=s)
+        for cells in rest:
+            s += cells
+        np.multiply(s, _relu_mask(buf, below), out=s)
+    d = _conv_grad(w, buf, grad, "bottleneck")
     for l in reversed(range(cfg.depth)):
-        a = conv_relu(f"up{l}", _upsample2(h))
-        h = conv_relu(f"dec{l}", np.concatenate([a, tape["skips"][l]], axis=-1))
-    return conv_relu("head", h), tape
-
-
-def _backward_tape(w: Weights, tape, dy: np.ndarray) -> np.ndarray:
-    """The gradient of the loss with output gradient ``dy``, in ``flat`` order."""
-    cfg = w.config
-    grad = Weights(cfg, np.zeros_like(w.flat))
-    skip_grads = {}
-
-    def conv_relu_back(name, da, input_grad=True):
-        dx, dk, db = _conv_backward(
-            da * tape["relu"][name], tape["convs"][name], w.kernels[name], input_grad
-        )
-        grad.kernels[name][...] = dk
-        grad.biases[name][...] = db
-        return dx
-
-    d = conv_relu_back("head", dy)
-    for l in range(cfg.depth):
-        d = conv_relu_back(f"dec{l}", d)
-        nch = cfg.base_filters * (2 ** l)
-        d_up, skip_grads[l] = d[..., :nch], d[..., nch:]
-        d = _upsample2_backward(conv_relu_back(f"up{l}", d_up))
-    d = conv_relu_back("bottleneck", d)
-    for l in reversed(range(cfg.depth)):
-        d = _maxpool2_backward(d, tape["pool"][l], tape["skips"][l].shape) + skip_grads[l]
-        # The tile's own gradient is not needed: enc0 skips it.
-        d = conv_relu_back(f"enc{l}", d, input_grad=l > 0)
+        _pool_grad(cfg, buf, l, d, skips[l])
+        d = _conv_grad(w, buf, grad, f"enc{l}")
     return grad.flat
 
 
@@ -347,24 +447,31 @@ def _checked_sample(w: Weights, tile, target, name: str = ""):
     return tile, target
 
 
-def forward(w: Weights, tile: np.ndarray) -> np.ndarray:
+def forward(w: Weights, tile: np.ndarray, *, buffers: _Buffers | None = None) -> np.ndarray:
     """Predict a (H, W, 1) non-negative height field from a (H, W, C) tile,
-    at the dtype of ``w``."""
-    y, _ = _forward_tape(w, _checked_tile(w, tile))
-    return y
+    at the dtype of ``w``.  The pass runs in ``buffers`` when given (made for
+    this config, tile shape and dtype), else in arrays made for this call;
+    the result is a new array either way."""
+    tile = _checked_tile(w, tile)
+    if buffers is None:
+        buffers = _Buffers(w.config, tile.shape[:2], w.flat.dtype, backward=False)
+    return _forward(w, tile, buffers).copy()
 
 
 def loss_and_gradient(
-    w: Weights, tile: np.ndarray, target: np.ndarray
+    w: Weights, tile: np.ndarray, target: np.ndarray, *, buffers: _Buffers | None = None
 ) -> tuple[float, np.ndarray]:
     """Mean squared error over cells and its gradient in flat-vector order,
-    both computed at the dtype of ``w``."""
+    both computed at the dtype of ``w``.  ``buffers`` is as for ``forward``,
+    made with ``backward``; the gradient is a new array."""
     tile, target = _checked_sample(w, tile, target)
-    y, tape = _forward_tape(w, tile)
+    if buffers is None:
+        buffers = _Buffers(w.config, tile.shape[:2], w.flat.dtype)
+    y = _forward(w, tile, buffers)
     diff = y[..., 0] - target
     loss = float(np.mean(diff * diff))
     dy = (2.0 / diff.size) * diff[..., None]
-    return loss, _backward_tape(w, tape, dy)
+    return loss, _backward(w, buffers, dy)
 
 
 def train(
@@ -375,9 +482,12 @@ def train(
     Each step runs at float32: ``loss_and_gradient`` gets the float32 copy of
     the float64 master weights, and the step is applied to the master, which
     is what is returned.  Every sample is checked and cast to float32 once,
-    before the first step.  Samples are visited in the order given; the run
-    is bit-deterministic for a fixed (weights, dataset order, config).
-    Returns the trained weights and the per-epoch mean loss.
+    before the first step, and the steps on tiles of one shape share one set
+    of buffers.  A non-finite loss, or a master weight that is not finite at
+    float32 after a step, is a ``DivergenceError``.  Samples are visited in
+    the order given; the run is bit-deterministic for a fixed (weights,
+    dataset order, config).  Returns the trained weights and the per-epoch
+    mean loss.
     """
     if not dataset:
         raise ShapeError("training dataset is empty")
@@ -387,15 +497,32 @@ def train(
         _checked_sample(w32, tile, target, f"sample {i} ")
         for i, (tile, target) in enumerate(dataset)
     ]
+    buffers = {
+        shape: _Buffers(w.config, shape, np.float32)
+        for shape in {tile.shape[:2] for tile, _ in samples}
+    }
+    limit = np.finfo(np.float32).max
     history = []
     for epoch in range(cfg.epochs):
         losses = []
-        for tile, target in samples:
-            loss, grad = loss_and_gradient(w.astype(np.float32), tile, target)
+        for i, (tile, target) in enumerate(samples):
+            loss, grad = loss_and_gradient(
+                w.astype(np.float32), tile, target, buffers=buffers[tile.shape[:2]]
+            )
             if not np.isfinite(loss):
-                raise DivergenceError(f"loss became non-finite at epoch {epoch}")
+                raise DivergenceError(
+                    f"training diverged: loss became non-finite at epoch {epoch}, sample {i}"
+                )
             losses.append(loss)
-            w.flat -= cfg.learning_rate * grad
+            # A step far beyond the float32 range overflows; the check below
+            # names it, so numpy's warnings about it would only repeat it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                w.flat -= cfg.learning_rate * grad
+            if not (np.abs(w.flat) <= limit).all():
+                raise DivergenceError(
+                    f"training diverged: a weight left the float32 range at epoch {epoch}, "
+                    f"sample {i}"
+                )
         history.append(float(np.mean(losses)))
     return w, history
 
@@ -408,11 +535,15 @@ def predict_city(
     channels: list[Raster],
     target_params: NormalizationParams,
 ) -> Raster:
-    """Tile the normalized channels, run the network per tile, stitch, and
-    express the result in meters (denormalized, clamped non-negative)."""
+    """Tile the normalized channels, run the network per tile in one set of
+    buffers, stitch, and express the result in meters (denormalized, clamped
+    non-negative)."""
     plan, tiles = tiler.split(channels)
     w32 = w.astype(np.float32)
-    stitched = tiler.stitch(plan, np.stack([forward(w32, tile)[..., 0] for tile in tiles]))
+    buffers = _Buffers(w.config, tiles.shape[1:3], np.float32, backward=False)
+    stitched = tiler.stitch(
+        plan, np.stack([forward(w32, tile, buffers=buffers)[..., 0] for tile in tiles])
+    )
     return clamp_nonnegative(denormalize(stitched, target_params))
 
 

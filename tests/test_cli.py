@@ -262,6 +262,22 @@ class TestNetworkRun:
         assert tree_digest(outs[0]) == tree_digest(outs[1])
 
 
+    def test_divergence_exit_1_without_weights(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, extra="predictor = network\nepochs = 1\ndepth = 1\nbase_filters = 2\n"
+                            "learning_rate = 1e200\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", cfg_path, "--out", str(out), "run"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=run: training diverged")
+        assert "epoch 0, sample 0" in err
+        assert not (out / "weights.glbw").exists()
+
+
 class TestNetworkStageInputs:
     @staticmethod
     def copy_inputs(run_dir, tmp_path, names):

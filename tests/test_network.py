@@ -1,7 +1,11 @@
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from urbanmorph.errors import (
@@ -10,15 +14,12 @@ from urbanmorph.errors import (
     InputError,
     ShapeError,
 )
-from urbanmorph import network
+from urbanmorph import network, tiler
 from urbanmorph.footprints import FootprintMask
 from urbanmorph.network import (
     ModelConfig,
     TrainConfig,
     Weights,
-    _conv_backward,
-    _conv_same,
-    _forward_tape,
     baseline_predict,
     forward,
     init_weights,
@@ -31,7 +32,7 @@ from urbanmorph.network import (
     write_loss_history,
     write_weights,
 )
-from urbanmorph.raster import NormalizationParams, Raster
+from urbanmorph.raster import NormalizationParams, Raster, clamp_nonnegative, denormalize
 
 NODATA = -9999.0
 
@@ -111,6 +112,179 @@ def naive_forward_depth1(w, x):
     cat = np.concatenate([u, a0], axis=-1)
     d = relu(naive_conv_same(cat, w.kernels["dec0"], w.biases["dec0"]))
     return relu(naive_conv_same(d, w.kernels["head"], w.biases["head"]))
+
+
+# -- the layer-by-layer pass that the fused one replaced ---------------------
+# Each layer returns a new array: a padded copy of its input per convolution,
+# an argmax max-pool, np.repeat and np.concatenate.  The fused pass keeps its
+# GEMM calls and its arithmetic, so it must give the same bits.
+
+
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """(H, W, C) ``x`` zero-padded by ``ph`` rows and ``pw`` columns each side,
+    plus one spare zero row that keeps every tap's slice in ``_shifted_gemm``
+    in bounds: (H + 2ph + 1, W + 2pw, C)."""
+    h, w, c = x.shape
+    xp = np.zeros((h + 2 * ph + 1, w + 2 * pw, c), dtype=x.dtype)
+    xp[ph : ph + h, pw : pw + w] = x
+    return xp
+
+
+def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The (h, w, cout) 'same' correlation of the ``_pad`` buffer ``xp``: one
+    GEMM per tap (i, j) on the flat rows whose row r * Wp + c is xp[r + i, c + j].
+    Columns c >= w wrap into the next row and are cropped."""
+    kh, kw, cin, cout = kernel.shape
+    wp = xp.shape[1]
+    n = h * wp
+    flat = xp.reshape(-1, cin)
+    acc = flat[:n] @ kernel[0, 0]
+    tmp = np.empty_like(acc)
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                s = i * wp + j
+                np.matmul(flat[s : s + n], kernel[i, j], out=tmp)
+                acc += tmp
+    return acc.reshape(h, wp, cout)[:, :w]
+
+
+def _conv_same(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
+    """'Same' convolution of (H, W, Cin) ``x`` by shifted GEMMs; returns it and
+    the zero-padded input buffer, which is all the backward pass needs."""
+    kh, kw, _, _ = kernel.shape
+    xp = _pad(x, kh // 2, kw // 2)
+    return _shifted_gemm(xp, kernel, x.shape[0], x.shape[1]) + bias, xp
+
+
+def _conv_backward(dy, xp, kernel, input_grad=True):
+    """Gradients (dx, dk, db) of ``_conv_same`` from the output gradient ``dy``
+    and the padded input ``xp`` it returned; dx is None unless ``input_grad``."""
+    h, w, cout = dy.shape
+    kh, kw, cin, _ = kernel.shape
+    ph, pw = kh // 2, kw // 2
+    wp = xp.shape[1]
+    n = h * wp
+    # From flat row ph * Wp + pw on, dyp is dy row by row, each row followed by
+    # 2pw zeros: the forward accumulator's layout with its junk columns at 0.
+    dyp = _pad(dy, ph, pw)
+    start = ph * wp + pw
+    dy_flat = dyp.reshape(-1, cout)[start : start + n]
+    flat = xp.reshape(-1, cin)
+    dk = np.empty(kernel.shape, dtype=np.result_type(xp, dy))
+    for i in range(kh):
+        for j in range(kw):
+            s = i * wp + j
+            np.matmul(flat[s : s + n].T, dy_flat, out=dk[i, j])
+    db = dy.reshape(-1, cout).sum(axis=0)
+    if not input_grad:
+        return None, dk, db
+    # dx is a full correlation with the 180-degree-rotated kernel, channels
+    # swapped; exact for 'same' zero padding with odd kernels.
+    k_rot = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
+    return _shifted_gemm(dyp, k_rot, h, w), dk, db
+
+
+def _maxpool2(x):
+    h, w, c = x.shape
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool needs even dimensions, got {h}x{w}")
+    windows = x.reshape(h // 2, 2, w // 2, 2, c).transpose(0, 2, 4, 1, 3).reshape(
+        h // 2, w // 2, c, 4
+    )
+    idx = windows.argmax(axis=-1)  # first maximum wins: deterministic
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    return out, idx
+
+
+def _maxpool2_backward(dy, idx, x_shape):
+    h, w, c = x_shape
+    dwin = np.zeros((h // 2, w // 2, c, 4), dtype=dy.dtype)
+    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+    return dwin.reshape(h // 2, w // 2, c, 2, 2).transpose(0, 3, 1, 4, 2).reshape(h, w, c)
+
+
+def _upsample2(x):
+    return np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)
+
+
+def _upsample2_backward(dy):
+    h, w, c = dy.shape
+    return dy.reshape(h // 2, 2, w // 2, 2, c).sum(axis=(1, 3))
+
+
+def _forward_tape(w: Weights, x: np.ndarray):
+    cfg = w.config
+    tape = {"convs": {}, "relu": {}, "pool": {}, "skips": {}}
+
+    def conv_relu(name, h):
+        z, tape["convs"][name] = _conv_same(h, w.kernels[name], w.biases[name])
+        tape["relu"][name] = z > 0
+        return np.maximum(z, 0.0)
+
+    h = x
+    for l in range(cfg.depth):
+        tape["skips"][l] = a = conv_relu(f"enc{l}", h)
+        h, tape["pool"][l] = _maxpool2(a)
+    h = conv_relu("bottleneck", h)
+    for l in reversed(range(cfg.depth)):
+        a = conv_relu(f"up{l}", _upsample2(h))
+        h = conv_relu(f"dec{l}", np.concatenate([a, tape["skips"][l]], axis=-1))
+    return conv_relu("head", h), tape
+
+
+def _backward_tape(w: Weights, tape, dy: np.ndarray) -> np.ndarray:
+    """The gradient of the loss with output gradient ``dy``, in ``flat`` order."""
+    cfg = w.config
+    grad = Weights(cfg, np.zeros_like(w.flat))
+    skip_grads = {}
+
+    def conv_relu_back(name, da, input_grad=True):
+        dx, dk, db = _conv_backward(
+            da * tape["relu"][name], tape["convs"][name], w.kernels[name], input_grad
+        )
+        grad.kernels[name][...] = dk
+        grad.biases[name][...] = db
+        return dx
+
+    d = conv_relu_back("head", dy)
+    for l in range(cfg.depth):
+        d = conv_relu_back(f"dec{l}", d)
+        nch = cfg.base_filters * (2 ** l)
+        d_up, skip_grads[l] = d[..., :nch], d[..., nch:]
+        d = _upsample2_backward(conv_relu_back(f"up{l}", d_up))
+    d = conv_relu_back("bottleneck", d)
+    for l in reversed(range(cfg.depth)):
+        d = _maxpool2_backward(d, tape["pool"][l], tape["skips"][l].shape) + skip_grads[l]
+        # The tile's own gradient is not needed: enc0 skips it.
+        d = conv_relu_back(f"enc{l}", d, input_grad=l > 0)
+    return grad.flat
+
+
+def oracle_forward(w, tile):
+    y, _ = _forward_tape(w, network._checked_tile(w, tile))
+    return y
+
+
+def oracle_loss_and_gradient(w, tile, target):
+    tile, target = network._checked_sample(w, tile, target)
+    y, tape = _forward_tape(w, tile)
+    diff = y[..., 0] - target
+    loss = float(np.mean(diff * diff))
+    dy = (2.0 / diff.size) * diff[..., None]
+    return loss, _backward_tape(w, tape, dy)
+
+
+def bits(a):
+    """The bits of a float array, as unsigned integers of its width."""
+    a = np.asarray(a)
+    return a.view(f"u{a.itemsize}")
+
+
+def assert_same_bits(got, expect):
+    got, expect = np.asarray(got), np.asarray(expect)
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    np.testing.assert_array_equal(bits(got), bits(expect))
 
 
 class TestConfig:
@@ -278,13 +452,14 @@ class TestShiftedGemmConv:
     def test_tape_holds_padded_inputs_not_patches(self):
         # im2col patches are kh * kw times the input: 285 MiB here, not 36 MiB.
         cfg = ModelConfig(depth=3, base_filters=8, in_channels=3, seed=0)
-        _, tape = _forward_tape(init_weights(cfg), np.ones((256, 256, 3)))
+        buf = network._Buffers(cfg, (256, 256), np.float64)
+        network._forward(init_weights(cfg), np.ones((256, 256, 3)), buf)
         padded = 0
         for name, kh, kw, cin, _ in layer_specs(cfg):
             level = cfg.depth if name == "bottleneck" else 0 if name == "head" else int(name[-1])
             side = 256 // 2**level
             padded += (side + kh // 2 * 2 + 1) * (side + kw // 2 * 2) * cin * 8
-        assert sum(a.nbytes for a in tape["convs"].values()) <= padded
+        assert sum(a.nbytes for a in buf.tape.values()) <= padded
 
 
 class TestGradient:
@@ -327,21 +502,25 @@ class TestGradient:
             loss_and_gradient(init_weights(tiny_cfg()), np.zeros((8, 8, 2)), target)
 
 
-def spy_tapes(monkeypatch):
-    """Every (input, output, tape) that ``_forward_tape`` returns from now on."""
-    seen, real = [], network._forward_tape
+def spy_passes(monkeypatch):
+    """Every (input, output, buffers) of a ``_forward`` call from now on."""
+    seen, real = [], network._forward
 
-    def spy(w, x):
-        y, tape = real(w, x)
-        seen.append((x, y, tape))
-        return y, tape
+    def spy(w, x, buf):
+        y = real(w, x, buf)
+        seen.append((x, y, buf))
+        return y
 
-    monkeypatch.setattr(network, "_forward_tape", spy)
+    monkeypatch.setattr(network, "_forward", spy)
     return seen
 
 
-def tape_arrays(tape):
-    return [a for part in tape.values() for a in part.values()]
+def buffer_arrays(buf):
+    """Every array that a ``_Buffers`` holds, views included."""
+    for value in vars(buf).values():
+        for a in value.values() if isinstance(value, dict) else [value]:
+            if isinstance(a, np.ndarray):
+                yield a
 
 
 class TestFloat32Step:
@@ -360,14 +539,14 @@ class TestFloat32Step:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dtype_throughout(self, monkeypatch, dtype):
         w, x, target = self.case(16)
-        tapes = spy_tapes(monkeypatch)
+        passes = spy_passes(monkeypatch)
         _, grad = loss_and_gradient(w.astype(dtype), x, target)
         assert grad.dtype == dtype
-        ((x_in, y, tape),) = tapes
+        ((x_in, y, buf),) = passes
         assert x_in.dtype == dtype and y.dtype == dtype
-        for a in tape_arrays(tape):
-            assert a.dtype == dtype or a.dtype.kind in "bi"
-        assert {a.dtype for a in tape["convs"].values()} == {np.dtype(dtype)}
+        for a in buffer_arrays(buf):
+            assert a.dtype == dtype or a.dtype.kind == "b"
+        assert {a.dtype for a in buf.tape.values()} == {np.dtype(dtype)}
 
     def test_gradient_matches_float64(self):
         w, x, target = self.case(64)
@@ -378,12 +557,154 @@ class TestFloat32Step:
 
     def test_tape_half_the_bytes(self, monkeypatch):
         w, x, target = self.case(64)
-        tapes = spy_tapes(monkeypatch)
+        passes = spy_passes(monkeypatch)
         loss_and_gradient(w, x, target)
         loss_and_gradient(w.astype(np.float32), x, target)
-        n64, n32 = (sum(a.nbytes for a in tape_arrays(t) if a.dtype.kind == "f")
-                    for _, _, t in tapes)
+        n64, n32 = (sum(a.nbytes for a in buf.tape.values()) for _, _, buf in passes)
         assert 2 * n32 == n64
+
+
+@st.composite
+def oracle_cases(draw):
+    """A model, a dtype and a tie-heavy (tile, target): constant and all-zero
+    tiles, and a few repeated values, so pooling windows tie and ReLUs give 0."""
+    depth = draw(st.integers(1, 3))
+    cfg = ModelConfig(depth=depth, base_filters=draw(st.integers(1, 4)),
+                      kernel_size=draw(st.sampled_from([1, 3, 5])),
+                      in_channels=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)))
+    h, w = (2**depth * draw(st.integers(1, 3)) for _ in range(2))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    weights = init_weights(cfg)
+    for name in weights.layer_names():
+        weights.biases[name][...] = draw(st.sampled_from([0.0, 0.25, -0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (h, w, cfg.in_channels)
+    tile = draw(st.sampled_from([
+        np.zeros(shape),
+        np.full(shape, draw(st.sampled_from([0.5, -1.0, 3.0]))),
+        rng.choice([-1.0, 0.0, 0.5, 2.0], shape),
+        rng.uniform(-1, 1, shape),
+    ]))
+    target = rng.choice([0.0, 0.5, 1.0], (h, w))
+    return weights.astype(dtype), tile, target
+
+
+class TestPassEqualsOracle:
+    """The fused pass gives the bits of the layer-by-layer one."""
+
+    @settings(max_examples=150)
+    @given(oracle_cases())
+    def test_forward_loss_gradient_bits(self, case):
+        w, tile, target = case
+        assert_same_bits(forward(w, tile), oracle_forward(w, tile))
+        loss, grad = loss_and_gradient(w, tile, target)
+        loss0, grad0 = oracle_loss_and_gradient(w, tile, target)
+        assert_same_bits(loss, loss0)
+        assert_same_bits(grad, grad0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("depth, base, shape", [(3, 8, (64, 96)), (1, 1, (256, 200))])
+    def test_full_size_bits(self, dtype, depth, base, shape):
+        # Base 1 gives one-channel convolutions, whose bias gradient numpy
+        # sums pairwise, at a size where the order of that sum shows.
+        rng = np.random.default_rng(4)
+        cfg = ModelConfig(depth=depth, base_filters=base, in_channels=3, seed=3)
+        w = init_weights(cfg).astype(dtype)
+        tile, target = rng.uniform(0, 1, (*shape, 3)), rng.uniform(0, 1, shape)
+        loss, grad = loss_and_gradient(w, tile, target)
+        loss0, grad0 = oracle_loss_and_gradient(w, tile, target)
+        assert_same_bits(loss, loss0)
+        assert_same_bits(grad, grad0)
+
+
+    def test_pool_gradient_zero_signs(self):
+        # Off the route the pool's gradient is +0.0, so a -0.0 skip gradient
+        # turns +0.0 there; a -0.0 routed onto it stays -0.0.
+        rng = np.random.default_rng(15)
+        cfg = tiny_cfg()
+        buf = network._Buffers(cfg, (8, 8), np.float64)
+        a = buf.out["enc0"]
+        a[...] = rng.choice([0.5, 1.0], a.shape)  # tied windows, every cell active
+        pooled, idx = _maxpool2(a.copy())
+        buf.inner(buf.tape, "bottleneck")[...] = pooled
+        dpool = rng.choice([-1.0, -0.0, 0.0, 2.0], pooled.shape)
+        skip = np.full(a.shape, -0.0)
+        network._pool_grad(cfg, buf, 0, dpool, skip)
+        expect = (_maxpool2_backward(dpool, idx, a.shape) + skip) * (a > 0)
+        assert_same_bits(buf.inner(buf.dyp, "enc0"), expect)
+
+
+class TestBufferReuse:
+    """Reused buffers must not carry one pass into the next."""
+
+    def test_train_equals_oracle_loop_over_two_shapes(self):
+        rng = np.random.default_rng(10)
+        shapes = [(8, 8), (16, 8), (8, 8), (16, 8)]
+        data = [(rng.uniform(0, 1, (*s, 2)), rng.uniform(0, 1, s)) for s in shapes]
+        w = init_weights(tiny_cfg(depth=2, base_filters=3))
+        flat, expect_history = w.to_flat(), []
+        for _ in range(3):
+            losses = []
+            for x, target in data:
+                loss, grad = oracle_loss_and_gradient(
+                    w.from_flat(flat).astype(np.float32), x, target)
+                losses.append(loss)
+                flat -= 0.05 * grad
+            expect_history.append(float(np.mean(losses)))
+        trained, history = train(w, data, TrainConfig(learning_rate=0.05, epochs=3))
+        assert_same_bits(trained.flat, flat)
+        assert history == expect_history
+
+    def test_second_forward_leaves_first_result(self):
+        rng = np.random.default_rng(11)
+        cfg = tiny_cfg(depth=2)
+        w = init_weights(cfg).astype(np.float32)
+        buf = network._Buffers(cfg, (16, 8), np.float32, backward=False)
+        x1, x2 = (rng.uniform(0, 1, (16, 8, 2)) for _ in range(2))
+        y1 = forward(w, x1, buffers=buf)
+        y2 = forward(w, x2, buffers=buf)
+        assert_same_bits(y1, oracle_forward(w, x1))
+        assert_same_bits(y2, oracle_forward(w, x2))
+
+    def test_predict_city_equals_stack_of_forwards(self):
+        rng = np.random.default_rng(12)
+        cfg = tiny_cfg(depth=2, in_channels=2)
+        w = init_weights(cfg)
+        for name in w.layer_names():
+            w.biases[name][...] = 0.1
+        chans = [make_raster(rng.uniform(0, 1, (300, 280))) for _ in range(2)]
+        params = NormalizationParams(0.0, 50.0)
+        plan, tiles = tiler.split(chans)
+        w32 = w.astype(np.float32)
+        stitched = tiler.stitch(plan, np.stack([oracle_forward(w32, t)[..., 0] for t in tiles]))
+        expect = clamp_nonnegative(denormalize(stitched, params))
+        assert_same_bits(predict_city(w, chans, params).values, expect.values)
+
+    def test_float64_step_after_float32_step(self):
+        rng = np.random.default_rng(13)
+        w = init_weights(tiny_cfg(depth=2))
+        x, target = rng.uniform(0, 1, (16, 16, 2)), rng.uniform(0, 1, (16, 16))
+        loss_and_gradient(w.astype(np.float32), x, target)
+        loss, grad = loss_and_gradient(w, x, target)
+        loss0, grad0 = oracle_loss_and_gradient(w, x, target)
+        assert_same_bits(loss, loss0)
+        assert_same_bits(grad, grad0)
+
+    def test_float32_step_memory_bound(self):
+        # 43.4 MiB is the peak of the layer-by-layer step; the padded inputs
+        # alone take 18.2 MiB.
+        rng = np.random.default_rng(14)
+        w = init_weights(ModelConfig(depth=3, base_filters=8, in_channels=3, seed=0))
+        w32 = w.astype(np.float32)
+        x = rng.uniform(0, 1, (256, 256, 3)).astype(np.float32)
+        target = rng.uniform(0, 1, (256, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            loss_and_gradient(w32, x, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 43.4 * 2**20
 
 
 class TestTrain:
@@ -417,6 +738,21 @@ class TestTrain:
         np.testing.assert_array_equal(a.to_flat(), b.to_flat())
         assert ha == hb
 
+    @pytest.mark.parametrize("lr, sample", [(1e200, 0), (3e38, 1)])
+    def test_weights_beyond_float32_named(self, lr, sample):
+        # The head's bias alone gives 0.5 on a zero tile: the first sample
+        # has a zero gradient.  3e38 is finite at float32, so that step
+        # leaves the weights as they are; 1e200 * 0 is NaN there.
+        w = init_weights(tiny_cfg())
+        w.biases["head"][...] = 0.5
+        rng = np.random.default_rng(8)
+        data = [(np.zeros((8, 8, 2)), np.full((8, 8), 0.5)),
+                (rng.uniform(0, 1, (8, 8, 2)), np.full((8, 8), 1e3))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=f"epoch 0, sample {sample}$"):
+                train(w, data, TrainConfig(learning_rate=lr, epochs=2))
+
     def test_divergence_named(self):
         rng = np.random.default_rng(8)
         w = init_weights(tiny_cfg())
@@ -431,10 +767,10 @@ class TestTrain:
         target = np.zeros((8, 8))
         target[2, 3] = value
         data = [(x, np.zeros((8, 8))), (x, target)]
-        tapes = spy_tapes(monkeypatch)
+        passes = spy_passes(monkeypatch)
         with pytest.raises(InputError, match="sample 1 target .*float32"):
             train(init_weights(tiny_cfg()), data, TrainConfig(epochs=2))
-        assert not tapes  # rejected before the first step
+        assert not passes  # rejected before the first step
 
     def test_empty_dataset(self):
         with pytest.raises(ShapeError):
