@@ -219,16 +219,20 @@ class BuildingFootprint:
         self.area, self.perimeter, cx, cy = measures[:, 0].tolist()
         self.centroid = (cx, cy)
 
-    @classmethod
-    def _measured(cls, fid, rings, area, perimeter, cx, cy) -> "BuildingFootprint":
-        """The footprint ``fid`` with ``rings``, as ``_check_and_measure`` found it."""
-        f = cls.__new__(cls)
-        f.id, f.exterior, f.holes = fid, rings[0], rings[1:]
-        f.area, f.perimeter, f.centroid = area, perimeter, (cx, cy)
-        return f
-
     def rings(self) -> list[np.ndarray]:
         return [self.exterior, *self.holes]
+
+
+def _build(ids: list[int], ring_lists: list) -> tuple[list[BuildingFootprint], str]:
+    """The footprints ``ids`` with ``ring_lists`` (each footprint's rings,
+    exterior first, as ``_ring_array`` returns them), checked and measured as
+    one table: those before the first bad one, and its error ("" if none)."""
+    measures, bad, error = _check_and_measure(_table(ids, ring_lists))
+    out = [BuildingFootprint.__new__(BuildingFootprint) for _ in range(bad)]
+    for f, fid, rings, (area, perimeter, cx, cy) in zip(out, ids, ring_lists, measures.T.tolist()):
+        f.id, f.exterior, f.holes = fid, rings[0], rings[1:]
+        f.area, f.perimeter, f.centroid = area, perimeter, (cx, cy)
+    return out, error
 
 
 @dataclass
@@ -400,14 +404,12 @@ def _read_features(path, parse=lambda footprint, props: footprint) -> list:
     # The footprints before the first failure are checked and measured at
     # once; the first bad feature in file order is then reported, as it would
     # be if each were built and parsed in turn.
-    measures, bad, error = _check_and_measure(_table(ids, ring_lists))
+    footprints, error = _build(ids, ring_lists)
     if error:
-        failure = FormatError(f"{path}: features[{bad}]: bad value ({error})")
-    rows = measures.T.tolist()
+        failure = FormatError(f"{path}: features[{len(footprints)}]: bad value ({error})")
     out = []
     seen: dict[int, int] = {}
-    for i in range(bad):
-        footprint = BuildingFootprint._measured(ids[i], ring_lists[i], *rows[i])
+    for i, footprint in enumerate(footprints):
         try:
             out.append(parse(footprint, features[i].get("properties") or {}))
         except (ValueError, TypeError, GeometryError) as exc:

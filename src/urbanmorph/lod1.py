@@ -46,14 +46,13 @@ def assign_heights(
         raise ValueError(f"unknown statistic '{statistic}'")
 
     ids = mask.source_ids.ravel()
-    vals = pred.values.ravel().astype(np.float64)
     owned = ids > 0
 
     by_id: dict[int, float] = {}
     counts: dict[int, int] = {}
     if owned.any():
         oid = ids[owned]
-        oval = vals[owned]
+        oval = pred.values.ravel()[owned].astype(np.float64)
         order = np.argsort(oid, kind="stable")
         oid, oval = oid[order], oval[order]
         bounds = np.flatnonzero(np.diff(oid)) + 1

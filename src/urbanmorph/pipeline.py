@@ -16,7 +16,7 @@ from . import lod1 as lod1_mod
 from . import network, synth, tiler, ucp, validation
 from .errors import ConfigError, FormatError
 from .footprints import footprint_table, read_footprints, rasterize
-from .pointcloud import Label, fill_voids_nearest, grid_elevation, read_points_csv
+from .pointcloud import fill_voids_nearest, grid_elevation, read_points_csv
 from .pointcloud import height_above_ground
 from .raster import Raster, minmax_normalize, read_raster, resample_cubic, write_raster
 
@@ -215,8 +215,9 @@ def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
     fine = read_raster(_require_file(cfg.path("ndsm_resampled.glbr"), "ndsm_resampled"))
     # The DSM and DEM keep their own sentinel: the coarse layer's may be a real elevation.
     template = fine.with_values(fine.values, nodata=-9999.0)
-    dsm = grid_elevation(pc, {Label.BUILDING}, template)
-    dem = fill_voids_nearest(grid_elevation(pc, {Label.GROUND}, template))
+    dem, dsm = grid_elevation(pc, template)
+    del pc  # the fill needs the grids alone
+    dem = fill_voids_nearest(dem)
     write_raster(dsm, cfg.path("dsm.glbr"))
     write_raster(dem, cfg.path("dem.glbr"))
     return {"dsm": cfg.path("dsm.glbr"), "dem": cfg.path("dem.glbr")}

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .errors import EmptyStatisticsError, FormatError
-from .raster import Raster, clamp_nonnegative, subtract
+from .footprints import _spans
+from .raster import Raster, require_aligned
 
 
 class Label(IntEnum):
@@ -43,7 +44,7 @@ _BLOCK = 65536
 GLBP_MAGIC = b"GLBP"
 _GLBP_HEADER = struct.Struct("<4sHQ")
 # Squared-distance span of void cells filled from one offset table.
-_D2_SPAN = 1 << 18
+_D2_SPAN = 1 << 16
 
 
 @dataclass
@@ -72,32 +73,41 @@ class PointCloud:
         return self.xs.size
 
 
-def grid_elevation(pc: PointCloud, label_filter, template: Raster) -> Raster:
-    """Mean elevation of the selected points per template cell.
+def _point_bins(pc: PointCloud, template: Raster) -> np.ndarray:
+    """Each point's bin of ``grid_elevation``: its cell's row-major index for
+    a ground point, that plus the cell count for a building point, and twice
+    the cell count for a point off the grid or of another label."""
+    width, height = template.width, template.height
+    col, row = pc.xs - template.origin_x, pc.ys - template.origin_y
+    for a in (col, row):
+        a /= template.cell_size
+        np.floor(a, out=a)
+    off = (col < 0) | (col >= width) | (row < 0) | (row >= height)
+    off |= pc.labels.view(np.uint8) > Label.BUILDING  # other, or no label at all
+    np.add(row, height, out=row, where=pc.labels == Label.BUILDING)
+    row *= width
+    row += col
+    row[off] = 2 * width * height
+    return row.astype(np.intp)
+
+
+def grid_elevation(pc: PointCloud, template: Raster) -> tuple[Raster, Raster]:
+    """Mean elevation of the ground points and of the building points per
+    template cell: the DEM before its voids are filled, and the DSM.
 
     Cell membership is half-open: a point belongs to the cell whose index is
-    floor((coord - origin) / cell_size).  Cells without points become nodata,
-    so a selection without points gives an all-nodata raster.
+    floor((coord - origin) / cell_size).  Points off the grid and ``other``
+    points are dropped; cells without points become nodata.  One bincount
+    adds each cell's elevations in point order.
     """
-    sel = np.isin(pc.labels, [int(l) for l in label_filter])
-    xs, ys, zs = pc.xs[sel], pc.ys[sel], pc.zs[sel]
-
-    col = np.floor((xs - template.origin_x) / template.cell_size).astype(np.int64)
-    row = np.floor((ys - template.origin_y) / template.cell_size).astype(np.int64)
-    in_bounds = (
-        (col >= 0) & (col < template.width) & (row >= 0) & (row < template.height)
-    )
-    col, row, zs = col[in_bounds], row[in_bounds], zs[in_bounds]
-
     n = template.width * template.height
-    flat = row * template.width + col
-    sums = np.bincount(flat, weights=zs, minlength=n)
-    counts = np.bincount(flat, minlength=n)
-
-    out = np.full(n, template.nodata, dtype=np.float32)
-    hit = counts > 0
-    out[hit] = (sums[hit] / counts[hit]).astype(np.float32)
-    return template.with_values(out)
+    bins = _point_bins(pc, template)
+    sums = np.bincount(bins, weights=pc.zs, minlength=2 * n + 1)[:-1]
+    counts = np.bincount(bins, minlength=2 * n + 1)[:-1]
+    del bins  # each full-size array goes before the next one comes
+    out = np.full(2 * n, template.nodata, dtype=np.float32)
+    np.divide(sums, counts, out=out, where=counts > 0)
+    return template.with_values(out[:n]), template.with_values(out[n:])
 
 
 def fill_voids_nearest(r: Raster) -> Raster:
@@ -116,30 +126,40 @@ def fill_voids_nearest(r: Raster) -> Raster:
     # The EDT gives each void cell's nearest squared distance d2 exactly, but
     # breaks ties its own way; so each cell takes the first valid donor among
     # the lattice offsets at its d2, tried in row-major order of the donor.
-    near_r, near_c = distance_transform_edt(
-        ~valid, return_distances=False, return_indices=True
-    )
-    void_r, void_c = np.nonzero(~valid)
-    d2 = (void_r - near_r[void_r, void_c]) ** 2 + (void_c - near_c[void_r, void_c]) ** 2
-    order = np.argsort(d2, kind="stable")
-    void_r, void_c, d2 = void_r[order], void_c[order], d2[order]
     height, width = valid.shape
+    nearest = distance_transform_edt(~valid, return_distances=False, return_indices=True)
+    void = np.flatnonzero(~valid)
+    d2 = np.square(void // width - nearest[0].ravel()[void])
+    d2 += np.square(void % width - nearest[1].ravel()[void])
+    del nearest
+    order = np.argsort(d2, kind="stable")
+    void, d2 = void[order], d2[order]
+    del order
+    # Donors are looked up in a copy of the mask with a border of invalid
+    # cells as wide as the farthest offset, so no offset needs a bounds check;
+    # no offset is wider than the grid (``_lattice``), nor the border.
+    reach = isqrt(int(d2[-1]))
+    pad_r, pad_c = min(reach, height - 1), min(reach, width - 1)
+    wide = width + 2 * pad_c
+    padded = np.zeros((height + 2 * pad_r, wide), dtype=bool)
+    padded[pad_r:pad_r + height, pad_c:pad_c + width] = valid
+    padded, values, filled = padded.ravel(), r.values.ravel(), out.ravel()
     lo = 0
     while lo < d2.size:
         # Cells whose d2 lies in one span share a table of at most about
         # pi * _D2_SPAN offsets, which bounds memory on sparse donors.
         hi = int(np.searchsorted(d2, d2[lo] + _D2_SPAN))
-        off_d2, off_r, off_c = _lattice(int(d2[lo]), int(d2[hi - 1]))
+        off_d2, off_r, off_c = _lattice(int(d2[lo]), int(d2[hi - 1]), height, width)
+        step, wide_step = off_r * width + off_c, off_r * wide + off_c
         # Round k tries each pending cell's k-th offset at its d2.  Its EDT
         # donor is among them, so every cell stops within its own d2.
-        cell = np.arange(lo, hi)
-        k = np.searchsorted(off_d2, d2[lo:hi])
+        cell, k = void[lo:hi], np.searchsorted(off_d2, d2[lo:hi])
+        at = cell + cell // width * (2 * pad_c) + pad_r * wide + pad_c  # in ``padded``
         while cell.size:
-            rr, cc = void_r[cell] + off_r[k], void_c[cell] + off_c[k]
-            hit = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
-            hit[hit] = valid[rr[hit], cc[hit]]
-            out[void_r[cell[hit]], void_c[cell[hit]]] = r.values[rr[hit], cc[hit]]
-            cell, k = cell[~hit], k[~hit] + 1
+            hit = padded[at + wide_step[k]]
+            filled[cell[hit]] = values[cell[hit] + step[k[hit]]]
+            miss = ~hit
+            cell, k, at = cell[miss], k[miss] + 1, at[miss]
         lo = hi
     return r.with_values(out)
 
@@ -147,28 +167,38 @@ def fill_voids_nearest(r: Raster) -> Raster:
 _isqrt = np.vectorize(isqrt, otypes=[np.int64])  # exact where float sqrt is not
 
 
-def _lattice(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every integer offset (dr, dc) with lo <= dr² + dc² <= hi.
+def _lattice(lo: int, hi: int, height: int, width: int):
+    """Every integer offset (dr, dc) with lo <= dr² + dc² <= hi, |dr| < height
+    and |dc| < width: every offset within a ``height`` x ``width`` grid.
 
     Returns d2, dr and dc, sorted by d2, then dr, then dc: within one d2
     that is the row-major order of the donors around a cell.
     """
-    rows = np.arange(-isqrt(hi), isqrt(hi) + 1)
+    reach = min(isqrt(hi), height - 1)
+    rows = np.arange(-reach, reach + 1)
     need = lo - rows * rows
     inner = _isqrt(np.maximum(need, 1) - 1) + (need > 0)  # least dc >= 0 with dc² >= need
-    count = np.maximum(_isqrt(hi - rows * rows) - inner + 1, 0)
-    dr = np.repeat(rows, count)
-    dc = np.repeat(inner - np.cumsum(count) + count, count) + np.arange(count.sum())
-    dr, dc = np.concatenate([dr, dr[dc > 0]]), np.concatenate([dc, -dc[dc > 0]])
-    d2 = dr * dr + dc * dc
-    order = np.lexsort((dc, dr, d2))
+    outer = np.minimum(_isqrt(hi - rows * rows), width - 1)
+    # Row dr holds dc from -outer to -inner, then from inner to outer (0 once).
+    right = np.maximum(outer - inner + 1, 0)
+    lengths = np.column_stack((right - (inner == 0) * (right > 0), right))
+    dc = _spans(np.column_stack((-outer, inner)).ravel(), lengths.ravel())
+    dr = np.repeat(rows, lengths.sum(axis=1))
+    d2 = dr * dr
+    d2 += dc * dc
+    order = np.argsort(d2, kind="stable")  # the offsets are in row-major order already
     return d2[order], dr[order], dc[order]
 
 
 def height_above_ground(dsm: Raster, dem: Raster) -> Raster:
-    """The nDSM rule: DSM minus DEM clamped at 0, and 0 where the DSM has no return."""
-    ndsm = clamp_nonnegative(subtract(dsm, dem))
-    return ndsm.with_values(np.where(ndsm.valid_mask, ndsm.values, np.float32(0.0)))
+    """The nDSM rule: DSM minus DEM clamped at 0, and 0 where the DSM has no return
+    (or the DEM none, or the difference is the DSM's nodata value)."""
+    require_aligned(dsm, dem)
+    out = dsm.values - dem.values
+    void = (out == np.float32(dsm.nodata)) | ~dsm.valid_mask | ~dem.valid_mask
+    np.maximum(out, np.float32(0.0), out=out)
+    out[void] = 0.0
+    return dsm.with_values(out)
 
 
 # -- Point I/O ---------------------------------------------------------------

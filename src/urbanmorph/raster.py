@@ -10,6 +10,7 @@ All statistics accumulate in 64-bit regardless of the 32-bit cell storage.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -30,6 +31,8 @@ _GLBR_HEADER = struct.Struct("<4sHIIdddf")
 DEFAULT_NODATA = -9999.0
 
 GEOREF_TOL = 1e-6
+# Cells of one block of output rows in ``resample_cubic``: 256 KiB at float64.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -157,24 +160,21 @@ def _catmull_rom_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
     return w0, w1, w2, w3
 
 
-def _cubic_axis_interp(values: np.ndarray, n_src: int, coords: np.ndarray) -> np.ndarray:
-    """Interpolate ``values`` (…, n_src) along its last axis at fractional
-    sample coordinates ``coords``; stencils clamp at the grid edges."""
+def _cubic_taps(n_src: int, coords: np.ndarray):
+    """The four Catmull-Rom taps at fractional sample coordinates ``coords``
+    of an axis of ``n_src`` cells: each a source index and its weight, in tap
+    order; stencils clamp at the grid edges."""
     base = np.floor(coords).astype(np.int64)
-    t = coords - base
-    w = _catmull_rom_weights(t)
-    out = np.zeros(values.shape[:-1] + coords.shape, dtype=np.float64)
-    for k in range(4):
-        idx = np.clip(base - 1 + k, 0, n_src - 1)
-        out += w[k] * values[..., idx]
-    return out
+    w = _catmull_rom_weights(coords - base)
+    return [(np.clip(base - 1 + k, 0, n_src - 1), w[k]) for k in range(4)]
 
 
 def resample_cubic(src: Raster, target_cell_size: float) -> Raster:
     """Separable Catmull-Rom resampling to a new cell size over the same extent.
 
     The source must be gap-free: interpolation never crosses nodata, so the
-    caller fills voids first.
+    caller fills voids first.  Rows are interpolated along x first, then the
+    result along y; each output adds its four weighted taps in tap order.
     """
     if not target_cell_size > 0:
         raise ShapeError(f"target_cell_size {target_cell_size} must be > 0")
@@ -188,19 +188,25 @@ def resample_cubic(src: Raster, target_cell_size: float) -> Raster:
     u = ((np.arange(out_w) + 0.5) * target_cell_size) / src.cell_size - 0.5
     v = ((np.arange(out_h) + 0.5) * target_cell_size) / src.cell_size - 0.5
 
-    vals = src.values.astype(np.float64)
-    along_x = _cubic_axis_interp(vals, src.width, u)              # (h_src, out_w)
-    out = _cubic_axis_interp(along_x.T, src.height, v).T          # (out_h, out_w)
-
-    return Raster(
-        width=out_w,
-        height=out_h,
-        origin_x=src.origin_x,
-        origin_y=src.origin_y,
-        cell_size=target_cell_size,
-        nodata=src.nodata,
-        values=out.astype(np.float32),
-    )
+    along_x = np.zeros((src.height, out_w))
+    for idx, w in _cubic_taps(src.width, u):
+        along_x += w * src.values[:, idx]
+    # Output rows in blocks of about _BLOCK_CELLS cells, each summed in two
+    # reused float64 buffers, so the float32 result is the one full grid.
+    out = np.empty((out_h, out_w), dtype=np.float32)
+    rows = min(out_h, max(1, _BLOCK_CELLS // out_w))
+    acc, tap = np.empty((2, rows, out_w))
+    taps = _cubic_taps(src.height, v)
+    for r in range(0, out_h, rows):
+        n = min(rows, out_h - r)
+        acc[:n] = 0.0
+        for idx, w in taps:
+            np.take(along_x, idx[r:r + n], axis=0, out=tap[:n])  # the rows of this tap
+            tap[:n] *= w[r:r + n, None]
+            acc[:n] += tap[:n]
+        out[r:r + n] = acc[:n]
+    return Raster(width=out_w, height=out_h, origin_x=src.origin_x, origin_y=src.origin_y,
+                  cell_size=target_cell_size, nodata=src.nodata, values=out)
 
 
 # -- normalization ---------------------------------------------------------
@@ -261,7 +267,7 @@ def downsample_average(src: Raster, factor: int) -> Raster:
     oh, ow = src.height // factor, src.width // factor
     vals = src.values.astype(np.float64)
     valid = src.valid_mask
-    vals = np.where(valid, vals, 0.0)
+    vals[~valid] = 0.0
     blocks = vals.reshape(oh, factor, ow, factor)
     counts = valid.reshape(oh, factor, ow, factor).sum(axis=(1, 3))
     sums = blocks.sum(axis=(1, 3))
@@ -311,47 +317,31 @@ def read_raster(path) -> Raster:
 
 
 def _write_glbr(r: Raster, path: str) -> None:
-    header = _GLBR_HEADER.pack(
-        GLBR_MAGIC,
-        GLBR_VERSION,
-        r.width,
-        r.height,
-        r.origin_x,
-        r.origin_y,
-        r.cell_size,
-        np.float32(r.nodata),
-    )
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(r.values.astype("<f4").tobytes())
+        f.write(_GLBR_HEADER.pack(GLBR_MAGIC, GLBR_VERSION, r.width, r.height, r.origin_x,
+                                  r.origin_y, r.cell_size, np.float32(r.nodata)))
+        f.write(np.ascontiguousarray(r.values, dtype="<f4"))
 
 
 def _read_glbr(path: str) -> Raster:
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _GLBR_HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    magic, version, width, height, ox, oy, cs, nodata = _GLBR_HEADER.unpack_from(raw)
-    if magic != GLBR_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-    if version != GLBR_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte 4")
-    expected = _GLBR_HEADER.size + 4 * width * height
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, got {len(raw)} "
-            f"(truncation at byte {len(raw)})"
-        )
-    values = np.frombuffer(raw, dtype="<f4", offset=_GLBR_HEADER.size).copy()
-    return Raster(
-        width=width,
-        height=height,
-        origin_x=ox,
-        origin_y=oy,
-        cell_size=cs,
-        nodata=float(np.float32(nodata)),
-        values=values,
-    )
+        head = f.read(_GLBR_HEADER.size)
+        if len(head) < _GLBR_HEADER.size:
+            raise FormatError(f"{path}: truncated header at byte {len(head)}")
+        magic, version, width, height, ox, oy, cs, nodata = _GLBR_HEADER.unpack(head)
+        if magic != GLBR_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
+        if version != GLBR_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at byte 4")
+        # Checked before the cells are read, so a forged size allocates nothing.
+        size = os.fstat(f.fileno()).st_size
+        expected = _GLBR_HEADER.size + 4 * width * height
+        if size != expected:
+            raise FormatError(f"{path}: expected {expected} bytes, got {size} "
+                              f"(truncation at byte {size})")
+        values = np.fromfile(f, dtype="<f4", count=width * height)
+    return Raster(width=width, height=height, origin_x=ox, origin_y=oy, cell_size=cs,
+                  nodata=float(np.float32(nodata)), values=values)
 
 
 def _write_ascii(r: Raster, path: str) -> None:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import PackingError
-from .footprints import BuildingFootprint, FootprintMask, rasterize, write_footprints
+from .errors import GeometryError, PackingError
+from .footprints import BuildingFootprint, FootprintMask, _build, rasterize, write_footprints
 from .pointcloud import Label, PointCloud, write_points_glbp
 from .raster import Raster, downsample_average, write_raster
 
@@ -136,69 +136,46 @@ def _place_buildings(spec: SyntheticCitySpec, rng: np.random.Generator) -> list[
 def generate_city(spec: SyntheticCitySpec) -> SynthScene:
     rng = np.random.default_rng(spec.seed)
     size = spec.size_cells
-    template = Raster(
-        width=size,
-        height=size,
-        origin_x=0.0,
-        origin_y=0.0,
-        cell_size=1.0,
-        nodata=-9999.0,
-        values=np.zeros((size, size), dtype=np.float32),
-    )
+    template = Raster(width=size, height=size, origin_x=0.0, origin_y=0.0, cell_size=1.0,
+                      nodata=-9999.0, values=np.zeros((size, size), dtype=np.float32))
 
     rects = _place_buildings(spec, rng)
-    footprints = [
-        BuildingFootprint(
-            id=i + 1,
-            exterior=[(x, y), (x + w, y), (x + w, y + h), (x, y + h)],
-        )
-        for i, (x, y, w, h) in enumerate(rects)
-    ]
-    heights = {
-        f.id: float(rng.uniform(spec.height_min, spec.height_max)) for f in footprints
-    }
+    corners = np.array([[(x, y), (x + w, y), (x + w, y + h), (x, y + h)] for x, y, w, h in rects])
+    footprints, error = _build(list(range(1, len(rects) + 1)), [[c] for c in corners])
+    if error:
+        raise GeometryError(error)
+    heights = {f.id: float(rng.uniform(spec.height_min, spec.height_max)) for f in footprints}
 
     mask = rasterize(footprints, template)
+    ids = mask.source_ids.ravel()
 
     # Terrain and truth height field at 1 m.
+    terrain_at = lambda x: _TERRAIN_BASE + spec.terrain_slope * x
     xc = template.cell_centers_x()
-    terrain_vals = (_TERRAIN_BASE + spec.terrain_slope * xc)[None, :].repeat(size, axis=0)
-    terrain = template.with_values(terrain_vals.astype(np.float32))
-
-    height_lut = np.zeros(max([0, *heights.keys()]) + 1, dtype=np.float64)
-    for fid, h in heights.items():
-        height_lut[fid] = h
-    truth_vals = height_lut[mask.source_ids]
-    truth = template.with_values(truth_vals.astype(np.float32))
+    terrain = template.with_values(np.broadcast_to(terrain_at(xc).astype(np.float32), (size, size)))
+    height_lut = np.array([0.0, *heights.values()])  # by id; ids run from 1
+    truth = template.with_values(height_lut.astype(np.float32)[mask.source_ids])
 
     # One labeled point per cell center: ground where open, building roofs
-    # where built, plus a sparse scattering of 'other' clutter.
-    gy, gx = np.nonzero(mask.source_ids == 0)
-    by, bx = np.nonzero(mask.source_ids > 0)
-    n_other = size * size // 1000
-    ox = rng.uniform(0, size, n_other)
-    oy = rng.uniform(0, size, n_other)
-
-    def center(idx):
-        return idx + 0.5
-
-    xs = np.concatenate([center(gx), center(bx), ox])
-    ys = np.concatenate([center(gy), center(by), oy])
-    t_at = lambda x: _TERRAIN_BASE + spec.terrain_slope * x
-    zs = np.concatenate(
-        [
-            t_at(center(gx)),
-            t_at(center(bx)) + truth_vals[by, bx],
-            t_at(ox) + rng.uniform(2.0, 12.0, n_other),
-        ]
-    )
-    labels = np.concatenate(
-        [
-            np.full(gx.size, int(Label.GROUND), dtype=np.int8),
-            np.full(bx.size, int(Label.BUILDING), dtype=np.int8),
-            np.full(n_other, int(Label.OTHER), dtype=np.int8),
-        ]
-    )
+    # where built, each in row-major order, plus a sparse scattering of
+    # 'other' clutter.
+    cells = size * size
+    n_other = cells // 1000
+    order = np.argsort(ids > 0, kind="stable")
+    n_ground = cells - np.count_nonzero(ids)
+    xs, ys, zs = np.empty((3, cells + n_other))
+    np.remainder(order, size, out=xs[:cells])
+    np.floor_divide(order, size, out=ys[:cells])
+    xs[:cells] += 0.5
+    ys[:cells] += 0.5
+    xs[cells:] = rng.uniform(0, size, n_other)
+    ys[cells:] = rng.uniform(0, size, n_other)
+    np.multiply(xs, spec.terrain_slope, out=zs)
+    zs += _TERRAIN_BASE  # terrain_at(xs), in place
+    zs[n_ground:cells] += height_lut[ids[order[n_ground:]]]
+    zs[cells:] += rng.uniform(2.0, 12.0, n_other)
+    labels = np.full(cells + n_other, Label.OTHER, dtype=np.int8)
+    labels[:n_ground], labels[n_ground:cells] = Label.GROUND, Label.BUILDING
     points = PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
 
     coarse = downsample_average(truth, spec.coarse_factor)
@@ -208,10 +185,7 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
         )
         coarse = coarse.with_values(noisy.astype(np.float32))
 
-    built_density = downsample_average(
-        template.with_values((mask.raster.values > 0).astype(np.float32)),
-        spec.coarse_factor,
-    )
+    built_density = downsample_average(mask.raster, spec.coarse_factor)
     pop_vals = gaussian_filter(built_density.values.astype(np.float64), sigma=2.0)
     population = built_density.with_values((pop_vals * 10000.0).astype(np.float32))
 

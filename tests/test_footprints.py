@@ -12,7 +12,9 @@ from urbanmorph.footprints import (
     _AREA_EPS,
     _EPS,
     BuildingFootprint,
+    _build,
     _check_and_measure,
+    _ring_array,
     _self_intersecting,
     _table,
     footprint_table,
@@ -581,6 +583,24 @@ class TestBatchEqualsPerFootprint:
                 continue
             assert bits(measures[:, i]) == bits(want)
         assert (bad, error) == (first or (len(ids), ""))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(footprint_rings(), min_size=1, max_size=8))
+    def test_build_equals_footprints_built_alone(self, ring_lists):
+        ids = list(range(1, len(ring_lists) + 1))
+        built, error = _build(ids, [[_ring_array(r) for r in rings] for rings in ring_lists])
+        alone, first = [], ""
+        for fid, rings in zip(ids, ring_lists):
+            try:
+                alone.append(BuildingFootprint(id=fid, exterior=rings[0], holes=rings[1:]))
+            except GeometryError as exc:
+                first = str(exc)
+                break
+        assert error == first
+        assert [f.id for f in built] == [f.id for f in alone]
+        for a, b in zip(built, alone):
+            assert bits([a.area, a.perimeter, *a.centroid]) == bits([b.area, b.perimeter, *b.centroid])
+            assert [r.tobytes() for r in a.rings()] == [r.tobytes() for r in b.rings()]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_rings, min_size=1, max_size=6))

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urbanmorph.errors import (
     AlignmentError,
@@ -8,7 +12,9 @@ from urbanmorph.errors import (
     ShapeError,
     VoidError,
 )
+from urbanmorph.raster import _catmull_rom_weights
 from urbanmorph.raster import (
+    _GLBR_HEADER,
     NormalizationParams,
     Raster,
     clamp_nonnegative,
@@ -35,6 +41,32 @@ def make(values, cell_size=1.0, origin=(0.0, 0.0), nodata=NODATA):
         nodata=nodata,
         values=arr,
     )
+
+
+# The resampling that ``resample_cubic`` replaced, kept as a bit-for-bit
+# oracle: the second axis gathers from the transposed first pass.
+
+
+def cubic_axis_interp_oracle(values, n_src, coords):
+    base = np.floor(coords).astype(np.int64)
+    w = _catmull_rom_weights(coords - base)
+    out = np.zeros(values.shape[:-1] + coords.shape, dtype=np.float64)
+    for k in range(4):
+        idx = np.clip(base - 1 + k, 0, n_src - 1)
+        out += w[k] * values[..., idx]
+    return out
+
+
+def resample_cubic_oracle(src, target_cell_size):
+    out_w = max(1, int(round(src.extent_x / target_cell_size)))
+    out_h = max(1, int(round(src.extent_y / target_cell_size)))
+    u = ((np.arange(out_w) + 0.5) * target_cell_size) / src.cell_size - 0.5
+    v = ((np.arange(out_h) + 0.5) * target_cell_size) / src.cell_size - 0.5
+    vals = src.values.astype(np.float64)
+    along_x = cubic_axis_interp_oracle(vals, src.width, u)
+    out = cubic_axis_interp_oracle(along_x.T, src.height, v).T
+    return Raster(width=out_w, height=out_h, origin_x=src.origin_x, origin_y=src.origin_y,
+                  cell_size=target_cell_size, nodata=src.nodata, values=out.astype(np.float32))
 
 
 class TestSubtract:
@@ -114,6 +146,26 @@ class TestResampleCubic:
         r = make([[1.0, NODATA], [2.0, 3.0]])
         with pytest.raises(VoidError):
             resample_cubic(r, 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        cell_size=st.sampled_from([1.0, 2.5, 30.0]),
+        ratio=st.sampled_from([1 / 7, 0.3, 0.37, 0.5, 1.0, 1.3, 2.0, 2.9]),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_transposed_oracle(self, shape, cell_size, ratio, zeros, seed):
+        # Non-integer ratios, 1-cell axes, and zero cells whose negative-weight
+        # taps give -0.0 products, which the zero start turns into +0.0.
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(-50.0, 150.0, shape)
+        if zeros:
+            vals[rng.random(shape) < 0.5] = 0.0
+        src = make(vals, cell_size=cell_size, origin=(-12.5, 300.0))
+        out, expected = resample_cubic(src, cell_size * ratio), resample_cubic_oracle(src, cell_size * ratio)
+        assert (out.width, out.height, out.cell_size) == (expected.width, expected.height, expected.cell_size)
+        assert out.values.tobytes() == expected.values.tobytes()
 
     def test_bad_cell_size(self):
         with pytest.raises(ShapeError):
@@ -218,6 +270,42 @@ class TestIO:
         assert back.origin_x == 10.0 and back.origin_y == -3.0
         assert back.cell_size == 2.5
         assert back.values.tobytes() == r.values.tobytes()
+
+    def test_glbr_writes_rows_in_order_from_a_strided_raster(self, tmp_path):
+        # An ASCII grid reads as a view with its rows reversed.
+        rng = np.random.default_rng(3)
+        r = make(rng.uniform(0, 50, (4, 6)).astype(np.float32))
+        write_raster(r, tmp_path / "r.asc")
+        strided = read_raster(tmp_path / "r.asc")
+        assert not strided.values.flags.c_contiguous
+        write_raster(strided, tmp_path / "r.glbr")
+        assert read_raster(tmp_path / "r.glbr").values.tobytes() == r.values.tobytes()
+
+    @pytest.mark.parametrize("cut, message", [
+        (10, "truncated header at byte 10"),
+        (-8, "expected 106 bytes, got 98 (truncation at byte 98)"),
+        (None, "expected 106 bytes, got 110 (truncation at byte 110)"),
+    ])
+    def test_glbr_size_messages(self, tmp_path, cut, message):
+        path = tmp_path / "r.glbr"
+        write_raster(make(np.zeros((4, 4))), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(4) if cut is None else raw[:cut])
+        with pytest.raises(FormatError) as exc:
+            read_raster(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_glbr_forged_size_allocates_nothing(self, tmp_path):
+        path = tmp_path / "r.glbr"
+        path.write_bytes(_GLBR_HEADER.pack(b"GLBR", 1, 2**32 - 1, 2**32 - 1, 0.0, 0.0, 1.0, -9999.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"expected {42 + 4 * (2**32 - 1) ** 2} bytes"):
+                read_raster(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.glbr"

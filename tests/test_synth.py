@@ -2,10 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from urbanmorph.errors import PackingError
+from urbanmorph.footprints import BuildingFootprint
+from urbanmorph.pointcloud import Label, PointCloud
 from urbanmorph.raster import downsample_average
-from urbanmorph.synth import SyntheticCitySpec, generate_city, write_scene
+from urbanmorph.synth import SyntheticCitySpec, _place_buildings, generate_city, write_scene
 
 
 def small_spec(**kw):
@@ -161,3 +164,81 @@ class TestDeterminism:
             }
 
         assert digest(tmp_path / "a") == digest(tmp_path / "b")
+
+
+# The scene builder that ``generate_city`` replaced, kept as a bit-for-bit
+# oracle: footprints built one at a time, the terrain and truth through
+# float64 grids, and the points from two ``nonzero`` calls and one
+# concatenation per column.
+
+
+def scene_oracle(spec, mask):
+    """The footprints, terrain, truth and points of ``generate_city(spec)``,
+    given its footprint mask."""
+    rng = np.random.default_rng(spec.seed)
+    size = spec.size_cells
+    rects = _place_buildings(spec, rng)
+    footprints = [
+        BuildingFootprint(id=i + 1, exterior=[(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
+        for i, (x, y, w, h) in enumerate(rects)
+    ]
+    height_lut = np.zeros(len(footprints) + 1)
+    for f in footprints:
+        height_lut[f.id] = float(rng.uniform(spec.height_min, spec.height_max))
+    xc = (np.arange(size) + 0.5) * 1.0
+    terrain = (100.0 + spec.terrain_slope * xc)[None, :].repeat(size, axis=0).astype(np.float32)
+    truth_vals = height_lut[mask.source_ids]
+    gy, gx = np.nonzero(mask.source_ids == 0)
+    by, bx = np.nonzero(mask.source_ids > 0)
+    n_other = size * size // 1000
+    ox = rng.uniform(0, size, n_other)
+    oy = rng.uniform(0, size, n_other)
+
+    def center(idx):
+        return idx + 0.5
+
+    def t_at(x):
+        return 100.0 + spec.terrain_slope * x
+
+    points = PointCloud(
+        xs=np.concatenate([center(gx), center(bx), ox]),
+        ys=np.concatenate([center(gy), center(by), oy]),
+        zs=np.concatenate([
+            t_at(center(gx)),
+            t_at(center(bx)) + truth_vals[by, bx],
+            t_at(ox) + rng.uniform(2.0, 12.0, n_other),
+        ]),
+        labels=np.concatenate([
+            np.full(gx.size, int(Label.GROUND), dtype=np.int8),
+            np.full(bx.size, int(Label.BUILDING), dtype=np.int8),
+            np.full(n_other, int(Label.OTHER), dtype=np.int8),
+        ]),
+    )
+    return footprints, terrain, truth_vals.astype(np.float32), points
+
+
+class TestSceneMatchesOracle:
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        small_spec(terrain_slope=0.013, seed=11),
+        small_spec(snap_to_coarse=True, footprint_min=10.0, footprint_max=30.0, terrain_slope=-0.4),
+        small_spec(n_buildings=0, noise_sigma=0.0),
+        small_spec(extent_m=97.0, n_buildings=3, coarse_factor=7, height_min=0.0, seed=3),
+    ])
+    def test_bits(self, spec):
+        scene = generate_city(spec)
+        footprints, terrain, truth, points = scene_oracle(spec, scene.mask)
+        assert len(scene.footprints) == len(footprints)
+        for a, b in zip(scene.footprints, footprints):
+            assert a.id == b.id and a.exterior.tobytes() == b.exterior.tobytes() and a.holes == []
+            assert (a.area, a.perimeter, a.centroid) == (b.area, b.perimeter, b.centroid)
+        assert scene.terrain.values.tobytes() == terrain.tobytes()
+        assert scene.truth_ndsm.values.tobytes() == truth.tobytes()
+        for column in ("xs", "ys", "zs", "labels"):
+            got, want = getattr(scene.points, column), getattr(points, column)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        built = scene.mask.raster.with_values((scene.mask.raster.values > 0).astype(np.float32))
+        density = downsample_average(built, spec.coarse_factor)
+        assert scene.population.values.tobytes() == density.with_values(
+            (gaussian_filter(density.values.astype(np.float64), sigma=2.0) * 10000.0)
+            .astype(np.float32)).values.tobytes()
