@@ -37,7 +37,7 @@ from .pointcloud import (
     height_above_ground,
     read_points_csv,
 )
-from .tiler import TilePlan, split, stitch
+from .tiler import split, stitch
 from .network import (
     ModelConfig,
     TrainConfig,

@@ -74,6 +74,10 @@ from . import tiler
 
 GLBW_MAGIC = b"GLBW"
 GLBW_VERSION = 1
+# The largest U-Net a config or a weights header may ask for, counted in
+# ``step_values``: about 1 to 2 GiB at 4 to 8 bytes a value.  The defaults
+# (depth 3, 8 base filters) hold 7.6 million.
+MAX_STEP_VALUES = 2**28
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**63:  # GLBW stores it as an int64
+            raise ValueError(f"seed {self.seed} must be in [0, 2^63)")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.base_filters < 1:
@@ -96,6 +102,12 @@ class ModelConfig:
         # The bit length bounds depth before 2 ** depth is built from a file value.
         if self.depth >= tiler.TILE_SIZE.bit_length() or tiler.TILE_SIZE % 2 ** self.depth:
             raise ValueError(f"tile size {tiler.TILE_SIZE} not divisible by 2^depth")
+        if not (values := step_values(self)) <= MAX_STEP_VALUES:
+            raise ValueError(
+                f"depth {self.depth} and base_filters {self.base_filters}: a step on a "
+                f"{tiler.TILE_SIZE} x {tiler.TILE_SIZE} tile holds {values:.3g} values, "
+                f"more than {MAX_STEP_VALUES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,20 @@ def layer_specs(cfg: ModelConfig) -> list[tuple[str, int, int, int, int]]:
 
 def parameter_count(cfg: ModelConfig) -> int:
     return sum(kh * kw * cin * cout + cout for _, kh, kw, cin, cout in layer_specs(cfg))
+
+
+def _level(cfg: ModelConfig, name: str) -> int:
+    """The pooling level that layer ``name`` runs at: its grid is 2^level times coarser."""
+    return cfg.depth if name == "bottleneck" else 0 if name == "head" else int(name[-1])
+
+
+def step_values(cfg: ModelConfig) -> int:
+    """The values a training step on a ``TILE_SIZE``² tile holds, about: every
+    parameter, and each convolution's input and output at its level."""
+    total = parameter_count(cfg)
+    for name, _, _, cin, cout in layer_specs(cfg):
+        total += (tiler.TILE_SIZE >> _level(cfg, name)) ** 2 * (cin + cout)
+    return total
 
 
 @dataclass
@@ -242,7 +268,7 @@ class _Buffers:
         self.tape, self.size, self.out, self.up, self.dyp, self.dx_dec = {}, {}, {}, {}, {}, {}
         scratch = flags = 0
         for name, k, _, cin, cout in layer_specs(cfg):
-            level = cfg.depth if name == "bottleneck" else 0 if name == "head" else int(name[-1])
+            level = _level(cfg, name)
             self.size[name] = hl, wl = h >> level, w >> level
             p = k // 2
             self.tape[name] = np.zeros((hl + 2 * p + 1, wl + 2 * p, cin), dtype)
@@ -538,11 +564,11 @@ def predict_city(
     """Tile the normalized channels, run the network per tile in one set of
     buffers, stitch, and express the result in meters (denormalized, clamped
     non-negative)."""
-    plan, tiles = tiler.split(channels)
+    grid, tiles = tiler.split(channels)
     w32 = w.astype(np.float32)
     buffers = _Buffers(w.config, tiles.shape[1:3], np.float32, backward=False)
     stitched = tiler.stitch(
-        plan, np.stack([forward(w32, tile, buffers=buffers)[..., 0] for tile in tiles])
+        grid, np.stack([forward(w32, tile, buffers=buffers)[..., 0] for tile in tiles])
     )
     return clamp_nonnegative(denormalize(stitched, target_params))
 

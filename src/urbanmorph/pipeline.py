@@ -188,7 +188,8 @@ def _checked(cls, **kwargs):
 
 
 def _synth_spec(cfg: PipelineConfig) -> synth.SyntheticCitySpec:
-    return _checked(
+    """The scene ``cfg`` asks ``synth`` for, whose grid is at most ``MAX_GRID_CELLS``."""
+    spec = _checked(
         synth.SyntheticCitySpec,
         extent_m=cfg.extent,
         n_buildings=cfg.n_buildings,
@@ -202,6 +203,10 @@ def _synth_spec(cfg: PipelineConfig) -> synth.SyntheticCitySpec:
         seed=cfg.seed,
         snap_to_coarse=cfg.snap_to_coarse,
     )
+    _bounded_cells(
+        spec.size_cells, f"bad extent {cfg.extent!r} and coarse_factor {cfg.coarse_factor!r}"
+    )
+    return spec
 
 
 def stage_synth(cfg: PipelineConfig) -> dict[str, str]:
@@ -266,12 +271,6 @@ def _channels(cfg: PipelineConfig) -> list[Raster]:
     ndsm_norm, _ = minmax_normalize(ndsm_fine)
     pop_norm, _ = minmax_normalize(pop_fine)
     return [ndsm_norm, pop_norm, mask.raster]
-
-
-def stage_tile(cfg: PipelineConfig) -> dict[str, str]:
-    out_dir = cfg.path("tiles")
-    tiler.dump_tiles(*tiler.split(_channels(cfg)), out_dir)
-    return {"tiles": out_dir}
 
 
 def _target(cfg: PipelineConfig):
@@ -478,7 +477,6 @@ STAGES = {
     "resample": stage_resample,
     "rasterize-points": stage_rasterize_points,
     "ndsm": stage_ndsm,
-    "tile": stage_tile,
     "train": stage_train,
     "predict": stage_predict,
     "lod1": stage_lod1,
@@ -502,14 +500,14 @@ RUN_ORDER = [
 
 def _check_run_grids(cfg: PipelineConfig) -> None:
     """Reject a synthetic scene, fine cell, resolution or histogram of ``cfg``
-    whose grids ``run_all`` could not build: the scene's 1 m grid and its fine
-    grid are at most ``MAX_GRID_CELLS``, and so is each resolution's, with and
-    without its histograms (``_check_resolutions``)."""
+    whose grids ``run_all`` could not build: the scene's 1 m grid
+    (``_synth_spec``) and its fine grid are at most ``MAX_GRID_CELLS``, and so
+    is each resolution's, with and without its histograms
+    (``_check_resolutions``)."""
     cs = cfg.positive("fine_cell_size")
-    extent = _synth_spec(cfg).extent_m
-    _bounded_cells(np.floor(extent) + 1, f"bad extent {extent!r}")
-    side = np.floor(extent / cs) + 1
-    _bounded_cells(side, f"bad fine_cell_size {cs!r} for extent {extent!r}")
+    spec = _synth_spec(cfg)
+    side = np.floor(spec.size_cells / cs) + 1
+    _bounded_cells(side, f"bad fine_cell_size {cs!r} for a scene of {spec.size_cells} m")
     _check_resolutions(cfg, cs, side, _histogram_bins(cfg)[1])
 
 

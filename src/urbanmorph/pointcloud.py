@@ -64,10 +64,9 @@ class PointCloud:
         n = self.xs.size
         if not (self.ys.size == self.zs.size == self.labels.size == n):
             raise ValueError("point columns must share one length")
-        if n and not (np.isfinite(self.xs).all() and np.isfinite(self.ys).all()):
-            raise ValueError("point coordinates must be finite")
-        if n and not np.isfinite(self.zs).all():
-            raise ValueError("point elevations must be finite")
+        columns = (self.xs, self.ys, self.zs)
+        if bad := 3 * n - sum(np.count_nonzero(np.isfinite(c)) for c in columns):
+            raise ValueError(f"{bad} non-finite coordinates")
 
     def __len__(self) -> int:
         return self.xs.size
@@ -230,9 +229,10 @@ def _read_glbp(path) -> PointCloud:
         labels = np.fromfile(f, "i1", n)
     if bad := np.count_nonzero((labels < 0) | (labels > 2)):
         raise FormatError(f"{path}: {bad} labels not 0, 1 or 2")
-    if bad := sum(np.count_nonzero(~np.isfinite(column)) for column in (xs, ys, zs)):
-        raise FormatError(f"{path}: {bad} non-finite coordinates")
-    return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
+    try:
+        return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
+    except ValueError as exc:  # the coordinates, checked once
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def read_points_csv(path) -> PointCloud:

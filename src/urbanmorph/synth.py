@@ -52,6 +52,8 @@ class SyntheticCitySpec:
             raise ValueError("coarse factor must be >= 1")
         if self.noise_sigma < 0:
             raise ValueError("noise sigma must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
 
     @property
     def size_cells(self) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import shutil
 import struct
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,11 +321,11 @@ class TestNetworkStageInputs:
         assert code == 0
         ndsm, _ = minmax_normalize(read_raster(tmp_path / "ndsm_resampled.glbr"))
         target, _ = minmax_normalize(read_raster(tmp_path / "ndsm_ref.glbr"))
-        plan, _ = tiler.split([target])
-        assert len(seen) == len(plan.offsets()) and all(x.shape[-1] == 3 for x, _ in seen)
+        grid, tiles = tiler.split([target])
+        assert len(seen) == len(tiles) == 1 and all(x.shape[-1] == 3 for x, _ in seen)
         for expected, part in ((ndsm, [x[..., 0] for x, _ in seen]),
                                (target, [y for _, y in seen])):
-            back = tiler.stitch(plan, np.stack(part))
+            back = tiler.stitch(grid, np.stack(part))
             assert back.values.tobytes() == expected.values.tobytes()
 
     def test_train_target_not_aligned_exit_1(self, run_dir, tmp_path, capsys):
@@ -640,13 +642,21 @@ class TestRunValuesCheckedFirst:
          # 64 x 64 cells with 9869 bins: 4.0e7 entries, about 1.6 GB.
          ["--bin-width", "0.0076", "--resolutions", "1"],
          # A MAPE floor of 0 would divide by zero references.
-         ["--min-reference", "0"]],
+         ["--min-reference", "0"],
+         # numpy takes no negative seed, and GLBW stores the network's as an int64.
+         ["--seed", "-1"],
+         ["--seed", "9223372036854775808", "--predictor", "network", "--epochs", "1"],
+         # A 64 m extent rounded up to whole coarse cells of 100 km.
+         ["--coarse-factor", "100000"],
+         # A U-Net whose step on one tile would hold about 1.1e13 values.
+         ["--base-filters", "100000", "--predictor", "network"]],
         ids=["statistic", "predictor", "resolutions", "directions", "resolutions-inf",
              "resolutions-nan", "directions-nan", "height_cap-nan", "height_cap-negative",
              "extent-nan", "fine_cell_size-nan", "fine_cell_size-0", "bin_width-0",
              "learning_rate-inf", "bin_width-tiny", "height_cap-huge", "resolutions-huge",
              "fine_cell_size-tiny", "resolutions-fraction", "histograms-huge",
-             "histograms-64m", "min_reference-0"],
+             "histograms-64m", "min_reference-0", "seed-negative", "seed-beyond-int64",
+             "coarse_factor-huge", "base_filters-huge"],
     )
     def test_run_exit_2_before_any_stage(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
@@ -657,6 +667,16 @@ class TestRunValuesCheckedFirst:
         assert flags[1] in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.rglob("*"))
+
+    @pytest.mark.parametrize("flags", [["--extent", "1e6"], ["--seed", "-1"]],
+                             ids=["extent-huge", "seed-negative"])
+    def test_synth_exit_2_before_any_work(self, tmp_path, capsys, flags):
+        code = main(["--out", str(tmp_path), "synth", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=synth: ")
+        assert flags[0][2:] in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_ucp_bad_directions_exit_2(self, run_dir, tmp_path, capsys):
         for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
@@ -771,6 +791,27 @@ class TestSeedFlag:
         out = tmp_path / "o"
         assert main(["--seed", "7", "--out", str(out), "run", *TINY_RUN]) == 0
         assert "\nseed: 7\n" in (out / "report.txt").read_text()
+
+    def test_seed_beyond_int64_runs_baseline(self, tmp_path):
+        # Only the network's seed goes into an int64 field.
+        out = tmp_path / "o"
+        assert main(["--seed", str(2**64), "--out", str(out), "run", *TINY_RUN]) == 0
+        assert f"\nseed: {2**64}\n" in (out / "report.txt").read_text()
+
+
+class TestSubcommands:
+    def test_readme_lists_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert readme.split("\ncommands:", 1)[1].split("```", 1)[0].split() == list(sub.choices)
+
+    def test_tile_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tile"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'tile'" in err
 
 
 class TestOneFineGrid:

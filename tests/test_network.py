@@ -674,9 +674,9 @@ class TestBufferReuse:
             w.biases[name][...] = 0.1
         chans = [make_raster(rng.uniform(0, 1, (300, 280))) for _ in range(2)]
         params = NormalizationParams(0.0, 50.0)
-        plan, tiles = tiler.split(chans)
+        grid, tiles = tiler.split(chans)
         w32 = w.astype(np.float32)
-        stitched = tiler.stitch(plan, np.stack([oracle_forward(w32, t)[..., 0] for t in tiles]))
+        stitched = tiler.stitch(grid, np.stack([oracle_forward(w32, t)[..., 0] for t in tiles]))
         expect = clamp_nonnegative(denormalize(stitched, params))
         assert_same_bits(predict_city(w, chans, params).values, expect.values)
 
@@ -861,7 +861,8 @@ class TestWeightsIO:
     @pytest.mark.parametrize(
         "field, value",
         [("depth", 0), ("depth", 9), ("depth", 2**31 - 1), ("kernel_size", 4),
-         ("kernel_size", -1), ("base_filters", 0), ("in_channels", 0)],
+         ("kernel_size", -1), ("base_filters", 0), ("in_channels", 0),
+         ("base_filters", 2**31 - 1)],
     )
     def test_bad_header_value(self, tmp_path, field, value):
         w = init_weights(tiny_cfg())

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanmorph.errors import AlignmentError, ShapeError
-from urbanmorph.raster import Raster, read_raster
-from urbanmorph.tiler import TILE_SIZE, dump_tiles, split, stitch
+from urbanmorph.raster import Raster
+from urbanmorph.tiler import TILE_SIZE, split, stitch
 
 NODATA = -9999.0
 
@@ -28,19 +28,23 @@ def random_raster(height, width, seed=0):
     return make(rng.uniform(-10, 10, (height, width)).astype(np.float32))
 
 
+def offsets(r, size):
+    """The (row, column) of each tile's first cell of ``r``, in tile order."""
+    return [(r0, c0) for r0 in range(0, r.height, size) for c0 in range(0, r.width, size)]
+
+
 class TestSplit:
     def test_exact_fit_single_tile(self):
         r = random_raster(TILE_SIZE, TILE_SIZE)
-        plan, tiles = split([r])
-        assert (plan.tile_rows, plan.tile_cols) == (1, 1)
+        grid, tiles = split([r])
+        assert grid is r
         assert tiles.shape == (1, TILE_SIZE, TILE_SIZE, 1) and len(tiles) == 1
         assert tiles.dtype == np.float32 and tiles.flags.c_contiguous
         np.testing.assert_array_equal(tiles[0, ..., 0], r.values)
 
     def test_300x300_padding(self):
         r = random_raster(300, 300, seed=2)
-        plan, tiles = split([r])
-        assert (plan.tile_rows, plan.tile_cols) == (2, 2)
+        _, tiles = split([r])
         assert tiles.shape == (4, TILE_SIZE, TILE_SIZE, 1)
         # Bottom-right tile, the last in row-major order: only 44x44 is valid.
         br = tiles[3, ..., 0]
@@ -62,8 +66,8 @@ class TestSplit:
         # Constant channels make the channel index visible in every cell,
         # padding aside.
         chans = [make(np.full((70, 130), k + 1.0, np.float32)) for k in range(4)]
-        plan, tiles = split(chans, tile_size=64)
-        assert len(tiles) == plan.tile_rows * plan.tile_cols == 6
+        grid, tiles = split(chans, tile_size=64)
+        assert grid is chans[0] and len(tiles) == len(offsets(grid, 64)) == 2 * 3
         for k in range(4):
             np.testing.assert_array_equal(tiles[0, ..., k], k + 1.0)
             np.testing.assert_array_equal(tiles[5, :6, :2, k], k + 1.0)
@@ -71,11 +75,16 @@ class TestSplit:
 
     def test_tile_georef(self):
         r = make(np.arange(10000, dtype=np.float32).reshape(100, 100), 2.0, (10.0, 20.0))
-        plan, tiles = split([r], tile_size=64)
-        assert (plan.origin_x, plan.origin_y, plan.cell_size) == (10.0, 20.0, 2.0)
-        assert (plan.source_width, plan.source_height, plan.nodata) == (100, 100, NODATA)
-        assert plan.offsets() == [(0, 0), (0, 64), (64, 0), (64, 64)]
+        grid, tiles = split([r], tile_size=64)
+        assert grid is r
+        assert offsets(grid, 64) == [(0, 0), (0, 64), (64, 0), (64, 64)]
+        for tile, (r0, c0) in zip(tiles, offsets(grid, 64)):
+            window = r.values[r0 : r0 + 64, c0 : c0 + 64]
+            np.testing.assert_array_equal(tile[: window.shape[0], : window.shape[1], 0], window)
         np.testing.assert_array_equal(tiles[3, :36, :36, 0], r.values[64:, 64:])
+        back = stitch(grid, tiles[..., 0])
+        assert (back.origin_x, back.origin_y, back.cell_size) == (10.0, 20.0, 2.0)
+        assert (back.width, back.height, back.nodata) == (100, 100, NODATA)
 
     def test_misaligned_channels_rejected(self):
         a = random_raster(32, 32)
@@ -91,22 +100,22 @@ class TestSplit:
 class TestStitch:
     def test_round_trip_300(self):
         r = random_raster(300, 300, seed=5)
-        plan, tiles = split([r])
-        back = stitch(plan, tiles[..., 0])
+        grid, tiles = split([r])
+        back = stitch(grid, tiles[..., 0])
         assert back.values.tobytes() == r.values.tobytes()
         assert back.origin_x == r.origin_x and back.cell_size == r.cell_size
         assert back.nodata == r.nodata
 
     def test_padding_does_not_leak(self):
         r = random_raster(300, 200, seed=6)
-        plan, tiles = split([r])
+        grid, tiles = split([r])
         # Corrupt the padding region of every tile; stitch must ignore it.
         polluted = tiles[..., 0].copy()
-        for tile, (r0, c0) in zip(polluted, plan.offsets()):
+        for tile, (r0, c0) in zip(polluted, offsets(r, TILE_SIZE)):
             tile[r.height - r0 :, :] = 1e9
             tile[:, r.width - c0 :] = 1e9
         assert np.count_nonzero(polluted == 1e9) == len(tiles) * 256**2 - 300 * 200
-        back = stitch(plan, polluted)
+        back = stitch(grid, polluted)
         np.testing.assert_array_equal(back.values, r.values)
 
     @pytest.mark.parametrize("extra", [-1, 1])
@@ -130,6 +139,12 @@ class TestStitch:
         with pytest.raises(ShapeError, match="expected"):
             stitch(plan, np.zeros(shape, np.float32))
 
+    @pytest.mark.parametrize("shape", [(0, 0, 0), (1, 0, 0), (4, 32, 64), (4, 64, 32)])
+    def test_empty_or_non_square_tiles_rejected(self, shape):
+        r = random_raster(64, 64, seed=12)
+        with pytest.raises(ShapeError, match="expected"):
+            stitch(r, np.zeros(shape, np.float32))
+
     @settings(max_examples=30, deadline=None)
     @given(
         height=st.integers(min_value=1, max_value=600),
@@ -143,11 +158,11 @@ class TestStitch:
             make(rng.uniform(-5, 5, (height, width)).astype(np.float32))
             for _ in range(n_channels)
         ]
-        plan, tiles = split(chans, tile_size=tile_size)
+        grid, tiles = split(chans, tile_size=tile_size)
         n = -(-height // tile_size) * -(-width // tile_size)
         assert tiles.shape == (n, tile_size, tile_size, n_channels)
         for k, ch in enumerate(chans):
-            back = stitch(plan, tiles[..., k])
+            back = stitch(grid, tiles[..., k])
             assert back.values.tobytes() == ch.values.tobytes()
 
 
@@ -156,26 +171,3 @@ class TestStackValidation:
         with pytest.raises(AlignmentError):
             split([make(np.zeros((4, 4))), make(np.zeros((4, 5)))])
 
-
-class TestDump:
-    def test_dump_files_reload(self, tmp_path):
-        a = random_raster(70, 70, seed=11)
-        b = random_raster(70, 70, seed=12)
-        plan, tiles = split([a, b], tile_size=64)
-        paths = dump_tiles(plan, tiles, tmp_path / "tiles")
-        assert len(paths) == 4 * 2
-        assert (tmp_path / "tiles" / "tile_0_0_0.glbr").exists()
-        back = read_raster(tmp_path / "tiles" / "tile_0_0_1.glbr")
-        np.testing.assert_array_equal(back.values, tiles[0, ..., 1])
-
-    def test_dump_georef(self, tmp_path):
-        r = make(np.ones((100, 150), np.float32), cell_size=2.0, origin=(10.0, 20.0))
-        plan, tiles = split([r], tile_size=64)
-        paths = dump_tiles(plan, tiles, tmp_path)
-        names = [p.rsplit("/", 1)[-1] for p in paths]
-        assert names == [f"tile_{i}_{j}_0.glbr" for i in range(2) for j in range(3)]
-        back = read_raster(tmp_path / "tile_1_2_0.glbr")
-        assert (back.origin_x, back.origin_y) == (10.0 + 128 * 2.0, 20.0 + 64 * 2.0)
-        assert (back.width, back.height, back.cell_size) == (64, 64, 2.0)
-        np.testing.assert_array_equal(back.values, tiles[5, ..., 0])
-        assert back.values[:36, :22].min() == 1.0 and back.values[36:].max() == 0.0
