@@ -18,14 +18,30 @@ ring offsets and the ids.  Each step runs on a whole table at once:
   ``x[2k] <= cx < x[2k+1]`` are inside (the half-open even-odd rule).  On
   overlap the highest id wins, as a maximum.
 - ``projected_widths`` projects every exterior on every direction.
+
+GeoJSON (RFC 7946) files hold a footprint set as one FeatureCollection on one
+line, in the layout of ``json.dumps`` with its default separators: a Polygon
+feature per footprint, whose properties are its ``id`` and then any others
+(LoD-1 files add ``height_m`` and ``n_cells``).  Every number is written as
+its ``repr``, which reads back to the same bits, and every ring is closed by
+repeating its first vertex.  The writer renders this text from a table's
+flat coordinates.  The reader decodes a file with ``json.load`` and checks
+each feature's properties and geometry type; then it converts every ring of
+the file in one numpy step, and drops the closing vertices.  Only when that
+step fails does it convert ring by ring, up to the first bad ring, so that
+the error names the feature that holds it.  The footprints before the first
+failure are checked and measured as one table, and the error reported is the
+first in file order.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -223,15 +239,18 @@ class BuildingFootprint:
         return [self.exterior, *self.holes]
 
 
-def _build(ids: list[int], ring_lists: list) -> tuple[list[BuildingFootprint], str]:
-    """The footprints ``ids`` with ``ring_lists`` (each footprint's rings,
-    exterior first, as ``_ring_array`` returns them), checked and measured as
-    one table: those before the first bad one, and its error ("" if none)."""
-    measures, bad, error = _check_and_measure(_table(ids, ring_lists))
+def _build(t: FootprintTable) -> tuple[list[BuildingFootprint], str]:
+    """The footprints of ``t``, checked and measured as one table: those
+    before the first bad one, whose rings are views of ``t.xy``, and its error
+    ("" if none)."""
+    measures, bad, error = _check_and_measure(t)
+    rings, offsets = t.rings.tolist(), t.offsets.tolist()
     out = [BuildingFootprint.__new__(BuildingFootprint) for _ in range(bad)]
-    for f, fid, rings, (area, perimeter, cx, cy) in zip(out, ids, ring_lists, measures.T.tolist()):
-        f.id, f.exterior, f.holes = fid, rings[0], rings[1:]
-        f.area, f.perimeter, f.centroid = area, perimeter, (cx, cy)
+    for i, (f, fid, (area, perimeter, cx, cy)) in enumerate(
+            zip(out, t.ids.tolist(), measures.T.tolist())):
+        f.exterior, *f.holes = (t.xy[offsets[j]:offsets[j + 1]]
+                                for j in range(rings[i], rings[i + 1]))
+        f.id, f.area, f.perimeter, f.centroid = fid, area, perimeter, (cx, cy)
     return out, error
 
 
@@ -250,6 +269,22 @@ class FootprintMask:
         self.source_ids = np.asarray(self.source_ids, dtype=np.int64).reshape(
             self.raster.height, self.raster.width
         )
+
+    @cached_property
+    def owned_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat indices of the owned cells, grouped by owner (ascending)
+        and in raster order within a group; each group's owner; and the
+        groups' bounds in the indices.  Found once: a mask is not changed
+        after it is made."""
+        ids = self.source_ids.ravel()
+        cells = np.flatnonzero(ids > 0)
+        owners = ids[cells]
+        order = np.argsort(owners, kind="stable")
+        cells, owners = cells[order], owners[order]
+        first = np.ones(len(cells), dtype=bool)
+        first[1:] = owners[1:] != owners[:-1]
+        starts = np.flatnonzero(first)
+        return cells, owners[starts], np.append(starts, len(cells))
 
 
 def projected_width(f: BuildingFootprint, wind_direction: float) -> float:
@@ -330,55 +365,125 @@ def rasterize(footprints: list[BuildingFootprint], template: Raster) -> Footprin
 # -- GeoJSON I/O -------------------------------------------------------------
 
 
-def _footprint_to_feature(f: BuildingFootprint, properties: dict | None = None) -> dict:
-    coords = [f.exterior.tolist() + [f.exterior[0].tolist()]]
-    for hole in f.holes:
-        coords.append(hole.tolist() + [hole[0].tolist()])
-    props = {"id": f.id}
-    if properties:
-        props.update(properties)
-    return {
-        "type": "Feature",
-        "properties": props,
-        "geometry": {"type": "Polygon", "coordinates": coords},
-    }
+def _int_value(value) -> int:
+    """A JSON integer (or a string ``int`` reads): ``int`` would truncate a
+    float and read a boolean as 0 or 1."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{json.dumps(value)} is not an integer")
+    return int(value)
 
 
-def _feature_rings(feature: dict) -> tuple[int, list[np.ndarray]]:
-    """The id and rings (exterior first) of a GeoJSON Polygon feature, each
-    checked as ``BuildingFootprint`` checks them before it measures them."""
+def _float_value(value) -> float:
+    """A JSON number (or a string ``float`` reads): ``float`` would read a
+    boolean as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{json.dumps(value)} is not a number")
+    return float(value)
+
+
+def _feature_parts(feature: dict) -> tuple[int, list]:
+    """The id and the unconverted rings (exterior first) of a GeoJSON Polygon
+    feature."""
     props = feature.get("properties") or {}
     if "id" not in props:
         raise FormatError("feature missing required 'id' property")
     geom = feature.get("geometry") or {}
-    if geom.get("type") != "Polygon":
+    if not isinstance(geom, dict) or geom.get("type") != "Polygon":
         raise FormatError(f"feature {props['id']}: geometry must be Polygon")
     coords = geom.get("coordinates") or []
     if not coords:
         raise FormatError(f"feature {props['id']}: empty coordinates")
-    fid, exterior, holes = int(props["id"]), coords[0], list(coords[1:])
+    fid = _int_value(props["id"])
     _check_id(fid)
-    return fid, [_ring_array(r) for r in (exterior, *holes)]
+    return fid, list(coords)
 
 
-def _write_features(path, features: list[dict]) -> None:
-    # One string, one write: json.dump writes each small piece on its own.
+def _converted(ids: list[int], coords: list[list]) -> FootprintTable | None:
+    """The table of footprints ``ids`` with rings ``coords``, converted in one
+    step to what ``_ring_array`` gives ring by ring; None when some ring is
+    not a list of finite ``[x, y]`` pairs."""
+    rings = [r for rs in coords for r in rs]
+    try:
+        lengths = np.array([len(r) for r in rings], dtype=np.int64)
+        xy = np.array([v for r in rings for v in r], dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if xy.ndim != 2 or xy.shape[1] != 2 or not lengths.all() or not np.isfinite(xy).all():
+        return None
+    # Drop each explicit closing vertex.
+    last = np.cumsum(lengths) - 1
+    closing = (lengths > 1) & (xy[last - lengths + 1] == xy[last]).all(axis=1)
+    keep = np.ones(len(xy), dtype=bool)
+    keep[last[closing]] = False
+    return FootprintTable(
+        ids=np.array(ids, dtype=np.int64),
+        rings=np.concatenate(([0], np.cumsum([len(rs) for rs in coords], dtype=np.int64))),
+        offsets=np.concatenate(([0], np.cumsum(lengths - closing))),
+        xy=xy[keep],
+    )
+
+
+def _same_bits(a: FootprintTable, b: FootprintTable) -> bool:
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def _write_table(path, t: FootprintTable, properties: dict[str, list] | None = None) -> None:
+    """Write the footprints of ``t`` as the ``json.dumps`` text of their
+    FeatureCollection, each with its id and then ``properties`` (a name, and
+    one int or float per footprint)."""
+    properties = properties or {}
+    lengths = np.diff(t.offsets) + 1  # every ring closed by its first vertex
+    closed = _spans(t.offsets[:-1], lengths)
+    closed[np.cumsum(lengths) - 1] = t.offsets[:-1]
+    coordinates = t.xy[closed].ravel().tolist()
+    ends = np.concatenate(([0], np.cumsum(2 * lengths)))[t.rings].tolist()
+    lengths, rings = lengths.tolist(), t.rings.tolist()
+    # json.dumps writes an int or a float as its repr, and so does %r.
+    head = ", ".join(f"{json.dumps(name)}: %r" for name in ("id", *properties))
+    head = '{"type": "Feature", "properties": {' + head
+    head += '}, "geometry": {"type": "Polygon", "coordinates": ['
+    templates: dict[tuple, str] = {}  # by the lengths of a footprint's rings
+    features = []
+    for i, values in enumerate(zip(t.ids.tolist(), *properties.values())):
+        shape = tuple(lengths[rings[i]:rings[i + 1]])
+        if shape not in templates:
+            templates[shape] = head + ", ".join(
+                "[" + ", ".join(["[%r, %r]"] * n) + "]" for n in shape) + "]}}"
+        features.append(templates[shape] % (*values, *coordinates[ends[i]:ends[i + 1]]))
+    # One string, one write.
     with open(path, "w") as f:
-        f.write(json.dumps({"type": "FeatureCollection", "features": features}))
+        f.write('{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]}")
 
 
 def write_footprints(footprints: list[BuildingFootprint], path) -> None:
-    _write_features(path, [_footprint_to_feature(f) for f in footprints])
+    _write_table(path, footprint_table(footprints))
 
 
-def _read_features(path, parse=lambda footprint, props: footprint) -> list:
+def _read_features(path, parse=lambda footprint, props: footprint, like=None) -> list:
     """``parse(footprint, properties)`` for each feature of a GeoJSON
     FeatureCollection file.
 
     A feature holding a value that cannot be converted or a bad footprint
-    (a ``ValueError``, ``TypeError`` or ``GeometryError``), or repeating an
-    earlier feature's id, is a FormatError naming the file and the feature.
+    (a ``ValueError``, ``TypeError``, ``OverflowError`` or ``GeometryError``),
+    or repeating an earlier feature's id, is a FormatError naming the file and
+    the feature.  When the file's vertex table has the bits of the footprints
+    ``like``, they are the file's footprints, and none is built again.
+
+    The cyclic garbage collector is paused meanwhile: the decoded tree, a
+    list per vertex, holds no cycle and is freed by reference counting, and a
+    collection while it lives would only walk it and move it to an older
+    generation, where it brings on a full collection sooner.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_features(path, parse, like)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_features(path, parse, like) -> list:
     with open(path) as f:
         try:
             fc = json.load(f)
@@ -389,30 +494,43 @@ def _read_features(path, parse=lambda footprint, props: footprint) -> list:
     features = fc.get("features", [])
     if not isinstance(features, list) or not all(isinstance(f, dict) for f in features):
         raise FormatError(f"{path}: 'features' must be a list of objects")
-    ids, ring_lists, failure = [], [], None
+    ids, coords, failure = [], [], None
     for i, feature in enumerate(features):
         try:
-            fid, rings = _feature_rings(feature)
+            fid, rings = _feature_parts(feature)
         except FormatError as exc:
             failure = exc
             break
-        except (ValueError, TypeError, GeometryError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             failure = FormatError(f"{path}: features[{i}]: bad value ({exc})")
             break
         ids.append(fid)
-        ring_lists.append(rings)
+        coords.append(rings)
+    t = _converted(ids, coords)
+    if t is None:  # a bad ring: convert ring by ring up to the first one
+        ring_lists = []
+        for i, rings in enumerate(coords):
+            try:
+                ring_lists.append([_ring_array(r) for r in rings])
+            except (ValueError, TypeError, OverflowError, GeometryError) as exc:
+                failure = FormatError(f"{path}: features[{i}]: bad value ({exc})")
+                break
+        t = _table(ids[:len(ring_lists)], ring_lists)
     # The footprints before the first failure are checked and measured at
     # once; the first bad feature in file order is then reported, as it would
     # be if each were built and parsed in turn.
-    footprints, error = _build(ids, ring_lists)
-    if error:
-        failure = FormatError(f"{path}: features[{len(footprints)}]: bad value ({error})")
+    if like is not None and _same_bits(t, footprint_table(like)):
+        footprints = like
+    else:
+        footprints, error = _build(t)
+        if error:
+            failure = FormatError(f"{path}: features[{len(footprints)}]: bad value ({error})")
     out = []
     seen: dict[int, int] = {}
     for i, footprint in enumerate(footprints):
         try:
             out.append(parse(footprint, features[i].get("properties") or {}))
-        except (ValueError, TypeError, GeometryError) as exc:
+        except (ValueError, TypeError, OverflowError, GeometryError) as exc:
             raise FormatError(f"{path}: features[{i}]: bad value ({exc})") from exc
         first = seen.setdefault(footprint.id, i)
         if first != i:

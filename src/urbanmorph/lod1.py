@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .footprints import BuildingFootprint, FootprintMask
-from .footprints import _footprint_to_feature, _read_features, _write_features
+from .footprints import BuildingFootprint, FootprintMask, footprint_table
+from .footprints import _float_value, _int_value, _read_features, _write_table
 from .raster import Raster, require_aligned
 
 STATISTICS = ("mean", "median")
@@ -24,6 +24,8 @@ class Lod1Building:
     def __post_init__(self):
         if not (np.isfinite(self.height) and self.height >= 0):
             raise ValueError(f"building {self.footprint.id}: height {self.height} invalid")
+        if self.n_cells < -1:  # -1: not known
+            raise ValueError(f"building {self.footprint.id}: n_cells {self.n_cells} invalid")
         if self.n_cells == 0 and self.height != 0:
             raise ValueError(f"building {self.footprint.id}: height without cells")
 
@@ -45,26 +47,14 @@ def assign_heights(
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic '{statistic}'")
 
-    ids = mask.source_ids.ravel()
-    owned = ids > 0
-
-    by_id: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    if owned.any():
-        oid = ids[owned]
-        oval = pred.values.ravel()[owned].astype(np.float64)
-        order = np.argsort(oid, kind="stable")
-        oid, oval = oid[order], oval[order]
-        bounds = np.flatnonzero(np.diff(oid)) + 1
-        for chunk_id, chunk in zip(
-            oid[np.concatenate(([0], bounds))],
-            np.split(oval, bounds),
-        ):
-            counts[int(chunk_id)] = chunk.size
-            if statistic == "mean":
-                by_id[int(chunk_id)] = float(chunk.mean())
-            else:
-                by_id[int(chunk_id)] = float(np.median(chunk))
+    cells, owners, bounds = mask.owned_cells
+    values = pred.values.ravel()[cells].astype(np.float64)
+    counts = dict(zip(owners.tolist(), np.diff(bounds).tolist()))
+    chunks = zip(counts, np.split(values, bounds[1:-1]))
+    if statistic == "mean":  # the bits of chunk.mean(): its sum over its size
+        by_id = {fid: float(np.add.reduce(chunk)) / chunk.size for fid, chunk in chunks}
+    else:
+        by_id = {fid: float(np.median(chunk)) for fid, chunk in chunks}
 
     buildings = []
     for f in sorted(footprints, key=lambda f: f.id):
@@ -84,23 +74,24 @@ def write_lod1(buildings: list[Lod1Building], path) -> None:
 
     Heights are serialized with enough digits to round-trip 32-bit floats.
     """
-    _write_features(path, [
-        _footprint_to_feature(
-            b.footprint,
-            {"height_m": float(f"{np.float32(b.height):.9g}"), "n_cells": b.n_cells},
-        )
-        for b in buildings
-    ])
+    _write_table(path, footprint_table([b.footprint for b in buildings]), {
+        "height_m": [float(f"{np.float32(b.height):.9g}") for b in buildings],
+        "n_cells": [int(b.n_cells) for b in buildings],
+    })
 
 
-def read_lod1(path) -> list[Lod1Building]:
+def read_lod1(path, footprints: list[BuildingFootprint] | None = None) -> list[Lod1Building]:
+    """The buildings of a ``write_lod1`` file.  ``footprints`` read before
+    (from a file of the same footprints) are shared when the file's vertex
+    table has their bits; the file's own are then not built again."""
+
     def building(fp: BuildingFootprint, props: dict) -> Lod1Building:
         if "height_m" not in props:
             raise FormatError(f"{path}: feature {fp.id} missing 'height_m'")
         return Lod1Building(
             footprint=fp,
-            height=float(props["height_m"]),
-            n_cells=int(props.get("n_cells", -1)),
+            height=_float_value(props["height_m"]),
+            n_cells=_int_value(props.get("n_cells", -1)),
         )
 
-    return _read_features(path, building)
+    return _read_features(path, building, footprints)

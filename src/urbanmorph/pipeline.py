@@ -389,14 +389,16 @@ def _checked_template(cfg: PipelineConfig, nbins: float) -> Raster:
 def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     """UCP grids of both LoD-1 sets, by kind (``pred``, ``ref``) and resolution.
 
-    ``stage_lod1`` writes both sets from one footprint file, so one mask,
+    ``stage_lod1`` writes both sets from one footprint file, so the ``ref``
+    set takes the ``pred`` set's footprints, built once, and one mask,
     rasterized once, serves both; a pair whose footprints differ is rejected.
     """
     resolutions, directions = cfg.resolution_list(), cfg.direction_list()
     bins, nbins = _histogram_bins(cfg)
     paths = [_require_file(cfg.path(f"lod1_{k}.geojson"), f"lod1_{k}") for k in ("pred", "ref")]
-    pred, ref = (lod1_mod.read_lod1(path) for path in paths)
+    pred = lod1_mod.read_lod1(paths[0])
     footprints = [b.footprint for b in pred]
+    ref = lod1_mod.read_lod1(paths[1], footprints=footprints)
     tables = footprint_table(footprints), footprint_table([b.footprint for b in ref])
     if not all(map(np.array_equal, *tables)):
         raise FormatError(f"{paths[1]}: footprints differ from {paths[0]}")

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import GeometryError, PackingError
-from .footprints import BuildingFootprint, FootprintMask, _build, rasterize, write_footprints
+from .footprints import BuildingFootprint, FootprintMask, _build, _table, rasterize
+from .footprints import write_footprints
 from .pointcloud import Label, PointCloud, write_points_glbp
 from .raster import Raster, downsample_average, write_raster
 
@@ -143,7 +144,7 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
 
     rects = _place_buildings(spec, rng)
     corners = np.array([[(x, y), (x + w, y), (x + w, y + h), (x, y + h)] for x, y, w, h in rects])
-    footprints, error = _build(list(range(1, len(rects) + 1)), [[c] for c in corners])
+    footprints, error = _build(_table(range(1, len(rects) + 1), [[c] for c in corners]))
     if error:
         raise GeometryError(error)
     heights = {f.id: float(rng.uniform(spec.height_min, spec.height_max)) for f in footprints}

@@ -193,9 +193,9 @@ class TestLod1ReadOnce:
             shutil.copy(run_dir / name, tmp_path / name)
         reads = []
 
-        def counting_read_lod1(path):
+        def counting_read_lod1(path, **kwargs):
             reads.append(os.path.basename(path))
-            return read_lod1(path)
+            return read_lod1(path, **kwargs)
 
         monkeypatch.setattr(pipeline.lod1_mod, "read_lod1", counting_read_lod1)
         cfg = build_config(

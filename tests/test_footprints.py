@@ -588,7 +588,7 @@ class TestBatchEqualsPerFootprint:
     @given(st.lists(footprint_rings(), min_size=1, max_size=8))
     def test_build_equals_footprints_built_alone(self, ring_lists):
         ids = list(range(1, len(ring_lists) + 1))
-        built, error = _build(ids, [[_ring_array(r) for r in rings] for rings in ring_lists])
+        built, error = _build(_table(ids, [[_ring_array(r) for r in rings] for rings in ring_lists]))
         alone, first = [], ""
         for fid, rings in zip(ids, ring_lists):
             try:
