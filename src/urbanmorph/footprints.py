@@ -499,7 +499,7 @@ def _parse_features(path, parse, like) -> list:
         try:
             fid, rings = _feature_parts(feature)
         except FormatError as exc:
-            failure = exc
+            failure = FormatError(f"{path}: features[{i}]: {exc}")
             break
         except (ValueError, TypeError, OverflowError) as exc:
             failure = FormatError(f"{path}: features[{i}]: bad value ({exc})")

@@ -27,9 +27,24 @@ tile shape and dtype; ``train`` reuses one set for all steps on tiles of a
 shape, and ``predict_city`` one for all its tiles.  Each convolution adds its
 bias and applies its ReLU in place on its accumulator, then writes its output
 into the interior of its consumer's zero-bordered padded input.  Max-pooling
-(the maximum of four strided views), the 2x nearest upsample (one broadcast
-assignment) and the decoder's concatenation (two channel slices) write there
-too.
+(the maximum of four strided views) and the decoder's concatenation (two
+channel slices) write there too.
+
+An up-convolution runs on the grid it upsamples from (the resize-convolution
+identity; Odena et al. 2016).  Its padded input is the coarse activation of
+the layer below, with a border of ceil(p / 2) cells for a kernel of radius p.
+Output cell (2R + a, 2C + b) of tap (i, j) reads the upsampled cell that is
+coarse cell (R + (a + i - p) // 2, C + (b + j - p) // 2), so each tap runs
+one GEMM on the coarse rows, a quarter of the upsampled ones, and adds its
+product, in tap order, into four accumulators, one per (row parity, column
+parity) of the output.  They take the bias and the ReLU and are interleaved
+into the first half of the decoder's input.  Every output cell gets the
+products of the upsampled pass, added in the same order, so it has the same
+bits wherever BLAS gives a row's product the same bits in a call of any
+size; no pass holds the upsampled activation.  numpy takes a one-column
+product by gemv, whose bits for a row depend on where the row sits in the
+call (OpenBLAS), so an up-convolution with one output channel runs on its
+upsampled input, rebuilt in scratch.
 
 The training tape is the padded input of each convolution and nothing else.
 The backward pass reads each ReLU mask from the activation held in a
@@ -41,10 +56,13 @@ padded output gradient with the rotated kernel.
 
 Buffer lifetimes: the padded inputs live through the step.  The GEMM
 accumulator and its scratch serve one convolution at a time, forward and
-backward.  A padded output gradient serves the convolutions of its shape in
-turn.  The input gradient of each ``dec{l}`` has a buffer of its own, as its
-skip half is read only at ``enc{l}``'s step.  The pass gives the same bits as
-the unfused layer-by-layer pass that the tests keep as its oracle.
+backward.  For an up-convolution's kernel gradient the accumulator scratch
+first holds its upsampled padded input, rebuilt from the coarse one, and then
+takes its input gradient.  A padded output gradient serves the convolutions
+of its shape in turn.  Each ``dec{l}`` input gradient is computed in the
+accumulator scratch; its skip half, read only at ``enc{l}``'s step, is copied
+to a buffer of its own, half the size.  The pass gives the same bits as the
+unfused layer-by-layer pass that the tests keep as its oracle.
 """
 
 from __future__ import annotations
@@ -243,79 +261,152 @@ def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, acc: np.ndarray, tmp: np.n
     return acc
 
 
+def _up_gemm(ap: np.ndarray, kernel: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
+    """Into ``acc`` (2, 2, hb * Wq, cout): the 'same' correlation of the 2x
+    nearest upsample of the interior of the coarse padded buffer ``ap``
+    (hb + 2q + 1, Wq, cin), with q = ceil(p / 2) for a kernel of radius p.
+    ``acc[a, b]`` holds output cells (2R + a, 2C + b) at flat row R * Wq + C;
+    the columns C >= Wq - 2q are junk.  Each tap (i, j) runs one GEMM on the
+    flat rows of ``ap`` into ``tmp`` (flat scratch of ``ap.size // cin *
+    cout`` values) and adds it, shifted, to each accumulator in tap order, as
+    ``_shifted_gemm`` does on the upsampled buffer."""
+    kh, kw, cin, cout = kernel.shape
+    wq = ap.shape[1]
+    q, n = (kh // 2 + 1) // 2, acc.shape[2]
+    flat = ap.reshape(-1, cin)
+    prod = _scratch(tmp, (flat.shape[0], cout))
+    for i in range(kh):
+        for j in range(kw):
+            np.matmul(flat, kernel[i, j], out=prod)
+            for a in range(2):
+                for b in range(2):
+                    s = ((a + i - kh // 2) // 2 + q) * wq + (b + j - kw // 2) // 2 + q
+                    if i or j:
+                        acc[a, b] += prod[s : s + n]
+                    else:
+                        acc[a, b] = prod[s : s + n]
+    return acc
+
+
+def _interior(padded: np.ndarray, hl: int, wl: int) -> np.ndarray:
+    """The (hl, wl, channels) interior of a zero-bordered padded buffer."""
+    p = (padded.shape[1] - wl) // 2
+    return padded[p : p + hl, p : p + wl]
+
+
 class _Buffers:
     """Every array of a pass for one (config, tile shape, dtype), reused by
     each pass run in it.
 
     ``tape[name]`` is the padded input of convolution ``name``: zero-bordered,
     (h + 2p + 1, w + 2p, cin) with a spare zero row; a pass writes only its
-    interior.  ``out[name]`` is the (h, w, cout) view where the activation of
-    ``name`` lives: its consumer's interior (a decoder input holds the
-    up-convolution output, then the encoder skip), every second cell of it
-    where an up-convolution consumes it (``up[name]`` is that whole interior),
-    or ``y`` for the head.  ``acc`` and ``tmp`` are flat scratch that one GEMM
-    sum at a time takes views of.
+    interior.  An up-convolution's is on the coarse grid it upsamples from,
+    (h / 2 + 2q + 1, w / 2 + 2q, cin) with q = ceil(p / 2); no tape holds
+    the upsampled input.  ``out[name]`` is the (h, w, cout) view where the
+    activation of ``name`` lives: its consumer's interior (a decoder input
+    holds the up-convolution output, then the encoder skip), or ``y`` for the
+    head.  ``acc`` and ``tmp`` are flat scratch that one GEMM sum at a time
+    takes views of.  ``acc`` also takes an up-convolution's upsampled padded
+    input, rebuilt from the coarse one for its kernel gradient, and for the
+    forward GEMMs of one with a single output channel.
 
     With ``backward``, ``dyp[name]`` is the padded output gradient of
     ``name``, one array per shape, which its convolutions use in turn;
-    ``dx_dec[name]`` is the input gradient of a decoder convolution, on its
-    own, as its skip half lives until the encoder level's step; ``flags`` is
-    boolean scratch.
+    ``skip[name]`` is the skip half of a decoder convolution's input
+    gradient, half the size of that gradient, which lives until the encoder
+    level's step; ``flags`` is boolean scratch.
     """
 
     def __init__(self, cfg: ModelConfig, shape, dtype, backward: bool = True):
         h, w = shape
-        self.tape, self.size, self.out, self.up, self.dyp, self.dx_dec = {}, {}, {}, {}, {}, {}
-        scratch = flags = 0
+        self.tape, self.size, self.out, self.dyp, self.skip = {}, {}, {}, {}, {}
+        acc = tmp = flags = 0
         for name, k, _, cin, cout in layer_specs(cfg):
             level = _level(cfg, name)
             self.size[name] = hl, wl = h >> level, w >> level
             p = k // 2
-            self.tape[name] = np.zeros((hl + 2 * p + 1, wl + 2 * p, cin), dtype)
-            n = hl * (wl + 2 * p)
-            scratch = max(scratch, n * (max(cin, cout) if backward else cout))
-            flags = max(flags, 2 * hl * wl * cout if backward else 0)
+            padded = (hl + 2 * p + 1, wl + 2 * p)
+            n = hl * padded[1]
+            if name.startswith("up"):
+                q = (p + 1) // 2
+                self.tape[name] = np.zeros((hl // 2 + 2 * q + 1, wl // 2 + 2 * q, cin), dtype)
+                if cout > 1:
+                    acc = max(acc, 2 * hl * (wl // 2 + 2 * q) * cout)
+                    tmp = max(tmp, self.tape[name].size // cin * cout)
+                else:  # the upsampled input, rebuilt; the accumulator and its scratch
+                    acc, tmp = max(acc, math.prod(padded) * cin), max(tmp, 2 * n * cout)
+            else:
+                self.tape[name] = np.zeros(padded + (cin,), dtype)
+                acc, tmp = max(acc, n * cout), max(tmp, n * cout)
             if backward:
-                dyp = self.tape[name].shape[:2] + (cout,)
+                # acc takes the input gradient, or an up-convolution's
+                # upsampled padded input, rebuilt.
+                acc, tmp = max(acc, math.prod(padded) * cin), max(tmp, n * cin)
+                flags = max(flags, 2 * hl * wl * cout)
+                dyp = padded + (cout,)
                 same = [a for a in self.dyp.values() if a.shape == dyp]
                 self.dyp[name] = same[0] if same else np.zeros(dyp, dtype)
                 if name.startswith("dec"):
-                    self.dx_dec[name] = np.empty((n, cin), dtype)
-        self.acc, self.tmp = np.empty(scratch, dtype), np.empty(scratch, dtype)
+                    self.skip[name] = np.empty((hl, wl, cin // 2), dtype)
+        self.acc, self.tmp = np.empty(acc, dtype), np.empty(tmp, dtype)
         self.flags = np.empty(flags, bool)
         self.y = np.empty((h, w, 1), dtype)
         self.out["head"], self.out["dec0"] = self.y, self.inner(self.tape, "head")
         for l in range(cfg.depth):
             nch = cfg.base_filters * 2**l
-            dec, up = self.inner(self.tape, f"dec{l}"), self.inner(self.tape, f"up{l}")
+            dec = self.inner(self.tape, f"dec{l}")
             self.out[f"up{l}"], self.out[f"enc{l}"] = dec[..., :nch], dec[..., nch:]
             below = _below(cfg, "dec", l)
-            hb, wb = self.size[below]
-            self.out[below], self.up[below] = up[::2, ::2], up.reshape(hb, 2, wb, 2, -1)
+            self.out[below] = _interior(self.tape[f"up{l}"], *self.size[below])
 
     def inner(self, padded: dict, name: str) -> np.ndarray:
-        """The (h, w, channels) interior of ``padded[name]``."""
-        buf, (hl, wl) = padded[name], self.size[name]
-        p = (buf.shape[1] - wl) // 2
-        return buf[p : p + hl, p : p + wl]
+        """The (h, w, channels) interior of ``padded[name]``, on the grid of
+        ``name``'s output."""
+        return _interior(padded[name], *self.size[name])
+
+
+def _upsampled(buf: _Buffers, name: str, p: int) -> np.ndarray:
+    """The upsampled padded input of up-convolution ``name``, (h + 2p + 1,
+    w + 2p, cin), rebuilt from its coarse padded input in the ``acc``
+    scratch."""
+    ap, (hl, wl) = buf.tape[name], buf.size[name]
+    xp = _scratch(buf.acc, (hl + 2 * p + 1, wl + 2 * p, ap.shape[2]))
+    xp[:p] = xp[p + hl :] = xp[p : p + hl, :p] = xp[p : p + hl, p + wl :] = 0
+    up = xp[p : p + hl, p : p + wl].reshape(hl // 2, 2, wl // 2, 2, -1)
+    up[...] = _interior(ap, hl // 2, wl // 2)[:, None, :, None]
+    return xp
 
 
 def _conv(w: Weights, buf: _Buffers, name: str) -> None:
     """Convolution ``name`` of its padded input, its bias added and its ReLU
     applied in place on the accumulator, written to ``buf.out[name]``."""
     xp, kernel = buf.tape[name], w.kernels[name]
-    (hl, wl), wp, cout = buf.size[name], xp.shape[1], kernel.shape[3]
-    shape = (hl * wp, cout)
-    # The head's kernel is 1x1, so Wp = w and its accumulator is y itself.
-    acc = buf.y.reshape(shape) if name == "head" else _scratch(buf.acc, shape)
-    _shifted_gemm(xp, kernel, acc, _scratch(buf.tmp, shape))
+    (hl, wl), cout = buf.size[name], kernel.shape[3]
+    coarse = name.startswith("up") and cout > 1
+    if coarse:
+        acc = _scratch(buf.acc, (2, 2, hl // 2 * xp.shape[1], cout))
+        _up_gemm(xp, kernel, acc, buf.tmp)
+    else:
+        if name.startswith("up"):
+            # numpy takes a one-column product by BLAS gemv, whose bits for a
+            # row depend on where the row sits in the call (OpenBLAS), so a
+            # one-channel up-convolution runs on its upsampled input.
+            xp = _upsampled(buf, name, kernel.shape[0] // 2)
+            acc, tmp = _scratch(buf.tmp, (2, hl * xp.shape[1], cout))
+        else:
+            shape = (hl * xp.shape[1], cout)
+            # The head's kernel is 1x1, so Wp = w and its accumulator is y itself.
+            acc = buf.y.reshape(shape) if name == "head" else _scratch(buf.acc, shape)
+            tmp = _scratch(buf.tmp, shape)
+        _shifted_gemm(xp, kernel, acc, tmp)
     acc += w.biases[name]
     np.maximum(acc, 0.0, out=acc)
-    a = acc.reshape(hl, wp, cout)[:, :wl]
-    if name in buf.up:
-        buf.up[name][...] = a[:, None, :, None]
+    if coarse:
+        # Output cell (2R + a, 2C + b) is row R, column C of acc[a, b].
+        a = acc.reshape(2, 2, hl // 2, xp.shape[1], cout)[..., : wl // 2, :]
+        buf.out[name].reshape(hl // 2, 2, wl // 2, 2, cout)[...] = a.transpose(2, 0, 3, 1, 4)
     elif name != "head":
-        buf.out[name][...] = a
+        buf.out[name][...] = acc.reshape(hl, xp.shape[1], cout)[:, :wl]
 
 
 def _forward(w: Weights, x: np.ndarray, buf: _Buffers) -> np.ndarray:
@@ -343,15 +434,16 @@ def _relu_mask(buf: _Buffers, name: str) -> np.ndarray:
     return np.greater(a, 0, out=_scratch(buf.flags, a.shape))
 
 
-def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str, dx=None):
+def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str):
     """The kernel and bias gradients of ``name`` into ``grad``, from the output
     gradient in its padded buffer.  Returns its input gradient, computed into
-    ``dx`` or else the ``acc`` scratch, as an (h, w, cin) view; None for
-    ``enc0``, as the tile's own gradient is not needed."""
-    xp, dyp, kernel = buf.tape[name], buf.dyp[name], w.kernels[name]
+    the ``acc`` scratch, as an (h, w, cin) view; None for ``enc0``, as the
+    tile's own gradient is not needed."""
+    dyp, kernel = buf.dyp[name], w.kernels[name]
     kh, kw, cin, cout = kernel.shape
-    (hl, wl), wp = buf.size[name], xp.shape[1]
-    n, p = hl * wp, kh // 2
+    (hl, wl), wp, p = buf.size[name], dyp.shape[1], kh // 2
+    xp = _upsampled(buf, name, p) if name.startswith("up") else buf.tape[name]
+    n = hl * wp
     # From flat row p * Wp + p on, dyp is dy row by row, each row followed by
     # 2p zeros: the forward accumulator's layout with its junk columns at 0.
     start = p * wp + p
@@ -368,9 +460,10 @@ def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str, dx=None):
     if name == "enc0":
         return None
     # dx is a full correlation with the 180-degree-rotated kernel, channels
-    # swapped; exact for 'same' zero padding with odd kernels.
+    # swapped; exact for 'same' zero padding with odd kernels.  An
+    # up-convolution's rebuilt input is no longer read, so dx may take its place.
     k_rot = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
-    dx = _scratch(buf.acc, (n, cin)) if dx is None else dx
+    dx = _scratch(buf.acc, (n, cin))
     _shifted_gemm(dyp, k_rot, dx, _scratch(buf.tmp, (n, cin)))
     return dx.reshape(hl, wp, cin)[:, :wl]
 
@@ -402,7 +495,6 @@ def _backward(w: Weights, buf: _Buffers, dy: np.ndarray) -> np.ndarray:
     after ``_forward`` ran in ``buf``."""
     cfg = w.config
     grad = Weights(cfg, np.empty_like(w.flat))
-    skips = {}
 
     def set_dy(name, da):
         np.multiply(da, _relu_mask(buf, name), out=buf.inner(buf.dyp, name))
@@ -410,10 +502,10 @@ def _backward(w: Weights, buf: _Buffers, dy: np.ndarray) -> np.ndarray:
     set_dy("head", dy)
     set_dy("dec0", _conv_grad(w, buf, grad, "head"))
     for l in range(cfg.depth):
-        d = _conv_grad(w, buf, grad, f"dec{l}", buf.dx_dec[f"dec{l}"])
+        d = _conv_grad(w, buf, grad, f"dec{l}")
         nch = cfg.base_filters * 2**l
         set_dy(f"up{l}", d[..., :nch])
-        skips[l] = d[..., nch:]
+        buf.skip[f"dec{l}"][...] = d[..., nch:]
         d = _conv_grad(w, buf, grad, f"up{l}")
         # The upsample's gradient, the output gradient of the layer below:
         # the four cells each input cell went to, summed in window order, as
@@ -428,7 +520,7 @@ def _backward(w: Weights, buf: _Buffers, dy: np.ndarray) -> np.ndarray:
         np.multiply(s, _relu_mask(buf, below), out=s)
     d = _conv_grad(w, buf, grad, "bottleneck")
     for l in reversed(range(cfg.depth)):
-        _pool_grad(cfg, buf, l, d, skips[l])
+        _pool_grad(cfg, buf, l, d, buf.skip[f"dec{l}"])
         d = _conv_grad(w, buf, grad, f"enc{l}")
     return grad.flat
 

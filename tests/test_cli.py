@@ -443,6 +443,20 @@ class TestErrorHandling:
         assert "lod1_pred.geojson" in err and "lod1_ref.geojson" in err
         assert "Traceback" not in err
 
+    def test_ucp_feature_without_id_names_file_and_feature(self, run_dir, tmp_path, capsys):
+        for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        ref_path = tmp_path / "lod1_ref.geojson"
+        ref = json.loads(ref_path.read_text())
+        del ref["features"][1]["properties"]["id"]
+        ref_path.write_text(json.dumps(ref))
+        code = main(["--out", str(tmp_path), "ucp"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"ERROR stage=ucp: {ref_path}: features[1]: "
+                       "feature missing required 'id' property\n")
+        assert not any(tmp_path.glob("ucp_*"))
+
     @pytest.mark.parametrize("damage", ["missing", "malformed", "cells", "columns-differ"])
     def test_validate_bad_table_exit_2(self, run_dir, tmp_path, capsys, damage):
         shutil.copy(run_dir / "predicted_heights.glbr", tmp_path / "predicted_heights.glbr")

@@ -361,7 +361,7 @@ def per_feature_read(path, reader):
         props = feature.get("properties") or {}
         try:
             if "id" not in props:
-                return "feature missing required 'id' property"
+                return f"{path}: features[{i}]: feature missing required 'id' property"
             coords = feature["geometry"]["coordinates"]
             footprint = BuildingFootprint(id=int(props["id"]), exterior=coords[0],
                                           holes=list(coords[1:]))
