@@ -26,43 +26,36 @@ built.  A pass runs in one set of buffers, ``_Buffers``, made for its config,
 tile shape and dtype; ``train`` reuses one set for all steps on tiles of a
 shape, and ``predict_city`` one for all its tiles.  Each convolution adds its
 bias and applies its ReLU in place on its accumulator, then writes its output
-into the interior of its consumer's zero-bordered padded input.  Max-pooling
+into its consumer's input, mostly the interior of a zero-bordered padded
+buffer.  Max-pooling
 (the maximum of four strided views) and the decoder's concatenation (two
 channel slices) write there too.
 
-An up-convolution runs on the grid it upsamples from (the resize-convolution
-identity; Odena et al. 2016).  Its padded input is the coarse activation of
-the layer below, with a border of ceil(p / 2) cells for a kernel of radius p.
-Output cell (2R + a, 2C + b) of tap (i, j) reads the upsampled cell that is
-coarse cell (R + (a + i - p) // 2, C + (b + j - p) // 2), so each tap runs
-one GEMM on the coarse rows, a quarter of the upsampled ones, and adds its
-product, in tap order, into four accumulators, one per (row parity, column
-parity) of the output.  They take the bias and the ReLU and are interleaved
-into the first half of the decoder's input.  Every output cell gets the
-products of the upsampled pass, added in the same order, so it has the same
-bits wherever BLAS gives a row's product the same bits in a call of any
-size; no pass holds the upsampled activation.  numpy takes a one-column
-product by gemv, whose bits for a row depend on where the row sits in the
-call (OpenBLAS), so an up-convolution with one output channel runs on its
-upsampled input, rebuilt in scratch.
+No buffer keeps an upsampled activation.  The layer below each
+up-convolution writes its activation once, unpadded, on its own grid; the
+up-convolution rebuilds its 2x nearest upsample, zero-bordered, in scratch
+(one broadcast assignment) just before its GEMMs, forward and backward, and
+runs them as every other convolution does.
 
-The training tape is the padded input of each convolution and nothing else.
-The backward pass reads each ReLU mask from the activation held in a
-consumer's padded input, and routes each max-pool gradient to the first
-maximum of its window, found by comparing the encoder activation with the
-pooled interior.  The kernel gradient comes from the same slices as the
-forward GEMMs; the input gradient is the same shifted convolution of the
-padded output gradient with the rotated kernel.
+The training tape is the padded input of each convolution, or the coarse
+activation an up-convolution upsamples, and nothing else.  The backward pass
+reads each ReLU mask from the activation held in a consumer's input, and
+routes each max-pool gradient to the first maximum of its window, found by
+comparing the encoder activation with the pooled interior.  The kernel
+gradient comes from the same slices as the forward GEMMs; the input gradient
+is the same shifted convolution of the padded output gradient with the
+rotated kernel.
 
-Buffer lifetimes: the padded inputs live through the step.  The GEMM
-accumulator and its scratch serve one convolution at a time, forward and
-backward.  For an up-convolution's kernel gradient the accumulator scratch
-first holds its upsampled padded input, rebuilt from the coarse one, and then
-takes its input gradient.  A padded output gradient serves the convolutions
-of its shape in turn.  Each ``dec{l}`` input gradient is computed in the
-accumulator scratch; its skip half, read only at ``enc{l}``'s step, is copied
-to a buffer of its own, half the size.  The pass gives the same bits as the
-unfused layer-by-layer pass that the tests keep as its oracle.
+Buffer lifetimes: the tape lives through the step.  Two flat scratch arrays
+serve one convolution at a time.  Forward, ``tmp`` holds its GEMM sum and
+each tap's product, and ``acc`` an up-convolution's rebuilt upsampled input.
+Backward, ``acc`` holds that rebuilt input until the kernel gradient has read
+it, and then the input gradient, with ``tmp`` as its scratch.  A padded
+output gradient serves the convolutions of its shape in turn.  Each
+``dec{l}`` input gradient is computed in ``acc``; its skip half, read only at
+``enc{l}``'s step, is copied to a buffer of its own, half the size.  The pass
+gives the same bits as the unfused layer-by-layer pass that the tests keep as
+its oracle.
 """
 
 from __future__ import annotations
@@ -261,54 +254,21 @@ def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, acc: np.ndarray, tmp: np.n
     return acc
 
 
-def _up_gemm(ap: np.ndarray, kernel: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
-    """Into ``acc`` (2, 2, hb * Wq, cout): the 'same' correlation of the 2x
-    nearest upsample of the interior of the coarse padded buffer ``ap``
-    (hb + 2q + 1, Wq, cin), with q = ceil(p / 2) for a kernel of radius p.
-    ``acc[a, b]`` holds output cells (2R + a, 2C + b) at flat row R * Wq + C;
-    the columns C >= Wq - 2q are junk.  Each tap (i, j) runs one GEMM on the
-    flat rows of ``ap`` into ``tmp`` (flat scratch of ``ap.size // cin *
-    cout`` values) and adds it, shifted, to each accumulator in tap order, as
-    ``_shifted_gemm`` does on the upsampled buffer."""
-    kh, kw, cin, cout = kernel.shape
-    wq = ap.shape[1]
-    q, n = (kh // 2 + 1) // 2, acc.shape[2]
-    flat = ap.reshape(-1, cin)
-    prod = _scratch(tmp, (flat.shape[0], cout))
-    for i in range(kh):
-        for j in range(kw):
-            np.matmul(flat, kernel[i, j], out=prod)
-            for a in range(2):
-                for b in range(2):
-                    s = ((a + i - kh // 2) // 2 + q) * wq + (b + j - kw // 2) // 2 + q
-                    if i or j:
-                        acc[a, b] += prod[s : s + n]
-                    else:
-                        acc[a, b] = prod[s : s + n]
-    return acc
-
-
-def _interior(padded: np.ndarray, hl: int, wl: int) -> np.ndarray:
-    """The (hl, wl, channels) interior of a zero-bordered padded buffer."""
-    p = (padded.shape[1] - wl) // 2
-    return padded[p : p + hl, p : p + wl]
-
-
 class _Buffers:
     """Every array of a pass for one (config, tile shape, dtype), reused by
     each pass run in it.
 
     ``tape[name]`` is the padded input of convolution ``name``: zero-bordered,
     (h + 2p + 1, w + 2p, cin) with a spare zero row; a pass writes only its
-    interior.  An up-convolution's is on the coarse grid it upsamples from,
-    (h / 2 + 2q + 1, w / 2 + 2q, cin) with q = ceil(p / 2); no tape holds
-    the upsampled input.  ``out[name]`` is the (h, w, cout) view where the
-    activation of ``name`` lives: its consumer's interior (a decoder input
-    holds the up-convolution output, then the encoder skip), or ``y`` for the
-    head.  ``acc`` and ``tmp`` are flat scratch that one GEMM sum at a time
-    takes views of.  ``acc`` also takes an up-convolution's upsampled padded
-    input, rebuilt from the coarse one for its kernel gradient, and for the
-    forward GEMMs of one with a single output channel.
+    interior.  An up-convolution's is the (h / 2, w / 2, cin) activation it
+    upsamples, with no border; no array holds the upsampled input.
+    ``out[name]`` is the (h, w, cout) view where the activation of ``name``
+    lives: its consumer's interior (a decoder input holds the up-convolution
+    output, then the encoder skip), the whole input of an up-convolution, or
+    ``y`` for the head.  ``tmp`` is flat scratch that one GEMM sum and its
+    tap products at a time take views of; ``acc`` is flat scratch for an
+    up-convolution's upsampled padded input, rebuilt from its tape, and for
+    an input gradient.
 
     With ``backward``, ``dyp[name]`` is the padded output gradient of
     ``name``, one array per shape, which its convolutions use in turn;
@@ -327,21 +287,13 @@ class _Buffers:
             p = k // 2
             padded = (hl + 2 * p + 1, wl + 2 * p)
             n = hl * padded[1]
-            if name.startswith("up"):
-                q = (p + 1) // 2
-                self.tape[name] = np.zeros((hl // 2 + 2 * q + 1, wl // 2 + 2 * q, cin), dtype)
-                if cout > 1:
-                    acc = max(acc, 2 * hl * (wl // 2 + 2 * q) * cout)
-                    tmp = max(tmp, self.tape[name].size // cin * cout)
-                else:  # the upsampled input, rebuilt; the accumulator and its scratch
-                    acc, tmp = max(acc, math.prod(padded) * cin), max(tmp, 2 * n * cout)
-            else:
-                self.tape[name] = np.zeros(padded + (cin,), dtype)
-                acc, tmp = max(acc, n * cout), max(tmp, n * cout)
+            up = name.startswith("up")
+            self.tape[name] = np.zeros((hl // 2, wl // 2, cin) if up else padded + (cin,), dtype)
+            if up or backward:
+                acc = max(acc, math.prod(padded) * cin)
+            tmp = max(tmp, 2 * n * cout)
             if backward:
-                # acc takes the input gradient, or an up-convolution's
-                # upsampled padded input, rebuilt.
-                acc, tmp = max(acc, math.prod(padded) * cin), max(tmp, n * cin)
+                tmp = max(tmp, n * cin)
                 flags = max(flags, 2 * hl * wl * cout)
                 dyp = padded + (cout,)
                 same = [a for a in self.dyp.values() if a.shape == dyp]
@@ -356,57 +308,44 @@ class _Buffers:
             nch = cfg.base_filters * 2**l
             dec = self.inner(self.tape, f"dec{l}")
             self.out[f"up{l}"], self.out[f"enc{l}"] = dec[..., :nch], dec[..., nch:]
-            below = _below(cfg, "dec", l)
-            self.out[below] = _interior(self.tape[f"up{l}"], *self.size[below])
+            self.out[_below(cfg, "dec", l)] = self.tape[f"up{l}"]
 
     def inner(self, padded: dict, name: str) -> np.ndarray:
-        """The (h, w, channels) interior of ``padded[name]``, on the grid of
-        ``name``'s output."""
-        return _interior(padded[name], *self.size[name])
+        """The (h, w, channels) interior of ``padded[name]``."""
+        buf, (hl, wl) = padded[name], self.size[name]
+        p = (buf.shape[1] - wl) // 2
+        return buf[p : p + hl, p : p + wl]
 
 
-def _upsampled(buf: _Buffers, name: str, p: int) -> np.ndarray:
-    """The upsampled padded input of up-convolution ``name``, (h + 2p + 1,
-    w + 2p, cin), rebuilt from its coarse padded input in the ``acc``
-    scratch."""
-    ap, (hl, wl) = buf.tape[name], buf.size[name]
-    xp = _scratch(buf.acc, (hl + 2 * p + 1, wl + 2 * p, ap.shape[2]))
+def _padded_input(buf: _Buffers, name: str, p: int) -> np.ndarray:
+    """The padded input of convolution ``name``, (h + 2p + 1, w + 2p, cin):
+    its tape, or for an up-convolution the 2x nearest upsample of its tape,
+    zero-bordered, rebuilt in the ``acc`` scratch."""
+    a = buf.tape[name]
+    if not name.startswith("up"):
+        return a
+    (hl, wl), cin = buf.size[name], a.shape[2]
+    xp = _scratch(buf.acc, (hl + 2 * p + 1, wl + 2 * p, cin))
     xp[:p] = xp[p + hl :] = xp[p : p + hl, :p] = xp[p : p + hl, p + wl :] = 0
-    up = xp[p : p + hl, p : p + wl].reshape(hl // 2, 2, wl // 2, 2, -1)
-    up[...] = _interior(ap, hl // 2, wl // 2)[:, None, :, None]
+    xp[p : p + hl, p : p + wl].reshape(hl // 2, 2, wl // 2, 2, cin)[...] = a[:, None, :, None]
     return xp
 
 
 def _conv(w: Weights, buf: _Buffers, name: str) -> None:
     """Convolution ``name`` of its padded input, its bias added and its ReLU
     applied in place on the accumulator, written to ``buf.out[name]``."""
-    xp, kernel = buf.tape[name], w.kernels[name]
-    (hl, wl), cout = buf.size[name], kernel.shape[3]
-    coarse = name.startswith("up") and cout > 1
-    if coarse:
-        acc = _scratch(buf.acc, (2, 2, hl // 2 * xp.shape[1], cout))
-        _up_gemm(xp, kernel, acc, buf.tmp)
-    else:
-        if name.startswith("up"):
-            # numpy takes a one-column product by BLAS gemv, whose bits for a
-            # row depend on where the row sits in the call (OpenBLAS), so a
-            # one-channel up-convolution runs on its upsampled input.
-            xp = _upsampled(buf, name, kernel.shape[0] // 2)
-            acc, tmp = _scratch(buf.tmp, (2, hl * xp.shape[1], cout))
-        else:
-            shape = (hl * xp.shape[1], cout)
-            # The head's kernel is 1x1, so Wp = w and its accumulator is y itself.
-            acc = buf.y.reshape(shape) if name == "head" else _scratch(buf.acc, shape)
-            tmp = _scratch(buf.tmp, shape)
-        _shifted_gemm(xp, kernel, acc, tmp)
+    kernel = w.kernels[name]
+    xp = _padded_input(buf, name, kernel.shape[0] // 2)
+    (hl, wl), wp, cout = buf.size[name], xp.shape[1], kernel.shape[3]
+    shape = (hl * wp, cout)
+    acc, tmp = _scratch(buf.tmp, (2,) + shape)
+    if name == "head":  # its kernel is 1x1, so Wp = w and its accumulator is y itself
+        acc = buf.y.reshape(shape)
+    _shifted_gemm(xp, kernel, acc, tmp)
     acc += w.biases[name]
     np.maximum(acc, 0.0, out=acc)
-    if coarse:
-        # Output cell (2R + a, 2C + b) is row R, column C of acc[a, b].
-        a = acc.reshape(2, 2, hl // 2, xp.shape[1], cout)[..., : wl // 2, :]
-        buf.out[name].reshape(hl // 2, 2, wl // 2, 2, cout)[...] = a.transpose(2, 0, 3, 1, 4)
-    elif name != "head":
-        buf.out[name][...] = acc.reshape(hl, xp.shape[1], cout)[:, :wl]
+    if name != "head":
+        buf.out[name][...] = acc.reshape(hl, wp, cout)[:, :wl]
 
 
 def _forward(w: Weights, x: np.ndarray, buf: _Buffers) -> np.ndarray:
@@ -442,8 +381,7 @@ def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str):
     dyp, kernel = buf.dyp[name], w.kernels[name]
     kh, kw, cin, cout = kernel.shape
     (hl, wl), wp, p = buf.size[name], dyp.shape[1], kh // 2
-    xp = _upsampled(buf, name, p) if name.startswith("up") else buf.tape[name]
-    n = hl * wp
+    xp, n = _padded_input(buf, name, p), hl * wp
     # From flat row p * Wp + p on, dyp is dy row by row, each row followed by
     # 2p zeros: the forward accumulator's layout with its junk columns at 0.
     start = p * wp + p
