@@ -27,9 +27,8 @@ tile shape and dtype; ``train`` reuses one set for all steps on tiles of a
 shape, and ``predict_city`` one for all its tiles.  Each convolution adds its
 bias and applies its ReLU in place on its accumulator, then writes its output
 into its consumer's input, mostly the interior of a zero-bordered padded
-buffer.  Max-pooling
-(the maximum of four strided views) and the decoder's concatenation (two
-channel slices) write there too.
+buffer.  Max-pooling (the maximum of four strided views) and the decoder's
+concatenation (two channel slices) write there too.
 
 No buffer keeps an upsampled activation.  The layer below each
 up-convolution writes its activation once, unpadded, on its own grid; the
