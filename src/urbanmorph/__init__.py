@@ -18,7 +18,6 @@ from .raster import (
     minmax_normalize,
     read_raster,
     resample_cubic,
-    subtract,
     write_raster,
 )
 from .footprints import (

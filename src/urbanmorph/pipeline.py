@@ -3,6 +3,22 @@
 Each stage reads its inputs from disk, writes its outputs into the
 configured output directory, and is individually re-runnable: identical
 inputs and seeds produce byte-identical outputs.
+
+The rasters of a run live in the output directory as ``<key>.glbr``:
+
+========================  ================  ================================
+artifact                  written by        read by
+========================  ================  ================================
+``ndsm_resampled``        resample          rasterize-points, train, predict
+``population_resampled``  resample          train, predict (network)
+``dsm``, ``dem``          rasterize-points  ndsm
+``ndsm_ref``              ndsm              train, predict (network), lod1
+``predicted_heights``     predict           lod1, ucp, validate
+========================  ================  ================================
+
+All of them lie on the fine grid that ``resample`` sets.  Stages read them
+through ``_read``, which rejects one off the grid of the first it reads, and
+write them through ``_write``; only ``resample`` reads rasters by config path.
 """
 
 from __future__ import annotations
@@ -14,11 +30,12 @@ import numpy as np
 
 from . import lod1 as lod1_mod
 from . import network, synth, tiler, ucp, validation
-from .errors import ConfigError, FormatError
+from .errors import AlignmentError, ConfigError, FormatError
 from .footprints import footprint_table, read_footprints, rasterize
 from .pointcloud import fill_voids_nearest, grid_elevation, read_points_csv
 from .pointcloud import height_above_ground
-from .raster import Raster, minmax_normalize, read_raster, resample_cubic, write_raster
+from .raster import DEFAULT_NODATA, Raster, minmax_normalize, read_raster, require_aligned
+from .raster import resample_cubic, write_raster
 
 
 # Bounds on the array sizes that run values imply, so that a finite but
@@ -167,13 +184,33 @@ def _require_file(path: str, key: str) -> str:
     return path
 
 
-def _mask_for(cfg: PipelineConfig, template: Raster):
+def _read(cfg: PipelineConfig, *keys: str):
+    """Yield the raster ``<out>/<key>.glbr`` of each key in turn, each checked
+    to exist, to decode and to lie on the grid of the first one."""
+    first = None
+    for key in keys:
+        path = _require_file(cfg.path(f"{key}.glbr"), key)
+        r = read_raster(path)
+        first = first or (path, r)
+        try:
+            require_aligned(first[1], r, f"{first[0]} and {path}")
+        except AlignmentError as exc:
+            raise FormatError(str(exc)) from exc
+        yield r
+
+
+def _write(cfg: PipelineConfig, **rasters: Raster) -> dict[str, str]:
+    """Write each raster to ``<out>/<key>.glbr``, in order; the paths by key."""
+    os.makedirs(cfg.out, exist_ok=True)
+    paths = {key: cfg.path(f"{key}.glbr") for key in rasters}
+    for key, r in rasters.items():
+        write_raster(r, paths[key])
+    return paths
+
+
+def _mask_for(cfg: PipelineConfig, grid: Raster):
     footprints = read_footprints(_require_file(cfg.footprints, "footprints"))
-    return footprints, rasterize(footprints, template)
-
-
-def _template_like(r: Raster) -> Raster:
-    return r.with_values(np.zeros((r.height, r.width), dtype=np.float32))
+    return footprints, rasterize(footprints, grid)
 
 
 def _checked(cls, **kwargs):
@@ -217,22 +254,20 @@ def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
     """Grid the points on the fine grid of ``ndsm_resampled.glbr``, so that the
     reference and the prediction share their cells; points off it are dropped."""
     pc = read_points_csv(_require_file(cfg.points, "points"))
-    fine = read_raster(_require_file(cfg.path("ndsm_resampled.glbr"), "ndsm_resampled"))
+    (fine,) = _read(cfg, "ndsm_resampled")
     # The DSM and DEM keep their own sentinel: the coarse layer's may be a real elevation.
-    template = fine.with_values(fine.values, nodata=-9999.0)
-    dem, dsm = grid_elevation(pc, template)
+    dem, dsm = grid_elevation(pc, fine.with_values(fine.values, nodata=DEFAULT_NODATA))
     del pc  # the fill needs the grids alone
-    dem = fill_voids_nearest(dem)
-    write_raster(dsm, cfg.path("dsm.glbr"))
-    write_raster(dem, cfg.path("dem.glbr"))
-    return {"dsm": cfg.path("dsm.glbr"), "dem": cfg.path("dem.glbr")}
+    if not dem.valid_mask.any():
+        raise FormatError(
+            f"{cfg.points}: no ground point on the grid of {cfg.path('ndsm_resampled.glbr')}"
+        )
+    return _write(cfg, dsm=dsm, dem=fill_voids_nearest(dem))
 
 
 def stage_ndsm(cfg: PipelineConfig) -> dict[str, str]:
-    dsm = read_raster(_require_file(cfg.path("dsm.glbr"), "dsm"))
-    dem = read_raster(_require_file(cfg.path("dem.glbr"), "dem"))
-    write_raster(height_above_ground(dsm, dem), cfg.path("ndsm_ref.glbr"))
-    return {"ndsm_ref": cfg.path("ndsm_ref.glbr")}
+    dsm, dem = _read(cfg, "dsm", "dem")
+    return _write(cfg, ndsm_ref=height_above_ground(dsm, dem))
 
 
 def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
@@ -241,40 +276,28 @@ def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
     pop = read_raster(_require_file(cfg.population, "population"))
     side = max(max(r.extent_x, r.extent_y) for r in (coarse, pop)) / cs
     _bounded_cells(side, f"bad fine_cell_size {cs!r}")
-    os.makedirs(cfg.out, exist_ok=True)
     fine = resample_cubic(coarse, cs)
     pop_fine = resample_cubic(pop, cs)
-    write_raster(fine, cfg.path("ndsm_resampled.glbr"))
-    write_raster(pop_fine, cfg.path("population_resampled.glbr"))
-    return {
-        "ndsm_resampled": cfg.path("ndsm_resampled.glbr"),
-        "population_resampled": cfg.path("population_resampled.glbr"),
-    }
+    return _write(cfg, ndsm_resampled=fine, population_resampled=pop_fine)
 
 
-def _network_input(cfg: PipelineConfig, key: str) -> Raster:
-    """The raster ``<key>.glbr`` of ``cfg.out``; a nodata cell is a FormatError,
-    since the network would read the nodata value as data."""
-    path = _require_file(cfg.path(f"{key}.glbr"), key)
-    r = read_raster(path)
-    gaps = np.count_nonzero(~r.valid_mask)
-    if gaps:
-        raise FormatError(f"{path}: {gaps} nodata cells; the network needs gap-free input")
-    return r
-
-
-def _channels(cfg: PipelineConfig) -> list[Raster]:
-    """Normalized predictor channels: nDSM, population and footprint mask."""
-    ndsm_fine = _network_input(cfg, "ndsm_resampled")
-    pop_fine = _network_input(cfg, "population_resampled")
-    _, mask = _mask_for(cfg, _template_like(ndsm_fine))
-    ndsm_norm, _ = minmax_normalize(ndsm_fine)
-    pop_norm, _ = minmax_normalize(pop_fine)
-    return [ndsm_norm, pop_norm, mask.raster]
-
-
-def _target(cfg: PipelineConfig):
-    return minmax_normalize(_network_input(cfg, "ndsm_ref"))
+def _network_inputs(cfg: PipelineConfig):
+    """The normalized predictor channels (nDSM, population and footprint mask),
+    and the normalized reference with its params.  A nodata cell is a
+    FormatError, since the network would read the nodata value as data."""
+    keys = ("ndsm_resampled", "population_resampled", "ndsm_ref")
+    rasters = []
+    for key, r in zip(keys, _read(cfg, *keys)):
+        gaps = np.count_nonzero(~r.valid_mask)
+        if gaps:
+            raise FormatError(
+                f"{cfg.path(f'{key}.glbr')}: {gaps} nodata cells; the network needs gap-free input"
+            )
+        rasters.append(r)
+    ndsm_fine, pop_fine, ref = rasters
+    _, mask = _mask_for(cfg, ndsm_fine)
+    channels = [minmax_normalize(ndsm_fine)[0], minmax_normalize(pop_fine)[0], mask.raster]
+    return channels, minmax_normalize(ref)
 
 
 def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.TrainConfig]:
@@ -289,8 +312,7 @@ def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.
 
 def stage_train(cfg: PipelineConfig) -> dict[str, str]:
     model_cfg, train_cfg = _network_configs(cfg)
-    channels = _channels(cfg)
-    target_norm, _ = _target(cfg)
+    channels, (target_norm, _) = _network_inputs(cfg)
     # One split, so each target tile is cut from the window of its channels.
     _, tiles = tiler.split([*channels, target_norm])
     dataset = [(t[..., :-1], t[..., -1]) for t in tiles]
@@ -306,27 +328,20 @@ PREDICTORS = ("baseline", "network")
 
 def stage_predict(cfg: PipelineConfig) -> dict[str, str]:
     if cfg.one_of("predictor", PREDICTORS) == "baseline":
-        ndsm_fine = read_raster(
-            _require_file(cfg.path("ndsm_resampled.glbr"), "ndsm_resampled")
-        )
-        _, mask = _mask_for(cfg, _template_like(ndsm_fine))
+        (ndsm_fine,) = _read(cfg, "ndsm_resampled")
+        _, mask = _mask_for(cfg, ndsm_fine)
         pred = network.baseline_predict(ndsm_fine, mask)
     else:
-        channels = _channels(cfg)
-        _, target_params = _target(cfg)
+        channels, (_, target_params) = _network_inputs(cfg)
         weights = network.read_weights(_require_file(cfg.path("weights.glbw"), "weights"))
         pred = network.predict_city(weights, channels, target_params)
-    write_raster(pred, cfg.path("predicted_heights.glbr"))
-    return {"predicted_heights": cfg.path("predicted_heights.glbr")}
+    return _write(cfg, predicted_heights=pred)
 
 
 def stage_lod1(cfg: PipelineConfig) -> dict[str, str]:
     statistic = cfg.one_of("statistic", lod1_mod.STATISTICS)
-    pred = read_raster(
-        _require_file(cfg.path("predicted_heights.glbr"), "predicted_heights")
-    )
-    ref = read_raster(_require_file(cfg.path("ndsm_ref.glbr"), "ndsm_ref"))
-    footprints, mask = _mask_for(cfg, _template_like(pred))
+    pred, ref = _read(cfg, "predicted_heights", "ndsm_ref")
+    footprints, mask = _mask_for(cfg, pred)
     pred_buildings = lod1_mod.assign_heights(pred, mask, footprints, statistic)
     ref_buildings = lod1_mod.assign_heights(ref, mask, footprints, statistic)
     lod1_mod.write_lod1(pred_buildings, cfg.path("lod1_pred.geojson"))
@@ -376,14 +391,12 @@ def _check_resolutions(cfg: PipelineConfig, cell_size: float, side: float, nbins
             )
 
 
-def _checked_template(cfg: PipelineConfig, nbins: float) -> Raster:
-    """An empty raster on the grid of ``predicted_heights.glbr``, on which
-    every resolution of ``cfg`` and its ``nbins``-bin histograms fit."""
-    template = _template_like(
-        read_raster(_require_file(cfg.path("predicted_heights.glbr"), "predicted_heights"))
-    )
-    _check_resolutions(cfg, template.cell_size, max(template.width, template.height), nbins)
-    return template
+def _checked_grid(cfg: PipelineConfig, nbins: float) -> Raster:
+    """The raster ``predicted_heights.glbr``, on whose grid every resolution of
+    ``cfg`` and its ``nbins``-bin histograms fit."""
+    (pred,) = _read(cfg, "predicted_heights")
+    _check_resolutions(cfg, pred.cell_size, max(pred.width, pred.height), nbins)
+    return pred
 
 
 def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
@@ -402,7 +415,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     tables = footprint_table(footprints), footprint_table([b.footprint for b in ref])
     if not all(map(np.array_equal, *tables)):
         raise FormatError(f"{paths[1]}: footprints differ from {paths[0]}")
-    mask = rasterize(footprints, _checked_template(cfg, nbins))
+    mask = rasterize(footprints, _checked_grid(cfg, nbins))
     return {
         (kind, resolution): ucp.aggregate_all(
             buildings,
@@ -433,23 +446,19 @@ def stage_validate(cfg: PipelineConfig) -> dict[str, str]:
     """Compare the pred and ref grids that ``stage_ucp`` wrote, read back from
     their tables."""
     min_reference = cfg.positive("min_reference")  # a MAPE floor of 0 divides by 0
-    template = _checked_template(cfg, _histogram_bins(cfg)[1])
-    grids = {}
+    grid = _checked_grid(cfg, _histogram_bins(cfg)[1])
+    pairs = {}  # every table is read and checked before any output is written
     for resolution in cfg.resolution_list():
-        geom = ucp.raster_grid(template, resolution)
+        geom = ucp.raster_grid(grid, resolution)
         names = [f"ucp_{kind}_{resolution:g}m" for kind in ("pred", "ref")]
         paths = [_require_file(os.path.join(cfg.path(n), "ucp_table.csv"), n) for n in names]
         pred, ref = (ucp.read_csv(path, geom) for path in paths)
         if (pred.nbins, list(pred.lambda_f)) != (ref.nbins, list(ref.lambda_f)):
             raise FormatError(f"{paths[1]}: columns differ from {paths[0]}")
-        grids["pred", resolution], grids["ref", resolution] = pred, ref
-    outputs = {}
-    for resolution in cfg.resolution_list():
-        out_dir = cfg.path(f"validation_{resolution:g}m")
-        pred, ref = grids["pred", resolution], grids["ref", resolution]
-        validation.export_comparison(pred, ref, out_dir, min_reference=min_reference)
-        outputs[f"validation_{resolution:g}m"] = out_dir
-    return outputs
+        pairs[f"validation_{resolution:g}m"] = pred, ref
+    for name, (pred, ref) in pairs.items():
+        validation.export_comparison(pred, ref, cfg.path(name), min_reference=min_reference)
+    return {name: cfg.path(name) for name in pairs}
 
 
 def stage_report(cfg: PipelineConfig) -> dict[str, str]:

@@ -129,15 +129,6 @@ def require_aligned(a: Raster, b: Raster, what: str = "rasters") -> None:
 # -- cell-wise arithmetic --------------------------------------------------
 
 
-def subtract(minuend: Raster, subtrahend: Raster) -> Raster:
-    """Cell-wise difference; nodata in either operand propagates to the result."""
-    require_aligned(minuend, subtrahend)
-    valid = minuend.valid_mask & subtrahend.valid_mask
-    out = np.full_like(minuend.values, minuend.nodata)
-    out[valid] = minuend.values[valid] - subtrahend.values[valid]
-    return minuend.with_values(out)
-
-
 def clamp_nonnegative(r: Raster) -> Raster:
     """Replace negative cells with 0; nodata cells pass through."""
     out = r.values.copy()

@@ -20,7 +20,7 @@ from .errors import GeometryError, PackingError
 from .footprints import BuildingFootprint, FootprintMask, _build, _table, rasterize
 from .footprints import write_footprints
 from .pointcloud import Label, PointCloud, write_points_glbp
-from .raster import Raster, downsample_average, write_raster
+from .raster import DEFAULT_NODATA, Raster, downsample_average, write_raster
 
 _PLACEMENT_RETRIES = 25
 _TERRAIN_BASE = 100.0
@@ -140,7 +140,7 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
     rng = np.random.default_rng(spec.seed)
     size = spec.size_cells
     template = Raster(width=size, height=size, origin_x=0.0, origin_y=0.0, cell_size=1.0,
-                      nodata=-9999.0, values=np.zeros((size, size), dtype=np.float32))
+                      nodata=DEFAULT_NODATA, values=np.zeros((size, size), dtype=np.float32))
 
     rects = _place_buildings(spec, rng)
     corners = np.array([[(x, y), (x + w, y), (x + w, y + h), (x, y + h)] for x, y, w, h in rects])

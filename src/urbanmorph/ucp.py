@@ -31,7 +31,7 @@ import numpy as np
 from .errors import AlignmentError, FormatError, ShapeError
 from .footprints import FootprintMask, FootprintTable, footprint_table, projected_widths
 from .lod1 import Lod1Building
-from .raster import Raster, write_raster
+from .raster import DEFAULT_NODATA, Raster, write_raster
 
 DEFAULT_RESOLUTION = 300.0
 DEFAULT_BIN_WIDTH = 5.0
@@ -337,7 +337,7 @@ def export_rasters(grid: UcpGrid, out_dir) -> list[str]:
             origin_x=g.origin_x,
             origin_y=g.origin_y,
             cell_size=g.resolution,
-            nodata=-9999.0,
+            nodata=DEFAULT_NODATA,
             values=arr.astype(np.float32),
         )
         path = os.path.join(out_dir, f"ucp_{name}_{g.resolution:g}m.glbr")

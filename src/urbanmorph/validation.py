@@ -12,6 +12,7 @@ from .errors import AlignmentError, EmptySeriesError, InputError
 from .ucp import UcpGrid
 
 DEFAULT_MIN_REFERENCE = 1.0
+COMPARED_FIELDS = ("mean", "std", "lambda_p", "lambda_b")
 
 
 @dataclass
@@ -95,7 +96,6 @@ def export_comparison(
     pred: UcpGrid,
     ref: UcpGrid,
     out_dir,
-    fields: tuple[str, ...] = ("mean", "std", "lambda_p", "lambda_b"),
     min_reference: float = DEFAULT_MIN_REFERENCE,
 ) -> dict[str, float]:
     """Write scatter CSVs per field, a per-cell histogram comparison, and a
@@ -103,7 +103,7 @@ def export_comparison(
     os.makedirs(out_dir, exist_ok=True)
     metrics: dict[str, float] = {}
     rows_out = []
-    for fname in fields:
+    for fname in COMPARED_FIELDS:
         series = pair_grids(pred, ref, fname)
         scatter_path = os.path.join(out_dir, f"scatter_{fname}.csv")
         with open(scatter_path, "w") as f:

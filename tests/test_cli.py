@@ -328,7 +328,7 @@ class TestNetworkStageInputs:
             back = tiler.stitch(grid, np.stack(part))
             assert back.values.tobytes() == expected.values.tobytes()
 
-    def test_train_target_not_aligned_exit_1(self, run_dir, tmp_path, capsys):
+    def test_train_target_not_aligned_exit_2(self, run_dir, tmp_path, capsys):
         flags = self.copy_inputs(run_dir, tmp_path, (
             "ndsm_resampled.glbr", "population_resampled.glbr"))
         ref = read_raster(run_dir / "ndsm_ref.glbr")
@@ -341,9 +341,32 @@ class TestNetworkStageInputs:
         code = main(["--out", str(tmp_path), "train", "--depth", "1", "--base-filters", "2",
                      "--epochs", "1", *flags])
         err = capsys.readouterr().err
-        assert code == 1
-        assert err.count("\n") == 1 and err.startswith("ERROR stage=train: channels not aligned")
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=train: ")
+        first, moved = tmp_path / "ndsm_resampled.glbr", tmp_path / "ndsm_ref.glbr"
+        assert f"{first} and {moved} not aligned" in err
         assert not (tmp_path / "weights.glbw").exists()
+
+    @pytest.mark.parametrize("stage", ["train", "predict"])
+    def test_first_fault_in_read_order_reported(self, run_dir, tmp_path, capsys, stage):
+        # A nodata cell in the first raster read is reported, not the
+        # missing second one: each raster is checked before the next is read.
+        flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"))
+        network.write_weights(
+            network.init_weights(network.ModelConfig(depth=1, base_filters=2)),
+            tmp_path / "weights.glbw",
+        )
+        r = read_raster(tmp_path / "ndsm_resampled.glbr")
+        r.values[3, 4] = r.nodata
+        write_raster(r, tmp_path / "ndsm_resampled.glbr")
+        before = tree_digest(tmp_path)
+        code = main(["--out", str(tmp_path), stage, "--predictor", "network", "--depth", "1",
+                     "--base-filters", "2", "--epochs", "1", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"ERROR stage={stage}: ")
+        assert "ndsm_resampled.glbr: 1 nodata cells" in err
+        assert tree_digest(tmp_path) == before
 
 
     @pytest.mark.parametrize(
@@ -479,6 +502,17 @@ class TestErrorHandling:
         assert "ucp_ref_100m" in err and "Traceback" not in err
         assert not any(tmp_path.glob("validation_*"))
 
+    def test_validate_reads_every_table_before_writing(self, run_dir, tmp_path, capsys):
+        # The 100 m pair is whole; the 200 m pair is missing.
+        shutil.copy(run_dir / "predicted_heights.glbr", tmp_path / "predicted_heights.glbr")
+        for kind in ("pred", "ref"):
+            shutil.copytree(run_dir / f"ucp_{kind}_100m", tmp_path / f"ucp_{kind}_100m")
+        code = main(["--out", str(tmp_path), "validate", "--resolutions", "100,200"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "ucp_pred_200m" in err
+        assert not any(tmp_path.glob("validation_*"))
+
     @pytest.mark.parametrize(
         "flags",
         [["--n-buildings", "-1"], ["--predictor", "network", "--epochs", "0"]],
@@ -563,6 +597,45 @@ class TestStagewiseEqualsRun:
                       "lod1", "ucp", "validate", "report"]:
             assert main(base + [stage] + inputs) == 0, stage
         assert tree_digest(out_a) == tree_digest(out_b)
+
+
+def on_coarser_grid(r):
+    """``r`` on a grid of twice its cell size, over about the same extent."""
+    return Raster(width=r.width // 2, height=r.height // 2, origin_x=r.origin_x,
+                  origin_y=r.origin_y, cell_size=2 * r.cell_size, nodata=r.nodata,
+                  values=r.values[: r.height // 2 * 2 : 2, : r.width // 2 * 2 : 2])
+
+
+class TestOneGridPerStage:
+    @pytest.mark.parametrize("stage, first, moved", [
+        ("ndsm", "dsm.glbr", "dem.glbr"),
+        ("lod1", "predicted_heights.glbr", "ndsm_ref.glbr"),
+    ])
+    def test_raster_on_another_grid_exit_2(self, run_dir, tmp_path, capsys, stage, first, moved):
+        shutil.copy(run_dir / first, tmp_path / first)
+        write_raster(on_coarser_grid(read_raster(run_dir / moved)), tmp_path / moved)
+        before = tree_digest(tmp_path)
+        code = main(["--out", str(tmp_path), stage,
+                     "--footprints", str(run_dir / "footprints.geojson")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"ERROR stage={stage}: ")
+        assert f"{tmp_path / first} and {tmp_path / moved} not aligned" in err
+        assert tree_digest(tmp_path) == before
+
+    @pytest.mark.parametrize("rows", ["", "1.5,1.5,10.0,other\n"],
+                             ids=["header-only", "other-only"])
+    def test_no_ground_point_exit_2(self, run_dir, tmp_path, capsys, rows):
+        shutil.copy(run_dir / "ndsm_resampled.glbr", tmp_path / "ndsm_resampled.glbr")
+        points = tmp_path / "points.csv"
+        points.write_text("x,y,z,label\n" + rows)
+        before = tree_digest(tmp_path)
+        code = main(["--out", str(tmp_path), "rasterize-points", "--points", str(points)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"ERROR stage=rasterize-points: {points}: no ground point on the grid "
+                       f"of {tmp_path / 'ndsm_resampled.glbr'}\n")
+        assert tree_digest(tmp_path) == before
 
 
 class TestRejectedBeforeWork:

@@ -21,7 +21,7 @@ from urbanmorph.pointcloud import (
     write_points_glbp,
 )
 from urbanmorph.pipeline import STAGES, PipelineConfig, stage_rasterize_points
-from urbanmorph.raster import Raster, clamp_nonnegative, read_raster, subtract, write_raster
+from urbanmorph.raster import Raster, clamp_nonnegative, read_raster, write_raster
 
 NODATA = -9999.0
 
@@ -90,6 +90,15 @@ def fill_voids_oracle(r):
             cell, k = cell[~hit], k[~hit] + 1
         lo = hi
     return r.with_values(out)
+
+
+def subtract(minuend, subtrahend):
+    """The cell-wise difference that ``height_above_ground`` replaced, kept as
+    its oracle: nodata in either operand is the minuend's nodata."""
+    valid = minuend.valid_mask & subtrahend.valid_mask
+    out = np.full_like(minuend.values, minuend.nodata)
+    out[valid] = minuend.values[valid] - subtrahend.values[valid]
+    return minuend.with_values(out)
 
 
 def assert_same_cells(a, b):

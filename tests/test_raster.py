@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanmorph.errors import (
-    AlignmentError,
     EmptyStatisticsError,
     FormatError,
     ShapeError,
@@ -23,7 +22,6 @@ from urbanmorph.raster import (
     minmax_normalize,
     read_raster,
     resample_cubic,
-    subtract,
     write_raster,
 )
 
@@ -67,43 +65,6 @@ def resample_cubic_oracle(src, target_cell_size):
     out = cubic_axis_interp_oracle(along_x.T, src.height, v).T
     return Raster(width=out_w, height=out_h, origin_x=src.origin_x, origin_y=src.origin_y,
                   cell_size=target_cell_size, nodata=src.nodata, values=out.astype(np.float32))
-
-
-class TestSubtract:
-    def test_simple_difference(self):
-        dsm = make([[110.0]])
-        dem = make([[100.0]])
-        assert subtract(dsm, dem).values[0, 0] == 10.0
-
-    def test_nodata_propagates(self):
-        dsm = make([[110.0, 105.0]])
-        dem = make([[NODATA, 100.0]])
-        out = subtract(dsm, dem)
-        assert out.values[0, 0] == np.float32(NODATA)
-        assert out.values[0, 1] == 5.0
-
-    def test_matches_per_cell_loop(self):
-        rng = np.random.default_rng(7)
-        a = make(rng.uniform(0, 200, (3, 3)))
-        b = make(rng.uniform(0, 100, (3, 3)))
-        out = subtract(a, b)
-        for r in range(3):
-            for c in range(3):
-                assert out.values[r, c] == np.float32(a.values[r, c]) - np.float32(
-                    b.values[r, c]
-                )
-
-    def test_misaligned_raises(self):
-        with pytest.raises(AlignmentError):
-            subtract(make([[1.0]]), make([[1.0]], cell_size=2.0))
-
-    def test_add_back_recovers(self):
-        rng = np.random.default_rng(11)
-        a = make(rng.uniform(-50, 50, (6, 6)))
-        b = make(rng.uniform(-50, 50, (6, 6)))
-        diff = subtract(a, b)
-        recovered = diff.values + b.values
-        np.testing.assert_allclose(recovered, a.values, rtol=1e-5, atol=1e-4)
 
 
 class TestClamp:
