@@ -5,7 +5,9 @@ itself happens upstream and is taken as given.  Gridding uses per-cell
 elevation averaging with 64-bit accumulation, so the result is independent
 of point order.  Void cells of a terrain raster take the value of their
 nearest valid cell center; distances are compared as exact integer squared
-distances, and a tie goes to the donor earliest in row-major order.
+distances, and a tie goes to the donor earliest in row-major order.  One
+exact feature transform of the transposed void mask meets that rule: it
+relies on scipy's pass order and tie rule (``fill_voids_nearest``).
 
 Points are stored as CSV (``x,y,z,label``) or as GLBP, a little-endian
 column file: a ``<4sHQ`` header (magic ``b"GLBP"``, version 1, count n),
@@ -21,13 +23,12 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice, repeat
-from math import isfinite, isqrt
+from math import isfinite
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .errors import EmptyStatisticsError, FormatError
-from .footprints import _spans
 from .raster import Raster, require_aligned
 
 
@@ -43,8 +44,6 @@ _NAME_CODES = {"ground": 0, "building": 1, "other": 2}
 _BLOCK = 65536
 GLBP_MAGIC = b"GLBP"
 _GLBP_HEADER = struct.Struct("<4sHQ")
-# Squared-distance span of void cells filled from one offset table.
-_D2_SPAN = 1 << 16
 
 
 @dataclass
@@ -114,79 +113,23 @@ def fill_voids_nearest(r: Raster) -> Raster:
 
     Distance is Euclidean between cell centers, compared as an exact integer
     squared distance; exact ties go to the donor earliest in row-major order.
+
+    The donors come from one exact feature transform (scipy's
+    ``distance_transform_edt``, Maurer et al. 2003).  It runs one pass per
+    axis, the last axis last, and each pass keeps the earlier site of an
+    exact tie; so it picks the least d², then the least last-axis index, then
+    the least first-axis index.  It runs on the transposed mask, whose last
+    axis is the row: that order is the least d², then row, then column.  Its
+    float64 sums of squared integer offsets are exact on any grid under
+    100,000 cells a side.  A valid cell is its own donor.
     """
     valid = r.valid_mask
     if not valid.any():
         raise EmptyStatisticsError("cannot fill an all-nodata raster")
-    out = r.values.copy()
     if valid.all():
-        return r.with_values(out)
-
-    # The EDT gives each void cell's nearest squared distance d2 exactly, but
-    # breaks ties its own way; so each cell takes the first valid donor among
-    # the lattice offsets at its d2, tried in row-major order of the donor.
-    height, width = valid.shape
-    nearest = distance_transform_edt(~valid, return_distances=False, return_indices=True)
-    void = np.flatnonzero(~valid)
-    d2 = np.square(void // width - nearest[0].ravel()[void])
-    d2 += np.square(void % width - nearest[1].ravel()[void])
-    del nearest
-    order = np.argsort(d2, kind="stable")
-    void, d2 = void[order], d2[order]
-    del order
-    # Donors are looked up in a copy of the mask with a border of invalid
-    # cells as wide as the farthest offset, so no offset needs a bounds check;
-    # no offset is wider than the grid (``_lattice``), nor the border.
-    reach = isqrt(int(d2[-1]))
-    pad_r, pad_c = min(reach, height - 1), min(reach, width - 1)
-    wide = width + 2 * pad_c
-    padded = np.zeros((height + 2 * pad_r, wide), dtype=bool)
-    padded[pad_r:pad_r + height, pad_c:pad_c + width] = valid
-    padded, values, filled = padded.ravel(), r.values.ravel(), out.ravel()
-    lo = 0
-    while lo < d2.size:
-        # Cells whose d2 lies in one span share a table of at most about
-        # pi * _D2_SPAN offsets, which bounds memory on sparse donors.
-        hi = int(np.searchsorted(d2, d2[lo] + _D2_SPAN))
-        off_d2, off_r, off_c = _lattice(int(d2[lo]), int(d2[hi - 1]), height, width)
-        step, wide_step = off_r * width + off_c, off_r * wide + off_c
-        # Round k tries each pending cell's k-th offset at its d2.  Its EDT
-        # donor is among them, so every cell stops within its own d2.
-        cell, k = void[lo:hi], np.searchsorted(off_d2, d2[lo:hi])
-        at = cell + cell // width * (2 * pad_c) + pad_r * wide + pad_c  # in ``padded``
-        while cell.size:
-            hit = padded[at + wide_step[k]]
-            filled[cell[hit]] = values[cell[hit] + step[k[hit]]]
-            miss = ~hit
-            cell, k, at = cell[miss], k[miss] + 1, at[miss]
-        lo = hi
-    return r.with_values(out)
-
-
-_isqrt = np.vectorize(isqrt, otypes=[np.int64])  # exact where float sqrt is not
-
-
-def _lattice(lo: int, hi: int, height: int, width: int):
-    """Every integer offset (dr, dc) with lo <= dr² + dc² <= hi, |dr| < height
-    and |dc| < width: every offset within a ``height`` x ``width`` grid.
-
-    Returns d2, dr and dc, sorted by d2, then dr, then dc: within one d2
-    that is the row-major order of the donors around a cell.
-    """
-    reach = min(isqrt(hi), height - 1)
-    rows = np.arange(-reach, reach + 1)
-    need = lo - rows * rows
-    inner = _isqrt(np.maximum(need, 1) - 1) + (need > 0)  # least dc >= 0 with dc² >= need
-    outer = np.minimum(_isqrt(hi - rows * rows), width - 1)
-    # Row dr holds dc from -outer to -inner, then from inner to outer (0 once).
-    right = np.maximum(outer - inner + 1, 0)
-    lengths = np.column_stack((right - (inner == 0) * (right > 0), right))
-    dc = _spans(np.column_stack((-outer, inner)).ravel(), lengths.ravel())
-    dr = np.repeat(rows, lengths.sum(axis=1))
-    d2 = dr * dr
-    d2 += dc * dc
-    order = np.argsort(d2, kind="stable")  # the offsets are in row-major order already
-    return d2[order], dr[order], dc[order]
+        return r.with_values(r.values.copy())
+    cols, rows = distance_transform_edt(~valid.T, return_distances=False, return_indices=True)
+    return r.with_values(r.values[rows.T, cols.T])
 
 
 def height_above_ground(dsm: Raster, dem: Raster) -> Raster:

@@ -464,6 +464,30 @@ class TestFillVoidsOracle:
         assert out[2, 2] == vals[first]
         assert nearest_donor_oracle(valid, 2, 2) == first
 
+    def test_every_mask_of_four_by_four(self):
+        # Every non-empty donor mask of a 4x4 grid.  The oracle's least
+        # (d², row, column) among a mask's donors is the first donor of the
+        # mask in each void's list of all 16 cells ordered by that key; the
+        # lists come from the oracle, one cell taken away at a time.
+        ranked = np.empty((16, 16), dtype=np.intp)
+        for vr, vc in np.ndindex(4, 4):
+            left = np.ones((4, 4), dtype=bool)
+            for k in range(16):
+                r, c = nearest_donor_oracle(left, vr, vc)
+                ranked[4 * vr + vc, k], left[r, c] = 4 * r + c, False
+        masks = (np.arange(1, 1 << 16)[:, None] >> np.arange(16)) & 1 > 0
+        first = np.argmax(masks[:, ranked], axis=2)
+        expected = np.take_along_axis(ranked[None], first[..., None], axis=2)[..., 0] + 1
+        # Every donor holds a distinct value, so the filled value names its donor.
+        ids = np.arange(1, 17, dtype=np.float32)
+        grid = template(4, 4)
+        out = np.stack([
+            fill_voids_nearest(grid.with_values(np.where(valid, ids, np.float32(NODATA)))).values
+            for valid in masks
+        ]).reshape(-1, 16)
+        wrong = (out != expected).any(axis=1)
+        assert not wrong.any(), masks[wrong][0].reshape(4, 4)
+
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1)])
     def test_single_row_or_column_tie(self, shape):
         # A void between two donors two cells away each side takes the first.
@@ -484,6 +508,23 @@ class TestFillVoidsOracle:
             assert out[vr, vc] == vals[nearest_donor_oracle(valid, vr, vc)]
         # The anti-diagonal is equidistant from both donors: (0, 0) comes first.
         np.testing.assert_array_equal(np.fliplr(out).diagonal(), 1.0)
+
+    def test_sparse_donor_memory_bound(self):
+        # Two donors in opposite corners of 1,500² cells.  The fill peaked at
+        # 28.0 MiB of traced allocations (17.2 MiB of feature indices, the
+        # 8.6 MiB result and the mask); the bound is that plus 5 %.
+        vals = np.full((1500, 1500), NODATA, dtype=np.float32)
+        vals[0, 0], vals[-1, -1] = 1.0, 2.0
+        raster = template(1500, 1500).with_values(vals)
+        tracemalloc.start()
+        try:
+            out = fill_voids_nearest(raster)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 28.0 * 2**20
+        # The anti-diagonal is equidistant from both donors: (0, 0) comes first.
+        np.testing.assert_array_equal(np.fliplr(out.values).diagonal(), 1.0)
 
 
 class TestReplacedKernelOracles:
@@ -527,14 +568,29 @@ class TestReplacedKernelOracles:
         width=st.integers(1, 40),
         donors=st.integers(1, 6),
         density=st.sampled_from([0.0, 0.05, 0.3, 0.8]),
+        layout=st.sampled_from(["scatter", "lattice", "rectangles"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_fill_matches_two_d_rounds(self, height, width, donors, density, seed):
+    def test_fill_matches_two_d_rounds(self, height, width, donors, density, layout, seed):
         # A few donors far apart give long reaches and many ties at one d²;
-        # a dense scatter gives short ones.
+        # a dense scatter gives short ones.  Donors on a lattice of spacing
+        # 2-6 tie at almost every void; ``donors`` void rectangles, like the
+        # ground under the synthetic buildings, tie along their diagonals.
         rng = np.random.default_rng(seed)
-        valid = rng.random((height, width)) < density
-        valid.flat[rng.integers(0, height * width, donors)] = True
+        if layout == "scatter":
+            valid = rng.random((height, width)) < density
+            valid.flat[rng.integers(0, height * width, donors)] = True
+        elif layout == "lattice":
+            step = int(rng.integers(2, 7))
+            valid = np.zeros((height, width), dtype=bool)
+            valid[rng.integers(min(step, height))::step, rng.integers(min(step, width))::step] = True
+        else:
+            valid = np.ones((height, width), dtype=bool)
+            for _ in range(donors):
+                r, c = rng.integers(height), rng.integers(width)
+                valid[r:r + rng.integers(1, height + 1), c:c + rng.integers(1, width + 1)] = False
+            if not valid.any():
+                valid.flat[rng.integers(height * width)] = True
         vals = np.where(valid, rng.integers(1, 5, (height, width)), NODATA).astype(np.float32)
         raster = template(width, height).with_values(vals)
         assert_same_cells(fill_voids_nearest(raster), fill_voids_oracle(raster))
@@ -564,8 +620,8 @@ class TestReplacedKernelOracles:
     def test_sparse_fill_no_worse_than_two_d_rounds(self):
         # Two donors in opposite corners: almost every void tries offsets off
         # the grid before it finds its donor.  On a 2-core host the fill that
-        # this one replaced peaked at 18.9 MiB and took 0.10-0.13 s; this one
-        # 14.5 MiB and 0.07-0.08 s.
+        # this one replaced peaked at 18.9 MiB and took 0.13 s; this one
+        # 1.2 MiB and 0.003 s.
         vals = np.full((300, 300), NODATA, dtype=np.float32)
         vals[0, 0], vals[-1, -1] = 1.0, 2.0
         raster = template(300, 300).with_values(vals)
