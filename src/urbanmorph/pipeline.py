@@ -48,6 +48,12 @@ MAX_HISTOGRAM_BINS = 10_000
 # temporaries about 40 bytes per cell and bin for the pair (measured).
 HISTOGRAM_ENTRY_BYTES = 40
 MAX_HISTOGRAM_BYTES = 2**28  # the pred and ref histograms of one resolution
+# A synthetic scene's elevations are kept in float32 rasters.  Below 10 km
+# the float32 spacing is at most 2**-10 m, about 1 mm, so the DSM, the DEM
+# and the nDSM keep every height to the millimetre; far beyond it, the
+# rounding of terrain plus height erases the buildings, and near the float32
+# range the rasters overflow.
+MAX_ELEVATION = 10_000.0
 
 
 def _bounded_cells(side: float, what: str) -> None:
@@ -225,7 +231,9 @@ def _checked(cls, **kwargs):
 
 
 def _synth_spec(cfg: PipelineConfig) -> synth.SyntheticCitySpec:
-    """The scene ``cfg`` asks ``synth`` for, whose grid is at most ``MAX_GRID_CELLS``."""
+    """The scene ``cfg`` asks ``synth`` for, whose grid is at most
+    ``MAX_GRID_CELLS`` and whose elevations are at most ``MAX_ELEVATION``
+    in magnitude."""
     spec = _checked(
         synth.SyntheticCitySpec,
         extent_m=cfg.extent,
@@ -243,6 +251,12 @@ def _synth_spec(cfg: PipelineConfig) -> synth.SyntheticCitySpec:
     _bounded_cells(
         spec.size_cells, f"bad extent {cfg.extent!r} and coarse_factor {cfg.coarse_factor!r}"
     )
+    if not spec.peak_elevation <= MAX_ELEVATION:
+        raise ConfigError(
+            f"bad terrain_slope {cfg.terrain_slope!r} and height_max {cfg.height_max!r}: "
+            f"elevations up to {spec.peak_elevation:.3g} m on a {spec.size_cells} m scene, "
+            f"beyond {MAX_ELEVATION:g} m"
+        )
     return spec
 
 

@@ -1,13 +1,16 @@
 """Labeled point clouds and their reduction to 1-m elevation rasters.
 
 Points carry a semantic label (ground / building / other); classification
-itself happens upstream and is taken as given.  Gridding uses per-cell
-elevation averaging with 64-bit accumulation, so the result is independent
-of point order.  Void cells of a terrain raster take the value of their
-nearest valid cell center; distances are compared as exact integer squared
-distances, and a tie goes to the donor earliest in row-major order.  One
-exact feature transform of the transposed void mask meets that rule: it
-relies on scipy's pass order and tie rule (``fill_voids_nearest``).
+itself happens upstream and is taken as given.  Gridding averages each
+cell's elevations, added in float64 in point order.  It takes one label at a
+time, in blocks of points: besides the cloud (25 bytes a point) it holds a
+float64 sum and an int64 count per cell for one label, then that label's
+float32 means, and the DEM once it is done.  Void cells of a terrain
+raster take the value of their nearest valid cell center; distances are
+compared as exact integer squared distances, and a tie goes to the donor
+earliest in row-major order.  One exact feature transform of the transposed
+void mask meets that rule: it relies on scipy's pass order and tie rule
+(``fill_voids_nearest``).
 
 Points are stored as CSV (``x,y,z,label``) or as GLBP, a little-endian
 column file: a ``<4sHQ`` header (magic ``b"GLBP"``, version 1, count n),
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice, repeat
@@ -39,8 +43,8 @@ class Label(IntEnum):
 
 
 _NAME_CODES = {"ground": 0, "building": 1, "other": 2}
-# CSV lines parsed per block: large enough to amortise the per-block calls,
-# small enough that a block's temporaries stay a few MB.
+# CSV lines parsed, or points gridded, per block: large enough to amortise
+# the per-block calls, small enough that a block's temporaries stay a few MB.
 _BLOCK = 65536
 GLBP_MAGIC = b"GLBP"
 _GLBP_HEADER = struct.Struct("<4sHQ")
@@ -71,22 +75,32 @@ class PointCloud:
         return self.xs.size
 
 
-def _point_bins(pc: PointCloud, template: Raster) -> np.ndarray:
-    """Each point's bin of ``grid_elevation``: its cell's row-major index for
-    a ground point, that plus the cell count for a building point, and twice
-    the cell count for a point off the grid or of another label."""
+def _mean_elevation(pc: PointCloud, template: Raster, label: Label) -> Raster:
+    """Mean elevation of the ``label`` points per template cell, nodata where
+    a cell has none.  The points go through in blocks of ``_BLOCK``, so no
+    temporary is as long as the cloud; ``np.add.at`` adds each cell's
+    elevations in point order, block after block."""
     width, height = template.width, template.height
-    col, row = pc.xs - template.origin_x, pc.ys - template.origin_y
-    for a in (col, row):
-        a /= template.cell_size
-        np.floor(a, out=a)
-    off = (col < 0) | (col >= width) | (row < 0) | (row >= height)
-    off |= pc.labels.view(np.uint8) > Label.BUILDING  # other, or no label at all
-    np.add(row, height, out=row, where=pc.labels == Label.BUILDING)
-    row *= width
-    row += col
-    row[off] = 2 * width * height
-    return row.astype(np.intp)
+    sums = np.zeros(width * height)
+    counts = np.zeros(width * height, dtype=np.int64)
+    for start in range(0, len(pc), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        keep = pc.labels[block] == label
+        col, row = pc.xs[block][keep], pc.ys[block][keep]
+        for a, origin in ((col, template.origin_x), (row, template.origin_y)):
+            a -= origin
+            a /= template.cell_size
+            np.floor(a, out=a)
+        on = (col >= 0) & (col < width) & (row >= 0) & (row < height)
+        cells = (row[on] * width + col[on]).astype(np.intp)
+        np.add.at(sums, cells, pc.zs[block][keep][on])
+        np.add.at(counts, cells, 1)
+    hit = counts > 0
+    np.divide(sums, counts, out=sums, where=hit)
+    del counts  # the float32 means come after the counts go
+    means = sums.astype(np.float32)
+    means[~hit] = template.nodata
+    return template.with_values(means)
 
 
 def grid_elevation(pc: PointCloud, template: Raster) -> tuple[Raster, Raster]:
@@ -95,17 +109,12 @@ def grid_elevation(pc: PointCloud, template: Raster) -> tuple[Raster, Raster]:
 
     Cell membership is half-open: a point belongs to the cell whose index is
     floor((coord - origin) / cell_size).  Points off the grid and ``other``
-    points are dropped; cells without points become nodata.  One bincount
-    adds each cell's elevations in point order.
+    points are dropped; cells without points become nodata.  Each cell's
+    elevations are added in float64 in point order.  The DEM is finished
+    before the DSM's accumulators exist.
     """
-    n = template.width * template.height
-    bins = _point_bins(pc, template)
-    sums = np.bincount(bins, weights=pc.zs, minlength=2 * n + 1)[:-1]
-    counts = np.bincount(bins, minlength=2 * n + 1)[:-1]
-    del bins  # each full-size array goes before the next one comes
-    out = np.full(2 * n, template.nodata, dtype=np.float32)
-    np.divide(sums, counts, out=out, where=counts > 0)
-    return template.with_values(out[:n]), template.with_values(out[n:])
+    return (_mean_elevation(pc, template, Label.GROUND),
+            _mean_elevation(pc, template, Label.BUILDING))
 
 
 def fill_voids_nearest(r: Raster) -> Raster:
@@ -148,11 +157,23 @@ def height_above_ground(dsm: Raster, dem: Raster) -> Raster:
 
 def write_points_glbp(pc: PointCloud, path) -> None:
     """Write GLBP, each coordinate the double it is in ``pc``."""
+    write_glbp_pieces(path, len(pc), [(0, pc)])
+
+
+def write_glbp_pieces(path, n: int, pieces: Iterable[tuple[int, PointCloud]]) -> None:
+    """Write an ``n``-point GLBP from ``(start, points)`` pieces, each of the
+    points from index ``start`` on, that together hold each point once.
+
+    Each column of a piece is written at its place in the file, so only the
+    piece in hand is held."""
     with open(path, "wb") as f:
-        f.write(_GLBP_HEADER.pack(GLBP_MAGIC, 1, len(pc)))
-        for column in (pc.xs, pc.ys, pc.zs):
-            column.astype("<f8", copy=False).tofile(f)
-        pc.labels.astype("i1", copy=False).tofile(f)
+        f.write(_GLBP_HEADER.pack(GLBP_MAGIC, 1, n))
+        for start, piece in pieces:
+            for k, column in enumerate((piece.xs, piece.ys, piece.zs)):
+                f.seek(_GLBP_HEADER.size + 8 * (k * n + start))
+                column.astype("<f8", copy=False).tofile(f)
+            f.seek(_GLBP_HEADER.size + 24 * n + start)
+            piece.labels.astype("i1", copy=False).tofile(f)
 
 
 def _read_glbp(path) -> PointCloud:

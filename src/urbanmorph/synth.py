@@ -5,12 +5,21 @@ buildings, a flat or ramped terrain, a labeled point cloud sampled at cell
 centers, a coarse noisy height layer fabricated by block-averaging the
 truth, and a smoothed population proxy.  Everything is reproducible from the
 seed alone; no wall-clock or OS entropy.
+
+A scene holds its grids (the footprint ids, the mask and the truth, 16
+bytes a cell; the terrain is one row) and the few ``other`` clutter points,
+but not its point cloud of one point per cell.  ``write_scene`` writes the cloud from
+row bands of the footprint id grid, each band's points going straight to
+their place in the file, so it holds one band's points at a time;
+``SynthScene.points`` builds the whole cloud (25 bytes a point) from the same
+bands.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +28,14 @@ from scipy.ndimage import gaussian_filter
 from .errors import GeometryError, PackingError
 from .footprints import BuildingFootprint, FootprintMask, _build, _table, rasterize
 from .footprints import write_footprints
-from .pointcloud import Label, PointCloud, write_points_glbp
+from .pointcloud import Label, PointCloud, write_glbp_pieces
 from .raster import DEFAULT_NODATA, Raster, downsample_average, write_raster
 
 _PLACEMENT_RETRIES = 25
 _TERRAIN_BASE = 100.0
+# Cells per row band of the point writer: a band's points and temporaries
+# are about 2 MB.
+_BAND_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,6 +75,16 @@ class SyntheticCitySpec:
         n = int(math.ceil(self.extent_m))
         return -(-n // self.coarse_factor) * self.coarse_factor
 
+    def terrain_at(self, x):
+        """Terrain elevation at ``x`` metres east of the scene's origin."""
+        return _TERRAIN_BASE + self.terrain_slope * x
+
+    @property
+    def peak_elevation(self) -> float:
+        """The largest |terrain| across the scene plus ``height_max``: no
+        terrain, roof or truth value of the scene is larger in magnitude."""
+        return max(abs(self.terrain_at(0.0)), abs(self.terrain_at(self.size_cells))) + self.height_max
+
 
 @dataclass
 class SynthScene:
@@ -72,9 +94,53 @@ class SynthScene:
     terrain: Raster
     truth_ndsm: Raster
     mask: FootprintMask = field(repr=False)
-    points: PointCloud = field(repr=False)
+    clutter: PointCloud = field(repr=False)  # the 'other' points, last in the cloud
     coarse_ndsm: Raster = field(repr=False)
     population: Raster = field(repr=False)
+
+    def point_pieces(self) -> Iterator[tuple[int, PointCloud]]:
+        """The scene's point cloud as ``(start, points)`` pieces, each of the
+        points from index ``start`` on.
+
+        One labeled point per cell center: ground where open, building roofs
+        where built, each in row-major order, then the clutter.  The cells
+        come in row bands of ``_BAND_CELLS``; a band yields its ground piece
+        and its roof piece, at the next free index of each label.
+        """
+        ids = self.mask.source_ids
+        rows, size = ids.shape
+        height_lut = np.array([0.0, *self.heights.values()])  # by id; ids run from 1
+        starts = {Label.GROUND: 0, Label.BUILDING: ids.size - np.count_nonzero(ids)}
+        step = max(1, _BAND_CELLS // size)
+        for r0 in range(0, rows, step):
+            band = ids[r0:r0 + step]
+            for label in starts:
+                cells = np.flatnonzero(band > 0 if label == Label.BUILDING else band == 0)
+                xs = np.remainder(cells, size) + 0.5
+                ys = np.floor_divide(cells, size) + (r0 + 0.5)
+                zs = self.spec.terrain_at(xs)
+                if label == Label.BUILDING:
+                    zs += height_lut[band.ravel()[cells]]
+                labels = np.full(cells.size, label, dtype=np.int8)
+                yield starts[label], PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
+                starts[label] += cells.size
+        yield ids.size, self.clutter
+
+    @property
+    def n_points(self) -> int:
+        return self.mask.source_ids.size + len(self.clutter)
+
+    @property
+    def points(self) -> PointCloud:
+        """The whole point cloud that ``write_scene`` writes, built from
+        ``point_pieces``."""
+        xs, ys, zs = np.empty((3, self.n_points))
+        labels = np.empty(self.n_points, dtype=np.int8)
+        for start, piece in self.point_pieces():
+            stop = start + len(piece)
+            xs[start:stop], ys[start:stop], zs[start:stop] = piece.xs, piece.ys, piece.zs
+            labels[start:stop] = piece.labels
+        return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
 
 
 def _snap_range(lo: float, hi: float, step: int) -> list[int]:
@@ -150,36 +216,21 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
     heights = {f.id: float(rng.uniform(spec.height_min, spec.height_max)) for f in footprints}
 
     mask = rasterize(footprints, template)
-    ids = mask.source_ids.ravel()
 
     # Terrain and truth height field at 1 m.
-    terrain_at = lambda x: _TERRAIN_BASE + spec.terrain_slope * x
     xc = template.cell_centers_x()
-    terrain = template.with_values(np.broadcast_to(terrain_at(xc).astype(np.float32), (size, size)))
+    terrain = template.with_values(np.broadcast_to(spec.terrain_at(xc).astype(np.float32), (size, size)))
     height_lut = np.array([0.0, *heights.values()])  # by id; ids run from 1
     truth = template.with_values(height_lut.astype(np.float32)[mask.source_ids])
 
-    # One labeled point per cell center: ground where open, building roofs
-    # where built, each in row-major order, plus a sparse scattering of
-    # 'other' clutter.
-    cells = size * size
-    n_other = cells // 1000
-    order = np.argsort(ids > 0, kind="stable")
-    n_ground = cells - np.count_nonzero(ids)
-    xs, ys, zs = np.empty((3, cells + n_other))
-    np.remainder(order, size, out=xs[:cells])
-    np.floor_divide(order, size, out=ys[:cells])
-    xs[:cells] += 0.5
-    ys[:cells] += 0.5
-    xs[cells:] = rng.uniform(0, size, n_other)
-    ys[cells:] = rng.uniform(0, size, n_other)
-    np.multiply(xs, spec.terrain_slope, out=zs)
-    zs += _TERRAIN_BASE  # terrain_at(xs), in place
-    zs[n_ground:cells] += height_lut[ids[order[n_ground:]]]
-    zs[cells:] += rng.uniform(2.0, 12.0, n_other)
-    labels = np.full(cells + n_other, Label.OTHER, dtype=np.int8)
-    labels[:n_ground], labels[n_ground:cells] = Label.GROUND, Label.BUILDING
-    points = PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
+    # The sparse 'other' clutter, drawn before the coarse noise; the cell
+    # points are made as they are written (``SynthScene.point_pieces``).
+    n_other = size * size // 1000
+    cx = rng.uniform(0, size, n_other)
+    cy = rng.uniform(0, size, n_other)
+    cz = spec.terrain_at(cx)
+    cz += rng.uniform(2.0, 12.0, n_other)
+    clutter = PointCloud(xs=cx, ys=cy, zs=cz, labels=np.full(n_other, Label.OTHER, dtype=np.int8))
 
     coarse = downsample_average(truth, spec.coarse_factor)
     if spec.noise_sigma > 0:
@@ -199,7 +250,7 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
         terrain=terrain,
         truth_ndsm=truth,
         mask=mask,
-        points=points,
+        clutter=clutter,
         coarse_ndsm=coarse,
         population=population,
     )
@@ -217,7 +268,7 @@ def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
         "population": os.path.join(out_dir, "population.glbr"),
     }
     write_footprints(scene.footprints, paths["footprints"])
-    write_points_glbp(scene.points, paths["points"])
+    write_glbp_pieces(paths["points"], scene.n_points, scene.point_pieces())
     write_raster(scene.truth_ndsm, paths["truth_ndsm"])
     write_raster(scene.terrain, paths["terrain"])
     write_raster(scene.coarse_ndsm, paths["coarse_ndsm"])

@@ -17,6 +17,7 @@ from urbanmorph import network, pipeline, tiler
 from urbanmorph.cli import _config_from_args, build_parser, main
 from urbanmorph.lod1 import read_lod1
 from urbanmorph.pipeline import (
+    MAX_ELEVATION,
     PipelineConfig,
     build_config,
     parse_config_file,
@@ -736,14 +737,23 @@ class TestRunValuesCheckedFirst:
          # A 64 m extent rounded up to whole coarse cells of 100 km.
          ["--coarse-factor", "100000"],
          # A U-Net whose step on one tile would hold about 1.1e13 values.
-         ["--base-filters", "100000", "--predictor", "network"]],
+         ["--base-filters", "100000", "--predictor", "network"],
+         # Elevations beyond MAX_ELEVATION: past the float range, past the
+         # float32 range of the rasters, and where float32 rounding of terrain
+         # plus height erases the buildings.
+         ["--terrain-slope", "1e+307"], ["--terrain-slope", "1e+37"],
+         ["--terrain-slope", "1000000000.0"], ["--terrain-slope", "-200.0"],
+         ["--height-min", "1e+39", "--height-max", "1e+39"],
+         ["--height-min", "1000000000000.0", "--height-max", "1000000000000.0"]],
         ids=["statistic", "predictor", "resolutions", "directions", "resolutions-inf",
              "resolutions-nan", "directions-nan", "height_cap-nan", "height_cap-negative",
              "extent-nan", "fine_cell_size-nan", "fine_cell_size-0", "bin_width-0",
              "learning_rate-inf", "bin_width-tiny", "height_cap-huge", "resolutions-huge",
              "fine_cell_size-tiny", "resolutions-fraction", "histograms-huge",
              "histograms-64m", "min_reference-0", "seed-negative", "seed-beyond-int64",
-             "coarse_factor-huge", "base_filters-huge"],
+             "coarse_factor-huge", "base_filters-huge", "terrain_slope-overflow",
+             "terrain_slope-float32-overflow", "terrain_slope-rounding", "terrain_slope-negative",
+             "heights-float32-overflow", "heights-rounding"],
     )
     def test_run_exit_2_before_any_stage(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
@@ -754,6 +764,23 @@ class TestRunValuesCheckedFirst:
         assert flags[1] in err
         assert "Traceback" not in err
         assert not out.exists() or not any(out.rglob("*"))
+
+    @pytest.mark.parametrize("key, at_bound", [("slope", (MAX_ELEVATION - 130.0) / 64),
+                                               ("height", MAX_ELEVATION - 100.0)])
+    def test_run_at_elevation_bound(self, tmp_path, capsys, key, at_bound):
+        # TINY_RUN is 64 m with height_max 30, and its terrain is 100 m at
+        # x = 0: each value puts the scene's peak elevation at MAX_ELEVATION
+        # exactly.  The run succeeds there and is rejected one float further.
+        def flags(value):
+            v = repr(value)
+            return ["--terrain-slope", v] if key == "slope" else ["--height-min", v, "--height-max", v]
+
+        past = float(np.nextafter(at_bound, np.inf))
+        assert main(["--out", str(tmp_path / "at"), "run", *TINY_RUN, *flags(at_bound)]) == 0
+        assert main(["--out", str(tmp_path / "past"), "run", *TINY_RUN, *flags(past)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR stage=run: ") and repr(past) in err
+        assert not (tmp_path / "past").exists()
 
     @pytest.mark.parametrize("flags", [["--extent", "1e6"], ["--seed", "-1"]],
                              ids=["extent-huge", "seed-negative"])

@@ -2,6 +2,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from math import isqrt
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
+from urbanmorph import pointcloud
 from urbanmorph.errors import EmptyStatisticsError, FormatError
 from urbanmorph.pointcloud import (
     _BLOCK,
@@ -20,8 +22,9 @@ from urbanmorph.pointcloud import (
     read_points_csv,
     write_points_glbp,
 )
-from urbanmorph.pipeline import STAGES, PipelineConfig, stage_rasterize_points
+from urbanmorph.pipeline import STAGES, PipelineConfig, _synth_spec, stage_rasterize_points
 from urbanmorph.raster import Raster, clamp_nonnegative, read_raster, write_raster
+from urbanmorph.synth import generate_city
 
 NODATA = -9999.0
 
@@ -412,12 +415,48 @@ def reference_path_peaks(tmp_path_factory):
 
 
 class TestReferencePathMemory:
-    # The stages that built a fresh full-grid temporary at each step peaked
-    # at 50.5 MiB (synth) and 46.3 MiB (rasterize-points); these at 31.2 and
-    # 34.1 MiB.
-    @pytest.mark.parametrize("stage", ["synth", "rasterize-points"])
-    def test_peak_bound(self, reference_path_peaks, stage):
-        assert reference_path_peaks[stage] <= 46 * 2**20
+    # Measured peaks plus 5 %.  With the whole cloud built before it was
+    # written, and the gridding's full-length per-point temporaries and both
+    # labels' accumulators, they were 31.2 MiB (synth) and 35.2 MiB
+    # (rasterize-points).  Now synth writes the cloud in row bands (14.9 MiB)
+    # and the gridding takes one label at a time in point blocks (26.9 MiB).
+    @pytest.mark.parametrize("stage, mib", [("synth", 14.9), ("rasterize-points", 26.9)],
+                             ids=["synth", "rasterize-points"])
+    def test_peak_bound(self, reference_path_peaks, stage, mib):
+        assert reference_path_peaks[stage] <= 1.05 * mib * 2**20
+
+
+class TestReferenceChainRecoversTruth:
+    @pytest.mark.parametrize("slope", [0.0, 0.02, -0.05])
+    def test_ndsm_ref_is_truth(self, tmp_path, slope):
+        # The 720 m recipe of ``reference_path_peaks`` on a ramp.  Each cell
+        # holds one point, so its DSM is float32(terrain + height) and a
+        # ground cell's DEM float32(terrain); a cell under a building takes
+        # the DEM of its nearest ground cell, whose terrain differs by at
+        # most |slope| times their distance.  With the four float32 roundings
+        # (DSM, DEM, their difference and the truth) of half a spacing each
+        # at the peak elevation, and the float64 terrain, the nDSM is the
+        # truth within that.
+        cfg = PipelineConfig(
+            out=str(tmp_path), extent=720.0, n_buildings=19, footprint_min=90.0,
+            footprint_max=120.0, height_min=3.0, height_max=60.0, coarse_factor=30,
+            noise_sigma=2.0, snap_to_coarse=True, seed=1, terrain_slope=slope,
+        )
+        outputs = STAGES["synth"](cfg)
+        cfg = replace(cfg, points=outputs["points"], coarse_ndsm=outputs["coarse_ndsm"],
+                      population=outputs["population"])
+        for name in ("resample", "rasterize-points", "ndsm"):
+            outputs = STAGES[name](cfg)
+        ndsm = read_raster(outputs["ndsm_ref"])
+        spec = _synth_spec(cfg)
+        scene = generate_city(spec)
+        assert ndsm.same_geometry(scene.truth_ndsm)
+        peak = spec.peak_elevation
+        reach = distance_transform_edt(scene.mask.source_ids > 0)
+        tol = 2 * np.spacing(np.float32(peak)) + 8 * np.spacing(peak) + abs(slope) * reach
+        err = np.abs(ndsm.values.astype(np.float64) - scene.truth_ndsm.values)
+        assert (err <= tol).all()
+        assert (err[reach == 0] == 0).all()  # open ground: no height, no DSM
 
 
 def nearest_donor_oracle(valid, vr, vc):
@@ -559,6 +598,43 @@ class TestReplacedKernelOracles:
                    cell_size=cell_size, nodata=NODATA,
                    values=np.zeros((height, width), dtype=np.float32))
         dem, dsm = grid_elevation(pc, t)
+        assert_same_cells(dem, grid_elevation_oracle(pc, {Label.GROUND}, t))
+        assert_same_cells(dsm, grid_elevation_oracle(pc, {Label.BUILDING}, t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        block=st.integers(1, 7),
+        width=st.integers(1, 3),
+        height=st.integers(1, 3),
+        cell_size=st.sampled_from([0.5, 1.0, 2.5]),
+        n=st.integers(0, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_grid_elevation_matches_oracle(self, block, width, height, cell_size, n, seed):
+        # Blocks of 1-7 points, so that one cell's points straddle blocks.
+        # Points in shuffled order, some off the grid, a third of them
+        # ``other``, on a few cells.  The elevations repeat and include
+        # -0.0.  A third of the points are +2^60 and each has a -2^60 partner
+        # in its cell and label: a small elevation added while a cell's sum
+        # is ±2^60 is lost, so the sum depends on the order of its points.
+        rng = np.random.default_rng(seed)
+        k = n // 3
+        col, row = rng.integers(-1, width + 1, n - k), rng.integers(-1, height + 1, n - k)
+        labels = rng.integers(0, 3, n - k).astype(np.int8)
+        zs = rng.choice([0.0, -0.0, 0.5, 1.0, 3.0], n - k)
+        zs[:k] = 2.0**60
+        col, row, labels, zs = (np.concatenate([a, a[:k]]) for a in (col, row, labels, zs))
+        zs[n - k:] *= -1
+        order = rng.permutation(n)
+        pc = PointCloud(
+            xs=(col[order] + rng.random(n)) * cell_size,
+            ys=(row[order] + rng.random(n)) * cell_size,
+            zs=zs[order],
+            labels=labels[order],
+        )
+        t = template(width, height, cell_size)
+        with patch.object(pointcloud, "_BLOCK", block):
+            dem, dsm = grid_elevation(pc, t)
         assert_same_cells(dem, grid_elevation_oracle(pc, {Label.GROUND}, t))
         assert_same_cells(dsm, grid_elevation_oracle(pc, {Label.BUILDING}, t))
 

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from scipy.ndimage import gaussian_filter
 
 from urbanmorph.errors import PackingError
 from urbanmorph.footprints import BuildingFootprint
-from urbanmorph.pointcloud import Label, PointCloud
+from urbanmorph import synth
+from urbanmorph.pointcloud import Label, PointCloud, write_points_glbp
 from urbanmorph.raster import downsample_average
 from urbanmorph.synth import SyntheticCitySpec, _place_buildings, generate_city, write_scene
 
@@ -242,3 +244,24 @@ class TestSceneMatchesOracle:
         assert scene.population.values.tobytes() == density.with_values(
             (gaussian_filter(density.values.astype(np.float64), sigma=2.0) * 10000.0)
             .astype(np.float32)).values.tobytes()
+
+
+class TestPointsWrittenInBands:
+    # Bands of one row, of 2,100 cells (7 rows of 300, 21 rows of 98: neither
+    # grid is a whole number of bands) and of the default size.
+    @pytest.mark.parametrize("band_cells", [1, 2100, synth._BAND_CELLS])
+    @pytest.mark.parametrize("spec", [
+        small_spec(terrain_slope=0.013, seed=11),
+        small_spec(snap_to_coarse=True, footprint_min=10.0, footprint_max=30.0, terrain_slope=-0.4),
+        small_spec(n_buildings=0, noise_sigma=0.0),
+        small_spec(extent_m=97.0, n_buildings=3, coarse_factor=7, height_min=0.0, seed=3),
+    ])
+    def test_glbp_bytes(self, tmp_path, monkeypatch, spec, band_cells):
+        monkeypatch.setattr(synth, "_BAND_CELLS", band_cells)
+        scene = generate_city(spec)
+        *_, points = scene_oracle(spec, scene.mask)
+        write_points_glbp(points, tmp_path / "oracle.glbp")
+        write_points_glbp(scene.points, tmp_path / "property.glbp")
+        written = Path(write_scene(scene, tmp_path)["points"]).read_bytes()
+        assert written == (tmp_path / "oracle.glbp").read_bytes()
+        assert written == (tmp_path / "property.glbp").read_bytes()
