@@ -22,7 +22,7 @@ class EmptyStatisticsError(UrbanMorphError):
 
 
 class FormatError(UrbanMorphError):
-    """Malformed file content (bad magic, truncation, missing fields)."""
+    """Malformed file content (a wrong magic, truncation, missing fields)."""
 
 
 class GeometryError(UrbanMorphError):

@@ -60,7 +60,6 @@ its oracle.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,6 +73,7 @@ from .errors import (
 )
 from .footprints import FootprintMask
 from .raster import (
+    Format,
     NormalizationParams,
     Raster,
     clamp_nonnegative,
@@ -82,8 +82,6 @@ from .raster import (
 )
 from . import tiler
 
-GLBW_MAGIC = b"GLBW"
-GLBW_VERSION = 1
 # The largest U-Net a config or a weights header may ask for, counted in
 # ``step_values``: about 1 to 2 GiB at 4 to 8 bytes a value.  The defaults
 # (depth 3, 8 base filters) hold 7.6 million.
@@ -616,46 +614,29 @@ def baseline_predict(ndsm_coarse_resampled: Raster, mask: FootprintMask) -> Rast
 
 # -- weights file I/O --------------------------------------------------------
 
-_GLBW_HEADER = struct.Struct("<4sHiiiiq")
+_GLBW_HEADER = Format(b"GLBW", "iiiiq")
 
 
 def write_weights(w: Weights, path) -> None:
     cfg = w.config
     with open(path, "wb") as f:
-        f.write(
-            _GLBW_HEADER.pack(
-                GLBW_MAGIC,
-                GLBW_VERSION,
-                cfg.depth,
-                cfg.base_filters,
-                cfg.kernel_size,
-                cfg.in_channels,
-                cfg.seed,
-            )
-        )
+        _GLBW_HEADER.write_header(f, cfg.depth, cfg.base_filters, cfg.kernel_size,
+                                  cfg.in_channels, cfg.seed)
         f.write(w.flat.astype("<f4").tobytes())
 
 
 def read_weights(path) -> Weights:
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _GLBW_HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    magic, version, depth, base, ks, cin, seed = _GLBW_HEADER.unpack_from(raw)
-    if magic != GLBW_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-    if version != GLBW_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    try:
-        cfg = ModelConfig(
-            depth=depth, base_filters=base, kernel_size=ks, in_channels=cin, seed=seed
-        )
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad model header ({exc})") from exc
-    expected = _GLBW_HEADER.size + 4 * parameter_count(cfg)
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw, "<f4", offset=_GLBW_HEADER.size)
+        depth, base, ks, cin, seed = _GLBW_HEADER.read_header(f, path)
+        try:
+            cfg = ModelConfig(
+                depth=depth, base_filters=base, kernel_size=ks, in_channels=cin, seed=seed
+            )
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad model header ({exc})") from exc
+        n = parameter_count(cfg)
+        _GLBW_HEADER.check_size(f, path, 4 * n)
+        flat = np.fromfile(f, "<f4", n)
     if bad := np.count_nonzero(~np.isfinite(flat)):
         raise FormatError(f"{path}: {bad} non-finite parameters")
     return Weights(cfg, flat.astype(np.float64))

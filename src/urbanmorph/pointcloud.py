@@ -13,16 +13,15 @@ void mask meets that rule: it relies on scipy's pass order and tie rule
 (``fill_voids_nearest``).
 
 Points are stored as CSV (``x,y,z,label``) or as GLBP, a little-endian
-column file: a ``<4sHQ`` header (magic ``b"GLBP"``, version 1, count n),
-then n x, n y and n z as ``<f8`` and n labels as ``i1``, 25 bytes a point.
+column file: the shared binary header (``raster.Format``, magic ``b"GLBP"``)
+with a u64 count n, then n x, n y and n z as ``<f8`` and n labels as ``i1``,
+25 bytes a point.
 GLBP stores the doubles exactly; a CSV reads back the same doubles when its
 numbers round-trip, as ``repr`` writes them.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
@@ -33,7 +32,7 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .errors import EmptyStatisticsError, FormatError
-from .raster import Raster, require_aligned
+from .raster import Format, Raster, require_aligned
 
 
 class Label(IntEnum):
@@ -46,8 +45,7 @@ _NAME_CODES = {"ground": 0, "building": 1, "other": 2}
 # CSV lines parsed, or points gridded, per block: large enough to amortise
 # the per-block calls, small enough that a block's temporaries stay a few MB.
 _BLOCK = 65536
-GLBP_MAGIC = b"GLBP"
-_GLBP_HEADER = struct.Struct("<4sHQ")
+_GLBP_HEADER = Format(b"GLBP", "Q")
 
 
 @dataclass
@@ -167,7 +165,7 @@ def write_glbp_pieces(path, n: int, pieces: Iterable[tuple[int, PointCloud]]) ->
     Each column of a piece is written at its place in the file, so only the
     piece in hand is held."""
     with open(path, "wb") as f:
-        f.write(_GLBP_HEADER.pack(GLBP_MAGIC, 1, n))
+        _GLBP_HEADER.write_header(f, n)
         for start, piece in pieces:
             for k, column in enumerate((piece.xs, piece.ys, piece.zs)):
                 f.seek(_GLBP_HEADER.size + 8 * (k * n + start))
@@ -178,17 +176,8 @@ def write_glbp_pieces(path, n: int, pieces: Iterable[tuple[int, PointCloud]]) ->
 
 def _read_glbp(path) -> PointCloud:
     with open(path, "rb") as f:
-        head = f.read(_GLBP_HEADER.size)
-        if len(head) < _GLBP_HEADER.size:
-            raise FormatError(f"{path}: truncated header at byte {len(head)}")
-        _, version, n = _GLBP_HEADER.unpack(head)
-        if version != 1:
-            raise FormatError(f"{path}: unsupported version {version} at byte 4")
-        # Checked before any column is read, so a forged count allocates nothing.
-        size = os.fstat(f.fileno()).st_size
-        expected = _GLBP_HEADER.size + 25 * n
-        if size != expected:
-            raise FormatError(f"{path}: expected {expected} bytes for {n} points, got {size}")
+        n, = _GLBP_HEADER.read_header(f, path)
+        _GLBP_HEADER.check_size(f, path, 25 * n)
         xs, ys, zs = (np.fromfile(f, "<f8", n) for _ in range(3))
         labels = np.fromfile(f, "i1", n)
     if bad := np.count_nonzero((labels < 0) | (labels > 2)):
@@ -201,9 +190,8 @@ def _read_glbp(path) -> PointCloud:
 
 def read_points_csv(path) -> PointCloud:
     """Read a point file: GLBP, sniffed by its magic, or else CSV."""
-    with open(path, "rb") as f:
-        if f.read(4) == GLBP_MAGIC:
-            return _read_glbp(path)
+    if _GLBP_HEADER.sniff(path):
+        return _read_glbp(path)
     # Undecodable bytes become U+FFFD, which no number or label accepts, so
     # they fail as a FormatError naming their line.
     with open(path, encoding="utf-8", errors="replace") as f:

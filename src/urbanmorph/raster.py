@@ -24,10 +24,6 @@ from .errors import (
     VoidError,
 )
 
-GLBR_MAGIC = b"GLBR"
-GLBR_VERSION = 1
-_GLBR_HEADER = struct.Struct("<4sHIIdddf")
-
 DEFAULT_NODATA = -9999.0
 
 GEOREF_TOL = 1e-6
@@ -278,6 +274,51 @@ def downsample_average(src: Raster, factor: int) -> Raster:
 
 # -- file I/O --------------------------------------------------------------
 
+FORMAT_VERSION = 1
+
+
+class Format(struct.Struct):
+    """The header of a binary format: the little-endian ``<4sH`` prefix
+    (``magic``, u16 version ``FORMAT_VERSION``), then the format's ``fields``.
+    GLBR, GLBP and GLBW files are this header and then their payload."""
+
+    def __init__(self, magic: bytes, fields: str):
+        super().__init__("<4sH" + fields)
+        self.magic = magic
+
+    def sniff(self, path) -> bool:
+        """Whether the file at ``path`` starts with this format's magic."""
+        with open(path, "rb") as f:
+            return f.read(4) == self.magic
+
+    def write_header(self, f, *fields) -> None:
+        f.write(self.pack(self.magic, FORMAT_VERSION, *fields))
+
+    def read_header(self, f, path) -> list:
+        """The format's fields, read from ``f`` after its magic and version
+        are checked."""
+        head = f.read(self.size)
+        if len(head) < self.size:
+            raise FormatError(f"{path}: truncated header at byte {len(head)}")
+        magic, version, *fields = self.unpack(head)
+        if magic != self.magic:
+            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at byte 4")
+        return fields
+
+    def check_size(self, f, path, payload_bytes: int) -> None:
+        """Check the file's size before any payload byte is read, so a
+        forged header allocates nothing."""
+        size = os.fstat(f.fileno()).st_size
+        expected = self.size + payload_bytes
+        if size != expected:
+            raise FormatError(f"{path}: expected {expected} bytes, got {size} "
+                              f"(truncation at byte {size})")
+
+
+_GLBR_HEADER = Format(b"GLBR", "IIdddf")
+
 
 def write_raster(r: Raster, path) -> None:
     """Write GLBR binary (default) or ESRI ASCII grid for ``.asc`` paths."""
@@ -289,16 +330,14 @@ def write_raster(r: Raster, path) -> None:
 
 
 def read_raster(path) -> Raster:
-    """Read a raster file; the format is sniffed from the leading bytes.
+    """Read a raster file: GLBR, sniffed by its magic, or else an ASCII grid.
 
     A cell that is NaN or infinite is a FormatError: every cell is finite or
     nodata.
     """
     path = str(path)
-    with open(path, "rb") as f:
-        head = f.read(4)
     try:
-        r = _read_glbr(path) if head == GLBR_MAGIC else _read_ascii(path)
+        r = _read_glbr(path) if _GLBR_HEADER.sniff(path) else _read_ascii(path)
     except (ValueError, ShapeError) as exc:  # undecodable text, a non-number, a bad header value
         raise FormatError(f"{path}: malformed raster ({exc})") from exc
     bad = np.count_nonzero(~np.isfinite(r.values))
@@ -309,27 +348,15 @@ def read_raster(path) -> Raster:
 
 def _write_glbr(r: Raster, path: str) -> None:
     with open(path, "wb") as f:
-        f.write(_GLBR_HEADER.pack(GLBR_MAGIC, GLBR_VERSION, r.width, r.height, r.origin_x,
-                                  r.origin_y, r.cell_size, np.float32(r.nodata)))
+        _GLBR_HEADER.write_header(f, r.width, r.height, r.origin_x, r.origin_y, r.cell_size,
+                                  np.float32(r.nodata))
         f.write(np.ascontiguousarray(r.values, dtype="<f4"))
 
 
 def _read_glbr(path: str) -> Raster:
     with open(path, "rb") as f:
-        head = f.read(_GLBR_HEADER.size)
-        if len(head) < _GLBR_HEADER.size:
-            raise FormatError(f"{path}: truncated header at byte {len(head)}")
-        magic, version, width, height, ox, oy, cs, nodata = _GLBR_HEADER.unpack(head)
-        if magic != GLBR_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        if version != GLBR_VERSION:
-            raise FormatError(f"{path}: unsupported version {version} at byte 4")
-        # Checked before the cells are read, so a forged size allocates nothing.
-        size = os.fstat(f.fileno()).st_size
-        expected = _GLBR_HEADER.size + 4 * width * height
-        if size != expected:
-            raise FormatError(f"{path}: expected {expected} bytes, got {size} "
-                              f"(truncation at byte {size})")
+        width, height, ox, oy, cs, nodata = _GLBR_HEADER.read_header(f, path)
+        _GLBR_HEADER.check_size(f, path, 4 * width * height)
         values = np.fromfile(f, dtype="<f4", count=width * height)
     return Raster(width=width, height=height, origin_x=ox, origin_y=oy, cell_size=cs,
                   nodata=float(np.float32(nodata)), values=values)

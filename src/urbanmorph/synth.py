@@ -205,8 +205,9 @@ def _place_buildings(spec: SyntheticCitySpec, rng: np.random.Generator) -> list[
 def generate_city(spec: SyntheticCitySpec) -> SynthScene:
     rng = np.random.default_rng(spec.seed)
     size = spec.size_cells
+    # The fine grid, for its geometry only: its values are a view of one zero.
     template = Raster(width=size, height=size, origin_x=0.0, origin_y=0.0, cell_size=1.0,
-                      nodata=DEFAULT_NODATA, values=np.zeros((size, size), dtype=np.float32))
+                      nodata=DEFAULT_NODATA, values=np.broadcast_to(np.float32(0), (size, size)))
 
     rects = _place_buildings(spec, rng)
     corners = np.array([[(x, y), (x + w, y), (x + w, y + h), (x, y + h)] for x, y, w, h in rects])
@@ -257,20 +258,17 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
 
 
 def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
-    """Write the scene as pipeline input files; byte-identical per seed."""
+    """Write the scene as pipeline input files; byte-identical per seed.  The
+    terrain and the truth stay in memory: no stage reads them."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "footprints": os.path.join(out_dir, "footprints.geojson"),
         "points": os.path.join(out_dir, "points.glbp"),
-        "truth_ndsm": os.path.join(out_dir, "truth_ndsm.glbr"),
-        "terrain": os.path.join(out_dir, "terrain.glbr"),
         "coarse_ndsm": os.path.join(out_dir, "coarse_ndsm.glbr"),
         "population": os.path.join(out_dir, "population.glbr"),
     }
     write_footprints(scene.footprints, paths["footprints"])
     write_glbp_pieces(paths["points"], scene.n_points, scene.point_pieces())
-    write_raster(scene.truth_ndsm, paths["truth_ndsm"])
-    write_raster(scene.terrain, paths["terrain"])
     write_raster(scene.coarse_ndsm, paths["coarse_ndsm"])
     write_raster(scene.population, paths["population"])
     return paths

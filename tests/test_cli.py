@@ -157,6 +157,16 @@ class TestFullRun:
         assert (run_dir / "ucp_ref_100m" / "ucp_table.csv").exists()
         assert (run_dir / "validation_100m" / "metrics.csv").exists()
 
+    def test_top_level_file_set(self, run_dir):
+        # No file that no stage reads: synth's terrain and truth stay in memory.
+        assert sorted(os.listdir(run_dir)) == [
+            "coarse_ndsm.glbr", "dem.glbr", "dsm.glbr", "footprints.geojson",
+            "lod1_pred.geojson", "lod1_ref.geojson", "ndsm_ref.glbr", "ndsm_resampled.glbr",
+            "points.glbp", "population.glbr", "population_resampled.glbr",
+            "predicted_heights.glbr", "report.txt", "ucp_pred_100m", "ucp_ref_100m",
+            "validation_100m",
+        ]
+
     def test_reference_heights_recovered(self, run_dir):
         # The reference LoD-1 heights come from the synthetic truth field and
         # must match the generator's per-building heights closely.

@@ -12,14 +12,22 @@ from hypothesis import strategies as st
 from urbanmorph.errors import FormatError, GeometryError, UrbanMorphError
 from urbanmorph.footprints import BuildingFootprint, rasterize, read_footprints, write_footprints
 from urbanmorph.lod1 import Lod1Building, read_lod1
-from urbanmorph.network import ModelConfig, Weights, init_weights, read_weights, write_weights
+from urbanmorph.network import (
+    _GLBW_HEADER,
+    ModelConfig,
+    Weights,
+    init_weights,
+    read_weights,
+    write_weights,
+)
 from urbanmorph.pointcloud import (
     _GLBP_HEADER,
+    _read_glbp,
     PointCloud,
     read_points_csv,
     write_points_glbp,
 )
-from urbanmorph.raster import _GLBR_HEADER, Raster, read_raster, write_raster
+from urbanmorph.raster import _GLBR_HEADER, _read_glbr, Raster, read_raster, write_raster
 from urbanmorph.ucp import UcpGrid, aggregate_all, export_csv, raster_grid, read_csv
 
 # A 10 x 10 grid of 1 m cells, and its 2 x 2 grid of 5 m cells.
@@ -197,9 +205,9 @@ def glbp_bytes(xs=(1.0, 2.0), ys=(3.0, 4.0), zs=(5.0, 6.0), labels=(0, 2), count
     "raw, message",
     [(b"GLBP\x01\x00\x02", "truncated header at byte 7"),
      (glbp_bytes(version=2), "unsupported version 2 at byte 4"),
-     (glbp_bytes()[:-1], "expected 64 bytes for 2 points, got 63"),
-     (glbp_bytes() + b"\x00", "expected 64 bytes for 2 points, got 65"),
-     (glbp_bytes(count=3), "expected 89 bytes for 3 points, got 64"),
+     (glbp_bytes()[:-1], r"expected 64 bytes, got 63 \(truncation at byte 63\)"),
+     (glbp_bytes() + b"\x00", r"expected 64 bytes, got 65 \(truncation at byte 65\)"),
+     (glbp_bytes(count=3), r"expected 89 bytes, got 64 \(truncation at byte 64\)"),
      (glbp_bytes(labels=(3, -1)), "2 labels not 0, 1 or 2"),
      (glbp_bytes(ys=(3.0, np.nan)), "1 non-finite coordinates"),
      (glbp_bytes(xs=(np.inf, 1.0), zs=(-np.inf, 1.0)), "2 non-finite coordinates")],
@@ -224,6 +232,44 @@ def test_glbp_forged_count_allocates_nothing(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# Each binary format: its header, a writer of one valid file, and its reader
+# proper (``read_raster`` and ``read_points_csv`` take a file without the
+# format's magic for text).
+BINARY_FORMATS = {
+    "glbr": (_GLBR_HEADER, lambda path: write_raster(TABLE_TEMPLATE, path), _read_glbr),
+    "glbp": (_GLBP_HEADER, lambda path: write_points_glbp(PointCloud([1.0], [2.0], [3.0], [0]), path),
+             _read_glbp),
+    "glbw": (_GLBW_HEADER, lambda path: write_weights(
+        init_weights(ModelConfig(depth=1, base_filters=2, in_channels=1)), path), read_weights),
+}
+
+
+def forged_header(raw: bytes, header_size: int, case: str) -> tuple[bytes, str]:
+    """A valid file's bytes ``raw`` forged as ``case``, and the reader's message."""
+    n = len(raw)
+    return {
+        "truncated": (raw[:header_size - 1], f"truncated header at byte {header_size - 1}"),
+        "magic": (b"NOPE" + raw[4:], "bad magic b'NOPE' at byte 0"),
+        "version": (raw[:4] + b"\x02\x00" + raw[6:], "unsupported version 2 at byte 4"),
+        "short": (raw[:-1], f"expected {n} bytes, got {n - 1} (truncation at byte {n - 1})"),
+        "long": (raw + b"\x00", f"expected {n} bytes, got {n + 1} (truncation at byte {n + 1})"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["truncated", "magic", "version", "short", "long"])
+@pytest.mark.parametrize("fmt", BINARY_FORMATS)
+def test_binary_header_checks(tmp_path, fmt, case):
+    header, write, read = BINARY_FORMATS[fmt]
+    path = str(tmp_path / f"f.{fmt}")
+    write(path)
+    raw, message = forged_header(open(path, "rb").read(), header.size, case)
+    with open(path, "wb") as f:
+        f.write(raw)
+    with pytest.raises(FormatError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 @pytest.fixture(scope="module")
