@@ -21,3 +21,23 @@ test "$code" -eq 1
 test "$(wc -l < smoke-diverged.err)" -eq 1
 grep -q '^ERROR stage=run: training diverged' smoke-diverged.err
 test ! -e smoke-diverged/weights.glbw
+
+# A footprint file whose second feature repeats the first's id: exit 2, one
+# ERROR line naming the feature, and no LoD-1 file.
+mkdir -p smoke-dup
+cp smoke/predicted_heights.glbr smoke/ndsm_ref.glbr smoke-dup/
+python - <<'PY'
+import json
+with open("smoke/footprints.geojson") as f:
+    fc = json.load(f)
+fc["features"][1]["properties"]["id"] = fc["features"][0]["properties"]["id"]
+with open("smoke-dup/footprints.geojson", "w") as f:
+    json.dump(fc, f)
+PY
+code=0
+urbanmorph --out smoke-dup lod1 --footprints smoke-dup/footprints.geojson 2> smoke-dup.err || code=$?
+cat smoke-dup.err
+test "$code" -eq 2
+test "$(wc -l < smoke-dup.err)" -eq 1
+grep -q '^ERROR stage=lod1:.*features\[1\]: duplicate id' smoke-dup.err
+test ! -e smoke-dup/lod1_pred.geojson

@@ -25,13 +25,11 @@ feature per footprint, whose properties are its ``id`` and then any others
 (LoD-1 files add ``height_m`` and ``n_cells``).  Every number is written as
 its ``repr``, which reads back to the same bits, and every ring is closed by
 repeating its first vertex.  The writer renders this text from a table's
-flat coordinates.  The reader decodes a file with ``json.load`` and checks
-each feature's properties and geometry type; then it converts every ring of
-the file in one numpy step, and drops the closing vertices.  Only when that
-step fails does it convert ring by ring, up to the first bad ring, so that
-the error names the feature that holds it.  The footprints before the first
-failure are checked and measured as one table, and the error reported is the
-first in file order.
+flat coordinates.  The reader decodes a file with ``json.load``, converts
+every ring of the file in one numpy step, drops the closing vertices, and
+checks and measures the footprints as one table.  Only when some step of that
+fails does it read the features again one at a time, each built alone, and
+report the first bad feature in file order.
 """
 
 from __future__ import annotations
@@ -158,10 +156,9 @@ def _self_intersecting(x, y, xn, yn) -> np.ndarray:
     return out
 
 
-def _check_and_measure(t: FootprintTable) -> tuple[np.ndarray, int, str]:
+def _check_and_measure(t: FootprintTable) -> np.ndarray:
     """Area, perimeter and centroid x and y of every footprint of ``t`` (the
-    rows of a ``(4, n)`` array), and the index of the first bad footprint with
-    its error (``n`` and ``""`` when all are good).
+    rows of a ``(4, n)`` array), or a GeometryError for the first bad one.
 
     A footprint is bad, in this order of checks, with fewer than 3 distinct
     exterior vertices, a ring (exterior, then holes) of zero area, a
@@ -202,18 +199,18 @@ def _check_and_measure(t: FootprintTable) -> tuple[np.ndarray, int, str]:
     bad_ring = np.logical_or.reduceat(degenerate, exterior)
     bad = few[exterior] | bad_ring | crossing[exterior] | (area < _AREA_EPS)
     if not bad.any():
-        return measures, n, ""
+        return measures
     i = int(np.argmax(bad))
     name = f"footprint {t.ids[i]}"
     if few[exterior[i]]:
-        return measures, i, f"{name}: exterior needs >= 3 distinct vertices"
+        raise GeometryError(f"{name}: exterior needs >= 3 distinct vertices")
     if bad_ring[i]:
         k = int(np.argmax(degenerate[t.rings[i]:t.rings[i + 1]]))
         ring = "exterior" if k == 0 else f"hole {k - 1}"
-        return measures, i, f"{name} {ring}: degenerate ring with zero area"
+        raise GeometryError(f"{name} {ring}: degenerate ring with zero area")
     if crossing[exterior[i]]:
-        return measures, i, f"{name}: self-intersecting exterior ring"
-    return measures, i, f"{name}: holes consume the exterior"
+        raise GeometryError(f"{name}: self-intersecting exterior ring")
+    raise GeometryError(f"{name}: holes consume the exterior")
 
 
 @dataclass
@@ -229,9 +226,7 @@ class BuildingFootprint:
         _check_id(self.id)
         self.exterior = _ring_array(self.exterior)
         self.holes = [_ring_array(h) for h in self.holes]
-        measures, _, error = _check_and_measure(_table([self.id], [self.rings()]))
-        if error:
-            raise GeometryError(error)
+        measures = _check_and_measure(_table([self.id], [self.rings()]))
         self.area, self.perimeter, cx, cy = measures[:, 0].tolist()
         self.centroid = (cx, cy)
 
@@ -239,19 +234,18 @@ class BuildingFootprint:
         return [self.exterior, *self.holes]
 
 
-def _build(t: FootprintTable) -> tuple[list[BuildingFootprint], str]:
-    """The footprints of ``t``, checked and measured as one table: those
-    before the first bad one, whose rings are views of ``t.xy``, and its error
-    ("" if none)."""
-    measures, bad, error = _check_and_measure(t)
+def _build(t: FootprintTable) -> list[BuildingFootprint]:
+    """The footprints of ``t``, checked and measured as one table, whose rings
+    are views of ``t.xy``; a GeometryError names the first bad one."""
+    measures = _check_and_measure(t)
     rings, offsets = t.rings.tolist(), t.offsets.tolist()
-    out = [BuildingFootprint.__new__(BuildingFootprint) for _ in range(bad)]
+    out = [BuildingFootprint.__new__(BuildingFootprint) for _ in range(len(t.ids))]
     for i, (f, fid, (area, perimeter, cx, cy)) in enumerate(
             zip(out, t.ids.tolist(), measures.T.tolist())):
         f.exterior, *f.holes = (t.xy[offsets[j]:offsets[j + 1]]
                                 for j in range(rings[i], rings[i + 1]))
         f.id, f.area, f.perimeter, f.centroid = fid, area, perimeter, (cx, cy)
-    return out, error
+    return out
 
 
 @dataclass
@@ -398,26 +392,23 @@ def _feature_parts(feature: dict) -> tuple[int, list]:
     return fid, list(coords)
 
 
-def _converted(ids: list[int], coords: list[list]) -> FootprintTable | None:
-    """The table of footprints ``ids`` with rings ``coords``, converted in one
-    step to what ``_ring_array`` gives ring by ring; None when some ring is
-    not a list of finite ``[x, y]`` pairs."""
-    rings = [r for rs in coords for r in rs]
-    try:
-        lengths = np.array([len(r) for r in rings], dtype=np.int64)
-        xy = np.array([v for r in rings for v in r], dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):
-        return None
+def _converted(parts: list[tuple[int, list]]) -> FootprintTable:
+    """The table of the footprints ``(id, rings)``, converted in one step to
+    what ``_ring_array`` gives ring by ring; a ValueError, TypeError or
+    OverflowError when some ring is not a list of finite ``[x, y]`` pairs."""
+    rings = [r for _, rs in parts for r in rs]
+    lengths = np.array([len(r) for r in rings], dtype=np.int64)
+    xy = np.array([v for r in rings for v in r] or np.zeros((0, 2)), dtype=np.float64)
     if xy.ndim != 2 or xy.shape[1] != 2 or not lengths.all() or not np.isfinite(xy).all():
-        return None
+        raise ValueError("some ring is not a list of finite [x, y] pairs")
     # Drop each explicit closing vertex.
     last = np.cumsum(lengths) - 1
     closing = (lengths > 1) & (xy[last - lengths + 1] == xy[last]).all(axis=1)
     keep = np.ones(len(xy), dtype=bool)
     keep[last[closing]] = False
     return FootprintTable(
-        ids=np.array(ids, dtype=np.int64),
-        rings=np.concatenate(([0], np.cumsum([len(rs) for rs in coords], dtype=np.int64))),
+        ids=np.array([fid for fid, _ in parts], dtype=np.int64),
+        rings=np.concatenate(([0], np.cumsum([len(rs) for _, rs in parts], dtype=np.int64))),
         offsets=np.concatenate(([0], np.cumsum(lengths - closing))),
         xy=xy[keep],
     )
@@ -463,11 +454,13 @@ def _read_features(path, parse=lambda footprint, props: footprint, like=None) ->
     """``parse(footprint, properties)`` for each feature of a GeoJSON
     FeatureCollection file.
 
-    A feature holding a value that cannot be converted or a bad footprint
+    Every ring is converted in one step and the footprints are checked and
+    measured as one table, or are ``like`` when the table has their bits.  If
+    that fails, the features are read again one at a time, each built alone,
+    and the first holding a value that cannot be converted or a bad footprint
     (a ``ValueError``, ``TypeError``, ``OverflowError`` or ``GeometryError``),
     or repeating an earlier feature's id, is a FormatError naming the file and
-    the feature.  When the file's vertex table has the bits of the footprints
-    ``like``, they are the file's footprints, and none is built again.
+    the feature.
 
     The cyclic garbage collector is paused meanwhile: the decoded tree, a
     list per vertex, holds no cycle and is freed by reference counting, and a
@@ -494,51 +487,36 @@ def _parse_features(path, parse, like) -> list:
     features = fc.get("features", [])
     if not isinstance(features, list) or not all(isinstance(f, dict) for f in features):
         raise FormatError(f"{path}: 'features' must be a list of objects")
-    ids, coords, failure = [], [], None
+    try:
+        t = _converted([_feature_parts(feature) for feature in features])
+        footprints = like if like is not None and _same_bits(t, footprint_table(like)) else _build(t)
+        if len(np.unique(t.ids)) == len(t.ids):
+            return [parse(fp, feature.get("properties") or {})
+                    for fp, feature in zip(footprints, features)]
+    except (FormatError, ValueError, TypeError, OverflowError, GeometryError):
+        pass  # the pass below names the first bad feature
+    return _first_fault(path, features, parse)
+
+
+def _first_fault(path, features: list[dict], parse) -> list:
+    """``_parse_features``' result, one feature at a time: the first bad one raises."""
+    out, seen = [], {}
     for i, feature in enumerate(features):
+        where = f"{path}: features[{i}]"
         try:
             fid, rings = _feature_parts(feature)
         except FormatError as exc:
-            failure = FormatError(f"{path}: features[{i}]: {exc}")
-            break
+            raise FormatError(f"{where}: {exc}") from exc
         except (ValueError, TypeError, OverflowError) as exc:
-            failure = FormatError(f"{path}: features[{i}]: bad value ({exc})")
-            break
-        ids.append(fid)
-        coords.append(rings)
-    t = _converted(ids, coords)
-    if t is None:  # a bad ring: convert ring by ring up to the first one
-        ring_lists = []
-        for i, rings in enumerate(coords):
-            try:
-                ring_lists.append([_ring_array(r) for r in rings])
-            except (ValueError, TypeError, OverflowError, GeometryError) as exc:
-                failure = FormatError(f"{path}: features[{i}]: bad value ({exc})")
-                break
-        t = _table(ids[:len(ring_lists)], ring_lists)
-    # The footprints before the first failure are checked and measured at
-    # once; the first bad feature in file order is then reported, as it would
-    # be if each were built and parsed in turn.
-    if like is not None and _same_bits(t, footprint_table(like)):
-        footprints = like
-    else:
-        footprints, error = _build(t)
-        if error:
-            failure = FormatError(f"{path}: features[{len(footprints)}]: bad value ({error})")
-    out = []
-    seen: dict[int, int] = {}
-    for i, footprint in enumerate(footprints):
+            raise FormatError(f"{where}: bad value ({exc})") from exc
         try:
-            out.append(parse(footprint, features[i].get("properties") or {}))
+            out.append(parse(BuildingFootprint(fid, rings[0], rings[1:]),
+                             feature.get("properties") or {}))
         except (ValueError, TypeError, OverflowError, GeometryError) as exc:
-            raise FormatError(f"{path}: features[{i}]: bad value ({exc})") from exc
-        first = seen.setdefault(footprint.id, i)
+            raise FormatError(f"{where}: bad value ({exc})") from exc
+        first = seen.setdefault(fid, i)
         if first != i:
-            raise FormatError(
-                f"{path}: features[{i}]: duplicate id {footprint.id} (also features[{first}])"
-            )
-    if failure is not None:
-        raise failure
+            raise FormatError(f"{where}: duplicate id {fid} (also features[{first}])")
     return out
 
 

@@ -313,8 +313,10 @@ class Format(struct.Struct):
         size = os.fstat(f.fileno()).st_size
         expected = self.size + payload_bytes
         if size != expected:
-            raise FormatError(f"{path}: expected {expected} bytes, got {size} "
-                              f"(truncation at byte {size})")
+            extra = size - expected
+            where = (f"truncation at byte {size}" if extra < 0
+                     else f"{extra} byte{'s' * (extra > 1)} after the payload")
+            raise FormatError(f"{path}: expected {expected} bytes, got {size} ({where})")
 
 
 _GLBR_HEADER = Format(b"GLBR", "IIdddf")

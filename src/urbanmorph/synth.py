@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import GeometryError, PackingError
+from .errors import PackingError
 from .footprints import BuildingFootprint, FootprintMask, _build, _table, rasterize
 from .footprints import write_footprints
 from .pointcloud import Label, PointCloud, write_glbp_pieces
@@ -211,9 +211,7 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
 
     rects = _place_buildings(spec, rng)
     corners = np.array([[(x, y), (x + w, y), (x + w, y + h), (x, y + h)] for x, y, w, h in rects])
-    footprints, error = _build(_table(range(1, len(rects) + 1), [[c] for c in corners]))
-    if error:
-        raise GeometryError(error)
+    footprints = _build(_table(range(1, len(rects) + 1), [[c] for c in corners]))
     heights = {f.id: float(rng.uniform(spec.height_min, spec.height_max)) for f in footprints}
 
     mask = rasterize(footprints, template)

@@ -573,34 +573,36 @@ class TestBatchEqualsPerFootprint:
     @given(st.lists(footprint_rings(), min_size=1, max_size=8))
     def test_measures_and_first_error(self, ring_lists):
         ids = list(range(1, len(ring_lists) + 1))
-        measures, bad, error = _check_and_measure(_table(ids, ring_lists))
-        first = None
-        for i, rings in enumerate(ring_lists):
-            try:
-                want = per_footprint_measures(ids[i], rings[0], rings[1:])
-            except GeometryError as exc:
-                first = first or (i, str(exc))
-                continue
-            assert bits(measures[:, i]) == bits(want)
-        assert (bad, error) == (first or (len(ids), ""))
+        try:
+            want = [per_footprint_measures(fid, rings[0], rings[1:])
+                    for fid, rings in zip(ids, ring_lists)]
+        except GeometryError as first:
+            with pytest.raises(GeometryError) as exc:
+                _check_and_measure(_table(ids, ring_lists))
+            assert str(exc.value) == str(first)
+        else:
+            measures = _check_and_measure(_table(ids, ring_lists))
+            assert bits(measures.T) == bits(want)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(footprint_rings(), min_size=1, max_size=8))
     def test_build_equals_footprints_built_alone(self, ring_lists):
         ids = list(range(1, len(ring_lists) + 1))
-        built, error = _build(_table(ids, [[_ring_array(r) for r in rings] for rings in ring_lists]))
-        alone, first = [], ""
-        for fid, rings in zip(ids, ring_lists):
-            try:
-                alone.append(BuildingFootprint(id=fid, exterior=rings[0], holes=rings[1:]))
-            except GeometryError as exc:
-                first = str(exc)
-                break
-        assert error == first
-        assert [f.id for f in built] == [f.id for f in alone]
-        for a, b in zip(built, alone):
-            assert bits([a.area, a.perimeter, *a.centroid]) == bits([b.area, b.perimeter, *b.centroid])
-            assert [r.tobytes() for r in a.rings()] == [r.tobytes() for r in b.rings()]
+        t = _table(ids, [[_ring_array(r) for r in rings] for rings in ring_lists])
+        try:
+            alone = [BuildingFootprint(id=fid, exterior=rings[0], holes=rings[1:])
+                     for fid, rings in zip(ids, ring_lists)]
+        except GeometryError as first:
+            with pytest.raises(GeometryError) as exc:
+                _build(t)
+            assert str(exc.value) == str(first)
+        else:
+            built = _build(t)
+            assert [f.id for f in built] == ids
+            for a, b in zip(built, alone):
+                assert bits([a.area, a.perimeter, *a.centroid]) == bits(
+                    [b.area, b.perimeter, *b.centroid])
+                assert [r.tobytes() for r in a.rings()] == [r.tobytes() for r in b.rings()]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_rings, min_size=1, max_size=6))

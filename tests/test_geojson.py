@@ -16,10 +16,6 @@ from urbanmorph import pipeline
 from urbanmorph.errors import FormatError, GeometryError
 from urbanmorph.footprints import (
     BuildingFootprint,
-    _build,
-    _check_id,
-    _ring_array,
-    _table,
     footprint_table,
     rasterize,
     read_footprints,
@@ -63,24 +59,17 @@ def lod1_text_oracle(buildings) -> str:
 
 def read_oracle(path):
     """The footprints of a file of features with distinct integer ids, each
-    ring converted on its own, or the error message."""
+    built alone, or the error message of the first that fails."""
     with open(path) as f:
         features = json.load(f)["features"]
-    ids, ring_lists, failure = [], [], None
+    built = []
     for i, feature in enumerate(features):
+        rings = feature["geometry"]["coordinates"]
         try:
-            fid = int(feature["properties"]["id"])
-            _check_id(fid)
-            rings = [_ring_array(r) for r in feature["geometry"]["coordinates"]]
+            built.append(BuildingFootprint(int(feature["properties"]["id"]), rings[0], rings[1:]))
         except (ValueError, TypeError, GeometryError) as exc:
-            failure = f"{path}: features[{i}]: bad value ({exc})"
-            break
-        ids.append(fid)
-        ring_lists.append(rings)
-    built, error = _build(_table(ids, ring_lists))
-    if error:
-        failure = f"{path}: features[{len(built)}]: bad value ({error})"
-    return failure or built
+            return f"{path}: features[{i}]: bad value ({exc})"
+    return built
 
 
 def table_bits(footprints):
@@ -324,6 +313,44 @@ def test_read_lod1_shares_footprints_of_the_same_bits(tmp_path):
     assert other is not footprints[0]
     assert np.array_equal(other.exterior, footprints[0].exterior)
     assert other.exterior.tobytes() != footprints[0].exterior.tobytes()
+
+
+def test_fault_pass_is_a_complete_reader(tmp_path, monkeypatch):
+    # A 12-vertex exterior through (-0.0, 5e-324) with a 12-vertex hole, and a
+    # rectangle with a subnormal and a negative-zero coordinate and a hole.
+    angle = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+    circle = np.column_stack((np.cos(angle), np.sin(angle)))
+    exterior = (10.0, 0.0) + 10.0 * circle
+    exterior[6] = (-0.0, 5e-324)
+    buildings = [
+        Lod1Building(BuildingFootprint(3, exterior, [(10.0, 0.0) + 2.0 * circle[::-1]]), 12.3, 40),
+        Lod1Building(BuildingFootprint(8, [(30.0, -0.0), (34.0, 5e-324), (34.0, 3.0), (30.0, 3.0)],
+                                       [[(31.0, 1.0), (31.0, 2.0), (32.0, 2.0)]]), 0.0, -1),
+    ]
+    footprints_path, lod1_path = tmp_path / "f.geojson", tmp_path / "l.geojson"
+    write_footprints([b.footprint for b in buildings], footprints_path)
+    write_lod1(buildings, lod1_path)
+
+    def reads():
+        footprints = read_footprints(footprints_path)
+        return [footprints, read_lod1(lod1_path), read_lod1(lod1_path, footprints=footprints)]
+
+    def facts(read):
+        fps = [getattr(x, "footprint", x) for x in read]
+        measures = [[f.area, f.perimeter, *f.centroid] for f in fps]
+        lod1 = [(x.height, x.n_cells) for x in read if isinstance(x, Lod1Building)]
+        return table_bits(fps), np.array(measures).tobytes(), lod1
+
+    want = [facts(read) for read in reads()]
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise ValueError("forced")
+
+    monkeypatch.setattr(footprints_mod, "_converted", failing)
+    assert [facts(read) for read in reads()] == want
+    assert len(calls) == 3
 
 
 # -- Zonal heights --------------------------------------------------------------

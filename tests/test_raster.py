@@ -245,7 +245,7 @@ class TestIO:
     @pytest.mark.parametrize("cut, message", [
         (10, "truncated header at byte 10"),
         (-8, "expected 106 bytes, got 98 (truncation at byte 98)"),
-        (None, "expected 106 bytes, got 110 (truncation at byte 110)"),
+        (None, "expected 106 bytes, got 110 (4 bytes after the payload)"),
     ])
     def test_glbr_size_messages(self, tmp_path, cut, message):
         path = tmp_path / "r.glbr"

@@ -206,7 +206,7 @@ def glbp_bytes(xs=(1.0, 2.0), ys=(3.0, 4.0), zs=(5.0, 6.0), labels=(0, 2), count
     [(b"GLBP\x01\x00\x02", "truncated header at byte 7"),
      (glbp_bytes(version=2), "unsupported version 2 at byte 4"),
      (glbp_bytes()[:-1], r"expected 64 bytes, got 63 \(truncation at byte 63\)"),
-     (glbp_bytes() + b"\x00", r"expected 64 bytes, got 65 \(truncation at byte 65\)"),
+     (glbp_bytes() + b"\x00", r"expected 64 bytes, got 65 \(1 byte after the payload\)"),
      (glbp_bytes(count=3), r"expected 89 bytes, got 64 \(truncation at byte 64\)"),
      (glbp_bytes(labels=(3, -1)), "2 labels not 0, 1 or 2"),
      (glbp_bytes(ys=(3.0, np.nan)), "1 non-finite coordinates"),
@@ -254,7 +254,7 @@ def forged_header(raw: bytes, header_size: int, case: str) -> tuple[bytes, str]:
         "magic": (b"NOPE" + raw[4:], "bad magic b'NOPE' at byte 0"),
         "version": (raw[:4] + b"\x02\x00" + raw[6:], "unsupported version 2 at byte 4"),
         "short": (raw[:-1], f"expected {n} bytes, got {n - 1} (truncation at byte {n - 1})"),
-        "long": (raw + b"\x00", f"expected {n} bytes, got {n + 1} (truncation at byte {n + 1})"),
+        "long": (raw + b"\x00", f"expected {n} bytes, got {n + 1} (1 byte after the payload)"),
     }[case]
 
 
