@@ -29,6 +29,7 @@ from .footprints import (
     write_footprints,
 )
 from .pointcloud import (
+    GlbpPoints,
     Label,
     PointCloud,
     fill_voids_nearest,

@@ -272,9 +272,8 @@ class FootprintMask:
         after it is made."""
         ids = self.source_ids.ravel()
         cells = np.flatnonzero(ids > 0)
+        cells = cells[np.argsort(ids[cells], kind="stable")]
         owners = ids[cells]
-        order = np.argsort(owners, kind="stable")
-        cells, owners = cells[order], owners[order]
         first = np.ones(len(cells), dtype=bool)
         first[1:] = owners[1:] != owners[:-1]
         starts = np.flatnonzero(first)

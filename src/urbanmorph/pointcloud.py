@@ -3,13 +3,18 @@
 Points carry a semantic label (ground / building / other); classification
 itself happens upstream and is taken as given.  Gridding averages each
 cell's elevations, added in float64 in point order.  It takes one label at a
-time, in blocks of points: besides the cloud (25 bytes a point) it holds a
-float64 sum and an int64 count per cell for one label, then that label's
-float32 means, and the DEM once it is done.  Void cells of a terrain
-raster take the value of their nearest valid cell center; distances are
-compared as exact integer squared distances, and a tie goes to the donor
-earliest in row-major order.  One exact feature transform of the transposed
-void mask meets that rule: it relies on scipy's pass order and tie rule
+time, in blocks of points.  A GLBP file's coordinates stay in the file and
+are read a block at a time (``GlbpPoints``), so the gridding holds the
+labels (1 byte a point), one block, a float64 sum and an int64 count per
+cell for one label (16 bytes a cell), then that label's float32 means, and
+the DEM once it is done (4).  With the fine grid that ``rasterize-points``
+reads for its geometry (4), its peak, while the DSM's sums grow, is about
+25 bytes a fine cell at one point a cell.  A CSV file is still read whole, as a
+``PointCloud`` (25 bytes a point).  Void cells of a terrain raster take the
+value of their nearest valid cell center; distances are compared as exact
+integer squared distances, and a tie goes to the donor earliest in
+row-major order.  One exact feature transform of the transposed void mask
+meets that rule: it relies on scipy's pass order and tie rule
 (``fill_voids_nearest``).
 
 Points are stored as CSV (``x,y,z,label``) or as GLBP, a little-endian
@@ -22,7 +27,7 @@ numbers round-trip, as ``repr`` writes them.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice, repeat
@@ -72,8 +77,61 @@ class PointCloud:
     def __len__(self) -> int:
         return self.xs.size
 
+    def blocks(self, size: int) -> Iterator[tuple[np.ndarray, ...]]:
+        """``(labels, xs, ys, zs)`` of each run of ``size`` points, in order."""
+        for start in range(0, len(self), size):
+            block = slice(start, start + size)
+            yield self.labels[block], self.xs[block], self.ys[block], self.zs[block]
 
-def _mean_elevation(pc: PointCloud, template: Raster, label: Label) -> Raster:
+
+class GlbpPoints:
+    """The points of a checked GLBP file, their coordinates left in the file.
+
+    It holds the labels (1 byte a point); ``blocks`` reads the x, y and z
+    columns a block at a time, and ``xs``, ``ys`` and ``zs`` read one whole.
+    A read that comes short, because the file shrank after it was checked,
+    is a FormatError."""
+
+    def __init__(self, path, labels: np.ndarray):
+        self.path = path
+        self.labels = labels
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def blocks(self, size: int) -> Iterator[tuple[np.ndarray, ...]]:
+        """``(labels, xs, ys, zs)`` of each run of ``size`` points, in order."""
+        with open(self.path, "rb") as f:
+            for start in range(0, len(self), size):
+                labels = self.labels[start:start + size]
+                yield labels, *(self._coordinates(f, k, start, labels.size) for k in range(3))
+
+    xs = property(lambda self: self._column(0))
+    ys = property(lambda self: self._column(1))
+    zs = property(lambda self: self._column(2))
+
+    def _column(self, k: int) -> np.ndarray:
+        with open(self.path, "rb") as f:
+            return self._coordinates(f, k, 0, len(self))
+
+    def _coordinates(self, f, k: int, start: int, count: int) -> np.ndarray:
+        """``count`` values of column ``k`` (x, y, z) from point ``start``."""
+        offset = _GLBP_HEADER.size + 8 * (k * len(self) + start)
+        return _read_exact(f, self.path, len(self), offset, "<f8", count)
+
+
+def _read_exact(f, path, n: int, offset: int, dtype: str, count: int) -> np.ndarray:
+    """``count`` values of ``dtype`` from byte ``offset`` of the ``n``-point
+    GLBP file ``f``; a short read raises the size check's message."""
+    f.seek(offset)
+    values = np.fromfile(f, dtype, count)
+    if values.size < count:
+        _GLBP_HEADER.check_size(f, path, 25 * n)
+        raise FormatError(f"{path}: short read at byte {f.tell()}")
+    return values
+
+
+def _mean_elevation(points: PointCloud | GlbpPoints, template: Raster, label: Label) -> Raster:
     """Mean elevation of the ``label`` points per template cell, nodata where
     a cell has none.  The points go through in blocks of ``_BLOCK``, so no
     temporary is as long as the cloud; ``np.add.at`` adds each cell's
@@ -81,17 +139,16 @@ def _mean_elevation(pc: PointCloud, template: Raster, label: Label) -> Raster:
     width, height = template.width, template.height
     sums = np.zeros(width * height)
     counts = np.zeros(width * height, dtype=np.int64)
-    for start in range(0, len(pc), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        keep = pc.labels[block] == label
-        col, row = pc.xs[block][keep], pc.ys[block][keep]
+    for labels, xs, ys, zs in points.blocks(_BLOCK):
+        keep = labels == label
+        col, row = xs[keep], ys[keep]
         for a, origin in ((col, template.origin_x), (row, template.origin_y)):
             a -= origin
             a /= template.cell_size
             np.floor(a, out=a)
         on = (col >= 0) & (col < width) & (row >= 0) & (row < height)
         cells = (row[on] * width + col[on]).astype(np.intp)
-        np.add.at(sums, cells, pc.zs[block][keep][on])
+        np.add.at(sums, cells, zs[keep][on])
         np.add.at(counts, cells, 1)
     hit = counts > 0
     np.divide(sums, counts, out=sums, where=hit)
@@ -101,7 +158,7 @@ def _mean_elevation(pc: PointCloud, template: Raster, label: Label) -> Raster:
     return template.with_values(means)
 
 
-def grid_elevation(pc: PointCloud, template: Raster) -> tuple[Raster, Raster]:
+def grid_elevation(pc: PointCloud | GlbpPoints, template: Raster) -> tuple[Raster, Raster]:
     """Mean elevation of the ground points and of the building points per
     template cell: the DEM before its voids are filled, and the DSM.
 
@@ -174,22 +231,30 @@ def write_glbp_pieces(path, n: int, pieces: Iterable[tuple[int, PointCloud]]) ->
             piece.labels.astype("i1", copy=False).tofile(f)
 
 
-def _read_glbp(path) -> PointCloud:
+def _read_glbp(path) -> GlbpPoints:
+    """Check a GLBP file and return its points, holding only the labels.
+
+    The coordinates are checked in one pass, a column block at a time, so
+    every fault is raised before any gridding."""
     with open(path, "rb") as f:
         n, = _GLBP_HEADER.read_header(f, path)
         _GLBP_HEADER.check_size(f, path, 25 * n)
-        xs, ys, zs = (np.fromfile(f, "<f8", n) for _ in range(3))
-        labels = np.fromfile(f, "i1", n)
-    if bad := np.count_nonzero((labels < 0) | (labels > 2)):
-        raise FormatError(f"{path}: {bad} labels not 0, 1 or 2")
-    try:
-        return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
-    except ValueError as exc:  # the coordinates, checked once
-        raise FormatError(f"{path}: {exc}") from exc
+        labels = _read_exact(f, path, n, _GLBP_HEADER.size + 24 * n, "i1", n)
+        if bad := np.count_nonzero(labels.view(np.uint8) > 2):  # a negative label is > 127
+            raise FormatError(f"{path}: {bad} labels not 0, 1 or 2")
+        bad = 3 * n  # the x, y and z columns are one run of 3n doubles
+        for start in range(0, 3 * n, _BLOCK):
+            offset = _GLBP_HEADER.size + 8 * start
+            block = _read_exact(f, path, n, offset, "<f8", min(_BLOCK, 3 * n - start))
+            bad -= np.count_nonzero(np.isfinite(block))
+    if bad:
+        raise FormatError(f"{path}: {bad} non-finite coordinates")
+    return GlbpPoints(path, labels)
 
 
-def read_points_csv(path) -> PointCloud:
-    """Read a point file: GLBP, sniffed by its magic, or else CSV."""
+def read_points_csv(path) -> PointCloud | GlbpPoints:
+    """Read a point file: GLBP, sniffed by its magic, as ``GlbpPoints``, or
+    else CSV, read whole."""
     if _GLBP_HEADER.sniff(path):
         return _read_glbp(path)
     # Undecodable bytes become U+FFFD, which no number or label accepts, so

@@ -1,3 +1,4 @@
+import os
 import time
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +15,7 @@ from urbanmorph import pointcloud
 from urbanmorph.errors import EmptyStatisticsError, FormatError
 from urbanmorph.pointcloud import (
     _BLOCK,
+    _GLBP_HEADER,
     Label,
     PointCloud,
     fill_voids_nearest,
@@ -392,16 +394,16 @@ class TestRasterizePointsStage:
 
 @pytest.fixture(scope="module")
 def reference_path_peaks(tmp_path_factory):
-    """The tracemalloc peaks of ``stage_synth`` and ``stage_rasterize_points``
-    on the criterion-5 recipe at 720 m: 19 buildings of 90-120 m snapped to
-    the 30 m coarse grid, noise 2 m, seed 1."""
+    """The tracemalloc peak of each reference-path stage from ``synth`` to
+    ``lod1`` on the criterion-5 recipe at 720 m: 19 buildings of 90-120 m
+    snapped to the 30 m coarse grid, noise 2 m, seed 1."""
     cfg = PipelineConfig(
         out=str(tmp_path_factory.mktemp("city")), extent=720.0, n_buildings=19,
         footprint_min=90.0, footprint_max=120.0, height_min=3.0, height_max=60.0,
         coarse_factor=30, noise_sigma=2.0, snap_to_coarse=True, seed=1,
     )
     peaks = {}
-    for name in ("synth", "resample", "rasterize-points"):
+    for name in ("synth", "resample", "rasterize-points", "ndsm", "predict", "lod1"):
         tracemalloc.start()
         try:
             outputs = STAGES[name](cfg)
@@ -420,8 +422,12 @@ class TestReferencePathMemory:
     # labels' accumulators, they were 31.2 MiB (synth) and 35.2 MiB
     # (rasterize-points).  Now synth writes the cloud in row bands (14.9 MiB)
     # and the gridding takes one label at a time in point blocks (26.9 MiB).
-    @pytest.mark.parametrize("stage, mib", [("synth", 14.9), ("rasterize-points", 26.9)],
-                             ids=["synth", "rasterize-points"])
+    # Now the gridding reads a GLBP file a block at a time, holding only its
+    # labels (17.0 MiB).  ``lod1`` was 18.0 MiB before its owned cells were
+    # sorted without the owner and order copies (14.8 MiB).
+    @pytest.mark.parametrize("stage, mib",
+                             [("synth", 14.9), ("rasterize-points", 17.0), ("lod1", 14.8)],
+                             ids=["synth", "rasterize-points", "lod1"])
     def test_peak_bound(self, reference_path_peaks, stage, mib):
         assert reference_path_peaks[stage] <= 1.05 * mib * 2**20
 
@@ -861,3 +867,78 @@ class TestGlbp:
         back = read_points_csv(tmp_path / "e.glbp")
         assert len(back) == 0
         assert back.xs.dtype == np.float64 and back.labels.dtype == np.int8
+
+
+@pytest.fixture(scope="module")
+def glbp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("streamed")
+
+
+class TestStreamedGlbp:
+    """A GLBP file is gridded a block at a time from the file: the same bits
+    as the cloud in memory, every fault raised as a FormatError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block=st.integers(1, 6),
+        k=st.integers(0, 8),
+        extra=st.sampled_from(["none", "one", "short"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_memory_and_oracle(self, glbp_dir, block, k, extra, seed):
+        # n is k whole blocks, one point past them, or one short of the next:
+        # n = 0, n < block, n = k * block and k * block + 1 all come up.  The
+        # points are of every label and some are off the 2 x 1 grid.  A third
+        # of the elevations are ±2^60: a small elevation added while a cell's
+        # sum is ±2^60 is lost, so the sum depends on the order of its points.
+        n = k * block + {"none": 0, "one": 1, "short": block - 1}[extra]
+        rng = np.random.default_rng(seed)
+        zs = rng.choice([0.0, -0.0, 0.5, 3.0, 2.0**60, -(2.0**60)], n)
+        pc = PointCloud(xs=rng.uniform(-0.5, 2.5, n), ys=rng.uniform(-0.25, 1.25, n), zs=zs,
+                        labels=rng.integers(0, 3, n).astype(np.int8))
+        path = glbp_dir / "pts.glbp"
+        write_points_glbp(pc, path)
+        t = template(2, 1)
+        with patch.object(pointcloud, "_BLOCK", block):
+            points = read_points_csv(path)
+            assert len(points) == n
+            streamed, in_memory = grid_elevation(points, t), grid_elevation(pc, t)
+        for label, a, b in zip((Label.GROUND, Label.BUILDING), streamed, in_memory):
+            assert_same_cells(a, b)
+            assert_same_cells(a, grid_elevation_oracle(pc, {label}, t))
+
+    def test_non_finite_count_spans_blocks(self, tmp_path):
+        # A NaN in the first block and an inf in the last: one count of both.
+        pc = awkward_cloud(10)
+        pc.xs[0], pc.zs[-1] = np.nan, np.inf
+        path = tmp_path / "p.glbp"
+        with open(path, "wb") as f:
+            _GLBP_HEADER.write_header(f, 10)
+            for column in (pc.xs, pc.ys, pc.zs, pc.labels):
+                column.tofile(f)
+        with patch.object(pointcloud, "_BLOCK", 4), \
+                pytest.raises(FormatError, match=rf"p\.glbp: 2 non-finite coordinates$"):
+            read_points_csv(path)
+
+    def test_file_truncated_after_read_fails_gridding(self, tmp_path):
+        path = tmp_path / "p.glbp"
+        write_points_glbp(awkward_cloud(20), path)
+        points = read_points_csv(path)
+        os.truncate(path, 100)
+        with pytest.raises(FormatError,
+                           match=r"p\.glbp: expected 514 bytes, got 100 \(truncation at byte 100\)"):
+            grid_elevation(points, template(3, 3))
+
+    def test_read_holds_a_fraction_of_the_file(self, tmp_path):
+        n = 300_000
+        path = tmp_path / "p.glbp"
+        write_points_glbp(PointCloud(xs=np.arange(n) % 997.0, ys=np.zeros(n), zs=np.ones(n),
+                                     labels=np.arange(n) % 3), path)
+        tracemalloc.start()
+        try:
+            points = read_points_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == n
+        assert peak < path.stat().st_size / 4
