@@ -41,3 +41,24 @@ test "$code" -eq 2
 test "$(wc -l < smoke-dup.err)" -eq 1
 grep -q '^ERROR stage=lod1:.*features\[1\]: duplicate id' smoke-dup.err
 test ! -e smoke-dup/lod1_pred.geojson
+
+# A point elevation beyond float32's range: exit 2, one ERROR line, and no
+# DEM.  The first run's points get one ground z of 1e39.
+mkdir -p smoke-elevation
+cp smoke/points.glbp smoke/ndsm_resampled.glbr smoke-elevation/
+python - <<'PY'
+import struct
+with open("smoke-elevation/points.glbp", "r+b") as f:
+    raw = f.read()
+    n, = struct.unpack_from("<Q", raw, 6)  # after the magic and the u16 version
+    first_ground = raw.index(0, 14 + 24 * n) - (14 + 24 * n)  # labels follow x, y and z
+    f.seek(14 + 16 * n + 8 * first_ground)
+    f.write(struct.pack("<d", 1e39))
+PY
+code=0
+urbanmorph --out smoke-elevation rasterize-points --points smoke-elevation/points.glbp 2> smoke-elevation.err || code=$?
+cat smoke-elevation.err
+test "$code" -eq 2
+test "$(wc -l < smoke-elevation.err)" -eq 1
+grep -q '^ERROR stage=rasterize-points:' smoke-elevation.err
+test ! -e smoke-elevation/dem.glbr

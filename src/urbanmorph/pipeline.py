@@ -269,8 +269,12 @@ def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
     reference and the prediction share their cells; points off it are dropped."""
     pc = read_points_csv(_require_file(cfg.points, "points"))
     (fine,) = _read(cfg, "ndsm_resampled")
-    # The DSM and DEM keep their own sentinel: the coarse layer's may be a real elevation.
-    dem, dsm = grid_elevation(pc, fine.with_values(fine.values, nodata=DEFAULT_NODATA))
+    # The fine grid, for its geometry only: its values become a view of one
+    # nodata, so its cells are freed before the gridding.  The DSM and DEM
+    # keep their own sentinel: the coarse layer's may be a real elevation.
+    fine = fine.with_values(np.broadcast_to(np.float32(DEFAULT_NODATA), fine.values.shape),
+                            nodata=DEFAULT_NODATA)
+    dem, dsm = grid_elevation(pc, fine)
     del pc  # the fill needs the grids alone
     if not dem.valid_mask.any():
         raise FormatError(

@@ -7,22 +7,22 @@ time, in blocks of points.  A GLBP file's coordinates stay in the file and
 are read a block at a time (``GlbpPoints``), so the gridding holds the
 labels (1 byte a point), one block, a float64 sum and an int64 count per
 cell for one label (16 bytes a cell), then that label's float32 means, and
-the DEM once it is done (4).  With the fine grid that ``rasterize-points``
-reads for its geometry (4), its peak, while the DSM's sums grow, is about
-25 bytes a fine cell at one point a cell.  A CSV file is still read whole, as a
-``PointCloud`` (25 bytes a point).  Void cells of a terrain raster take the
-value of their nearest valid cell center; distances are compared as exact
-integer squared distances, and a tie goes to the donor earliest in
+the DEM once it is done (4): at its peak, while the DSM's sums grow, about
+21 bytes a fine cell at one point a cell.  A CSV file is still read whole,
+as a ``PointCloud`` (25 bytes a point).  Void cells of a terrain raster take
+the value of their nearest valid cell center; distances are compared as
+exact integer squared distances, and a tie goes to the donor earliest in
 row-major order.  One exact feature transform of the transposed void mask
 meets that rule: it relies on scipy's pass order and tie rule
 (``fill_voids_nearest``).
 
 Points are stored as CSV (``x,y,z,label``) or as GLBP, a little-endian
 column file: the shared binary header (``raster.Format``, magic ``b"GLBP"``)
-with a u64 count n, then n x, n y and n z as ``<f8`` and n labels as ``i1``,
-25 bytes a point.
-GLBP stores the doubles exactly; a CSV reads back the same doubles when its
-numbers round-trip, as ``repr`` writes them.
+with a u64 count n, then the n values of each column of ``_GLBP_COLUMNS``
+in turn (x, y and z as ``<f8``, the labels as ``i1``).  GLBP stores the
+doubles exactly; a CSV reads back the same doubles when its numbers
+round-trip, as ``repr`` writes them.  Either format is rejected if a |z|
+exceeds ``MAX_ABS_ELEVATION``.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ _NAME_CODES = {"ground": 0, "building": 1, "other": 2}
 # the per-block calls, small enough that a block's temporaries stay a few MB.
 _BLOCK = 65536
 _GLBP_HEADER = Format(b"GLBP", "Q")
+_GLBP_COLUMNS = (np.dtype("<f8"),) * 3 + (np.dtype("i1"),)  # x, y, z and label, in file order
+_POINT_BYTES = sum(dtype.itemsize for dtype in _GLBP_COLUMNS)
+# The largest |z| a point file may hold: the DSM and the DEM, float32 means
+# of these, and the nDSM, their float32 difference, then stay finite.
+MAX_ABS_ELEVATION = float(np.finfo(np.float32).max) / 2
 
 
 @dataclass
@@ -88,9 +93,9 @@ class GlbpPoints:
     """The points of a checked GLBP file, their coordinates left in the file.
 
     It holds the labels (1 byte a point); ``blocks`` reads the x, y and z
-    columns a block at a time, and ``xs``, ``ys`` and ``zs`` read one whole.
-    A read that comes short, because the file shrank after it was checked,
-    is a FormatError."""
+    columns a block at a time, or whole as ``next(points.blocks(len(points)))``.
+    A read that comes short, because the file shrank after it was checked, is
+    a FormatError."""
 
     def __init__(self, path, labels: np.ndarray):
         self.path = path
@@ -101,32 +106,26 @@ class GlbpPoints:
 
     def blocks(self, size: int) -> Iterator[tuple[np.ndarray, ...]]:
         """``(labels, xs, ys, zs)`` of each run of ``size`` points, in order."""
+        n = len(self)
         with open(self.path, "rb") as f:
-            for start in range(0, len(self), size):
+            for start in range(0, n, size):
                 labels = self.labels[start:start + size]
-                yield labels, *(self._coordinates(f, k, start, labels.size) for k in range(3))
-
-    xs = property(lambda self: self._column(0))
-    ys = property(lambda self: self._column(1))
-    zs = property(lambda self: self._column(2))
-
-    def _column(self, k: int) -> np.ndarray:
-        with open(self.path, "rb") as f:
-            return self._coordinates(f, k, 0, len(self))
-
-    def _coordinates(self, f, k: int, start: int, count: int) -> np.ndarray:
-        """``count`` values of column ``k`` (x, y, z) from point ``start``."""
-        offset = _GLBP_HEADER.size + 8 * (k * len(self) + start)
-        return _read_exact(f, self.path, len(self), offset, "<f8", count)
+                yield labels, *(_read_column(f, self.path, n, k, start, labels.size) for k in range(3))
 
 
-def _read_exact(f, path, n: int, offset: int, dtype: str, count: int) -> np.ndarray:
-    """``count`` values of ``dtype`` from byte ``offset`` of the ``n``-point
-    GLBP file ``f``; a short read raises the size check's message."""
-    f.seek(offset)
-    values = np.fromfile(f, dtype, count)
+def _glbp_offset(n: int, k: int, start: int) -> int:
+    """The byte of point ``start`` of column ``k`` in an ``n``-point GLBP file."""
+    before = sum(dtype.itemsize for dtype in _GLBP_COLUMNS[:k])
+    return _GLBP_HEADER.size + before * n + _GLBP_COLUMNS[k].itemsize * start
+
+
+def _read_column(f, path, n: int, k: int, start: int, count: int) -> np.ndarray:
+    """``count`` values of column ``k`` from point ``start`` of the
+    ``n``-point GLBP file ``f``; a short read raises the size check's message."""
+    f.seek(_glbp_offset(n, k, start))
+    values = np.fromfile(f, _GLBP_COLUMNS[k], count)
     if values.size < count:
-        _GLBP_HEADER.check_size(f, path, 25 * n)
+        _GLBP_HEADER.check_size(f, path, _POINT_BYTES * n)
         raise FormatError(f"{path}: short read at byte {f.tell()}")
     return values
 
@@ -224,31 +223,33 @@ def write_glbp_pieces(path, n: int, pieces: Iterable[tuple[int, PointCloud]]) ->
     with open(path, "wb") as f:
         _GLBP_HEADER.write_header(f, n)
         for start, piece in pieces:
-            for k, column in enumerate((piece.xs, piece.ys, piece.zs)):
-                f.seek(_GLBP_HEADER.size + 8 * (k * n + start))
-                column.astype("<f8", copy=False).tofile(f)
-            f.seek(_GLBP_HEADER.size + 24 * n + start)
-            piece.labels.astype("i1", copy=False).tofile(f)
+            for k, column in enumerate((piece.xs, piece.ys, piece.zs, piece.labels)):
+                f.seek(_glbp_offset(n, k, start))
+                column.astype(_GLBP_COLUMNS[k], copy=False).tofile(f)
 
 
 def _read_glbp(path) -> GlbpPoints:
     """Check a GLBP file and return its points, holding only the labels.
 
-    The coordinates are checked in one pass, a column block at a time, so
-    every fault is raised before any gridding."""
+    The coordinates are checked in one pass, each column a block at a time,
+    so every fault is raised before any gridding."""
     with open(path, "rb") as f:
         n, = _GLBP_HEADER.read_header(f, path)
-        _GLBP_HEADER.check_size(f, path, 25 * n)
-        labels = _read_exact(f, path, n, _GLBP_HEADER.size + 24 * n, "i1", n)
+        _GLBP_HEADER.check_size(f, path, _POINT_BYTES * n)
+        labels = _read_column(f, path, n, 3, 0, n)
         if bad := np.count_nonzero(labels.view(np.uint8) > 2):  # a negative label is > 127
             raise FormatError(f"{path}: {bad} labels not 0, 1 or 2")
-        bad = 3 * n  # the x, y and z columns are one run of 3n doubles
-        for start in range(0, 3 * n, _BLOCK):
-            offset = _GLBP_HEADER.size + 8 * start
-            block = _read_exact(f, path, n, offset, "<f8", min(_BLOCK, 3 * n - start))
-            bad -= np.count_nonzero(np.isfinite(block))
+        bad = high = 0
+        for k in range(3):
+            for start in range(0, n, _BLOCK):
+                column = _read_column(f, path, n, k, start, min(_BLOCK, n - start))
+                bad += column.size - np.count_nonzero(np.isfinite(column))
+                if k == 2 and not bad:  # the bound is only compared with finite values
+                    high += np.count_nonzero(np.abs(column, out=column) > MAX_ABS_ELEVATION)
     if bad:
         raise FormatError(f"{path}: {bad} non-finite coordinates")
+    if high:
+        raise FormatError(f"{path}: {high} elevations out of range (|z| > {MAX_ABS_ELEVATION:g})")
     return GlbpPoints(path, labels)
 
 
@@ -268,10 +269,8 @@ def read_points_csv(path) -> PointCloud | GlbpPoints:
         while lines := list(islice(f, _BLOCK)):
             blocks.append(_parse_block(path, lines, lineno))
             lineno += len(lines)
-    if not blocks:
-        return PointCloud(xs=[], ys=[], zs=[], labels=[])
-    xs, ys, zs, labels = (np.concatenate(column) for column in zip(*blocks))
-    return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
+    columns = [np.concatenate(column) for column in zip(*blocks)] if blocks else [[]] * 4
+    return PointCloud(*columns)
 
 
 def _parse_block(path, lines: list[str], lineno: int):
@@ -286,7 +285,7 @@ def _parse_block(path, lines: list[str], lineno: int):
     try:
         if set(map(str.count, rows, repeat(","))) <= {3} and None not in codes:
             xyz = [np.fromiter(map(float, fields[k::4]), np.float64, len(rows)) for k in range(3)]
-            if np.isfinite(xyz).all():
+            if np.isfinite(xyz).all() and (np.abs(xyz[2]) <= MAX_ABS_ELEVATION).all():
                 return (*xyz, np.array(codes, dtype=np.int8))
     except ValueError:
         pass
@@ -312,11 +311,10 @@ def _parse_lines(path, lines: list[str], lineno: int):
             raise FormatError(f"{path}:{lineno}: bad number ({exc})") from exc
         if not (isfinite(x) and isfinite(y) and isfinite(z)):
             raise FormatError(f"{path}:{lineno}: non-finite coordinate")
+        if abs(z) > MAX_ABS_ELEVATION:
+            raise FormatError(f"{path}:{lineno}: elevation out of range (|z| > {MAX_ABS_ELEVATION:g})")
         xs.append(x)
         ys.append(y)
         zs.append(z)
         labels.append(_NAME_CODES[name])
-    return (
-        np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64),
-        np.array(zs, dtype=np.float64), np.array(labels, dtype=np.int8),
-    )
+    return (*np.array([xs, ys, zs], dtype=np.float64), np.array(labels, dtype=np.int8))

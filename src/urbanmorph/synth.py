@@ -8,11 +8,10 @@ seed alone; no wall-clock or OS entropy.
 
 A scene holds its grids (the footprint ids, the mask and the truth, 16
 bytes a cell; the terrain is one row) and the few ``other`` clutter points,
-but not its point cloud of one point per cell.  ``write_scene`` writes the cloud from
-row bands of the footprint id grid, each band's points going straight to
-their place in the file, so it holds one band's points at a time;
-``SynthScene.points`` builds the whole cloud (25 bytes a point) from the same
-bands.
+but not its point cloud of one point per cell.  ``write_scene`` writes the
+cloud from row bands of the footprint id grid (``SynthScene.point_pieces``),
+each band's points going straight to their place in the file, so it holds
+one band's points at a time; the whole cloud is the file it writes.
 """
 
 from __future__ import annotations
@@ -129,18 +128,6 @@ class SynthScene:
     @property
     def n_points(self) -> int:
         return self.mask.source_ids.size + len(self.clutter)
-
-    @property
-    def points(self) -> PointCloud:
-        """The whole point cloud that ``write_scene`` writes, built from
-        ``point_pieces``."""
-        xs, ys, zs = np.empty((3, self.n_points))
-        labels = np.empty(self.n_points, dtype=np.int8)
-        for start, piece in self.point_pieces():
-            stop = start + len(piece)
-            xs[start:stop], ys[start:stop], zs[start:stop] = piece.xs, piece.ys, piece.zs
-            labels[start:stop] = piece.labels
-        return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
 
 
 def _snap_range(lo: float, hi: float, step: int) -> list[int]:

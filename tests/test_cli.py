@@ -24,7 +24,7 @@ from urbanmorph.pipeline import (
     run_all,
 )
 from urbanmorph.errors import ConfigError
-from urbanmorph.pointcloud import read_points_csv
+from urbanmorph.pointcloud import PointCloud, read_points_csv, write_points_glbp
 from urbanmorph.raster import Raster, minmax_normalize, read_raster, write_raster
 
 SMALL_CONFIG = """\
@@ -554,14 +554,19 @@ class TestErrorHandling:
         assert "points\t" in captured.out
 
 
+def write_csv(path, labels, *xyz):
+    """A points CSV with ``repr`` numbers, which read back exactly."""
+    names = np.array(["ground", "building", "other"])[labels].tolist()
+    rows = zip(*(column.tolist() for column in xyz), names)
+    Path(path).write_text(
+        "x,y,z,label\n" + "".join(f"{x!r},{y!r},{z!r},{name}\n" for x, y, z, name in rows)
+    )
+
+
 class TestPointFormats:
     def test_glbp_and_csv_points_give_identical_rasters(self, run_dir, tmp_path):
         pc = read_points_csv(run_dir / "points.glbp")
-        names = np.array(["ground", "building", "other"])[pc.labels].tolist()
-        rows = zip(pc.xs.tolist(), pc.ys.tolist(), pc.zs.tolist(), names)
-        (tmp_path / "points.csv").write_text(
-            "x,y,z,label\n" + "".join(f"{x!r},{y!r},{z!r},{name}\n" for x, y, z, name in rows)
-        )
+        write_csv(tmp_path / "points.csv", *next(pc.blocks(len(pc))))
         rasters = []
         for name in ("points.glbp", "points.csv"):
             out = tmp_path / name.replace(".", "_")
@@ -571,6 +576,27 @@ class TestPointFormats:
             assert main(["--out", str(out), "rasterize-points", "--points", str(points)]) == 0
             rasters.append([(out / f).read_bytes() for f in ("dsm.glbr", "dem.glbr")])
         assert rasters[0] == rasters[1]
+
+    @pytest.mark.parametrize("kind", ["glbp", "csv"])
+    def test_elevation_beyond_bound_exit_2(self, run_dir, tmp_path, capsys, kind):
+        # One ground elevation of 1e39, beyond float32's range: one error that
+        # names the points file, and no DSM or DEM.
+        pc = read_points_csv(run_dir / "points.glbp")
+        labels, xs, ys, zs = next(pc.blocks(len(pc)))
+        zs[np.argmax(labels == 0)] = 1e39
+        points = tmp_path / f"points.{kind}"
+        if kind == "glbp":
+            write_points_glbp(PointCloud(xs, ys, zs, labels), points)
+        else:
+            write_csv(points, labels, xs, ys, zs)
+        shutil.copy(run_dir / "ndsm_resampled.glbr", tmp_path)
+        code = main(["--out", str(tmp_path), "rasterize-points", "--points", str(points)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"ERROR stage=rasterize-points: {points}")
+        assert "elevation" in err and "out of range" in err
+        assert not (tmp_path / "dem.glbr").exists() and not (tmp_path / "dsm.glbr").exists()
 
 
 class TestAsciiNodata:

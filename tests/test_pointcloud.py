@@ -16,12 +16,14 @@ from urbanmorph.errors import EmptyStatisticsError, FormatError
 from urbanmorph.pointcloud import (
     _BLOCK,
     _GLBP_HEADER,
+    MAX_ABS_ELEVATION,
     Label,
     PointCloud,
     fill_voids_nearest,
     grid_elevation,
     height_above_ground,
     read_points_csv,
+    write_glbp_pieces,
     write_points_glbp,
 )
 from urbanmorph.pipeline import STAGES, PipelineConfig, _synth_spec, stage_rasterize_points
@@ -423,10 +425,11 @@ class TestReferencePathMemory:
     # (rasterize-points).  Now synth writes the cloud in row bands (14.9 MiB)
     # and the gridding takes one label at a time in point blocks (26.9 MiB).
     # Now the gridding reads a GLBP file a block at a time, holding only its
-    # labels (17.0 MiB).  ``lod1`` was 18.0 MiB before its owned cells were
+    # labels (17.0 MiB), and with the fine grid's cells freed before the
+    # gridding, 15.0 MiB.  ``lod1`` was 18.0 MiB before its owned cells were
     # sorted without the owner and order copies (14.8 MiB).
     @pytest.mark.parametrize("stage, mib",
-                             [("synth", 14.9), ("rasterize-points", 17.0), ("lod1", 14.8)],
+                             [("synth", 14.9), ("rasterize-points", 15.0), ("lod1", 14.8)],
                              ids=["synth", "rasterize-points", "lod1"])
     def test_peak_bound(self, reference_path_peaks, stage, mib):
         assert reference_path_peaks[stage] <= 1.05 * mib * 2**20
@@ -848,10 +851,11 @@ class TestGlbp:
         (tmp_path / "pts.csv").write_text(csv_text(pc))
         write_points_glbp(pc, tmp_path / "pts.glbp")
         for back in (read_points_csv(tmp_path / "pts.glbp"), read_points_csv(tmp_path / "pts.csv")):
-            for column in ("xs", "ys", "zs"):
-                assert_bits_equal(getattr(back, column), getattr(pc, column))
-            assert back.labels.dtype == np.int8
-            np.testing.assert_array_equal(back.labels, pc.labels)
+            labels, *xyz = next(back.blocks(len(back)))
+            for got, want in zip(xyz, (pc.xs, pc.ys, pc.zs)):
+                assert_bits_equal(got, want)
+            assert labels.dtype == np.int8
+            np.testing.assert_array_equal(labels, pc.labels)
 
     def test_layout(self, tmp_path):
         pc = cloud([(1.0, 2.0, 3.0, Label.BUILDING), (4.0, 5.0, 6.0, Label.OTHER)])
@@ -865,8 +869,76 @@ class TestGlbp:
         write_points_glbp(PointCloud(xs=[], ys=[], zs=[], labels=[]), tmp_path / "e.glbp")
         assert (tmp_path / "e.glbp").stat().st_size == 14
         back = read_points_csv(tmp_path / "e.glbp")
-        assert len(back) == 0
-        assert back.xs.dtype == np.float64 and back.labels.dtype == np.int8
+        assert len(back) == 0 and list(back.blocks(1)) == []
+        assert back.labels.dtype == np.int8
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 30), cuts=st.lists(st.integers(0, 30), max_size=6),
+           block=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_pieces_and_blocks_share_one_layout(self, glbp_dir, n, cuts, block, seed):
+        # The cloud cut at ``cuts`` into uneven pieces, a repeated cut making
+        # an empty piece, written in shuffled order: the bytes of the whole
+        # cloud written at once, read back bit for bit a block at a time.
+        rng = np.random.default_rng(seed)
+        values = EDGE_VALUES[np.abs(EDGE_VALUES) <= MAX_ABS_ELEVATION]
+        pc = PointCloud(*rng.choice(values, (3, n)), labels=rng.integers(0, 3, n))
+        bounds = [0, *sorted(c % (n + 1) for c in cuts), n]
+        pieces = [(a, PointCloud(pc.xs[a:b], pc.ys[a:b], pc.zs[a:b], pc.labels[a:b]))
+                  for a, b in zip(bounds, bounds[1:])]
+        shuffled = [pieces[i] for i in rng.permutation(len(pieces))]
+        write_glbp_pieces(glbp_dir / "pieces.glbp", n, shuffled)
+        write_points_glbp(pc, glbp_dir / "whole.glbp")
+        assert (glbp_dir / "pieces.glbp").read_bytes() == (glbp_dir / "whole.glbp").read_bytes()
+        with patch.object(pointcloud, "_BLOCK", block):
+            points = read_points_csv(glbp_dir / "pieces.glbp")
+            blocks = list(points.blocks(pointcloud._BLOCK))
+        assert all(0 < len(labels) <= block for labels, *_ in blocks)
+        columns = zip(*blocks) if blocks else [[np.empty(0)]] * 4
+        for got, want in zip(columns, (pc.labels, pc.xs, pc.ys, pc.zs)):
+            assert_bits_equal(np.concatenate(got), want)
+
+
+class TestElevationBound:
+    """A point whose |z| exceeds ``MAX_ABS_ELEVATION`` is a FormatError in
+    either format; at the bound, the DSM, the DEM and the nDSM stay finite."""
+
+    def test_bound_keeps_rasters_finite(self, tmp_path):
+        top = MAX_ABS_ELEVATION
+        pc = cloud([(0.5, 0.5, -top, Label.GROUND), (0.5, 0.5, -top, Label.GROUND),
+                    (0.5, 0.5, top, Label.BUILDING), (0.5, 0.5, top, Label.BUILDING)])
+        (tmp_path / "p.csv").write_text(csv_text(pc))
+        write_points_glbp(pc, tmp_path / "p.glbp")
+        for name in ("p.csv", "p.glbp"):
+            dem, dsm = grid_elevation(read_points_csv(tmp_path / name), template(1, 1))
+            assert (dem.values[0, 0], dsm.values[0, 0]) == (np.float32(-top), np.float32(top))
+            assert np.isfinite(dsm.values - dem.values).all()
+
+    @pytest.mark.parametrize("z", [1e39, -1e39, np.nextafter(MAX_ABS_ELEVATION, np.inf)])
+    def test_glbp_counts_elevations_across_blocks(self, tmp_path, z):
+        pc = awkward_cloud(10)
+        pc.zs[0] = pc.zs[-1] = z
+        write_points_glbp(pc, tmp_path / "p.glbp")
+        with patch.object(pointcloud, "_BLOCK", 4), pytest.raises(
+                FormatError, match=r"p\.glbp: 2 elevations out of range \(\|z\| > 1\.70141e\+38\)$"):
+            read_points_csv(tmp_path / "p.glbp")
+
+    def test_glbp_non_finite_wins(self, tmp_path):
+        pc = awkward_cloud(10)
+        pc.zs[0], pc.ys[5] = 1e39, np.nan
+        write_points_glbp(pc, tmp_path / "p.glbp")
+        with pytest.raises(FormatError, match=r"p\.glbp: 1 non-finite coordinates$"):
+            read_points_csv(tmp_path / "p.glbp")
+
+    @pytest.mark.parametrize("at", [2, _BLOCK + 1], ids=["first-block", "second-block"])
+    @pytest.mark.parametrize("z", ["1e39", "-1e39", repr(float(np.nextafter(MAX_ABS_ELEVATION, np.inf)))])
+    def test_csv_names_line(self, tmp_path, z, at):
+        lines = good_rows(_BLOCK + 3)
+        lines.insert(at, f"1,2,{z},ground\n")
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,z,label\n" + "".join(lines))
+        message = rf"pts\.csv:{at + 2}: elevation out of range \(\|z\| > 1\.70141e\+38\)$"
+        with pytest.raises(FormatError, match=message):
+            read_points_csv(path)
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,16 @@ from scipy.ndimage import gaussian_filter
 from urbanmorph.errors import PackingError
 from urbanmorph.footprints import BuildingFootprint
 from urbanmorph import synth
-from urbanmorph.pointcloud import Label, PointCloud, write_points_glbp
+from urbanmorph.pointcloud import Label, PointCloud, read_points_csv, write_points_glbp
 from urbanmorph.raster import downsample_average
 from urbanmorph.synth import SyntheticCitySpec, _place_buildings, generate_city, write_scene
+
+
+def written_points(scene, out_dir):
+    """The whole point cloud that ``write_scene`` writes for ``scene``, read back."""
+    points = read_points_csv(write_scene(scene, out_dir)["points"])
+    labels, xs, ys, zs = next(points.blocks(len(points)))
+    return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
 
 
 def small_spec(**kw):
@@ -101,16 +108,15 @@ class TestGenerate:
             scene.coarse_ndsm.values, scene.truth_ndsm.values
         )
 
-    def test_point_cloud_consistent(self):
+    def test_point_cloud_consistent(self, tmp_path):
         scene = generate_city(small_spec())
+        points = written_points(scene, tmp_path)
         size = scene.spec.size_cells
         n_other = size * size // 1000
-        assert len(scene.points) == size * size + n_other
-        # Ground points sit on the terrain; roofs on terrain + height.
-        from urbanmorph.pointcloud import Label
-
-        ground = scene.points.labels == int(Label.GROUND)
-        np.testing.assert_allclose(scene.points.zs[ground], 100.0)
+        assert len(points) == size * size + n_other
+        # Ground points sit on the terrain.
+        ground = points.labels == int(Label.GROUND)
+        np.testing.assert_allclose(points.zs[ground], 100.0)
 
     def test_terrain_slope(self):
         scene = generate_city(small_spec(terrain_slope=0.02, n_buildings=0))
@@ -144,13 +150,14 @@ class TestGenerate:
 
 
 class TestDeterminism:
-    def test_same_seed_same_scene(self):
+    def test_same_seed_same_scene(self, tmp_path):
         a = generate_city(small_spec())
         b = generate_city(small_spec())
         assert a.heights == b.heights
         np.testing.assert_array_equal(a.truth_ndsm.values, b.truth_ndsm.values)
         np.testing.assert_array_equal(a.coarse_ndsm.values, b.coarse_ndsm.values)
-        np.testing.assert_array_equal(a.points.zs, b.points.zs)
+        np.testing.assert_array_equal(written_points(a, tmp_path / "a").zs,
+                                      written_points(b, tmp_path / "b").zs)
 
     def test_different_seed_differs(self):
         a = generate_city(small_spec(seed=1))
@@ -227,9 +234,10 @@ class TestSceneMatchesOracle:
         small_spec(n_buildings=0, noise_sigma=0.0),
         small_spec(extent_m=97.0, n_buildings=3, coarse_factor=7, height_min=0.0, seed=3),
     ])
-    def test_bits(self, spec):
+    def test_bits(self, tmp_path, spec):
         scene = generate_city(spec)
         footprints, terrain, truth, points = scene_oracle(spec, scene.mask)
+        written = written_points(scene, tmp_path)
         assert len(scene.footprints) == len(footprints)
         for a, b in zip(scene.footprints, footprints):
             assert a.id == b.id and a.exterior.tobytes() == b.exterior.tobytes() and a.holes == []
@@ -237,7 +245,7 @@ class TestSceneMatchesOracle:
         assert scene.terrain.values.tobytes() == terrain.tobytes()
         assert scene.truth_ndsm.values.tobytes() == truth.tobytes()
         for column in ("xs", "ys", "zs", "labels"):
-            got, want = getattr(scene.points, column), getattr(points, column)
+            got, want = getattr(written, column), getattr(points, column)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         built = scene.mask.raster.with_values((scene.mask.raster.values > 0).astype(np.float32))
         density = downsample_average(built, spec.coarse_factor)
@@ -261,7 +269,5 @@ class TestPointsWrittenInBands:
         scene = generate_city(spec)
         *_, points = scene_oracle(spec, scene.mask)
         write_points_glbp(points, tmp_path / "oracle.glbp")
-        write_points_glbp(scene.points, tmp_path / "property.glbp")
         written = Path(write_scene(scene, tmp_path)["points"]).read_bytes()
         assert written == (tmp_path / "oracle.glbp").read_bytes()
-        assert written == (tmp_path / "property.glbp").read_bytes()
