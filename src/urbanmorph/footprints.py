@@ -1,4 +1,4 @@
-"""Building footprint geometry and rasterization to binary masks.
+"""Building footprint geometry and rasterization to footprint id grids.
 
 Footprints are simple polygons (exterior ring plus optional holes) in the
 shared planar meter frame.  Rings are stored open; closure back to the first
@@ -16,7 +16,7 @@ ring offsets and the ids.  Each step runs on a whole table at once:
   rows of cell centres ``cy`` with ``min(y1, y2) <= cy < max(y1, y2)``; a
   footprint's crossings of a row are sorted, and the centres ``cx`` with
   ``x[2k] <= cx < x[2k+1]`` are inside (the half-open even-odd rule).  On
-  overlap the highest id wins, as a maximum.
+  overlap the highest id wins, as a maximum, in one int64 id grid.
 - ``projected_widths`` projects every exterior on every direction.
 
 GeoJSON (RFC 7946) files hold a footprint set as one FeatureCollection on one
@@ -56,7 +56,7 @@ _CHUNK = 1 << 18
 
 
 def _check_id(fid: int) -> None:
-    # 0 marks "no building" in a FootprintMask, and ids are stored as int64.
+    # 0 marks "no building" in a FootprintMask's id grid, which is int64.
     if not 1 <= fid <= _MAX_ID:
         raise ValueError(f"footprint id {fid} is not in [1, {_MAX_ID}]")
 
@@ -250,18 +250,17 @@ def _build(t: FootprintTable) -> list[BuildingFootprint]:
 
 @dataclass
 class FootprintMask:
-    """1-m binary building mask plus per-cell footprint ownership.
+    """The footprint owning each cell of ``grid``: one int64 id grid,
+    ``source_ids``, 0 where no building covers the cell center; on overlap the
+    highest id wins.  ``grid`` gives the geometry only, not the mask's values;
+    the 0/1 raster of built cells is ``grid.with_values(source_ids > 0)``."""
 
-    ``source_ids`` is 0 where no building covers the cell center; on overlap
-    the highest footprint id wins.
-    """
-
-    raster: Raster
+    grid: Raster
     source_ids: np.ndarray
 
     def __post_init__(self):
         self.source_ids = np.asarray(self.source_ids, dtype=np.int64).reshape(
-            self.raster.height, self.raster.width
+            self.grid.height, self.grid.width
         )
 
     @cached_property
@@ -312,7 +311,7 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def rasterize(footprints: list[BuildingFootprint], template: Raster) -> FootprintMask:
     """Cell-center rasterization of footprints onto the template grid.
 
-    A cell is 1 iff its center lies inside some footprint (even-odd rule)
+    A cell is owned iff its center lies inside some footprint (even-odd rule)
     and within the bounds of its exterior; the highest id owns overlap cells.
     """
     t = footprint_table(footprints)
@@ -351,8 +350,9 @@ def rasterize(footprints: list[BuildingFootprint], template: Raster) -> Footprin
     covered = np.bincount(f, weights=width, minlength=len(t.ids))
     for fid in np.sort(t.ids[covered == 0]):
         warnings.warn(f"footprint {fid} covers no cell centers of the template", stacklevel=2)
-    ids = ids.reshape(template.height, template.width)
-    return FootprintMask(raster=template.with_values((ids > 0).astype(np.float32)), source_ids=ids)
+    # The template's geometry only: its values become a view of one zero.
+    grid = template.with_values(np.broadcast_to(np.float32(0), template.values.shape))
+    return FootprintMask(grid=grid, source_ids=ids)
 
 
 # -- GeoJSON I/O -------------------------------------------------------------

@@ -43,7 +43,7 @@ def assign_heights(
     available as a flag.  Footprints owning no cells get height 0 and a
     warning.  Output is ordered by footprint id.
     """
-    require_aligned(pred, mask.raster, "prediction and mask")
+    require_aligned(pred, mask.grid, "prediction and mask")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic '{statistic}'")
 

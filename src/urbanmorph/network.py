@@ -603,9 +603,9 @@ def predict_city(
 def baseline_predict(ndsm_coarse_resampled: Raster, mask: FootprintMask) -> Raster:
     """Deterministic non-learned reference: the resampled coarse height layer
     masked to footprint cells, clamped non-negative, zero elsewhere."""
-    require_aligned(ndsm_coarse_resampled, mask.raster, "baseline inputs")
+    require_aligned(ndsm_coarse_resampled, mask.grid, "baseline inputs")
     vals = np.where(
-        mask.raster.values > 0,
+        mask.source_ids > 0,
         np.maximum(ndsm_coarse_resampled.values, 0.0),
         np.float32(0.0),
     )

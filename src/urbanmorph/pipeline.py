@@ -314,7 +314,8 @@ def _network_inputs(cfg: PipelineConfig):
         rasters.append(r)
     ndsm_fine, pop_fine, ref = rasters
     _, mask = _mask_for(cfg, ndsm_fine)
-    channels = [minmax_normalize(ndsm_fine)[0], minmax_normalize(pop_fine)[0], mask.raster]
+    built = mask.grid.with_values(mask.source_ids > 0)
+    channels = [minmax_normalize(ndsm_fine)[0], minmax_normalize(pop_fine)[0], built]
     return channels, minmax_normalize(ref)
 
 
@@ -514,17 +515,8 @@ STAGES = {
     "report": stage_report,
 }
 
-RUN_ORDER = [
-    "synth",
-    "resample",
-    "rasterize-points",
-    "ndsm",
-    "predict",
-    "lod1",
-    "ucp",
-    "validate",
-    "report",
-]
+# ``run_all``'s stages in ``STAGES`` order; ``train`` joins them for the network.
+RUN_ORDER = [name for name in STAGES if name != "train"]
 
 
 def _check_run_grids(cfg: PipelineConfig) -> None:
@@ -554,12 +546,6 @@ def run_all(cfg: PipelineConfig) -> dict[str, str]:
     for name in stages:
         result = STAGES[name](cfg)
         if name == "synth":
-            cfg = replace(
-                cfg,
-                points=result["points"],
-                footprints=result["footprints"],
-                coarse_ndsm=result["coarse_ndsm"],
-                population=result["population"],
-            )
+            cfg = replace(cfg, **result)
         outputs.update(result)
     return outputs

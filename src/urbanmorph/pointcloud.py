@@ -53,14 +53,23 @@ _BLOCK = 65536
 _GLBP_HEADER = Format(b"GLBP", "Q")
 _GLBP_COLUMNS = (np.dtype("<f8"),) * 3 + (np.dtype("i1"),)  # x, y, z and label, in file order
 _POINT_BYTES = sum(dtype.itemsize for dtype in _GLBP_COLUMNS)
-# The largest |z| a point file may hold: the DSM and the DEM, float32 means
-# of these, and the nDSM, their float32 difference, then stay finite.
+# The largest |z| a point may have: the DSM and the DEM, float32 means of
+# these, and the nDSM, their float32 difference, then stay finite.
 MAX_ABS_ELEVATION = float(np.finfo(np.float32).max) / 2
+
+
+def _block_starts(n: int, size: int) -> range:
+    """The first point of each run of ``size`` of ``n`` points; an empty cloud
+    is one empty run, so ``blocks(len(points))`` reads any cloud whole."""
+    if size < min(n, 1):
+        raise ValueError(f"block size {size} is below {min(n, 1)} for {n} points")
+    return range(0, max(n, 1), max(size, 1))
 
 
 @dataclass
 class PointCloud:
-    """Columnar point storage; all arrays share one length."""
+    """Columnar point storage; all arrays share one length, every coordinate
+    is finite and no |z| exceeds ``MAX_ABS_ELEVATION``."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -78,13 +87,15 @@ class PointCloud:
         columns = (self.xs, self.ys, self.zs)
         if bad := 3 * n - sum(np.count_nonzero(np.isfinite(c)) for c in columns):
             raise ValueError(f"{bad} non-finite coordinates")
+        if high := np.count_nonzero(np.abs(self.zs) > MAX_ABS_ELEVATION):
+            raise ValueError(f"{high} elevations out of range (|z| > {MAX_ABS_ELEVATION:g})")
 
     def __len__(self) -> int:
         return self.xs.size
 
     def blocks(self, size: int) -> Iterator[tuple[np.ndarray, ...]]:
         """``(labels, xs, ys, zs)`` of each run of ``size`` points, in order."""
-        for start in range(0, len(self), size):
+        for start in _block_starts(len(self), size):
             block = slice(start, start + size)
             yield self.labels[block], self.xs[block], self.ys[block], self.zs[block]
 
@@ -108,7 +119,7 @@ class GlbpPoints:
         """``(labels, xs, ys, zs)`` of each run of ``size`` points, in order."""
         n = len(self)
         with open(self.path, "rb") as f:
-            for start in range(0, n, size):
+            for start in _block_starts(n, size):
                 labels = self.labels[start:start + size]
                 yield labels, *(_read_column(f, self.path, n, k, start, labels.size) for k in range(3))
 

@@ -6,8 +6,8 @@ centers, a coarse noisy height layer fabricated by block-averaging the
 truth, and a smoothed population proxy.  Everything is reproducible from the
 seed alone; no wall-clock or OS entropy.
 
-A scene holds its grids (the footprint ids, the mask and the truth, 16
-bytes a cell; the terrain is one row) and the few ``other`` clutter points,
+A scene holds its grids (the footprint ids and the truth, 12 bytes a
+cell; the terrain is one row) and the few ``other`` clutter points,
 but not its point cloud of one point per cell.  ``write_scene`` writes the
 cloud from row bands of the footprint id grid (``SynthScene.point_pieces``),
 each band's points going straight to their place in the file, so it holds
@@ -225,7 +225,8 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
         )
         coarse = coarse.with_values(noisy.astype(np.float32))
 
-    built_density = downsample_average(mask.raster, spec.coarse_factor)
+    built = mask.grid.with_values(mask.source_ids > 0)
+    built_density = downsample_average(built, spec.coarse_factor)
     pop_vals = gaussian_filter(built_density.values.astype(np.float64), sigma=2.0)
     population = built_density.with_values((pop_vals * 10000.0).astype(np.float32))
 

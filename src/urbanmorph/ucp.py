@@ -1,4 +1,4 @@
-"""Gridded urban canopy parameters from LoD-1 buildings and binary masks.
+"""Gridded urban canopy parameters from LoD-1 buildings and footprint masks.
 
 Per grid cell (default resolution 300 m): building count, mean / standard
 deviation of heights, footprint-area-weighted mean height, height histogram
@@ -57,7 +57,7 @@ class GridGeometry:
 
 
 def grid_geometry(mask: FootprintMask, resolution: float) -> GridGeometry:
-    return raster_grid(mask.raster, resolution)
+    return raster_grid(mask.grid, resolution)
 
 
 def raster_grid(r: Raster, resolution: float) -> GridGeometry:
@@ -95,7 +95,7 @@ def covered_area(geom: GridGeometry) -> np.ndarray:
 
 
 def _check_mask(mask: FootprintMask, geom: GridGeometry) -> None:
-    r = mask.raster
+    r = mask.grid
     if (
         r.width != geom.fine_width
         or r.height != geom.fine_height
@@ -111,7 +111,7 @@ def _built_cells(mask: FootprintMask, geom: GridGeometry) -> np.ndarray:
     _check_mask(mask, geom)
     res = geom.res_px
     built = np.zeros((geom.rows * res, geom.cols * res), dtype=bool)
-    built[: geom.fine_height, : geom.fine_width] = mask.raster.values > 0
+    built[: geom.fine_height, : geom.fine_width] = mask.source_ids > 0
     return built.reshape(geom.rows, res, geom.cols, res).sum(axis=(1, 3))
 
 

@@ -132,7 +132,7 @@ def test_criterion_1_formula_fidelity():
             grid = aggregate_all(buildings, mask, resolution=res)
             for row in range(2):
                 for col in range(2):
-                    block = mask.raster.values[
+                    block = mask.source_ids[
                         int(row * res) : int((row + 1) * res),
                         int(col * res) : int((col + 1) * res),
                     ]
@@ -268,7 +268,7 @@ def _overfit_fixture():
     ndsm_norm, _ = minmax_normalize(resample_cubic(scene.coarse_ndsm, 1.0))
     pop_norm, _ = minmax_normalize(resample_cubic(scene.population, 1.0))
     tile = np.stack(
-        [ndsm_norm.values, pop_norm.values, scene.mask.raster.values], axis=-1
+        [ndsm_norm.values, pop_norm.values, scene.mask.source_ids > 0], axis=-1
     ).astype(np.float64)
     target, _ = minmax_normalize(scene.truth_ndsm)
     return tile, target.values.astype(np.float64)
@@ -404,20 +404,20 @@ def test_criterion_7_nesting_consistency():
         coarse_lp = lambda_p(mask, coarse_geom)
         coarse_area = covered_area(coarse_geom)
 
-        size = mask.raster.width
+        size = mask.grid.width
         for row in range(coarse_geom.rows):
             for col in range(coarse_geom.cols):
                 r0, c0 = row * 1000, col * 1000
                 r1, c1 = min(r0 + 1000, size), min(c0 + 1000, size)
                 sub = FootprintMask(
-                    raster=Raster(
+                    grid=Raster(
                         width=c1 - c0,
                         height=r1 - r0,
                         origin_x=float(c0),
                         origin_y=float(r0),
                         cell_size=1.0,
                         nodata=NODATA,
-                        values=mask.raster.values[r0:r1, c0:c1].copy(),
+                        values=mask.grid.values[r0:r1, c0:c1].copy(),
                     ),
                     source_ids=mask.source_ids[r0:r1, c0:c1].copy(),
                 )

@@ -583,12 +583,13 @@ class TestPointFormats:
         # names the points file, and no DSM or DEM.
         pc = read_points_csv(run_dir / "points.glbp")
         labels, xs, ys, zs = next(pc.blocks(len(pc)))
-        zs[np.argmax(labels == 0)] = 1e39
+        cloud = PointCloud(xs, ys, zs, labels)
+        cloud.zs[np.argmax(labels == 0)] = 1e39  # after PointCloud's own check
         points = tmp_path / f"points.{kind}"
         if kind == "glbp":
-            write_points_glbp(PointCloud(xs, ys, zs, labels), points)
+            write_points_glbp(cloud, points)
         else:
-            write_csv(points, labels, xs, ys, zs)
+            write_csv(points, labels, xs, ys, cloud.zs)
         shutil.copy(run_dir / "ndsm_resampled.glbr", tmp_path)
         code = main(["--out", str(tmp_path), "rasterize-points", "--points", str(points)])
         err = capsys.readouterr().err

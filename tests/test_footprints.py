@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -436,14 +437,14 @@ class TestProjectedWidth:
 class TestRasterize:
     def test_aligned_square_exact_cells(self):
         mask = rasterize([square(w=2, h=2)], template(4, 4))
-        assert mask.raster.values.sum() == 4
-        assert mask.raster.values[:2, :2].sum() == 4
+        assert (mask.source_ids > 0).sum() == 4
+        assert (mask.source_ids[:2, :2] > 0).sum() == 4
 
     def test_hole_excludes_cell(self):
         f = square(w=3, h=3, holes=[[(1, 1), (2, 1), (2, 2), (1, 2)]])
         mask = rasterize([f], template(3, 3))
-        assert mask.raster.values[1, 1] == 0
-        assert mask.raster.values.sum() == 8
+        assert mask.source_ids[1, 1] == 0
+        assert (mask.source_ids > 0).sum() == 8
 
     def test_matches_point_in_polygon_loop(self):
         rng = np.random.default_rng(12)
@@ -456,7 +457,7 @@ class TestRasterize:
             for r in range(10):
                 for c in range(10):
                     expect = point_in_polygon_oracle(c + 0.5, r + 0.5, f.rings())
-                    assert bool(mask.raster.values[r, c]) == expect
+                    assert bool(mask.source_ids[r, c] > 0) == expect
 
     def test_outside_footprint_warns(self):
         with pytest.warns(UserWarning, match="footprint 1"):
@@ -470,9 +471,14 @@ class TestRasterize:
         assert mask.source_ids[1, 1] == 2  # overlap cell
         assert mask.source_ids[0, 0] == 1
 
-    def test_source_ids_iff_mask(self):
-        mask = rasterize([square(fid=3, w=2, h=2)], template(4, 4))
-        np.testing.assert_array_equal(mask.source_ids > 0, mask.raster.values == 1)
+    def test_grid_is_geometry_only(self):
+        t = template(4, 3)
+        mask = rasterize([square(fid=3, w=2, h=2)], t)
+        assert [f.name for f in fields(mask)] == ["grid", "source_ids"]
+        assert not hasattr(mask, "raster")
+        assert mask.grid.same_geometry(t) and mask.grid.nodata == t.nodata
+        assert mask.grid.values.strides == (0, 0)
+        assert mask.source_ids.dtype == np.int64 and mask.source_ids.shape == (3, 4)
 
     def test_area_convergence_bound(self):
         rng = np.random.default_rng(21)
@@ -484,7 +490,7 @@ class TestRasterize:
             h = min(h, 39 - y)
             f = square(fid=1, x=x, y=y, w=w, h=h)
             mask = rasterize([f], t)
-            pixel_area = mask.raster.values.sum() * t.cell_size ** 2
+            pixel_area = (mask.source_ids > 0).sum() * t.cell_size ** 2
             bound = 2 * f.perimeter * t.cell_size
             assert abs(pixel_area - f.area) <= bound
 
@@ -492,8 +498,8 @@ class TestRasterize:
         f = square(x=1.3, y=2.7, w=3.1, h=2.2)
         g = square(x=1.3 + 2, y=2.7 + 3, w=3.1, h=2.2)
         t = template(12, 12)
-        m1 = rasterize([f], t).raster.values
-        m2 = rasterize([g], t).raster.values
+        m1 = rasterize([f], t).source_ids > 0
+        m2 = rasterize([g], t).source_ids > 0
         np.testing.assert_array_equal(m2[3:, 2:], m1[:-3, :-2])
 
 
@@ -681,13 +687,13 @@ class TestRasterizeEqualsPerFootprintLoop:
             warnings.simplefilter("always")
             want_mask, want_ids = per_footprint_rasterize(fps, t)
         np.testing.assert_array_equal(mask.source_ids, want_ids)
-        np.testing.assert_array_equal(mask.raster.values, want_mask)
+        np.testing.assert_array_equal(mask.source_ids > 0, want_mask)
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
 
     def test_between_cell_centres_warns(self):
         with pytest.warns(UserWarning, match="footprint 5 covers no cell centers"):
             mask = rasterize([square(fid=5, x=3.6, y=1.2, w=0.3, h=4.0)], template(8, 8))
-        assert not mask.raster.values.any()
+        assert not mask.source_ids.any()
 
     def test_vertices_on_cell_centres_half_open(self):
         # Centres on the left and bottom edges are inside, on the right and top outside.

@@ -1001,7 +1001,7 @@ class TestBaseline:
     def test_masked_clamped(self):
         heights = make_raster([[5.0, -2.0], [7.0, 9.0]])
         mask = FootprintMask(
-            raster=make_raster([[1.0, 1.0], [0.0, 1.0]]),
+            grid=make_raster([[1.0, 1.0], [0.0, 1.0]]),
             source_ids=np.array([[1, 1], [0, 1]], dtype=np.int64),
         )
         out = baseline_predict(heights, mask)

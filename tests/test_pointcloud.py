@@ -427,10 +427,13 @@ class TestReferencePathMemory:
     # Now the gridding reads a GLBP file a block at a time, holding only its
     # labels (17.0 MiB), and with the fine grid's cells freed before the
     # gridding, 15.0 MiB.  ``lod1`` was 18.0 MiB before its owned cells were
-    # sorted without the owner and order copies (14.8 MiB).
+    # sorted without the owner and order copies (14.8 MiB).  With the
+    # footprint mask one id grid, no float32 0/1 copy beside it, ``predict``
+    # fell 12.4 -> 10.4 MiB and ``lod1`` 14.8 -> 12.8 MiB.
     @pytest.mark.parametrize("stage, mib",
-                             [("synth", 14.9), ("rasterize-points", 15.0), ("lod1", 14.8)],
-                             ids=["synth", "rasterize-points", "lod1"])
+                             [("synth", 14.9), ("rasterize-points", 15.0), ("predict", 10.4),
+                              ("lod1", 12.8)],
+                             ids=["synth", "rasterize-points", "predict", "lod1"])
     def test_peak_bound(self, reference_path_peaks, stage, mib):
         assert reference_path_peaks[stage] <= 1.05 * mib * 2**20
 
@@ -869,7 +872,7 @@ class TestGlbp:
         write_points_glbp(PointCloud(xs=[], ys=[], zs=[], labels=[]), tmp_path / "e.glbp")
         assert (tmp_path / "e.glbp").stat().st_size == 14
         back = read_points_csv(tmp_path / "e.glbp")
-        assert len(back) == 0 and list(back.blocks(1)) == []
+        assert len(back) == 0
         assert back.labels.dtype == np.int8
 
     @settings(max_examples=200, deadline=None)
@@ -892,10 +895,39 @@ class TestGlbp:
         with patch.object(pointcloud, "_BLOCK", block):
             points = read_points_csv(glbp_dir / "pieces.glbp")
             blocks = list(points.blocks(pointcloud._BLOCK))
-        assert all(0 < len(labels) <= block for labels, *_ in blocks)
-        columns = zip(*blocks) if blocks else [[np.empty(0)]] * 4
-        for got, want in zip(columns, (pc.labels, pc.xs, pc.ys, pc.zs)):
+        sizes = [len(labels) for labels, *_ in blocks]
+        assert (sizes == [0]) if n == 0 else all(0 < size <= block for size in sizes)
+        for got, want in zip(zip(*blocks), (pc.labels, pc.xs, pc.ys, pc.zs)):
             assert_bits_equal(np.concatenate(got), want)
+
+
+class TestWholeRead:
+    """``next(points.blocks(len(points)))`` reads a cloud whole, in memory or
+    from a file; an empty cloud is one empty block."""
+
+    @staticmethod
+    def points(tmp_path, kind, pc):
+        """``pc`` itself, or read back from its GLBP file."""
+        write_points_glbp(pc, tmp_path / "p.glbp")
+        return pc if kind == "memory" else read_points_csv(tmp_path / "p.glbp")
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("kind", ["memory", "glbp"])
+    def test_one_block_of_every_point(self, tmp_path, kind, n):
+        pc = awkward_cloud(n)
+        points = self.points(tmp_path, kind, pc)
+        blocks = list(points.blocks(len(points)))
+        assert len(blocks) == 1
+        for got, want in zip(blocks[0], (pc.labels, pc.xs, pc.ys, pc.zs)):
+            assert got.dtype == want.dtype
+            assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("n, size", [(0, -1), (3, 0), (3, -2)])
+    @pytest.mark.parametrize("kind", ["memory", "glbp"])
+    def test_size_below_one_rejected(self, tmp_path, kind, n, size):
+        points = self.points(tmp_path, kind, awkward_cloud(n))
+        with pytest.raises(ValueError, match=rf"^block size {size} is below {min(n, 1)}"):
+            next(points.blocks(size))
 
 
 class TestElevationBound:
@@ -921,6 +953,15 @@ class TestElevationBound:
         with patch.object(pointcloud, "_BLOCK", 4), pytest.raises(
                 FormatError, match=r"p\.glbp: 2 elevations out of range \(\|z\| > 1\.70141e\+38\)$"):
             read_points_csv(tmp_path / "p.glbp")
+
+    @pytest.mark.parametrize("z", [1e39, -1e39, np.nextafter(MAX_ABS_ELEVATION, np.inf)])
+    def test_point_cloud_rejects(self, z):
+        # In memory too: a cloud that holds it is never gridded.
+        with pytest.raises(ValueError, match=r"^1 elevations out of range \(\|z\| > 1\.70141e\+38\)$"):
+            cloud([(0.5, 0.5, z, Label.GROUND), (0.5, 0.5, 1.0, Label.GROUND)])
+        top = cloud([(0.5, 0.5, MAX_ABS_ELEVATION, Label.GROUND)])
+        dem, _ = grid_elevation(top, template(1, 1))
+        assert np.isfinite(dem.values).all()
 
     def test_glbp_non_finite_wins(self, tmp_path):
         pc = awkward_cloud(10)

@@ -78,7 +78,7 @@ class TestGenerate:
         per_footprint = sum(
             np.count_nonzero(scene.mask.source_ids == f.id) for f in scene.footprints
         )
-        assert np.count_nonzero(scene.mask.raster.values) == per_footprint
+        assert np.count_nonzero(scene.mask.source_ids) == per_footprint
         total_area = sum(f.area for f in scene.footprints)
         assert abs(per_footprint - total_area) / total_area < 0.25
 
@@ -247,7 +247,7 @@ class TestSceneMatchesOracle:
         for column in ("xs", "ys", "zs", "labels"):
             got, want = getattr(written, column), getattr(points, column)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        built = scene.mask.raster.with_values((scene.mask.raster.values > 0).astype(np.float32))
+        built = scene.mask.grid.with_values((scene.mask.source_ids > 0).astype(np.float32))
         density = downsample_average(built, spec.coarse_factor)
         assert scene.population.values.tobytes() == density.with_values(
             (gaussian_filter(density.values.astype(np.float64), sigma=2.0) * 10000.0)

@@ -279,7 +279,7 @@ class TestAggregateBruteForce:
                         b.footprint.perimeter * b.height for b in members
                     )
                     roof = int(
-                        (mask.raster.values[
+                        (mask.source_ids[
                             int(row * res) : int((row + 1) * res),
                             int(col * res) : int((col + 1) * res),
                         ] > 0).sum()
