@@ -62,3 +62,14 @@ test "$code" -eq 2
 test "$(wc -l < smoke-elevation.err)" -eq 1
 grep -q '^ERROR stage=rasterize-points:' smoke-elevation.err
 test ! -e smoke-elevation/dem.glbr
+
+# A directory as the config file, and an --out that is a file: exit 2 and
+# one ERROR line each, not a traceback.
+for args in "--config smoke report" "--out smoke/report.txt synth --extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8"; do
+  code=0
+  urbanmorph $args 2> smoke-bad-path.err || code=$?
+  cat smoke-bad-path.err
+  test "$code" -eq 2
+  test "$(wc -l < smoke-bad-path.err)" -eq 1
+  grep -q '^ERROR stage=' smoke-bad-path.err
+done

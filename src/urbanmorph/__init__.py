@@ -52,7 +52,7 @@ from .network import (
     write_weights,
 )
 from .lod1 import Lod1Building, assign_heights, read_lod1, write_lod1
-from .ucp import UcpGrid, aggregate_all, grid_geometry
+from .ucp import UcpGrid, aggregate_all
 from .validation import PairedSeries, mape, pair_grids, rmse
 from .synth import SyntheticCitySpec, SynthScene, generate_city, write_scene
 

@@ -2,7 +2,8 @@
 
 Configuration comes from an optional flat ``key = value`` file; every config
 key can be overridden by a same-named flag (underscores become dashes).
-Exit codes: 0 success, 1 computation error, 2 configuration or input error.
+Exit codes: 0 success, 1 computation error, 2 configuration, input or file
+system error.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ def main(argv: list[str] | None = None) -> int:
             outputs = run_all(cfg)
         else:
             outputs = STAGES[stage](cfg)
-    except UrbanMorphError as exc:
+    except (UrbanMorphError, OSError) as exc:
         # One line, even where a value in the message holds a line break.
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
         print(f"ERROR stage={stage}: {message}", file=sys.stderr)
-        return 2 if isinstance(exc, (ConfigError, FormatError)) else 1
+        return 2 if isinstance(exc, (ConfigError, FormatError, OSError)) else 1
     for key, path in outputs.items():
         log.info("%s -> %s", key, path)
         print(f"{key}\t{path}")

@@ -137,18 +137,22 @@ _BOOL_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not text ({exc})") from exc
     out = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -232,8 +236,8 @@ def _checked(cls, **kwargs):
 
 def _synth_spec(cfg: PipelineConfig) -> synth.SyntheticCitySpec:
     """The scene ``cfg`` asks ``synth`` for, whose grid is at most
-    ``MAX_GRID_CELLS`` and whose elevations are at most ``MAX_ELEVATION``
-    in magnitude."""
+    ``MAX_GRID_CELLS``, with at most one building a cell, and whose
+    elevations are at most ``MAX_ELEVATION`` in magnitude."""
     spec = _checked(
         synth.SyntheticCitySpec,
         extent_m=cfg.extent,
@@ -251,6 +255,11 @@ def _synth_spec(cfg: PipelineConfig) -> synth.SyntheticCitySpec:
     _bounded_cells(
         spec.size_cells, f"bad extent {cfg.extent!r} and coarse_factor {cfg.coarse_factor!r}"
     )
+    if cfg.n_buildings > spec.size_cells**2:
+        raise ConfigError(
+            f"bad n_buildings {cfg.n_buildings!r}: more than the {spec.size_cells**2} cells "
+            f"of a {spec.size_cells} m scene"
+        )
     if not spec.peak_elevation <= MAX_ELEVATION:
         raise ConfigError(
             f"bad terrain_slope {cfg.terrain_slope!r} and height_max {cfg.height_max!r}: "
@@ -497,6 +506,7 @@ def stage_report(cfg: PipelineConfig) -> dict[str, str]:
             lines.append("  (no validation output)")
         lines.append("")
     report_path = cfg.path("report.txt")
+    os.makedirs(cfg.out, exist_ok=True)
     with open(report_path, "w") as f:
         f.write("\n".join(lines) + "\n")
     return {"report": report_path}

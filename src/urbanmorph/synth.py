@@ -147,6 +147,12 @@ def _place_buildings(spec: SyntheticCitySpec, rng: np.random.Generator) -> list[
     size = spec.size_cells
     nslots = int(math.ceil(math.sqrt(spec.n_buildings)))
     slot_w = size / nslots
+    failed = PackingError(
+        f"could not place a {spec.footprint_min}-{spec.footprint_max} m "
+        f"building in a {slot_w:.1f} m slot after {_PLACEMENT_RETRIES} tries"
+    )
+    if slot_w < spec.footprint_min:  # every try would fail: fail before the draw
+        raise failed
     chosen = rng.choice(nslots * nslots, size=spec.n_buildings, replace=False)
     chosen.sort()
 
@@ -182,10 +188,7 @@ def _place_buildings(spec: SyntheticCitySpec, rng: np.random.Generator) -> list[
             placed = True
             break
         if not placed:
-            raise PackingError(
-                f"could not place a {spec.footprint_min}-{spec.footprint_max} m "
-                f"building in a {slot_w:.1f} m slot after {_PLACEMENT_RETRIES} tries"
-            )
+            raise failed
     return rects
 
 

@@ -10,15 +10,17 @@ containing their footprint centroid; plan and roof areas are pixel counts on
 the 1-m mask; the standard deviation is the population form; grid cells
 clipped by the mask extent use their actually covered area as the cell area.
 
-A footprint's area, perimeter and centroid are measured when it is built; a
-``BuildingTable`` adds each centroid's grid cell, once per grid, and holds the
-footprints as one vertex table, whose projected widths are taken for every
-building and direction at once.  The fields are ``bincount`` reductions over
-it, summed in building order.  The grid's built cells are block-summed once
-and shared by lambda_p and lambda_b; its cell areas are the outer product of
-the per-block row and column counts, exact integers times the cell area.  A
-``UcpGrid`` is its ``GridGeometry`` plus fields; ``scalar_fields`` names the
-scalar ones.  ``read_csv`` reads back the fields ``export_csv`` wrote.
+``aggregate_all`` is the one producer of every field; the helpers it calls
+each compute one step of it.  A footprint's area, perimeter and centroid are
+measured when it is built; a ``BuildingTable`` adds each centroid's grid cell,
+once per grid, and holds the footprints as one vertex table, whose projected
+widths are taken for every building and direction at once.  The fields are
+``bincount`` reductions over it, summed in building order.  The grid's built
+cells are block-summed once and shared by lambda_p and lambda_b; its cell
+areas are the outer product of the per-block row and column counts, exact
+integers times the cell area.  A ``UcpGrid`` is its ``GridGeometry`` plus
+fields; ``scalar_fields`` names the scalar ones.  ``read_csv`` reads back the
+fields ``export_csv`` wrote.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class GridGeometry:
         return int(round(self.resolution / self.fine_cell_size))
 
 
-def grid_geometry(mask: FootprintMask, resolution: float) -> GridGeometry:
-    return raster_grid(mask.grid, resolution)
-
-
 def raster_grid(r: Raster, resolution: float) -> GridGeometry:
     """The aggregation grid of ``resolution`` over the raster ``r``."""
     ratio = resolution / r.cell_size
@@ -94,30 +92,12 @@ def covered_area(geom: GridGeometry) -> np.ndarray:
     return _cell_counts(geom) * geom.fine_cell_size ** 2
 
 
-def _check_mask(mask: FootprintMask, geom: GridGeometry) -> None:
-    r = mask.grid
-    if (
-        r.width != geom.fine_width
-        or r.height != geom.fine_height
-        or abs(r.origin_x - geom.origin_x) > 1e-6
-        or abs(r.origin_y - geom.origin_y) > 1e-6
-        or abs(r.cell_size - geom.fine_cell_size) > 1e-9
-    ):
-        raise AlignmentError("mask is not nested in the aggregation grid")
-
-
 def _built_cells(mask: FootprintMask, geom: GridGeometry) -> np.ndarray:
     """Built fine cells in each grid cell."""
-    _check_mask(mask, geom)
     res = geom.res_px
     built = np.zeros((geom.rows * res, geom.cols * res), dtype=bool)
     built[: geom.fine_height, : geom.fine_width] = mask.source_ids > 0
     return built.reshape(geom.rows, res, geom.cols, res).sum(axis=(1, 3))
-
-
-def lambda_p(mask: FootprintMask, geom: GridGeometry) -> np.ndarray:
-    """Plan-area fraction: built pixel area over cell area, per cell."""
-    return _built_cells(mask, geom) / _cell_counts(geom)
 
 
 @dataclass(frozen=True)
@@ -161,21 +141,6 @@ def building_table(buildings: list[Lod1Building], geom: GridGeometry) -> Buildin
         perimeters=np.array([f.perimeter for f in footprints], dtype=np.float64),
         footprints=footprint_table(footprints),
     )
-
-
-def lambda_b(table: BuildingTable, mask: FootprintMask) -> np.ndarray:
-    """Surface-to-plan ratio: (roof area + perimeter x height) over cell area.
-
-    Roof area comes from the mask's built pixels; the wall term sums over
-    buildings whose centroid lies in the cell.
-    """
-    return _surface_ratio(table, _built_cells(mask, table.geom))
-
-
-def _surface_ratio(table: BuildingTable, built: np.ndarray) -> np.ndarray:
-    geom = table.geom
-    walls = table.cell_sums(table.perimeters * table.heights).reshape(geom.rows, geom.cols)
-    return (built * geom.fine_cell_size ** 2 + walls) / covered_area(geom)
 
 
 def height_stats(table: BuildingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,17 +196,6 @@ def height_histogram(
     return frac.reshape(geom.rows, geom.cols, nbins)
 
 
-def lambda_f(table: BuildingTable, wind_direction: float) -> np.ndarray:
-    """Frontal area index: wind-facing wall area per unit cell area."""
-    return _frontal_index(table, projected_widths(table.footprints, (wind_direction,))[0])
-
-
-def _frontal_index(table: BuildingTable, widths: np.ndarray) -> np.ndarray:
-    geom = table.geom
-    walls = table.cell_sums(widths * table.heights)
-    return walls.reshape(geom.rows, geom.cols) / covered_area(geom)
-
-
 @dataclass
 class UcpGrid:
     """The UCP fields of one aggregation grid: its geometry plus per-cell arrays.
@@ -278,16 +232,6 @@ class UcpGrid:
         fields.update((f"lambda_f_{d:g}", v) for d, v in self.lambda_f.items())
         return fields
 
-    def scalar_field(self, name: str) -> np.ndarray:
-        """Per-cell array for a named field (``mean``, ``lambda_f_90``, ``hist_3`` ...)."""
-        fields = self.scalar_fields()
-        if name in fields:
-            return fields[name]
-        k = name[5:]
-        if name.startswith("hist_") and k.isdecimal() and int(k) < self.nbins:
-            return self.hist[:, :, int(k)]
-        raise KeyError(f"unknown UCP field '{name}'")
-
 
 def aggregate_all(
     buildings: list[Lod1Building],
@@ -297,17 +241,23 @@ def aggregate_all(
     bin_width: float = DEFAULT_BIN_WIDTH,
     height_cap: float = DEFAULT_HEIGHT_CAP,
 ) -> UcpGrid:
-    """Populate every UCP field over one grid in a single deterministic pass.
+    """Every UCP field over the ``resolution`` grid of ``mask``, in one
+    deterministic pass; the package's one producer of each field.
 
     Each building's grid cell is found once for the grid, in one
-    ``building_table``; every field reduces that table.  The built cells are
-    counted once, and the projected widths taken once for all directions.
+    ``building_table``; every field reduces that table.  Per cell, over its
+    covered area: lambda_p is the built pixel area; lambda_b adds to it the
+    walls (perimeter x height) of the member buildings; lambda_f, one per wind
+    direction, is their wind-facing wall area.  The built cells are counted
+    once, and the projected widths taken once for all directions.
     """
-    geom = grid_geometry(mask, resolution)
+    geom = raster_grid(mask.grid, resolution)
     table = building_table(buildings, geom)
     mean, std, count = height_stats(table)
     hist = height_histogram(table, bin_width, height_cap)
     built = _built_cells(mask, geom)
+    area = covered_area(geom)
+    walls = table.cell_sums(table.perimeters * table.heights).reshape(count.shape)
     widths = projected_widths(table.footprints, directions)
     return UcpGrid(
         geom=geom,
@@ -317,8 +267,9 @@ def aggregate_all(
         area_weighted=area_weighted_height(table),
         hist=hist,
         lambda_p=built / _cell_counts(geom),
-        lambda_b=_surface_ratio(table, built),
-        lambda_f={d: _frontal_index(table, w) for d, w in zip(directions, widths)},
+        lambda_b=(built * geom.fine_cell_size ** 2 + walls) / area,
+        lambda_f={d: table.cell_sums(w * table.heights).reshape(count.shape) / area
+                  for d, w in zip(directions, widths)},
     )
 
 

@@ -81,8 +81,8 @@ def pair_grids(pred: UcpGrid, ref: UcpGrid, field: str) -> PairedSeries:
     """
     if pred.geom != ref.geom:
         raise AlignmentError("grids have different geometry")
-    pv = pred.scalar_field(field)
-    rv = ref.scalar_field(field)
+    pv = pred.scalar_fields()[field]
+    rv = ref.scalar_fields()[field]
     keep = (pred.count > 0) | (ref.count > 0)
     rows, cols = np.nonzero(keep)
     return PairedSeries(

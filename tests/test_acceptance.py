@@ -36,7 +36,7 @@ from urbanmorph.raster import (
 )
 from urbanmorph.synth import SyntheticCitySpec, generate_city
 from urbanmorph.tiler import split, stitch
-from urbanmorph.ucp import aggregate_all, covered_area, grid_geometry, lambda_p
+from urbanmorph.ucp import aggregate_all, covered_area
 from urbanmorph.validation import PairedSeries, mape, pair_grids, rmse
 
 NODATA = -9999.0
@@ -400,8 +400,8 @@ def test_criterion_7_nesting_consistency():
         scene = generate_city(spec)
         mask = scene.mask
 
-        coarse_geom = grid_geometry(mask, 1000.0)
-        coarse_lp = lambda_p(mask, coarse_geom)
+        coarse = aggregate_all([], mask, resolution=1000.0)
+        coarse_geom, coarse_lp = coarse.geom, coarse.lambda_p
         coarse_area = covered_area(coarse_geom)
 
         size = mask.grid.width
@@ -421,9 +421,8 @@ def test_criterion_7_nesting_consistency():
                     ),
                     source_ids=mask.source_ids[r0:r1, c0:c1].copy(),
                 )
-                fine_geom = grid_geometry(sub, 300.0)
-                fine_lp = lambda_p(sub, fine_geom)
-                weights = covered_area(fine_geom)
-                nested = float((fine_lp * weights).sum() / weights.sum())
+                fine = aggregate_all([], sub, resolution=300.0)
+                weights = covered_area(fine.geom)
+                nested = float((fine.lambda_p * weights).sum() / weights.sum())
                 assert coarse_lp[row, col] == pytest.approx(nested, rel=1e-12, abs=1e-15)
                 assert weights.sum() == pytest.approx(coarse_area[row, col])

@@ -114,6 +114,21 @@ class TestConfigParsing:
         assert err == "ERROR stage=run: bad value for config key 'snap_to_coarse': banana\n"
         assert not out.exists()
 
+    def test_directory_config_exit_2(self, tmp_path, capsys):
+        code = main(["--config", str(tmp_path), "--out", str(tmp_path / "o"), "report"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"ERROR stage=report: config file not found: {tmp_path}\n"
+
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+        code = main(["--config", str(path), "--out", str(tmp_path / "o"), "report"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"ERROR stage=report: {path}: config file is not text")
+
     def test_override_wins(self):
         cfg = build_config({"seed": "1"}, {"seed": "9"})
         assert cfg.seed == 9
@@ -538,6 +553,31 @@ class TestErrorHandling:
         assert code == 2
         assert err.startswith("ERROR stage=run: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_out_path_not_a_directory_exit_2(self, tmp_path, capsys, under_file):
+        (tmp_path / "f").write_text("x")
+        out = tmp_path / "f" / "o" if under_file else tmp_path / "f"
+        code = main(["--out", str(out), "synth", *TINY_RUN])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=synth: ")
+        assert (tmp_path / "f").read_text() == "x"
+
+    def test_report_creates_out(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        assert main(["--out", str(out), "report"]) == 0
+        assert "(no validation output)" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("stage", ["synth", "run"])
+    def test_more_buildings_than_cells_exit_2(self, tmp_path, capsys, stage):
+        out = tmp_path / "o"
+        code = main(["--out", str(out), stage, *TINY_RUN, "--n-buildings", str(10**12)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"ERROR stage={stage}: bad n_buildings {10**12}: more than the "
+                       "4096 cells of a 64 m scene\n")
+        assert not out.exists()
 
     def test_bad_predictor_exit_2(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "predict", "--predictor", "oracle"])

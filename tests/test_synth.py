@@ -148,6 +148,11 @@ class TestGenerate:
                 small_spec(n_buildings=100, footprint_min=40.0, footprint_max=50.0)
             )
 
+    def test_slot_narrower_than_footprint_raises_before_draw(self):
+        # 10**6 slots a side: drawing 10**12 of 10**12 slots cannot be allocated.
+        with pytest.raises(PackingError, match="in a 0.0 m slot"):
+            generate_city(small_spec(n_buildings=10**12))
+
 
 class TestDeterminism:
     def test_same_seed_same_scene(self, tmp_path):

@@ -20,12 +20,9 @@ from urbanmorph.ucp import (
     covered_area,
     export_csv,
     export_rasters,
-    grid_geometry,
     height_histogram,
     height_stats,
-    lambda_b,
-    lambda_f,
-    lambda_p,
+    raster_grid,
 )
 
 NODATA = -9999.0
@@ -56,13 +53,13 @@ def building(fid, x, y, w, h, height):
 class TestGeometry:
     def test_exact_division(self):
         mask = rasterize([rect(1, 0, 0, 2, 2)], template(200, 100))
-        g = grid_geometry(mask, 100.0)
+        g = aggregate_all([], mask, resolution=100.0).geom
         assert (g.rows, g.cols) == (1, 2)
         assert g.res_px == 100
 
     def test_partial_edge_cells(self):
         mask = rasterize([rect(1, 0, 0, 2, 2)], template(250, 130))
-        g = grid_geometry(mask, 100.0)
+        g = aggregate_all([], mask, resolution=100.0).geom
         assert (g.rows, g.cols) == (2, 3)
         area = covered_area(g)
         assert area[0, 0] == 100 * 100
@@ -73,28 +70,25 @@ class TestGeometry:
     def test_non_multiple_resolution_rejected(self):
         mask = rasterize([rect(1, 0, 0, 2, 2)], template(100, 100, cell_size=3.0))
         with pytest.raises(AlignmentError):
-            grid_geometry(mask, 100.0)
+            aggregate_all([], mask, resolution=100.0)
 
 
 class TestLambdaP:
     def test_hand_value(self):
         # One 10x10 m building in a 100x100 m cell: lambda_p = 0.01.
         mask = rasterize([rect(1, 20, 30, 10, 10)], template(100, 100))
-        g = grid_geometry(mask, 100.0)
-        assert lambda_p(mask, g)[0, 0] == pytest.approx(0.01)
+        assert aggregate_all([], mask, resolution=100.0).lambda_p[0, 0] == pytest.approx(0.01)
 
     def test_empty_is_zero(self):
         with pytest.warns(UserWarning):
             mask = rasterize([rect(1, 500, 500, 2, 2)], template(100, 100))
-        g = grid_geometry(mask, 50.0)
-        np.testing.assert_array_equal(lambda_p(mask, g), 0.0)
+        np.testing.assert_array_equal(aggregate_all([], mask, resolution=50.0).lambda_p, 0.0)
 
     def test_partial_cell_uses_covered_area(self):
         # 150x100 mask at 100 m: right cell is 50 px wide.  A 10x10 building
         # fully inside it gives 100 / 5000 = 0.02.
         mask = rasterize([rect(1, 110, 40, 10, 10)], template(150, 100))
-        g = grid_geometry(mask, 100.0)
-        lp = lambda_p(mask, g)
+        lp = aggregate_all([], mask, resolution=100.0).lambda_p
         assert lp[0, 1] == pytest.approx(100 / 5000)
 
 
@@ -104,8 +98,7 @@ class TestLambdaB:
         #   (roof 100 + perimeter 40 * 5) / 10000 = 0.03
         b = building(1, 45, 45, 10, 10, 5.0)
         mask = rasterize([b.footprint], template(100, 100))
-        g = grid_geometry(mask, 100.0)
-        assert lambda_b(building_table([b], g), mask)[0, 0] == pytest.approx(0.03)
+        assert aggregate_all([b], mask, resolution=100.0).lambda_b[0, 0] == pytest.approx(0.03)
 
     def test_at_least_lambda_p(self):
         rng = np.random.default_rng(3)
@@ -115,23 +108,21 @@ class TestLambdaB:
             for i in range(4)
         ]
         mask = rasterize([b.footprint for b in bs], template(100, 100))
-        g = grid_geometry(mask, 50.0)
-        assert np.all(lambda_b(building_table(bs, g), mask) >= lambda_p(mask, g) - 1e-12)
+        grid = aggregate_all(bs, mask, resolution=50.0)
+        assert np.all(grid.lambda_b >= grid.lambda_p - 1e-12)
 
     def test_zero_height_equals_lambda_p(self):
         b = building(1, 10, 10, 20, 20, 0.0)
         mask = rasterize([b.footprint], template(100, 100))
-        g = grid_geometry(mask, 100.0)
-        assert lambda_b(building_table([b], g), mask)[0, 0] == pytest.approx(
-            lambda_p(mask, g)[0, 0]
-        )
+        grid = aggregate_all([b], mask, resolution=100.0)
+        assert grid.lambda_b[0, 0] == pytest.approx(grid.lambda_p[0, 0])
 
 
 class TestHeightStats:
     def test_mean_std_pair(self):
         bs = [building(1, 10, 10, 4, 4, 5.0), building(2, 30, 30, 4, 4, 15.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 100))
-        g = grid_geometry(mask, 100.0)
+        g = raster_grid(mask.grid, 100.0)
         mean, std, count = height_stats(building_table(bs, g))
         assert mean[0, 0] == pytest.approx(10.0)
         assert std[0, 0] == pytest.approx(5.0)  # population std of {5, 15}
@@ -140,7 +131,7 @@ class TestHeightStats:
     def test_single_building_zero_std(self):
         bs = [building(1, 10, 10, 4, 4, 7.0)]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
-        g = grid_geometry(mask, 50.0)
+        g = raster_grid(mask.grid, 50.0)
         mean, std, count = height_stats(building_table(bs, g))
         assert (mean[0, 0], std[0, 0], count[0, 0]) == (7.0, 0.0, 1)
 
@@ -148,7 +139,7 @@ class TestHeightStats:
         # Building straddles the 50 m boundary, centroid at x = 48: left cell.
         bs = [building(1, 40, 10, 16, 4, 9.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 50))
-        g = grid_geometry(mask, 50.0)
+        g = raster_grid(mask.grid, 50.0)
         _, _, count = height_stats(building_table(bs, g))
         assert count[0, 0] == 1 and count[0, 1] == 0
 
@@ -157,7 +148,7 @@ class TestHeightStats:
         #   unweighted 25; area-weighted (1000 + 16000)/500 = 34.
         bs = [building(1, 5, 5, 10, 10, 10.0), building(2, 30, 30, 20, 20, 40.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 100))
-        g = grid_geometry(mask, 100.0)
+        g = raster_grid(mask.grid, 100.0)
         mean, _, _ = height_stats(building_table(bs, g))
         aw = area_weighted_height(building_table(bs, g))
         assert mean[0, 0] == pytest.approx(25.0)
@@ -169,7 +160,7 @@ class TestHistogram:
         # Height exactly 5.0 falls in bin 1 ([5, 10)), not bin 0.
         bs = [building(1, 5, 5, 4, 4, 5.0)]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
-        g = grid_geometry(mask, 50.0)
+        g = raster_grid(mask.grid, 50.0)
         h = height_histogram(building_table(bs, g))
         assert h[0, 0, 0] == 0.0
         assert h[0, 0, 1] == 1.0
@@ -177,7 +168,7 @@ class TestHistogram:
     def test_cap_bin_open_ended(self):
         bs = [building(1, 5, 5, 4, 4, 200.0), building(2, 20, 20, 4, 4, 75.0)]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
-        g = grid_geometry(mask, 50.0)
+        g = raster_grid(mask.grid, 50.0)
         h = height_histogram(building_table(bs, g))
         assert h.shape[-1] == 16
         assert h[0, 0, 15] == 1.0  # both land in the open-ended top bin
@@ -189,7 +180,7 @@ class TestHistogram:
             for i in range(8)
         ]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
-        g = grid_geometry(mask, 50.0)
+        g = raster_grid(mask.grid, 50.0)
         h = height_histogram(building_table(bs, g))
         assert h[0, 0].sum() == pytest.approx(1.0)
         assert h[0, 0].min() >= 0.0
@@ -197,14 +188,14 @@ class TestHistogram:
     def test_empty_cell_all_zero(self):
         bs = [building(1, 5, 5, 4, 4, 10.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 50))
-        g = grid_geometry(mask, 50.0)
+        g = raster_grid(mask.grid, 50.0)
         h = height_histogram(building_table(bs, g))
         np.testing.assert_array_equal(h[0, 1], 0.0)
 
     def test_bad_bin_width(self):
         bs = []
         mask = rasterize([rect(1, 5, 5, 4, 4)], template(50, 50))
-        g = grid_geometry(mask, 50.0)
+        g = raster_grid(mask.grid, 50.0)
         with pytest.raises(ShapeError):
             height_histogram(building_table(bs, g), bin_width=0.0)
 
@@ -214,8 +205,8 @@ class TestLambdaF:
         # 10 m wide slab, 20 m tall, north wind: 10*20 / 10000 = 0.02.
         b = building(1, 45, 45, 10, 10, 20.0)
         mask = rasterize([b.footprint], template(100, 100))
-        g = grid_geometry(mask, 100.0)
-        assert lambda_f(building_table([b], g), 0.0)[0, 0] == pytest.approx(0.02)
+        grid = aggregate_all([b], mask, resolution=100.0, directions=(0.0,))
+        assert grid.lambda_f[0.0][0, 0] == pytest.approx(0.02)
 
     def test_opposite_directions_equal(self):
         rng = np.random.default_rng(4)
@@ -225,20 +216,16 @@ class TestLambdaF:
             for i in range(6)
         ]
         mask = rasterize([b.footprint for b in bs], template(100, 100))
-        g = grid_geometry(mask, 50.0)
-        np.testing.assert_allclose(
-            lambda_f(building_table(bs, g), 30.0),
-            lambda_f(building_table(bs, g), 210.0),
-            rtol=1e-9,
-        )
+        grid = aggregate_all(bs, mask, resolution=50.0, directions=(30.0, 210.0))
+        np.testing.assert_allclose(grid.lambda_f[30.0], grid.lambda_f[210.0], rtol=1e-9)
 
     def test_rectangle_direction_dependence(self):
         # 20 m (east-west) x 5 m (north-south) slab, 10 m tall.
         b = building(1, 40, 45, 20, 5, 10.0)
         mask = rasterize([b.footprint], template(100, 100))
-        g = grid_geometry(mask, 100.0)
-        assert lambda_f(building_table([b], g), 0.0)[0, 0] == pytest.approx(20 * 10 / 10000)
-        assert lambda_f(building_table([b], g), 90.0)[0, 0] == pytest.approx(5 * 10 / 10000)
+        grid = aggregate_all([b], mask, resolution=100.0, directions=(0.0, 90.0))
+        assert grid.lambda_f[0.0][0, 0] == pytest.approx(20 * 10 / 10000)
+        assert grid.lambda_f[90.0][0, 0] == pytest.approx(5 * 10 / 10000)
 
 
 class TestAggregateBruteForce:
@@ -400,12 +387,9 @@ class TestExports:
 
     def test_scalar_field_lookup(self):
         grid = self._grid()
-        np.testing.assert_array_equal(grid.scalar_field("lambda_p"), grid.lambda_p)
-        np.testing.assert_array_equal(grid.scalar_field("hist_2"), grid.hist[:, :, 2])
+        np.testing.assert_array_equal(grid.scalar_fields()["lambda_p"], grid.lambda_p)
         with pytest.raises(KeyError):
-            grid.scalar_field("hist_99")
-        with pytest.raises(KeyError):
-            grid.scalar_field("nope")
+            grid.scalar_fields()["nope"]
 
 
 def export_csv_oracle(grid, path):
@@ -481,11 +465,8 @@ class TestUcpGridFields:
             "mean", "std", "area_weighted", "lambda_p", "lambda_b", "count",
             "lambda_f_90", "lambda_f_0", "lambda_f_135", "lambda_f_45",
         ]
-        assert grid.scalar_field("lambda_f_90") is grid.lambda_f[90.0]
-        np.testing.assert_array_equal(grid.scalar_field("count"), grid.count)
-        np.testing.assert_array_equal(
-            grid.scalar_field(f"hist_{grid.nbins - 1}"), grid.hist[:, :, -1]
-        )
-        for name in (f"hist_{grid.nbins}", "hist_x", "hist_", "hist_-1", "lambda_f_30"):
-            with pytest.raises(KeyError):
-                grid.scalar_field(name)
+        fields = grid.scalar_fields()
+        assert fields["lambda_f_90"] is grid.lambda_f[90.0]
+        np.testing.assert_array_equal(fields["count"], grid.count)
+        with pytest.raises(KeyError):
+            fields["lambda_f_30"]
