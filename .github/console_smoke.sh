@@ -73,3 +73,16 @@ for args in "--config smoke report" "--out smoke/report.txt synth --extent 64 --
   test "$(wc -l < smoke-bad-path.err)" -eq 1
   grep -q '^ERROR stage=' smoke-bad-path.err
 done
+
+# Two directions that name one output, and a snapped scene with no footprint
+# size that is a multiple of the coarse cell: exit 2, one ERROR line each, and
+# nothing written.
+for args in "--directions 45,45.0000001" "--snap-to-coarse 1 --coarse-factor 30"; do
+  code=0
+  urbanmorph --out smoke-rejected run --extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8 $args 2> smoke-rejected.err || code=$?
+  cat smoke-rejected.err
+  test "$code" -eq 2
+  test "$(wc -l < smoke-rejected.err)" -eq 1
+  grep -q '^ERROR stage=run:' smoke-rejected.err
+  test ! -e smoke-rejected
+done

@@ -119,14 +119,28 @@ class PipelineConfig:
             raise ConfigError(f"unknown {key} '{getattr(self, key)}'")
         return getattr(self, key)
 
+    def _named(self, key: str) -> list[float]:
+        """The values of ``key``, rejected if two name the same outputs, which
+        carry each value formatted with ``:g``."""
+        vals, seen = self._floats(key), {}
+        for v in vals:
+            name = f"{v + 0.0:g}"  # + 0.0: -0 is 0, one lambda_f key
+            if name in seen:
+                raise ConfigError(
+                    f"bad {key} '{getattr(self, key)}': {seen[name]!r} and {v!r} "
+                    f"name the same outputs ('{name}')"
+                )
+            seen[name] = v
+        return vals
+
     def resolution_list(self) -> list[float]:
-        vals = self._floats("resolutions")
+        vals = self._named("resolutions")
         if not vals or any(v <= 0 for v in vals):
             raise ConfigError(f"bad resolutions '{self.resolutions}'")
         return vals
 
     def direction_list(self) -> tuple[float, ...]:
-        return tuple(self._floats("directions"))
+        return tuple(self._named("directions"))
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -385,7 +399,7 @@ def _histogram_bins(cfg: PipelineConfig) -> tuple[dict[str, float], float]:
     value is a config error."""
     bins = {"bin_width": cfg.positive("bin_width"),
             "height_cap": cfg.positive("height_cap", zero_ok=True)}
-    nbins = bins["height_cap"] // bins["bin_width"] + 1  # as ucp.height_histogram counts
+    nbins = bins["height_cap"] // bins["bin_width"] + 1  # as ucp.aggregate_all bins
     if not nbins <= MAX_HISTOGRAM_BINS:
         raise ConfigError(
             f"bad bin_width {cfg.bin_width!r} and height_cap {cfg.height_cap!r}: "

@@ -66,6 +66,17 @@ class SyntheticCitySpec:
             raise ValueError("noise sigma must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be >= 0")
+        if self.snap_to_coarse and self.n_buildings > 0 and not self.snapped_sizes:
+            raise ValueError(
+                f"bad footprint_min {self.footprint_min!r} and footprint_max "
+                f"{self.footprint_max!r}: no multiple of coarse_factor {self.coarse_factor} "
+                "between them for a snapped footprint"
+            )
+
+    @property
+    def snapped_sizes(self) -> range:
+        """The footprint sides a snapped scene draws from."""
+        return _snap_range(self.footprint_min, self.footprint_max, self.coarse_factor)
 
     @property
     def size_cells(self) -> int:
@@ -130,9 +141,9 @@ class SynthScene:
         return self.mask.source_ids.size + len(self.clutter)
 
 
-def _snap_range(lo: float, hi: float, step: int) -> list[int]:
-    vals = [v for v in range(0, int(hi) + 1, step) if lo <= v <= hi]
-    return vals
+def _snap_range(lo: float, hi: float, step: int) -> range:
+    """The multiples of ``step`` in [lo, hi], for lo >= 0."""
+    return range(-(-math.ceil(lo) // step) * step, math.floor(hi) + 1, step)
 
 
 def _place_buildings(spec: SyntheticCitySpec, rng: np.random.Generator) -> list[tuple[float, float, float, float]]:
@@ -156,6 +167,8 @@ def _place_buildings(spec: SyntheticCitySpec, rng: np.random.Generator) -> list[
     chosen = rng.choice(nslots * nslots, size=spec.n_buildings, replace=False)
     chosen.sort()
 
+    step = spec.coarse_factor
+    sizes = spec.snapped_sizes
     rects = []
     for slot in chosen:
         sr, sc = divmod(int(slot), nslots)
@@ -163,10 +176,6 @@ def _place_buildings(spec: SyntheticCitySpec, rng: np.random.Generator) -> list[
         placed = False
         for _ in range(_PLACEMENT_RETRIES):
             if spec.snap_to_coarse:
-                step = spec.coarse_factor
-                sizes = _snap_range(spec.footprint_min, spec.footprint_max, step)
-                if not sizes:
-                    break
                 w = float(rng.choice(sizes))
                 h = float(rng.choice(sizes))
                 xs = _snap_range(math.ceil(x0s), math.floor(x0s + slot_w - w), step)

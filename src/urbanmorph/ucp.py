@@ -10,17 +10,16 @@ containing their footprint centroid; plan and roof areas are pixel counts on
 the 1-m mask; the standard deviation is the population form; grid cells
 clipped by the mask extent use their actually covered area as the cell area.
 
-``aggregate_all`` is the one producer of every field; the helpers it calls
-each compute one step of it.  A footprint's area, perimeter and centroid are
-measured when it is built; a ``BuildingTable`` adds each centroid's grid cell,
-once per grid, and holds the footprints as one vertex table, whose projected
-widths are taken for every building and direction at once.  The fields are
-``bincount`` reductions over it, summed in building order.  The grid's built
-cells are block-summed once and shared by lambda_p and lambda_b; its cell
-areas are the outer product of the per-block row and column counts, exact
-integers times the cell area.  A ``UcpGrid`` is its ``GridGeometry`` plus
-fields; ``scalar_fields`` names the scalar ones.  ``read_csv`` reads back the
-fields ``export_csv`` wrote.
+``aggregate_all`` is the one producer of every field, in one pass: it finds
+each building's grid cell once, from the centroid measured when the footprint
+was built, keeps the buildings on the grid, and reduces them with ``bincount``
+sums in building order.  Their footprints form one vertex table, whose
+projected widths are taken for every building and direction at once.  The
+grid's built cells are block-summed once and shared by lambda_p and lambda_b;
+its cell areas are the outer product of the per-block row and column counts,
+exact integers times the cell area.  A ``UcpGrid`` is its ``GridGeometry``
+plus fields; ``scalar_fields`` names the scalar ones.  ``read_csv`` reads
+back the fields ``export_csv`` wrote.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError, FormatError, ShapeError
-from .footprints import FootprintMask, FootprintTable, footprint_table, projected_widths
+from .footprints import FootprintMask, footprint_table, projected_widths
 from .lod1 import Lod1Building
 from .raster import DEFAULT_NODATA, Raster, write_raster
 
@@ -100,100 +99,10 @@ def _built_cells(mask: FootprintMask, geom: GridGeometry) -> np.ndarray:
     return built.reshape(geom.rows, res, geom.cols, res).sum(axis=(1, 3))
 
 
-@dataclass(frozen=True)
-class BuildingTable:
-    """Per-building columns over one grid, in building order.
-
-    ``cells`` is the flat grid-cell index of each building's footprint
-    centroid, -1 when it lies outside the grid; ``footprints`` is the vertex
-    table of the footprints.
-    """
-
-    geom: GridGeometry
-    cells: np.ndarray
-    heights: np.ndarray
-    areas: np.ndarray
-    perimeters: np.ndarray
-    footprints: FootprintTable
-
-    def cell_sums(self, weights: np.ndarray) -> np.ndarray:
-        """Per-cell sum of a per-building value over member buildings, in
-        building order (so it equals a ``sums[cell] += value`` loop)."""
-        sel = self.cells >= 0
-        n = self.geom.rows * self.geom.cols
-        return np.bincount(self.cells[sel], weights=weights[sel], minlength=n)
-
-
-def building_table(buildings: list[Lod1Building], geom: GridGeometry) -> BuildingTable:
-    """Each building's grid cell, and its footprint's stored area and perimeter."""
-    footprints = [b.footprint for b in buildings]
-    cx, cy = np.array([f.centroid for f in footprints], dtype=np.float64).reshape(-1, 2).T
-    col = np.floor((cx - geom.origin_x) / geom.resolution)
-    row = np.floor((cy - geom.origin_y) / geom.resolution)
-    inside = (0 <= row) & (row < geom.rows) & (0 <= col) & (col < geom.cols)
-    cells = np.full(len(buildings), -1, dtype=np.int64)
-    cells[inside] = row[inside] * geom.cols + col[inside]
-    return BuildingTable(
-        geom=geom,
-        cells=cells,
-        heights=np.array([b.height for b in buildings], dtype=np.float64),
-        areas=np.array([f.area for f in footprints], dtype=np.float64),
-        perimeters=np.array([f.perimeter for f in footprints], dtype=np.float64),
-        footprints=footprint_table(footprints),
-    )
-
-
-def height_stats(table: BuildingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell (mean, population std, count) of member building heights."""
-    geom = table.geom
-    n = geom.rows * geom.cols
-    counts = np.bincount(table.cells[table.cells >= 0], minlength=n).astype(np.int64)
-    sums = table.cell_sums(table.heights)
-    sumsq = table.cell_sums(table.heights ** 2)
-    mean = np.zeros(n)
-    present = counts > 0
-    mean[present] = sums[present] / counts[present]
-    var = np.zeros(n)
-    var[present] = np.maximum(0.0, sumsq[present] / counts[present] - mean[present] ** 2)
-    std = np.sqrt(var)
-    shape = (geom.rows, geom.cols)
-    return mean.reshape(shape), std.reshape(shape), counts.reshape(shape)
-
-
-def area_weighted_height(table: BuildingTable) -> np.ndarray:
-    """Footprint-area-weighted mean height per cell."""
-    wsum = table.cell_sums(table.areas * table.heights)
-    w = table.cell_sums(table.areas)
-    out = np.zeros_like(w)
-    present = w > 0
-    out[present] = wsum[present] / w[present]
-    return out.reshape(table.geom.rows, table.geom.cols)
-
-
-def height_histogram(
-    table: BuildingTable,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    height_cap: float = DEFAULT_HEIGHT_CAP,
-) -> np.ndarray:
-    """Per-cell fractions of buildings per half-open height bin.
-
-    Bins are [0, w), [w, 2w), ... with a final open-ended bin at and above
-    ``height_cap``.  Cells without buildings get an all-zero vector.
-    """
-    if not bin_width > 0:
-        raise ShapeError(f"bin_width {bin_width} must be > 0")
-    geom = table.geom
-    nbins = int(height_cap // bin_width) + 1
-    n = geom.rows * geom.cols
-    bins = np.minimum((table.heights // bin_width).astype(np.int64), nbins - 1)
-    sel = table.cells >= 0
-    combined = table.cells[sel] * nbins + bins[sel]
-    counts = np.bincount(combined, minlength=n * nbins).reshape(n, nbins)
-    totals = counts.sum(axis=1)
-    frac = np.zeros((n, nbins))
-    present = totals > 0
-    frac[present] = counts[present] / totals[present, None]
-    return frac.reshape(geom.rows, geom.cols, nbins)
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den > 0``, else 0."""
+    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    return np.divide(num, den, out=out, where=den > 0)
 
 
 @dataclass
@@ -244,32 +153,55 @@ def aggregate_all(
     """Every UCP field over the ``resolution`` grid of ``mask``, in one
     deterministic pass; the package's one producer of each field.
 
-    Each building's grid cell is found once for the grid, in one
-    ``building_table``; every field reduces that table.  Per cell, over its
-    covered area: lambda_p is the built pixel area; lambda_b adds to it the
-    walls (perimeter x height) of the member buildings; lambda_f, one per wind
+    Each building belongs to the grid cell of its footprint centroid, found
+    once; buildings off the grid are dropped once.  Each per-cell sum is a
+    ``bincount`` of the kept buildings in building order, so it equals a
+    ``sums[cell] += value`` loop.  A cell without buildings (or without
+    footprint area, for the area-weighted mean) gets 0 for each mean, std and
+    histogram fraction.  Histogram bins are [0, w), [w, 2w), ... with a final
+    open-ended bin at and above ``height_cap``.  Per cell, over its covered
+    area: lambda_p is the built pixel area; lambda_b adds to it the walls
+    (perimeter x height) of the member buildings; lambda_f, one per wind
     direction, is their wind-facing wall area.  The built cells are counted
     once, and the projected widths taken once for all directions.
     """
     geom = raster_grid(mask.grid, resolution)
-    table = building_table(buildings, geom)
-    mean, std, count = height_stats(table)
-    hist = height_histogram(table, bin_width, height_cap)
+    if not bin_width > 0:
+        raise ShapeError(f"bin_width {bin_width} must be > 0")
+    shape, n = (geom.rows, geom.cols), geom.rows * geom.cols
+    centroids = np.array([b.footprint.centroid for b in buildings], dtype=np.float64)
+    cx, cy = centroids.reshape(-1, 2).T
+    col = np.floor((cx - geom.origin_x) / geom.resolution)
+    row = np.floor((cy - geom.origin_y) / geom.resolution)
+    on_grid = (0 <= row) & (row < geom.rows) & (0 <= col) & (col < geom.cols)
+    cells = (row * geom.cols + col)[on_grid].astype(np.int64)
+    kept = [b for b, keep in zip(buildings, on_grid) if keep]
+    heights = np.array([b.height for b in kept], dtype=np.float64)
+    areas = np.array([b.footprint.area for b in kept], dtype=np.float64)
+    perimeters = np.array([b.footprint.perimeter for b in kept], dtype=np.float64)
+
+    def per_cell(weights: np.ndarray) -> np.ndarray:
+        return np.bincount(cells, weights=weights, minlength=n).reshape(shape)
+
+    count = np.bincount(cells, minlength=n).reshape(shape)
+    mean = _ratio(per_cell(heights), count)
+    std = np.sqrt(np.maximum(0.0, _ratio(per_cell(heights ** 2), count) - mean ** 2))
+    nbins = int(height_cap // bin_width) + 1
+    bins = np.minimum((heights // bin_width).astype(np.int64), nbins - 1)
+    hist = np.bincount(cells * nbins + bins, minlength=n * nbins).reshape(*shape, nbins)
     built = _built_cells(mask, geom)
     area = covered_area(geom)
-    walls = table.cell_sums(table.perimeters * table.heights).reshape(count.shape)
-    widths = projected_widths(table.footprints, directions)
+    widths = projected_widths(footprint_table([b.footprint for b in kept]), directions)
     return UcpGrid(
         geom=geom,
         count=count,
         mean=mean,
         std=std,
-        area_weighted=area_weighted_height(table),
-        hist=hist,
+        area_weighted=_ratio(per_cell(areas * heights), per_cell(areas)),
+        hist=_ratio(hist, count[..., None]),
         lambda_p=built / _cell_counts(geom),
-        lambda_b=(built * geom.fine_cell_size ** 2 + walls) / area,
-        lambda_f={d: table.cell_sums(w * table.heights).reshape(count.shape) / area
-                  for d, w in zip(directions, widths)},
+        lambda_b=(built * geom.fine_cell_size ** 2 + per_cell(perimeters * heights)) / area,
+        lambda_f={d: per_cell(w * heights) / area for d, w in zip(directions, widths)},
     )
 
 

@@ -579,6 +579,23 @@ class TestErrorHandling:
                        "4096 cells of a 64 m scene\n")
         assert not out.exists()
 
+    def test_unset_points_exit_2(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path / "o"), "rasterize-points"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ERROR stage=rasterize-points: config key 'points' is not set\n")
+
+    def test_unplaceable_building_exit_1(self, tmp_path, capsys):
+        # Four 100 m slots, and every draw is wider than 100 m.
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "run", "--extent", "200", "--n-buildings", "4",
+                     "--footprint-min", "100", "--footprint-max", "1000"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "ERROR stage=run: could not place a 100.0-1000.0 m building in a 100.0 m slot "
+            "after 25 tries\n")
+        assert not out.exists()
+
     def test_bad_predictor_exit_2(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "predict", "--predictor", "oracle"])
         assert code == 2
@@ -774,6 +791,20 @@ class TestRejectedBeforeWork:
         assert f"footprints.geojson: features[2]: duplicate id {fid} " in err
         assert not (tmp_path / "lod1_pred.geojson").exists()
 
+    def test_lod1_empty_coordinates_exit_2(self, run_dir, tmp_path, capsys):
+        for name in ("predicted_heights.glbr", "ndsm_ref.glbr"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        fc = json.loads((run_dir / "footprints.geojson").read_text())
+        fc["features"][1]["geometry"]["coordinates"] = []
+        fid = fc["features"][1]["properties"]["id"]
+        bad = tmp_path / "footprints.geojson"
+        bad.write_text(json.dumps(fc))
+        code = main(["--out", str(tmp_path), "lod1", "--footprints", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"ERROR stage=lod1: {bad}: features[1]: feature {fid}: empty coordinates\n"
+        assert not (tmp_path / "lod1_pred.geojson").exists()
+
     def test_network_settings_checked_before_first_stage(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["--out", str(out), "run", "--extent", "64", "--n-buildings", "2",
@@ -842,6 +873,39 @@ class TestRunValuesCheckedFirst:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.rglob("*"))
 
+    @pytest.mark.parametrize(
+        "key, value, first, second",
+        [("directions", "45,45.0000001", "45.0", "45.0000001"),
+         ("directions", "0,90,0", "0.0", "0.0"),
+         ("directions", "0,-0", "0.0", "-0.0"),
+         ("resolutions", "32,32.00000000001", "32.0", "32.00000000001")],
+        ids=["directions-6-digits", "directions-repeat", "directions-signed-zero",
+             "resolutions-6-digits"],
+    )
+    def test_run_colliding_output_names_exit_2(self, tmp_path, capsys, key, value, first, second):
+        # Outputs carry each value with ``:g``: these two would write one name.
+        out = tmp_path / "o"
+        code = main(["--out", str(out), "run", *TINY_RUN, f"--{key}", value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"ERROR stage=run: bad {key} '{value}': ")
+        assert f"{first} and {second} name the same outputs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["synth", "run"])
+    @pytest.mark.parametrize("lo, hi", [(8.0, 12.0), (40.0, 50.0)])
+    def test_snapped_scene_without_size_exit_2(self, tmp_path, capsys, stage, lo, hi):
+        # No multiple of the 30 m coarse cell lies between lo and hi.
+        out = tmp_path / "o"
+        code = main(["--out", str(out), stage, "--extent", "300", "--n-buildings", "4",
+                     "--footprint-min", repr(lo), "--footprint-max", repr(hi),
+                     "--coarse-factor", "30", "--snap-to-coarse", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"ERROR stage={stage}: bad footprint_min {lo!r} and footprint_max {hi!r}: no "
+            "multiple of coarse_factor 30 between them for a snapped footprint\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, at_bound", [("slope", (MAX_ELEVATION - 130.0) / 64),
                                                ("height", MAX_ELEVATION - 100.0)])
     def test_run_at_elevation_bound(self, tmp_path, capsys, key, at_bound):
@@ -877,6 +941,16 @@ class TestRunValuesCheckedFirst:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("ERROR stage=ucp: ")
         assert "directions" in err
+        assert not any(tmp_path.glob("ucp_*"))
+
+    def test_ucp_colliding_directions_exit_2(self, run_dir, tmp_path, capsys):
+        for name in ("predicted_heights.glbr", "lod1_pred.geojson", "lod1_ref.geojson"):
+            shutil.copy(run_dir / name, tmp_path / name)
+        code = main(["--out", str(tmp_path), "ucp", "--directions", "45,45.0000001"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ERROR stage=ucp: bad directions '45,45.0000001': 45.0 and 45.0000001 "
+            "name the same outputs ('45')\n")
         assert not any(tmp_path.glob("ucp_*"))
 
     @pytest.mark.parametrize("flags", [["--bin-width", "0"], ["--height-cap", "-1"]])

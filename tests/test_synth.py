@@ -54,6 +54,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             SyntheticCitySpec(coarse_factor=0)
 
+    def test_snapped_scene_without_size_rejected(self):
+        # No multiple of 30 lies in [8, 12]: a snapped building has no size.
+        kw = dict(footprint_min=8.0, footprint_max=12.0, coarse_factor=30)
+        with pytest.raises(ValueError, match="coarse_factor 30"):
+            small_spec(snap_to_coarse=True, **kw)
+        # Without buildings, or unsnapped, no size is drawn from that range.
+        small_spec(snap_to_coarse=True, n_buildings=0, **kw)
+        small_spec(**kw)
+
 
 class TestGenerate:
     def test_building_invariants(self):
@@ -147,6 +156,12 @@ class TestGenerate:
             generate_city(
                 small_spec(n_buildings=100, footprint_min=40.0, footprint_max=50.0)
             )
+
+    def test_every_draw_wider_than_slot_raises_after_retries(self):
+        # Four 100 m slots, and every draw is wider than 100 m.
+        with pytest.raises(PackingError, match="in a 100.0 m slot after 25 tries"):
+            generate_city(small_spec(extent_m=200.0, n_buildings=4,
+                                     footprint_min=100.0, footprint_max=1000.0))
 
     def test_slot_narrower_than_footprint_raises_before_draw(self):
         # 10**6 slots a side: drawing 10**12 of 10**12 slots cannot be allocated.

@@ -15,14 +15,9 @@ from urbanmorph.lod1 import Lod1Building
 from urbanmorph.raster import Raster, read_raster
 from urbanmorph.ucp import (
     aggregate_all,
-    area_weighted_height,
-    building_table,
     covered_area,
     export_csv,
     export_rasters,
-    height_histogram,
-    height_stats,
-    raster_grid,
 )
 
 NODATA = -9999.0
@@ -122,8 +117,8 @@ class TestHeightStats:
     def test_mean_std_pair(self):
         bs = [building(1, 10, 10, 4, 4, 5.0), building(2, 30, 30, 4, 4, 15.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 100))
-        g = raster_grid(mask.grid, 100.0)
-        mean, std, count = height_stats(building_table(bs, g))
+        grid = aggregate_all(bs, mask, resolution=100.0)
+        mean, std, count = grid.mean, grid.std, grid.count
         assert mean[0, 0] == pytest.approx(10.0)
         assert std[0, 0] == pytest.approx(5.0)  # population std of {5, 15}
         assert count[0, 0] == 2
@@ -131,16 +126,15 @@ class TestHeightStats:
     def test_single_building_zero_std(self):
         bs = [building(1, 10, 10, 4, 4, 7.0)]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
-        g = raster_grid(mask.grid, 50.0)
-        mean, std, count = height_stats(building_table(bs, g))
+        grid = aggregate_all(bs, mask, resolution=50.0)
+        mean, std, count = grid.mean, grid.std, grid.count
         assert (mean[0, 0], std[0, 0], count[0, 0]) == (7.0, 0.0, 1)
 
     def test_centroid_assignment(self):
         # Building straddles the 50 m boundary, centroid at x = 48: left cell.
         bs = [building(1, 40, 10, 16, 4, 9.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 50))
-        g = raster_grid(mask.grid, 50.0)
-        _, _, count = height_stats(building_table(bs, g))
+        count = aggregate_all(bs, mask, resolution=50.0).count
         assert count[0, 0] == 1 and count[0, 1] == 0
 
     def test_area_weighted_differs_from_mean(self):
@@ -148,9 +142,8 @@ class TestHeightStats:
         #   unweighted 25; area-weighted (1000 + 16000)/500 = 34.
         bs = [building(1, 5, 5, 10, 10, 10.0), building(2, 30, 30, 20, 20, 40.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 100))
-        g = raster_grid(mask.grid, 100.0)
-        mean, _, _ = height_stats(building_table(bs, g))
-        aw = area_weighted_height(building_table(bs, g))
+        grid = aggregate_all(bs, mask, resolution=100.0)
+        mean, aw = grid.mean, grid.area_weighted
         assert mean[0, 0] == pytest.approx(25.0)
         assert aw[0, 0] == pytest.approx(34.0)
 
@@ -160,16 +153,14 @@ class TestHistogram:
         # Height exactly 5.0 falls in bin 1 ([5, 10)), not bin 0.
         bs = [building(1, 5, 5, 4, 4, 5.0)]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
-        g = raster_grid(mask.grid, 50.0)
-        h = height_histogram(building_table(bs, g))
+        h = aggregate_all(bs, mask, resolution=50.0).hist
         assert h[0, 0, 0] == 0.0
         assert h[0, 0, 1] == 1.0
 
     def test_cap_bin_open_ended(self):
         bs = [building(1, 5, 5, 4, 4, 200.0), building(2, 20, 20, 4, 4, 75.0)]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
-        g = raster_grid(mask.grid, 50.0)
-        h = height_histogram(building_table(bs, g))
+        h = aggregate_all(bs, mask, resolution=50.0).hist
         assert h.shape[-1] == 16
         assert h[0, 0, 15] == 1.0  # both land in the open-ended top bin
 
@@ -180,24 +171,21 @@ class TestHistogram:
             for i in range(8)
         ]
         mask = rasterize([b.footprint for b in bs], template(50, 50))
-        g = raster_grid(mask.grid, 50.0)
-        h = height_histogram(building_table(bs, g))
+        h = aggregate_all(bs, mask, resolution=50.0).hist
         assert h[0, 0].sum() == pytest.approx(1.0)
         assert h[0, 0].min() >= 0.0
 
     def test_empty_cell_all_zero(self):
         bs = [building(1, 5, 5, 4, 4, 10.0)]
         mask = rasterize([b.footprint for b in bs], template(100, 50))
-        g = raster_grid(mask.grid, 50.0)
-        h = height_histogram(building_table(bs, g))
+        h = aggregate_all(bs, mask, resolution=50.0).hist
         np.testing.assert_array_equal(h[0, 1], 0.0)
 
     def test_bad_bin_width(self):
         bs = []
         mask = rasterize([rect(1, 5, 5, 4, 4)], template(50, 50))
-        g = raster_grid(mask.grid, 50.0)
         with pytest.raises(ShapeError):
-            height_histogram(building_table(bs, g), bin_width=0.0)
+            aggregate_all(bs, mask, resolution=50.0, bin_width=0.0)
 
 
 class TestLambdaF:
