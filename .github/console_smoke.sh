@@ -12,6 +12,36 @@ grep -qx 'seed: 7' smoke/report.txt
 PYTHONWARNINGS=error::RuntimeWarning urbanmorph --out smoke-network run --extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8 --resolutions 64 --predictor network --epochs 1
 grep -qx 'predictor: network' smoke-network/report.txt
 
+# The network resamples the population itself: no run writes a resampled copy.
+test ! -e smoke/population_resampled.glbr
+test ! -e smoke-network/population_resampled.glbr
+
+# A stage whose earlier stage has not run in --out: exit 2, and one ERROR line
+# that names the missing output, not a config key.
+mkdir -p smoke-empty
+code=0
+urbanmorph --out smoke-empty ndsm 2> smoke-empty.err || code=$?
+cat smoke-empty.err
+test "$code" -eq 2
+test "$(wc -l < smoke-empty.err)" -eq 1
+grep -q '^ERROR stage=ndsm: smoke-empty/dsm.glbr' smoke-empty.err
+if grep -q 'config key' smoke-empty.err; then exit 1; fi
+
+# A coarse raster with one nodata cell: exit 2, and one ERROR line naming it.
+python - <<'PY'
+from urbanmorph import read_raster, write_raster
+r = read_raster("smoke/coarse_ndsm.glbr")
+r.values[0, 0] = r.nodata
+write_raster(r, "smoke-void.glbr")
+PY
+code=0
+urbanmorph --out smoke-void resample --coarse-ndsm smoke-void.glbr 2> smoke-void.err || code=$?
+cat smoke-void.err
+test "$code" -eq 2
+test "$(wc -l < smoke-void.err)" -eq 1
+grep -q '^ERROR stage=resample: smoke-void.glbr: 1 nodata cells' smoke-void.err
+test ! -e smoke-void
+
 # A diverging network: exit 1, one ERROR line naming the divergence, and no
 # weights file.
 code=0

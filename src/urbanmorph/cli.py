@@ -9,7 +9,6 @@ system error.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from dataclasses import fields
 
@@ -21,8 +20,6 @@ from .pipeline import (
     parse_config_file,
     run_all,
 )
-
-log = logging.getLogger("urbanmorph")
 
 _SUBCOMMANDS = [*STAGES, "run"]
 
@@ -47,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", default=None, help="override the config seed")
-    parser.add_argument("--verbose", action="store_true", help="chatty logging")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
@@ -67,10 +63,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     stage = args.command
     try:
         cfg = _config_from_args(args)
@@ -84,7 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ERROR stage={stage}: {message}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, FormatError, OSError)) else 1
     for key, path in outputs.items():
-        log.info("%s -> %s", key, path)
         print(f"{key}\t{path}")
     return 0
 

@@ -6,19 +6,19 @@ inputs and seeds produce byte-identical outputs.
 
 The rasters of a run live in the output directory as ``<key>.glbr``:
 
-========================  ================  ================================
-artifact                  written by        read by
-========================  ================  ================================
-``ndsm_resampled``        resample          rasterize-points, train, predict
-``population_resampled``  resample          train, predict (network)
-``dsm``, ``dem``          rasterize-points  ndsm
-``ndsm_ref``              ndsm              train, predict (network), lod1
-``predicted_heights``     predict           lod1, ucp, validate
-========================  ================  ================================
+=====================  ================  ================================
+artifact               written by        read by
+=====================  ================  ================================
+``ndsm_resampled``     resample          rasterize-points, train, predict
+``dsm``, ``dem``       rasterize-points  ndsm
+``ndsm_ref``           ndsm              train, predict (network), lod1
+``predicted_heights``  predict           lod1, ucp, validate
+=====================  ================  ================================
 
 All of them lie on the fine grid that ``resample`` sets.  Stages read them
 through ``_read``, which rejects one off the grid of the first it reads, and
-write them through ``_write``; only ``resample`` reads rasters by config path.
+write them through ``_write``.  ``resample`` and the network resample the
+rasters they read by config path themselves, through ``_resampled``.
 """
 
 from __future__ import annotations
@@ -208,19 +208,47 @@ def _require_file(path: str, key: str) -> str:
     return path
 
 
+def _output(cfg: PipelineConfig, name: str) -> str:
+    """``<out>/<name>``, the output of an earlier stage, checked to exist."""
+    if not os.path.isfile(path := cfg.path(name)):
+        raise ConfigError(f"{path} not found: no earlier stage has written it")
+    return path
+
+
+def _aligned(a: Raster, b: Raster, what: str) -> None:
+    """``require_aligned``, with a raster off the grid reported as a bad input."""
+    try:
+        require_aligned(a, b, what)
+    except AlignmentError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _gap_free(r: Raster, path: str, reader: str) -> Raster:
+    if gaps := np.count_nonzero(~r.valid_mask):
+        raise FormatError(f"{path}: {gaps} nodata cells; {reader} needs gap-free input")
+    return r
+
+
 def _read(cfg: PipelineConfig, *keys: str):
     """Yield the raster ``<out>/<key>.glbr`` of each key in turn, each checked
     to exist, to decode and to lie on the grid of the first one."""
     first = None
     for key in keys:
-        path = _require_file(cfg.path(f"{key}.glbr"), key)
+        path = _output(cfg, f"{key}.glbr")
         r = read_raster(path)
         first = first or (path, r)
-        try:
-            require_aligned(first[1], r, f"{first[0]} and {path}")
-        except AlignmentError as exc:
-            raise FormatError(str(exc)) from exc
+        _aligned(first[1], r, f"{first[0]} and {path}")
         yield r
+
+
+def _resampled(cfg: PipelineConfig, key: str, cell_size: float) -> Raster:
+    """The gap-free raster at config key ``key``, resampled to ``cell_size``
+    cells on a grid of at most ``MAX_GRID_CELLS``."""
+    path = _require_file(getattr(cfg, key), key)
+    r = _gap_free(read_raster(path), path, "resampling")
+    side = max(r.extent_x, r.extent_y) / cell_size
+    _bounded_cells(side, f"bad fine_cell_size {cell_size!r} for {path}")
+    return resample_cubic(r, cell_size)
 
 
 def _write(cfg: PipelineConfig, **rasters: Raster) -> dict[str, str]:
@@ -237,10 +265,12 @@ def _mask_for(cfg: PipelineConfig, grid: Raster):
     return footprints, rasterize(footprints, grid)
 
 
-def _checked(cls, **kwargs):
-    """``cls(**kwargs)``, with a rejected value reported as a config error."""
+def _spec(cls, cfg: PipelineConfig):
+    """``cls`` built from the fields it shares with ``cfg``, ``extent`` as
+    ``extent_m``; a rejected value is a config error."""
+    values = {**vars(cfg), "extent_m": cfg.extent}
     try:
-        return cls(**kwargs)
+        return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -252,20 +282,7 @@ def _synth_spec(cfg: PipelineConfig) -> synth.SyntheticCitySpec:
     """The scene ``cfg`` asks ``synth`` for, whose grid is at most
     ``MAX_GRID_CELLS``, with at most one building a cell, and whose
     elevations are at most ``MAX_ELEVATION`` in magnitude."""
-    spec = _checked(
-        synth.SyntheticCitySpec,
-        extent_m=cfg.extent,
-        n_buildings=cfg.n_buildings,
-        footprint_min=cfg.footprint_min,
-        footprint_max=cfg.footprint_max,
-        height_min=cfg.height_min,
-        height_max=cfg.height_max,
-        terrain_slope=cfg.terrain_slope,
-        coarse_factor=cfg.coarse_factor,
-        noise_sigma=cfg.noise_sigma,
-        seed=cfg.seed,
-        snap_to_coarse=cfg.snap_to_coarse,
-    )
+    spec = _spec(synth.SyntheticCitySpec, cfg)
     _bounded_cells(
         spec.size_cells, f"bad extent {cfg.extent!r} and coarse_factor {cfg.coarse_factor!r}"
     )
@@ -312,30 +329,21 @@ def stage_ndsm(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
-    cs = cfg.positive("fine_cell_size")
-    coarse = read_raster(_require_file(cfg.coarse_ndsm, "coarse_ndsm"))
-    pop = read_raster(_require_file(cfg.population, "population"))
-    side = max(max(r.extent_x, r.extent_y) for r in (coarse, pop)) / cs
-    _bounded_cells(side, f"bad fine_cell_size {cs!r}")
-    fine = resample_cubic(coarse, cs)
-    pop_fine = resample_cubic(pop, cs)
-    return _write(cfg, ndsm_resampled=fine, population_resampled=pop_fine)
+    fine = _resampled(cfg, "coarse_ndsm", cfg.positive("fine_cell_size"))
+    return _write(cfg, ndsm_resampled=fine)
 
 
 def _network_inputs(cfg: PipelineConfig):
     """The normalized predictor channels (nDSM, population and footprint mask),
     and the normalized reference with its params.  A nodata cell is a
-    FormatError, since the network would read the nodata value as data."""
-    keys = ("ndsm_resampled", "population_resampled", "ndsm_ref")
-    rasters = []
-    for key, r in zip(keys, _read(cfg, *keys)):
-        gaps = np.count_nonzero(~r.valid_mask)
-        if gaps:
-            raise FormatError(
-                f"{cfg.path(f'{key}.glbr')}: {gaps} nodata cells; the network needs gap-free input"
-            )
-        rasters.append(r)
-    ndsm_fine, pop_fine, ref = rasters
+    FormatError, since the network would read the nodata value as data; the
+    population, read after the rasters of ``--out``, is resampled to their grid."""
+    keys = ("ndsm_resampled", "ndsm_ref")
+    ndsm_fine, ref = (_gap_free(r, cfg.path(f"{key}.glbr"), "the network")
+                      for key, r in zip(keys, _read(cfg, *keys)))
+    pop_fine = _resampled(cfg, "population", ndsm_fine.cell_size)
+    _aligned(ndsm_fine, pop_fine, f"{cfg.path('ndsm_resampled.glbr')} and {cfg.population} "
+             f"resampled to {ndsm_fine.cell_size:g} m")
     _, mask = _mask_for(cfg, ndsm_fine)
     built = mask.grid.with_values(mask.source_ids > 0)
     channels = [minmax_normalize(ndsm_fine)[0], minmax_normalize(pop_fine)[0], built]
@@ -343,13 +351,8 @@ def _network_inputs(cfg: PipelineConfig):
 
 
 def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.TrainConfig]:
-    """The U-Net and training settings of ``cfg``; a rejected value is a config error."""
-    return (
-        _checked(
-            network.ModelConfig, depth=cfg.depth, base_filters=cfg.base_filters, seed=cfg.seed
-        ),
-        _checked(network.TrainConfig, learning_rate=cfg.learning_rate, epochs=cfg.epochs),
-    )
+    """The U-Net and training settings of ``cfg``."""
+    return _spec(network.ModelConfig, cfg), _spec(network.TrainConfig, cfg)
 
 
 def stage_train(cfg: PipelineConfig) -> dict[str, str]:
@@ -375,7 +378,10 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, str]:
         pred = network.baseline_predict(ndsm_fine, mask)
     else:
         channels, (_, target_params) = _network_inputs(cfg)
-        weights = network.read_weights(_require_file(cfg.path("weights.glbw"), "weights"))
+        path = _output(cfg, "weights.glbw")
+        weights = network.read_weights(path)
+        if (cin := weights.config.in_channels) != len(channels):
+            raise FormatError(f"{path}: {cin} input channels; the pipeline gives {len(channels)}")
         pred = network.predict_city(weights, channels, target_params)
     return _write(cfg, predicted_heights=pred)
 
@@ -450,7 +456,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     """
     resolutions, directions = cfg.resolution_list(), cfg.direction_list()
     bins, nbins = _histogram_bins(cfg)
-    paths = [_require_file(cfg.path(f"lod1_{k}.geojson"), f"lod1_{k}") for k in ("pred", "ref")]
+    paths = [_output(cfg, f"lod1_{k}.geojson") for k in ("pred", "ref")]
     pred = lod1_mod.read_lod1(paths[0])
     footprints = [b.footprint for b in pred]
     ref = lod1_mod.read_lod1(paths[1], footprints=footprints)
@@ -493,7 +499,7 @@ def stage_validate(cfg: PipelineConfig) -> dict[str, str]:
     for resolution in cfg.resolution_list():
         geom = ucp.raster_grid(grid, resolution)
         names = [f"ucp_{kind}_{resolution:g}m" for kind in ("pred", "ref")]
-        paths = [_require_file(os.path.join(cfg.path(n), "ucp_table.csv"), n) for n in names]
+        paths = [_output(cfg, os.path.join(n, "ucp_table.csv")) for n in names]
         pred, ref = (ucp.read_csv(path, geom) for path in paths)
         if (pred.nbins, list(pred.lambda_f)) != (ref.nbins, list(ref.lambda_f)):
             raise FormatError(f"{paths[1]}: columns differ from {paths[0]}")

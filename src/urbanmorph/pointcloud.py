@@ -287,7 +287,7 @@ def read_points_csv(path) -> PointCloud | GlbpPoints:
 def _parse_block(path, lines: list[str], lineno: int):
     """The x, y, z and label columns of ``lines``, the first being line ``lineno``.
 
-    Parses the whole block in bulk; a block that fails any check is parsed
+    Parses the whole block in bulk; a block that fails any check is checked
     again line by line, which names the first bad line.
     """
     rows = list(filter(None, map(str.strip, lines)))
@@ -300,12 +300,12 @@ def _parse_block(path, lines: list[str], lineno: int):
                 return (*xyz, np.array(codes, dtype=np.int8))
     except ValueError:
         pass
-    return _parse_lines(path, lines, lineno)
+    _raise_at_bad_line(path, lines, lineno)
 
 
-def _parse_lines(path, lines: list[str], lineno: int):
-    """``_parse_block`` one line at a time, raising at the first bad line."""
-    xs, ys, zs, labels = [], [], [], []
+def _raise_at_bad_line(path, lines: list[str], lineno: int) -> None:
+    """Apply ``_parse_block``'s checks one line at a time, raising at the first
+    bad line; every block that reaches it has one."""
     for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line:
@@ -324,8 +324,3 @@ def _parse_lines(path, lines: list[str], lineno: int):
             raise FormatError(f"{path}:{lineno}: non-finite coordinate")
         if abs(z) > MAX_ABS_ELEVATION:
             raise FormatError(f"{path}:{lineno}: elevation out of range (|z| > {MAX_ABS_ELEVATION:g})")
-        xs.append(x)
-        ys.append(y)
-        zs.append(z)
-        labels.append(_NAME_CODES[name])
-    return (*np.array([xs, ys, zs], dtype=np.float64), np.array(labels, dtype=np.int8))

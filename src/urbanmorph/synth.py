@@ -6,12 +6,12 @@ centers, a coarse noisy height layer fabricated by block-averaging the
 truth, and a smoothed population proxy.  Everything is reproducible from the
 seed alone; no wall-clock or OS entropy.
 
-A scene holds its grids (the footprint ids and the truth, 12 bytes a
-cell; the terrain is one row) and the few ``other`` clutter points,
-but not its point cloud of one point per cell.  ``write_scene`` writes the
-cloud from row bands of the footprint id grid (``SynthScene.point_pieces``),
-each band's points going straight to their place in the file, so it holds
-one band's points at a time; the whole cloud is the file it writes.
+A scene holds its grids (the footprint ids and the truth, 12 bytes a cell)
+and the few ``other`` clutter points, but not its point cloud of one point
+per cell.  ``write_scene`` writes the cloud from row bands of the footprint
+id grid (``SynthScene.point_pieces``), each band's points going straight to
+their place in the file, so it holds one band's points at a time; the whole
+cloud is the file it writes.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ class SynthScene:
     spec: SyntheticCitySpec
     footprints: list[BuildingFootprint]
     heights: dict[int, float]
-    terrain: Raster
     truth_ndsm: Raster
     mask: FootprintMask = field(repr=False)
     clutter: PointCloud = field(repr=False)  # the 'other' points, last in the cloud
@@ -215,9 +214,7 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
 
     mask = rasterize(footprints, template)
 
-    # Terrain and truth height field at 1 m.
-    xc = template.cell_centers_x()
-    terrain = template.with_values(np.broadcast_to(spec.terrain_at(xc).astype(np.float32), (size, size)))
+    # Truth height field at 1 m.
     height_lut = np.array([0.0, *heights.values()])  # by id; ids run from 1
     truth = template.with_values(height_lut.astype(np.float32)[mask.source_ids])
 
@@ -246,7 +243,6 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
         spec=spec,
         footprints=footprints,
         heights=heights,
-        terrain=terrain,
         truth_ndsm=truth,
         mask=mask,
         clutter=clutter,
@@ -257,7 +253,7 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
 
 def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
     """Write the scene as pipeline input files; byte-identical per seed.  The
-    terrain and the truth stay in memory: no stage reads them."""
+    truth stays in memory: no stage reads it."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "footprints": os.path.join(out_dir, "footprints.geojson"),

@@ -97,34 +97,27 @@ def export_comparison(
     ref: UcpGrid,
     out_dir,
     min_reference: float = DEFAULT_MIN_REFERENCE,
-) -> dict[str, float]:
+) -> None:
     """Write scatter CSVs per field, a per-cell histogram comparison, and a
     metrics table.  Emits data only; plotting is left to external tools."""
     os.makedirs(out_dir, exist_ok=True)
-    metrics: dict[str, float] = {}
-    rows_out = []
-    for fname in COMPARED_FIELDS:
-        series = pair_grids(pred, ref, fname)
-        scatter_path = os.path.join(out_dir, f"scatter_{fname}.csv")
-        with open(scatter_path, "w") as f:
-            f.write("cell_row,cell_col,predicted,reference\n")
-            for (r, c), p, t in zip(series.cell_ids, series.predicted, series.reference):
-                f.write(f"{r},{c},{float(p)!r},{float(t)!r}\n")
-        if len(series):
-            m_rmse = rmse(series)
-            try:
-                m = mape(series, min_reference)
-                rows_out.append((fname, m.n, m_rmse, m.value, m.excluded))
-                metrics[f"{fname}_mape"] = m.value
-            except EmptySeriesError:
-                rows_out.append((fname, len(series), m_rmse, float("nan"), len(series)))
-            metrics[f"{fname}_rmse"] = m_rmse
-        else:
-            rows_out.append((fname, 0, float("nan"), float("nan"), 0))
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as f:
-        f.write("field,n,rmse,mape,excluded\n")
-        for fname, n, v_rmse, v_mape, excl in rows_out:
-            f.write(f"{fname},{n},{v_rmse!r},{v_mape!r},{excl}\n")
+    with open(os.path.join(out_dir, "metrics.csv"), "w") as metrics:
+        metrics.write("field,n,rmse,mape,excluded\n")
+        for fname in COMPARED_FIELDS:
+            series = pair_grids(pred, ref, fname)
+            with open(os.path.join(out_dir, f"scatter_{fname}.csv"), "w") as f:
+                f.write("cell_row,cell_col,predicted,reference\n")
+                for (r, c), p, t in zip(series.cell_ids, series.predicted, series.reference):
+                    f.write(f"{r},{c},{float(p)!r},{float(t)!r}\n")
+            n, v_rmse, v_mape, excl = 0, float("nan"), float("nan"), 0
+            if len(series):
+                v_rmse = rmse(series)
+                try:
+                    m = mape(series, min_reference)
+                    n, v_mape, excl = m.n, m.value, m.excluded
+                except EmptySeriesError:
+                    n = excl = len(series)
+            metrics.write(f"{fname},{n},{v_rmse!r},{v_mape!r},{excl}\n")
 
     # Histogram comparison mirrored per cell: predicted vs reference fraction
     # for every height bin.
@@ -137,4 +130,3 @@ def export_comparison(
                     f"{r},{c},{k},"
                     f"{float(pred.hist[r, c, k])!r},{float(ref.hist[r, c, k])!r}\n"
                 )
-    return metrics

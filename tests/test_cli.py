@@ -161,7 +161,6 @@ class TestFullRun:
             "dem.glbr",
             "ndsm_ref.glbr",
             "ndsm_resampled.glbr",
-            "population_resampled.glbr",
             "predicted_heights.glbr",
             "lod1_pred.geojson",
             "lod1_ref.geojson",
@@ -173,11 +172,12 @@ class TestFullRun:
         assert (run_dir / "validation_100m" / "metrics.csv").exists()
 
     def test_top_level_file_set(self, run_dir):
-        # No file that no stage reads: synth's terrain and truth stay in memory.
+        # No file that no stage reads: synth's truth stays in memory, and the
+        # network resamples the population itself.
         assert sorted(os.listdir(run_dir)) == [
             "coarse_ndsm.glbr", "dem.glbr", "dsm.glbr", "footprints.geojson",
             "lod1_pred.geojson", "lod1_ref.geojson", "ndsm_ref.glbr", "ndsm_resampled.glbr",
-            "points.glbp", "population.glbr", "population_resampled.glbr",
+            "points.glbp", "population.glbr",
             "predicted_heights.glbr", "report.txt", "ucp_pred_100m", "ucp_ref_100m",
             "validation_100m",
         ]
@@ -308,14 +308,15 @@ class TestNetworkRun:
 
 class TestNetworkStageInputs:
     @staticmethod
-    def copy_inputs(run_dir, tmp_path, names):
+    def copy_inputs(run_dir, tmp_path, names, population=False):
         for name in names:
             shutil.copy(run_dir / name, tmp_path / name)
-        return ["--footprints", str(run_dir / "footprints.geojson")]
+        flags = ["--footprints", str(run_dir / "footprints.geojson")]
+        return flags + ["--population", str(run_dir / "population.glbr")] * population
 
     def test_bad_weights_header_exit_2(self, run_dir, tmp_path, capsys):
-        flags = self.copy_inputs(run_dir, tmp_path, (
-            "ndsm_resampled.glbr", "population_resampled.glbr", "ndsm_ref.glbr"))
+        flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"),
+                                 population=True)
         path = tmp_path / "weights.glbw"
         network.write_weights(
             network.init_weights(network.ModelConfig(depth=1, base_filters=2)), path
@@ -333,8 +334,8 @@ class TestNetworkStageInputs:
     def test_train_dataset_is_channels_then_target(self, run_dir, tmp_path, monkeypatch):
         # Each training pair is one tile: every channel but the last as the
         # input, and the normalized reference, the last channel, as the target.
-        flags = self.copy_inputs(run_dir, tmp_path, (
-            "ndsm_resampled.glbr", "population_resampled.glbr", "ndsm_ref.glbr"))
+        flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"),
+                                 population=True)
         seen = []
 
         def train(weights, dataset, cfg):
@@ -355,8 +356,7 @@ class TestNetworkStageInputs:
             assert back.values.tobytes() == expected.values.tobytes()
 
     def test_train_target_not_aligned_exit_2(self, run_dir, tmp_path, capsys):
-        flags = self.copy_inputs(run_dir, tmp_path, (
-            "ndsm_resampled.glbr", "population_resampled.glbr"))
+        flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr",), population=True)
         ref = read_raster(run_dir / "ndsm_ref.glbr")
         write_raster(
             Raster(width=320, height=320, origin_x=ref.origin_x, origin_y=ref.origin_y,
@@ -402,8 +402,8 @@ class TestNetworkStageInputs:
     )
     def test_bad_cell_in_network_input_exit_2(self, run_dir, tmp_path, capsys,
                                               stage, name, cell, message):
-        flags = self.copy_inputs(run_dir, tmp_path, (
-            "ndsm_resampled.glbr", "population_resampled.glbr", "ndsm_ref.glbr"))
+        flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"),
+                                 population=True)
         network.write_weights(
             network.init_weights(network.ModelConfig(depth=1, base_filters=2)),
             tmp_path / "weights.glbw",
@@ -419,6 +419,105 @@ class TestNetworkStageInputs:
         assert err.count("\n") == 1 and err.startswith(f"ERROR stage={stage}: ")
         assert f"{name}: {message}" in err
         assert tree_digest(tmp_path) == before
+
+
+    def test_weights_for_other_channel_count_exit_2(self, run_dir, tmp_path, capsys):
+        flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"),
+                                 population=True)
+        path = tmp_path / "weights.glbw"
+        network.write_weights(
+            network.init_weights(network.ModelConfig(depth=1, base_filters=2, in_channels=2)),
+            path,
+        )
+        before = tree_digest(tmp_path)
+        code = main(["--out", str(tmp_path), "predict", "--predictor", "network", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"ERROR stage=predict: {path}: 2 input channels; "
+                       "the pipeline gives 3\n")
+        assert tree_digest(tmp_path) == before
+
+    @pytest.mark.parametrize("stage", ["train", "predict"])
+    def test_unset_population_exit_2(self, run_dir, tmp_path, capsys, stage):
+        flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"))
+        before = tree_digest(tmp_path)
+        code = main(["--out", str(tmp_path), stage, "--predictor", "network", "--depth", "1",
+                     "--base-filters", "2", "--epochs", "1", *flags])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"ERROR stage={stage}: config key 'population' is not set\n")
+        assert tree_digest(tmp_path) == before
+
+    def test_population_with_nodata_cell_exit_2(self, run_dir, tmp_path, capsys):
+        flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"))
+        pop = read_raster(run_dir / "population.glbr")
+        pop.values[1, 2] = pop.nodata
+        path = tmp_path / "pop.glbr"
+        write_raster(pop, path)
+        before = tree_digest(tmp_path)
+        code = main(["--out", str(tmp_path), "train", "--depth", "1", "--base-filters", "2",
+                     "--epochs", "1", "--population", str(path), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"ERROR stage=train: {path}: 1 nodata cells; resampling needs gap-free input\n")
+        assert tree_digest(tmp_path) == before
+
+    def test_population_on_another_grid_exit_2(self, run_dir, tmp_path, capsys):
+        flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"))
+        path = tmp_path / "pop.glbr"
+        write_raster(on_coarser_grid(read_raster(run_dir / "population.glbr")), path)
+        code = main(["--out", str(tmp_path), "train", "--depth", "1", "--base-filters", "2",
+                     "--epochs", "1", "--population", str(path), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("ERROR stage=train: ")
+        assert f"{tmp_path / 'ndsm_resampled.glbr'} and {path} resampled to 1 m not aligned" in err
+        assert not (tmp_path / "weights.glbw").exists()
+
+
+class TestMissingEarlierOutput:
+    @pytest.mark.parametrize("stage, copied, missing", [
+        ("ndsm", (), "dsm.glbr"),
+        ("lod1", (), "predicted_heights.glbr"),
+        ("ucp", ("predicted_heights.glbr",), "lod1_pred.geojson"),
+        ("validate", ("predicted_heights.glbr",), "ucp_pred_100m/ucp_table.csv"),
+        ("predict", ("ndsm_resampled.glbr", "ndsm_ref.glbr"), "weights.glbw"),
+    ])
+    def test_names_the_file_not_a_config_key(self, run_dir, tmp_path, capsys,
+                                             stage, copied, missing):
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in copied:
+            shutil.copy(run_dir / name, out / name)
+        code = main(["--out", str(out), stage, "--predictor", "network", "--resolutions", "100",
+                     "--footprints", str(run_dir / "footprints.geojson"),
+                     "--population", str(run_dir / "population.glbr")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"ERROR stage={stage}: {out / missing}")
+        assert "config key" not in err
+        assert sorted(p.name for p in out.iterdir()) == sorted(copied)
+
+
+class TestResampleInputs:
+    def test_coarse_with_nodata_cell_exit_2(self, run_dir, tmp_path, capsys):
+        coarse = read_raster(run_dir / "coarse_ndsm.glbr")
+        coarse.values[2, 3] = coarse.nodata
+        path = tmp_path / "c.glbr"
+        write_raster(coarse, path)
+        code = main(["--out", str(tmp_path / "o"), "resample", "--coarse-ndsm", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"ERROR stage=resample: {path}: 1 nodata cells; resampling needs gap-free input\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_writes_only_the_resampled_ndsm(self, run_dir, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "resample",
+                     "--coarse-ndsm", str(run_dir / "coarse_ndsm.glbr")]) == 0
+        assert os.listdir(out) == ["ndsm_resampled.glbr"]
+        assert (out / "ndsm_resampled.glbr").read_bytes() == (
+            run_dir / "ndsm_resampled.glbr").read_bytes()
 
 
 class TestNoBuildings:

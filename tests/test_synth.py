@@ -130,8 +130,9 @@ class TestGenerate:
     def test_terrain_slope(self):
         scene = generate_city(small_spec(terrain_slope=0.02, n_buildings=0))
         # Elevation rises 0.02 m per meter eastwards from a 100 m base.
-        assert scene.terrain.values[0, 0] == pytest.approx(100.0 + 0.02 * 0.5)
-        assert scene.terrain.values[5, 100] == pytest.approx(100.0 + 0.02 * 100.5)
+        terrain = scene.spec.terrain_at(scene.mask.grid.cell_centers_x())
+        assert terrain[0] == pytest.approx(100.0 + 0.02 * 0.5)
+        assert terrain[100] == pytest.approx(100.0 + 0.02 * 100.5)
 
     def test_snap_to_coarse(self):
         scene = generate_city(
@@ -143,6 +144,27 @@ class TestGenerate:
             ys = [p[1] for p in f.exterior]
             for v in (min(xs), max(xs), min(ys), max(ys)):
                 assert v % step == 0
+
+    def test_snapped_placement_retries_in_its_slot(self):
+        # Four 150 m slots and sides of 30 to 180 m: three draws leave no
+        # multiple of 30 in their slot and are drawn again, and every
+        # building is still placed.
+        spec = SyntheticCitySpec(extent_m=300, n_buildings=4, footprint_min=30,
+                                 footprint_max=180, coarse_factor=30, snap_to_coarse=True,
+                                 seed=1)
+        scene = generate_city(spec)
+        assert len(scene.footprints) == 4
+        slots = set()
+        for f in scene.footprints:
+            (x0, y0), (x1, y1) = f.exterior.min(axis=0), f.exterior.max(axis=0)
+            col, row = x0 // 150, y0 // 150
+            assert x1 <= (col + 1) * 150 and y1 <= (row + 1) * 150
+            slots.add((row, col))
+            assert np.all(f.exterior % 30 == 0)
+        assert len(slots) == 4
+        again = generate_city(spec)
+        assert [f.exterior.tobytes() for f in again.footprints] == [
+            f.exterior.tobytes() for f in scene.footprints]
 
     def test_population_nonnegative_and_tracks_density(self):
         scene = generate_city(small_spec())
@@ -262,7 +284,9 @@ class TestSceneMatchesOracle:
         for a, b in zip(scene.footprints, footprints):
             assert a.id == b.id and a.exterior.tobytes() == b.exterior.tobytes() and a.holes == []
             assert (a.area, a.perimeter, a.centroid) == (b.area, b.perimeter, b.centroid)
-        assert scene.terrain.values.tobytes() == terrain.tobytes()
+        xc = scene.mask.grid.cell_centers_x()
+        assert np.broadcast_to(spec.terrain_at(xc).astype(np.float32),
+                               terrain.shape).tobytes() == terrain.tobytes()
         assert scene.truth_ndsm.values.tobytes() == truth.tobytes()
         for column in ("xs", "ys", "zs", "labels"):
             got, want = getattr(written, column), getattr(points, column)

@@ -175,14 +175,16 @@ class TestExport:
     def test_files_and_metrics(self, tmp_path):
         pred, ref = _two_grids()
         out = tmp_path / "val"
-        metrics = export_comparison(pred, ref, out)
+        export_comparison(pred, ref, out)
         assert (out / "metrics.csv").exists()
         assert (out / "scatter_mean.csv").exists()
         assert (out / "hist_comparison.csv").exists()
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+        metrics = {row[0]: dict(zip(rows[0], row)) for row in rows[1:]}
         # Heights off by (+2, -1): RMSE = sqrt((4+1)/2).
-        assert metrics["mean_rmse"] == pytest.approx(np.sqrt(2.5))
+        assert float(metrics["mean"]["rmse"]) == pytest.approx(np.sqrt(2.5))
         # MAPE = mean(2/20, 1/10) * 100 = 10%.
-        assert metrics["mean_mape"] == pytest.approx(10.0)
+        assert float(metrics["mean"]["mape"]) == pytest.approx(10.0)
 
     def test_scatter_contents(self, tmp_path):
         pred, ref = _two_grids()
