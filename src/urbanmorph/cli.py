@@ -18,6 +18,7 @@ from .pipeline import (
     PipelineConfig,
     build_config,
     parse_config_file,
+    reuse_freed_memory,
     run_all,
 )
 
@@ -62,6 +63,9 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the exit code.  A stage runs after
+    ``reuse_freed_memory``, as ``run_all`` does, so on glibc it reuses the
+    memory it frees; the process keeps that policy after ``main`` returns."""
     args = build_parser().parse_args(argv)
     stage = args.command
     try:
@@ -69,6 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         if stage == "run":
             outputs = run_all(cfg)
         else:
+            reuse_freed_memory()
             outputs = STAGES[stage](cfg)
     except (UrbanMorphError, OSError) as exc:
         # One line, even where a value in the message holds a line break.

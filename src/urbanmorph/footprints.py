@@ -28,8 +28,9 @@ repeating its first vertex.  The writer renders this text from a table's
 flat coordinates.  The reader decodes a file with ``json.load``, converts
 every ring of the file in one numpy step, drops the closing vertices, and
 checks and measures the footprints as one table.  Only when some step of that
-fails does it read the features again one at a time, each built alone, and
-report the first bad feature in file order.
+fails does it read the features again, building them a chunk at a time and
+only the chunk that fails one feature at a time, and report the first bad
+feature in file order.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ _MAX_ID = 2**63 - 1
 # Elements of one (m, L, L) array of the pairwise edge-crossing test, and of
 # one block of filled cells in ``rasterize``: a few MB each.
 _CHUNK = 1 << 18
+# Features built as one table by the pass that names a bad feature; only a
+# chunk holding a bad one is built again feature by feature.
+_FAULT_CHUNK = 256
 
 
 def _check_id(fid: int) -> None:
@@ -417,11 +421,11 @@ def _same_bits(a: FootprintTable, b: FootprintTable) -> bool:
     return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-def _write_table(path, t: FootprintTable, properties: dict[str, list] | None = None) -> None:
-    """Write the footprints of ``t`` as the ``json.dumps`` text of their
-    FeatureCollection, each with its id and then ``properties`` (a name, and
-    one int or float per footprint)."""
-    properties = properties or {}
+def _write_table(t: FootprintTable, files: dict[str, dict[str, list]]) -> None:
+    """Write the footprints of ``t`` to each path of ``files`` as the
+    ``json.dumps`` text of their FeatureCollection, each with its id and then
+    the path's properties (a name, and one int or float per footprint).  The
+    geometry text of each footprint is rendered once, for every file."""
     lengths = np.diff(t.offsets) + 1  # every ring closed by its first vertex
     closed = _spans(t.offsets[:-1], lengths)
     closed[np.cumsum(lengths) - 1] = t.offsets[:-1]
@@ -429,24 +433,27 @@ def _write_table(path, t: FootprintTable, properties: dict[str, list] | None = N
     ends = np.concatenate(([0], np.cumsum(2 * lengths)))[t.rings].tolist()
     lengths, rings = lengths.tolist(), t.rings.tolist()
     # json.dumps writes an int or a float as its repr, and so does %r.
-    head = ", ".join(f"{json.dumps(name)}: %r" for name in ("id", *properties))
-    head = '{"type": "Feature", "properties": {' + head
-    head += '}, "geometry": {"type": "Polygon", "coordinates": ['
     templates: dict[tuple, str] = {}  # by the lengths of a footprint's rings
-    features = []
-    for i, values in enumerate(zip(t.ids.tolist(), *properties.values())):
+    geometries = []
+    for i in range(len(t.ids)):
         shape = tuple(lengths[rings[i]:rings[i + 1]])
         if shape not in templates:
-            templates[shape] = head + ", ".join(
+            templates[shape] = ", ".join(
                 "[" + ", ".join(["[%r, %r]"] * n) + "]" for n in shape) + "]}}"
-        features.append(templates[shape] % (*values, *coordinates[ends[i]:ends[i + 1]]))
-    # One string, one write.
-    with open(path, "w") as f:
-        f.write('{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]}")
+        geometries.append(templates[shape] % tuple(coordinates[ends[i]:ends[i + 1]]))
+    for path, properties in files.items():
+        head = ", ".join(f"{json.dumps(name)}: %r" for name in ("id", *properties))
+        head = '{"type": "Feature", "properties": {' + head
+        head += '}, "geometry": {"type": "Polygon", "coordinates": ['
+        features = [head % values + geometry for values, geometry
+                    in zip(zip(t.ids.tolist(), *properties.values()), geometries)]
+        # One string, one write.
+        with open(path, "w") as f:
+            f.write('{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]}")
 
 
 def write_footprints(footprints: list[BuildingFootprint], path) -> None:
-    _write_table(path, footprint_table(footprints))
+    _write_table(footprint_table(footprints), {path: {}})
 
 
 def _read_features(path, parse=lambda footprint, props: footprint, like=None) -> list:
@@ -455,8 +462,8 @@ def _read_features(path, parse=lambda footprint, props: footprint, like=None) ->
 
     Every ring is converted in one step and the footprints are checked and
     measured as one table, or are ``like`` when the table has their bits.  If
-    that fails, the features are read again one at a time, each built alone,
-    and the first holding a value that cannot be converted or a bad footprint
+    that fails, the features are read again (``_first_fault``), and the first
+    holding a value that cannot be converted or a bad footprint
     (a ``ValueError``, ``TypeError``, ``OverflowError`` or ``GeometryError``),
     or repeating an earlier feature's id, is a FormatError naming the file and
     the feature.
@@ -498,24 +505,49 @@ def _parse_features(path, parse, like) -> list:
 
 
 def _first_fault(path, features: list[dict], parse) -> list:
-    """``_parse_features``' result, one feature at a time: the first bad one raises."""
-    out, seen = [], {}
+    """``_parse_features``' result, or a FormatError for the first bad feature.
+
+    Ids and rings are read one feature at a time, up to the first that
+    cannot be read or that repeats an id; the features up to it are built
+    ``_FAULT_CHUNK`` at a time, a chunk as one table, and only a chunk that
+    fails is built again one feature at a time, to name the bad one."""
+    ids, raw, rings, seen, fault = [], [], [], {}, None
     for i, feature in enumerate(features):
         where = f"{path}: features[{i}]"
         try:
-            fid, rings = _feature_parts(feature)
+            fid, coords = _feature_parts(feature)
+            converted = [_ring_array(r) for r in coords]
         except FormatError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise FormatError(f"{where}: bad value ({exc})") from exc
-        try:
-            out.append(parse(BuildingFootprint(fid, rings[0], rings[1:]),
-                             feature.get("properties") or {}))
+            fault = f"{where}: {exc}", exc
+            break
         except (ValueError, TypeError, OverflowError, GeometryError) as exc:
-            raise FormatError(f"{where}: bad value ({exc})") from exc
-        first = seen.setdefault(fid, i)
-        if first != i:
-            raise FormatError(f"{where}: duplicate id {fid} (also features[{first}])")
+            fault = f"{where}: bad value ({exc})", exc
+            break
+        ids.append(fid)
+        raw.append(coords)
+        rings.append(converted)
+        if (first := seen.setdefault(fid, i)) != i:
+            fault = f"{where}: duplicate id {fid} (also features[{first}])", None
+            break
+
+    def parsed(i: int, footprint: BuildingFootprint | None):
+        try:
+            if footprint is None:
+                footprint = BuildingFootprint(ids[i], raw[i][0], raw[i][1:])
+            return parse(footprint, features[i].get("properties") or {})
+        except (ValueError, TypeError, OverflowError, GeometryError) as exc:
+            raise FormatError(f"{path}: features[{i}]: bad value ({exc})") from exc
+
+    out = []
+    for s in range(0, len(ids), _FAULT_CHUNK):
+        chunk = range(s, min(s + _FAULT_CHUNK, len(ids)))
+        try:
+            built = _build(_table(ids[s:chunk.stop], rings[s:chunk.stop]))
+        except GeometryError:
+            built = [None] * len(chunk)  # each built alone, by ``parsed``
+        out += [parsed(i, footprint) for i, footprint in zip(chunk, built)]
+    if fault is not None:
+        raise FormatError(fault[0]) from fault[1]
     return out
 
 

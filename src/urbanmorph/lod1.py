@@ -69,15 +69,26 @@ def assign_heights(
     return buildings
 
 
-def write_lod1(buildings: list[Lod1Building], path) -> None:
+def write_lod1(buildings: list[Lod1Building], path,
+               *others: tuple[list[Lod1Building], str]) -> None:
     """GeoJSON FeatureCollection with a ``height_m`` property per feature.
 
     Heights are serialized with enough digits to round-trip 32-bit floats.
+    Each ``(buildings, path)`` pair of ``others`` is written too; its
+    buildings hold the footprints of ``buildings``, in order, whose geometry
+    text is rendered once for every file.
     """
-    _write_table(path, footprint_table([b.footprint for b in buildings]), {
-        "height_m": [float(f"{np.float32(b.height):.9g}") for b in buildings],
-        "n_cells": [int(b.n_cells) for b in buildings],
-    })
+    footprints = [b.footprint for b in buildings]
+    files = {}
+    for group, group_path in ((buildings, path), *others):
+        if len(group) != len(footprints) or any(
+                b.footprint is not f for b, f in zip(group, footprints)):
+            raise ValueError(f"{group_path}: footprints differ from those of {path}")
+        files[group_path] = {
+            "height_m": [float(f"{np.float32(b.height):.9g}") for b in group],
+            "n_cells": [int(b.n_cells) for b in group],
+        }
+    _write_table(footprint_table(footprints), files)
 
 
 def read_lod1(path, footprints: list[BuildingFootprint] | None = None) -> list[Lod1Building]:

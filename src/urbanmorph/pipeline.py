@@ -23,7 +23,9 @@ rasters they read by config path themselves, through ``_resampled``.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import platform
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -54,6 +56,30 @@ MAX_HISTOGRAM_BYTES = 2**28  # the pred and ref histograms of one resolution
 # rounding of terrain plus height erases the buildings, and near the float32
 # range the rasters overflow.
 MAX_ELEVATION = 10_000.0
+# mallopt parameters of glibc's <malloc.h>, and its ceiling for the mmap
+# threshold on a 64-bit host.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2**20
+
+
+def reuse_freed_memory() -> None:
+    """On glibc, keep the heap memory a stage frees for the next to reuse.
+
+    glibc gives each allocation above its mmap threshold (128 KiB, raised
+    only by a later free) fresh zero pages, and returns freed heap memory to
+    the OS past its trim threshold, so every stage faults its full-grid
+    arrays in anew.  This fixes the mmap threshold at 32 MiB and turns
+    trimming off: arrays below 32 MiB come from a heap that keeps what is
+    freed, and larger ones are still mapped and unmapped, so the biggest
+    grids of a large city still return to the OS.  The process keeps this
+    policy for its lifetime.  Elsewhere than on glibc this does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, -1)
 
 
 def _bounded_cells(side: float, what: str) -> None:
@@ -392,8 +418,8 @@ def stage_lod1(cfg: PipelineConfig) -> dict[str, str]:
     footprints, mask = _mask_for(cfg, pred)
     pred_buildings = lod1_mod.assign_heights(pred, mask, footprints, statistic)
     ref_buildings = lod1_mod.assign_heights(ref, mask, footprints, statistic)
-    lod1_mod.write_lod1(pred_buildings, cfg.path("lod1_pred.geojson"))
-    lod1_mod.write_lod1(ref_buildings, cfg.path("lod1_ref.geojson"))
+    lod1_mod.write_lod1(pred_buildings, cfg.path("lod1_pred.geojson"),
+                        (ref_buildings, cfg.path("lod1_ref.geojson")))
     return {
         "lod1_pred": cfg.path("lod1_pred.geojson"),
         "lod1_ref": cfg.path("lod1_ref.geojson"),
@@ -563,7 +589,11 @@ def _check_run_grids(cfg: PipelineConfig) -> None:
 
 
 def run_all(cfg: PipelineConfig) -> dict[str, str]:
-    """Run the full pipeline in stage order; synth inputs feed later stages."""
+    """Run the full pipeline in stage order; synth inputs feed later stages.
+
+    It first calls ``reuse_freed_memory``, so each stage reuses the memory
+    the one before it freed; the process keeps that policy after it returns."""
+    reuse_freed_memory()
     outputs: dict[str, str] = {}
     stages = list(RUN_ORDER)
     # Reject bad run values before any stage runs; each stage checks its own again.

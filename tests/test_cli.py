@@ -2,18 +2,22 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from urbanmorph import network, pipeline, tiler
+from urbanmorph import cli, network, pipeline, tiler
 from urbanmorph.cli import _config_from_args, build_parser, main
 from urbanmorph.lod1 import read_lod1
 from urbanmorph.pipeline import (
@@ -791,6 +795,75 @@ class TestStagewiseEqualsRun:
                       "lod1", "ucp", "validate", "report"]:
             assert main(base + [stage] + inputs) == 0, stage
         assert tree_digest(out_a) == tree_digest(out_b)
+
+
+# mallopt parameters, as glibc's <malloc.h> numbers them.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+# The 720 m recipe of ``reference_path_peaks`` (test_pointcloud.py) through
+# ``run_all`` in a fresh process, with the memory policy or with it replaced
+# by a no-op ("off"); prints the run's minor page faults.
+_FRESH_RUN = """
+import resource, sys
+from urbanmorph import pipeline
+if sys.argv[2] == "off":
+    pipeline.reuse_freed_memory = lambda: None
+cfg = pipeline.PipelineConfig(
+    out=sys.argv[1], extent=720.0, n_buildings=19, footprint_min=90.0,
+    footprint_max=120.0, height_min=3.0, height_max=60.0, coarse_factor=30,
+    noise_sigma=2.0, snap_to_coarse=True, seed=1,
+)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+pipeline.run_all(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestReuseFreedMemory:
+    def test_glibc_thresholds_set(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline.platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: SimpleNamespace(
+            mallopt=lambda param, value: calls.append((param, value)) or 1))
+        pipeline.reuse_freed_memory()
+        assert calls == [(M_MMAP_THRESHOLD, 32 * 2**20), (M_TRIM_THRESHOLD, -1)]
+
+    @pytest.mark.parametrize("libc", [("", ""), ("musl", "1.2")])
+    def test_no_call_elsewhere(self, monkeypatch, libc):
+        opened = []
+        monkeypatch.setattr(pipeline.platform, "libc_ver", lambda: libc)
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", opened.append)
+        pipeline.reuse_freed_memory()
+        assert opened == []
+
+    def test_called_once_per_run_and_command(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (pipeline, cli):
+            monkeypatch.setattr(module, "reuse_freed_memory", lambda: calls.append(1))
+        cfg_path = write_config(tmp_path)
+        run_all(build_config(parse_config_file(cfg_path), {"out": str(tmp_path / "a")}))
+        assert len(calls) == 1
+        base = ["--config", cfg_path, "--out", str(tmp_path / "b")]
+        assert main(base + ["run"]) == 0
+        assert len(calls) == 2
+        assert main(base + ["resample", "--coarse-ndsm",
+                            str(tmp_path / "b" / "coarse_ndsm.glbr")]) == 0
+        assert main(base + ["report"]) == 0
+        assert len(calls) == 4
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc malloc policy")
+    def test_same_bytes_fewer_faults_in_fresh_process(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+        faults, digests = {}, {}
+        for mode in ("on", "off"):
+            out = tmp_path / mode
+            done = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(out), mode], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            faults[mode], digests[mode] = int(done.stdout), tree_digest(out)
+        assert digests["on"] and digests["on"] == digests["off"]
+        # 4,900 against 18,400 faults when measured (a ratio of 0.27).
+        assert faults["on"] < 0.5 * faults["off"], faults
 
 
 def on_coarser_grid(r):

@@ -132,11 +132,25 @@ def test_write_lod1_bytes_equal_oracle(tmp_path_factory, buildings):
     path = tmp_path_factory.mktemp("w") / "l.geojson"
     write_lod1(buildings, path)
     assert path.read_text() == lod1_text_oracle(buildings)
+    # Two sets of the same footprints, as ``stage_lod1`` writes them.
+    halved = [Lod1Building(b.footprint, b.height / 2, b.n_cells) for b in buildings]
+    pair = path.with_name("pred.geojson"), path.with_name("ref.geojson")
+    write_lod1(buildings, pair[0], (halved, pair[1]))
+    assert pair[0].read_text() == path.read_text()
+    assert pair[1].read_text() == lod1_text_oracle(halved)
     back = read_lod1(path)
     assert table_bits([b.footprint for b in back]) == table_bits([b.footprint for b in buildings])
     assert [(b.height, b.n_cells) for b in back] == [
         (float(f"{np.float32(b.height):.9g}"), b.n_cells) for b in buildings
     ]
+
+
+def test_write_lod1_rejects_other_footprints(tmp_path):
+    a, b = (Lod1Building(BuildingFootprint(1, [(0, 0), (1, 0), (1, 1)]), 3.0, 1) for _ in "ab")
+    with pytest.raises(ValueError, match="footprints differ"):
+        write_lod1([a], tmp_path / "pred.geojson", ([b], tmp_path / "ref.geojson"))
+    with pytest.raises(ValueError, match="footprints differ"):
+        write_lod1([a], tmp_path / "pred.geojson", ([a, a], tmp_path / "ref.geojson"))
 
 
 def test_lod1_golden_text(tmp_path):

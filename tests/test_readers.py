@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanmorph.errors import FormatError, GeometryError, UrbanMorphError
-from urbanmorph.footprints import BuildingFootprint, rasterize, read_footprints, write_footprints
+from urbanmorph.footprints import (
+    _FAULT_CHUNK,
+    BuildingFootprint,
+    rasterize,
+    read_footprints,
+    write_footprints,
+)
 from urbanmorph.lod1 import Lod1Building, read_lod1
 from urbanmorph.network import (
     _GLBW_HEADER,
@@ -480,3 +486,32 @@ def test_first_of_several_bad_features_named(tmp_path):
     assert str(exc.value) == (
         f"{path}: features[1]: bad value (footprint 2 hole 0: degenerate ring with zero area)"
     )
+
+
+@pytest.mark.parametrize("reader", [read_footprints, read_lod1], ids=lambda r: r.__name__)
+@pytest.mark.parametrize("index, change, alone", [
+    (999, "repeat id", 0), (600, BAD_GEOMETRY["bowtie"], 600 % _FAULT_CHUNK + 1),
+    (700, {"id": 0}, 0), (300, {"coordinate": float("nan")}, 0),
+], ids=["repeat-id", "bowtie", "id-0", "nan"])
+def test_late_fault_builds_alone_only_its_chunk(tmp_path, monkeypatch, reader, index, change,
+                                                alone):
+    # 1,000 features with one bad: the features before it are built in
+    # chunks, and only a chunk whose build fails is built feature by feature.
+    edit = {"id": 1} if change == "repeat id" else change
+    features = []
+    for i in range(1000):
+        feature = lod1_collection(**{"id": i + 1, **(edit if i == index else {})})["features"][0]
+        geometry = feature["geometry"]
+        geometry["coordinates"] = [[[x + 10 * i, y] for x, y in r] for r in geometry["coordinates"]]
+        features.append(feature)
+    path = tmp_path / "b.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    want = per_feature_read(path, reader)
+    built_alone = []
+    post_init = BuildingFootprint.__post_init__
+    monkeypatch.setattr(BuildingFootprint, "__post_init__",
+                        lambda f: built_alone.append(f.id) or post_init(f))
+    with pytest.raises(FormatError) as exc:
+        reader(path)
+    assert str(exc.value) == want
+    assert len(built_alone) == alone
