@@ -16,6 +16,26 @@ grep -qx 'predictor: network' smoke-network/report.txt
 test ! -e smoke/population_resampled.glbr
 test ! -e smoke-network/population_resampled.glbr
 
+# synth, then each later stage in the same --out with no input flag: each
+# finds synth's files by their names in --out, and the tree is the run's.
+TINY="--extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8 --resolutions 32,64"
+urbanmorph --seed 7 --out smoke-chain-run run $TINY > /dev/null
+urbanmorph --seed 7 --out smoke-chain synth $TINY > /dev/null
+for stage in resample rasterize-points ndsm predict lod1 ucp validate report; do
+  urbanmorph --seed 7 --out smoke-chain $stage $TINY > /dev/null
+done
+diff -r smoke-chain-run smoke-chain
+
+# A run with an input flag: exit 2, one ERROR line, and no --out, since a run
+# reads the inputs that its synth stage writes.
+code=0
+urbanmorph --out smoke-set-input run $TINY --points smoke/points.glbp 2> smoke-set-input.err || code=$?
+cat smoke-set-input.err
+test "$code" -eq 2
+test "$(wc -l < smoke-set-input.err)" -eq 1
+grep -q "^ERROR stage=run: config key 'points' is set" smoke-set-input.err
+test ! -e smoke-set-input
+
 # A stage whose earlier stage has not run in --out: exit 2, and one ERROR line
 # that names the missing output, not a config key.
 mkdir -p smoke-empty

@@ -191,15 +191,6 @@ class Weights:
             self.biases[name] = self.flat[end : end + cout]
             pos = end + cout
 
-    def layer_names(self) -> list[str]:
-        return [name for name, *_ in layer_specs(self.config)]
-
-    def to_flat(self) -> np.ndarray:
-        return self.flat.copy()
-
-    def from_flat(self, flat: np.ndarray) -> "Weights":
-        return Weights(self.config, np.array(flat, dtype=np.float64))
-
     def astype(self, dtype) -> "Weights":
         return Weights(self.config, self.flat.astype(dtype))
 

@@ -4,21 +4,13 @@ Each stage reads its inputs from disk, writes its outputs into the
 configured output directory, and is individually re-runnable: identical
 inputs and seeds produce byte-identical outputs.
 
-The rasters of a run live in the output directory as ``<key>.glbr``:
-
-=====================  ================  ================================
-artifact               written by        read by
-=====================  ================  ================================
-``ndsm_resampled``     resample          rasterize-points, train, predict
-``dsm``, ``dem``       rasterize-points  ndsm
-``ndsm_ref``           ndsm              train, predict (network), lod1
-``predicted_heights``  predict           lod1, ucp, validate
-=====================  ================  ================================
-
-All of them lie on the fine grid that ``resample`` sets.  Stages read them
-through ``_read``, which rejects one off the grid of the first it reads, and
-write them through ``_write``.  ``resample`` and the network resample the
-rasters they read by config path themselves, through ``_resampled``.
+``STAGE_FILES`` is the table of a run's files: the keys each stage reads, and
+the file in ``--out`` of each key it writes.  Every stage finds the files it
+reads through ``_file``, and the paths it writes through ``_outputs``.  The
+rasters of a run in ``--out`` lie on the fine grid that ``resample`` sets.
+Stages read them through ``_read``, which rejects one off the grid of the
+first it reads, and write them through ``_write``.  ``resample`` and the
+network resample the inputs they read themselves, through ``_resampled``.
 """
 
 from __future__ import annotations
@@ -226,19 +218,56 @@ def build_config(file_values: dict[str, str], overrides: dict[str, object]) -> P
     return replace(cfg, **kwargs)
 
 
-def _require_file(path: str, key: str) -> str:
-    if not path:
-        raise ConfigError(f"config key '{key}' is not set")
+# The run files, by stage: the keys the stage reads, and the file in ``--out``
+# of each key it writes.  A ``{res}`` stands for each resolution, formatted
+# with ``:g``, and its file is a directory.  ``predict`` reads by predictor.
+# The keys ``synth`` writes are the inputs: a config path set for one of
+# them is read in place of its file.
+STAGE_FILES = {
+    "synth": ((), {"footprints": "footprints.geojson", "points": "points.glbp",
+                   "coarse_ndsm": "coarse_ndsm.glbr", "population": "population.glbr"}),
+    "resample": (("coarse_ndsm",), {"ndsm_resampled": "ndsm_resampled.glbr"}),
+    "rasterize-points": (("points", "ndsm_resampled"), {"dsm": "dsm.glbr", "dem": "dem.glbr"}),
+    "ndsm": (("dsm", "dem"), {"ndsm_ref": "ndsm_ref.glbr"}),
+    "train": (("ndsm_resampled", "ndsm_ref", "population", "footprints"),
+              {"weights": "weights.glbw", "loss_history": "loss_history.csv"}),
+    "predict": ({"baseline": ("ndsm_resampled", "footprints"),
+                 "network": ("ndsm_resampled", "ndsm_ref", "population", "footprints", "weights")},
+                {"predicted_heights": "predicted_heights.glbr"}),
+    "lod1": (("predicted_heights", "ndsm_ref", "footprints"),
+             {"lod1_pred": "lod1_pred.geojson", "lod1_ref": "lod1_ref.geojson"}),
+    "ucp": (("lod1_pred", "lod1_ref", "predicted_heights"),
+            {"ucp_pred_{res}m": "ucp_pred_{res}m", "ucp_ref_{res}m": "ucp_ref_{res}m"}),
+    "validate": (("predicted_heights", "ucp_pred_{res}m", "ucp_ref_{res}m"),
+                 {"validation_{res}m": "validation_{res}m"}),
+    "report": (("validation_{res}m",), {"report": "report.txt"}),
+}
+FILES = {key: name for _, writes in STAGE_FILES.values() for key, name in writes.items()}
+INPUTS = tuple(STAGE_FILES["synth"][1])
+UCP_TABLE = "ucp_table.csv"  # in each ``ucp_{kind}_{res}m`` directory
+
+
+def _at(text: str, res: float) -> str:
+    """``text`` with ``{res}`` as ``res`` formatted with ``:g``."""
+    return text.format(res=f"{res:g}")
+
+
+def _file(cfg: PipelineConfig, key: str, res: float = 0.0, *inner: str) -> str:
+    """The file of ``key`` at ``res`` (``inner`` in it, for a directory), checked
+    to exist: an input key's config path if set, else ``<out>/<file>``."""
+    path = getattr(cfg, key) if key in INPUTS else ""
+    path = path or os.path.join(cfg.out, _at(FILES[key], res), *inner)
     if not os.path.isfile(path):
-        raise ConfigError(f"config key '{key}': file not found: {path}")
+        raise ConfigError(f"{path}: {_at(key, res)} file not found")
     return path
 
 
-def _output(cfg: PipelineConfig, name: str) -> str:
-    """``<out>/<name>``, the output of an earlier stage, checked to exist."""
-    if not os.path.isfile(path := cfg.path(name)):
-        raise ConfigError(f"{path} not found: no earlier stage has written it")
-    return path
+def _outputs(cfg: PipelineConfig, stage: str) -> dict[str, str]:
+    """The path in ``--out`` of each key that ``stage`` writes, in declared
+    order; a ``{res}`` key gives one per resolution, resolution by resolution."""
+    writes = STAGE_FILES[stage][1]
+    each = cfg.resolution_list() if "{res}" in "".join(writes) else [0.0]
+    return {_at(key, res): cfg.path(_at(name, res)) for res in each for key, name in writes.items()}
 
 
 def _aligned(a: Raster, b: Raster, what: str) -> None:
@@ -256,11 +285,11 @@ def _gap_free(r: Raster, path: str, reader: str) -> Raster:
 
 
 def _read(cfg: PipelineConfig, *keys: str):
-    """Yield the raster ``<out>/<key>.glbr`` of each key in turn, each checked
-    to exist, to decode and to lie on the grid of the first one."""
+    """Yield the raster of each key in turn, each checked to exist, to decode
+    and to lie on the grid of the first one."""
     first = None
     for key in keys:
-        path = _output(cfg, f"{key}.glbr")
+        path = _file(cfg, key)
         r = read_raster(path)
         first = first or (path, r)
         _aligned(first[1], r, f"{first[0]} and {path}")
@@ -268,26 +297,26 @@ def _read(cfg: PipelineConfig, *keys: str):
 
 
 def _resampled(cfg: PipelineConfig, key: str, cell_size: float) -> Raster:
-    """The gap-free raster at config key ``key``, resampled to ``cell_size``
-    cells on a grid of at most ``MAX_GRID_CELLS``."""
-    path = _require_file(getattr(cfg, key), key)
+    """The gap-free raster of ``key``, resampled to ``cell_size`` cells on a
+    grid of at most ``MAX_GRID_CELLS``."""
+    path = _file(cfg, key)
     r = _gap_free(read_raster(path), path, "resampling")
     side = max(r.extent_x, r.extent_y) / cell_size
     _bounded_cells(side, f"bad fine_cell_size {cell_size!r} for {path}")
     return resample_cubic(r, cell_size)
 
 
-def _write(cfg: PipelineConfig, **rasters: Raster) -> dict[str, str]:
-    """Write each raster to ``<out>/<key>.glbr``, in order; the paths by key."""
+def _write(cfg: PipelineConfig, stage: str, **rasters: Raster) -> dict[str, str]:
+    """Write each raster to its key's file; the paths that ``stage`` writes, by key."""
     os.makedirs(cfg.out, exist_ok=True)
-    paths = {key: cfg.path(f"{key}.glbr") for key in rasters}
+    paths = _outputs(cfg, stage)
     for key, r in rasters.items():
         write_raster(r, paths[key])
     return paths
 
 
 def _mask_for(cfg: PipelineConfig, grid: Raster):
-    footprints = read_footprints(_require_file(cfg.footprints, "footprints"))
+    footprints = read_footprints(_file(cfg, "footprints"))
     return footprints, rasterize(footprints, grid)
 
 
@@ -327,13 +356,13 @@ def _synth_spec(cfg: PipelineConfig) -> synth.SyntheticCitySpec:
 
 
 def stage_synth(cfg: PipelineConfig) -> dict[str, str]:
-    return synth.write_scene(synth.generate_city(_synth_spec(cfg)), cfg.out)
+    return synth.write_scene(synth.generate_city(_synth_spec(cfg)), _outputs(cfg, "synth"))
 
 
 def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
-    """Grid the points on the fine grid of ``ndsm_resampled.glbr``, so that the
+    """Grid the points on the fine grid of ``ndsm_resampled``, so that the
     reference and the prediction share their cells; points off it are dropped."""
-    pc = read_points_csv(_require_file(cfg.points, "points"))
+    pc = read_points_csv(points := _file(cfg, "points"))
     (fine,) = _read(cfg, "ndsm_resampled")
     # The fine grid, for its geometry only: its values become a view of one
     # nodata, so its cells are freed before the gridding.  The DSM and DEM
@@ -344,32 +373,32 @@ def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
     del pc  # the fill needs the grids alone
     if not dem.valid_mask.any():
         raise FormatError(
-            f"{cfg.points}: no ground point on the grid of {cfg.path('ndsm_resampled.glbr')}"
+            f"{points}: no ground point on the grid of {_file(cfg, 'ndsm_resampled')}"
         )
-    return _write(cfg, dsm=dsm, dem=fill_voids_nearest(dem))
+    return _write(cfg, "rasterize-points", dsm=dsm, dem=fill_voids_nearest(dem))
 
 
 def stage_ndsm(cfg: PipelineConfig) -> dict[str, str]:
     dsm, dem = _read(cfg, "dsm", "dem")
-    return _write(cfg, ndsm_ref=height_above_ground(dsm, dem))
+    return _write(cfg, "ndsm", ndsm_ref=height_above_ground(dsm, dem))
 
 
 def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
     fine = _resampled(cfg, "coarse_ndsm", cfg.positive("fine_cell_size"))
-    return _write(cfg, ndsm_resampled=fine)
+    return _write(cfg, "resample", ndsm_resampled=fine)
 
 
 def _network_inputs(cfg: PipelineConfig):
     """The normalized predictor channels (nDSM, population and footprint mask),
     and the normalized reference with its params.  A nodata cell is a
     FormatError, since the network would read the nodata value as data; the
-    population, read after the rasters of ``--out``, is resampled to their grid."""
+    population, read after the fine rasters, is resampled to their grid."""
     keys = ("ndsm_resampled", "ndsm_ref")
-    ndsm_fine, ref = (_gap_free(r, cfg.path(f"{key}.glbr"), "the network")
+    ndsm_fine, ref = (_gap_free(r, _file(cfg, key), "the network")
                       for key, r in zip(keys, _read(cfg, *keys)))
     pop_fine = _resampled(cfg, "population", ndsm_fine.cell_size)
-    _aligned(ndsm_fine, pop_fine, f"{cfg.path('ndsm_resampled.glbr')} and {cfg.population} "
-             f"resampled to {ndsm_fine.cell_size:g} m")
+    _aligned(ndsm_fine, pop_fine, f"{_file(cfg, 'ndsm_resampled')} and "
+             f"{_file(cfg, 'population')} resampled to {ndsm_fine.cell_size:g} m")
     _, mask = _mask_for(cfg, ndsm_fine)
     built = mask.grid.with_values(mask.source_ids > 0)
     channels = [minmax_normalize(ndsm_fine)[0], minmax_normalize(pop_fine)[0], built]
@@ -389,9 +418,10 @@ def stage_train(cfg: PipelineConfig) -> dict[str, str]:
     dataset = [(t[..., :-1], t[..., -1]) for t in tiles]
     weights = network.init_weights(model_cfg)
     trained, history = network.train(weights, dataset, train_cfg)
-    network.write_weights(trained, cfg.path("weights.glbw"))
-    network.write_loss_history(history, cfg.path("loss_history.csv"))
-    return {"weights": cfg.path("weights.glbw"), "loss_history": cfg.path("loss_history.csv")}
+    outputs = _outputs(cfg, "train")
+    network.write_weights(trained, outputs["weights"])
+    network.write_loss_history(history, outputs["loss_history"])
+    return outputs
 
 
 PREDICTORS = ("baseline", "network")
@@ -404,12 +434,12 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, str]:
         pred = network.baseline_predict(ndsm_fine, mask)
     else:
         channels, (_, target_params) = _network_inputs(cfg)
-        path = _output(cfg, "weights.glbw")
+        path = _file(cfg, "weights")
         weights = network.read_weights(path)
         if (cin := weights.config.in_channels) != len(channels):
             raise FormatError(f"{path}: {cin} input channels; the pipeline gives {len(channels)}")
         pred = network.predict_city(weights, channels, target_params)
-    return _write(cfg, predicted_heights=pred)
+    return _write(cfg, "predict", predicted_heights=pred)
 
 
 def stage_lod1(cfg: PipelineConfig) -> dict[str, str]:
@@ -418,12 +448,9 @@ def stage_lod1(cfg: PipelineConfig) -> dict[str, str]:
     footprints, mask = _mask_for(cfg, pred)
     pred_buildings = lod1_mod.assign_heights(pred, mask, footprints, statistic)
     ref_buildings = lod1_mod.assign_heights(ref, mask, footprints, statistic)
-    lod1_mod.write_lod1(pred_buildings, cfg.path("lod1_pred.geojson"),
-                        (ref_buildings, cfg.path("lod1_ref.geojson")))
-    return {
-        "lod1_pred": cfg.path("lod1_pred.geojson"),
-        "lod1_ref": cfg.path("lod1_ref.geojson"),
-    }
+    outputs = _outputs(cfg, "lod1")
+    lod1_mod.write_lod1(pred_buildings, outputs["lod1_pred"], (ref_buildings, outputs["lod1_ref"]))
+    return outputs
 
 
 def _histogram_bins(cfg: PipelineConfig) -> tuple[dict[str, float], float]:
@@ -466,15 +493,15 @@ def _check_resolutions(cfg: PipelineConfig, cell_size: float, side: float, nbins
 
 
 def _checked_grid(cfg: PipelineConfig, nbins: float) -> Raster:
-    """The raster ``predicted_heights.glbr``, on whose grid every resolution of
+    """The raster ``predicted_heights``, on whose grid every resolution of
     ``cfg`` and its ``nbins``-bin histograms fit."""
     (pred,) = _read(cfg, "predicted_heights")
     _check_resolutions(cfg, pred.cell_size, max(pred.width, pred.height), nbins)
     return pred
 
 
-def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
-    """UCP grids of both LoD-1 sets, by kind (``pred``, ``ref``) and resolution.
+def _ucp_grids(cfg: PipelineConfig) -> list[ucp.UcpGrid]:
+    """UCP grids of both LoD-1 sets, ``pred`` then ``ref``, resolution by resolution.
 
     ``stage_lod1`` writes both sets from one footprint file, so the ``ref``
     set takes the ``pred`` set's footprints, built once, and one mask,
@@ -482,7 +509,7 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     """
     resolutions, directions = cfg.resolution_list(), cfg.direction_list()
     bins, nbins = _histogram_bins(cfg)
-    paths = [_output(cfg, f"lod1_{k}.geojson") for k in ("pred", "ref")]
+    paths = [_file(cfg, key) for key in ("lod1_pred", "lod1_ref")]
     pred = lod1_mod.read_lod1(paths[0])
     footprints = [b.footprint for b in pred]
     ref = lod1_mod.read_lod1(paths[1], footprints=footprints)
@@ -490,29 +517,19 @@ def _ucp_grids(cfg: PipelineConfig) -> dict[tuple[str, float], ucp.UcpGrid]:
     if not all(map(np.array_equal, *tables)):
         raise FormatError(f"{paths[1]}: footprints differ from {paths[0]}")
     mask = rasterize(footprints, _checked_grid(cfg, nbins))
-    return {
-        (kind, resolution): ucp.aggregate_all(
-            buildings,
-            mask,
-            resolution=resolution,
-            directions=directions,
-            **bins,
-        )
-        for kind, buildings in (("pred", pred), ("ref", ref))
+    return [
+        ucp.aggregate_all(buildings, mask, resolution=resolution, directions=directions, **bins)
         for resolution in resolutions
-    }
+        for buildings in (pred, ref)
+    ]
 
 
 def stage_ucp(cfg: PipelineConfig) -> dict[str, str]:
     grids = _ucp_grids(cfg)
-    outputs = {}
-    for resolution in cfg.resolution_list():
-        for kind in ("pred", "ref"):
-            grid = grids[kind, resolution]
-            out_dir = cfg.path(f"ucp_{kind}_{resolution:g}m")
-            ucp.export_rasters(grid, out_dir)
-            ucp.export_csv(grid, os.path.join(out_dir, "ucp_table.csv"))
-            outputs[f"ucp_{kind}_{resolution:g}m"] = out_dir
+    outputs = _outputs(cfg, "ucp")
+    for grid, out_dir in zip(grids, outputs.values(), strict=True):
+        ucp.export_rasters(grid, out_dir)
+        ucp.export_csv(grid, os.path.join(out_dir, UCP_TABLE))
     return outputs
 
 
@@ -521,18 +538,18 @@ def stage_validate(cfg: PipelineConfig) -> dict[str, str]:
     their tables."""
     min_reference = cfg.positive("min_reference")  # a MAPE floor of 0 divides by 0
     grid = _checked_grid(cfg, _histogram_bins(cfg)[1])
-    pairs = {}  # every table is read and checked before any output is written
+    pairs = []  # every table is read and checked before any output is written
     for resolution in cfg.resolution_list():
         geom = ucp.raster_grid(grid, resolution)
-        names = [f"ucp_{kind}_{resolution:g}m" for kind in ("pred", "ref")]
-        paths = [_output(cfg, os.path.join(n, "ucp_table.csv")) for n in names]
+        paths = [_file(cfg, key, resolution, UCP_TABLE) for key in STAGE_FILES["ucp"][1]]
         pred, ref = (ucp.read_csv(path, geom) for path in paths)
         if (pred.nbins, list(pred.lambda_f)) != (ref.nbins, list(ref.lambda_f)):
             raise FormatError(f"{paths[1]}: columns differ from {paths[0]}")
-        pairs[f"validation_{resolution:g}m"] = pred, ref
-    for name, (pred, ref) in pairs.items():
-        validation.export_comparison(pred, ref, cfg.path(name), min_reference=min_reference)
-    return {name: cfg.path(name) for name in pairs}
+        pairs.append((pred, ref))
+    outputs = _outputs(cfg, "validate")
+    for (pred, ref), out_dir in zip(pairs, outputs.values(), strict=True):
+        validation.export_comparison(pred, ref, out_dir, min_reference=min_reference)
+    return outputs
 
 
 def stage_report(cfg: PipelineConfig) -> dict[str, str]:
@@ -542,20 +559,18 @@ def stage_report(cfg: PipelineConfig) -> dict[str, str]:
     lines.append(f"seed: {cfg.seed}")
     lines.append("")
     for resolution in cfg.resolution_list():
-        metrics_path = cfg.path(f"validation_{resolution:g}m/metrics.csv")
         lines.append(f"resolution {resolution:g} m:")
-        if os.path.exists(metrics_path):
-            with open(metrics_path) as f:
-                for line in f:
-                    lines.append("  " + line.rstrip())
-        else:
+        try:
+            with open(_file(cfg, "validation_{res}m", resolution, validation.METRICS)) as f:
+                lines += ["  " + line.rstrip() for line in f]
+        except ConfigError:
             lines.append("  (no validation output)")
         lines.append("")
-    report_path = cfg.path("report.txt")
+    outputs = _outputs(cfg, "report")
     os.makedirs(cfg.out, exist_ok=True)
-    with open(report_path, "w") as f:
+    with open(outputs["report"], "w") as f:
         f.write("\n".join(lines) + "\n")
-    return {"report": report_path}
+    return outputs
 
 
 STAGES = {
@@ -589,7 +604,7 @@ def _check_run_grids(cfg: PipelineConfig) -> None:
 
 
 def run_all(cfg: PipelineConfig) -> dict[str, str]:
-    """Run the full pipeline in stage order; synth inputs feed later stages.
+    """Run the full pipeline in stage order; later stages read synth's inputs.
 
     It first calls ``reuse_freed_memory``, so each stage reuses the memory
     the one before it freed; the process keeps that policy after it returns."""
@@ -597,6 +612,9 @@ def run_all(cfg: PipelineConfig) -> dict[str, str]:
     outputs: dict[str, str] = {}
     stages = list(RUN_ORDER)
     # Reject bad run values before any stage runs; each stage checks its own again.
+    for key in INPUTS:
+        if getattr(cfg, key):
+            raise ConfigError(f"config key '{key}' is set, but a run reads the {key} synth writes")
     _check_run_grids(cfg)
     cfg.direction_list(), cfg.positive("min_reference")
     cfg.one_of("statistic", lod1_mod.STATISTICS)
@@ -604,8 +622,5 @@ def run_all(cfg: PipelineConfig) -> dict[str, str]:
         _network_configs(cfg)
         stages.insert(stages.index("predict"), "train")
     for name in stages:
-        result = STAGES[name](cfg)
-        if name == "synth":
-            cfg = replace(cfg, **result)
-        outputs.update(result)
+        outputs.update(STAGES[name](cfg))
     return outputs

@@ -220,11 +220,6 @@ def height_above_ground(dsm: Raster, dem: Raster) -> Raster:
 # -- Point I/O ---------------------------------------------------------------
 
 
-def write_points_glbp(pc: PointCloud, path) -> None:
-    """Write GLBP, each coordinate the double it is in ``pc``."""
-    write_glbp_pieces(path, len(pc), [(0, pc)])
-
-
 def write_glbp_pieces(path, n: int, pieces: Iterable[tuple[int, PointCloud]]) -> None:
     """Write an ``n``-point GLBP from ``(start, points)`` pieces, each of the
     points from index ``start`` on, that together hold each point once.

@@ -251,16 +251,13 @@ def generate_city(spec: SyntheticCitySpec) -> SynthScene:
     )
 
 
-def write_scene(scene: SynthScene, out_dir) -> dict[str, str]:
-    """Write the scene as pipeline input files; byte-identical per seed.  The
-    truth stays in memory: no stage reads it."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "footprints": os.path.join(out_dir, "footprints.geojson"),
-        "points": os.path.join(out_dir, "points.glbp"),
-        "coarse_ndsm": os.path.join(out_dir, "coarse_ndsm.glbr"),
-        "population": os.path.join(out_dir, "population.glbr"),
-    }
+def write_scene(scene: SynthScene, paths: dict[str, str]) -> dict[str, str]:
+    """Write the scene as pipeline input files at ``paths``, by key
+    (``footprints``, ``points``, ``coarse_ndsm``, ``population``), creating
+    their directories; byte-identical per seed.  The truth stays in memory:
+    no stage reads it.  Returns ``paths``."""
+    for path in paths.values():
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     write_footprints(scene.footprints, paths["footprints"])
     write_glbp_pieces(paths["points"], scene.n_points, scene.point_pieces())
     write_raster(scene.coarse_ndsm, paths["coarse_ndsm"])

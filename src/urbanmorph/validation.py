@@ -13,6 +13,7 @@ from .ucp import UcpGrid
 
 DEFAULT_MIN_REFERENCE = 1.0
 COMPARED_FIELDS = ("mean", "std", "lambda_p", "lambda_b")
+METRICS = "metrics.csv"  # the metrics table in an ``export_comparison`` directory
 
 
 @dataclass
@@ -101,7 +102,7 @@ def export_comparison(
     """Write scatter CSVs per field, a per-cell histogram comparison, and a
     metrics table.  Emits data only; plotting is left to external tools."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as metrics:
+    with open(os.path.join(out_dir, METRICS), "w") as metrics:
         metrics.write("field,n,rmse,mape,excluded\n")
         for fname in COMPARED_FIELDS:
             series = pair_grids(pred, ref, fname)

@@ -21,11 +21,12 @@ from urbanmorph.lod1 import Lod1Building, assign_heights, read_lod1
 from urbanmorph.network import (
     ModelConfig,
     TrainConfig,
+    Weights,
     init_weights,
     loss_and_gradient,
     train,
 )
-from urbanmorph.pipeline import PipelineConfig, run_all
+from urbanmorph.pipeline import run_all
 from urbanmorph.raster import (
     Raster,
     denormalize,
@@ -230,17 +231,17 @@ def test_criterion_3_gradient_correctness():
             # Jitter every parameter (biases included) so no pre-activation
             # sits exactly on a ReLU kink, where the one-sided derivative
             # and the central difference legitimately disagree.
-            w = w.from_flat(w.to_flat() + rng.uniform(0.01, 0.05, w.to_flat().size))
+            w = Weights(w.config, w.flat + rng.uniform(0.01, 0.05, w.flat.size))
             x = rng.uniform(-1, 1, (8, 8, cfg.in_channels))
             target = rng.uniform(0, 1, (8, 8))
             _, grad = loss_and_gradient(w, x, target)
-            flat = w.to_flat()
+            flat = w.flat.copy()
             for i in range(flat.size):
                 up, down = flat.copy(), flat.copy()
                 up[i] += eps
                 down[i] -= eps
-                lp, _ = loss_and_gradient(w.from_flat(up), x, target)
-                lm, _ = loss_and_gradient(w.from_flat(down), x, target)
+                lp, _ = loss_and_gradient(Weights(w.config, up), x, target)
+                lm, _ = loss_and_gradient(Weights(w.config, down), x, target)
                 fd = (lp - lm) / (2 * eps)
                 scale = max(abs(fd), abs(grad[i]))
                 if scale < 1e-10:
@@ -290,33 +291,18 @@ def test_criterion_4_overfit_sanity():
 
         # Deterministic per seed: a second run reproduces the weights bit-exact.
         trained2, history2 = train(init_weights(cfg), [(tile, target)], train_cfg)
-        np.testing.assert_array_equal(trained.to_flat(), trained2.to_flat())
+        np.testing.assert_array_equal(trained.flat, trained2.flat)
         assert history == history2
         elapsed = time.perf_counter() - t0
         assert elapsed < 300.0, f"criterion 4 took {elapsed:.1f} s (limit 5 min)"
 
 
 @pytest.fixture(scope="module")
-def benchmark_run(tmp_path_factory):
+def benchmark_run(tmp_path_factory, criterion5):
     """Seed-fixed 2 km synthetic city through the full baseline pipeline."""
     out = str(tmp_path_factory.mktemp("bench"))
-    cfg = PipelineConfig(
-        out=out,
-        extent=2000.0,
-        n_buildings=150,
-        footprint_min=90.0,
-        footprint_max=120.0,
-        height_min=3.0,
-        height_max=60.0,
-        coarse_factor=30,
-        noise_sigma=2.0,
-        snap_to_coarse=True,
-        seed=42,
-        resolutions="300",
-        predictor="baseline",
-    )
     t0 = time.perf_counter()
-    run_all(cfg)
+    run_all(criterion5(out))
     return out, time.perf_counter() - t0
 
 

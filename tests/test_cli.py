@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import hashlib
 import json
 import os
@@ -28,7 +29,7 @@ from urbanmorph.pipeline import (
     run_all,
 )
 from urbanmorph.errors import ConfigError
-from urbanmorph.pointcloud import PointCloud, read_points_csv, write_points_glbp
+from urbanmorph.pointcloud import PointCloud, read_points_csv, write_glbp_pieces
 from urbanmorph.raster import Raster, minmax_normalize, read_raster, write_raster
 
 SMALL_CONFIG = """\
@@ -449,7 +450,7 @@ class TestNetworkStageInputs:
                      "--base-filters", "2", "--epochs", "1", *flags])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"ERROR stage={stage}: config key 'population' is not set\n")
+            f"ERROR stage={stage}: {tmp_path / 'population.glbr'}: population file not found\n")
         assert tree_digest(tmp_path) == before
 
     def test_population_with_nodata_cell_exit_2(self, run_dir, tmp_path, capsys):
@@ -549,7 +550,7 @@ class TestErrorHandling:
         code = main(["--out", str(tmp_path / "o"), "rasterize-points", "--points", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == f"ERROR stage=rasterize-points: config key 'points': file not found: {tmp_path}\n"
+        assert err == f"ERROR stage=rasterize-points: {tmp_path}: points file not found\n"
 
     def test_line_break_in_value_stays_one_line(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "o"), "report", "--resolutions=1\r\n2"])
@@ -686,7 +687,8 @@ class TestErrorHandling:
         code = main(["--out", str(tmp_path / "o"), "rasterize-points"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "ERROR stage=rasterize-points: config key 'points' is not set\n")
+            f"ERROR stage=rasterize-points: {tmp_path / 'o' / 'points.glbp'}: "
+            "points file not found\n")
 
     def test_unplaceable_building_exit_1(self, tmp_path, capsys):
         # Four 100 m slots, and every draw is wider than 100 m.
@@ -747,7 +749,7 @@ class TestPointFormats:
         cloud.zs[np.argmax(labels == 0)] = 1e39  # after PointCloud's own check
         points = tmp_path / f"points.{kind}"
         if kind == "glbp":
-            write_points_glbp(cloud, points)
+            write_glbp_pieces(points, len(cloud), [(0, cloud)])
         else:
             write_csv(points, labels, xs, ys, cloud.zs)
         shutil.copy(run_dir / "ndsm_resampled.glbr", tmp_path)
@@ -795,6 +797,69 @@ class TestStagewiseEqualsRun:
                       "lod1", "ucp", "validate", "report"]:
             assert main(base + [stage] + inputs) == 0, stage
         assert tree_digest(out_a) == tree_digest(out_b)
+
+    def test_stage_by_stage_without_input_flags_matches_run(self, run_dir, tmp_path):
+        # Each later stage finds synth's files in --out by their keys.
+        base = ["--config", write_config(tmp_path), "--out", str(tmp_path / "b")]
+        for stage in pipeline.RUN_ORDER:
+            assert main(base + [stage]) == 0, stage
+        assert tree_digest(tmp_path / "b") == tree_digest(run_dir)
+
+    @pytest.mark.parametrize("key", pipeline.INPUTS)
+    def test_run_with_an_input_key_set_exit_2(self, run_dir, tmp_path, capsys, key):
+        out = tmp_path / "o"
+        path = run_dir / pipeline.FILES[key]
+        code = main(["--out", str(out), "run", *TINY_RUN, f"--{key.replace('_', '-')}", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"ERROR stage=run: config key '{key}' is set, but a run reads the {key} synth writes\n")
+        assert not out.exists()
+
+
+def tree_files(root):
+    """The path of every file under ``root``, relative to it."""
+    return {os.path.relpath(os.path.join(d, name), root)
+            for d, _, names in os.walk(root) for name in names}
+
+
+def declared_names(cfg, keys):
+    """The names in --out of the files of ``keys``, one per resolution for a
+    ``{res}`` key."""
+    return {pipeline.FILES[key].format(res=f"{res:g}")
+            for key in keys for res in cfg.resolution_list()}
+
+
+class TestDeclaredStageFiles:
+    @pytest.mark.parametrize("predictor", pipeline.PREDICTORS)
+    def test_each_stage_touches_only_its_declared_files(self, tmp_path, monkeypatch, predictor):
+        # Two resolutions, so that each {res} key has two files.
+        cfg = build_config(parse_config_file(write_config(tmp_path)), {
+            "out": str(tmp_path / "out"), "resolutions": "50,100", "predictor": predictor,
+            "epochs": 1, "depth": 1, "base_filters": 2})
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, mode="r", *args, **kwargs):
+            opened.append((os.path.relpath(file, cfg.out).split(os.sep)[0], mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        stages = list(pipeline.STAGES)
+        if predictor == "baseline":
+            stages.remove("train")
+        for stage in stages:
+            before = tree_files(cfg.out)
+            opened.clear()
+            outputs = pipeline.STAGES[stage](cfg)
+            reads, writes = pipeline.STAGE_FILES[stage]
+            if isinstance(reads, dict):
+                reads = reads[predictor]
+            created = {p.split(os.sep)[0] for p in tree_files(cfg.out) - before}
+            assert {name for name, mode in opened if mode in ("r", "rb")} == (
+                declared_names(cfg, reads)), stage
+            assert {name for name, mode in opened if mode not in ("r", "rb")} == created, stage
+            assert created == declared_names(cfg, writes), stage
+            assert {os.path.basename(p) for p in outputs.values()} == created, stage
 
 
 # mallopt parameters, as glibc's <malloc.h> numbers them.

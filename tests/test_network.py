@@ -69,7 +69,7 @@ def per_layer_glbw(w):
     cfg = w.config
     parts = [struct.pack("<4sHiiiiq", b"GLBW", 1, cfg.depth, cfg.base_filters,
                          cfg.kernel_size, cfg.in_channels, cfg.seed)]
-    for name in w.layer_names():
+    for name, *_ in layer_specs(w.config):
         parts.append(w.kernels[name].astype("<f4").tobytes())
         parts.append(w.biases[name].astype("<f4").tobytes())
     return b"".join(parts)
@@ -301,15 +301,15 @@ class TestConfig:
 
 class TestInit:
     def test_deterministic_per_seed(self):
-        a = init_weights(tiny_cfg()).to_flat()
-        b = init_weights(tiny_cfg()).to_flat()
+        a = init_weights(tiny_cfg()).flat
+        b = init_weights(tiny_cfg()).flat
         np.testing.assert_array_equal(a, b)
-        c = init_weights(tiny_cfg(seed=8)).to_flat()
+        c = init_weights(tiny_cfg(seed=8)).flat
         assert not np.array_equal(a, c)
 
     def test_biases_zero(self):
         w = init_weights(tiny_cfg())
-        for name in w.layer_names():
+        for name, *_ in layer_specs(w.config):
             np.testing.assert_array_equal(w.biases[name], 0.0)
 
     def test_parameter_count_closed_form(self):
@@ -323,7 +323,7 @@ class TestInit:
             + (1152 + 8) + (1152 + 8) + (288 + 4) + (288 + 4) + (4 + 1)
         )
         assert parameter_count(cfg) == expect
-        assert init_weights(cfg).to_flat().size == expect
+        assert init_weights(cfg).flat.size == expect
 
     def test_layer_order(self):
         names = [s[0] for s in layer_specs(ModelConfig(depth=2))]
@@ -534,15 +534,15 @@ class TestGradient:
         x = rng.uniform(-1, 1, (8, 8, 2))
         target = rng.uniform(0, 1, (8, 8))
         loss0, grad = loss_and_gradient(w, x, target)
-        flat = w.to_flat()
+        flat = w.flat.copy()
         eps = 1e-6
         picks = rng.choice(flat.size, size=60, replace=False)
         for i in picks:
             up, down = flat.copy(), flat.copy()
             up[i] += eps
             down[i] -= eps
-            lp, _ = loss_and_gradient(w.from_flat(up), x, target)
-            lm, _ = loss_and_gradient(w.from_flat(down), x, target)
+            lp, _ = loss_and_gradient(Weights(w.config, up), x, target)
+            lm, _ = loss_and_gradient(Weights(w.config, down), x, target)
             fd = (lp - lm) / (2 * eps)
             scale = max(abs(fd), abs(grad[i]), 1e-8)
             assert abs(fd - grad[i]) / scale < 1e-4, f"param {i}: {fd} vs {grad[i]}"
@@ -640,7 +640,7 @@ def oracle_cases(draw):
     h, w = (2**depth * draw(st.integers(1, 3)) for _ in range(2))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     weights = init_weights(cfg)
-    for name in weights.layer_names():
+    for name, *_ in layer_specs(weights.config):
         weights.biases[name][...] = draw(st.sampled_from([0.0, 0.25, -0.25]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     shape = (h, w, cfg.in_channels)
@@ -707,12 +707,12 @@ class TestBufferReuse:
         shapes = [(8, 8), (16, 8), (8, 8), (16, 8)]
         data = [(rng.uniform(0, 1, (*s, 2)), rng.uniform(0, 1, s)) for s in shapes]
         w = init_weights(tiny_cfg(depth=2, base_filters=3))
-        flat, expect_history = w.to_flat(), []
+        flat, expect_history = w.flat.copy(), []
         for _ in range(3):
             losses = []
             for x, target in data:
                 loss, grad = oracle_loss_and_gradient(
-                    w.from_flat(flat).astype(np.float32), x, target)
+                    Weights(w.config, flat).astype(np.float32), x, target)
                 losses.append(loss)
                 flat -= 0.05 * grad
             expect_history.append(float(np.mean(losses)))
@@ -735,7 +735,7 @@ class TestBufferReuse:
         rng = np.random.default_rng(12)
         cfg = tiny_cfg(depth=2, in_channels=2)
         w = init_weights(cfg)
-        for name in w.layer_names():
+        for name, *_ in layer_specs(w.config):
             w.biases[name][...] = 0.1
         chans = [make_raster(rng.uniform(0, 1, (300, 280))) for _ in range(2)]
         params = NormalizationParams(0.0, 50.0)
@@ -793,7 +793,7 @@ class TestTrain:
         w = init_weights(tiny_cfg())
         x = rng.uniform(0, 1, (8, 8, 2))
         trained, _ = train(w, [(x, np.ones((8, 8)))], TrainConfig(learning_rate=0.0, epochs=3))
-        np.testing.assert_array_equal(trained.to_flat(), w.to_flat())
+        np.testing.assert_array_equal(trained.flat, w.flat)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -801,7 +801,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, epochs=4)
         a, ha = train(init_weights(tiny_cfg()), data, cfg)
         b, hb = train(init_weights(tiny_cfg()), data, cfg)
-        np.testing.assert_array_equal(a.to_flat(), b.to_flat())
+        np.testing.assert_array_equal(a.flat, b.flat)
         assert ha == hb
 
     @pytest.mark.parametrize("lr, sample", [(1e200, 0), (3e38, 1)])
@@ -846,11 +846,12 @@ class TestTrain:
         rng = np.random.default_rng(9)
         data = [(rng.uniform(0, 1, (8, 8, 2)), rng.uniform(0, 1, (8, 8))) for _ in range(3)]
         w = init_weights(tiny_cfg())
-        flat, expect_history = w.to_flat(), []
+        flat, expect_history = w.flat.copy(), []
         for _ in range(3):
             losses = []
             for x, target in data:
-                loss, grad = loss_and_gradient(w.from_flat(flat).astype(np.float32), x, target)
+                loss, grad = loss_and_gradient(
+                    Weights(w.config, flat).astype(np.float32), x, target)
                 losses.append(loss)
                 flat = flat - 0.05 * grad
             expect_history.append(float(np.mean(losses)))
@@ -862,7 +863,7 @@ class TestTrain:
     def test_caller_weights_unchanged(self, dtype):
         x = np.random.default_rng(5).uniform(0, 1, (8, 8, 2))
         w = init_weights(tiny_cfg(seed=1)).astype(dtype)
-        before = w.to_flat()
+        before = w.flat.copy()
         data = [(x, 0.8 * x[..., 0] + 0.3 * x[..., 1])]
         trained, _ = train(w, data, TrainConfig(learning_rate=0.1, epochs=2))
         assert w.flat.dtype == dtype and trained.flat.dtype == np.float64
@@ -873,16 +874,16 @@ class TestTrain:
 class TestFlatRoundTrip:
     def test_round_trip(self):
         w = init_weights(ModelConfig(depth=2, base_filters=3, in_channels=4, seed=2))
-        flat = w.to_flat()
-        back = w.from_flat(flat)
-        for name in w.layer_names():
+        flat = w.flat.copy()
+        back = Weights(w.config, flat)
+        for name, *_ in layer_specs(w.config):
             np.testing.assert_array_equal(back.kernels[name], w.kernels[name])
             np.testing.assert_array_equal(back.biases[name], w.biases[name])
 
     def test_wrong_length(self):
         w = init_weights(tiny_cfg())
         with pytest.raises(ShapeError):
-            w.from_flat(np.zeros(3))
+            Weights(w.config, np.zeros(3))
 
 
 class TestFlatLayout:
@@ -892,17 +893,15 @@ class TestFlatLayout:
         w.biases["head"][0] = -3.0
         assert w.flat[0] == 5.0 and w.flat[-1] == -3.0
         w.flat[:] = 0.0
-        for name in w.layer_names():
+        for name, *_ in layer_specs(w.config):
             np.testing.assert_array_equal(w.kernels[name], 0.0)
             np.testing.assert_array_equal(w.biases[name], 0.0)
 
     def test_copies_do_not_alias(self):
+        # ``astype`` copies, even to the dtype the weights already have.
         w = init_weights(tiny_cfg())
-        flat = w.to_flat()
-        back = w.from_flat(flat)
-        for copy in (flat, back.flat, w.astype(np.float64).flat):
-            assert not np.shares_memory(copy, w.flat)
-        assert not np.shares_memory(back.flat, flat)
+        assert not np.shares_memory(w.astype(np.float64).flat, w.flat)
+
 
 class TestWeightsIO:
     def test_round_trip(self, tmp_path):
@@ -912,14 +911,14 @@ class TestWeightsIO:
         back = read_weights(path)
         assert back.config == w.config
         np.testing.assert_allclose(
-            back.to_flat(), w.to_flat().astype(np.float32), rtol=0, atol=0
+            back.flat, w.flat.astype(np.float32), rtol=0, atol=0
         )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bytes_match_per_layer_layout(self, tmp_path, dtype):
         rng = np.random.default_rng(4)
         cfg = ModelConfig(depth=2, base_filters=3, in_channels=2, seed=5)
-        w = init_weights(cfg).from_flat(rng.standard_normal(parameter_count(cfg)))
+        w = Weights(cfg, rng.standard_normal(parameter_count(cfg)))
         path = tmp_path / "w.glbw"
         write_weights(w.astype(dtype), path)
         assert path.read_bytes() == per_layer_glbw(w.astype(dtype))
@@ -980,7 +979,7 @@ class TestWeightsIO:
 class TestPredictCity:
     def test_zero_weights_give_min_value(self):
         cfg = tiny_cfg(in_channels=2)
-        w = init_weights(cfg).from_flat(np.zeros(parameter_count(cfg)))
+        w = Weights(cfg, np.zeros(parameter_count(cfg)))
         chans = [make_raster(np.random.default_rng(0).uniform(0, 1, (300, 280)))
                  for _ in range(2)]
         out = predict_city(w, chans, NormalizationParams(0.0, 50.0))
@@ -990,7 +989,7 @@ class TestPredictCity:
     def test_denormalization_applied(self):
         # Head bias alone sets a constant normalized output of 0.5.
         cfg = tiny_cfg(in_channels=1)
-        w = init_weights(cfg).from_flat(np.zeros(parameter_count(cfg)))
+        w = Weights(cfg, np.zeros(parameter_count(cfg)))
         w.biases["head"][0] = 0.5
         out = predict_city(w, [make_raster(np.zeros((256, 256)))],
                            NormalizationParams(0.0, 60.0))

@@ -1,7 +1,6 @@
 import os
 import time
 import tracemalloc
-from dataclasses import replace
 from math import isqrt
 from unittest.mock import patch
 
@@ -24,7 +23,6 @@ from urbanmorph.pointcloud import (
     height_above_ground,
     read_points_csv,
     write_glbp_pieces,
-    write_points_glbp,
 )
 from urbanmorph.pipeline import STAGES, PipelineConfig, _synth_spec, stage_rasterize_points
 from urbanmorph.raster import Raster, clamp_nonnegative, read_raster, write_raster
@@ -395,26 +393,18 @@ class TestRasterizePointsStage:
 
 
 @pytest.fixture(scope="module")
-def reference_path_peaks(tmp_path_factory):
+def reference_path_peaks(tmp_path_factory, criterion5):
     """The tracemalloc peak of each reference-path stage from ``synth`` to
-    ``lod1`` on the criterion-5 recipe at 720 m: 19 buildings of 90-120 m
-    snapped to the 30 m coarse grid, noise 2 m, seed 1."""
-    cfg = PipelineConfig(
-        out=str(tmp_path_factory.mktemp("city")), extent=720.0, n_buildings=19,
-        footprint_min=90.0, footprint_max=120.0, height_min=3.0, height_max=60.0,
-        coarse_factor=30, noise_sigma=2.0, snap_to_coarse=True, seed=1,
-    )
+    ``lod1`` on the criterion-5 recipe at 720 m (19 buildings), seed 1."""
+    cfg = criterion5(tmp_path_factory.mktemp("city"), extent=720.0, seed=1)
     peaks = {}
     for name in ("synth", "resample", "rasterize-points", "ndsm", "predict", "lod1"):
         tracemalloc.start()
         try:
-            outputs = STAGES[name](cfg)
+            STAGES[name](cfg)
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if name == "synth":
-            cfg = replace(cfg, points=outputs["points"], footprints=outputs["footprints"],
-                          coarse_ndsm=outputs["coarse_ndsm"], population=outputs["population"])
     return peaks
 
 
@@ -440,7 +430,7 @@ class TestReferencePathMemory:
 
 class TestReferenceChainRecoversTruth:
     @pytest.mark.parametrize("slope", [0.0, 0.02, -0.05])
-    def test_ndsm_ref_is_truth(self, tmp_path, slope):
+    def test_ndsm_ref_is_truth(self, tmp_path, criterion5, slope):
         # The 720 m recipe of ``reference_path_peaks`` on a ramp.  Each cell
         # holds one point, so its DSM is float32(terrain + height) and a
         # ground cell's DEM float32(terrain); a cell under a building takes
@@ -449,15 +439,8 @@ class TestReferenceChainRecoversTruth:
         # (DSM, DEM, their difference and the truth) of half a spacing each
         # at the peak elevation, and the float64 terrain, the nDSM is the
         # truth within that.
-        cfg = PipelineConfig(
-            out=str(tmp_path), extent=720.0, n_buildings=19, footprint_min=90.0,
-            footprint_max=120.0, height_min=3.0, height_max=60.0, coarse_factor=30,
-            noise_sigma=2.0, snap_to_coarse=True, seed=1, terrain_slope=slope,
-        )
-        outputs = STAGES["synth"](cfg)
-        cfg = replace(cfg, points=outputs["points"], coarse_ndsm=outputs["coarse_ndsm"],
-                      population=outputs["population"])
-        for name in ("resample", "rasterize-points", "ndsm"):
+        cfg = criterion5(tmp_path, extent=720.0, seed=1, terrain_slope=slope)
+        for name in ("synth", "resample", "rasterize-points", "ndsm"):
             outputs = STAGES[name](cfg)
         ndsm = read_raster(outputs["ndsm_ref"])
         spec = _synth_spec(cfg)
@@ -852,7 +835,7 @@ class TestGlbp:
     def test_glbp_and_csv_read_back_bit_identical(self, tmp_path, n):
         pc = awkward_cloud(n)
         (tmp_path / "pts.csv").write_text(csv_text(pc))
-        write_points_glbp(pc, tmp_path / "pts.glbp")
+        write_glbp_pieces(tmp_path / "pts.glbp", len(pc), [(0, pc)])
         for back in (read_points_csv(tmp_path / "pts.glbp"), read_points_csv(tmp_path / "pts.csv")):
             labels, *xyz = next(back.blocks(len(back)))
             for got, want in zip(xyz, (pc.xs, pc.ys, pc.zs)):
@@ -862,14 +845,14 @@ class TestGlbp:
 
     def test_layout(self, tmp_path):
         pc = cloud([(1.0, 2.0, 3.0, Label.BUILDING), (4.0, 5.0, 6.0, Label.OTHER)])
-        write_points_glbp(pc, tmp_path / "pts.glbp")
+        write_glbp_pieces(tmp_path / "pts.glbp", len(pc), [(0, pc)])
         raw = (tmp_path / "pts.glbp").read_bytes()
         assert raw[:14] == b"GLBP" + (1).to_bytes(2, "little") + (2).to_bytes(8, "little")
         assert raw[14:62] == np.array([1.0, 4.0, 2.0, 5.0, 3.0, 6.0], "<f8").tobytes()
         assert raw[62:] == bytes([1, 2])
 
     def test_empty_cloud_round_trips(self, tmp_path):
-        write_points_glbp(PointCloud(xs=[], ys=[], zs=[], labels=[]), tmp_path / "e.glbp")
+        write_glbp_pieces(tmp_path / "e.glbp", 0, [(0, PointCloud(xs=[], ys=[], zs=[], labels=[]))])
         assert (tmp_path / "e.glbp").stat().st_size == 14
         back = read_points_csv(tmp_path / "e.glbp")
         assert len(back) == 0
@@ -890,7 +873,7 @@ class TestGlbp:
                   for a, b in zip(bounds, bounds[1:])]
         shuffled = [pieces[i] for i in rng.permutation(len(pieces))]
         write_glbp_pieces(glbp_dir / "pieces.glbp", n, shuffled)
-        write_points_glbp(pc, glbp_dir / "whole.glbp")
+        write_glbp_pieces(glbp_dir / "whole.glbp", len(pc), [(0, pc)])
         assert (glbp_dir / "pieces.glbp").read_bytes() == (glbp_dir / "whole.glbp").read_bytes()
         with patch.object(pointcloud, "_BLOCK", block):
             points = read_points_csv(glbp_dir / "pieces.glbp")
@@ -908,7 +891,7 @@ class TestWholeRead:
     @staticmethod
     def points(tmp_path, kind, pc):
         """``pc`` itself, or read back from its GLBP file."""
-        write_points_glbp(pc, tmp_path / "p.glbp")
+        write_glbp_pieces(tmp_path / "p.glbp", len(pc), [(0, pc)])
         return pc if kind == "memory" else read_points_csv(tmp_path / "p.glbp")
 
     @pytest.mark.parametrize("n", [0, 1, 5])
@@ -939,7 +922,7 @@ class TestElevationBound:
         pc = cloud([(0.5, 0.5, -top, Label.GROUND), (0.5, 0.5, -top, Label.GROUND),
                     (0.5, 0.5, top, Label.BUILDING), (0.5, 0.5, top, Label.BUILDING)])
         (tmp_path / "p.csv").write_text(csv_text(pc))
-        write_points_glbp(pc, tmp_path / "p.glbp")
+        write_glbp_pieces(tmp_path / "p.glbp", len(pc), [(0, pc)])
         for name in ("p.csv", "p.glbp"):
             dem, dsm = grid_elevation(read_points_csv(tmp_path / name), template(1, 1))
             assert (dem.values[0, 0], dsm.values[0, 0]) == (np.float32(-top), np.float32(top))
@@ -949,7 +932,7 @@ class TestElevationBound:
     def test_glbp_counts_elevations_across_blocks(self, tmp_path, z):
         pc = awkward_cloud(10)
         pc.zs[0] = pc.zs[-1] = z
-        write_points_glbp(pc, tmp_path / "p.glbp")
+        write_glbp_pieces(tmp_path / "p.glbp", len(pc), [(0, pc)])
         with patch.object(pointcloud, "_BLOCK", 4), pytest.raises(
                 FormatError, match=r"p\.glbp: 2 elevations out of range \(\|z\| > 1\.70141e\+38\)$"):
             read_points_csv(tmp_path / "p.glbp")
@@ -966,7 +949,7 @@ class TestElevationBound:
     def test_glbp_non_finite_wins(self, tmp_path):
         pc = awkward_cloud(10)
         pc.zs[0], pc.ys[5] = 1e39, np.nan
-        write_points_glbp(pc, tmp_path / "p.glbp")
+        write_glbp_pieces(tmp_path / "p.glbp", len(pc), [(0, pc)])
         with pytest.raises(FormatError, match=r"p\.glbp: 1 non-finite coordinates$"):
             read_points_csv(tmp_path / "p.glbp")
 
@@ -1010,7 +993,7 @@ class TestStreamedGlbp:
         pc = PointCloud(xs=rng.uniform(-0.5, 2.5, n), ys=rng.uniform(-0.25, 1.25, n), zs=zs,
                         labels=rng.integers(0, 3, n).astype(np.int8))
         path = glbp_dir / "pts.glbp"
-        write_points_glbp(pc, path)
+        write_glbp_pieces(path, len(pc), [(0, pc)])
         t = template(2, 1)
         with patch.object(pointcloud, "_BLOCK", block):
             points = read_points_csv(path)
@@ -1035,7 +1018,8 @@ class TestStreamedGlbp:
 
     def test_file_truncated_after_read_fails_gridding(self, tmp_path):
         path = tmp_path / "p.glbp"
-        write_points_glbp(awkward_cloud(20), path)
+        pc = awkward_cloud(20)
+        write_glbp_pieces(path, len(pc), [(0, pc)])
         points = read_points_csv(path)
         os.truncate(path, 100)
         with pytest.raises(FormatError,
@@ -1045,8 +1029,9 @@ class TestStreamedGlbp:
     def test_read_holds_a_fraction_of_the_file(self, tmp_path):
         n = 300_000
         path = tmp_path / "p.glbp"
-        write_points_glbp(PointCloud(xs=np.arange(n) % 997.0, ys=np.zeros(n), zs=np.ones(n),
-                                     labels=np.arange(n) % 3), path)
+        pc = PointCloud(xs=np.arange(n) % 997.0, ys=np.zeros(n), zs=np.ones(n),
+                        labels=np.arange(n) % 3)
+        write_glbp_pieces(path, n, [(0, pc)])
         tracemalloc.start()
         try:
             points = read_points_csv(path)

@@ -33,7 +33,7 @@ from urbanmorph.pointcloud import (
     PointCloud,
     grid_elevation,
     read_points_csv,
-    write_points_glbp,
+    write_glbp_pieces,
 )
 from urbanmorph.raster import _GLBR_HEADER, _read_glbr, Raster, read_raster, write_raster
 from urbanmorph.ucp import UcpGrid, aggregate_all, export_csv, raster_grid, read_csv
@@ -247,7 +247,8 @@ def test_glbp_forged_count_allocates_nothing(tmp_path):
 # format's magic for text).
 BINARY_FORMATS = {
     "glbr": (_GLBR_HEADER, lambda path: write_raster(TABLE_TEMPLATE, path), _read_glbr),
-    "glbp": (_GLBP_HEADER, lambda path: write_points_glbp(PointCloud([1.0], [2.0], [3.0], [0]), path),
+    "glbp": (_GLBP_HEADER,
+             lambda path: write_glbp_pieces(path, 1, [(0, PointCloud([1.0], [2.0], [3.0], [0]))]),
              _read_glbp),
     "glbw": (_GLBW_HEADER, lambda path: write_weights(
         init_weights(ModelConfig(depth=1, base_filters=2, in_channels=1)), path), read_weights),
@@ -293,7 +294,7 @@ def point_files(tmp_path_factory):
     names = ["ground", "building", "other", "building", "ground"]
     pc = PointCloud(xs=rng.uniform(0, 100, 5), ys=rng.uniform(0, 100, 5),
                     zs=rng.uniform(0, 50, 5), labels=[0, 1, 2, 1, 0])
-    write_points_glbp(pc, directory / "valid.glbp")
+    write_glbp_pieces(directory / "valid.glbp", len(pc), [(0, pc)])
     rows = zip(pc.xs.tolist(), pc.ys.tolist(), pc.zs.tolist(), names)
     (directory / "valid.csv").write_text(
         "x,y,z,label\n" + "".join(f"{x!r},{y!r},{z!r},{name}\n" for x, y, z, name in rows)

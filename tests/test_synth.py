@@ -8,14 +8,21 @@ from scipy.ndimage import gaussian_filter
 from urbanmorph.errors import PackingError
 from urbanmorph.footprints import BuildingFootprint
 from urbanmorph import synth
-from urbanmorph.pointcloud import Label, PointCloud, read_points_csv, write_points_glbp
+from urbanmorph.pointcloud import Label, PointCloud, read_points_csv, write_glbp_pieces
+from urbanmorph.pipeline import STAGE_FILES
 from urbanmorph.raster import downsample_average
 from urbanmorph.synth import SyntheticCitySpec, _place_buildings, generate_city, write_scene
 
 
+def write_into(scene, out_dir):
+    """``write_scene`` into ``out_dir``, under the pipeline's file names."""
+    return write_scene(scene, {key: str(Path(out_dir) / name)
+                               for key, name in STAGE_FILES["synth"][1].items()})
+
+
 def written_points(scene, out_dir):
     """The whole point cloud that ``write_scene`` writes for ``scene``, read back."""
-    points = read_points_csv(write_scene(scene, out_dir)["points"])
+    points = read_points_csv(write_into(scene, out_dir)["points"])
     labels, xs, ys, zs = next(points.blocks(len(points)))
     return PointCloud(xs=xs, ys=ys, zs=zs, labels=labels)
 
@@ -208,7 +215,7 @@ class TestDeterminism:
 
     def test_written_files_byte_identical(self, tmp_path):
         def digest(d):
-            paths = write_scene(generate_city(small_spec()), d)
+            paths = write_into(generate_city(small_spec()), d)
             return {
                 k: hashlib.sha256(open(p, "rb").read()).hexdigest()
                 for k, p in sorted(paths.items())
@@ -312,6 +319,6 @@ class TestPointsWrittenInBands:
         monkeypatch.setattr(synth, "_BAND_CELLS", band_cells)
         scene = generate_city(spec)
         *_, points = scene_oracle(spec, scene.mask)
-        write_points_glbp(points, tmp_path / "oracle.glbp")
-        written = Path(write_scene(scene, tmp_path)["points"]).read_bytes()
+        write_glbp_pieces(tmp_path / "oracle.glbp", len(points), [(0, points)])
+        written = Path(write_into(scene, tmp_path)["points"]).read_bytes()
         assert written == (tmp_path / "oracle.glbp").read_bytes()
