@@ -13,6 +13,7 @@ from .footprints import _float_value, _int_value, _read_features, _write_table
 from .raster import Raster, require_aligned
 
 STATISTICS = ("mean", "median")
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103  # the least magnitude float32 rounds to inf
 
 
 @dataclass
@@ -92,17 +93,17 @@ def write_lod1(buildings: list[Lod1Building], path,
 
 
 def read_lod1(path, footprints: list[BuildingFootprint] | None = None) -> list[Lod1Building]:
-    """The buildings of a ``write_lod1`` file.  ``footprints`` read before
+    """The buildings of a ``write_lod1`` file, each height the float32 that
+    its text holds, as ``write_lod1`` wrote it.  ``footprints`` read before
     (from a file of the same footprints) are shared when the file's vertex
     table has their bits; the file's own are then not built again."""
 
     def building(fp: BuildingFootprint, props: dict) -> Lod1Building:
         if "height_m" not in props:
             raise FormatError(f"{path}: feature {fp.id} missing 'height_m'")
-        return Lod1Building(
-            footprint=fp,
-            height=_float_value(props["height_m"]),
-            n_cells=_int_value(props.get("n_cells", -1)),
-        )
+        height = _float_value(props["height_m"])
+        height = np.inf if abs(height) >= _FLOAT32_OVERFLOW else float(np.float32(height))
+        return Lod1Building(footprint=fp, height=height,
+                            n_cells=_int_value(props.get("n_cells", -1)))
 
     return _read_features(path, building, footprints)

@@ -164,6 +164,32 @@ class TestGeoJson:
         back = read_lod1(path)
         assert np.float32(back[0].height) == np.float32(13.7)
 
+    def test_height_reads_back_as_its_float32(self, tmp_path):
+        # The file holds the 9-digit text 43.563736 of float32 43.5637359...;
+        # the reader gives back that float32, not the decimal, so that ``ucp``
+        # aggregates the heights ``lod1`` computed.
+        h = float(np.float32(43.563736))
+        path = tmp_path / "lod1.geojson"
+        write_lod1([Lod1Building(footprint=rect(1, 0, 0, 1, 1), height=h, n_cells=1)], path)
+        assert '"height_m": 43.563736,' in path.read_text()
+        assert read_lod1(path)[0].height == h != 43.563736
+
+    # A height that float32 rounds down to its largest value reads as that;
+    # one that it rounds up to inf is rejected.
+    @pytest.mark.parametrize("text, height", [
+        ("3.4028235e+38", float(np.finfo(np.float32).max)),
+        ("3.4028236e+38", None), ("1e39", None),
+    ])
+    def test_height_at_the_float32_limit(self, tmp_path, text, height):
+        path = tmp_path / "lod1.geojson"
+        write_lod1([Lod1Building(footprint=rect(1, 0, 0, 1, 1), height=1.0, n_cells=1)], path)
+        path.write_text(path.read_text().replace('"height_m": 1.0', f'"height_m": {text}'))
+        if height is not None:
+            assert read_lod1(path)[0].height == height
+            return
+        with pytest.raises(FormatError, match=r"features\[0\]: bad value \(building 1: height inf"):
+            read_lod1(path)
+
     def test_missing_height_rejected(self, tmp_path):
         import json
 
