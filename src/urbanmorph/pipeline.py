@@ -563,7 +563,7 @@ def stage_report(cfg: PipelineConfig) -> dict[str, str]:
         try:
             with open(_file(cfg, "validation_{res}m", resolution, validation.METRICS)) as f:
                 lines += ["  " + line.rstrip() for line in f]
-        except ConfigError:
+        except ConfigError:  # validate has not run at this resolution
             lines.append("  (no validation output)")
         lines.append("")
     outputs = _outputs(cfg, "report")
