@@ -45,22 +45,46 @@ gradient comes from the same slices as the forward GEMMs; the input gradient
 is the same shifted convolution of the padded output gradient with the
 rotated kernel.
 
+A pass runs on ``LANES`` lanes: the calling thread and, at 2, one worker
+thread that lives for the pass.  Two lanes make the same BLAS calls on the
+same operands, shapes and strides as one, and keep every sum in its order, so
+each result has the same bits at either count.  Forward, a convolution's taps
+run in pairs, one GEMM a lane; each lane then adds the pair's products, in
+tap order, to its half of the accumulator's rows, and later adds the bias and
+applies the ReLU to that half.  Backward, one lane computes a layer's kernel
+and bias gradients while the other computes its input gradient.  Two lanes
+run only when the process may use 2 CPUs and OpenBLAS runs on one thread:
+OpenBLAS's own threads spin while they wait, and a lane beside them slows
+them down.
+
 Buffer lifetimes: the tape lives through the step.  Two flat scratch arrays
-serve one convolution at a time.  Forward, ``tmp`` holds its GEMM sum and
-each tap's product, and ``acc`` an up-convolution's rebuilt upsampled input.
-Backward, ``acc`` holds that rebuilt input until the kernel gradient has read
-it, and then the input gradient, with ``tmp`` as its scratch.  A padded
-output gradient serves the convolutions of its shape in turn.  Each
-``dec{l}`` input gradient is computed in ``acc``; its skip half, read only at
-``enc{l}``'s step, is copied to a buffer of its own, half the size.  The pass
-gives the same bits as the unfused layer-by-layer pass that the tests keep as
-its oracle.
+serve one convolution at a time.  Forward, ``tmp`` holds its GEMM sum and the
+calling lane's tap products, and ``acc`` an up-convolution's rebuilt
+upsampled input.  The worker lane writes its tap products to scratch that is
+idle while that convolution runs: ``acc``; for an up-convolution, its own
+padded output gradient, which the backward pass has not filled yet and which
+is zeroed again once the GEMM sum is done; or, in a forward-only pass,
+``spare``.  Backward, the kernel gradient reads the tape, or ``acc``'s
+rebuilt input; an up-convolution's kernel gradient runs on both lanes, split
+by tap, before its input gradient may overwrite that input.  The input
+gradient is computed in ``acc`` by one lane, with ``tmp`` as its scratch,
+while the other lane writes only to the gradient vector.  A padded output
+gradient serves the convolutions of its shape in turn.  Each ``dec{l}``
+input gradient is computed in ``acc``; its skip half, read only at
+``enc{l}``'s step, is copied to a buffer of its own, half the size.  The
+pass gives the same bits as the unfused layer-by-layer pass that the tests
+keep as its oracle.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -222,23 +246,137 @@ def _scratch(flat: np.ndarray, shape) -> np.ndarray:
     return flat[: math.prod(shape)].reshape(shape)
 
 
-def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS that numpy loaded will use; None when it is not a
+    scipy-openblas build, whose library answers this."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    if not os.path.isdir(libs):
+        return None
+    for name in sorted(os.listdir(libs)):
+        if "openblas" in name:
+            fn = getattr(ctypes.CDLL(os.path.join(libs, name)),
+                         "scipy_openblas_get_num_threads64_", None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
+def _host_lanes() -> int:
+    """2 when this process may run on 2 CPUs and OpenBLAS runs on 1 thread,
+    else 1: the lane rule of the module docstring."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 and _blas_threads() == 1 else 1
+
+
+# The lanes each pass runs on: the calling thread and, at 2, one worker
+# thread started for the pass.
+LANES = _host_lanes()
+# A pass on a tile of fewer cells runs on one lane: each handoff to the
+# worker costs tens of microseconds, more than the second lane saves on
+# small convolutions.  A float32 step (depth 3, base 8) on two lanes took
+# 1.56 times as long as on one at 64², 0.97 times at 128², 0.79 at 256².
+MIN_LANE_CELLS = 128 * 128
+
+
+class _Lanes:
+    """The lanes of one pass: the calling thread and, when ``count`` is 2, a
+    worker thread that runs the functions ``pair`` hands it, one at a time.
+    As a context manager it starts the worker and ends it.  (A pass hands
+    over about 150 functions; a one-thread executor's futures took about
+    8 us more a handoff, 4 % of a float32 step on a 256² tile.)"""
+
+    def __init__(self, count: int):
+        self.count = count
+        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._worker = None
+
+    def __enter__(self) -> "_Lanes":
+        if self.count > 1:
+            self._worker = threading.Thread(target=self._work, name="urbanmorph-lane",
+                                            daemon=True)
+            self._worker.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._worker is not None:
+            self._todo.put(None)
+            self._worker.join()
+
+    def _work(self) -> None:
+        while (task := self._todo.get()) is not None:
+            try:
+                task()
+            except BaseException as exc:  # raised again on the calling thread
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def pair(self, first, second=None) -> None:
+        """Run ``first`` on this thread and ``second`` on the worker; with one
+        lane, ``first`` and then ``second``.  Returns when both have ended,
+        and raises the exception of either."""
+        if second is None or self.count == 1:
+            first()
+            if second is not None:
+                second()
+            return
+        self._todo.put(second)
+        try:
+            first()
+        finally:
+            error = self._done.get()
+        if error is not None:
+            raise error
+
+    def by_rows(self, fn, n: int) -> None:
+        """``fn(rows)`` for ``range(n)`` cut into one run of rows a lane."""
+        cuts = [n * k // self.count for k in range(self.count + 1)]
+        self.pair(*(partial(fn, slice(a, b)) for a, b in zip(cuts, cuts[1:])))
+
+
+_ONE_LANE = _Lanes(1)
+
+
+def _pass_lanes(shape) -> _Lanes:
+    """The lanes of a pass on a tile of (h, w) ``shape``."""
+    return _Lanes(LANES if shape[0] * shape[1] >= MIN_LANE_CELLS else 1)
+
+
+def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, acc: np.ndarray, tmps, lanes: _Lanes):
     """Into ``acc`` (h * Wp, cout): the 'same' correlation of the padded buffer
     ``xp`` (h + 2p + 1, Wp, cin), one GEMM per tap (i, j) on the flat rows
     whose row r * Wp + c is xp[r + i, c + j].  The columns c >= Wp - 2p of
-    each row wrap into the next row and are junk.  ``tmp`` is scratch of
-    ``acc``'s shape."""
+    each row wrap into the next row and are junk.  ``tmps`` holds one
+    scratch array of ``acc``'s shape per lane.  On two lanes the taps run in
+    pairs, one GEMM a lane, the first tap into ``acc``, and then each lane
+    adds the pair's products to its half of ``acc``'s rows, in tap order."""
     kh, kw, cin, _ = kernel.shape
     wp = xp.shape[1]
     n = acc.shape[0]
     flat = xp.reshape(-1, cin)
-    np.matmul(flat[:n], kernel[0, 0], out=acc)
-    for i in range(kh):
-        for j in range(kw):
-            if i or j:
-                s = i * wp + j
-                np.matmul(flat[s : s + n], kernel[i, j], out=tmp)
-                acc += tmp
+    taps = [(i * wp + j, kernel[i, j]) for i in range(kh) for j in range(kw)]
+    if lanes.count == 1:
+        np.matmul(flat[:n], kernel[0, 0], out=acc)
+        for s, k in taps[1:]:
+            np.matmul(flat[s : s + n], k, out=tmps[0])
+            acc += tmps[0]
+        return acc
+    outs = [acc] + [tmps[t % 2] for t in range(1, len(taps))]
+
+    def add(products, rows):
+        for product in products:
+            np.add(acc[rows], product[rows], out=acc[rows])
+
+    for t in range(0, len(taps), 2):
+        lanes.pair(*(partial(np.matmul, flat[s : s + n], k, out=out)
+                     for (s, k), out in zip(taps[t : t + 2], outs[t:])))
+        if products := outs[max(t, 1) : t + 2]:
+            lanes.by_rows(partial(add, products), n)
     return acc
 
 
@@ -255,8 +393,10 @@ class _Buffers:
     output, then the encoder skip), the whole input of an up-convolution, or
     ``y`` for the head.  ``tmp`` is flat scratch that one GEMM sum and its
     tap products at a time take views of; ``acc`` is flat scratch for an
-    up-convolution's upsampled padded input, rebuilt from its tape, and for
-    an input gradient.
+    up-convolution's upsampled padded input, rebuilt from its tape, for an
+    input gradient, and for the second lane's tap products of any other
+    convolution.  Without ``backward``, ``spare`` is flat scratch for the
+    second lane's tap products of an up-convolution.
 
     With ``backward``, ``dyp[name]`` is the padded output gradient of
     ``name``, one array per shape, which its convolutions use in turn;
@@ -268,7 +408,7 @@ class _Buffers:
     def __init__(self, cfg: ModelConfig, shape, dtype, backward: bool = True):
         h, w = shape
         self.tape, self.size, self.out, self.dyp, self.skip = {}, {}, {}, {}, {}
-        acc = tmp = flags = 0
+        acc = tmp = flags = spare = 0
         for name, k, _, cin, cout in layer_specs(cfg):
             level = _level(cfg, name)
             self.size[name] = hl, wl = h >> level, w >> level
@@ -279,6 +419,10 @@ class _Buffers:
             self.tape[name] = np.zeros((hl // 2, wl // 2, cin) if up else padded + (cin,), dtype)
             if up or backward:
                 acc = max(acc, math.prod(padded) * cin)
+            if up:
+                spare = max(spare, n * cout)
+            else:
+                acc = max(acc, n * cout)
             tmp = max(tmp, 2 * n * cout)
             if backward:
                 tmp = max(tmp, n * cin)
@@ -290,6 +434,7 @@ class _Buffers:
                     self.skip[name] = np.empty((hl, wl, cin // 2), dtype)
         self.acc, self.tmp = np.empty(acc, dtype), np.empty(tmp, dtype)
         self.flags = np.empty(flags, bool)
+        self.spare = None if backward else np.empty(spare, dtype)
         self.y = np.empty((h, w, 1), dtype)
         self.out["head"], self.out["dec0"] = self.y, self.inner(self.tape, "head")
         for l in range(cfg.depth):
@@ -319,7 +464,18 @@ def _padded_input(buf: _Buffers, name: str, p: int) -> np.ndarray:
     return xp
 
 
-def _conv(w: Weights, buf: _Buffers, name: str) -> None:
+def _lane_scratch(buf: _Buffers, name: str) -> np.ndarray:
+    """Flat scratch for the second lane's tap products of convolution
+    ``name``, idle while it runs: ``acc``, unless ``name`` is an
+    up-convolution, whose input fills ``acc``; then its own padded output
+    gradient, which the backward pass fills only later (the caller zeroes
+    it again), or in a forward-only pass ``spare``."""
+    if not name.startswith("up"):
+        return buf.acc
+    return buf.spare if buf.spare is not None else buf.dyp[name].reshape(-1)
+
+
+def _conv(w: Weights, buf: _Buffers, name: str, lanes: _Lanes) -> None:
     """Convolution ``name`` of its padded input, its bias added and its ReLU
     applied in place on the accumulator, written to ``buf.out[name]``."""
     kernel = w.kernels[name]
@@ -329,43 +485,65 @@ def _conv(w: Weights, buf: _Buffers, name: str) -> None:
     acc, tmp = _scratch(buf.tmp, (2,) + shape)
     if name == "head":  # its kernel is 1x1, so Wp = w and its accumulator is y itself
         acc = buf.y.reshape(shape)
-    _shifted_gemm(xp, kernel, acc, tmp)
-    acc += w.biases[name]
-    np.maximum(acc, 0.0, out=acc)
-    if name != "head":
-        buf.out[name][...] = acc.reshape(hl, wp, cout)[:, :wl]
+    tmps = [tmp, _scratch(_lane_scratch(buf, name), shape)][: lanes.count]
+    try:
+        _shifted_gemm(xp, kernel, acc, tmps, lanes)
+    finally:
+        if len(tmps) > 1 and name in buf.dyp and name.startswith("up"):
+            tmps[1][...] = 0  # the borrowed output gradient's zero border
+    # One addition per value, as a row-broadcast add makes, in long runs.
+    bias = np.tile(w.biases[name], wp)
+
+    def finish(rows):
+        a = acc.reshape(hl, wp * cout)[rows]
+        a += bias
+        np.maximum(a, 0.0, out=a)
+        if name != "head":
+            buf.out[name][rows] = a.reshape(-1, wp, cout)[:, :wl]
+
+    lanes.by_rows(finish, hl)
 
 
 def _forward(w: Weights, x: np.ndarray, buf: _Buffers) -> np.ndarray:
     """The pass on the (H, W, C) tile ``x`` in ``buf``; returns ``buf.y``."""
     cfg = w.config
     buf.inner(buf.tape, "enc0")[...] = x
-    for l in range(cfg.depth):
-        _conv(w, buf, f"enc{l}")
-        a, pooled = buf.out[f"enc{l}"], buf.inner(buf.tape, _below(cfg, "enc", l))
-        first, second, *rest = (a[i::2, j::2] for i, j in _WINDOW)
-        np.maximum(first, second, out=pooled)
-        for cells in rest:
-            np.maximum(pooled, cells, out=pooled)
-    _conv(w, buf, "bottleneck")
-    for l in reversed(range(cfg.depth)):
-        _conv(w, buf, f"up{l}")
-        _conv(w, buf, f"dec{l}")
-    _conv(w, buf, "head")
+    with _pass_lanes(x.shape) as lanes:
+        for l in range(cfg.depth):
+            _conv(w, buf, f"enc{l}", lanes)
+            a, pooled = buf.out[f"enc{l}"], buf.inner(buf.tape, _below(cfg, "enc", l))
+            first, second, *rest = (a[i::2, j::2] for i, j in _WINDOW)
+            np.maximum(first, second, out=pooled)
+            for cells in rest:
+                np.maximum(pooled, cells, out=pooled)
+        _conv(w, buf, "bottleneck", lanes)
+        for l in reversed(range(cfg.depth)):
+            _conv(w, buf, f"up{l}", lanes)
+            _conv(w, buf, f"dec{l}", lanes)
+        _conv(w, buf, "head", lanes)
     return buf.y
 
 
-def _relu_mask(buf: _Buffers, name: str) -> np.ndarray:
-    """Where the activation of ``name`` is > 0, in the flag scratch."""
+def _masked(buf: _Buffers, name: str, d: np.ndarray, out: np.ndarray, rows: slice) -> None:
+    """Rows ``rows`` of ``d`` times the ReLU mask of ``name``, the cells where
+    its activation is > 0, into ``out``; the mask goes to the flag scratch."""
     a = buf.out[name]
-    return np.greater(a, 0, out=_scratch(buf.flags, a.shape))
+    mask = _scratch(buf.flags, a.shape)[rows]
+    np.greater(a[rows], 0, out=mask)
+    np.multiply(d[rows], mask, out=out[rows])
 
 
-def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str):
+def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str, lanes: _Lanes):
     """The kernel and bias gradients of ``name`` into ``grad``, from the output
     gradient in its padded buffer.  Returns its input gradient, computed into
     the ``acc`` scratch, as an (h, w, cin) view; None for ``enc0``, as the
-    tile's own gradient is not needed."""
+    tile's own gradient is not needed.
+
+    One lane takes the kernel and bias gradients and the other the input
+    gradient.  An up-convolution's input gradient overwrites its rebuilt
+    input, so there the lanes first split the kernel gradient's taps, and
+    then the bias gradient runs beside the input gradient; ``enc0`` splits
+    its taps too."""
     dyp, kernel = buf.dyp[name], w.kernels[name]
     kh, kw, cin, cout = kernel.shape
     (hl, wl), wp, p = buf.size[name], dyp.shape[1], kh // 2
@@ -375,45 +553,65 @@ def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str):
     start = p * wp + p
     dy_flat = dyp.reshape(-1, cout)[start : start + n]
     flat = xp.reshape(-1, cin)
-    for i in range(kh):
-        for j in range(kw):
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    dx = _scratch(buf.acc, (n, cin))
+
+    def kernel_grad(taps):
+        for i, j in taps:
             s = i * wp + j
             np.matmul(flat[s : s + n].T, dy_flat, out=grad.kernels[name][i, j])
-    # numpy sums (cells, channels) cell by cell, but one channel pairwise
-    # over its contiguous cells: the same sums as over a contiguous dy.
-    dy = buf.inner(buf.dyp, name)
-    (dy if cout > 1 else np.ascontiguousarray(dy)).sum(axis=(0, 1), out=grad.biases[name])
-    if name == "enc0":
-        return None
-    # dx is a full correlation with the 180-degree-rotated kernel, channels
-    # swapped; exact for 'same' zero padding with odd kernels.  An
-    # up-convolution's rebuilt input is no longer read, so dx may take its place.
-    k_rot = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
-    dx = _scratch(buf.acc, (n, cin))
-    _shifted_gemm(dyp, k_rot, dx, _scratch(buf.tmp, (n, cin)))
-    return dx.reshape(hl, wp, cin)[:, :wl]
+
+    def bias_grad():
+        # numpy sums (cells, channels) cell by cell, but one channel pairwise
+        # over its contiguous cells: the same sums as over a contiguous dy.
+        dy = buf.inner(buf.dyp, name)
+        (dy if cout > 1 else np.ascontiguousarray(dy)).sum(axis=(0, 1), out=grad.biases[name])
+
+    def input_grad():
+        # dx is a full correlation with the 180-degree-rotated kernel, channels
+        # swapped; exact for 'same' zero padding with odd kernels.
+        k_rot = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
+        _shifted_gemm(dyp, k_rot, dx, [_scratch(buf.tmp, (n, cin))], _ONE_LANE)
+
+    def parameter_grads():
+        kernel_grad(taps)
+        bias_grad()
+
+    if name.startswith("up") or name == "enc0":
+        half = len(taps) // 2
+        lanes.pair(partial(kernel_grad, taps[:half]), partial(kernel_grad, taps[half:]))
+        lanes.pair(bias_grad, None if name == "enc0" else input_grad)
+    else:
+        lanes.pair(parameter_grads, input_grad)
+    return None if name == "enc0" else dx.reshape(hl, wp, cin)[:, :wl]
 
 
-def _pool_grad(cfg: ModelConfig, buf: _Buffers, l: int, dpool, skip) -> None:
+def _pool_grad(cfg: ModelConfig, buf: _Buffers, l: int, dpool, skip, lanes: _Lanes) -> None:
     """``enc{l}``'s output gradient into its padded buffer: the gradient
     ``dpool`` of the max-pool routed to the first maximum of each window,
     plus the decoder's ``skip`` gradient, times the ReLU mask."""
-    a, dy = buf.out[f"enc{l}"], buf.inner(buf.dyp, f"enc{l}")
+    name = f"enc{l}"
+    a, dy = buf.out[name], buf.inner(buf.dyp, name)
     pooled = buf.inner(buf.tape, _below(cfg, "enc", l))
-    mask = _relu_mask(buf, f"enc{l}")
-    route, taken = buf.flags[mask.size :][: 2 * pooled.size].reshape(2, *pooled.shape)
+    flags = buf.flags[a.size :][: 2 * pooled.size].reshape(2, *pooled.shape)
     routed = _scratch(buf.tmp, pooled.shape)
     # The pool's gradient is dpool on the route and +0.0 elsewhere: the bits
     # of dpool times the route, as unsigned integers.
     bits = np.dtype(f"u{routed.itemsize}")
-    taken[...] = False
-    for i, j in _WINDOW:
-        np.equal(a[i::2, j::2], pooled, out=route)
-        np.greater(route, taken, out=route)  # a maximum, and the window's first
-        taken |= route
-        np.multiply(dpool.view(bits), route, out=routed.view(bits))
-        np.add(routed, skip[i::2, j::2], out=dy[i::2, j::2])
-    np.multiply(dy, mask, out=dy)
+
+    def pool_rows(rows):
+        fine = slice(2 * rows.start, 2 * rows.stop)
+        route, taken = flags[:, rows]
+        taken[...] = False
+        for i, j in _WINDOW:
+            np.equal(a[fine][i::2, j::2], pooled[rows], out=route)
+            np.greater(route, taken, out=route)  # a maximum, and the window's first
+            taken |= route
+            np.multiply(dpool[rows].view(bits), route, out=routed[rows].view(bits))
+            np.add(routed[rows], skip[fine][i::2, j::2], out=dy[fine][i::2, j::2])
+        _masked(buf, name, dy, dy, fine)
+
+    lanes.by_rows(pool_rows, pooled.shape[0])
 
 
 def _backward(w: Weights, buf: _Buffers, dy: np.ndarray) -> np.ndarray:
@@ -422,32 +620,42 @@ def _backward(w: Weights, buf: _Buffers, dy: np.ndarray) -> np.ndarray:
     cfg = w.config
     grad = Weights(cfg, np.empty_like(w.flat))
 
-    def set_dy(name, da):
-        np.multiply(da, _relu_mask(buf, name), out=buf.inner(buf.dyp, name))
+    def set_dy(name, da, rows):
+        _masked(buf, name, da, buf.inner(buf.dyp, name), rows)
 
-    set_dy("head", dy)
-    set_dy("dec0", _conv_grad(w, buf, grad, "head"))
-    for l in range(cfg.depth):
-        d = _conv_grad(w, buf, grad, f"dec{l}")
+    def split_dec(l, d, rows):
+        """``dec{l}``'s input gradient ``d``: the up-convolution's half, times
+        its ReLU mask, to its padded buffer, and the skip half to its own."""
         nch = cfg.base_filters * 2**l
-        set_dy(f"up{l}", d[..., :nch])
-        buf.skip[f"dec{l}"][...] = d[..., nch:]
-        d = _conv_grad(w, buf, grad, f"up{l}")
-        # The upsample's gradient, the output gradient of the layer below:
-        # the four cells each input cell went to, summed in window order, as
-        # numpy's reshape-sum does over >= 2 channels (an up-convolution has
-        # 2 * nch input channels).
+        set_dy(f"up{l}", d[..., :nch], rows)
+        buf.skip[f"dec{l}"][rows] = d[rows, :, nch:]
+
+    def upsample_grad(l, d, rows):
+        """The upsample's gradient, the output gradient of the layer below:
+        the four cells each input cell went to, summed in window order, as
+        numpy's reshape-sum does over >= 2 channels (an up-convolution has
+        2 * nch input channels), times that layer's ReLU mask."""
         below = _below(cfg, "dec", l)
         s = buf.inner(buf.dyp, below)
-        first, second, *rest = (d[i::2, j::2] for i, j in _WINDOW)
-        np.add(first, second, out=s)
+        fine = d[2 * rows.start : 2 * rows.stop]
+        first, second, *rest = (fine[i::2, j::2] for i, j in _WINDOW)
+        np.add(first, second, out=s[rows])
         for cells in rest:
-            s += cells
-        np.multiply(s, _relu_mask(buf, below), out=s)
-    d = _conv_grad(w, buf, grad, "bottleneck")
-    for l in reversed(range(cfg.depth)):
-        _pool_grad(cfg, buf, l, d, buf.skip[f"dec{l}"])
-        d = _conv_grad(w, buf, grad, f"enc{l}")
+            s[rows] += cells
+        _masked(buf, below, s, s, rows)
+
+    with _pass_lanes(dy.shape) as lanes:
+        lanes.by_rows(partial(set_dy, "head", dy), len(dy))
+        lanes.by_rows(partial(set_dy, "dec0", _conv_grad(w, buf, grad, "head", lanes)), len(dy))
+        for l in range(cfg.depth):
+            d = _conv_grad(w, buf, grad, f"dec{l}", lanes)
+            lanes.by_rows(partial(split_dec, l, d), len(d))
+            d = _conv_grad(w, buf, grad, f"up{l}", lanes)
+            lanes.by_rows(partial(upsample_grad, l, d), len(d) // 2)
+        d = _conv_grad(w, buf, grad, "bottleneck", lanes)
+        for l in reversed(range(cfg.depth)):
+            _pool_grad(cfg, buf, l, d, buf.skip[f"dec{l}"], lanes)
+            d = _conv_grad(w, buf, grad, f"enc{l}", lanes)
     return grad.flat
 
 
