@@ -491,8 +491,9 @@ def _conv(w: Weights, buf: _Buffers, name: str, lanes: _Lanes) -> None:
     finally:
         if len(tmps) > 1 and name in buf.dyp and name.startswith("up"):
             tmps[1][...] = 0  # the borrowed output gradient's zero border
-    # One addition per value, as a row-broadcast add makes, in long runs.
-    bias = np.tile(w.biases[name], wp)
+    # One addition per value, as a row-broadcast add makes, in long runs
+    # (the bias tiled along a padded row; np.tile's wrapper costs 5 us more).
+    bias = np.repeat(w.biases[name][None], wp, axis=0).ravel()
 
     def finish(rows):
         a = acc.reshape(hl, wp * cout)[rows]
