@@ -3,6 +3,18 @@
 # Tests call cli.main directly; this runs the [project.scripts] entry point.
 set -eo pipefail
 
+# expect_error CODE PATTERN CMD...: CMD exits with CODE and writes one line to
+# stderr, kept in smoke-error.err, that matches the grep pattern PATTERN.
+expect_error() {
+  local want=$1 pattern=$2 code=0
+  shift 2
+  "$@" 2> smoke-error.err || code=$?
+  cat smoke-error.err
+  test "$code" -eq "$want"
+  test "$(wc -l < smoke-error.err)" -eq 1
+  grep -q "$pattern" smoke-error.err
+}
+
 # The global --seed form, at two resolutions and four directions; a
 # RuntimeWarning anywhere in the run fails it.
 PYTHONWARNINGS=error::RuntimeWarning urbanmorph --seed 7 --out smoke run --extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8 --resolutions 32,64 --directions 0,45,90,135
@@ -28,24 +40,15 @@ diff -r smoke-chain-run smoke-chain
 
 # A run with an input flag: exit 2, one ERROR line, and no --out, since a run
 # reads the inputs that its synth stage writes.
-code=0
-urbanmorph --out smoke-set-input run $TINY --points smoke/points.glbp 2> smoke-set-input.err || code=$?
-cat smoke-set-input.err
-test "$code" -eq 2
-test "$(wc -l < smoke-set-input.err)" -eq 1
-grep -q "^ERROR stage=run: config key 'points' is set" smoke-set-input.err
+expect_error 2 "^ERROR stage=run: config key 'points' is set" \
+  urbanmorph --out smoke-set-input run $TINY --points smoke/points.glbp
 test ! -e smoke-set-input
 
 # A stage whose earlier stage has not run in --out: exit 2, and one ERROR line
 # that names the missing output, not a config key.
 mkdir -p smoke-empty
-code=0
-urbanmorph --out smoke-empty ndsm 2> smoke-empty.err || code=$?
-cat smoke-empty.err
-test "$code" -eq 2
-test "$(wc -l < smoke-empty.err)" -eq 1
-grep -q '^ERROR stage=ndsm: smoke-empty/dsm.glbr' smoke-empty.err
-if grep -q 'config key' smoke-empty.err; then exit 1; fi
+expect_error 2 '^ERROR stage=ndsm: smoke-empty/dsm.glbr' urbanmorph --out smoke-empty ndsm
+if grep -q 'config key' smoke-error.err; then exit 1; fi
 
 # A coarse raster with one nodata cell: exit 2, and one ERROR line naming it.
 python - <<'PY'
@@ -54,22 +57,14 @@ r = read_raster("smoke/coarse_ndsm.glbr")
 r.values[0, 0] = r.nodata
 write_raster(r, "smoke-void.glbr")
 PY
-code=0
-urbanmorph --out smoke-void resample --coarse-ndsm smoke-void.glbr 2> smoke-void.err || code=$?
-cat smoke-void.err
-test "$code" -eq 2
-test "$(wc -l < smoke-void.err)" -eq 1
-grep -q '^ERROR stage=resample: smoke-void.glbr: 1 nodata cells' smoke-void.err
+expect_error 2 '^ERROR stage=resample: smoke-void.glbr: 1 nodata cells' \
+  urbanmorph --out smoke-void resample --coarse-ndsm smoke-void.glbr
 test ! -e smoke-void
 
 # A diverging network: exit 1, one ERROR line naming the divergence, and no
 # weights file.
-code=0
-urbanmorph --out smoke-diverged run --extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8 --resolutions 64 --predictor network --epochs 1 --learning-rate 1e200 2> smoke-diverged.err || code=$?
-cat smoke-diverged.err
-test "$code" -eq 1
-test "$(wc -l < smoke-diverged.err)" -eq 1
-grep -q '^ERROR stage=run: training diverged' smoke-diverged.err
+expect_error 1 '^ERROR stage=run: training diverged' \
+  urbanmorph --out smoke-diverged run --extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8 --resolutions 64 --predictor network --epochs 1 --learning-rate 1e200
 test ! -e smoke-diverged/weights.glbw
 
 # A footprint file whose second feature repeats the first's id: exit 2, one
@@ -84,12 +79,8 @@ fc["features"][1]["properties"]["id"] = fc["features"][0]["properties"]["id"]
 with open("smoke-dup/footprints.geojson", "w") as f:
     json.dump(fc, f)
 PY
-code=0
-urbanmorph --out smoke-dup lod1 --footprints smoke-dup/footprints.geojson 2> smoke-dup.err || code=$?
-cat smoke-dup.err
-test "$code" -eq 2
-test "$(wc -l < smoke-dup.err)" -eq 1
-grep -q '^ERROR stage=lod1:.*features\[1\]: duplicate id' smoke-dup.err
+expect_error 2 '^ERROR stage=lod1:.*features\[1\]: duplicate id' \
+  urbanmorph --out smoke-dup lod1 --footprints smoke-dup/footprints.geojson
 test ! -e smoke-dup/lod1_pred.geojson
 
 # A point elevation beyond float32's range: exit 2, one ERROR line, and no
@@ -105,34 +96,21 @@ with open("smoke-elevation/points.glbp", "r+b") as f:
     f.seek(14 + 16 * n + 8 * first_ground)
     f.write(struct.pack("<d", 1e39))
 PY
-code=0
-urbanmorph --out smoke-elevation rasterize-points --points smoke-elevation/points.glbp 2> smoke-elevation.err || code=$?
-cat smoke-elevation.err
-test "$code" -eq 2
-test "$(wc -l < smoke-elevation.err)" -eq 1
-grep -q '^ERROR stage=rasterize-points:' smoke-elevation.err
+expect_error 2 '^ERROR stage=rasterize-points:' \
+  urbanmorph --out smoke-elevation rasterize-points --points smoke-elevation/points.glbp
 test ! -e smoke-elevation/dem.glbr
 
 # A directory as the config file, and an --out that is a file: exit 2 and
 # one ERROR line each, not a traceback.
 for args in "--config smoke report" "--out smoke/report.txt synth --extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8"; do
-  code=0
-  urbanmorph $args 2> smoke-bad-path.err || code=$?
-  cat smoke-bad-path.err
-  test "$code" -eq 2
-  test "$(wc -l < smoke-bad-path.err)" -eq 1
-  grep -q '^ERROR stage=' smoke-bad-path.err
+  expect_error 2 '^ERROR stage=' urbanmorph $args
 done
 
 # Two directions that name one output, and a snapped scene with no footprint
 # size that is a multiple of the coarse cell: exit 2, one ERROR line each, and
 # nothing written.
 for args in "--directions 45,45.0000001" "--snap-to-coarse 1 --coarse-factor 30"; do
-  code=0
-  urbanmorph --out smoke-rejected run --extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8 $args 2> smoke-rejected.err || code=$?
-  cat smoke-rejected.err
-  test "$code" -eq 2
-  test "$(wc -l < smoke-rejected.err)" -eq 1
-  grep -q '^ERROR stage=run:' smoke-rejected.err
+  expect_error 2 '^ERROR stage=run:' \
+    urbanmorph --out smoke-rejected run --extent 64 --n-buildings 2 --footprint-min 8 --footprint-max 12 --coarse-factor 8 $args
   test ! -e smoke-rejected
 done

@@ -42,7 +42,6 @@ from .network import (
     ModelConfig,
     TrainConfig,
     Weights,
-    baseline_predict,
     forward,
     init_weights,
     loss_and_gradient,

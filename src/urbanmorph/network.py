@@ -83,27 +83,13 @@ import math
 import os
 import queue
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    DivergenceError,
-    FormatError,
-    InputError,
-    ShapeError,
-)
-from .footprints import FootprintMask
-from .raster import (
-    Format,
-    NormalizationParams,
-    Raster,
-    clamp_nonnegative,
-    denormalize,
-    require_aligned,
-)
+from .errors import DivergenceError, FormatError, InputError, ShapeError
+from .raster import Format, NormalizationParams, Raster, clamp_nonnegative, denormalize
 from . import tiler
 
 # The largest U-Net a config or a weights header may ask for, counted in
@@ -798,18 +784,6 @@ def predict_city(
         grid, np.stack([forward(w32, tile, buffers=buffers)[..., 0] for tile in tiles])
     )
     return clamp_nonnegative(denormalize(stitched, target_params))
-
-
-def baseline_predict(ndsm_coarse_resampled: Raster, mask: FootprintMask) -> Raster:
-    """Deterministic non-learned reference: the resampled coarse height layer
-    masked to footprint cells, clamped non-negative, zero elsewhere."""
-    require_aligned(ndsm_coarse_resampled, mask.grid, "baseline inputs")
-    vals = np.where(
-        mask.source_ids > 0,
-        np.maximum(ndsm_coarse_resampled.values, 0.0),
-        np.float32(0.0),
-    )
-    return ndsm_coarse_resampled.with_values(vals)
 
 
 # -- weights file I/O --------------------------------------------------------

@@ -424,14 +424,15 @@ def stage_train(cfg: PipelineConfig) -> dict[str, str]:
     return outputs
 
 
-PREDICTORS = ("baseline", "network")
+PREDICTORS = tuple(STAGE_FILES["predict"][0])
 
 
 def stage_predict(cfg: PipelineConfig) -> dict[str, str]:
     if cfg.one_of("predictor", PREDICTORS) == "baseline":
         (ndsm_fine,) = _read(cfg, "ndsm_resampled")
         _, mask = _mask_for(cfg, ndsm_fine)
-        pred = network.baseline_predict(ndsm_fine, mask)
+        pred = ndsm_fine.with_values(np.where(
+            mask.source_ids > 0, np.maximum(ndsm_fine.values, 0.0), np.float32(0.0)))
     else:
         channels, (_, target_params) = _network_inputs(cfg)
         path = _file(cfg, "weights")

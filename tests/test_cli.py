@@ -29,6 +29,7 @@ from urbanmorph.pipeline import (
     run_all,
 )
 from urbanmorph.errors import ConfigError
+from urbanmorph.footprints import BuildingFootprint, write_footprints
 from urbanmorph.pointcloud import PointCloud, read_points_csv, write_glbp_pieces
 from urbanmorph.raster import Raster, minmax_normalize, read_raster, write_raster
 
@@ -266,6 +267,21 @@ class TestRasterizeOncePerStage:
         run_all(cfg)
         assert running == pipeline.RUN_ORDER
         assert calls == {"predict": 1, "lod1": 1, "ucp": 1}
+
+
+class TestBaselinePredict:
+    def test_masked_clamped(self, tmp_path):
+        # A footprint over the first two cells, a negative and a positive
+        # height, and a positive height on the third cell, off it.
+        heights = Raster(width=3, height=1, origin_x=0.0, origin_y=0.0, cell_size=1.0,
+                         nodata=-9999.0, values=np.array([[-2.0, 5.0, 7.0]]))
+        write_raster(heights, tmp_path / "ndsm_resampled.glbr")
+        write_footprints([BuildingFootprint(id=1, exterior=[(0, 0), (2, 0), (2, 1), (0, 1)])],
+                         tmp_path / "footprints.geojson")
+        pipeline.STAGES["predict"](PipelineConfig(out=str(tmp_path), predictor="baseline"))
+        pred = read_raster(tmp_path / "predicted_heights.glbr")
+        assert pred.values.dtype == np.float32
+        np.testing.assert_array_equal(pred.values, [[0.0, 5.0, 0.0]])
 
 
 class TestNetworkRun:
@@ -865,19 +881,15 @@ class TestDeclaredStageFiles:
 # mallopt parameters, as glibc's <malloc.h> numbers them.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
-# The 720 m recipe of ``reference_path_peaks`` (test_pointcloud.py) through
-# ``run_all`` in a fresh process, with the memory policy or with it replaced
-# by a no-op ("off"); prints the run's minor page faults.
+# ``run_all`` in a fresh process on the config given as JSON, with the memory
+# policy or with it replaced by a no-op ("off"); prints the run's minor page
+# faults.
 _FRESH_RUN = """
-import resource, sys
+import json, resource, sys
 from urbanmorph import pipeline
 if sys.argv[2] == "off":
     pipeline.reuse_freed_memory = lambda: None
-cfg = pipeline.PipelineConfig(
-    out=sys.argv[1], extent=720.0, n_buildings=19, footprint_min=90.0,
-    footprint_max=120.0, height_min=3.0, height_max=60.0, coarse_factor=30,
-    noise_sigma=2.0, snap_to_coarse=True, seed=1,
-)
+cfg = pipeline.PipelineConfig(**json.loads(sys.argv[1]))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 pipeline.run_all(cfg)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -917,12 +929,14 @@ class TestReuseFreedMemory:
         assert len(calls) == 4
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc malloc policy")
-    def test_same_bytes_fewer_faults_in_fresh_process(self, tmp_path):
+    def test_same_bytes_fewer_faults_in_fresh_process(self, tmp_path, criterion5):
         env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
         faults, digests = {}, {}
         for mode in ("on", "off"):
             out = tmp_path / mode
-            done = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(out), mode], env=env,
+            # The 720 m recipe of ``reference_path_peaks`` (test_pointcloud.py).
+            cfg = json.dumps(vars(criterion5(out, extent=720.0, seed=1)))
+            done = subprocess.run([sys.executable, "-c", _FRESH_RUN, cfg, mode], env=env,
                                   capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             faults[mode], digests[mode] = int(done.stdout), tree_digest(out)

@@ -20,12 +20,10 @@ from urbanmorph.errors import (
     ShapeError,
 )
 from urbanmorph import network, tiler
-from urbanmorph.footprints import FootprintMask
 from urbanmorph.network import (
     ModelConfig,
     TrainConfig,
     Weights,
-    baseline_predict,
     forward,
     init_weights,
     layer_specs,
@@ -1141,13 +1139,3 @@ class TestPredictCity:
                            NormalizationParams(0.0, 60.0))
         np.testing.assert_allclose(out.values, 30.0, atol=1e-4)
 
-
-class TestBaseline:
-    def test_masked_clamped(self):
-        heights = make_raster([[5.0, -2.0], [7.0, 9.0]])
-        mask = FootprintMask(
-            grid=make_raster([[1.0, 1.0], [0.0, 1.0]]),
-            source_ids=np.array([[1, 1], [0, 1]], dtype=np.int64),
-        )
-        out = baseline_predict(heights, mask)
-        np.testing.assert_array_equal(out.values, [[5.0, 0.0], [0.0, 9.0]])
