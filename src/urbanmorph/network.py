@@ -71,9 +71,12 @@ gradient is computed in ``acc`` by one lane, with ``tmp`` as its scratch,
 while the other lane writes only to the gradient vector.  A padded output
 gradient serves the convolutions of its shape in turn.  Each ``dec{l}``
 input gradient is computed in ``acc``; its skip half, read only at
-``enc{l}``'s step, is copied to a buffer of its own, half the size.  The
-pass gives the same bits as the unfused layer-by-layer pass that the tests
-keep as its oracle.
+``enc{l}``'s step, is copied to a tape array of its shape that is idle from
+then on: for ``dec0`` the head's input, whose ReLU mask was read at the
+head's step, and for ``dec{l}`` the input of ``up{l-1}``, which holds
+``dec{l}``'s activation and was last read at ``up{l-1}``'s step.  The next
+forward pass writes both anew.  The pass gives the same bits as the unfused
+layer-by-layer pass that the tests keep as its oracle.
 """
 
 from __future__ import annotations
@@ -386,9 +389,11 @@ class _Buffers:
 
     With ``backward``, ``dyp[name]`` is the padded output gradient of
     ``name``, one array per shape, which its convolutions use in turn;
-    ``skip[name]`` is the skip half of a decoder convolution's input
-    gradient, half the size of that gradient, which lives until the encoder
-    level's step; ``flags`` is boolean scratch.
+    ``skip[name]`` holds the skip half of a decoder convolution's input
+    gradient from its step until the encoder level's, in a tape array of
+    that shape which the backward pass no longer reads: ``dec0``'s in the
+    head's input, ``dec{l}``'s in ``up{l-1}``'s; ``flags`` is boolean
+    scratch.
     """
 
     def __init__(self, cfg: ModelConfig, shape, dtype, backward: bool = True):
@@ -416,8 +421,6 @@ class _Buffers:
                 dyp = padded + (cout,)
                 same = [a for a in self.dyp.values() if a.shape == dyp]
                 self.dyp[name] = same[0] if same else np.zeros(dyp, dtype)
-                if name.startswith("dec"):
-                    self.skip[name] = np.empty((hl, wl, cin // 2), dtype)
         self.acc, self.tmp = np.empty(acc, dtype), np.empty(tmp, dtype)
         self.flags = np.empty(flags, bool)
         self.spare = None if backward else np.empty(spare, dtype)
@@ -428,6 +431,8 @@ class _Buffers:
             dec = self.inner(self.tape, f"dec{l}")
             self.out[f"up{l}"], self.out[f"enc{l}"] = dec[..., :nch], dec[..., nch:]
             self.out[_below(cfg, "dec", l)] = self.tape[f"up{l}"]
+            if backward:
+                self.skip[f"dec{l}"] = self.tape[f"up{l - 1}"] if l else self.tape["head"][:h]
 
     def inner(self, padded: dict, name: str) -> np.ndarray:
         """The (h, w, channels) interior of ``padded[name]``."""
@@ -612,7 +617,8 @@ def _backward(w: Weights, buf: _Buffers, dy: np.ndarray) -> np.ndarray:
 
     def split_dec(l, d, rows):
         """``dec{l}``'s input gradient ``d``: the up-convolution's half, times
-        its ReLU mask, to its padded buffer, and the skip half to its own."""
+        its ReLU mask, to its padded buffer, and the skip half to
+        ``skip[dec{l}]``."""
         nch = cfg.base_filters * 2**l
         set_dy(f"up{l}", d[..., :nch], rows)
         buf.skip[f"dec{l}"][rows] = d[rows, :, nch:]
@@ -769,21 +775,36 @@ def train(
 # -- city-scale inference ----------------------------------------------------
 
 
+def _predict_windows(w: Weights, channels: list[Raster], windows) -> np.ndarray:
+    """The normalized prediction on the grid of ``channels``: each window of
+    ``windows`` is cut into one reused tile, run in one set of buffers, and
+    its prediction written into its window of a float32 grid.  The buffers
+    are freed when it returns."""
+    w32 = w.astype(np.float32)
+    size = tiler.TILE_SIZE
+    buffers = _Buffers(w.config, (size, size), np.float32, backward=False)
+    tile = np.empty((size, size, len(channels)), np.float32)
+    out = np.empty(channels[0].values.shape, np.float32)
+    for window in windows:
+        y = forward(w32, tiler.cut(channels, window, tile), buffers=buffers)
+        cells = out[window]
+        cells[...] = y[: cells.shape[0], : cells.shape[1], 0]
+    return out
+
+
 def predict_city(
     w: Weights,
     channels: list[Raster],
     target_params: NormalizationParams,
 ) -> Raster:
-    """Tile the normalized channels, run the network per tile in one set of
-    buffers, stitch, and express the result in meters (denormalized, clamped
-    non-negative)."""
-    grid, tiles = tiler.split(channels)
-    w32 = w.astype(np.float32)
-    buffers = _Buffers(w.config, tiles.shape[1:3], np.float32, backward=False)
-    stitched = tiler.stitch(
-        grid, np.stack([forward(w32, tile, buffers=buffers)[..., 0] for tile in tiles])
-    )
-    return clamp_nonnegative(denormalize(stitched, target_params))
+    """The network's heights for the grid of the normalized channels, in
+    meters (denormalized, clamped non-negative).  It walks the tile windows
+    of ``tiler.windows``, zero-padded at the grid's edge, one tile at a
+    time, and holds no stack of tiles or of their predictions."""
+    grid, windows = tiler.windows(channels)
+    heights = denormalize(grid.with_values(_predict_windows(w, channels, windows)),
+                          target_params)
+    return clamp_nonnegative(heights)
 
 
 # -- weights file I/O --------------------------------------------------------

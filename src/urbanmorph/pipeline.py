@@ -28,8 +28,8 @@ from .errors import AlignmentError, ConfigError, FormatError
 from .footprints import footprint_table, read_footprints, rasterize
 from .pointcloud import fill_voids_nearest, grid_elevation, read_points_csv
 from .pointcloud import height_above_ground
-from .raster import DEFAULT_NODATA, Raster, minmax_normalize, read_raster, require_aligned
-from .raster import resample_cubic, write_raster
+from .raster import DEFAULT_NODATA, Raster, minmax_normalize, minmax_params, read_raster
+from .raster import require_aligned, resample_cubic, write_raster
 
 
 # Bounds on the array sizes that run values imply, so that a finite but
@@ -284,16 +284,25 @@ def _gap_free(r: Raster, path: str, reader: str) -> Raster:
     return r
 
 
+def _grid_of(r: Raster, nodata: float | None = None) -> Raster:
+    """``r``'s grid with no cells of its own: its values are a view of one
+    nodata, ``r``'s unless ``nodata`` is given."""
+    nodata = r.nodata if nodata is None else nodata
+    return r.with_values(np.broadcast_to(np.float32(nodata), r.values.shape), nodata=nodata)
+
+
 def _read(cfg: PipelineConfig, *keys: str):
     """Yield the raster of each key in turn, each checked to exist, to decode
-    and to lie on the grid of the first one."""
+    and to lie on the grid of the first one.  Only the first one's grid is
+    kept between yields, so a raster the caller drops is freed."""
     first = None
     for key in keys:
         path = _file(cfg, key)
         r = read_raster(path)
-        first = first or (path, r)
+        first = first or (path, _grid_of(r))
         _aligned(first[1], r, f"{first[0]} and {path}")
         yield r
+        del r
 
 
 def _resampled(cfg: PipelineConfig, key: str, cell_size: float) -> Raster:
@@ -364,11 +373,10 @@ def stage_rasterize_points(cfg: PipelineConfig) -> dict[str, str]:
     reference and the prediction share their cells; points off it are dropped."""
     pc = read_points_csv(points := _file(cfg, "points"))
     (fine,) = _read(cfg, "ndsm_resampled")
-    # The fine grid, for its geometry only: its values become a view of one
-    # nodata, so its cells are freed before the gridding.  The DSM and DEM
-    # keep their own sentinel: the coarse layer's may be a real elevation.
-    fine = fine.with_values(np.broadcast_to(np.float32(DEFAULT_NODATA), fine.values.shape),
-                            nodata=DEFAULT_NODATA)
+    # The fine grid, for its geometry only, so its cells are freed before the
+    # gridding.  The DSM and DEM keep their own sentinel: the coarse layer's
+    # may be a real elevation.
+    fine = _grid_of(fine, DEFAULT_NODATA)
     dem, dsm = grid_elevation(pc, fine)
     del pc  # the fill needs the grids alone
     if not dem.valid_mask.any():
@@ -388,21 +396,30 @@ def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
     return _write(cfg, "resample", ndsm_resampled=fine)
 
 
-def _network_inputs(cfg: PipelineConfig):
-    """The normalized predictor channels (nDSM, population and footprint mask),
-    and the normalized reference with its params.  A nodata cell is a
-    FormatError, since the network would read the nodata value as data; the
-    population, read after the fine rasters, is resampled to their grid."""
-    keys = ("ndsm_resampled", "ndsm_ref")
-    ndsm_fine, ref = (_gap_free(r, _file(cfg, key), "the network")
-                      for key, r in zip(keys, _read(cfg, *keys)))
-    pop_fine = _resampled(cfg, "population", ndsm_fine.cell_size)
-    _aligned(ndsm_fine, pop_fine, f"{_file(cfg, 'ndsm_resampled')} and "
-             f"{_file(cfg, 'population')} resampled to {ndsm_fine.cell_size:g} m")
-    _, mask = _mask_for(cfg, ndsm_fine)
-    built = mask.grid.with_values(mask.source_ids > 0)
-    channels = [minmax_normalize(ndsm_fine)[0], minmax_normalize(pop_fine)[0], built]
-    return channels, minmax_normalize(ref)
+def _network_inputs(cfg: PipelineConfig, target: bool):
+    """The normalized predictor channels (nDSM, population and footprint
+    mask), the normalized reference if ``target`` (else None) and its params.
+    A nodata cell is a FormatError, since the network would read the nodata
+    value as data; the population, read after the fine rasters, is resampled
+    to their grid.  Each raw raster, and the footprint ids, are dropped once
+    their channel is built."""
+    rasters = _read(cfg, "ndsm_resampled", "ndsm_ref")
+    ndsm = _gap_free(next(rasters), path := _file(cfg, "ndsm_resampled"), "the network")
+    grid = _grid_of(ndsm)
+    channels = [minmax_normalize(ndsm)[0]]
+    del ndsm
+    (ref,) = rasters  # the generator ends here and keeps no raster
+    ref = _gap_free(ref, _file(cfg, "ndsm_ref"), "the network")
+    reference, params = minmax_normalize(ref) if target else (None, minmax_params(ref))
+    del ref
+    pop = _resampled(cfg, "population", grid.cell_size)
+    _aligned(grid, pop, f"{path} and {_file(cfg, 'population')} resampled to "
+             f"{grid.cell_size:g} m")
+    channels.append(minmax_normalize(pop)[0])
+    del pop
+    built = _mask_for(cfg, grid)[1].source_ids > 0
+    channels.append(grid.with_values(built))
+    return channels, reference, params
 
 
 def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.TrainConfig]:
@@ -412,9 +429,10 @@ def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.
 
 def stage_train(cfg: PipelineConfig) -> dict[str, str]:
     model_cfg, train_cfg = _network_configs(cfg)
-    channels, (target_norm, _) = _network_inputs(cfg)
+    channels, target, _ = _network_inputs(cfg, target=True)
     # One split, so each target tile is cut from the window of its channels.
-    _, tiles = tiler.split([*channels, target_norm])
+    _, tiles = tiler.split([*channels, target])
+    del channels, target  # the tiles hold every cell now
     dataset = [(t[..., :-1], t[..., -1]) for t in tiles]
     weights = network.init_weights(model_cfg)
     trained, history = network.train(weights, dataset, train_cfg)
@@ -434,7 +452,7 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, str]:
         pred = ndsm_fine.with_values(np.where(
             mask.source_ids > 0, np.maximum(ndsm_fine.values, 0.0), np.float32(0.0)))
     else:
-        channels, (_, target_params) = _network_inputs(cfg)
+        channels, _, target_params = _network_inputs(cfg, target=False)
         path = _file(cfg, "weights")
         weights = network.read_weights(path)
         if (cin := weights.config.in_channels) != len(channels):

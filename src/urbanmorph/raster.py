@@ -27,7 +27,8 @@ from .errors import (
 DEFAULT_NODATA = -9999.0
 
 GEOREF_TOL = 1e-6
-# Cells of one block of output rows in ``resample_cubic``: 256 KiB at float64.
+# Cells of one block of rows in ``resample_cubic`` and the cell-wise kernels
+# (normalization, its inverse and the clamp): 256 KiB at float64.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -125,12 +126,31 @@ def require_aligned(a: Raster, b: Raster, what: str = "rasters") -> None:
 # -- cell-wise arithmetic --------------------------------------------------
 
 
+def _row_blocks(height: int, width: int):
+    """Slices of rows of about ``_BLOCK_CELLS`` cells, at least one row each,
+    that cover ``height`` rows of ``width`` cells in order."""
+    rows = max(1, _BLOCK_CELLS // width)
+    return (slice(r, r + rows) for r in range(0, height, rows))
+
+
+def _cellwise(r: Raster, fn) -> Raster:
+    """A raster on ``r``'s grid holding ``fn`` of ``r``'s valid cells, block
+    of rows by block of rows, with nodata where ``r`` has it.  ``fn`` maps a
+    1-D float32 array of valid cells to their new values; each block's
+    temporaries are the only memory beyond the result."""
+    nodata = np.float32(r.nodata)
+    out = np.empty_like(r.values)
+    for rows in _row_blocks(r.height, r.width):
+        cells, dst = r.values[rows], out[rows]
+        valid = cells != nodata
+        dst[...] = nodata
+        dst[valid] = fn(cells[valid])
+    return r.with_values(out)
+
+
 def clamp_nonnegative(r: Raster) -> Raster:
     """Replace negative cells with 0; nodata cells pass through."""
-    out = r.values.copy()
-    valid = r.valid_mask
-    out[valid] = np.maximum(out[valid], np.float32(0.0))
-    return r.with_values(out)
+    return _cellwise(r, lambda v: np.maximum(v, np.float32(0.0)))
 
 
 # -- resampling ------------------------------------------------------------
@@ -199,40 +219,56 @@ def resample_cubic(src: Raster, target_cell_size: float) -> Raster:
 # -- normalization ---------------------------------------------------------
 
 
+def minmax_params(r: Raster) -> NormalizationParams:
+    """The min and max of ``r``'s valid cells, read a block of rows at a time.
+
+    Of zeros of both signs, -0.0 is the min and +0.0 the max, as IEEE 754
+    orders them; numpy's min and max return either zero of such a tie.
+    """
+    nodata = np.float32(r.nodata)
+    lows, highs = [], []
+    negative_zero = positive_zero = False
+    for rows in _row_blocks(r.height, r.width):
+        cells = r.values[rows]
+        cells = cells[cells != nodata]
+        if cells.size:
+            lows.append(cells.min())
+            highs.append(cells.max())
+            if lows[-1] == 0 or highs[-1] == 0:
+                signs = np.signbit(cells[cells == 0])
+                negative_zero |= bool(signs.any())
+                positive_zero |= not signs.all()
+    if not lows:
+        raise EmptyStatisticsError("cannot normalize an all-nodata raster")
+    low, high = float(np.min(lows)), float(np.max(highs))
+    if low == 0:
+        low = -0.0 if negative_zero else 0.0
+    if high == 0:
+        high = 0.0 if positive_zero else -0.0
+    return NormalizationParams(low, high)
+
+
 def minmax_normalize(
     r: Raster, params: NormalizationParams | None = None
 ) -> tuple[Raster, NormalizationParams]:
     """Scale non-nodata cells to [0, 1].
 
-    When no params are given the min/max are taken over the raster's valid
-    cells (64-bit accumulation).  A constant raster maps to all zeros.
+    When no params are given they are ``minmax_params(r)``.  A constant
+    raster maps to all zeros.  Each cell is computed in 64-bit and cast to
+    32-bit, a block of rows at a time.
     """
-    valid = r.valid_mask
     if params is None:
-        if not valid.any():
-            raise EmptyStatisticsError("cannot normalize an all-nodata raster")
-        v64 = r.values[valid].astype(np.float64)
-        params = NormalizationParams(float(v64.min()), float(v64.max()))
-    span = params.max_value - params.min_value
-    out = np.full_like(r.values, r.nodata)
+        params = minmax_params(r)
+    low, span = params.min_value, params.max_value - params.min_value
     if span == 0.0:
-        out[valid] = 0.0
-    else:
-        out[valid] = (
-            (r.values[valid].astype(np.float64) - params.min_value) / span
-        ).astype(np.float32)
-    return r.with_values(out), params
+        return _cellwise(r, lambda v: np.float32(0.0)), params
+    return _cellwise(r, lambda v: ((v.astype(np.float64) - low) / span).astype(np.float32)), params
 
 
 def denormalize(r: Raster, params: NormalizationParams) -> Raster:
     """Invert :func:`minmax_normalize`; nodata preserved."""
-    span = params.max_value - params.min_value
-    valid = r.valid_mask
-    out = np.full_like(r.values, r.nodata)
-    out[valid] = (
-        r.values[valid].astype(np.float64) * span + params.min_value
-    ).astype(np.float32)
-    return r.with_values(out)
+    low, span = params.min_value, params.max_value - params.min_value
+    return _cellwise(r, lambda v: (v.astype(np.float64) * span + low).astype(np.float32))
 
 
 # -- aggregation -----------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Cutting co-registered rasters into fixed-size tiles and lossless stitching.
+"""Cutting co-registered rasters into fixed-size tiles.
 
-``split`` cuts aligned channels into non-overlapping square windows (256x256
-unless told otherwise) and returns the first channel, whose grid they share,
-with the tiles as one float32 array of shape (n, size, size, channels):
-tiles in row-major order, channel ``k`` at ``tiles[..., k]``, and the cells
-beyond the grid's right and bottom edges zero.  ``stitch`` reads a
-(n, size, size) array back onto that grid, dropping the padding, so
-``stitch(grid, tiles[..., k])`` reproduces channel ``k`` bit for bit.
+The tiles of a grid are its non-overlapping square windows, 256x256 unless
+told otherwise, in row-major order.  ``windows`` gives the grid that aligned
+channels share and each tile's window on it, as (rows, columns) slices; a
+window at the grid's right or bottom edge holds fewer cells.  ``cut`` writes
+the cells of the channels in one window into a (size, size, channels)
+float32 tile, channel ``k`` at ``tile[..., k]``, and zeros beyond the edge.
+
+``split`` cuts every tile at once into one (n, size, size, channels) array,
+the training set.  ``network.predict_city`` walks the windows one tile at a
+time instead and writes each prediction back into its window, so inference
+holds one tile beyond its grids.
 """
 
 from __future__ import annotations
@@ -15,43 +19,41 @@ from itertools import product
 
 import numpy as np
 
-from .errors import AlignmentError, ShapeError
+from .errors import AlignmentError
 from .raster import Raster, require_aligned
 
 TILE_SIZE = 256
 
 
-def _starts(grid: Raster, size: int) -> tuple[range, range]:
-    """The first row and the first column of each tile row and tile column."""
-    return range(0, grid.height, size), range(0, grid.width, size)
-
-
-def split(channels: list[Raster], tile_size: int = TILE_SIZE) -> tuple[Raster, np.ndarray]:
-    """Cut aligned channels into zero-padded tiles covering their grid once."""
+def windows(channels: list[Raster], tile_size: int = TILE_SIZE):
+    """The first channel, whose grid aligned ``channels`` share, and the
+    (rows, columns) slices of each tile's window on it, in tile order."""
     if not channels:
-        raise AlignmentError("split needs at least one channel")
+        raise AlignmentError("tiling needs at least one channel")
     grid = channels[0]
     for ch in channels[1:]:
         require_aligned(grid, ch, "channels")
-    rows, cols = _starts(grid, tile_size)
-    tiles = np.zeros((len(rows) * len(cols), tile_size, tile_size, len(channels)), np.float32)
-    for tile, (r0, c0) in zip(tiles, product(rows, cols)):
-        for k, ch in enumerate(channels):
-            window = ch.values[r0 : r0 + tile_size, c0 : c0 + tile_size]
-            tile[: window.shape[0], : window.shape[1], k] = window
+    rows, cols = range(0, grid.height, tile_size), range(0, grid.width, tile_size)
+    return grid, [(slice(r0, r0 + tile_size), slice(c0, c0 + tile_size))
+                  for r0, c0 in product(rows, cols)]
+
+
+def cut(channels: list[Raster], window, tile: np.ndarray) -> np.ndarray:
+    """Channel ``k``'s cells in ``window`` into ``tile[..., k]``, the rest of
+    the (size, size, channels) ``tile`` zero; returns ``tile``."""
+    for k, ch in enumerate(channels):
+        cells = ch.values[window]
+        h, w = cells.shape
+        tile[:h, :w, k] = cells
+        tile[h:, :, k] = tile[:h, w:, k] = 0
+    return tile
+
+
+def split(channels: list[Raster], tile_size: int = TILE_SIZE) -> tuple[Raster, np.ndarray]:
+    """Cut aligned channels into zero-padded tiles covering their grid once:
+    the grid, and the tiles as one (n, size, size, channels) float32 array."""
+    grid, wins = windows(channels, tile_size)
+    tiles = np.empty((len(wins), tile_size, tile_size, len(channels)), np.float32)
+    for tile, window in zip(tiles, wins):
+        cut(channels, window, tile)
     return grid, tiles
-
-
-def stitch(grid: Raster, tiles: np.ndarray) -> Raster:
-    """Reassemble (n, size, size) tiles onto ``grid``; the padding is dropped."""
-    # A stack with no second axis, or of empty tiles, cannot match size 1.
-    size = tiles.shape[1] if tiles.ndim > 1 and tiles.shape[1] else 1
-    rows, cols = _starts(grid, size)
-    expected = (len(rows) * len(cols), size, size)
-    if tiles.shape != expected:
-        raise ShapeError(f"tiles have shape {tiles.shape}, expected {expected}")
-    out = np.empty((grid.height, grid.width), dtype=np.float32)
-    for tile, (r0, c0) in zip(tiles, product(rows, cols)):
-        window = out[r0 : r0 + size, c0 : c0 + size]
-        window[...] = tile[: window.shape[0], : window.shape[1]]
-    return grid.with_values(out)

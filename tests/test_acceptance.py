@@ -36,7 +36,7 @@ from urbanmorph.raster import (
     write_raster,
 )
 from urbanmorph.synth import SyntheticCitySpec, generate_city
-from urbanmorph.tiler import split, stitch
+from urbanmorph.tiler import split
 from urbanmorph.ucp import aggregate_all, covered_area
 from urbanmorph.validation import PairedSeries, mape, pair_grids, rmse
 
@@ -171,7 +171,7 @@ def test_criterion_1_formula_fidelity():
         assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f} s (limit 10 s)"
 
 
-def test_criterion_2_round_trips(tmp_path):
+def test_criterion_2_round_trips(tmp_path, stitch):
     with acceptance(2, "round-trip identities"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(202)

@@ -352,7 +352,7 @@ class TestNetworkStageInputs:
         assert "weights.glbw: bad model header" in err
         assert not (tmp_path / "predicted_heights.glbr").exists()
 
-    def test_train_dataset_is_channels_then_target(self, run_dir, tmp_path, monkeypatch):
+    def test_train_dataset_is_channels_then_target(self, run_dir, tmp_path, monkeypatch, stitch):
         # Each training pair is one tile: every channel but the last as the
         # input, and the normalized reference, the last channel, as the target.
         flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"),
@@ -373,7 +373,7 @@ class TestNetworkStageInputs:
         assert len(seen) == len(tiles) == 1 and all(x.shape[-1] == 3 for x, _ in seen)
         for expected, part in ((ndsm, [x[..., 0] for x, _ in seen]),
                                (target, [y for _, y in seen])):
-            back = tiler.stitch(grid, np.stack(part))
+            back = stitch(grid, np.stack(part))
             assert back.values.tobytes() == expected.values.tobytes()
 
     def test_train_target_not_aligned_exit_2(self, run_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from urbanmorph.errors import (
     ShapeError,
     VoidError,
 )
+from urbanmorph import raster as raster_mod
 from urbanmorph.raster import _catmull_rom_weights
 from urbanmorph.raster import (
     _GLBR_HEADER,
@@ -20,6 +22,7 @@ from urbanmorph.raster import (
     denormalize,
     downsample_average,
     minmax_normalize,
+    minmax_params,
     read_raster,
     resample_cubic,
     write_raster,
@@ -175,6 +178,124 @@ class TestDenormalize:
     def test_degenerate_params(self):
         out = denormalize(make([[0.3, 0.9]]), NormalizationParams(4.0, 4.0))
         np.testing.assert_array_equal(out.values, 4.0)
+
+
+# The whole-grid cell-wise kernels that the row-blocked ones replaced, kept
+# as bit-for-bit oracles.
+
+
+def minmax_normalize_oracle(r, params=None):
+    valid = r.valid_mask
+    if params is None:
+        v64 = r.values[valid].astype(np.float64)
+        params = NormalizationParams(float(v64.min()), float(v64.max()))
+    span = params.max_value - params.min_value
+    out = np.full_like(r.values, r.nodata)
+    if span == 0.0:
+        out[valid] = 0.0
+    else:
+        out[valid] = ((r.values[valid].astype(np.float64) - params.min_value) / span
+                      ).astype(np.float32)
+    return out, params
+
+
+def denormalize_oracle(r, params):
+    span = params.max_value - params.min_value
+    valid = r.valid_mask
+    out = np.full_like(r.values, r.nodata)
+    out[valid] = (r.values[valid].astype(np.float64) * span + params.min_value
+                  ).astype(np.float32)
+    return out
+
+
+def clamp_nonnegative_oracle(r):
+    out = r.values.copy()
+    valid = r.valid_mask
+    out[valid] = np.maximum(out[valid], np.float32(0.0))
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def blocked_grids(draw):
+    """A raster of finite cells, nodata among them, with zeros of both signs,
+    and a block of 1 to 7 of its rows."""
+    height, width = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cell = st.one_of(st.floats(-1e6, 1e6, width=32), st.sampled_from([0.0, -0.0, NODATA]))
+    if draw(st.booleans()):  # a constant raster, span 0, nodata aside
+        c = draw(st.floats(-1e6, 1e6, width=32))
+        cell = st.sampled_from([c, NODATA])
+    values = np.array(draw(st.lists(cell, min_size=height * width, max_size=height * width)),
+                      np.float32).reshape(height, width)
+    return make(values), draw(st.integers(1, 7))
+
+
+class TestBlockedCellwise:
+    """``minmax_normalize``, ``denormalize`` and ``clamp_nonnegative`` run a
+    block of rows at a time, with the bits of the whole-grid expressions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocked_grids(), st.floats(-1e3, 1e3),
+           st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    def test_equal_to_whole_grid_oracles(self, case, low, span):
+        # A given span of 0 or of at least 1e-3 keeps every normalized cell
+        # within float32.
+        r, rows = case
+        given_params = NormalizationParams(low, low + span)
+        with mock.patch.object(raster_mod, "_BLOCK_CELLS", rows * r.width):
+            if r.valid_mask.any():
+                out, params = minmax_normalize(r)
+                want, want_params = minmax_normalize_oracle(r)
+                assert minmax_params(r) == params
+                got = (params.min_value, params.max_value)
+                wanted = (want_params.min_value, want_params.max_value)
+                zeros = np.signbit(r.values[r.valid_mask & (r.values == 0)])
+                if zeros.any() and not zeros.all():
+                    # Of zeros of both signs numpy's min and max return either;
+                    # the blocked params take -0.0 as the min and +0.0 as the max.
+                    wanted = (-0.0 if wanted[0] == 0 else wanted[0],
+                              0.0 if wanted[1] == 0 else wanted[1])
+                    want = minmax_normalize_oracle(r, params)[0]
+                assert [np.float64(v).tobytes() for v in got] == \
+                    [np.float64(v).tobytes() for v in wanted]
+                assert same_bits(out.values, want)
+            out, _ = minmax_normalize(r, given_params)
+            assert same_bits(out.values, minmax_normalize_oracle(r, given_params)[0])
+            assert same_bits(denormalize(r, given_params).values,
+                             denormalize_oracle(r, given_params))
+            assert same_bits(clamp_nonnegative(r).values, clamp_nonnegative_oracle(r))
+
+    @pytest.mark.parametrize("rows", range(1, 8))
+    def test_cell_that_denormalizes_to_negative_zero(self, rows):
+        # -1 ulp of float32 times a span of 0.25 rounds to -0.0 in float32;
+        # the clamp of the cast cell is what the whole-grid clamp gives.
+        tiny = -np.float32(np.finfo(np.float32).smallest_subnormal)
+        r = make(np.array([[0.5, tiny, NODATA], [-0.0, 1.0, tiny]] * 4, np.float32))
+        params = NormalizationParams(0.0, 0.25)
+        with mock.patch.object(raster_mod, "_BLOCK_CELLS", rows * r.width):
+            heights = denormalize(r, params)
+            assert np.signbit(heights.values[0, 1]) and heights.values[0, 1] == 0.0
+            assert same_bits(heights.values, denormalize_oracle(r, params))
+            assert same_bits(clamp_nonnegative(heights).values, clamp_nonnegative_oracle(heights))
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_zeros_of_both_signs_in_other_blocks(self, rows):
+        # -0.0 is the min and +0.0 the max of a tie, whichever block holds which.
+        for values, extremes in (([[-0.0, 3.0], [0.0, 2.0], [NODATA, -0.0]], (-0.0, 3.0)),
+                                 ([[0.0, -0.0], [-4.0, 0.0], [-0.0, NODATA]], (-4.0, 0.0)),
+                                 ([[0.0, NODATA], [-0.0, -0.0], [0.0, 0.0]], (-0.0, 0.0))):
+            r = make(values)
+            with mock.patch.object(raster_mod, "_BLOCK_CELLS", rows * r.width):
+                params = minmax_params(r)
+            assert [np.float64(v).tobytes() for v in (params.min_value, params.max_value)] \
+                == [np.float64(v).tobytes() for v in extremes]
+
+    def test_all_nodata_params_raise(self):
+        with pytest.raises(EmptyStatisticsError):
+            minmax_params(make([[NODATA, NODATA]]))
 
 
 class TestDownsample:

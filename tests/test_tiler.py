@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from urbanmorph.errors import AlignmentError, ShapeError
 from urbanmorph.raster import Raster
-from urbanmorph.tiler import TILE_SIZE, split, stitch
+from urbanmorph.tiler import TILE_SIZE, cut, split, windows
 
 NODATA = -9999.0
 
@@ -73,7 +73,7 @@ class TestSplit:
             np.testing.assert_array_equal(tiles[5, :6, :2, k], k + 1.0)
             np.testing.assert_array_equal(tiles[5, 6:, :, k], 0.0)
 
-    def test_tile_georef(self):
+    def test_tile_georef(self, stitch):
         r = make(np.arange(10000, dtype=np.float32).reshape(100, 100), 2.0, (10.0, 20.0))
         grid, tiles = split([r], tile_size=64)
         assert grid is r
@@ -97,8 +97,32 @@ class TestSplit:
             split([])
 
 
+class TestWindows:
+    def test_windows_in_tile_order(self):
+        r = random_raster(100, 130)
+        grid, wins = windows([r], 64)
+        assert grid is r
+        assert [(rows.start, cols.start) for rows, cols in wins] == offsets(r, 64)
+        assert [r.values[w].shape for w in wins] == [(64, 64), (64, 64), (64, 2),
+                                                      (36, 64), (36, 64), (36, 2)]
+
+    def test_cut_into_a_reused_tile_zeroes_the_padding(self):
+        # A tile that held a full window, then an edge window: the cells
+        # beyond the grid are zero, not the earlier tile's.
+        chans = [random_raster(100, 130, seed=s) for s in (1, 2)]
+        _, wins = windows(chans, 64)
+        _, tiles = split(chans, 64)
+        tile = np.full((64, 64, 2), 1e9, np.float32)
+        for window, want in zip(wins, tiles):
+            assert cut(chans, window, tile) is tile
+            assert tile.tobytes() == want.tobytes()
+        assert np.count_nonzero(tiles[5] == 0.0) == 2 * (64 * 64 - 36 * 2)
+
+
 class TestStitch:
-    def test_round_trip_300(self):
+    """``split`` and the window walk of the ``stitch`` oracle are inverses."""
+
+    def test_round_trip_300(self, stitch):
         r = random_raster(300, 300, seed=5)
         grid, tiles = split([r])
         back = stitch(grid, tiles[..., 0])
@@ -106,7 +130,7 @@ class TestStitch:
         assert back.origin_x == r.origin_x and back.cell_size == r.cell_size
         assert back.nodata == r.nodata
 
-    def test_padding_does_not_leak(self):
+    def test_padding_does_not_leak(self, stitch):
         r = random_raster(300, 200, seed=6)
         grid, tiles = split([r])
         # Corrupt the padding region of every tile; stitch must ignore it.
@@ -119,28 +143,28 @@ class TestStitch:
         np.testing.assert_array_equal(back.values, r.values)
 
     @pytest.mark.parametrize("extra", [-1, 1])
-    def test_wrong_tile_count_rejected(self, extra):
+    def test_wrong_tile_count_rejected(self, stitch, extra):
         r = random_raster(300, 300, seed=8)
         plan, tiles = split([r])
         wrong = np.zeros((len(tiles) + extra, TILE_SIZE, TILE_SIZE), np.float32)
         with pytest.raises(ShapeError, match=rf"\({len(tiles) + extra}, 256, 256\)"):
             stitch(plan, wrong)
 
-    def test_wrong_tile_shape_rejected(self):
+    def test_wrong_tile_shape_rejected(self, stitch):
         r = random_raster(64, 64, seed=10)
         plan, _ = split([r], tile_size=64)
         with pytest.raises(ShapeError, match="shape"):
             stitch(plan, np.zeros((1, 32, 32), np.float32))
 
     @pytest.mark.parametrize("shape", [(64, 64), (1, 64, 64, 1), (1, 1, 64, 64)])
-    def test_wrong_rank_rejected(self, shape):
+    def test_wrong_rank_rejected(self, stitch, shape):
         r = random_raster(64, 64, seed=11)
         plan, _ = split([r], tile_size=64)
         with pytest.raises(ShapeError, match="expected"):
             stitch(plan, np.zeros(shape, np.float32))
 
     @pytest.mark.parametrize("shape", [(0, 0, 0), (1, 0, 0), (4, 32, 64), (4, 64, 32)])
-    def test_empty_or_non_square_tiles_rejected(self, shape):
+    def test_empty_or_non_square_tiles_rejected(self, stitch, shape):
         r = random_raster(64, 64, seed=12)
         with pytest.raises(ShapeError, match="expected"):
             stitch(r, np.zeros(shape, np.float32))
@@ -152,7 +176,7 @@ class TestStitch:
         tile_size=st.sampled_from([16, 64, 256]),
         n_channels=st.integers(min_value=1, max_value=4),
     )
-    def test_round_trip_property(self, height, width, tile_size, n_channels):
+    def test_round_trip_property(self, stitch, height, width, tile_size, n_channels):
         rng = np.random.default_rng(height * 1000 + width)
         chans = [
             make(rng.uniform(-5, 5, (height, width)).astype(np.float32))
