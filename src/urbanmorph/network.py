@@ -51,8 +51,12 @@ same operands, shapes and strides as one, and keep every sum in its order, so
 each result has the same bits at either count.  Forward, a convolution's taps
 run in pairs, one GEMM a lane; each lane then adds the pair's products, in
 tap order, to its half of the accumulator's rows, and later adds the bias and
-applies the ReLU to that half.  Backward, one lane computes a layer's kernel
-and bias gradients while the other computes its input gradient.  Two lanes
+applies the ReLU to that half; each max-pool splits its rows between the
+lanes.  Backward, one lane computes a layer's kernel and bias gradients
+while the other computes its input gradient.  Each kernel-gradient product
+is an ``np.dot``, not an ``np.matmul``: both make the same BLAS call, but
+numpy's matmul keeps the GIL when its output is small (it did at 16 x 8
+values and released it at 32 x 16), so the other lane would wait.  Two lanes
 run only when the process may use 2 CPUs and OpenBLAS runs on one thread:
 OpenBLAS's own threads spin while they wait, and a lane beside them slows
 them down.
@@ -500,14 +504,19 @@ def _forward(w: Weights, x: np.ndarray, buf: _Buffers) -> np.ndarray:
     """The pass on the (H, W, C) tile ``x`` in ``buf``; returns ``buf.y``."""
     cfg = w.config
     buf.inner(buf.tape, "enc0")[...] = x
+
+    def pool(a, pooled, rows):
+        fine, out = a[2 * rows.start : 2 * rows.stop], pooled[rows]
+        first, second, *rest = (fine[i::2, j::2] for i, j in _WINDOW)
+        np.maximum(first, second, out=out)
+        for cells in rest:
+            np.maximum(out, cells, out=out)
+
     with _pass_lanes(x.shape) as lanes:
         for l in range(cfg.depth):
             _conv(w, buf, f"enc{l}", lanes)
-            a, pooled = buf.out[f"enc{l}"], buf.inner(buf.tape, _below(cfg, "enc", l))
-            first, second, *rest = (a[i::2, j::2] for i, j in _WINDOW)
-            np.maximum(first, second, out=pooled)
-            for cells in rest:
-                np.maximum(pooled, cells, out=pooled)
+            pooled = buf.inner(buf.tape, _below(cfg, "enc", l))
+            lanes.by_rows(partial(pool, buf.out[f"enc{l}"], pooled), len(pooled))
         _conv(w, buf, "bottleneck", lanes)
         for l in reversed(range(cfg.depth)):
             _conv(w, buf, f"up{l}", lanes)
@@ -534,8 +543,9 @@ def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str, lanes: _Lane
     One lane takes the kernel and bias gradients and the other the input
     gradient.  An up-convolution's input gradient overwrites its rebuilt
     input, so there the lanes first split the kernel gradient's taps, and
-    then the bias gradient runs beside the input gradient; ``enc0`` splits
-    its taps too."""
+    then the bias gradient runs beside the input gradient.  ``enc0`` has no
+    input gradient: a third of its taps and its bias gradient run beside the
+    other two thirds."""
     dyp, kernel = buf.dyp[name], w.kernels[name]
     kh, kw, cin, cout = kernel.shape
     (hl, wl), wp, p = buf.size[name], dyp.shape[1], kh // 2
@@ -551,7 +561,9 @@ def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str, lanes: _Lane
     def kernel_grad(taps):
         for i, j in taps:
             s = i * wp + j
-            np.matmul(flat[s : s + n].T, dy_flat, out=grad.kernels[name][i, j])
+            # np.dot, not np.matmul: the same BLAS call, but matmul keeps the
+            # GIL for small outputs, so the other lane could not run beside it.
+            np.dot(flat[s : s + n].T, dy_flat, out=grad.kernels[name][i, j])
 
     def bias_grad():
         # numpy sums (cells, channels) cell by cell, but one channel pairwise
@@ -565,16 +577,20 @@ def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str, lanes: _Lane
         k_rot = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
         _shifted_gemm(dyp, k_rot, dx, [_scratch(buf.tmp, (n, cin))], _ONE_LANE)
 
-    def parameter_grads():
+    def parameter_grads(taps):
         kernel_grad(taps)
         bias_grad()
 
-    if name.startswith("up") or name == "enc0":
+    if name.startswith("up"):
         half = len(taps) // 2
         lanes.pair(partial(kernel_grad, taps[:half]), partial(kernel_grad, taps[half:]))
-        lanes.pair(bias_grad, None if name == "enc0" else input_grad)
+        lanes.pair(bias_grad, input_grad)
+    elif name == "enc0":
+        # Its bias gradient takes about as long as three of its nine taps.
+        third = len(taps) // 3
+        lanes.pair(partial(parameter_grads, taps[:third]), partial(kernel_grad, taps[third:]))
     else:
-        lanes.pair(parameter_grads, input_grad)
+        lanes.pair(partial(parameter_grads, taps), input_grad)
     return None if name == "enc0" else dx.reshape(hl, wp, cin)[:, :wl]
 
 

@@ -4,10 +4,14 @@ The ``ci`` hypothesis profile derandomizes the property tests, so a failure
 in CI reproduces from its log: ``pytest --hypothesis-profile=ci``.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import urbanmorph
 from urbanmorph import tiler
 from urbanmorph.errors import ShapeError
 from urbanmorph.pipeline import PipelineConfig
@@ -54,3 +58,14 @@ def stitch():
     the oracle of the tiler's round trips and of ``network.predict_city``,
     which writes each tile's prediction into its window itself."""
     return _stitch
+
+
+@pytest.fixture
+def child_env():
+    """``os.environ`` with the directory this ``urbanmorph`` was imported from
+    first on ``PYTHONPATH``, for a child interpreter: the ``pythonpath``
+    setting of pytest reaches only this process, so a child of a checkout
+    that is not installed could not import the package."""
+    src = str(Path(urbanmorph.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))

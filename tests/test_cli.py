@@ -929,14 +929,13 @@ class TestReuseFreedMemory:
         assert len(calls) == 4
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc malloc policy")
-    def test_same_bytes_fewer_faults_in_fresh_process(self, tmp_path, criterion5):
-        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    def test_same_bytes_fewer_faults_in_fresh_process(self, tmp_path, criterion5, child_env):
         faults, digests = {}, {}
         for mode in ("on", "off"):
             out = tmp_path / mode
             # The 720 m recipe of ``reference_path_peaks`` (test_pointcloud.py).
             cfg = json.dumps(vars(criterion5(out, extent=720.0, seed=1)))
-            done = subprocess.run([sys.executable, "-c", _FRESH_RUN, cfg, mode], env=env,
+            done = subprocess.run([sys.executable, "-c", _FRESH_RUN, cfg, mode], env=child_env,
                                   capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             faults[mode], digests[mode] = int(done.stdout), tree_digest(out)

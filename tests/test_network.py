@@ -693,10 +693,12 @@ class TestPassEqualsOracle:
                 assert_same_bits(grad, grad0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("depth, base, shape", [(3, 8, (64, 96)), (1, 1, (256, 200))])
+    @pytest.mark.parametrize("depth, base, shape",
+                             [(3, 8, (64, 96)), (1, 1, (256, 200)), (3, 8, (256, 256))])
     def test_full_size_bits(self, monkeypatch, dtype, depth, base, shape):
         # Base 1 gives one-channel convolutions, whose bias gradient numpy
-        # sums pairwise, at a size where the order of that sum shows.
+        # sums pairwise, at a size where the order of that sum shows.  The
+        # pipeline's own tile gives its level-0 kernel gradients 66,048 rows.
         rng = np.random.default_rng(4)
         cfg = ModelConfig(depth=depth, base_filters=base, in_channels=3, seed=3)
         w = init_weights(cfg).astype(dtype)
@@ -853,10 +855,10 @@ class TestLanes:
         loss_and_gradient(w, np.zeros((side, side, 2)), np.zeros((side, side)))
         assert counts == [lanes, lanes]  # the forward and the backward pass
 
-    def test_import_starts_no_thread(self):
+    def test_import_starts_no_thread(self, child_env):
         code = ("import threading, urbanmorph, urbanmorph.network as n; "
                 "print(threading.active_count(), n._blas_threads(), n.LANES)")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env = dict(child_env, OPENBLAS_NUM_THREADS="1")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.split()
         assert out[0] == "1"
@@ -889,6 +891,8 @@ class TestLanes:
         class Boom(Exception):
             pass
 
+        failed = []  # the names of each handoff's two functions, the worker's made to fail
+
         def failing_pair(k):
             """``pair``, whose k-th worker function runs and then raises there."""
             calls = itertools.count()
@@ -896,6 +900,7 @@ class TestLanes:
             def pair(self, first, second=None):
                 if second is not None and next(calls) == k:
                     work = second
+                    failed.append(tuple(getattr(f, "func", f).__name__ for f in (first, work)))
 
                     def second():
                         assert threading.current_thread() is not threading.main_thread()
@@ -915,7 +920,12 @@ class TestLanes:
             except Boom:
                 pass
             else:
-                assert k == next(calls) > 0  # every worker function of a step failed once
+                assert k == next(calls) == len(failed) > 0  # each worker function failed once
+                # Among them the forward max-pool's rows, and the step's last
+                # handoff: enc0's kernel-gradient taps beside the rest of its
+                # taps and its bias gradient.
+                assert ("pool", "pool") in failed
+                assert failed[-1] == ("parameter_grads", "kernel_grad")
                 break
             monkeypatch.setattr(network._Lanes, "pair", real_pair)
             loss, grad = loss_and_gradient(w, x, target, buffers=buf)
