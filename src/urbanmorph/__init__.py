@@ -37,7 +37,6 @@ from .pointcloud import (
     height_above_ground,
     read_points_csv,
 )
-from .tiler import split
 from .network import (
     ModelConfig,
     TrainConfig,

@@ -743,9 +743,11 @@ def train(
     Each step runs at float32: ``loss_and_gradient`` gets the float32 copy of
     the float64 master weights, and the step is applied to the master, which
     is what is returned.  Every sample is checked and cast to float32 once,
-    before the first step, and the steps on tiles of one shape share one set
-    of buffers.  A non-finite loss, or a master weight that is not finite at
-    float32 after a step, is a ``DivergenceError``.  Samples are visited in
+    before the first step; a sample already float32, such as a window of the
+    pipeline's ``tiler.padded`` stack, stays a view of it, so no cell is
+    copied.  The steps on tiles of one shape share one set of buffers.  A
+    non-finite loss, or a master weight that is not finite at float32 after
+    a step, is a ``DivergenceError``.  Samples are visited in
     the order given; the run is bit-deterministic for a fixed (weights,
     dataset order, config).  Returns the trained weights and the per-epoch
     mean loss.
@@ -791,35 +793,29 @@ def train(
 # -- city-scale inference ----------------------------------------------------
 
 
-def _predict_windows(w: Weights, channels: list[Raster], windows) -> np.ndarray:
-    """The normalized prediction on the grid of ``channels``: each window of
-    ``windows`` is cut into one reused tile, run in one set of buffers, and
-    its prediction written into its window of a float32 grid.  The buffers
-    are freed when it returns."""
-    w32 = w.astype(np.float32)
-    size = tiler.TILE_SIZE
-    buffers = _Buffers(w.config, (size, size), np.float32, backward=False)
-    tile = np.empty((size, size, len(channels)), np.float32)
-    out = np.empty(channels[0].values.shape, np.float32)
-    for window in windows:
-        y = forward(w32, tiler.cut(channels, window, tile), buffers=buffers)
-        cells = out[window]
-        cells[...] = y[: cells.shape[0], : cells.shape[1], 0]
-    return out
-
-
 def predict_city(
     w: Weights,
-    channels: list[Raster],
+    grid: Raster,
+    stack: np.ndarray,
     target_params: NormalizationParams,
 ) -> Raster:
-    """The network's heights for the grid of the normalized channels, in
-    meters (denormalized, clamped non-negative).  It walks the tile windows
-    of ``tiler.windows``, zero-padded at the grid's edge, one tile at a
-    time, and holds no stack of tiles or of their predictions."""
-    grid, windows = tiler.windows(channels)
-    heights = denormalize(grid.with_values(_predict_windows(w, channels, windows)),
-                          target_params)
+    """The network's heights on ``grid``, in meters (denormalized, clamped
+    non-negative), from ``stack``, the normalized channels in the
+    ``tiler.padded`` stack of the grid; a stack of another shape is a
+    ShapeError.  Each window of ``tiler.windows`` runs as the view
+    ``stack[window]`` in one set of buffers, and its prediction is written
+    into its window of a padded float32 grid; the buffers and that grid are
+    freed before the clamp, and no tile is copied out of the stack."""
+    out = tiler.padded(grid, 1)[..., 0]
+    if stack.shape != (expected := out.shape + (w.config.in_channels,)):
+        raise ShapeError(f"stack has shape {stack.shape}, expected {expected}")
+    w32 = w.astype(np.float32)
+    buffers = _Buffers(w.config, (tiler.TILE_SIZE,) * 2, np.float32, backward=False)
+    for window in tiler.windows(grid):
+        out[window] = forward(w32, stack[window], buffers=buffers)[..., 0]
+    del buffers
+    heights = denormalize(grid.with_values(out[: grid.height, : grid.width]), target_params)
+    del out
     return clamp_nonnegative(heights)
 
 

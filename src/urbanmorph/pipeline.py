@@ -397,29 +397,37 @@ def stage_resample(cfg: PipelineConfig) -> dict[str, str]:
 
 
 def _network_inputs(cfg: PipelineConfig, target: bool):
-    """The normalized predictor channels (nDSM, population and footprint
-    mask), the normalized reference if ``target`` (else None) and its params.
-    A nodata cell is a FormatError, since the network would read the nodata
-    value as data; the population, read after the fine rasters, is resampled
-    to their grid.  Each raw raster, and the footprint ids, are dropped once
-    their channel is built."""
+    """The fine grid, the network's input stack on it and the reference's
+    normalization params.  The stack is ``tiler.padded``'s for the grid, each
+    channel written into its cells: the normalized nDSM, population and
+    footprint mask, and if ``target`` the normalized reference last.  A nodata
+    cell is a FormatError, since the network would read the nodata value as
+    data; the population, read after the fine rasters, is resampled to their
+    grid and the mask rasterized onto it, so each channel is aligned before
+    it is written, and dropped after.  The stack is returned read-only, so
+    every tile is a read-only view of it."""
     rasters = _read(cfg, "ndsm_resampled", "ndsm_ref")
     ndsm = _gap_free(next(rasters), path := _file(cfg, "ndsm_resampled"), "the network")
     grid = _grid_of(ndsm)
-    channels = [minmax_normalize(ndsm)[0]]
+    ndsm = minmax_normalize(ndsm)[0]
+    stack = tiler.padded(grid, 3 + target)
+    cells = stack[: grid.height, : grid.width]
+    cells[..., 0] = ndsm.values
     del ndsm
     (ref,) = rasters  # the generator ends here and keeps no raster
     ref = _gap_free(ref, _file(cfg, "ndsm_ref"), "the network")
-    reference, params = minmax_normalize(ref) if target else (None, minmax_params(ref))
+    params = minmax_params(ref)
+    if target:
+        cells[..., -1] = minmax_normalize(ref, params)[0].values
     del ref
     pop = _resampled(cfg, "population", grid.cell_size)
     _aligned(grid, pop, f"{path} and {_file(cfg, 'population')} resampled to "
              f"{grid.cell_size:g} m")
-    channels.append(minmax_normalize(pop)[0])
+    cells[..., 1] = minmax_normalize(pop)[0].values
     del pop
-    built = _mask_for(cfg, grid)[1].source_ids > 0
-    channels.append(grid.with_values(built))
-    return channels, reference, params
+    cells[..., 2] = _mask_for(cfg, grid)[1].source_ids > 0
+    stack.flags.writeable = False
+    return grid, stack, params
 
 
 def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.TrainConfig]:
@@ -429,11 +437,9 @@ def _network_configs(cfg: PipelineConfig) -> tuple[network.ModelConfig, network.
 
 def stage_train(cfg: PipelineConfig) -> dict[str, str]:
     model_cfg, train_cfg = _network_configs(cfg)
-    channels, target, _ = _network_inputs(cfg, target=True)
-    # One split, so each target tile is cut from the window of its channels.
-    _, tiles = tiler.split([*channels, target])
-    del channels, target  # the tiles hold every cell now
-    dataset = [(t[..., :-1], t[..., -1]) for t in tiles]
+    grid, stack, _ = _network_inputs(cfg, target=True)
+    # Each pair is a view of one window of the stack: its channels and target.
+    dataset = [(stack[win][..., :-1], stack[win][..., -1]) for win in tiler.windows(grid)]
     weights = network.init_weights(model_cfg)
     trained, history = network.train(weights, dataset, train_cfg)
     outputs = _outputs(cfg, "train")
@@ -452,12 +458,12 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, str]:
         pred = ndsm_fine.with_values(np.where(
             mask.source_ids > 0, np.maximum(ndsm_fine.values, 0.0), np.float32(0.0)))
     else:
-        channels, _, target_params = _network_inputs(cfg, target=False)
+        grid, stack, target_params = _network_inputs(cfg, target=False)
         path = _file(cfg, "weights")
         weights = network.read_weights(path)
-        if (cin := weights.config.in_channels) != len(channels):
-            raise FormatError(f"{path}: {cin} input channels; the pipeline gives {len(channels)}")
-        pred = network.predict_city(weights, channels, target_params)
+        if (cin := weights.config.in_channels) != (n := stack.shape[-1]):
+            raise FormatError(f"{path}: {cin} input channels; the pipeline gives {n}")
+        pred = network.predict_city(weights, grid, stack, target_params)
     return _write(cfg, "predict", predicted_heights=pred)
 
 
@@ -477,7 +483,7 @@ def _histogram_bins(cfg: PipelineConfig) -> tuple[dict[str, float], float]:
     value is a config error."""
     bins = {"bin_width": cfg.positive("bin_width"),
             "height_cap": cfg.positive("height_cap", zero_ok=True)}
-    nbins = bins["height_cap"] // bins["bin_width"] + 1  # as ucp.aggregate_all bins
+    nbins = ucp.bin_count(**bins)
     if not nbins <= MAX_HISTOGRAM_BINS:
         raise ConfigError(
             f"bad bin_width {cfg.bin_width!r} and height_cap {cfg.height_cap!r}: "

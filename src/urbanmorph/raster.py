@@ -27,8 +27,9 @@ from .errors import (
 DEFAULT_NODATA = -9999.0
 
 GEOREF_TOL = 1e-6
-# Cells of one block of rows in ``resample_cubic`` and the cell-wise kernels
-# (normalization, its inverse and the clamp): 256 KiB at float64.
+# Cells of one block of rows in ``resample_cubic``, the cell-wise kernels
+# (normalization, its inverse and the clamp) and ``synth``'s point writer:
+# 256 KiB at float64.
 _BLOCK_CELLS = 1 << 15
 
 

@@ -28,13 +28,10 @@ from .errors import PackingError
 from .footprints import BuildingFootprint, FootprintMask, _build, _table, rasterize
 from .footprints import write_footprints
 from .pointcloud import Label, PointCloud, write_glbp_pieces
-from .raster import DEFAULT_NODATA, Raster, downsample_average, write_raster
+from .raster import DEFAULT_NODATA, Raster, _row_blocks, downsample_average, write_raster
 
 _PLACEMENT_RETRIES = 25
 _TERRAIN_BASE = 100.0
-# Cells per row band of the point writer: a band's points and temporaries
-# are about 2 MB.
-_BAND_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,16 +110,15 @@ class SynthScene:
 
         One labeled point per cell center: ground where open, building roofs
         where built, each in row-major order, then the clutter.  The cells
-        come in row bands of ``_BAND_CELLS``; a band yields its ground piece
-        and its roof piece, at the next free index of each label.
+        come in the row blocks of ``raster._row_blocks``; a block yields its
+        ground piece and its roof piece, at the next free index of each label.
         """
         ids = self.mask.source_ids
         rows, size = ids.shape
         height_lut = np.array([0.0, *self.heights.values()])  # by id; ids run from 1
         starts = {Label.GROUND: 0, Label.BUILDING: ids.size - np.count_nonzero(ids)}
-        step = max(1, _BAND_CELLS // size)
-        for r0 in range(0, rows, step):
-            band = ids[r0:r0 + step]
+        for block in _row_blocks(rows, size):
+            band, r0 = ids[block], block.start
             for label in starts:
                 cells = np.flatnonzero(band > 0 if label == Label.BUILDING else band == 0)
                 xs = np.remainder(cells, size) + 0.5

@@ -142,6 +142,13 @@ class UcpGrid:
         return fields
 
 
+def bin_count(bin_width: float, height_cap: float) -> float:
+    """The number of height-histogram bins: [0, w), [w, 2w), ... below
+    ``height_cap``, and the open-ended bin at and above it.  A float, so
+    that a caller can bound an extreme count before making it an int."""
+    return height_cap // bin_width + 1
+
+
 def aggregate_all(
     buildings: list[Lod1Building],
     mask: FootprintMask,
@@ -186,7 +193,7 @@ def aggregate_all(
     count = np.bincount(cells, minlength=n).reshape(shape)
     mean = _ratio(per_cell(heights), count)
     std = np.sqrt(np.maximum(0.0, _ratio(per_cell(heights ** 2), count) - mean ** 2))
-    nbins = int(height_cap // bin_width) + 1
+    nbins = int(bin_count(bin_width, height_cap))
     bins = np.minimum((heights // bin_width).astype(np.int64), nbins - 1)
     hist = np.bincount(cells * nbins + bins, minlength=n * nbins).reshape(*shape, nbins)
     built = _built_cells(mask, geom)

@@ -41,7 +41,7 @@ def _stitch(grid, tiles):
     the grid once is a ShapeError, so no comparison passes on a short one."""
     # A stack with no second axis, or of empty tiles, cannot match size 1.
     size = tiles.shape[1] if tiles.ndim > 1 and tiles.shape[1] else 1
-    _, windows = tiler.windows([grid], size)
+    windows = tiler.windows(grid, size)
     expected = (len(windows), size, size)
     if tiles.shape != expected:
         raise ShapeError(f"tiles have shape {tiles.shape}, expected {expected}")
@@ -54,9 +54,11 @@ def _stitch(grid, tiles):
 
 @pytest.fixture(scope="session")
 def stitch():
-    """The inverse of ``tiler.split`` for one channel, ``stitch(grid, tiles)``:
-    the oracle of the tiler's round trips and of ``network.predict_city``,
-    which writes each tile's prediction into its window itself."""
+    """``stitch(grid, tiles)``, one channel's tiles in window order read back
+    onto ``grid``: the inverse of cutting one channel of the ``tiler.padded``
+    stack into its windows, and the oracle of the tiler's round trips and of
+    ``network.predict_city``, which writes each tile's prediction into its
+    window itself."""
     return _stitch
 
 

@@ -36,7 +36,7 @@ from urbanmorph.raster import (
     write_raster,
 )
 from urbanmorph.synth import SyntheticCitySpec, generate_city
-from urbanmorph.tiler import split
+from urbanmorph.tiler import padded, windows
 from urbanmorph.ucp import aggregate_all, covered_area
 from urbanmorph.validation import PairedSeries, mape, pair_grids, rmse
 
@@ -176,13 +176,14 @@ def test_criterion_2_round_trips(tmp_path, stitch):
         t0 = time.perf_counter()
         rng = np.random.default_rng(202)
 
-        # stitch(split(.)) bit-exact over >= 50 sizes.
+        # The windows of the padded stack, stitched, bit-exact over >= 50 sizes.
         sizes = [(int(h), int(w)) for h, w in rng.integers(1, 520, (52, 2))]
         sizes += [(256, 256), (300, 300), (1, 1)]
         for height, width in sizes:
             r = make_raster(rng.uniform(-50, 50, (height, width)).astype(np.float32))
-            plan, tiles = split([r])
-            back = stitch(plan, tiles[..., 0])
+            stack = padded(r, 1)
+            stack[:height, :width, 0] = r.values
+            back = stitch(r, np.stack([stack[win][..., 0] for win in windows(r)]))
             assert back.values.tobytes() == r.values.tobytes(), (height, width)
 
         # denormalize(normalize(.)) within 1e-5 of the value range.

@@ -354,7 +354,8 @@ class TestNetworkStageInputs:
 
     def test_train_dataset_is_channels_then_target(self, run_dir, tmp_path, monkeypatch, stitch):
         # Each training pair is one tile: every channel but the last as the
-        # input, and the normalized reference, the last channel, as the target.
+        # input, and the normalized reference, the last channel, as the target;
+        # every tile and target is a read-only view of one array, the stack.
         flags = self.copy_inputs(run_dir, tmp_path, ("ndsm_resampled.glbr", "ndsm_ref.glbr"),
                                  population=True)
         seen = []
@@ -369,11 +370,15 @@ class TestNetworkStageInputs:
         assert code == 0
         ndsm, _ = minmax_normalize(read_raster(tmp_path / "ndsm_resampled.glbr"))
         target, _ = minmax_normalize(read_raster(tmp_path / "ndsm_ref.glbr"))
-        grid, tiles = tiler.split([target])
-        assert len(seen) == len(tiles) == 1 and all(x.shape[-1] == 3 for x, _ in seen)
+        assert len(seen) == len(tiler.windows(target)) == 1
+        assert all(x.shape[-1] == 3 for x, _ in seen)
+        stack = seen[0][0].base
+        for part in seen:
+            for a in part:
+                assert np.shares_memory(a, stack) and not a.flags.writeable
         for expected, part in ((ndsm, [x[..., 0] for x, _ in seen]),
                                (target, [y for _, y in seen])):
-            back = stitch(grid, np.stack(part))
+            back = stitch(target, np.stack(part))
             assert back.values.tobytes() == expected.values.tobytes()
 
     def test_train_target_not_aligned_exit_2(self, run_dir, tmp_path, capsys):

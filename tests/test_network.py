@@ -54,6 +54,15 @@ def make_raster(values, cell_size=1.0):
     )
 
 
+def padded_stack(channels):
+    """A grid of ``channels``' (H, W) cells and their ``tiler.padded``
+    stack, the (H, W, C) ``channels`` written into its cells."""
+    grid = make_raster(channels[..., 0])
+    stack = tiler.padded(grid, channels.shape[-1])
+    stack[: grid.height, : grid.width] = channels
+    return grid, stack
+
+
 def tiny_cfg(**kw):
     defaults = dict(depth=1, base_filters=2, kernel_size=3, in_channels=2, seed=7)
     defaults.update(kw)
@@ -761,9 +770,9 @@ class TestBufferReuse:
         assert_same_bits(y2, oracle_forward(w, x2))
 
     def test_predict_city_equals_stack_of_forwards(self, monkeypatch, stitch):
-        # The oracle splits every tile at once, runs each with its own
-        # buffers and stitches the stack; predict_city walks the windows in
-        # one tile and one set of buffers.  On six tiles, and on one.
+        # The oracle runs each window of the padded stack with its own
+        # buffers and stitches the stack of predictions; predict_city runs
+        # the windows in one set of buffers.  On six tiles, and on one.
         rng = np.random.default_rng(12)
         cfg = tiny_cfg(depth=2, in_channels=2)
         w = init_weights(cfg)
@@ -772,12 +781,12 @@ class TestBufferReuse:
         params = NormalizationParams(0.0, 50.0)
         w32 = w.astype(np.float32)
         for shape in ((300, 520), (200, 130)):
-            chans = [make_raster(rng.uniform(0, 1, shape)) for _ in range(2)]
-            grid, tiles = tiler.split(chans)
+            grid, stack = padded_stack(rng.uniform(0, 1, shape + (2,)))
+            tiles = [stack[win] for win in tiler.windows(grid)]
             stitched = stitch(grid, np.stack([oracle_forward(w32, t)[..., 0] for t in tiles]))
             expect = clamp_nonnegative(denormalize(stitched, params))
             for _ in each_lane_count(monkeypatch):
-                assert_same_bits(predict_city(w, chans, params).values, expect.values)
+                assert_same_bits(predict_city(w, grid, stack, params).values, expect.values)
 
     def test_float64_step_after_float32_step(self):
         rng = np.random.default_rng(13)
@@ -1143,9 +1152,8 @@ class TestPredictCity:
     def test_zero_weights_give_min_value(self):
         cfg = tiny_cfg(in_channels=2)
         w = Weights(cfg, np.zeros(parameter_count(cfg)))
-        chans = [make_raster(np.random.default_rng(0).uniform(0, 1, (300, 280)))
-                 for _ in range(2)]
-        out = predict_city(w, chans, NormalizationParams(0.0, 50.0))
+        grid, stack = padded_stack(np.random.default_rng(0).uniform(0, 1, (300, 280, 2)))
+        out = predict_city(w, grid, stack, NormalizationParams(0.0, 50.0))
         assert (out.width, out.height) == (280, 300)
         np.testing.assert_array_equal(out.values, 0.0)
 
@@ -1154,9 +1162,17 @@ class TestPredictCity:
         cfg = tiny_cfg(in_channels=1)
         w = Weights(cfg, np.zeros(parameter_count(cfg)))
         w.biases["head"][0] = 0.5
-        out = predict_city(w, [make_raster(np.zeros((256, 256)))],
-                           NormalizationParams(0.0, 60.0))
+        grid, stack = padded_stack(np.zeros((256, 256, 1)))
+        out = predict_city(w, grid, stack, NormalizationParams(0.0, 60.0))
         np.testing.assert_allclose(out.values, 30.0, atol=1e-4)
+
+    @pytest.mark.parametrize("shape", [(300, 280, 1), (512, 256, 2), (256, 512, 2), (512, 512)])
+    def test_stack_not_padded_for_the_grid_rejected(self, shape):
+        cfg = tiny_cfg(in_channels=2)
+        w = Weights(cfg, np.zeros(parameter_count(cfg)))
+        grid = make_raster(np.zeros((300, 280)))
+        with pytest.raises(ShapeError, match=r"expected \(512, 512, 2\)"):
+            predict_city(w, grid, np.zeros(shape, np.float32), NormalizationParams(0.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -1189,8 +1205,9 @@ class TestNetworkPathMemory:
     # held to the end of the stage, the whole-grid normalization's float64
     # temporaries, a half-size skip buffer per decoder level, and a stack of
     # every tile's prediction, with the pass buffers held through the
-    # denormalization, in predict.
-    @pytest.mark.parametrize("stage, mib", [("train", 34.1), ("predict", 29.2)],
+    # denormalization, in predict.  Train was 34.1 MiB while its tiles were
+    # a copy of the channels, not views of one padded stack.
+    @pytest.mark.parametrize("stage, mib", [("train", 33.2), ("predict", 29.2)],
                              ids=["train", "predict"])
     def test_peak_bound(self, network_path_peaks, stage, mib):
         assert network_path_peaks[stage] <= 1.05 * mib * 2**20

@@ -7,7 +7,7 @@ from scipy.ndimage import gaussian_filter
 
 from urbanmorph.errors import PackingError
 from urbanmorph.footprints import BuildingFootprint
-from urbanmorph import synth
+from urbanmorph import raster
 from urbanmorph.pointcloud import Label, PointCloud, read_points_csv, write_glbp_pieces
 from urbanmorph.pipeline import STAGE_FILES
 from urbanmorph.raster import downsample_average
@@ -306,9 +306,10 @@ class TestSceneMatchesOracle:
 
 
 class TestPointsWrittenInBands:
-    # Bands of one row, of 2,100 cells (7 rows of 300, 21 rows of 98: neither
-    # grid is a whole number of bands) and of the default size.
-    @pytest.mark.parametrize("band_cells", [1, 2100, synth._BAND_CELLS])
+    # Row blocks of one row, of 2,100 cells (7 rows of 300, 21 rows of 98:
+    # neither grid is a whole number of blocks), of twice the default size
+    # and of the default size.
+    @pytest.mark.parametrize("band_cells", [1, 2100, 65536, raster._BLOCK_CELLS])
     @pytest.mark.parametrize("spec", [
         small_spec(terrain_slope=0.013, seed=11),
         small_spec(snap_to_coarse=True, footprint_min=10.0, footprint_max=30.0, terrain_slope=-0.4),
@@ -316,9 +317,9 @@ class TestPointsWrittenInBands:
         small_spec(extent_m=97.0, n_buildings=3, coarse_factor=7, height_min=0.0, seed=3),
     ])
     def test_glbp_bytes(self, tmp_path, monkeypatch, spec, band_cells):
-        monkeypatch.setattr(synth, "_BAND_CELLS", band_cells)
         scene = generate_city(spec)
         *_, points = scene_oracle(spec, scene.mask)
         write_glbp_pieces(tmp_path / "oracle.glbp", len(points), [(0, points)])
+        monkeypatch.setattr(raster, "_BLOCK_CELLS", band_cells)
         written = Path(write_into(scene, tmp_path)["points"]).read_bytes()
         assert written == (tmp_path / "oracle.glbp").read_bytes()
