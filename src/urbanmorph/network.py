@@ -45,53 +45,30 @@ gradient comes from the same slices as the forward GEMMs; the input gradient
 is the same shifted convolution of the padded output gradient with the
 rotated kernel.
 
-A pass runs on ``LANES`` lanes: the calling thread and, at 2, one worker
-thread that lives for the pass.  Two lanes make the same BLAS calls on the
-same operands, shapes and strides as one, and keep every sum in its order, so
-each result has the same bits at either count.  Forward, a convolution's taps
-run in pairs, one GEMM a lane; each lane then adds the pair's products, in
-tap order, to its half of the accumulator's rows, and later adds the bias and
-applies the ReLU to that half; each max-pool splits its rows between the
-lanes.  Backward, one lane computes a layer's kernel and bias gradients
-while the other computes its input gradient.  Each kernel-gradient product
-is an ``np.dot``, not an ``np.matmul``: both make the same BLAS call, but
-numpy's matmul keeps the GIL when its output is small (it did at 16 x 8
-values and released it at 32 x 16), so the other lane would wait.  Two lanes
-run only when the process may use 2 CPUs and OpenBLAS runs on one thread:
-OpenBLAS's own threads spin while they wait, and a lane beside them slows
-them down.
+Each pass runs on the calling thread, in layer order, and keeps every sum
+in one order, so its bits do not depend on any thread count of this
+package.
 
 Buffer lifetimes: the tape lives through the step.  Two flat scratch arrays
-serve one convolution at a time.  Forward, ``tmp`` holds its GEMM sum and the
-calling lane's tap products, and ``acc`` an up-convolution's rebuilt
-upsampled input.  The worker lane writes its tap products to scratch that is
-idle while that convolution runs: ``acc``; for an up-convolution, its own
-padded output gradient, which the backward pass has not filled yet and which
-is zeroed again once the GEMM sum is done; or, in a forward-only pass,
-``spare``.  Backward, the kernel gradient reads the tape, or ``acc``'s
-rebuilt input; an up-convolution's kernel gradient runs on both lanes, split
-by tap, before its input gradient may overwrite that input.  The input
-gradient is computed in ``acc`` by one lane, with ``tmp`` as its scratch,
-while the other lane writes only to the gradient vector.  A padded output
-gradient serves the convolutions of its shape in turn.  Each ``dec{l}``
-input gradient is computed in ``acc``; its skip half, read only at
-``enc{l}``'s step, is copied to a tape array of its shape that is idle from
-then on: for ``dec0`` the head's input, whose ReLU mask was read at the
-head's step, and for ``dec{l}`` the input of ``up{l-1}``, which holds
-``dec{l}``'s activation and was last read at ``up{l-1}``'s step.  The next
-forward pass writes both anew.  The pass gives the same bits as the unfused
-layer-by-layer pass that the tests keep as its oracle.
+serve one convolution at a time.  Forward, ``tmp`` holds its GEMM sum and
+tap products, and ``acc`` an up-convolution's rebuilt upsampled input.
+Backward, the kernel gradient reads the tape, or ``acc``'s rebuilt input,
+before the input gradient, computed in ``acc`` with ``tmp`` as its scratch,
+overwrites that input.  A padded output gradient serves the convolutions of
+its shape in turn.  Each ``dec{l}`` input gradient is computed in ``acc``;
+its skip half, read only at ``enc{l}``'s step, is copied to a tape array of
+its shape that is idle from then on: for ``dec0`` the head's input, whose
+ReLU mask was read at the head's step, and for ``dec{l}`` the input of
+``up{l-1}``, which holds ``dec{l}``'s activation and was last read at
+``up{l-1}``'s step.  The next forward pass writes both anew.  The pass gives
+the same bits as the unfused layer-by-layer pass that the tests keep as its
+oracle.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import queue
-import threading
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -239,137 +216,21 @@ def _scratch(flat: np.ndarray, shape) -> np.ndarray:
     return flat[: math.prod(shape)].reshape(shape)
 
 
-def _blas_threads() -> int | None:
-    """Threads the OpenBLAS that numpy loaded will use; None when it is not a
-    scipy-openblas build, whose library answers this."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    if not os.path.isdir(libs):
-        return None
-    for name in sorted(os.listdir(libs)):
-        if "openblas" in name:
-            fn = getattr(ctypes.CDLL(os.path.join(libs, name)),
-                         "scipy_openblas_get_num_threads64_", None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return fn()
-    return None
-
-
-def _host_lanes() -> int:
-    """2 when this process may run on 2 CPUs and OpenBLAS runs on 1 thread,
-    else 1: the lane rule of the module docstring."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return 2 if cpus >= 2 and _blas_threads() == 1 else 1
-
-
-# The lanes each pass runs on: the calling thread and, at 2, one worker
-# thread started for the pass.
-LANES = _host_lanes()
-# A pass on a tile of fewer cells runs on one lane: each handoff to the
-# worker costs tens of microseconds, more than the second lane saves on
-# small convolutions.  A float32 step (depth 3, base 8) on two lanes took
-# 1.56 times as long as on one at 64², 0.97 times at 128², 0.79 at 256².
-MIN_LANE_CELLS = 128 * 128
-
-
-class _Lanes:
-    """The lanes of one pass: the calling thread and, when ``count`` is 2, a
-    worker thread that runs the functions ``pair`` hands it, one at a time.
-    As a context manager it starts the worker and ends it.  (A pass hands
-    over about 150 functions; a one-thread executor's futures took about
-    8 us more a handoff, 4 % of a float32 step on a 256² tile.)"""
-
-    def __init__(self, count: int):
-        self.count = count
-        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._worker = None
-
-    def __enter__(self) -> "_Lanes":
-        if self.count > 1:
-            self._worker = threading.Thread(target=self._work, name="urbanmorph-lane",
-                                            daemon=True)
-            self._worker.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._worker is not None:
-            self._todo.put(None)
-            self._worker.join()
-
-    def _work(self) -> None:
-        while (task := self._todo.get()) is not None:
-            try:
-                task()
-            except BaseException as exc:  # raised again on the calling thread
-                self._done.put(exc)
-            else:
-                self._done.put(None)
-
-    def pair(self, first, second=None) -> None:
-        """Run ``first`` on this thread and ``second`` on the worker; with one
-        lane, ``first`` and then ``second``.  Returns when both have ended,
-        and raises the exception of either."""
-        if second is None or self.count == 1:
-            first()
-            if second is not None:
-                second()
-            return
-        self._todo.put(second)
-        try:
-            first()
-        finally:
-            error = self._done.get()
-        if error is not None:
-            raise error
-
-    def by_rows(self, fn, n: int) -> None:
-        """``fn(rows)`` for ``range(n)`` cut into one run of rows a lane."""
-        cuts = [n * k // self.count for k in range(self.count + 1)]
-        self.pair(*(partial(fn, slice(a, b)) for a, b in zip(cuts, cuts[1:])))
-
-
-_ONE_LANE = _Lanes(1)
-
-
-def _pass_lanes(shape) -> _Lanes:
-    """The lanes of a pass on a tile of (h, w) ``shape``."""
-    return _Lanes(LANES if shape[0] * shape[1] >= MIN_LANE_CELLS else 1)
-
-
-def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, acc: np.ndarray, tmps, lanes: _Lanes):
+def _shifted_gemm(xp: np.ndarray, kernel: np.ndarray, acc: np.ndarray, tmp: np.ndarray):
     """Into ``acc`` (h * Wp, cout): the 'same' correlation of the padded buffer
     ``xp`` (h + 2p + 1, Wp, cin), one GEMM per tap (i, j) on the flat rows
     whose row r * Wp + c is xp[r + i, c + j].  The columns c >= Wp - 2p of
-    each row wrap into the next row and are junk.  ``tmps`` holds one
-    scratch array of ``acc``'s shape per lane.  On two lanes the taps run in
-    pairs, one GEMM a lane, the first tap into ``acc``, and then each lane
-    adds the pair's products to its half of ``acc``'s rows, in tap order."""
+    each row wrap into the next row and are junk.  ``tmp`` is scratch of
+    ``acc``'s shape for each tap's product, added to ``acc`` in tap order."""
     kh, kw, cin, _ = kernel.shape
     wp = xp.shape[1]
     n = acc.shape[0]
     flat = xp.reshape(-1, cin)
     taps = [(i * wp + j, kernel[i, j]) for i in range(kh) for j in range(kw)]
-    if lanes.count == 1:
-        np.matmul(flat[:n], kernel[0, 0], out=acc)
-        for s, k in taps[1:]:
-            np.matmul(flat[s : s + n], k, out=tmps[0])
-            acc += tmps[0]
-        return acc
-    outs = [acc] + [tmps[t % 2] for t in range(1, len(taps))]
-
-    def add(products, rows):
-        for product in products:
-            np.add(acc[rows], product[rows], out=acc[rows])
-
-    for t in range(0, len(taps), 2):
-        lanes.pair(*(partial(np.matmul, flat[s : s + n], k, out=out)
-                     for (s, k), out in zip(taps[t : t + 2], outs[t:])))
-        if products := outs[max(t, 1) : t + 2]:
-            lanes.by_rows(partial(add, products), n)
+    np.matmul(flat[:n], kernel[0, 0], out=acc)
+    for s, k in taps[1:]:
+        np.matmul(flat[s : s + n], k, out=tmp)
+        acc += tmp
     return acc
 
 
@@ -378,7 +239,7 @@ class _Buffers:
     each pass run in it.
 
     ``tape[name]`` is the padded input of convolution ``name``: zero-bordered,
-    (h + 2p + 1, w + 2p, cin) with a spare zero row; a pass writes only its
+    (h + 2p + 1, w + 2p, cin) with an extra zero row; a pass writes only its
     interior.  An up-convolution's is the (h / 2, w / 2, cin) activation it
     upsamples, with no border; no array holds the upsampled input.
     ``out[name]`` is the (h, w, cout) view where the activation of ``name``
@@ -386,10 +247,8 @@ class _Buffers:
     output, then the encoder skip), the whole input of an up-convolution, or
     ``y`` for the head.  ``tmp`` is flat scratch that one GEMM sum and its
     tap products at a time take views of; ``acc`` is flat scratch for an
-    up-convolution's upsampled padded input, rebuilt from its tape, for an
-    input gradient, and for the second lane's tap products of any other
-    convolution.  Without ``backward``, ``spare`` is flat scratch for the
-    second lane's tap products of an up-convolution.
+    up-convolution's upsampled padded input, rebuilt from its tape, and for
+    an input gradient.
 
     With ``backward``, ``dyp[name]`` is the padded output gradient of
     ``name``, one array per shape, which its convolutions use in turn;
@@ -403,7 +262,7 @@ class _Buffers:
     def __init__(self, cfg: ModelConfig, shape, dtype, backward: bool = True):
         h, w = shape
         self.tape, self.size, self.out, self.dyp, self.skip = {}, {}, {}, {}, {}
-        acc = tmp = flags = spare = 0
+        acc = tmp = flags = 0
         for name, k, _, cin, cout in layer_specs(cfg):
             level = _level(cfg, name)
             self.size[name] = hl, wl = h >> level, w >> level
@@ -414,10 +273,6 @@ class _Buffers:
             self.tape[name] = np.zeros((hl // 2, wl // 2, cin) if up else padded + (cin,), dtype)
             if up or backward:
                 acc = max(acc, math.prod(padded) * cin)
-            if up:
-                spare = max(spare, n * cout)
-            else:
-                acc = max(acc, n * cout)
             tmp = max(tmp, 2 * n * cout)
             if backward:
                 tmp = max(tmp, n * cin)
@@ -427,7 +282,6 @@ class _Buffers:
                 self.dyp[name] = same[0] if same else np.zeros(dyp, dtype)
         self.acc, self.tmp = np.empty(acc, dtype), np.empty(tmp, dtype)
         self.flags = np.empty(flags, bool)
-        self.spare = None if backward else np.empty(spare, dtype)
         self.y = np.empty((h, w, 1), dtype)
         self.out["head"], self.out["dec0"] = self.y, self.inner(self.tape, "head")
         for l in range(cfg.depth):
@@ -459,93 +313,59 @@ def _padded_input(buf: _Buffers, name: str, p: int) -> np.ndarray:
     return xp
 
 
-def _lane_scratch(buf: _Buffers, name: str) -> np.ndarray:
-    """Flat scratch for the second lane's tap products of convolution
-    ``name``, idle while it runs: ``acc``, unless ``name`` is an
-    up-convolution, whose input fills ``acc``; then its own padded output
-    gradient, which the backward pass fills only later (the caller zeroes
-    it again), or in a forward-only pass ``spare``."""
-    if not name.startswith("up"):
-        return buf.acc
-    return buf.spare if buf.spare is not None else buf.dyp[name].reshape(-1)
-
-
-def _conv(w: Weights, buf: _Buffers, name: str, lanes: _Lanes) -> None:
+def _conv(w: Weights, buf: _Buffers, name: str) -> None:
     """Convolution ``name`` of its padded input, its bias added and its ReLU
     applied in place on the accumulator, written to ``buf.out[name]``."""
     kernel = w.kernels[name]
     xp = _padded_input(buf, name, kernel.shape[0] // 2)
     (hl, wl), wp, cout = buf.size[name], xp.shape[1], kernel.shape[3]
-    shape = (hl * wp, cout)
-    acc, tmp = _scratch(buf.tmp, (2,) + shape)
+    acc, tmp = _scratch(buf.tmp, (2, hl * wp, cout))
     if name == "head":  # its kernel is 1x1, so Wp = w and its accumulator is y itself
-        acc = buf.y.reshape(shape)
-    tmps = [tmp, _scratch(_lane_scratch(buf, name), shape)][: lanes.count]
-    try:
-        _shifted_gemm(xp, kernel, acc, tmps, lanes)
-    finally:
-        if len(tmps) > 1 and name in buf.dyp and name.startswith("up"):
-            tmps[1][...] = 0  # the borrowed output gradient's zero border
+        acc = buf.y.reshape(acc.shape)
+    _shifted_gemm(xp, kernel, acc, tmp)
     # One addition per value, as a row-broadcast add makes, in long runs
     # (the bias tiled along a padded row; np.tile's wrapper costs 5 us more).
-    bias = np.repeat(w.biases[name][None], wp, axis=0).ravel()
-
-    def finish(rows):
-        a = acc.reshape(hl, wp * cout)[rows]
-        a += bias
-        np.maximum(a, 0.0, out=a)
-        if name != "head":
-            buf.out[name][rows] = a.reshape(-1, wp, cout)[:, :wl]
-
-    lanes.by_rows(finish, hl)
+    a = acc.reshape(hl, wp * cout)
+    a += np.repeat(w.biases[name][None], wp, axis=0).ravel()
+    np.maximum(a, 0.0, out=a)
+    if name != "head":
+        buf.out[name][...] = a.reshape(hl, wp, cout)[:, :wl]
 
 
 def _forward(w: Weights, x: np.ndarray, buf: _Buffers) -> np.ndarray:
     """The pass on the (H, W, C) tile ``x`` in ``buf``; returns ``buf.y``."""
     cfg = w.config
     buf.inner(buf.tape, "enc0")[...] = x
-
-    def pool(a, pooled, rows):
-        fine, out = a[2 * rows.start : 2 * rows.stop], pooled[rows]
-        first, second, *rest = (fine[i::2, j::2] for i, j in _WINDOW)
-        np.maximum(first, second, out=out)
+    for l in range(cfg.depth):
+        _conv(w, buf, f"enc{l}")
+        a, pooled = buf.out[f"enc{l}"], buf.inner(buf.tape, _below(cfg, "enc", l))
+        first, second, *rest = (a[i::2, j::2] for i, j in _WINDOW)
+        np.maximum(first, second, out=pooled)
         for cells in rest:
-            np.maximum(out, cells, out=out)
-
-    with _pass_lanes(x.shape) as lanes:
-        for l in range(cfg.depth):
-            _conv(w, buf, f"enc{l}", lanes)
-            pooled = buf.inner(buf.tape, _below(cfg, "enc", l))
-            lanes.by_rows(partial(pool, buf.out[f"enc{l}"], pooled), len(pooled))
-        _conv(w, buf, "bottleneck", lanes)
-        for l in reversed(range(cfg.depth)):
-            _conv(w, buf, f"up{l}", lanes)
-            _conv(w, buf, f"dec{l}", lanes)
-        _conv(w, buf, "head", lanes)
+            np.maximum(pooled, cells, out=pooled)
+    _conv(w, buf, "bottleneck")
+    for l in reversed(range(cfg.depth)):
+        _conv(w, buf, f"up{l}")
+        _conv(w, buf, f"dec{l}")
+    _conv(w, buf, "head")
     return buf.y
 
 
-def _masked(buf: _Buffers, name: str, d: np.ndarray, out: np.ndarray, rows: slice) -> None:
-    """Rows ``rows`` of ``d`` times the ReLU mask of ``name``, the cells where
-    its activation is > 0, into ``out``; the mask goes to the flag scratch."""
+def _masked(buf: _Buffers, name: str, d: np.ndarray, out: np.ndarray) -> None:
+    """``d`` times the ReLU mask of ``name``, the cells where its activation
+    is > 0, into ``out``; the mask goes to the flag scratch."""
     a = buf.out[name]
-    mask = _scratch(buf.flags, a.shape)[rows]
-    np.greater(a[rows], 0, out=mask)
-    np.multiply(d[rows], mask, out=out[rows])
+    mask = _scratch(buf.flags, a.shape)
+    np.greater(a, 0, out=mask)
+    np.multiply(d, mask, out=out)
 
 
-def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str, lanes: _Lanes):
+def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str):
     """The kernel and bias gradients of ``name`` into ``grad``, from the output
     gradient in its padded buffer.  Returns its input gradient, computed into
     the ``acc`` scratch, as an (h, w, cin) view; None for ``enc0``, as the
-    tile's own gradient is not needed.
-
-    One lane takes the kernel and bias gradients and the other the input
-    gradient.  An up-convolution's input gradient overwrites its rebuilt
-    input, so there the lanes first split the kernel gradient's taps, and
-    then the bias gradient runs beside the input gradient.  ``enc0`` has no
-    input gradient: a third of its taps and its bias gradient run beside the
-    other two thirds."""
+    tile's own gradient is not needed.  The kernel gradient comes first: an
+    up-convolution's input gradient overwrites its rebuilt input."""
     dyp, kernel = buf.dyp[name], w.kernels[name]
     kh, kw, cin, cout = kernel.shape
     (hl, wl), wp, p = buf.size[name], dyp.shape[1], kh // 2
@@ -555,71 +375,43 @@ def _conv_grad(w: Weights, buf: _Buffers, grad: Weights, name: str, lanes: _Lane
     start = p * wp + p
     dy_flat = dyp.reshape(-1, cout)[start : start + n]
     flat = xp.reshape(-1, cin)
-    taps = [(i, j) for i in range(kh) for j in range(kw)]
-    dx = _scratch(buf.acc, (n, cin))
-
-    def kernel_grad(taps):
-        for i, j in taps:
+    for i in range(kh):
+        for j in range(kw):
             s = i * wp + j
-            # np.dot, not np.matmul: the same BLAS call, but matmul keeps the
-            # GIL for small outputs, so the other lane could not run beside it.
             np.dot(flat[s : s + n].T, dy_flat, out=grad.kernels[name][i, j])
-
-    def bias_grad():
-        # numpy sums (cells, channels) cell by cell, but one channel pairwise
-        # over its contiguous cells: the same sums as over a contiguous dy.
-        dy = buf.inner(buf.dyp, name)
-        (dy if cout > 1 else np.ascontiguousarray(dy)).sum(axis=(0, 1), out=grad.biases[name])
-
-    def input_grad():
-        # dx is a full correlation with the 180-degree-rotated kernel, channels
-        # swapped; exact for 'same' zero padding with odd kernels.
-        k_rot = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
-        _shifted_gemm(dyp, k_rot, dx, [_scratch(buf.tmp, (n, cin))], _ONE_LANE)
-
-    def parameter_grads(taps):
-        kernel_grad(taps)
-        bias_grad()
-
-    if name.startswith("up"):
-        half = len(taps) // 2
-        lanes.pair(partial(kernel_grad, taps[:half]), partial(kernel_grad, taps[half:]))
-        lanes.pair(bias_grad, input_grad)
-    elif name == "enc0":
-        # Its bias gradient takes about as long as three of its nine taps.
-        third = len(taps) // 3
-        lanes.pair(partial(parameter_grads, taps[:third]), partial(kernel_grad, taps[third:]))
-    else:
-        lanes.pair(partial(parameter_grads, taps), input_grad)
-    return None if name == "enc0" else dx.reshape(hl, wp, cin)[:, :wl]
+    # numpy sums (cells, channels) cell by cell, but one channel pairwise
+    # over its contiguous cells: the same sums as over a contiguous dy.
+    dy = buf.inner(buf.dyp, name)
+    (dy if cout > 1 else np.ascontiguousarray(dy)).sum(axis=(0, 1), out=grad.biases[name])
+    if name == "enc0":
+        return None
+    # dx is a full correlation with the 180-degree-rotated kernel, channels
+    # swapped; exact for 'same' zero padding with odd kernels.
+    k_rot = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
+    dx = _shifted_gemm(dyp, k_rot, _scratch(buf.acc, (n, cin)), _scratch(buf.tmp, (n, cin)))
+    return dx.reshape(hl, wp, cin)[:, :wl]
 
 
-def _pool_grad(cfg: ModelConfig, buf: _Buffers, l: int, dpool, skip, lanes: _Lanes) -> None:
+def _pool_grad(cfg: ModelConfig, buf: _Buffers, l: int, dpool, skip) -> None:
     """``enc{l}``'s output gradient into its padded buffer: the gradient
     ``dpool`` of the max-pool routed to the first maximum of each window,
     plus the decoder's ``skip`` gradient, times the ReLU mask."""
     name = f"enc{l}"
     a, dy = buf.out[name], buf.inner(buf.dyp, name)
     pooled = buf.inner(buf.tape, _below(cfg, "enc", l))
-    flags = buf.flags[a.size :][: 2 * pooled.size].reshape(2, *pooled.shape)
+    route, taken = buf.flags[a.size :][: 2 * pooled.size].reshape(2, *pooled.shape)
     routed = _scratch(buf.tmp, pooled.shape)
     # The pool's gradient is dpool on the route and +0.0 elsewhere: the bits
     # of dpool times the route, as unsigned integers.
     bits = np.dtype(f"u{routed.itemsize}")
-
-    def pool_rows(rows):
-        fine = slice(2 * rows.start, 2 * rows.stop)
-        route, taken = flags[:, rows]
-        taken[...] = False
-        for i, j in _WINDOW:
-            np.equal(a[fine][i::2, j::2], pooled[rows], out=route)
-            np.greater(route, taken, out=route)  # a maximum, and the window's first
-            taken |= route
-            np.multiply(dpool[rows].view(bits), route, out=routed[rows].view(bits))
-            np.add(routed[rows], skip[fine][i::2, j::2], out=dy[fine][i::2, j::2])
-        _masked(buf, name, dy, dy, fine)
-
-    lanes.by_rows(pool_rows, pooled.shape[0])
+    taken[...] = False
+    for i, j in _WINDOW:
+        np.equal(a[i::2, j::2], pooled, out=route)
+        np.greater(route, taken, out=route)  # a maximum, and the window's first
+        taken |= route
+        np.multiply(dpool.view(bits), route, out=routed.view(bits))
+        np.add(routed, skip[i::2, j::2], out=dy[i::2, j::2])
+    _masked(buf, name, dy, dy)
 
 
 def _backward(w: Weights, buf: _Buffers, dy: np.ndarray) -> np.ndarray:
@@ -628,43 +420,34 @@ def _backward(w: Weights, buf: _Buffers, dy: np.ndarray) -> np.ndarray:
     cfg = w.config
     grad = Weights(cfg, np.empty_like(w.flat))
 
-    def set_dy(name, da, rows):
-        _masked(buf, name, da, buf.inner(buf.dyp, name), rows)
+    def set_dy(name, da):
+        _masked(buf, name, da, buf.inner(buf.dyp, name))
 
-    def split_dec(l, d, rows):
-        """``dec{l}``'s input gradient ``d``: the up-convolution's half, times
-        its ReLU mask, to its padded buffer, and the skip half to
-        ``skip[dec{l}]``."""
+    set_dy("head", dy)
+    set_dy("dec0", _conv_grad(w, buf, grad, "head"))
+    for l in range(cfg.depth):
+        # dec{l}'s input gradient: the up-convolution's half, times its ReLU
+        # mask, to its padded buffer, and the skip half to skip[dec{l}].
+        d = _conv_grad(w, buf, grad, f"dec{l}")
         nch = cfg.base_filters * 2**l
-        set_dy(f"up{l}", d[..., :nch], rows)
-        buf.skip[f"dec{l}"][rows] = d[rows, :, nch:]
-
-    def upsample_grad(l, d, rows):
-        """The upsample's gradient, the output gradient of the layer below:
-        the four cells each input cell went to, summed in window order, as
-        numpy's reshape-sum does over >= 2 channels (an up-convolution has
-        2 * nch input channels), times that layer's ReLU mask."""
+        set_dy(f"up{l}", d[..., :nch])
+        buf.skip[f"dec{l}"][...] = d[..., nch:]
+        # The upsample's gradient, the output gradient of the layer below:
+        # the four cells each input cell went to, summed in window order, as
+        # numpy's reshape-sum does over >= 2 channels (an up-convolution has
+        # 2 * nch input channels), times that layer's ReLU mask.
+        d = _conv_grad(w, buf, grad, f"up{l}")
         below = _below(cfg, "dec", l)
         s = buf.inner(buf.dyp, below)
-        fine = d[2 * rows.start : 2 * rows.stop]
-        first, second, *rest = (fine[i::2, j::2] for i, j in _WINDOW)
-        np.add(first, second, out=s[rows])
+        first, second, *rest = (d[i::2, j::2] for i, j in _WINDOW)
+        np.add(first, second, out=s)
         for cells in rest:
-            s[rows] += cells
-        _masked(buf, below, s, s, rows)
-
-    with _pass_lanes(dy.shape) as lanes:
-        lanes.by_rows(partial(set_dy, "head", dy), len(dy))
-        lanes.by_rows(partial(set_dy, "dec0", _conv_grad(w, buf, grad, "head", lanes)), len(dy))
-        for l in range(cfg.depth):
-            d = _conv_grad(w, buf, grad, f"dec{l}", lanes)
-            lanes.by_rows(partial(split_dec, l, d), len(d))
-            d = _conv_grad(w, buf, grad, f"up{l}", lanes)
-            lanes.by_rows(partial(upsample_grad, l, d), len(d) // 2)
-        d = _conv_grad(w, buf, grad, "bottleneck", lanes)
-        for l in reversed(range(cfg.depth)):
-            _pool_grad(cfg, buf, l, d, buf.skip[f"dec{l}"], lanes)
-            d = _conv_grad(w, buf, grad, f"enc{l}", lanes)
+            s += cells
+        _masked(buf, below, s, s)
+    d = _conv_grad(w, buf, grad, "bottleneck")
+    for l in reversed(range(cfg.depth)):
+        _pool_grad(cfg, buf, l, d, buf.skip[f"dec{l}"])
+        d = _conv_grad(w, buf, grad, f"enc{l}")
     return grad.flat
 
 

@@ -292,17 +292,21 @@ def _grid_of(r: Raster, nodata: float | None = None) -> Raster:
 
 
 def _read(cfg: PipelineConfig, *keys: str):
-    """Yield the raster of each key in turn, each checked to exist, to decode
-    and to lie on the grid of the first one.  Only the first one's grid is
-    kept between yields, so a raster the caller drops is freed."""
-    first = None
-    for key in keys:
+    """Iterate over the raster of each key in turn, each checked to exist, to
+    decode and to lie on the grid of the first one.  Between rasters the
+    iterator holds the first one's grid and no raster, so a raster the caller
+    drops is freed at once."""
+    first = []
+
+    def read(key):
         path = _file(cfg, key)
         r = read_raster(path)
-        first = first or (path, _grid_of(r))
+        if not first:
+            first[:] = path, _grid_of(r)
         _aligned(first[1], r, f"{first[0]} and {path}")
-        yield r
-        del r
+        return r
+
+    return map(read, keys)
 
 
 def _resampled(cfg: PipelineConfig, key: str, cell_size: float) -> Raster:

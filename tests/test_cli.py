@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -420,6 +421,15 @@ class TestNetworkStageInputs:
         assert "ndsm_resampled.glbr: 1 nodata cells" in err
         assert tree_digest(tmp_path) == before
 
+
+    def test_read_keeps_no_yielded_raster(self, run_dir):
+        # A raster the caller drops is freed before the generator resumes, so
+        # the first one does not stay alive beside what is built from it.
+        rasters = pipeline._read(PipelineConfig(out=str(run_dir)), "ndsm_resampled", "ndsm_ref")
+        first = weakref.ref(next(rasters))
+        assert first() is None
+        (second,) = rasters
+        assert second.values.shape == read_raster(run_dir / "ndsm_ref.glbr").values.shape
 
     @pytest.mark.parametrize(
         "stage, name, cell, message",

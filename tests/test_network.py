@@ -1,9 +1,4 @@
-import itertools
-import os
 import struct
-import subprocess
-import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -298,21 +293,6 @@ def assert_same_bits(got, expect):
     got, expect = np.asarray(got), np.asarray(expect)
     assert got.dtype == expect.dtype and got.shape == expect.shape
     np.testing.assert_array_equal(bits(got), bits(expect))
-
-
-def set_lanes(mp, lanes):
-    """``lanes`` lanes for every pass, whatever its tile size, through the
-    monkeypatch ``mp``."""
-    mp.setattr(network, "LANES", lanes)
-    mp.setattr(network, "MIN_LANE_CELLS", 0)
-
-
-def each_lane_count(mp):
-    """1 and then 2, each set for every pass through the monkeypatch ``mp``
-    while the caller's loop body runs."""
-    for lanes in (1, 2):
-        set_lanes(mp, lanes)
-        yield lanes
 
 
 class TestConfig:
@@ -694,17 +674,15 @@ class TestPassEqualsOracle:
         w, tile, target = case
         y0 = oracle_forward(w, tile)
         loss0, grad0 = oracle_loss_and_gradient(w, tile, target)
-        with pytest.MonkeyPatch.context() as mp:
-            for _ in each_lane_count(mp):
-                assert_same_bits(forward(w, tile), y0)
-                loss, grad = loss_and_gradient(w, tile, target)
-                assert_same_bits(loss, loss0)
-                assert_same_bits(grad, grad0)
+        assert_same_bits(forward(w, tile), y0)
+        loss, grad = loss_and_gradient(w, tile, target)
+        assert_same_bits(loss, loss0)
+        assert_same_bits(grad, grad0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("depth, base, shape",
                              [(3, 8, (64, 96)), (1, 1, (256, 200)), (3, 8, (256, 256))])
-    def test_full_size_bits(self, monkeypatch, dtype, depth, base, shape):
+    def test_full_size_bits(self, dtype, depth, base, shape):
         # Base 1 gives one-channel convolutions, whose bias gradient numpy
         # sums pairwise, at a size where the order of that sum shows.  The
         # pipeline's own tile gives its level-0 kernel gradients 66,048 rows.
@@ -713,10 +691,9 @@ class TestPassEqualsOracle:
         w = init_weights(cfg).astype(dtype)
         tile, target = rng.uniform(0, 1, (*shape, 3)), rng.uniform(0, 1, shape)
         loss0, grad0 = oracle_loss_and_gradient(w, tile, target)
-        for _ in each_lane_count(monkeypatch):
-            loss, grad = loss_and_gradient(w, tile, target)
-            assert_same_bits(loss, loss0)
-            assert_same_bits(grad, grad0)
+        loss, grad = loss_and_gradient(w, tile, target)
+        assert_same_bits(loss, loss0)
+        assert_same_bits(grad, grad0)
 
 
     def test_pool_gradient_zero_signs(self):
@@ -731,7 +708,7 @@ class TestPassEqualsOracle:
         buf.inner(buf.tape, "bottleneck")[...] = pooled
         dpool = rng.choice([-1.0, -0.0, 0.0, 2.0], pooled.shape)
         skip = np.full(a.shape, -0.0)
-        network._pool_grad(cfg, buf, 0, dpool, skip, network._ONE_LANE)
+        network._pool_grad(cfg, buf, 0, dpool, skip)
         expect = (_maxpool2_backward(dpool, idx, a.shape) + skip) * (a > 0)
         assert_same_bits(buf.inner(buf.dyp, "enc0"), expect)
 
@@ -739,7 +716,7 @@ class TestPassEqualsOracle:
 class TestBufferReuse:
     """Reused buffers must not carry one pass into the next."""
 
-    def test_train_equals_oracle_loop_over_two_shapes(self, monkeypatch):
+    def test_train_equals_oracle_loop_over_two_shapes(self):
         rng = np.random.default_rng(10)
         shapes = [(8, 8), (16, 8), (8, 8), (16, 8)]
         data = [(rng.uniform(0, 1, (*s, 2)), rng.uniform(0, 1, s)) for s in shapes]
@@ -753,10 +730,9 @@ class TestBufferReuse:
                 losses.append(loss)
                 flat -= 0.05 * grad
             expect_history.append(float(np.mean(losses)))
-        for _ in each_lane_count(monkeypatch):
-            trained, history = train(w, data, TrainConfig(learning_rate=0.05, epochs=3))
-            assert_same_bits(trained.flat, flat)
-            assert history == expect_history
+        trained, history = train(w, data, TrainConfig(learning_rate=0.05, epochs=3))
+        assert_same_bits(trained.flat, flat)
+        assert history == expect_history
 
     def test_second_forward_leaves_first_result(self):
         rng = np.random.default_rng(11)
@@ -769,7 +745,7 @@ class TestBufferReuse:
         assert_same_bits(y1, oracle_forward(w, x1))
         assert_same_bits(y2, oracle_forward(w, x2))
 
-    def test_predict_city_equals_stack_of_forwards(self, monkeypatch, stitch):
+    def test_predict_city_equals_stack_of_forwards(self, stitch):
         # The oracle runs each window of the padded stack with its own
         # buffers and stitches the stack of predictions; predict_city runs
         # the windows in one set of buffers.  On six tiles, and on one.
@@ -785,8 +761,7 @@ class TestBufferReuse:
             tiles = [stack[win] for win in tiler.windows(grid)]
             stitched = stitch(grid, np.stack([oracle_forward(w32, t)[..., 0] for t in tiles]))
             expect = clamp_nonnegative(denormalize(stitched, params))
-            for _ in each_lane_count(monkeypatch):
-                assert_same_bits(predict_city(w, grid, stack, params).values, expect.values)
+            assert_same_bits(predict_city(w, grid, stack, params).values, expect.values)
 
     def test_float64_step_after_float32_step(self):
         rng = np.random.default_rng(13)
@@ -816,6 +791,24 @@ class TestBufferReuse:
             tracemalloc.stop()
         assert peak <= 1.05 * 27.1 * 2**20
 
+    def test_padded_borders_stay_zero(self):
+        # Every zero border of a padded buffer stays zero after a step, after
+        # a forward in step buffers and after a forward in inference buffers.
+        rng = np.random.default_rng(16)
+        w = init_weights(tiny_cfg(depth=2, base_filters=3))
+        for name, *_ in layer_specs(w.config):
+            w.biases[name][...] = 0.25
+        x, target = rng.uniform(-1, 1, (16, 8, 2)), rng.uniform(0, 1, (16, 8))
+        step = network._Buffers(w.config, x.shape[:2], np.float64)
+        inference = network._Buffers(w.config, x.shape[:2], np.float64, backward=False)
+        for _ in range(2):
+            for buf, run in ((step, lambda: loss_and_gradient(w, x, target, buffers=step)),
+                             (step, lambda: forward(w, x, buffers=step)),
+                             (inference, lambda: forward(w, x, buffers=inference))):
+                run()
+                for label, border in padded_borders(buf):
+                    assert not border.any(), label
+
 
 def padded_borders(buf):
     """(label, values) of the border of every zero-bordered buffer in ``buf``,
@@ -828,120 +821,6 @@ def padded_borders(buf):
             border = np.ones(a.shape[:2], bool)
             buf.inner({name: border}, name)[...] = False
             yield f"{kind}[{name}]", a[border]
-
-
-class TestLanes:
-    """A pass on two lanes: the lane rule, the scratch the worker borrows,
-    and an exception on the worker."""
-
-    @staticmethod
-    def case():
-        rng = np.random.default_rng(16)
-        w = init_weights(tiny_cfg(depth=2, base_filters=3))
-        for name, *_ in layer_specs(w.config):
-            w.biases[name][...] = 0.25
-        return w, rng.uniform(-1, 1, (16, 8, 2)), rng.uniform(0, 1, (16, 8))
-
-    @pytest.mark.parametrize("cpus, threads, lanes",
-                             [(1, 1, 1), (2, 1, 2), (4, 1, 2), (2, 2, 1), (2, None, 1)])
-    def test_two_lanes_only_beside_one_blas_thread(self, monkeypatch, cpus, threads, lanes):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        monkeypatch.setattr(network, "_blas_threads", lambda: threads)
-        assert network._host_lanes() == lanes
-
-    @pytest.mark.parametrize("side, lanes", [(64, 1), (96, 1), (128, 2), (256, 2)])
-    def test_small_tiles_run_one_lane(self, monkeypatch, side, lanes):
-        monkeypatch.setattr(network, "LANES", 2)
-        counts, real = [], network._Lanes
-
-        def spy(count):
-            counts.append(count)
-            return real(count)
-
-        monkeypatch.setattr(network, "_Lanes", spy)
-        w = init_weights(tiny_cfg())
-        loss_and_gradient(w, np.zeros((side, side, 2)), np.zeros((side, side)))
-        assert counts == [lanes, lanes]  # the forward and the backward pass
-
-    def test_import_starts_no_thread(self, child_env):
-        code = ("import threading, urbanmorph, urbanmorph.network as n; "
-                "print(threading.active_count(), n._blas_threads(), n.LANES)")
-        env = dict(child_env, OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout.split()
-        assert out[0] == "1"
-        assert out[1] in ("1", "None")
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        assert out[2] == ("2" if out[1] == "1" and cpus >= 2 else "1")
-
-    @pytest.mark.parametrize("lanes", [1, 2])
-    def test_borrowed_borders_stay_zero(self, monkeypatch, lanes):
-        set_lanes(monkeypatch, lanes)
-        w, x, target = self.case()
-        step = network._Buffers(w.config, x.shape[:2], np.float64)
-        inference = network._Buffers(w.config, x.shape[:2], np.float64, backward=False)
-        for _ in range(2):
-            for buf, run in ((step, lambda: loss_and_gradient(w, x, target, buffers=step)),
-                             (step, lambda: forward(w, x, buffers=step)),
-                             (inference, lambda: forward(w, x, buffers=inference))):
-                run()
-                for label, border in padded_borders(buf):
-                    assert not border.any(), label
-
-    def test_worker_exception_raised_and_buffers_reusable(self, monkeypatch):
-        set_lanes(monkeypatch, 2)
-        w, x, target = self.case()
-        buf = network._Buffers(w.config, x.shape[:2], np.float64)
-        loss0, grad0 = oracle_loss_and_gradient(w, x, target)
-        threads = threading.active_count()
-        real_pair = network._Lanes.pair
-
-        class Boom(Exception):
-            pass
-
-        failed = []  # the names of each handoff's two functions, the worker's made to fail
-
-        def failing_pair(k):
-            """``pair``, whose k-th worker function runs and then raises there."""
-            calls = itertools.count()
-
-            def pair(self, first, second=None):
-                if second is not None and next(calls) == k:
-                    work = second
-                    failed.append(tuple(getattr(f, "func", f).__name__ for f in (first, work)))
-
-                    def second():
-                        assert threading.current_thread() is not threading.main_thread()
-                        work()
-                        raise Boom
-
-                real_pair(self, first, second)
-
-            return pair, calls
-
-        k = 0
-        while True:
-            pair, calls = failing_pair(k)
-            monkeypatch.setattr(network._Lanes, "pair", pair)
-            try:
-                loss_and_gradient(w, x, target, buffers=buf)
-            except Boom:
-                pass
-            else:
-                assert k == next(calls) == len(failed) > 0  # each worker function failed once
-                # Among them the forward max-pool's rows, and the step's last
-                # handoff: enc0's kernel-gradient taps beside the rest of its
-                # taps and its bias gradient.
-                assert ("pool", "pool") in failed
-                assert failed[-1] == ("parameter_grads", "kernel_grad")
-                break
-            monkeypatch.setattr(network._Lanes, "pair", real_pair)
-            loss, grad = loss_and_gradient(w, x, target, buffers=buf)
-            assert_same_bits(loss, loss0)
-            assert_same_bits(grad, grad0)
-            assert threading.active_count() == threads
-            k += 1
 
 
 class TestTrain:
@@ -966,12 +845,11 @@ class TestTrain:
         trained, _ = train(w, [(x, np.ones((8, 8)))], TrainConfig(learning_rate=0.0, epochs=3))
         np.testing.assert_array_equal(trained.flat, w.flat)
 
-    def test_deterministic(self, monkeypatch):
+    def test_deterministic(self):
         rng = np.random.default_rng(7)
         data = [(rng.uniform(0, 1, (8, 8, 2)), rng.uniform(0, 1, (8, 8))) for _ in range(3)]
         cfg = TrainConfig(learning_rate=0.01, epochs=4)
-        runs = [train(init_weights(tiny_cfg()), data, cfg)
-                for _ in each_lane_count(monkeypatch) for _ in range(2)]
+        runs = [train(init_weights(tiny_cfg()), data, cfg) for _ in range(2)]
         for b, hb in runs[1:]:
             assert_same_bits(b.flat, runs[0][0].flat)
             assert hb == runs[0][1]
@@ -1206,8 +1084,10 @@ class TestNetworkPathMemory:
     # temporaries, a half-size skip buffer per decoder level, and a stack of
     # every tile's prediction, with the pass buffers held through the
     # denormalization, in predict.  Train was 34.1 MiB while its tiles were
-    # a copy of the channels, not views of one padded stack.
-    @pytest.mark.parametrize("stage, mib", [("train", 33.2), ("predict", 29.2)],
+    # a copy of the channels, not views of one padded stack.  Predict was
+    # 28.2 MiB while its forward-only buffers kept scratch for a second
+    # thread's tap products.
+    @pytest.mark.parametrize("stage, mib", [("train", 33.2), ("predict", 26.2)],
                              ids=["train", "predict"])
     def test_peak_bound(self, network_path_peaks, stage, mib):
         assert network_path_peaks[stage] <= 1.05 * mib * 2**20
