@@ -791,11 +791,17 @@ class TestBufferReuse:
             tracemalloc.stop()
         assert peak <= 1.05 * 27.1 * 2**20
 
-    def test_padded_borders_stay_zero(self):
+
+class TestLanes:
+    """Every pass runs in one lane, the calling thread, and leaves the zero
+    border of each padded buffer for the next pass to read as padding."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_borrowed_borders_stay_zero(self, depth):
         # Every zero border of a padded buffer stays zero after a step, after
         # a forward in step buffers and after a forward in inference buffers.
         rng = np.random.default_rng(16)
-        w = init_weights(tiny_cfg(depth=2, base_filters=3))
+        w = init_weights(tiny_cfg(depth=depth, base_filters=3))
         for name, *_ in layer_specs(w.config):
             w.biases[name][...] = 0.25
         x, target = rng.uniform(-1, 1, (16, 8, 2)), rng.uniform(0, 1, (16, 8))
